@@ -31,6 +31,7 @@ __all__ = [
     "GradedSupport",
     "GeodesicPlan",
     "mp_lattice",
+    "inclusion_chain_ok",
     "graded_support",
     "breakpoints",
     "verify_plan",
@@ -130,7 +131,6 @@ def check_level(cfg: GroupConfig, s: Q, *, where: str) -> None:
 class LatticeShape:
     """Valuation-bound matrix for g_{x>=s} / g_{x>s} (or the G_ versions)."""
 
-    kind: str  # "algebra-filtration" | "group-filtration"
     bounds: Tuple[Tuple[int, ...], ...]
     x: ApartmentPoint
     s: Q
@@ -143,9 +143,6 @@ class LatticeShape:
             for orow, srow in zip(other.bounds, self.bounds)
             for ob, sb in zip(orow, srow)
         )
-
-    def contains_monomial(self, i: int, j: int, w: int) -> bool:
-        return w >= self.bounds[i][j]
 
     def dim_quotient_by(self, finer: "LatticeShape") -> int:
         """F_q-dimension of self / finer; requires finer to be contained."""
@@ -167,14 +164,14 @@ def mp_lattice(
     s: Q | int | str,
     strict: bool = False,
     *,
-    group: bool = False,
     _checked: bool = False,
 ) -> LatticeShape:
     """Bounds matrix of the filtration lattice at (x, s).
 
     Entry (i, j) is ceil(s + x_j - x_i), or floor(s + x_j - x_i) + 1 for
-    the strict lattice.  For GL_n the same bound matrix carries the
-    valuation data of the group filtration, so `group` only relabels.
+    the strict lattice.  For GL_n the group filtration G_{x>=s} (s >= 0)
+    has the same bound matrix as the algebra filtration g_{x>=s}, so one
+    shape serves both.
     """
     s = Q(s)
     if not _checked:
@@ -183,8 +180,7 @@ def mp_lattice(
     bounds = tuple(
         tuple(_bound(s, x[i], x[j], strict) for j in range(cfg.n)) for i in range(cfg.n)
     )
-    kind = "group-filtration" if group else "algebra-filtration"
-    return LatticeShape(kind=kind, bounds=bounds, x=x, s=s, strict=strict)
+    return LatticeShape(bounds=bounds, x=x, s=s, strict=strict)
 
 
 @dataclass(frozen=True)
@@ -267,33 +263,27 @@ class GeodesicPlan:
 
 
 def _six_shapes(cfg: GroupConfig, x: ApartmentPoint, s: Q) -> Tuple[LatticeShape, ...]:
-    return (
-        mp_lattice(cfg, x, s, False, group=True, _checked=True),
-        mp_lattice(cfg, x, s, True, group=True, _checked=True),
-        mp_lattice(cfg, x, s, False, _checked=True),
-        mp_lattice(cfg, x, s, True, _checked=True),
-        mp_lattice(cfg, x, -s, False, _checked=True),
-        mp_lattice(cfg, x, -s, True, _checked=True),
+    """The lattices at levels 0, s and -s, each non-strict then strict."""
+    return tuple(
+        mp_lattice(cfg, x, level, strict, _checked=True)
+        for level in (Q(0), s, -s)
+        for strict in (False, True)
     )
 
 
-def _breakpoint_chains_ok(
-    cfg: GroupConfig, x: ApartmentPoint, s: Q, y: ApartmentPoint, tau: Q
+def inclusion_chain_ok(
+    cfg: GroupConfig, x: ApartmentPoint, level_x: Q, y: ApartmentPoint, level_y: Q
 ) -> bool:
-    """The four inclusion chains at a breakpoint x against a neighbor y.
+    """L_{x>level_x} <= L_{y>level_y} <= L_{y>=level_y} <= L_{x>=level_x}.
 
-    Each chain reads  L_{x,strict} <= L_{y,strict} <= L_{y,non-strict}
-    <= L_{x,non-strict}  at levels 0 (group), s (group), s and -s
-    (algebra); for GL_n all four are bound-matrix comparisons.
+    For GL_n every lattice in the chain is a bound matrix, so the chain
+    is three entrywise comparisons.
     """
-    for level_x, level_y in ((Q(0), Q(0)), (s, tau), (-s, -tau)):
-        xs = mp_lattice(cfg, x, level_x, True, _checked=True)
-        ys = mp_lattice(cfg, y, level_y, True, _checked=True)
-        yn = mp_lattice(cfg, y, level_y, False, _checked=True)
-        xn = mp_lattice(cfg, x, level_x, False, _checked=True)
-        if not (ys.contains(xs) and yn.contains(ys) and xn.contains(yn)):
-            return False
-    return True
+    xs = mp_lattice(cfg, x, level_x, True, _checked=True)
+    ys = mp_lattice(cfg, y, level_y, True, _checked=True)
+    yn = mp_lattice(cfg, y, level_y, False, _checked=True)
+    xn = mp_lattice(cfg, x, level_x, False, _checked=True)
+    return ys.contains(xs) and yn.contains(ys) and xn.contains(yn)
 
 
 def breakpoints(
@@ -358,7 +348,7 @@ def breakpoints(
 def _shape_signature(shapes: Tuple[LatticeShape, ...]):
     # constancy along an interval means equal bound matrices, not equal
     # provenance (the sample point obviously moves)
-    return tuple((sh.kind, sh.strict, sh.bounds) for sh in shapes)
+    return tuple((sh.strict, sh.bounds) for sh in shapes)
 
 
 def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int = 2) -> None:
@@ -388,7 +378,10 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int 
             neighbors.append(plan.intervals[k].sample)
         for u in neighbors:
             yu, tu = plan.point_at(u)
-            if not _breakpoint_chains_ok(cfg, xb, sb, yu, tu):
+            if not all(
+                inclusion_chain_ok(cfg, xb, level_x, yu, level_y)
+                for level_x, level_y in ((Q(0), Q(0)), (sb, tu), (-sb, -tu))
+            ):
                 raise InternalFault(
                     f"inclusion chains fail at breakpoint t = {t} against t = {u}",
                     where="apartment.verify_plan",

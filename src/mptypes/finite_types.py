@@ -52,13 +52,13 @@ class AdditiveCharacter:
     s: Q
     positions: Tuple[Tuple[int, int], ...]
     exponents: Tuple[int, ...]
-    zeta: gf.Vec
+    zeta: int
     field: gf.ExtField
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def value_at(self, k: int) -> gf.Vec:
+    def value_at(self, k: int) -> int:
         return self.field.pow(self.zeta, self.exponents[k])
 
 
@@ -80,7 +80,7 @@ def build_character(
     x: ApartmentPoint,
     s: Q | int | str,
     phi: GradedElement,
-    zeta: Optional[gf.Vec] = None,
+    zeta: Optional[int] = None,
 ) -> AdditiveCharacter:
     """The character lambda -> zeta^(pairing(lambda, phi)) on g_{x=s}.
 
@@ -119,7 +119,7 @@ class FiniteModule:
     s: Q
     positions: Tuple[Tuple[int, int], ...]
     dim: int
-    gens: Tuple[Tuple[Tuple[gf.Vec, ...], ...], ...]  # one matrix per position
+    gens: Tuple[gf.Mat, ...]  # one matrix per position
 
     @staticmethod
     def from_characters(
@@ -128,8 +128,8 @@ class FiniteModule:
         x: ApartmentPoint,
         s: Q,
         char_tuples: Sequence[Tuple[int, ...]],
-        zeta: Optional[gf.Vec] = None,
-        conjugator: Optional[Sequence[Sequence[gf.Vec]]] = None,
+        zeta: Optional[int] = None,
+        conjugator: Optional[Sequence[Sequence[int]]] = None,
     ) -> "FiniteModule":
         """Module with one eigenline per listed exponent tuple."""
         _check_field(cfg, field, where="finite_types.FiniteModule")
@@ -138,19 +138,16 @@ class FiniteModule:
         sup = graded_support(cfg, x, Q(s), _checked=True)
         positions = sup.positions
         d = len(char_tuples)
+        cinv = None if conjugator is None else gf.mat_inv(conjugator, field)
         gens = []
-        for k, _pos in enumerate(positions):
-            diag = [
-                [
-                    field.pow(zeta, ct[k]) if a == b else field.zero
-                    for b in range(d)
-                ]
+        for k in range(len(positions)):
+            diag = tuple(
+                tuple(field.pow(zeta, ct[k]) if a == b else 0 for b in range(d))
                 for a, ct in enumerate(char_tuples)
-            ]
-            if conjugator is not None:
-                cinv = _f_inv(conjugator, field)
-                diag = gf.f_mat_mul(gf.f_mat_mul(conjugator, diag, field), cinv, field)
-            gens.append(tuple(tuple(row) for row in diag))
+            )
+            if cinv is not None:
+                diag = gf.mat_mul(gf.mat_mul(conjugator, diag, field), cinv, field)
+            gens.append(diag)
         mod = FiniteModule(
             field=field, x=x, s=Q(s), positions=positions, dim=d, gens=tuple(gens)
         )
@@ -186,22 +183,21 @@ class FiniteModule:
         return FiniteModule.from_characters(cfg, field, x, Q(s), tuples, conjugator=conj)
 
     def validate(self, cfg: GroupConfig) -> None:
-        d = self.dim
         f = self.field
+        one = gf.identity(self.dim)
         for g in self.gens:
-            p_pow = gf.f_identity(d, f)
+            p_pow = one
             for _ in range(cfg.q):
-                p_pow = gf.f_mat_mul(p_pow, [list(r) for r in g], f)
-            if p_pow != gf.f_identity(d, f):
+                p_pow = gf.mat_mul(p_pow, g, f)
+            if p_pow != one:
                 raise ValidationError(
                     "generator action does not have order dividing p",
                     where="finite_types.FiniteModule",
                 )
         for a in range(len(self.gens)):
             for b in range(a + 1, len(self.gens)):
-                ga = [list(r) for r in self.gens[a]]
-                gb = [list(r) for r in self.gens[b]]
-                if gf.f_mat_mul(ga, gb, f) != gf.f_mat_mul(gb, ga, f):
+                ga, gb = self.gens[a], self.gens[b]
+                if gf.mat_mul(ga, gb, f) != gf.mat_mul(gb, ga, f):
                     raise ValidationError(
                         "generator actions do not commute",
                         where="finite_types.FiniteModule",
@@ -212,17 +208,8 @@ def _random_invertible(field: gf.ExtField, d: int, rng: random.Random):
     elems = list(field.elements())
     while True:
         m = [[rng.choice(elems) for _ in range(d)] for _ in range(d)]
-        if gf.f_rank(m, field) == d:
+        if gf.rank(m, field) == d:
             return m
-
-
-def _f_inv(mat, field: gf.ExtField):
-    d = len(mat)
-    aug = [list(mat[i]) + [field.one if j == i else field.zero for j in range(d)] for i in range(d)]
-    reduced, piv = gf.f_rref(aug, field)
-    if piv != list(range(d)):
-        raise ValidationError("conjugator is singular", where="finite_types")
-    return [row[d:] for row in reduced]
 
 
 def hom_dim(M: FiniteModule, psi: AdditiveCharacter) -> int:
@@ -240,42 +227,18 @@ def hom_dim(M: FiniteModule, psi: AdditiveCharacter) -> int:
 
 
 def _eigenspace_dim(
-    M: FiniteModule, gen_indices: Sequence[int], exponents: Sequence[int], zeta: gf.Vec
+    M: FiniteModule, gen_indices: Sequence[int], exponents: Sequence[int], zeta: int
 ) -> int:
+    """Dimension of the joint eigenspace: the kernel of the stacked g_k - zeta^e_k."""
     f = M.field
-    basis = [
-        [f.one if i == j else f.zero for j in range(M.dim)] for i in range(M.dim)
-    ]
-    for pos_k, e in zip(gen_indices, exponents):
-        if not basis:
-            return 0
-        g = M.gens[pos_k]
+    rows = []
+    for k, e in zip(gen_indices, exponents):
         lam = f.pow(zeta, e)
-        rows = []
-        images = []
-        for b in basis:
-            w = [f.zero] * M.dim
-            for r in range(M.dim):
-                acc = f.zero
-                for c in range(M.dim):
-                    if b[c] != f.zero:
-                        acc = f.add(acc, f.mul(g[r][c], b[c]))
-                w[r] = f.sub(acc, f.mul(lam, b[r]))
-            images.append(w)
-        mat_rows = [
-            [images[i][r] for i in range(len(basis))] for r in range(M.dim)
+        rows += [
+            [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
+            for r, row in enumerate(M.gens[k])
         ]
-        ker = gf.f_kernel(mat_rows, len(basis), f)
-        new_basis = []
-        for coeffs in ker:
-            v = [f.zero] * M.dim
-            for ci, b in zip(coeffs, basis):
-                if ci != f.zero:
-                    for r in range(M.dim):
-                        v[r] = f.add(v[r], f.mul(ci, b[r]))
-            new_basis.append(v)
-        basis = new_basis
-    return len(basis)
+    return M.dim - gf.rank(rows, f)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +262,7 @@ def extension_characters(
     field: gf.ExtField,
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
-    zeta: Optional[gf.Vec] = None,
+    zeta: Optional[int] = None,
 ) -> List[AdditiveCharacter]:
     """All characters of the finer piece extending the coarse one.
 

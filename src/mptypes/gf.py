@@ -1,13 +1,16 @@
-"""Exact linear algebra over small finite fields.
+"""Exact arithmetic and linear algebra over small finite fields.
 
-Prime fields are plain integers modulo q.  The coefficient fields
-F_{l^a} used for eigenspace computations are polynomial arithmetic
-modulo a deterministically chosen irreducible polynomial, so repeated
-runs agree bit for bit.
+An element of F_{l^a} is an int 0 .. l^a - 1 whose base-l digits, lowest
+first, are its coefficients as a polynomial modulo a deterministically
+chosen irreducible polynomial, so repeated runs agree bit for bit.  The
+prime field F_q is the case a = 1: plain residues modulo q.  Zero and
+one are 0 and 1 in every field, and one row-reduction stack serves all
+of them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InternalFault, ValidationError
@@ -27,105 +30,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def inv_mod(a: int, q: int) -> int:
-    a %= q
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0 in F_q")
-    return pow(a, q - 2, q)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> Mat:
-    nb = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) % q for j in range(nb))
-        for ra in a
-    )
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], q: int) -> Vec:
-    return tuple(sum(r[k] * v[k] for k in range(len(v))) % q for r in a)
-
-
-def rref(rows: Iterable[Sequence[int]], q: int) -> Tuple[List[List[int]], List[int]]:
-    """Row-reduce over F_q; returns (reduced nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] % q), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = inv_mod(work[r][c], q)
-        work[r] = [x * inv % q for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % q:
-                f = work[i][c]
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [row for row in work[:r]], pivots
-
-
-def rank(rows: Iterable[Sequence[int]], q: int) -> int:
-    return len(rref(rows, q)[1])
-
-
-def kernel(rows: Sequence[Sequence[int]], ncols: int, q: int) -> List[Vec]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
-    reduced, pivots = rref(rows, q)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-reduced[i][f]) % q
-        basis.append(tuple(v))
-    return basis
-
-
-def mat_inv(rows: Sequence[Sequence[int]], q: int) -> Mat:
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(aug, q)
-    if pivots != list(range(n)):
-        raise ValidationError("matrix is singular over F_q", where="gf.mat_inv")
-    return tuple(tuple(reduced[i][n:]) for i in range(n))
-
-
-def in_span(v: Sequence[int], basis_rows: Sequence[Sequence[int]], q: int) -> bool:
-    if not basis_rows:
-        return all(x % q == 0 for x in v)
-    return rank(list(basis_rows) + [list(v)], q) == rank(basis_rows, q)
-
-
-def complement_basis(
-    sub: Sequence[Sequence[int]], whole: Sequence[Sequence[int]], q: int
-) -> List[Vec]:
-    """Vectors from `whole` extending span(sub) to span(sub)+span(whole)."""
-    current = [list(v) for v in sub]
-    out: List[Vec] = []
-    base_rank = rank(current, q) if current else 0
-    for v in whole:
-        cand = current + [list(v)]
-        r = rank(cand, q)
-        if r > base_rank:
-            current = cand
-            base_rank = r
-            out.append(tuple(x % q for x in v))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# extension fields F_{l^a}
+# polynomial arithmetic: the modulus search and the antilog table
 # ---------------------------------------------------------------------------
 
 
@@ -187,24 +93,55 @@ def _poly_pow(base: Vec, e: int, modulus: Vec, ell: int) -> Vec:
     return result
 
 
+def _digits(code: int, ell: int, a: int) -> Vec:
+    """The coefficient tuple (lowest first) of the element coded `code`."""
+    coeffs = []
+    for _ in range(a):
+        coeffs.append(code % ell)
+        code //= ell
+    return tuple(coeffs)
+
+
+def _code(coeffs: Vec, ell: int) -> int:
+    return sum(c * ell**i for i, c in enumerate(coeffs))
+
+
 def _find_modulus(ell: int, a: int) -> Vec:
     if a == 1:
         return (0, 1)
     # smallest monic irreducible in lexicographic order on low coefficients
     for code in range(ell**a):
-        coeffs = []
-        c = code
-        for _ in range(a):
-            coeffs.append(c % ell)
-            c //= ell
-        modulus = tuple(coeffs + [1])
+        modulus = _digits(code, ell, a) + (1,)
         if _poly_is_irreducible(modulus, ell):
             return modulus
     raise InternalFault(f"no irreducible polynomial of degree {a} over F_{ell}")
 
 
+def _antilog(ell: int, modulus: Vec) -> List[int]:
+    """Powers g^0 .. g^(l^a - 2) of the first element g of order l^a - 1."""
+    a = len(modulus) - 1
+    for g in range(2, ell**a):
+        gen = _digits(g, ell, a)
+        powers = [1]
+        y = gen
+        while (code := _code(y, ell)) != 1:
+            powers.append(code)
+            y = _poly_mul_mod(y, gen, modulus, ell)
+        if len(powers) == ell**a - 1:
+            return powers
+    raise InternalFault("no multiplicative generator found")
+
+
 class ExtField:
-    """F_{l^a} with elements stored as coefficient tuples of length a."""
+    """F_{l^a} with elements stored as the ints 0 .. l^a - 1.
+
+    For a = 1 the arithmetic is plain arithmetic modulo l, with no
+    tables.  For a > 1 products, inverses and powers go through log and
+    antilog tables and sums through a Zech table: g^zech[k] = 1 + g^k.
+    Each holds at most 2 l^a ints and is built once, from the first
+    element g of order l^a - 1, the one `multiplicative_generator`
+    returns.
+    """
 
     def __init__(self, ell: int, a: int):
         if not is_prime(ell):
@@ -215,47 +152,74 @@ class ExtField:
         self.deg = a
         self.order = ell**a
         self.modulus = _find_modulus(ell, a)
-        self.zero = tuple([0] * a)
-        self.one = tuple([1] + [0] * (a - 1))
+        self.zero = 0
+        self.one = 1
+        if a > 1:
+            antilog = _antilog(ell, self.modulus)
+            self._log = [0] * self.order
+            for k, e in enumerate(antilog):
+                self._log[e] = k
+            # doubled, so the sum of two logs needs no reduction
+            self._exp = antilog + antilog
+            # e - e % l + (e + 1) % l is 1 + e: only the lowest digit moves;
+            # None marks 1 + g^k = 0
+            self._zech = [
+                self._log[p] if (p := e - e % ell + (e + 1) % ell) else None
+                for e in antilog
+            ]
+            self._log_minus_one = self._log[ell - 1]
 
     def __repr__(self) -> str:
         return f"ExtField({self.ell}^{self.deg})"
 
-    def add(self, x: Vec, y: Vec) -> Vec:
-        return tuple((a + b) % self.ell for a, b in zip(x, y))
+    def add(self, x: int, y: int) -> int:
+        if self.deg == 1:
+            return (x + y) % self.ell
+        if not x:
+            return y
+        if not y:
+            return x
+        lx = self._log[x]
+        # x + y = x (1 + g^(log y - log x)); a negative index wraps modulo l^a - 1
+        z = self._zech[self._log[y] - lx]
+        return 0 if z is None else self._exp[lx + z]
 
-    def sub(self, x: Vec, y: Vec) -> Vec:
-        return tuple((a - b) % self.ell for a, b in zip(x, y))
+    def neg(self, x: int) -> int:
+        if self.deg == 1:
+            return -x % self.ell
+        return self._exp[self._log[x] + self._log_minus_one] if x else 0
 
-    def neg(self, x: Vec) -> Vec:
-        return tuple((-a) % self.ell for a in x)
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
 
-    def mul(self, x: Vec, y: Vec) -> Vec:
-        return _poly_mul_mod(x, y, self.modulus, self.ell)
+    def mul(self, x: int, y: int) -> int:
+        if self.deg == 1:
+            return x * y % self.ell
+        return self._exp[self._log[x] + self._log[y]] if x and y else 0
 
-    def pow(self, x: Vec, e: int) -> Vec:
+    def pow(self, x: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(x), -e)
-        return _poly_pow(x, e, self.modulus, self.ell)
+        if self.deg == 1:
+            return pow(x, e, self.ell)
+        if not x:
+            return 0 if e else 1
+        return self._exp[self._log[x] * e % (self.order - 1)]
 
-    def inv(self, x: Vec) -> Vec:
-        if x == self.zero:
-            raise ZeroDivisionError("inverse of 0 in extension field")
-        return self.pow(x, self.order - 2)
+    def inv(self, x: int) -> int:
+        if not x % self.order:
+            raise ZeroDivisionError(f"inverse of 0 in {self!r}")
+        if self.deg == 1:
+            return pow(x, self.ell - 2, self.ell)
+        return self._exp[self.order - 1 - self._log[x]]
 
-    def from_int(self, k: int) -> Vec:
-        return tuple([k % self.ell] + [0] * (self.deg - 1))
+    def from_int(self, k: int) -> int:
+        return k % self.ell
 
-    def elements(self):
-        for code in range(self.order):
-            coeffs = []
-            c = code
-            for _ in range(self.deg):
-                coeffs.append(c % self.ell)
-                c //= self.ell
-            yield tuple(coeffs)
+    def elements(self) -> range:
+        return range(self.order)
 
-    def multiplicative_generator(self) -> Vec:
+    def multiplicative_generator(self) -> int:
         m = self.order - 1
         primes = []
         mm, r = m, 2
@@ -272,7 +236,7 @@ class ExtField:
                 return g
         raise InternalFault("no multiplicative generator found")
 
-    def root_of_unity(self, p: int) -> Vec:
+    def root_of_unity(self, p: int) -> int:
         """A fixed primitive p-th root of unity; requires p | l^a - 1."""
         if (self.order - 1) % p:
             raise ValidationError(
@@ -283,40 +247,58 @@ class ExtField:
         return self.pow(g, (self.order - 1) // p)
 
 
-def f_identity(n: int, field: ExtField) -> List[List[Vec]]:
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+@lru_cache(maxsize=None)
+def prime_field(q: int) -> ExtField:
+    """F_q, built once per q."""
+    return ExtField(q, 1)
 
 
-def f_mat_mul(a, b, field: ExtField):
-    nb = len(b[0]) if b else 0
-    out = []
-    for ra in a:
-        row = []
-        for j in range(nb):
-            acc = field.zero
-            for k in range(len(b)):
-                acc = field.add(acc, field.mul(ra[k], b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+# ---------------------------------------------------------------------------
+# linear algebra over any of these fields; entries are canonical elements
+# ---------------------------------------------------------------------------
 
 
-def f_rref(rows, field: ExtField):
+def identity(n: int) -> Mat:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _dot(u: Sequence[int], v: Sequence[int], field: ExtField) -> int:
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: ExtField) -> Mat:
+    cols = list(zip(*b))
+    return tuple(tuple(_dot(ra, col, field) for col in cols) for ra in a)
+
+
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], field: ExtField) -> Vec:
+    return tuple(_dot(r, v, field) for r in a)
+
+
+def rref(
+    rows: Iterable[Sequence[int]], field: ExtField
+) -> Tuple[List[List[int]], List[int]]:
+    """Row-reduce; returns (reduced nonzero rows, pivot columns)."""
+    add, mul = field.add, field.mul
     work = [list(r) for r in rows]
     pivots: List[int] = []
     r = 0
     ncols = len(work[0]) if work else 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != field.zero), None)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
         inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
+        prow = work[r] = [mul(inv, x) for x in work[r]]
         for i in range(len(work)):
-            if i != r and work[i][c] != field.zero:
-                f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
+            if i != r and work[i][c]:
+                f = field.neg(work[i][c])
+                work[i] = [add(x, mul(f, y)) if y else x for x, y in zip(work[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -324,18 +306,43 @@ def f_rref(rows, field: ExtField):
     return work[:r], pivots
 
 
-def f_rank(rows, field: ExtField) -> int:
-    return len(f_rref(rows, field)[1])
+def rank(rows: Iterable[Sequence[int]], field: ExtField) -> int:
+    return len(rref(rows, field)[1])
 
 
-def f_kernel(rows, ncols: int, field: ExtField):
-    reduced, pivots = f_rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+def kernel(rows: Sequence[Sequence[int]], ncols: int, field: ExtField) -> List[Vec]:
+    """Basis of {v : M v = 0} for the matrix with the given rows."""
+    reduced, pivots = rref(rows, field)
     basis = []
-    for fcol in free:
-        v = [field.zero] * ncols
-        v[fcol] = field.one
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
         for i, c in enumerate(pivots):
-            v[c] = field.neg(reduced[i][fcol])
-        basis.append(v)
+            v[c] = field.neg(reduced[i][f])
+        basis.append(tuple(v))
     return basis
+
+
+def mat_inv(rows: Sequence[Sequence[int]], field: ExtField) -> Mat:
+    n = len(rows)
+    reduced, pivots = rref([list(r) + list(e) for r, e in zip(rows, identity(n))], field)
+    if pivots != list(range(n)):
+        raise ValidationError(f"matrix is singular over F_{field.order}", where="gf.mat_inv")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def complement_basis(
+    sub: Sequence[Sequence[int]], whole: Sequence[Sequence[int]], field: ExtField
+) -> List[Vec]:
+    """Vectors from `whole` extending span(sub) to span(sub)+span(whole)."""
+    current = [list(v) for v in sub]
+    out: List[Vec] = []
+    base_rank = rank(current, field)
+    for v in whole:
+        cand = current + [list(v)]
+        r = rank(cand, field)
+        if r > base_rank:
+            current = cand
+            base_rank = r
+            out.append(tuple(v))
+    return out

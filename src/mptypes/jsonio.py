@@ -18,7 +18,7 @@ from .graded import GradedElement
 from .measures import MeasureTable
 from .orbits import OrbitLabel
 from .refine import DMPPair, RelationRecord
-from .solver import CoefficientMatrix, ExpansionResult, MultiplicityVector
+from .solver import CoefficientMatrix, ExpansionResult, MultiplicityVector, matrix_problem
 
 Q = Fraction
 
@@ -30,8 +30,6 @@ __all__ = [
     "point_from_json",
     "orbit_to_json",
     "orbit_from_json",
-    "graded_to_json",
-    "graded_from_json",
     "pair_to_json",
     "pair_from_json",
     "shape_to_json",
@@ -78,20 +76,6 @@ def orbit_from_json(data: Sequence[int]) -> OrbitLabel:
     return OrbitLabel.of(data)
 
 
-def graded_to_json(el: GradedElement) -> Dict[str, Any]:
-    return {
-        "x": point_to_json(el.x),
-        "degree": frac_str(el.degree),
-        "coeffs": [[i + 1, j + 1, c] for (i, j), c in el.coeffs],
-    }
-
-
-def graded_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> GradedElement:
-    x = point_from_json(data["x"])
-    coeffs = {(int(i) - 1, int(j) - 1): int(c) for i, j, c in data["coeffs"]}
-    return GradedElement.make(cfg, x, parse_frac(data["degree"]), coeffs)
-
-
 def pair_to_json(p: DMPPair) -> Dict[str, Any]:
     return {
         "s": frac_str(p.s),
@@ -117,7 +101,6 @@ def pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
 
 def shape_to_json(sh: LatticeShape) -> Dict[str, Any]:
     return {
-        "kind": sh.kind,
         "bounds": [list(r) for r in sh.bounds],
         "provenance": {
             "x": point_to_json(sh.x),
@@ -192,13 +175,18 @@ def matrix_to_json(cm: CoefficientMatrix) -> Dict[str, Any]:
 
 
 def matrix_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> CoefficientMatrix:
-    return CoefficientMatrix(
+    """A persisted coefficient matrix, re-checked as `assemble_and_invert` checks it."""
+    cm = CoefficientMatrix(
         orbits=tuple(orbit_from_json(o) for o in data["orbits"]),
         probes=tuple(pair_from_json(cfg, p) for p in data["probes"]),
         m_rows=tuple(tuple(parse_frac(v) for v in row) for row in data["M"]),
         a_rows=tuple(tuple(parse_frac(v) for v in row) for row in data["A"]),
         normalization=data["normalization"],
     )
+    problem = matrix_problem(cfg, cm)
+    if problem is not None:
+        raise ValidationError(problem, where="jsonio.matrix_from_json")
+    return cm
 
 
 def mult_vector_to_json(v: MultiplicityVector) -> Dict[str, Any]:

@@ -218,12 +218,6 @@ class LMatrix:
             out.append(tuple(row))
         return LMatrix(self.q, tuple(out))
 
-    def power(self, k: int) -> "LMatrix":
-        out = LMatrix.identity(self.q, self.nrows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for r in self.rows for e in r)
 

@@ -263,10 +263,11 @@ def _membership_n2(cfg: GroupConfig, y, depths) -> bool:
 
 def _rank_bound_excludes(cfg: GroupConfig, orbit: OrbitLabel, pair: DMPPair) -> bool:
     a = coefficient_matrix(cfg, pair.phi)
+    field = gf.prime_field(cfg.q)
     p = gf.identity(cfg.n)
     for k in range(1, cfg.n + 1):
-        p = gf.mat_mul(p, a, cfg.q)
-        if orbit.rank_at(k) < gf.rank(p, cfg.q):
+        p = gf.mat_mul(p, a, field)
+        if orbit.rank_at(k) < gf.rank(p, field):
             return True
     return False
 

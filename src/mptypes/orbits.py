@@ -224,7 +224,8 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
     chains = graded_jordan_chains(cfg, phi)
     basis = [v for ch in chains for v in ch]
     p_cols = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-    p_inv = gf.mat_inv(p_cols, q)
+    field = gf.prime_field(q)
+    p_inv = gf.mat_inv(p_cols, field)
     h_diag = [0] * n
     e_chain = [[0] * n for _ in range(n)]
     pos = 0
@@ -239,8 +240,8 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
     h_j = tuple(
         tuple(h_diag[i] if i == j else 0 for j in range(n)) for i in range(n)
     )
-    h_mat = gf.mat_mul(gf.mat_mul(p_cols, h_j, q), p_inv, q)
-    e_mat = gf.mat_mul(gf.mat_mul(p_cols, e_chain, q), p_inv, q)
+    h_mat = gf.mat_mul(gf.mat_mul(p_cols, h_j, field), p_inv, field)
+    e_mat = gf.mat_mul(gf.mat_mul(p_cols, e_chain, field), p_inv, field)
 
     s = -lift.degree
     h_lift = _hom_from_coefficients(cfg, lift.x, Q(0), h_mat)

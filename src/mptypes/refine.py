@@ -27,6 +27,7 @@ from .apartment import (
     GroupConfig,
     breakpoints,
     graded_support,
+    inclusion_chain_ok,
     mp_lattice,
 )
 from .errors import InfeasibleError, InternalFault, ValidationError
@@ -155,15 +156,11 @@ class RelationRecord:
 def check_incidence(
     cfg: GroupConfig, y: ApartmentPoint, tau: Q, x: ApartmentPoint, s: Q
 ) -> bool:
-    """The four inclusion chains tying an interval point y to a limit x."""
-    for ly, lx, group in ((Q(0), Q(0), True), (tau, s, True), (tau, s, False), (-tau, -s, False)):
-        xs = mp_lattice(cfg, x, lx, True, group=group, _checked=True)
-        ys = mp_lattice(cfg, y, ly, True, group=group, _checked=True)
-        yn = mp_lattice(cfg, y, ly, False, group=group, _checked=True)
-        xn = mp_lattice(cfg, x, lx, False, group=group, _checked=True)
-        if not (ys.contains(xs) and yn.contains(ys) and xn.contains(yn)):
-            return False
-    return True
+    """The inclusion chains at levels 0, s and -s tying an interval point y to a limit x."""
+    return all(
+        inclusion_chain_ok(cfg, x, lx, y, ly)
+        for lx, ly in ((Q(0), Q(0)), (s, tau), (-s, -tau))
+    )
 
 
 def _surface_positions(

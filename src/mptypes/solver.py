@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, GroupConfig
 from .errors import InternalFault, ValidationError
@@ -30,6 +30,7 @@ __all__ = [
     "choose_probes",
     "alt_probes_gl2",
     "assemble_and_invert",
+    "matrix_problem",
     "solve_expansion",
     "synthesize_vector",
 ]
@@ -168,12 +169,13 @@ def alt_probes_gl2(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
 
 
 def _invert_rational(rows: Sequence[Sequence[Q]]) -> List[List[Q]]:
+    """The exact inverse, or [] when the matrix is singular."""
     k = len(rows)
     aug = [list(rows[i]) + [Q(1) if j == i else Q(0) for j in range(k)] for i in range(k)]
     for col in range(k):
         piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
         if piv is None:
-            raise InternalFault("singular measure matrix", where="solver.assemble_and_invert")
+            return []
         aug[col], aug[piv] = aug[piv], aug[col]
         f = aug[col][col]
         aug[col] = [a / f for a in aug[col]]
@@ -190,8 +192,7 @@ def assemble_and_invert(
     """Square measure matrix over the probes, with its exact inverse.
 
     Probes are sorted so their lifts match the ascending orbit order;
-    triangularity (zero below the dominance order, positive diagonal)
-    is asserted, as is M A = I and the vanishing pattern of A.
+    every check of `matrix_problem` is asserted on the result.
     """
     orbits = list(partitions_of(cfg.n))
     lifts = [p.lift for p in probes]
@@ -203,7 +204,6 @@ def assemble_and_invert(
             where="solver.assemble_and_invert",
         )
     ordered = [next(p for p in probes if p.lift == o) for o in orbits]
-    k = len(orbits)
     m_rows = []
     for p in ordered:
         row = []
@@ -215,37 +215,49 @@ def assemble_and_invert(
                 )
             row.append(table.entry(o, p))
         m_rows.append(row)
-    for i in range(k):
-        if m_rows[i][i] == 0:
-            raise InternalFault(
-                f"zero diagonal at {orbits[i]}: contradicts triangularity",
-                where="solver.assemble_and_invert",
-            )
-        for j in range(k):
-            if m_rows[i][j] != 0 and not dominance_leq(orbits[i], orbits[j]):
-                raise InternalFault(
-                    f"nonzero entry below the order at ({orbits[i]}, {orbits[j]})",
-                    where="solver.assemble_and_invert",
-                )
-    a_rows = _invert_rational(m_rows)
-    # exactness and vanishing pattern of the inverse
-    for i in range(k):
-        for j in range(k):
-            prod = sum(m_rows[i][l] * a_rows[l][j] for l in range(k))
-            if prod != (1 if i == j else 0):
-                raise InternalFault("M A != I", where="solver.assemble_and_invert")
-            if a_rows[i][j] != 0 and not dominance_leq(orbits[i], orbits[j]):
-                raise InternalFault(
-                    f"inverse nonzero below the order at ({orbits[i]}, {orbits[j]})",
-                    where="solver.assemble_and_invert",
-                )
-    return CoefficientMatrix(
+    cm = CoefficientMatrix(
         orbits=tuple(orbits),
         probes=tuple(ordered),
         m_rows=tuple(tuple(r) for r in m_rows),
-        a_rows=tuple(tuple(r) for r in a_rows),
+        a_rows=tuple(tuple(r) for r in _invert_rational(m_rows)),
         normalization=table.normalization,
     )
+    problem = matrix_problem(cfg, cm)
+    if problem is not None:
+        raise InternalFault(problem, where="solver.assemble_and_invert")
+    return cm
+
+
+def matrix_problem(cfg: GroupConfig, cm: CoefficientMatrix) -> Optional[str]:
+    """The first check cm fails, or None when it passes all of them.
+
+    Orbits run in the ascending orbit order with the probe of each
+    orbit beside it; M and A are square, M has a nonzero diagonal and
+    vanishes below the dominance order, M A = I exactly, and A vanishes
+    below the order too.
+    """
+    orbits = tuple(partitions_of(cfg.n))
+    k = len(orbits)
+    if cm.orbits != orbits or tuple(p.lift for p in cm.probes) != orbits:
+        return "orbits or probe lifts are not in the ascending orbit order"
+    m, a = cm.m_rows, cm.a_rows
+    if len(m) != k or any(len(r) != k for r in m):
+        return f"M is not {k} x {k}"
+    for i in range(k):
+        if m[i][i] == 0:
+            return f"zero diagonal at {orbits[i]}: contradicts triangularity"
+        for j in range(k):
+            if m[i][j] != 0 and not dominance_leq(orbits[i], orbits[j]):
+                return f"nonzero entry below the order at ({orbits[i]}, {orbits[j]})"
+    if len(a) != k or any(len(r) != k for r in a):
+        return f"A is not {k} x {k}"
+    for i in range(k):
+        for j in range(k):
+            if sum(m[i][l] * a[l][j] for l in range(k)) != (1 if i == j else 0):
+                return "M A != I"
+            if a[i][j] != 0 and not dominance_leq(orbits[i], orbits[j]):
+                return f"inverse nonzero below the order at ({orbits[i]}, {orbits[j]})"
+    return None
 
 
 def solve_expansion(

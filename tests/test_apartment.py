@@ -162,6 +162,17 @@ def test_breakpoints_worked_examples():
     assert interval_shape.contains(endpoint)
 
 
+def test_interval_witnesses_cover_levels_zero_and_plus_minus_s():
+    cfg = cfg3()
+    plan = breakpoints(cfg, pt(Q(1, 4), Q(1, 2), 0), Q(3, 4), pt(0, Q(1, 8), 0), Q(1, 8))
+    for cert in plan.intervals:
+        _, s = plan.point_at(cert.sample)
+        assert [(sh.s, sh.strict) for sh in cert.shapes] == [
+            (lv, st) for lv in (0, s, -s) for st in (False, True)
+        ]
+        assert {sh.s for sh in cert.shapes} == {Q(0), s, -s}
+
+
 def test_breakpoints_catch_interior_crossing():
     cfg = cfg2()
     # from level 0 to level 1 at a fixed vertex the diagonal bound jumps at t=0,1

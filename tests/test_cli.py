@@ -100,6 +100,29 @@ def test_measure_and_solve_round_trip(capsys, tmp_path):
     assert code == 0 and out2 == out
 
 
+def test_solve_rejects_tampered_matrix(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "--allow-small-p", "measure")
+    assert code == 0
+    matrix = json.loads(out)["matrix"]
+    # nonzero below the dominance order, paired with its exact inverse
+    matrix["M"] = [["1/1", "0/1"], ["1/1", "1/1"]]
+    matrix["A"] = [["1/1", "0/1"], ["-1/1", "1/1"]]
+    cm_file = tmp_path / "cm.json"
+    cm_file.write_text(json.dumps(matrix))
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(
+        json.dumps({"r": "0/1", "entries": [[p, 1] for p in matrix["probes"]]})
+    )
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "solve",
+        "--input", str(vec_file), "--matrix", str(cm_file),
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err.strip().splitlines()[-1])["error"]
+    assert error["where"] == "jsonio.matrix_from_json"
+    assert "below the order" in error["message"]
+
+
 def test_config_file_merging(capsys, tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"m": 8, "allow_small_p": True}))

@@ -112,10 +112,11 @@ def test_rank_profile_matches_coefficient_matrix_ranks():
         el = GradedElement.make(cfg, x, -s, coeffs)
         g, _ = rank_profile(cfg, el)
         a = coefficient_matrix(cfg, el)
+        field = gf.prime_field(cfg.q)
         p = gf.identity(cfg.n)
         for k in range(cfg.n):
-            p = gf.mat_mul(p, a, cfg.q)
-            assert g[k] == gf.rank(p, cfg.q)
+            p = gf.mat_mul(p, a, field)
+            assert g[k] == gf.rank(p, field)
         # the profile determines degeneracy: vanishing of the n-th power
         assert is_degenerate(cfg, el) == (g[cfg.n - 1] == 0)
 
