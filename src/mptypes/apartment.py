@@ -7,16 +7,19 @@ that x_n = 0.  The degree of a matrix monomial is
 
 and every filtration object here is a matrix of integer valuation
 bounds: entry (i, j) of the lattice at level s consists of all a * t^w
-with w >= bound_ij.  All arithmetic is over exact rationals; breakpoint
-crossings are solved exactly, never with floating point.
+with w >= bound_ij.  All arithmetic is exact, never floating point:
+the coordinates and the level are scaled to integers over their common
+denominator d, so each bound is one integer floor division by d, and a
+geodesic is scaled once, so the points along it, its breakpoint
+crossings and the checks of its certificate stay on integers.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalFault, ValidationError
@@ -153,9 +156,28 @@ class LatticeShape:
         )
 
 
-def _bound(s: Q, xi: Q, xj: Q, strict: bool) -> int:
-    v = s + xj - xi
-    return floor(v) + 1 if strict else ceil(v)
+Bounds = Tuple[Tuple[int, ...], ...]
+
+
+def _scale(coords: Sequence[Q], *levels: Q) -> Tuple[int, List[int], List[int]]:
+    """The lcm d of every denominator, and the coordinates and levels times d."""
+    d = lcm(*(c.denominator for c in coords), *(v.denominator for v in levels))
+    return (
+        d,
+        [c.numerator * (d // c.denominator) for c in coords],
+        [v.numerator * (d // v.denominator) for v in levels],
+    )
+
+
+def _bounds(X: Sequence[int], S: int, d: int, strict: bool) -> Bounds:
+    """The bound matrix at (x, s) = (X / d, S / d).
+
+    Entry (i, j) is ceil((S + X_j - X_i) / d), or floor(...) + 1 when
+    strict, each one exact floor division.
+    """
+    if strict:
+        return tuple(tuple([(S - xi + xj) // d + 1 for xj in X]) for xi in X)
+    return tuple(tuple([-((xi - S - xj) // d) for xj in X]) for xi in X)
 
 
 def mp_lattice(
@@ -177,10 +199,8 @@ def mp_lattice(
     if not _checked:
         check_point(cfg, x, where="apartment.mp_lattice")
         check_level(cfg, s, where="apartment.mp_lattice")
-    bounds = tuple(
-        tuple(_bound(s, x[i], x[j], strict) for j in range(cfg.n)) for i in range(cfg.n)
-    )
-    return LatticeShape(bounds=bounds, x=x, s=s, strict=strict)
+    d, X, (S,) = _scale(x.coords, s)
+    return LatticeShape(bounds=_bounds(X, S, d, strict), x=x, s=s, strict=strict)
 
 
 @dataclass(frozen=True)
@@ -217,12 +237,13 @@ def graded_support(
     if not _checked:
         check_point(cfg, x, where="apartment.graded_support")
         check_level(cfg, degree, where="apartment.graded_support")
+    d, X, (D,) = _scale(x.coords, degree)
     entries = []
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            w = degree - x[i] + x[j]
-            if w.denominator == 1:
-                entries.append(((i, j), int(w)))
+    for i, xi in enumerate(X):
+        for j, xj in enumerate(X):
+            w, r = divmod(D - xi + xj, d)
+            if not r:
+                entries.append(((i, j), w))
     return GradedSupport(x=x, degree=degree, entries=tuple(entries))
 
 
@@ -262,12 +283,32 @@ class GeodesicPlan:
         return xt, st
 
 
+# (level sign, strict) of the six constancy witnesses, in certificate order
+_WITNESSES = ((0, False), (0, True), (1, False), (1, True), (-1, False), (-1, True))
+
+
+def _six_bounds(X: Sequence[int], S: int, d: int) -> Tuple[Bounds, ...]:
+    """Bound matrices at x = X / d for levels 0, s and -s (s = S / d),
+    each non-strict then strict."""
+    return tuple(_bounds(X, sign * S, d, strict) for sign, strict in _WITNESSES)
+
+
 def _six_shapes(cfg: GroupConfig, x: ApartmentPoint, s: Q) -> Tuple[LatticeShape, ...]:
     """The lattices at levels 0, s and -s, each non-strict then strict."""
+    d, X, (S,) = _scale(x.coords, s)
     return tuple(
-        mp_lattice(cfg, x, level, strict, _checked=True)
-        for level in (Q(0), s, -s)
-        for strict in (False, True)
+        LatticeShape(bounds=b, x=x, s=sign * s, strict=strict)
+        for b, (sign, strict) in zip(_six_bounds(X, S, d), _WITNESSES)
+    )
+
+
+def _chain_ok(xn: Bounds, xs: Bounds, yn: Bounds, ys: Bounds) -> bool:
+    """L_{x>} <= L_{y>} <= L_{y>=} <= L_{x>=} for the given bound matrices
+    (n: non-strict, s: strict); a larger bound is a smaller lattice."""
+    return all(
+        a >= b >= c >= e
+        for ra, rb, rc, re in zip(xs, ys, yn, xn)
+        for a, b, c, e in zip(ra, rb, rc, re)
     )
 
 
@@ -279,11 +320,38 @@ def inclusion_chain_ok(
     For GL_n every lattice in the chain is a bound matrix, so the chain
     is three entrywise comparisons.
     """
-    xs = mp_lattice(cfg, x, level_x, True, _checked=True)
-    ys = mp_lattice(cfg, y, level_y, True, _checked=True)
-    yn = mp_lattice(cfg, y, level_y, False, _checked=True)
-    xn = mp_lattice(cfg, x, level_x, False, _checked=True)
-    return ys.contains(xs) and yn.contains(ys) and xn.contains(yn)
+    dx, X, (Lx,) = _scale(x.coords, level_x)
+    dy, Y, (Ly,) = _scale(y.coords, level_y)
+    return _chain_ok(
+        _bounds(X, Lx, dx, False),
+        _bounds(X, Lx, dx, True),
+        _bounds(Y, Ly, dy, False),
+        _bounds(Y, Ly, dy, True),
+    )
+
+
+class _Geodesic:
+    """The path (x_t, s_t) from (x0, s0) to (x1, s1), scaled once.
+
+    Over the common denominator d of both endpoints, X = d x and S = d s
+    are integers, and the point at t = a / b is ((b - a) X0 + a X1) / (b d)
+    with level ((b - a) S0 + a S1) / (b d); a / b need not be reduced.
+    """
+
+    def __init__(self, x0: ApartmentPoint, s0: Q, x1: ApartmentPoint, s1: Q):
+        n = len(x0.coords)
+        self.d, X, (self.S0, self.S1) = _scale(x0.coords + x1.coords, s0, s1)
+        self.X0, self.X1 = X[:n], X[n:]
+
+    def at(self, a: int, b: int) -> Tuple[List[int], int, int]:
+        """Scaled coordinates, scaled level and denominator at t = a / b."""
+        c = b - a
+        X = [c * u + a * v for u, v in zip(self.X0, self.X1)]
+        return X, c * self.S0 + a * self.S1, b * self.d
+
+    def six(self, a: int, b: int) -> Tuple[Bounds, ...]:
+        """The six witness matrices of `_six_shapes` at t = a / b."""
+        return _six_bounds(*self.at(a, b))
 
 
 def breakpoints(
@@ -308,82 +376,84 @@ def breakpoints(
     check_level(cfg, s0, where="apartment.breakpoints")
     check_level(cfg, s1, where="apartment.breakpoints")
 
+    path = _Geodesic(x0, s0, x1, s1)
+    d, X0, X1 = path.d, path.X0, path.X1
     cuts = {Q(0), Q(1)}
-    n = cfg.n
-    for i in range(n):
-        for j in range(n):
-            alpha0 = x0[i] - x0[j]
-            alpha1 = x1[i] - x1[j]
-            for lev0, lev1 in ((s0, s1), (-s0, -s1), (Q(0), Q(0))):
-                # f(t) = w + alpha_t - lev_t is affine in t
-                b0 = alpha0 - lev0
-                b1 = alpha1 - lev1
+    for i in range(cfg.n):
+        for j in range(cfg.n):
+            alpha0, alpha1 = X0[i] - X0[j], X1[i] - X1[j]
+            for lev0, lev1 in ((path.S0, path.S1), (-path.S0, -path.S1), (0, 0)):
+                # times d, w + alpha_t - lev_t is w d + b0 + t (b1 - b0)
+                b0, b1 = alpha0 - lev0, alpha1 - lev1
+                if b0 == b1:
+                    continue  # constant (possibly identically zero): no crossing
+                # the root t = (w d + b0) / (b0 - b1) lies in [0, 1]
+                # exactly when w d lies between -b0 and -b1
                 lo, hi = min(-b0, -b1), max(-b0, -b1)
-                for w in range(ceil(lo), floor(hi) + 1):
-                    a = (b1 - b0)  # slope
-                    if a == 0:
-                        continue  # constant (possibly identically zero): no crossing
-                    t = -Q(w + b0, 1) / a
-                    if 0 <= t <= 1:
-                        cuts.add(Q(t))
+                for w in range(-(-lo // d), hi // d + 1):
+                    cuts.add(Q(w * d + b0, b0 - b1))
     ts = tuple(sorted(cuts))
 
-    plan_intervals: List[IntervalCertificate] = []
-    xt = lambda t: ApartmentPoint(
-        tuple((1 - t) * a + t * b for a, b in zip(x0.coords, x1.coords))
-    )
-    st = lambda t: (1 - t) * s0 + t * s1
-    for k in range(len(ts) - 1):
-        mid = (ts[k] + ts[k + 1]) / 2
-        plan_intervals.append(
-            IntervalCertificate(sample=mid, shapes=_six_shapes(cfg, xt(mid), st(mid)))
-        )
-    plan = GeodesicPlan(
-        x0=x0, s0=s0, x1=x1, s1=s1, ts=ts, intervals=tuple(plan_intervals)
+    bare = GeodesicPlan(x0=x0, s0=s0, x1=x1, s1=s1, ts=ts, intervals=())
+    mids = [(lo + hi) / 2 for lo, hi in zip(ts, ts[1:])]
+    plan = replace(
+        bare,
+        intervals=tuple(
+            IntervalCertificate(sample=u, shapes=_six_shapes(cfg, *bare.point_at(u)))
+            for u in mids
+        ),
     )
     verify_plan(cfg, plan)
     return plan
 
 
-def _shape_signature(shapes: Tuple[LatticeShape, ...]):
-    # constancy along an interval means equal bound matrices, not equal
-    # provenance (the sample point obviously moves)
-    return tuple((sh.strict, sh.bounds) for sh in shapes)
-
-
 def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int = 2) -> None:
-    """Re-check interval constancy and breakpoint chains; fault on failure."""
+    """Re-check interval constancy and breakpoint chains; fault on failure.
+
+    Everything is recomputed on integers from the plan's endpoints, not
+    read from the certificate: on each interval the six witnesses at the
+    sample and at `samples_per_interval` evenly spaced interior points
+    must equal the certified shapes, and at each breakpoint t the
+    inclusion chains at levels (0, 0), (s_t, tau_u) and (-s_t, -tau_u)
+    must hold against the sample u of each neighbouring interval.
+    """
+    path = _Geodesic(plan.x0, plan.s0, plan.x1, plan.s1)
     ts = plan.ts
+    at_sample = [path.six(c.sample.numerator, c.sample.denominator) for c in plan.intervals]
+    parts = samples_per_interval + 1
+    flags = tuple(strict for _, strict in _WITNESSES)
     for k, cert in enumerate(plan.intervals):
         lo, hi = ts[k], ts[k + 1]
         if lo == hi:
             continue
-        ref = _shape_signature(cert.shapes)
-        for j in range(1, samples_per_interval + 1):
-            u = lo + (hi - lo) * Q(j, samples_per_interval + 1)
-            if u == lo or u == hi:
-                continue
-            xu, su = plan.point_at(u)
-            if _shape_signature(_six_shapes(cfg, xu, su)) != ref:
+        ref = tuple((sh.strict, sh.bounds) for sh in cert.shapes)
+        # the sample, then u_j = lo + (hi - lo) j / parts = a_j / b
+        b = lo.denominator * hi.denominator * parts
+        interior = (
+            lo.numerator * hi.denominator * (parts - j) + hi.numerator * lo.denominator * j
+            for j in range(1, parts)
+        )
+        sample = (cert.sample.numerator, cert.sample.denominator)
+        points = [(at_sample[k], sample)] + [(path.six(a, b), (a, b)) for a in interior]
+        for six, u in points:
+            if tuple(zip(flags, six)) != ref:
                 raise InternalFault(
-                    f"filtration shapes not constant on ({lo}, {hi}) at t = {u}",
+                    f"filtration shapes not constant on ({lo}, {hi}) at t = {Q(*u)}",
                     where="apartment.verify_plan",
                 )
     for k, t in enumerate(ts):
-        xb, sb = plan.point_at(t)
-        neighbors = []
-        if k > 0:
-            neighbors.append(plan.intervals[k - 1].sample)
-        if k < len(ts) - 1:
-            neighbors.append(plan.intervals[k].sample)
-        for u in neighbors:
-            yu, tu = plan.point_at(u)
+        at_t = path.six(t.numerator, t.denominator)
+        for m in (k - 1, k):
+            if not 0 <= m < len(ts) - 1:
+                continue
+            at_u = at_sample[m]
             if not all(
-                inclusion_chain_ok(cfg, xb, level_x, yu, level_y)
-                for level_x, level_y in ((Q(0), Q(0)), (sb, tu), (-sb, -tu))
+                _chain_ok(at_t[2 * v], at_t[2 * v + 1], at_u[2 * v], at_u[2 * v + 1])
+                for v in range(3)
             ):
                 raise InternalFault(
-                    f"inclusion chains fail at breakpoint t = {t} against t = {u}",
+                    f"inclusion chains fail at breakpoint t = {t} "
+                    f"against t = {plan.intervals[m].sample}",
                     where="apartment.verify_plan",
                 )
 
@@ -402,11 +472,11 @@ def convexity_check(
         raise ValidationError("t must lie in [0, 1]", where="apartment.convexity_check")
     check_point(cfg, x0, where="apartment.convexity_check")
     check_point(cfg, x1, where="apartment.convexity_check")
-    v0 = mp_lattice(cfg, x0, s0, _checked=True).bounds
-    v1 = mp_lattice(cfg, x1, s1, _checked=True).bounds
-    xt = ApartmentPoint(tuple((1 - t) * a + t * b for a, b in zip(x0.coords, x1.coords)))
-    stt = (1 - t) * s0 + t * s1
-    vt = mp_lattice(cfg, xt, stt, _checked=True).bounds
+    path = _Geodesic(x0, s0, x1, s1)
+    v0, v1, vt = (
+        _bounds(*path.at(a, b), False)
+        for a, b in ((0, 1), (1, 1), (t.numerator, t.denominator))
+    )
     return all(
-        max(v0[i][j], v1[i][j]) >= vt[i][j] for i in range(cfg.n) for j in range(cfg.n)
+        max(a, b) >= c for r0, r1, rt in zip(v0, v1, vt) for a, b, c in zip(r0, r1, rt)
     )

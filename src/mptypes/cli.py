@@ -236,7 +236,7 @@ def _cmd_refine(cfg, args) -> dict:
         slices[str(orbit)] = verify_relation(cfg, rec, comps)
     fork_ok = True
     if cfg.q != 2:
-        field = gf.ExtField(2, _order_of_two(cfg.q))
+        field = gf.ext_field(2, _order_of_two(cfg.q))
         import random as _random
 
         rng = _random.Random(f"cli-refine:{args.seed}")

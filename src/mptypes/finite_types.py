@@ -186,10 +186,7 @@ class FiniteModule:
         f = self.field
         one = gf.identity(self.dim)
         for g in self.gens:
-            p_pow = one
-            for _ in range(cfg.q):
-                p_pow = gf.mat_mul(p_pow, g, f)
-            if p_pow != one:
+            if gf.mat_pow(g, cfg.q, f) != one:
                 raise ValidationError(
                     "generator action does not have order dividing p",
                     where="finite_types.FiniteModule",

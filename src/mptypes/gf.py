@@ -220,6 +220,9 @@ class ExtField:
         return range(self.order)
 
     def multiplicative_generator(self) -> int:
+        """The first element of order l^a - 1: for a > 1 the tables' g."""
+        if self.deg > 1:
+            return self._exp[1]
         m = self.order - 1
         primes = []
         mm, r = m, 2
@@ -248,9 +251,14 @@ class ExtField:
 
 
 @lru_cache(maxsize=None)
+def ext_field(ell: int, a: int) -> ExtField:
+    """F_{l^a}, built once per (l, a)."""
+    return ExtField(ell, a)
+
+
 def prime_field(q: int) -> ExtField:
     """F_q, built once per q."""
-    return ExtField(q, 1)
+    return ext_field(q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +281,18 @@ def _dot(u: Sequence[int], v: Sequence[int], field: ExtField) -> int:
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: ExtField) -> Mat:
     cols = list(zip(*b))
     return tuple(tuple(_dot(ra, col, field) for col in cols) for ra in a)
+
+
+def mat_pow(a: Sequence[Sequence[int]], e: int, field: ExtField) -> Mat:
+    """a^e for e >= 0, by square-and-multiply."""
+    result = identity(len(a))
+    while e:
+        if e & 1:
+            result = mat_mul(result, a, field)
+        e >>= 1
+        if e:
+            a = mat_mul(a, a, field)
+    return result
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], field: ExtField) -> Vec:

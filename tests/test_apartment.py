@@ -1,5 +1,6 @@
 """Lattice shapes, graded supports, geodesic plans and convexity."""
 
+import dataclasses
 import itertools
 import random
 import warnings
@@ -8,28 +9,33 @@ from math import ceil, floor
 
 import pytest
 
+from mptypes import apartment
 from mptypes.apartment import (
     ApartmentPoint,
+    GeodesicPlan,
     GroupConfig,
     breakpoints,
     convexity_check,
     graded_support,
+    inclusion_chain_ok,
     mp_lattice,
     verify_plan,
 )
-from mptypes.errors import ValidationError
+from mptypes.errors import InternalFault, ValidationError
 
 
 def cfg2(m=8):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return GroupConfig(n=2, q=5, m=m)
+    return cfgn(2, m)
 
 
 def cfg3(m=8):
+    return cfgn(3, m)
+
+
+def cfgn(n, m=8):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return GroupConfig(n=3, q=5, m=m)
+        return GroupConfig(n=n, q=5, m=m)
 
 
 def pt(*coords):
@@ -210,12 +216,142 @@ def test_convexity_randomized():
 
 def test_plans_verify_on_random_instances():
     rng = random.Random(5)
-    cfg = cfg3()
-    for _ in range(30):
-        d = rng.choice([1, 2, 4, 8])
-        x0 = ApartmentPoint.of([Q(rng.randrange(-4, 5), d) for _ in range(3)])
-        x1 = ApartmentPoint.of([Q(rng.randrange(-4, 5), d) for _ in range(3)])
-        s0 = Q(rng.randrange(0, 9), d)
-        s1 = Q(rng.randrange(0, 9), d)
-        plan = breakpoints(cfg, x0, s0, x1, s1)
-        verify_plan(cfg, plan, samples_per_interval=2)
+    for n in (2, 3, 4):
+        cfg = cfgn(n)
+        for _ in range(30):
+            d = rng.choice([1, 2, 4, 8])
+            x0 = ApartmentPoint.of([Q(rng.randrange(-4, 5), d) for _ in range(n)])
+            x1 = ApartmentPoint.of([Q(rng.randrange(-4, 5), d) for _ in range(n)])
+            s0 = Q(rng.randrange(0, 9), d)
+            s1 = Q(rng.randrange(0, 9), d)
+            plan = breakpoints(cfg, x0, s0, x1, s1)
+            verify_plan(cfg, plan, samples_per_interval=2)
+
+
+def test_level_zero_jump_inside_an_interval_is_caught():
+    cfg = cfg2()
+    x0, x1, s = pt(Q(-1, 2), 0), pt(Q(1, 2), 0), Q(1, 2)
+    plan = breakpoints(cfg, x0, s, x1, s)
+    assert Q(1, 2) in plan.ts
+    # across t = 1/2 only the level-0 witnesses change
+    left, right = (plan.intervals[plan.ts.index(Q(1, 2)) + k] for k in (-1, 0))
+    changed = [a.bounds != b.bounds for a, b in zip(left.shapes, right.shapes)]
+    assert changed == [True, True, False, False, False, False]
+    forged = GeodesicPlan(
+        x0=x0, s0=s, x1=x1, s1=s, ts=(Q(0), Q(1)), intervals=(plan.intervals[0],)
+    )
+    with pytest.raises(InternalFault, match=r"not constant on \(0, 1\) at t = 2/3"):
+        verify_plan(cfg, forged)
+    # a certificate whose sample lies past the jump is refused at the sample
+    moved = dataclasses.replace(plan.intervals[0], sample=Q(3, 4))
+    forged = dataclasses.replace(plan, intervals=(moved, plan.intervals[1]))
+    with pytest.raises(InternalFault, match=r"not constant on \(0, 1/2\) at t = 3/4"):
+        verify_plan(cfg, forged)
+
+
+# the Fraction formulas the integer kernel replaced, kept as its oracle
+
+
+def oracle_bound(s, xi, xj, strict):
+    v = s + xj - xi
+    return floor(v) + 1 if strict else ceil(v)
+
+
+def oracle_bounds(x, s, strict):
+    return tuple(tuple(oracle_bound(s, xi, xj, strict) for xj in x.coords) for xi in x.coords)
+
+
+def oracle_support(x, degree):
+    return tuple(
+        ((i, j), int(w))
+        for i, xi in enumerate(x.coords)
+        for j, xj in enumerate(x.coords)
+        if (w := degree - xi + xj).denominator == 1
+    )
+
+
+def oracle_chain(x, level_x, y, level_y):
+    xs, ys, yn, xn = (
+        oracle_bounds(p, lv, st)
+        for p, lv, st in (
+            (x, level_x, True), (y, level_y, True), (y, level_y, False), (x, level_x, False)
+        )
+    )
+
+    def contains(big, small):
+        return all(b >= a for rb, ra in zip(small, big) for b, a in zip(rb, ra))
+
+    return contains(ys, xs) and contains(yn, ys) and contains(xn, yn)
+
+
+def random_point(rng, n, denoms):
+    return ApartmentPoint.of([Q(rng.randrange(-40, 41), rng.choice(denoms)) for _ in range(n)])
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    rng = random.Random(11)
+    # 3, 5, 6, 7, 12 and 48 do not divide m = 8, like the denominators of
+    # interval samples, so these calls go through _checked=True
+    denoms = [1, 2, 3, 4, 5, 6, 7, 8, 12, 48]
+    verdicts = set()
+    for n in (2, 3, 4):
+        cfg = cfgn(n)
+        for _ in range(150):
+            x = random_point(rng, n, denoms)
+            # a nearby point and level, so that chains both hold and fail
+            y = ApartmentPoint.of([c + Q(rng.randrange(-2, 3), 48) for c in x.coords])
+            s = Q(rng.randrange(-40, 41), rng.choice(denoms))
+            for level in (Q(0), s, -s):
+                for strict in (False, True):
+                    got = mp_lattice(cfg, x, level, strict, _checked=True).bounds
+                    assert got == oracle_bounds(x, level, strict)
+                assert graded_support(cfg, x, level, _checked=True).entries == oracle_support(
+                    x, level
+                )
+                level_y = level + Q(rng.randrange(-2, 3), 48)
+                got = inclusion_chain_ok(cfg, x, level, y, level_y)
+                assert got == oracle_chain(x, level, y, level_y)
+                verdicts.add(got)
+            assert [sh.bounds for sh in apartment._six_shapes(cfg, x, s)] == [
+                oracle_bounds(x, lv, st) for lv in (0, s, -s) for st in (False, True)
+            ]
+            # convexity checks its endpoints against m; its levels are unchecked
+            x0, x1 = random_point(rng, n, [1, 2, 4, 8]), random_point(rng, n, [1, 2, 4, 8])
+            s1, t = Q(rng.randrange(-40, 41), rng.choice(denoms)), Q(rng.randrange(0, 9), 8)
+            xt = ApartmentPoint(tuple((1 - t) * a + t * b for a, b in zip(x0.coords, x1.coords)))
+            v0, v1, vt = (
+                oracle_bounds(p, lv, False)
+                for p, lv in ((x0, s), (x1, s1), (xt, (1 - t) * s + t * s1))
+            )
+            expected = all(
+                max(a, b) >= c for r0, r1, rt in zip(v0, v1, vt) for a, b, c in zip(r0, r1, rt)
+            )
+            assert convexity_check(cfg, x0, s, x1, s1, t) == expected
+    assert verdicts == {True, False}
+
+
+def test_path_bounds_match_six_shapes_at_plan_points():
+    rng = random.Random(12)
+    for n in (2, 3, 4):
+        cfg = cfgn(n, m=16)
+        for _ in range(20):
+            d0, d1 = rng.choice([1, 2, 4, 8, 16]), rng.choice([1, 2, 4, 8, 16])
+            x0 = ApartmentPoint.of([Q(rng.randrange(-2 * d0, 2 * d0 + 1), d0) for _ in range(n)])
+            x1 = ApartmentPoint.of([Q(rng.randrange(-2 * d1, 2 * d1 + 1), d1) for _ in range(n)])
+            s0 = Q(rng.randrange(-2 * d0, 2 * d0 + 1), d0)
+            s1 = Q(rng.randrange(-2 * d1, 2 * d1 + 1), d1)
+            plan = breakpoints(cfg, x0, s0, x1, s1)
+            path = apartment._Geodesic(x0, s0, x1, s1)
+            interior = [
+                lo + (hi - lo) * Q(j, 3) for lo, hi in zip(plan.ts, plan.ts[1:]) for j in (1, 2)
+            ]
+            samples = [cert.sample for cert in plan.intervals]
+            for u in list(plan.ts) + samples + interior:
+                assert path.six(u.numerator, u.denominator) == tuple(
+                    sh.bounds for sh in apartment._six_shapes(cfg, *plan.point_at(u))
+                )
+            # an unreduced t = a / b gives the same point
+            u = interior[0]
+            assert path.six(3 * u.numerator, 3 * u.denominator) == path.six(
+                u.numerator, u.denominator
+            )

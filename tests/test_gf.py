@@ -35,13 +35,23 @@ def test_complement_basis():
 
 
 def test_ext_field_f16_has_fifth_roots():
-    f = gf.ExtField(2, 4)
-    assert f.order == 16
+    f = gf.ext_field(2, 4)
+    assert f is gf.ext_field(2, 4) and f.order == 16
     z = f.root_of_unity(5)
     assert z != f.one
     assert f.pow(z, 5) == f.one
     powers = {f.pow(z, k) for k in range(5)}
     assert len(powers) == 5
+
+
+def test_mat_pow_matches_repeated_products():
+    rng = random.Random(3)
+    for f in (gf.prime_field(5), gf.ExtField(2, 4)):
+        a = tuple(tuple(rng.randrange(f.order) for _ in range(3)) for _ in range(3))
+        power = gf.identity(3)
+        for e in range(12):
+            assert gf.mat_pow(a, e, f) == power
+            power = gf.mat_mul(power, a, f)
 
 
 def test_ext_field_arithmetic_consistency():
