@@ -312,7 +312,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 warnings.simplefilter("ignore")
             else:
                 warnings.simplefilter("default")
-                _original = warnings.showwarning
 
                 def _to_stderr(message, category, filename, lineno, file=None, line=None):
                     print(f"warning: {message}", file=sys.stderr)

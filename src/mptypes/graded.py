@@ -445,26 +445,23 @@ def graded_jordan_chains(
     a = coefficient_matrix(cfg, phi)
     n, q = cfg.n, cfg.q
     field = gf.prime_field(q)
-    if not LMatrix.from_rows(
-        q, [[Laurent.const(q, a[i][j]) for j in range(n)] for i in range(n)]
-    ).is_nilpotent():
+    powers = [gf.identity(n)]
+    for _ in range(n + 1):
+        powers.append(gf.mat_mul(powers[-1], a, field))
+    # over a field, A is nilpotent exactly when A^n = 0
+    depth = next((k for k in range(n + 1) if not any(map(any, powers[k]))), None)
+    if depth is None:
         raise ValidationError(
             "graded Jordan chains require a nilpotent coefficient matrix",
             where="graded.graded_jordan_chains",
         )
+    depth = max(depth, 1)
     classes = residue_classes(phi.x)
     class_index = {}
     for res, idx in classes:
         for i in idx:
             class_index[i] = res
     shift = phi.degree % 1
-
-    powers = [gf.identity(n)]
-    for _ in range(n + 1):
-        powers.append(gf.mat_mul(powers[-1], a, field))
-
-    depth = next(k for k in range(n + 1) if all(x == 0 for r in powers[k] for x in r))
-    depth = max(depth, 1)
 
     # kernel bases per power per class
     kern: Dict[Tuple[int, Q], List[gf.Vec]] = {}

@@ -2,20 +2,75 @@
 
 Everything here works over F_q[t, 1/t] for a prime q.  Ranks are taken
 over the fraction field F_q(t) by fraction-free (Bareiss) elimination,
-never by specializing t, and characteristic polynomials are assembled
-from principal minors so no division by integers ever happens (which
-would be unsound in small characteristic).
+never by specializing t, and characteristic polynomials come from
+Berkowitz's recurrence, which uses ring operations only, so no division
+by integers ever happens (which would be unsound in small characteristic).
+
+This module is the one home of sparse series arithmetic: the `ser_*`
+kernels work on the bare format of `Laurent.coeffs` (a `Series`, sorted
+(exponent, coefficient) pairs with nonzero coefficients) and serve both
+`Laurent` and the ball counting in `measures`, which avoids objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalFault, ValidationError
 
-__all__ = ["Laurent", "LMatrix", "commutator"]
+__all__ = [
+    "Laurent", "LMatrix", "Series", "commutator", "ser_add", "ser_mul", "ser_neg", "ser_trunc",
+]
+
+Series = Tuple[Tuple[int, int], ...]  # sorted (exponent, coeff != 0)
+
+
+def ser_neg(s: Series, q: int) -> Series:
+    return tuple((e, (-c) % q) for e, c in s)
+
+
+def ser_add(a: Series, b: Series, q: int) -> Series:
+    d = dict(a)
+    for e, c in b:
+        v = (d.get(e, 0) + c) % q
+        if v:
+            d[e] = v
+        elif e in d:
+            del d[e]
+    return tuple(sorted(d.items()))
+
+
+def ser_trunc(s: Series, below: int) -> Series:
+    return tuple((e, c) for e, c in s if e < below)
+
+
+def ser_mul(a: Series, b: Series, q: int, below: Optional[int] = None) -> Series:
+    """The product a*b, truncated below t^below when a bound is given."""
+    if below is None:
+        return _ser_dot((a,), (b,), q)
+    d: Dict[int, int] = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = e1 + e2
+            if e >= below:
+                break  # b is sorted: every later term lies above the bound too
+            v = (d.get(e, 0) + c1 * c2) % q
+            if v:
+                d[e] = v
+            elif e in d:
+                del d[e]
+    return tuple(sorted(d.items()))
+
+
+def _ser_dot(xs: Sequence[Series], ys: Sequence[Series], q: int) -> Series:
+    """sum x*y over the paired series, gathered in one pass."""
+    d: Dict[int, int] = {}
+    for a, b in zip(xs, ys):
+        for e1, c1 in a:
+            for e2, c2 in b:
+                d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return tuple(sorted((e, r) for e, c in d.items() if (r := c % q)))
 
 
 @dataclass(frozen=True)
@@ -23,7 +78,7 @@ class Laurent:
     """A Laurent polynomial sum c * t^w; coeffs sorted by exponent."""
 
     q: int
-    coeffs: Tuple[Tuple[int, int], ...]  # (exponent, coefficient in 1..q-1)
+    coeffs: Series  # (exponent, coefficient in 1..q-1)
 
     # -- construction ------------------------------------------------
 
@@ -73,30 +128,16 @@ class Laurent:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Laurent") -> "Laurent":
-        d = dict(self.coeffs)
-        for e, c in other.coeffs:
-            d[e] = (d.get(e, 0) + c) % self.q
-        return Laurent.from_dict(self.q, d)
+        return Laurent(self.q, ser_add(self.coeffs, other.coeffs, self.q))
 
     def __neg__(self) -> "Laurent":
-        return Laurent(self.q, tuple((e, (-c) % self.q) for e, c in self.coeffs))
+        return Laurent(self.q, ser_neg(self.coeffs, self.q))
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        d: Dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                d[e] = (d.get(e, 0) + c1 * c2) % self.q
-        return Laurent.from_dict(self.q, d)
-
-    def scale(self, c: int) -> "Laurent":
-        c %= self.q
-        if c == 0:
-            return Laurent.zero(self.q)
-        return Laurent(self.q, tuple((e, (c * a) % self.q) for e, a in self.coeffs))
+        return Laurent(self.q, ser_mul(self.coeffs, other.coeffs, self.q))
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by t^k."""
@@ -202,62 +243,56 @@ class LMatrix:
         )
 
     def __matmul__(self, other: "LMatrix") -> "LMatrix":
-        n, k, m = self.nrows, self.ncols, other.ncols
-        z = Laurent.zero(self.q)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = z
-                for s in range(k):
-                    a = self.rows[i][s]
-                    b = other.rows[s][j]
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return LMatrix(self.q, tuple(out))
+        q = self.q
+        cols = [[r[j].coeffs for r in other.rows] for j in range(other.ncols)]
+        return LMatrix(q, tuple(
+            tuple(Laurent(q, _ser_dot([e.coeffs for e in row], col, q)) for col in cols)
+            for row in self.rows
+        ))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for r in self.rows for e in r)
-
-    def trace(self) -> Laurent:
-        acc = Laurent.zero(self.q)
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "LMatrix":
         return LMatrix(
             self.q, tuple(tuple(self.rows[i][j] for j in cols) for i in rows)
         )
 
-    # -- determinant / characteristic polynomial -----------------------
-
-    def det(self) -> Laurent:
-        n = self.nrows
-        if n != self.ncols:
-            raise ValidationError("determinant of non-square matrix", where="laurent")
-        if n > 6:
-            raise ValidationError("determinant restricted to n <= 6", where="laurent")
-        return _det_expand(self.rows, tuple(range(n)), self.q)
+    # -- characteristic polynomial -------------------------------------
 
     def charpoly(self) -> List[Laurent]:
         """Coefficients [c_0, ..., c_n] of det(X*I - M) = sum c_k X^(n-k).
 
-        Assembled as c_k = (-1)^k * (sum of principal k x k minors); this
-        avoids all division and is valid in any characteristic.
+        Berkowitz's recurrence: write the trailing block from row k on as
+        [[a, R], [C, S]]; its characteristic polynomial is T times that
+        of S, where T is lower-triangular Toeplitz with first column
+        (1, -a, -R C, -R S C, -R S^2 C, ...).  Ring operations only, so
+        it is valid in any characteristic and for every n.
         """
-        n = self.nrows
-        coeffs = [Laurent.const(self.q, 1)]
-        idx = range(n)
-        for k in range(1, n + 1):
-            acc = Laurent.zero(self.q)
-            for sub in combinations(idx, k):
-                acc = acc + self.submatrix(sub, sub).det()
-            sign = -1 if k % 2 else 1
-            coeffs.append(acc.scale(sign))
-        return coeffs
+        n, q = self.nrows, self.q
+        if n != self.ncols:
+            raise ValidationError(
+                "characteristic polynomial of a non-square matrix",
+                where="laurent.LMatrix.charpoly",
+            )
+        m = [[e.coeffs for e in row] for row in self.rows]
+        one: Series = ((0, 1),)
+        poly: List[Series] = [one]  # of the empty trailing block
+        for k in range(n - 1, -1, -1):
+            r = m[k][k + 1 :]
+            s = [row[k + 1 :] for row in m[k + 1 :]]
+            v = [row[k] for row in m[k + 1 :]]  # C, then S^j C
+            col = [one, ser_neg(m[k][k], q)]
+            for j in range(n - 1 - k):
+                if j:
+                    v = [_ser_dot(row, v, q) for row in s]
+                col.append(ser_neg(_ser_dot(r, v, q), q))
+            # T times poly: entry i is sum_j col[i - j] * poly[j]
+            poly = [
+                _ser_dot([col[i - j] for j in range(min(i + 1, len(poly)))], poly, q)
+                for i in range(len(col))
+            ]
+        return [Laurent(q, c) for c in poly]
 
     def nilpotency_witness(self) -> Tuple[int, Laurent] | None:
         """None when nilpotent, else (k, coeff) for the first nonzero c_k."""
@@ -314,21 +349,6 @@ class LMatrix:
             if rowpos == len(work):
                 break
         return rk
-
-
-def _det_expand(rows, cols: Tuple[int, ...], q: int) -> Laurent:
-    if len(rows) == 1:
-        return rows[0][cols[0]]
-    acc = Laurent.zero(q)
-    rest = rows[1:]
-    for pos, c in enumerate(cols):
-        a = rows[0][c]
-        if a.is_zero():
-            continue
-        minor = _det_expand(rest, cols[:pos] + cols[pos + 1 :], q)
-        term = a * minor
-        acc = acc + (term if pos % 2 == 0 else -term)
-    return acc
 
 
 def commutator(a: LMatrix, b: LMatrix) -> LMatrix:

@@ -29,6 +29,11 @@ Membership of a residue ball in an orbit is decided by a ladder:
      coefficient decides negatively;
   5. otherwise a bounded structured/randomized witness search; failure
      is an explicit undecided status, never a silent boolean.
+
+Residues are bare `laurent.Series` tuples, added, negated, multiplied
+and truncated by `laurent`'s `ser_*` kernels; only the ball-specific
+helpers (equality below a depth, ball intersection, the 2x2 cone test)
+live here.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .apartment import GroupConfig, mp_lattice
 from .errors import InfeasibleError, InternalFault, UndecidedError, ValidationError
 from .graded import coefficient_matrix, homogeneous_lift
-from .laurent import Laurent, LMatrix
+from .laurent import Laurent, LMatrix, Series, ser_add, ser_mul, ser_neg, ser_trunc
 from .orbits import OrbitLabel, dominance_leq, jordan_type
 from .refine import DMPPair, RelationRecord
 from . import gf
@@ -63,56 +68,16 @@ __all__ = [
     "clear_count_cache",
 ]
 
-Series = Tuple[Tuple[int, int], ...]  # sorted (exponent, coeff != 0)
-
 _INF = 10**9
 
 
 # ---------------------------------------------------------------------------
-# series helpers (plain ints; the counting hot path avoids objects)
+# ball helpers on bare series (the counting hot path avoids objects)
 # ---------------------------------------------------------------------------
 
 
-def _ser_val(s: Series) -> Optional[int]:
-    return s[0][0] if s else None
-
-
-def _ser_neg(s: Series, q: int) -> Series:
-    return tuple((e, (-c) % q) for e, c in s)
-
-
-def _ser_add(a: Series, b: Series, q: int) -> Series:
-    d = dict(a)
-    for e, c in b:
-        v = (d.get(e, 0) + c) % q
-        if v:
-            d[e] = v
-        elif e in d:
-            del d[e]
-    return tuple(sorted(d.items()))
-
-
-def _ser_trunc(s: Series, bound: int) -> Series:
-    return tuple((e, c) for e, c in s if e < bound)
-
-
-def _ser_mul_trunc(a: Series, b: Series, bound: int, q: int) -> Series:
-    d: Dict[int, int] = {}
-    for e1, c1 in a:
-        for e2, c2 in b:
-            e = e1 + e2
-            if e >= bound:
-                continue
-            v = (d.get(e, 0) + c1 * c2) % q
-            if v:
-                d[e] = v
-            elif e in d:
-                del d[e]
-    return tuple(sorted(d.items()))
-
-
 def _ser_eq_below(a: Series, b: Series, bound: int, q: int) -> bool:
-    return _ser_trunc(_ser_add(a, _ser_neg(b, q), q), bound) == ()
+    return ser_trunc(ser_add(a, ser_neg(b, q), q), bound) == ()
 
 
 def _ball_intersect(
@@ -129,8 +94,8 @@ def _ball_intersect(
         return None
     hi = max(ea, eb)
     if ea >= eb:
-        return _ser_trunc(a, hi), hi
-    center = _ser_add(_ser_trunc(a, ea), tuple((e, c) for e, c in b if ea <= e < eb), q)
+        return ser_trunc(a, hi), hi
+    center = ser_add(ser_trunc(a, ea), tuple((e, c) for e, c in b if ea <= e < eb), q)
     return center, hi
 
 
@@ -144,7 +109,7 @@ def _meets_nilcone_2x2(
     >= 2e with square leading coefficient, and products of balls are
     balls or full balls t^r O.
     """
-    vu, vv, vw = _ser_val(u), _ser_val(v), _ser_val(w)
+    vu, vv, vw = (u[0][0] if u else None), (v[0][0] if v else None), (w[0][0] if w else None)
     if vv is None and vw is None:
         prod_full, rho = True, ev + ew
     elif vv is None:
@@ -154,16 +119,16 @@ def _meets_nilcone_2x2(
     else:
         prod_full = False
         rho = min(vv + ew, vw + ev)
-        z0 = _ser_neg(_ser_mul_trunc(v, w, rho, q), q)
+        z0 = ser_neg(ser_mul(v, w, q, rho), q)
     if vu is not None:
         r_s = vu + eu
-        s0 = _ser_mul_trunc(u, u, r_s, q)
+        s0 = ser_mul(u, u, q, r_s)
         if prod_full:
             return 2 * vu >= rho
         return _ser_eq_below(s0, z0, min(r_s, rho), q)
     if prod_full:
         return True
-    v0 = _ser_val(z0)
+    v0 = z0[0][0]
     return v0 % 2 == 0 and v0 >= 2 * eu and z0[0][1] in qr
 
 
@@ -216,18 +181,40 @@ def _validate_lattice(
 
 
 def _entry_layout(cfg: GroupConfig, pair: DMPPair, K: int, lam):
-    """Per entry: (base series from the lift, strict bound b, ball depth E)."""
+    """Per-entry grids: base series from the lift, strict bound (the coset
+    ball's floor) and residue depth K + lam."""
     lift = homogeneous_lift(cfg, pair.phi).mat
-    strict = pair_strict_bounds(cfg, pair)
-    layout = []
-    for i in range(cfg.n):
-        row = []
-        for j in range(cfg.n):
-            e = lift.entry(i, j)
-            base: Series = tuple(e.coeffs)
-            row.append((base, strict[i][j], K + lam[i][j]))
-        layout.append(row)
-    return layout
+    n = cfg.n
+    bases = [[lift.entry(i, j).coeffs for j in range(n)] for i in range(n)]
+    depths = [[K + lam[i][j] for j in range(n)] for i in range(n)]
+    return bases, pair_strict_bounds(cfg, pair), depths
+
+
+def _odd_q_squares(q: int, where: str) -> frozenset:
+    """Nonzero squares mod q, read by the 2x2 nilpotent-cone test (odd q only)."""
+    if q == 2:
+        raise InfeasibleError("the 2x2 ball analysis requires odd q", where=where)
+    return frozenset((a * a) % q for a in range(1, q))
+
+
+def _walk_n2(q: int, centers, floors, depths):
+    """The three balls the n = 2 cone test runs on, as (center, floor, depth).
+
+    The diagonal pairs with trace 0 match the merged ball
+    (c11 + t^f11 O) cap (-c22 + t^f22 O), whose residues run down to
+    max(d11, d22); the off-diagonal balls are taken as they are.  None
+    when the merged ball is empty: the trace never vanishes.
+    """
+    merged = _ball_intersect(
+        centers[0][0], floors[0][0], ser_neg(centers[1][1], q), floors[1][1], q
+    )
+    if merged is None:
+        return None
+    return (
+        (merged[0], merged[1], max(depths[0][0], depths[1][1])),
+        (centers[0][1], floors[0][1], depths[0][1]),
+        (centers[1][0], floors[1][0], depths[1][0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +224,7 @@ def _entry_layout(cfg: GroupConfig, pair: DMPPair, K: int, lam):
 
 def _residue_is_zero(y: Sequence[Sequence[Series]], depths) -> bool:
     return all(
-        _ser_trunc(y[i][j], depths[i][j]) == ()
+        ser_trunc(y[i][j], depths[i][j]) == ()
         for i in range(len(y))
         for j in range(len(y))
     )
@@ -245,20 +232,12 @@ def _residue_is_zero(y: Sequence[Sequence[Series]], depths) -> bool:
 
 def _membership_n2(cfg: GroupConfig, y, depths) -> bool:
     q = cfg.q
-    if q == 2:
-        raise InfeasibleError(
-            "the 2x2 ball analysis requires odd q", where="measures.residue_membership"
-        )
-    qr = frozenset((a * a) % q for a in range(1, q))
-    merged = _ball_intersect(
-        y[0][0], depths[0][0], _ser_neg(y[1][1], q), depths[1][1], q
-    )
-    if merged is None:
+    qr = _odd_q_squares(q, "measures.residue_membership")
+    walk = _walk_n2(q, y, depths, depths)
+    if walk is None:
         return False  # trace obstruction
-    u, eu = merged
-    return _meets_nilcone_2x2(
-        q, qr, u, eu, y[0][1], depths[0][1], y[1][0], depths[1][0]
-    )
+    (u, _, eu), (v, _, ev), (w, _, ew) = walk
+    return _meets_nilcone_2x2(q, qr, u, eu, v, ev, w, ew)
 
 
 def _rank_bound_excludes(cfg: GroupConfig, orbit: OrbitLabel, pair: DMPPair) -> bool:
@@ -277,7 +256,7 @@ def _ball_matrix(cfg: GroupConfig, y, depths, extra) -> LMatrix:
     for i in range(cfg.n):
         row = []
         for j in range(cfg.n):
-            ser = _ser_add(y[i][j], extra.get((i, j), ()), cfg.q)
+            ser = ser_add(y[i][j], extra.get((i, j), ()), cfg.q)
             row.append(Laurent(cfg.q, ser))
         rows.append(row)
     return LMatrix.from_rows(cfg.q, rows)
@@ -392,16 +371,14 @@ def residue_membership(
         raise ValidationError("orbit size mismatch", where="measures.residue_membership")
     lam = pair_strict_bounds(cfg, pair) if lam is None else lam
     _validate_lattice(cfg, pair, K, lam)
-    layout = _entry_layout(cfg, pair, K, lam)
+    bases, floors, depths = _entry_layout(cfg, pair, K, lam)
     n = cfg.n
-    depths = [[layout[i][j][2] for j in range(n)] for i in range(n)]
     y: List[List[Series]] = []
     for i in range(n):
         row = []
         for j in range(n):
-            base, b, e = layout[i][j]
-            ser = _ser_trunc(tuple(residue.entry(i, j).coeffs), e)
-            if not _ser_eq_below(ser, base, b, cfg.q):
+            ser = ser_trunc(residue.entry(i, j).coeffs, depths[i][j])
+            if not _ser_eq_below(ser, bases[i][j], floors[i][j], cfg.q):
                 raise ValidationError(
                     f"residue entry ({i},{j}) does not lie in the coset",
                     where="measures.residue_membership",
@@ -491,14 +468,8 @@ def merged_residue_dim(cfg: GroupConfig, pair: DMPPair, K: int, lam) -> int:
     """log_q of the residue count the n=2 enumeration walks (cost probe)."""
     if cfg.n != 2:
         raise ValidationError("n = 2 only", where="measures.merged_residue_dim")
-    layout = _entry_layout(cfg, pair, K, lam)
-    (b11, s11, e11), (b12, s12, e12) = layout[0][0], layout[0][1]
-    (b21, s21, e21), (b22, s22, e22) = layout[1][0], layout[1][1]
-    merged = _ball_intersect(b11, s11, _ser_neg(b22, cfg.q), s22, cfg.q)
-    if merged is None:
-        return 0
-    _, u_floor = merged
-    return (max(e11, e22) - u_floor) + (e12 - s12) + (e21 - s21)
+    walk = _walk_n2(cfg.q, *_entry_layout(cfg, pair, K, lam))
+    return 0 if walk is None else sum(depth - floor for _, floor, depth in walk)
 
 
 def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> int:
@@ -510,48 +481,30 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
     diagonal data and the two off-diagonal entries only.
     """
     q = cfg.q
-    if q == 2:
-        raise InfeasibleError("counting requires odd q", where="measures.count_measure")
-    qr = frozenset((a * a) % q for a in range(1, q))
-    layout = _entry_layout(cfg, pair, K, lam)
-    (b11, s11, e11), (b12, s12, e12) = layout[0][0], layout[0][1]
-    (b21, s21, e21), (b22, s22, e22) = layout[1][0], layout[1][1]
-
-    merged = _ball_intersect(b11, s11, _ser_neg(b22, q), s22, q)
-    if merged is None:
+    qr = _odd_q_squares(q, "measures.count_measure")
+    walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
+    if walk is None:
         return 0  # the trace never vanishes on the coset
-    u_center, u_floor = merged
-    eu = max(e11, e22)
-
-    du = eu - u_floor
-    dv = e12 - s12
-    dw = e21 - s21
-    if q ** (du + dv + dw) > enum_bound:
+    dim = sum(depth - floor for _, floor, depth in walk)
+    if q ** dim > enum_bound:
         raise InfeasibleError(
-            f"{q}^{du + dv + dw} merged residues exceed bound {enum_bound}",
+            f"{q}^{dim} merged residues exceed bound {enum_bound}",
             where="measures.count_measure",
         )
 
-    u_exps = list(range(u_floor, eu))
-    v_exps = list(range(s12, e12))
-    w_exps = list(range(s21, e21))
-
-    def variants(center: Series, exps: List[int]) -> List[Series]:
-        out = []
+    def variants(center: Series, floor: int, depth: int) -> Iterable[Series]:
+        exps = range(floor, depth)
         for combo in itertools.product(range(q), repeat=len(exps)):
-            extra = tuple((e, c) for e, c in zip(exps, combo) if c)
-            out.append(_ser_add(center, extra, q))
-        return out
+            yield ser_add(center, tuple((e, c) for e, c in zip(exps, combo) if c), q)
 
-    v_list = variants(b12, v_exps)
-    w_list = variants(b21, w_exps)
+    (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
+    v_list = list(variants(vc, vf, ev))
+    w_list = list(variants(wc, wf, ew))
     count = 0
-    for combo in itertools.product(range(q), repeat=len(u_exps)):
-        extra = tuple((e, c) for e, c in zip(u_exps, combo) if c)
-        u = _ser_add(u_center, extra, q)
+    for u in variants(uc, uf, eu):
         for v in v_list:
             for w in w_list:
-                if _meets_nilcone_2x2(q, qr, u, eu, v, e12, w, e21):
+                if _meets_nilcone_2x2(q, qr, u, eu, v, ev, w, ew):
                     count += 1
     return count
 
@@ -559,20 +512,18 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
 def _count_generic(
     cfg: GroupConfig, orbit: OrbitLabel, pair: DMPPair, K: int, lam, enum_bound: int
 ) -> int:
-    layout = _entry_layout(cfg, pair, K, lam)
+    bases, floors, depths = _entry_layout(cfg, pair, K, lam)
     n, q = cfg.n, cfg.q
     slots = []
     for i in range(n):
         for j in range(n):
-            base, b, e = layout[i][j]
-            for w in range(b, e):
+            for w in range(floors[i][j], depths[i][j]):
                 slots.append((i, j, w))
     if q ** len(slots) > enum_bound:
         raise InfeasibleError(
             f"{q}^{len(slots)} residues exceed the enumeration bound {enum_bound}",
             where="measures.count_measure",
         )
-    depths = [[layout[i][j][2] for j in range(n)] for i in range(n)]
     count = 0
     for combo in itertools.product(range(q), repeat=len(slots)):
         grid: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -584,7 +535,7 @@ def _count_generic(
             row = []
             for j in range(n):
                 extra = tuple(sorted(grid.get((i, j), {}).items()))
-                row.append(_ser_add(layout[i][j][0], extra, q))
+                row.append(ser_add(bases[i][j], extra, q))
             y.append(row)
         if _membership_decide(cfg, orbit, pair, y, depths):
             count += 1

@@ -12,7 +12,8 @@ from fractions import Fraction as Q
 
 from mptypes.apartment import ApartmentPoint, GroupConfig, mp_lattice
 from mptypes.graded import enumerate_graded_elements, homogeneous_lift, is_degenerate
-from mptypes.measures import _ball_intersect, _meets_nilcone_2x2, _ser_neg
+from mptypes.laurent import ser_neg
+from mptypes.measures import _ball_intersect, _meets_nilcone_2x2
 
 
 def make_cfg():
@@ -35,7 +36,7 @@ def coset_contains_nilpotent(cfg, x, s, el) -> bool:
     lift = homogeneous_lift(cfg, el).mat
     ser = [[tuple(lift.entry(i, j).coeffs) for j in range(2)] for i in range(2)]
     b = strict.bounds
-    merged = _ball_intersect(ser[0][0], b[0][0], _ser_neg(ser[1][1], cfg.q), b[1][1], cfg.q)
+    merged = _ball_intersect(ser[0][0], b[0][0], ser_neg(ser[1][1], cfg.q), b[1][1], cfg.q)
     if merged is None:
         return False
     u, eu = merged

@@ -1,6 +1,12 @@
 """Exact Laurent arithmetic, ranks and characteristic polynomials."""
 
-from mptypes.laurent import Laurent, LMatrix, commutator
+import random
+from itertools import combinations
+
+import pytest
+
+from mptypes.errors import ValidationError
+from mptypes.laurent import Laurent, LMatrix, commutator, ser_mul, ser_trunc
 
 
 def L(q, *terms):
@@ -97,3 +103,105 @@ def test_commutator():
     h = commutator(a, b)
     assert h.entry(0, 0) == L(q, (0, 1))
     assert h.entry(1, 1) == L(q, (0, 6))
+
+
+# -- reference implementations ------------------------------------------
+
+
+def dict_add(a, b):
+    d = dict(a.coeffs)
+    for e, c in b.coeffs:
+        d[e] = d.get(e, 0) + c
+    return Laurent.from_dict(a.q, d)
+
+
+def dict_mul(a, b):
+    d = {}
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
+            d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return Laurent.from_dict(a.q, d)
+
+
+def cofactor_det(rows, cols, q):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Laurent.const(q, 1)
+    acc = Laurent.zero(q)
+    for pos, c in enumerate(cols):
+        minor = cofactor_det(rows[1:], cols[:pos] + cols[pos + 1 :], q)
+        term = rows[0][c] * minor
+        acc = acc + (term if pos % 2 == 0 else -term)
+    return acc
+
+
+def minor_sum_charpoly(m):
+    """c_k = (-1)^k * (sum of the principal k x k minors)."""
+    n, q = m.nrows, m.q
+    coeffs = [Laurent.const(q, 1)]
+    for k in range(1, n + 1):
+        acc = Laurent.zero(q)
+        for sub in combinations(range(n), k):
+            acc = acc + cofactor_det(m.submatrix(sub, sub).rows, tuple(range(k)), q)
+        coeffs.append(acc if k % 2 == 0 else -acc)
+    return coeffs
+
+
+def rand_laurent(rng, q, terms=3):
+    return Laurent.from_dict(
+        q, {rng.randrange(-2, 3): rng.randrange(q) for _ in range(rng.randrange(terms + 1))}
+    )
+
+
+def rand_matrix(rng, q, n, density):
+    return LMatrix.from_rows(
+        q,
+        [
+            [rand_laurent(rng, q) if rng.random() < density else Laurent.zero(q) for _ in range(n)]
+            for _ in range(n)
+        ],
+    )
+
+
+# -- kernels and Berkowitz against the references -------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_series_kernels_match_dict_reference(q):
+    rng = random.Random(f"kernels:{q}")
+    for _ in range(300):
+        a, b = rand_laurent(rng, q, 5), rand_laurent(rng, q, 5)
+        assert a + b == dict_add(a, b)
+        assert a - b == dict_add(a, dict_mul(Laurent.const(q, -1), b))
+        assert a * b == dict_mul(a, b)
+        for below in range(-5, 6):
+            assert ser_mul(a.coeffs, b.coeffs, q, below) == ser_trunc(
+                ser_mul(a.coeffs, b.coeffs, q), below
+            )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_berkowitz_matches_minor_sum(n, q):
+    rng = random.Random(f"berkowitz:{n}:{q}")
+    for trial in range({1: 40, 2: 40, 3: 30, 4: 15, 5: 6, 6: 3, 7: 2}[n]):
+        m = rand_matrix(rng, q, n, density=(0.3, 0.6, 1.0)[trial % 3])
+        assert m.charpoly() == minor_sum_charpoly(m)
+
+
+def test_charpoly_of_strictly_triangular_7x7_is_nilpotent():
+    q = 3
+    rng = random.Random(7)
+    rows = [
+        [rand_laurent(rng, q) if j > i else Laurent.zero(q) for j in range(7)]
+        for i in range(7)
+    ]
+    m = LMatrix.from_rows(q, rows)
+    assert m.charpoly() == [Laurent.const(q, 1)] + [Laurent.zero(q)] * 7
+    assert m.is_nilpotent()
+
+
+def test_charpoly_rejects_non_square():
+    q = 5
+    with pytest.raises(ValidationError):
+        LMatrix.zero(q, 2, 3).charpoly()
