@@ -295,7 +295,18 @@ class LMatrix:
         return [Laurent(q, c) for c in poly]
 
     def nilpotency_witness(self) -> Tuple[int, Laurent] | None:
-        """None when nilpotent, else (k, coeff) for the first nonzero c_k."""
+        """None when nilpotent, else (k, coeff) for the first nonzero c_k.
+
+        c_1 is minus the trace, so a nonzero trace answers without the
+        characteristic polynomial.
+        """
+        q = self.q
+        if self.nrows == self.ncols:
+            trace: Series = ()
+            for i, row in enumerate(self.rows):
+                trace = ser_add(trace, row[i].coeffs, q)
+            if trace:
+                return 1, Laurent(q, ser_neg(trace, q))
         cp = self.charpoly()
         for k in range(1, self.nrows + 1):
             if not cp[k].is_zero():

@@ -16,7 +16,10 @@ Membership of a residue ball in an orbit is decided by a ladder:
   1. zero orbit: the ball contains 0 iff the residue is 0;
   2. n <= 2: exact solvability of trace = det = 0 over the entry balls,
      reduced to ultrametric ball arithmetic (valuations, leading
-     coefficients and quadratic-residue classes);
+     coefficients and quadratic-residue classes); `_meets_nilcone_2x2`
+     decides one residue, while the count never tests residues one by
+     one: it tallies the square classes of the merged diagonal entry and
+     the product classes of the off-diagonal pair, and pairs them;
   3. a graded rank bound: every coset element Z satisfies
      rank(Z^k) >= rank(A^k) for the coefficient matrix A of the pair,
      because the filtration-leading term of a minor is the minor of the
@@ -32,14 +35,15 @@ Membership of a residue ball in an orbit is decided by a ladder:
 
 Residues are bare `laurent.Series` tuples, added, negated, multiplied
 and truncated by `laurent`'s `ser_*` kernels; only the ball-specific
-helpers (equality below a depth, ball intersection, the 2x2 cone test)
-live here.
+helpers (equality below a depth, ball intersection, the 2x2 cone test
+and its square and product classes) live here.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -465,47 +469,107 @@ def count_measure(
 
 
 def merged_residue_dim(cfg: GroupConfig, pair: DMPPair, K: int, lam) -> int:
-    """log_q of the residue count the n=2 enumeration walks (cost probe)."""
+    """log_q of the size of the n=2 residue space: merged diagonal data
+    times the two off-diagonal entries (a size probe; `_count_n2` visits
+    only q^(dv+dw) + q^du of these residues)."""
     if cfg.n != 2:
         raise ValidationError("n = 2 only", where="measures.merged_residue_dim")
     walk = _walk_n2(cfg.q, *_entry_layout(cfg, pair, K, lam))
     return 0 if walk is None else sum(depth - floor for _, floor, depth in walk)
 
 
+def _variants(q: int, center: Series, floor: int, depth: int) -> Iterable[Series]:
+    """Every residue of the ball center + t^floor O modulo t^depth."""
+    exps = range(floor, depth)
+    for combo in itertools.product(range(q), repeat=len(exps)):
+        yield ser_add(center, tuple((e, c) for e, c in zip(exps, combo) if c), q)
+
+
+def _square_class(q: int, u: Series, eu: int):
+    """All `_meets_nilcone_2x2` reads of u: None for u = 0, else
+    (val u, u^2 mod t^(val u + eu))."""
+    if not u:
+        return None
+    vu = u[0][0]
+    return vu, ser_mul(u, u, q, vu + eu)
+
+
+def _product_class(q: int, v: Series, ev: int, w: Series, ew: int):
+    """All `_meets_nilcone_2x2` reads of (v, w): (rho, None) when the
+    products fill the ball t^rho O, else (rho, -(v w) mod t^rho)."""
+    if not v:
+        return ev + (w[0][0] if w else ew), None
+    if not w:
+        return v[0][0] + ew, None
+    rho = min(v[0][0] + ew, w[0][0] + ev)
+    return rho, ser_neg(ser_mul(v, w, q, rho), q)
+
+
 def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> int:
     """Passing residues for the 2x2 nonzero nilpotent orbit.
 
     The trace equation is solved symbolically: feasible diagonal pairs
-    correspond bijectively to residues of the merged ball
-    (y11-coset) cap (-y22-coset), so the enumeration runs over merged
-    diagonal data and the two off-diagonal entries only.
+    correspond bijectively to residues u of the merged ball
+    (y11-coset) cap (-y22-coset), so a residue is a triple (u, v, w)
+    with v, w the off-diagonal entries, and it passes iff
+    u'^2 + v'w' = 0 is solvable over its balls.  That test reads u only
+    through its square class and (v, w) only through their product
+    class, so the count tallies each side once (q^du squares, q^(dv+dw)
+    products) and pairs the classes: a full ball t^rho O meets the
+    squares of a nonzero u iff 2 val u >= rho, a partial product class
+    (rho, z0) meets them iff z0 = u^2 below min(val u + eu, rho), and
+    u = 0 meets every full ball and the z0 of even valuation >= 2 eu
+    with square leading coefficient.
     """
     q = cfg.q
     qr = _odd_q_squares(q, "measures.count_measure")
     walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
     if walk is None:
         return 0  # the trace never vanishes on the coset
-    dim = sum(depth - floor for _, floor, depth in walk)
-    if q ** dim > enum_bound:
+    (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
+    du, dvw = eu - uf, (ev - vf) + (ew - wf)
+    if q ** dvw + q ** du > enum_bound:
         raise InfeasibleError(
-            f"{q}^{dim} merged residues exceed bound {enum_bound}",
+            f"{q}^{dvw} off-diagonal products plus {q}^{du} diagonal squares "
+            f"exceed bound {enum_bound}",
             where="measures.count_measure",
         )
 
-    def variants(center: Series, floor: int, depth: int) -> Iterable[Series]:
-        exps = range(floor, depth)
-        for combo in itertools.product(range(q), repeat=len(exps)):
-            yield ser_add(center, tuple((e, c) for e, c in zip(exps, combo) if c), q)
+    full: Counter = Counter()  # rho -> products filling t^rho O
+    partial: Dict[int, Counter] = {}  # rho -> Counter of z0
+    w_list = list(_variants(q, wc, wf, ew))
+    for v in _variants(q, vc, vf, ev):
+        for w in w_list:
+            rho, z0 = _product_class(q, v, ev, w, ew)
+            if z0 is None:
+                full[rho] += 1
+            else:
+                partial.setdefault(rho, Counter())[z0] += 1
+    squares = Counter(_square_class(q, u, eu) for u in _variants(q, uc, uf, eu))
 
-    (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
-    v_list = list(variants(vc, vf, ev))
-    w_list = list(variants(wc, wf, ew))
+    # (rho, b) -> Counter of the partial z0 at that rho, truncated below t^b
+    index: Dict[Tuple[int, int], Counter] = {}
     count = 0
-    for u in variants(uc, uf, eu):
-        for v in v_list:
-            for w in w_list:
-                if _meets_nilcone_2x2(q, qr, u, eu, v, ev, w, ew):
-                    count += 1
+    for sq, mult in squares.items():
+        if sq is None:
+            hits = sum(full.values()) + sum(
+                m
+                for zs in partial.values()
+                for z0, m in zs.items()
+                if z0[0][0] % 2 == 0 and z0[0][0] >= 2 * eu and z0[0][1] in qr
+            )
+        else:
+            vu, s0 = sq
+            hits = sum(m for rho, m in full.items() if 2 * vu >= rho)
+            for rho, zs in partial.items():
+                b = min(vu + eu, rho)
+                table = index.get((rho, b))
+                if table is None:
+                    table = index[(rho, b)] = Counter()
+                    for z0, m in zs.items():
+                        table[ser_trunc(z0, b)] += m
+                hits += table[ser_trunc(s0, b)]
+        count += mult * hits
     return count
 
 

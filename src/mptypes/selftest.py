@@ -143,7 +143,9 @@ def relation_instances(
             rec = refine_relation(cfg, coarse, finer, crosscheck=True)
             if rec.provenance.quotient_dim > qdim_cap:
                 continue
-            # keep the K=2 verification walk desk-sized
+            # a size cap on the K=2 residue space (at most q^7 residues); it
+            # fixes which instances the suite draws, while the count itself
+            # visits only q^(dv+dw) + q^du of them
             lam = relation_lattice(cfg, rec)
             if any(merged_residue_dim(cfg, p, 2, lam) > 7 for p in rec.pairs()):
                 continue

@@ -100,6 +100,26 @@ def test_measure_and_solve_round_trip(capsys, tmp_path):
     assert code == 0 and out2 == out
 
 
+def test_gl2_measure_frontier(capsys):
+    # K = 4 counts 5^7 off-diagonal products and 5^4 diagonal squares, within
+    # the default bound; K = 5 needs 5^9 + 5^5 and is refused
+    code, out, _ = run_cli(capsys, "--allow-small-p", "--n", "2", "--q", "5", "--K", "4", "measure")
+    assert code == 0
+    data = json.loads(out)
+    assert data["independence"] is True
+    assert data["table"]["orbits"] == [[1, 1], [2]]
+    # triangular: probe 1 (lift (2)) misses the zero orbit, the rest are nonzero;
+    # the (2)-entry of probe 0 continues 541/625, 13541/15625 by N -> 25N + 16
+    assert data["table"]["entries"] == [["1/1", "338541/390625"], ["0/1", "1/5"]]
+    code, out, err = run_cli(capsys, "--allow-small-p", "--n", "2", "--q", "5", "--K", "5", "measure")
+    assert code == 3 and out == ""
+    error = json.loads(err.strip().splitlines()[-1])["error"]
+    assert error["where"] == "measures.count_measure"
+    assert error["message"] == (
+        "5^9 off-diagonal products plus 5^5 diagonal squares exceed bound 1000000"
+    )
+
+
 def test_solve_rejects_tampered_matrix(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--allow-small-p", "measure")
     assert code == 0

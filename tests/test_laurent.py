@@ -205,3 +205,42 @@ def test_charpoly_rejects_non_square():
     q = 5
     with pytest.raises(ValidationError):
         LMatrix.zero(q, 2, 3).charpoly()
+
+
+def charpoly_witness(m):
+    cp = m.charpoly()
+    return next(((k, cp[k]) for k in range(1, m.nrows + 1) if not cp[k].is_zero()), None)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_nilpotency_witness_matches_charpoly(q):
+    # the trace shortcut against the first nonzero charpoly coefficient, on
+    # matrices as drawn, with the trace cancelled, and nilpotent ones
+    # (strictly upper triangular under a random relabelling of the basis)
+    rng = random.Random(f"witness:{q}")
+    seen = {"trace": 0, "zero trace, not nilpotent": 0, "nilpotent": 0}
+    for n in range(1, 6):
+        for trial in range(18):
+            rows = [list(r) for r in rand_matrix(rng, q, n, (0.3, 0.6, 1.0)[trial % 3]).rows]
+            if trial % 3 == 1:
+                rest = Laurent.zero(q)
+                for i in range(n - 1):
+                    rest = rest + rows[i][i]
+                rows[n - 1][n - 1] = -rest
+            elif trial % 3 == 2:
+                perm = rng.sample(range(n), n)
+                rows = [
+                    [rows[i][j] if perm[j] > perm[i] else Laurent.zero(q) for j in range(n)]
+                    for i in range(n)
+                ]
+            m = LMatrix.from_rows(q, rows)
+            w = m.nilpotency_witness()
+            assert w == charpoly_witness(m)
+            assert m.is_nilpotent() == (w is None)
+            seen["nilpotent" if w is None else "trace" if w[0] == 1 else "zero trace, not nilpotent"] += 1
+    assert min(seen.values()) >= 5, seen
+    # [[0, 1], [1, 0]]: trace 0, determinant -1
+    swap = mat(q, [[(), ((0, 1),)], [((0, 1),), ()]])
+    assert swap.nilpotency_witness() == (2, L(q, (0, q - 1)))
+    with pytest.raises(ValidationError):
+        LMatrix.zero(q, 2, 3).nilpotency_witness()

@@ -1,5 +1,7 @@
 """Counting measures: membership ladder, worked values, triangularity."""
 
+import itertools
+import random
 import warnings
 from fractions import Fraction as Q
 
@@ -8,9 +10,16 @@ import pytest
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.graded import GradedElement, conjugate
 from mptypes.laurent import Laurent, LMatrix
+from mptypes.errors import InfeasibleError
+from mptypes.laurent import ser_add
 from mptypes.measures import (
     MeasureTable,
     ProbeSet,
+    _count_n2,
+    _entry_layout,
+    _meets_nilcone_2x2,
+    _odd_q_squares,
+    _walk_n2,
     build_measure_table,
     clear_count_cache,
     count_measure,
@@ -23,6 +32,8 @@ from mptypes.measures import (
 )
 from mptypes.orbits import OrbitLabel, dominance_leq
 from mptypes.refine import DMPPair, refine_relation, verify_relation
+from mptypes.selftest import _random_incidence
+from mptypes.solver import alt_probes_gl2, choose_probes
 
 
 def make_cfg(n, q=5, m=16):
@@ -262,3 +273,113 @@ def test_single_regular_probe_row():
     assert count_measure(CFG3, OrbitLabel.of((1, 1, 1)), reg3, 1, lam3) == 0
     assert count_measure(CFG3, OrbitLabel.of((2, 1)), reg3, 1, lam3) == 0
     assert count_measure(CFG3, OrbitLabel.of((3,)), reg3, 1, lam3) > 0
+
+
+# -- the factored GL_2 count against the triple walk -----------------------
+
+
+def triple_walk_count(cfg, pair, K, lam):
+    """The count `_count_n2` factors: one cone test per residue (u, v, w)."""
+    q = cfg.q
+    qr = _odd_q_squares(q, "tests.triple_walk_count")
+    walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
+    if walk is None:
+        return 0
+
+    def variants(center, floor, depth):
+        exps = range(floor, depth)
+        for combo in itertools.product(range(q), repeat=len(exps)):
+            yield ser_add(center, tuple((e, c) for e, c in zip(exps, combo) if c), q)
+
+    (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
+    v_list = list(variants(vc, vf, ev))
+    w_list = list(variants(wc, wf, ew))
+    count = 0
+    for u in variants(uc, uf, eu):
+        for v in v_list:
+            for w in w_list:
+                if _meets_nilcone_2x2(q, qr, u, eu, v, ev, w, ew):
+                    count += 1
+    return count
+
+
+def triples(cfg, pair, K, lam):
+    walk = _walk_n2(cfg.q, *_entry_layout(cfg, pair, K, lam))
+    return 0 if walk is None else cfg.q ** sum(depth - floor for _, floor, depth in walk)
+
+
+def assert_factored_count(cfg, pair, K, lam):
+    assert _count_n2(cfg, pair, K, lam, 10**6) == triple_walk_count(cfg, pair, K, lam), (
+        pair.describe(), K, lam
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_factored_count_matches_triple_walk_on_catalogs(q):
+    # the default and --alt-probes GL_2 catalogs at K = 1, 2, 3; the walk
+    # is capped at 4 * 10^5 triples (about 3 s), which leaves out only the
+    # default catalog at q = 7, K = 3 (7^8 and 7^7 triples)
+    cfg = make_cfg(2, q)
+    checked = 0
+    for K in (1, 2, 3):
+        for catalog in (choose_probes, alt_probes_gl2):
+            probes = catalog(cfg, 0)
+            lam = shared_lattice(cfg, probes)
+            for pair in probes:
+                if triples(cfg, pair, K, lam) <= 4 * 10**5:
+                    assert_factored_count(cfg, pair, K, lam)
+                    checked += 1
+    assert checked == (10 if q == 7 else 12)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_factored_count_matches_triple_walk_on_criterion_1_pairs(q):
+    # K = 1 on the strict lattice, as criterion 1 counts, and on lattices
+    # one or two layers deeper on the diagonal or off it (up to 3000
+    # triples): a deeper off-diagonal makes val u + eu < rho for some
+    # square classes, so the comparison bound min(val u + eu, rho) matters
+    from mptypes.graded import enumerate_graded_elements, is_degenerate
+
+    cfg = make_cfg(2, q)
+    checked = 0
+    for x, s in [(X_HYP, Q(1)), (X_HYP, Q(1, 2)), (X_IWA, Q(1, 2)), (X_IWA, Q(1))]:
+        for el in enumerate_graded_elements(cfg, x, -s):
+            if not is_degenerate(cfg, el):
+                continue
+            pair = DMPPair.make(cfg, s, x, el)
+            strict = pair_strict_bounds(cfg, pair)
+            assert_factored_count(cfg, pair, 1, strict)
+            checked += 1
+            for diag, off in ((0, 1), (0, 2), (1, 0), (2, 0)):
+                lam = tuple(
+                    tuple(strict[i][j] + (diag if i == j else off) for j in range(2))
+                    for i in range(2)
+                )
+                if triples(cfg, pair, 1, lam) <= 3000:
+                    assert_factored_count(cfg, pair, 1, lam)
+                    checked += 1
+    assert checked > (q + 1) ** 2
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_factored_count_matches_triple_walk_on_random_relations(q):
+    # pairs of seeded random incidences at K = 2 on the relation lattice,
+    # up to 2 * 10^4 triples each
+    cfg = make_cfg(2, q)
+    rng = random.Random(f"factored-count:{q}")
+    checked = records = 0
+    while records < 4:
+        try:
+            inst = _random_incidence(cfg, rng)
+            if inst is None:
+                continue
+            rec = refine_relation(cfg, *inst)
+        except InfeasibleError:
+            continue
+        records += 1
+        lam = relation_lattice(cfg, rec)
+        for pair in rec.pairs():
+            if triples(cfg, pair, 2, lam) <= 2 * 10**4:
+                assert_factored_count(cfg, pair, 2, lam)
+                checked += 1
+    assert checked >= 4
