@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -23,13 +24,7 @@ from .graded import GradedElement, homogeneous_lift
 from .measures import ProbeSet, build_measure_table, independence_check, measure_vector, relation_lattice
 from .orbits import minimality_probe, partitions_of, sl2_complete
 from .refine import DMPPair, refine_relation, verify_relation
-from .solver import (
-    MultiplicityVector,
-    alt_probes_gl2,
-    assemble_and_invert,
-    choose_probes,
-    solve_expansion,
-)
+from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, solve_expansion
 from . import selftest as selftest_mod
 from .finite_types import FiniteModule, verify_fork_identity
 from . import gf
@@ -146,6 +141,18 @@ _GLOBAL_DEFAULTS = {
     "allow_small_p": False,
 }
 
+# JSON types a config field accepts; a bool is never an int here
+_CONFIG_TYPES = {
+    **dict.fromkeys(("n", "q", "m", "K", "seed", "bound"), int),
+    "allow_small_p": bool,
+    **dict.fromkeys(("input", "output"), (str, type(None))),
+}
+
+
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise ValidationError(f"{flag} must be >= 1, got {value}", where="cli")
+
 
 def _apply_defaults(args: argparse.Namespace) -> None:
     """Fill missing global options: flags > config file > built-ins."""
@@ -154,9 +161,17 @@ def _apply_defaults(args: argparse.Namespace) -> None:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        bad = set(data) - (set(_GLOBAL_DEFAULTS) - {"config"})
+        if not isinstance(data, dict):
+            raise ValidationError("the config file must hold a JSON object", where="cli")
+        bad = set(data) - set(_CONFIG_TYPES)
         if bad:
             raise ValidationError(f"unknown config fields {sorted(bad)}", where="cli")
+        for key, value in sorted(data.items()):
+            kind = _CONFIG_TYPES[key]
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ValidationError(
+                    f"config field {key!r} has the wrong type: {value!r}", where="cli"
+                )
         merged.update(data)
     for key, value in merged.items():
         if not hasattr(args, key):
@@ -188,6 +203,7 @@ def _cmd_lattice(cfg, args) -> dict:
 
 
 def _cmd_lift(cfg, args) -> dict:
+    _require_positive(args.samples, "--samples")
     x = _parse_point(cfg, args.x, flag="--x")
     s = jsonio.parse_frac(args.s)
     phi = _parse_phi(cfg, x, s, args.phi)
@@ -222,6 +238,7 @@ def _cmd_breakpoints(cfg, args) -> dict:
 
 
 def _cmd_refine(cfg, args) -> dict:
+    _require_positive(args.modules, "--modules")
     y = _parse_point(cfg, args.y, flag="--y")
     tau = jsonio.parse_frac(args.tau)
     phi = _parse_phi(cfg, y, tau, args.phi)
@@ -237,9 +254,7 @@ def _cmd_refine(cfg, args) -> dict:
     fork_ok = True
     if cfg.q != 2:
         field = gf.ext_field(2, _order_of_two(cfg.q))
-        import random as _random
-
-        rng = _random.Random(f"cli-refine:{args.seed}")
+        rng = random.Random(f"cli-refine:{args.seed}")
         for _ in range(args.modules):
             module = FiniteModule.random(cfg, field, x, s, rng.randrange(1, 7), rng)
             if not verify_fork_identity(cfg, module, coarse, (x, s)):

@@ -15,6 +15,7 @@ the extension-sum identity verified here.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,12 +159,7 @@ class FiniteModule:
     def regular(cfg: GroupConfig, field: gf.ExtField, x: ApartmentPoint, s: Q) -> "FiniteModule":
         """The regular module: every character occurs exactly once."""
         sup = graded_support(cfg, x, Q(s), _checked=True)
-        k = sup.dim
-        tuples = []
-        import itertools
-
-        for ct in itertools.product(range(cfg.q), repeat=k):
-            tuples.append(ct)
+        tuples = list(itertools.product(range(cfg.q), repeat=sup.dim))
         return FiniteModule.from_characters(cfg, field, x, Q(s), tuples)
 
     @staticmethod
@@ -284,8 +280,6 @@ def extension_characters(
     }
     seen = {c.exponents for c in chars}
     expected = set()
-    import itertools
-
     free = [k for k in range(len(base.positions)) if k not in restricted]
     for combo in itertools.product(range(cfg.q), repeat=len(free)):
         exps = [0] * len(base.positions)

@@ -295,6 +295,26 @@ def mat_pow(a: Sequence[Sequence[int]], e: int, field: ExtField) -> Mat:
     return result
 
 
+def is_nilpotent(a: Sequence[Sequence[int]], field: ExtField) -> bool:
+    """Over a field, an n x n matrix is nilpotent exactly when a^n = 0."""
+    return not any(map(any, mat_pow(a, len(a), field)))
+
+
+def power_ranks(
+    a: Sequence[Sequence[int]], field: ExtField, blocks: Sequence[Sequence[int]] = ()
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """Ranks of a^1, ..., a^n, and of each column block of those powers:
+    block_ranks[b][k - 1] is the rank of the columns blocks[b] of a^k."""
+    powers = [a]
+    for _ in range(len(a) - 1):
+        powers.append(mat_mul(powers[-1], a, field))
+    block_ranks = tuple(
+        tuple(rank([[row[c] for c in idx] for row in p], field) for p in powers)
+        for idx in blocks
+    )
+    return tuple(rank(p, field) for p in powers), block_ranks
+
+
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], field: ExtField) -> Vec:
     return tuple(_dot(r, v, field) for r in a)
 

@@ -2,12 +2,13 @@
 
 A graded element is a coefficient assignment on the monomial support of
 its piece; its homogeneous lift is the Laurent-monomial matrix with
-those coefficients.  Degeneracy is DECIDED here by nilpotence of the
-homogeneous lift (characteristic polynomial equal to X^n over F_q(t)).
-For type A this agrees with the coset containing a nilpotent element;
-that equivalence is a documented design assumption, cross-checked by an
-exhaustive small-case oracle in the test suite rather than proved in
-code.
+those coefficients, t^d D A D^{-1} for the coefficient matrix A and
+D = diag(t^(-x_i)), as the monomial at (i, j) is t^(d - x_i + x_j).
+By that similarity the lift's powers have the ranks and Jordan type of
+A over F_q, so degeneracy is DECIDED here as A^n = 0.  For type A this
+agrees with the coset containing a nilpotent element; that equivalence
+is a documented design assumption, cross-checked by an exhaustive
+small-case oracle in the test suite rather than proved in code.
 
 Conjugation bookkeeping runs on coefficient matrices: a block element C
 of the reductive quotient at x acts on a graded element with
@@ -179,43 +180,33 @@ def graded_image(
 def is_degenerate(cfg: GroupConfig, phi: GradedElement) -> bool:
     """Whether the coset phi + g_{x>degree} contains a nilpotent element.
 
-    Decided by nilpotence of the homogeneous lift (char poly X^n over
-    F_q(t)); only pieces of negative degree carry types.
+    Decided by A^n = 0 for the coefficient matrix A, which the lift is
+    similar to up to a t-power; only pieces of negative degree carry types.
     """
     if phi.degree >= 0:
         raise ValidationError(
             f"degeneracy is defined on pieces of negative degree, got {phi.degree}",
             where="graded.is_degenerate",
         )
-    return homogeneous_lift(cfg, phi).mat.is_nilpotent()
+    return gf.is_nilpotent(coefficient_matrix(cfg, phi), gf.prime_field(cfg.q))
 
 
 def rank_profile(cfg: GroupConfig, phi: GradedElement):
     """Conjugation invariant separating reductive-quotient orbits.
 
-    Returns the ranks over F_q(t) of the lift's powers together with
-    the graded ranks of each power restricted to the homogeneous
-    component of every residue class.  For degenerate elements of one
+    Returns the ranks of the lift's powers together with the graded
+    ranks of each power restricted to the homogeneous component of
+    every residue class, read as F_q ranks of the coefficient matrix's
+    powers and their column blocks.  For degenerate elements of one
     graded piece, profile equality is equivalent to conjugacy under the
     block reductive quotient (cyclic-quiver rank classification; design
     assumption cross-checked by orbit search at tiny sizes).
     """
-    lift = homogeneous_lift(cfg, phi).mat
-    n = cfg.n
-    powers = []
-    p = lift
-    for _ in range(n):
-        powers.append(p)
-        p = p @ lift
-    global_ranks = tuple(pk.rank() for pk in powers)
     classes = residue_classes(phi.x)
-    block_ranks = []
-    for res, idx in classes:
-        per_power = tuple(
-            pk.submatrix(range(n), idx).rank() for pk in powers
-        )
-        block_ranks.append((res, per_power))
-    return global_ranks, tuple(block_ranks)
+    global_ranks, block_ranks = gf.power_ranks(
+        coefficient_matrix(cfg, phi), gf.prime_field(cfg.q), [idx for _, idx in classes]
+    )
+    return global_ranks, tuple(zip((res for res, _ in classes), block_ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,23 @@ Membership of a residue ball in an orbit is decided by a ladder:
      decides one residue, while the count never tests residues one by
      one: it tallies the square classes of the merged diagonal entry and
      the product classes of the off-diagonal pair, and pairs them;
-  3. a graded rank bound: every coset element Z satisfies
-     rank(Z^k) >= rank(A^k) for the coefficient matrix A of the pair,
-     because the filtration-leading term of a minor is the minor of the
-     leading terms whenever the latter is nonzero - this certifies
-     impossibility;
-  4. for n = 3 and the regular orbit, ball-meets-nilpotent-cone: any
-     nilpotent in the open ball can be perturbed inside the ball to a
-     regular one, so an exact nilpotent witness decides positively and
-     a valuation obstruction on a characteristic-polynomial
-     coefficient decides negatively;
-  5. otherwise a bounded structured/randomized witness search; failure
-     is an explicit undecided status, never a silent boolean.
+  3. n >= 3: one closure ladder.  An open ball meets O exactly when it
+     meets the closure of O (the orbits <= O in dominance order, i.e.
+     the nilpotents with rank X^k <= rank_O(k) for all k), because O(F)
+     is t-adically dense in it: for a cover mu < lambda some matrix unit
+     E puts J_mu + t^N E in lambda for every N >= 1, so every X of type
+     mu is a limit of elements of type lambda.  The rungs:
+       a. rank bound: every coset element Z has rank Z^k >= rank A^k
+          for the pair's coefficient matrix A (a minor's leading term
+          is the minor of the leading terms when that is nonzero), and
+          rank_lambda <= rank_mu pointwise iff lambda <= mu, so the ball
+          misses O unless the pair's lift is <= O;
+       b. cone obstruction: a characteristic-polynomial coefficient that
+          cannot vanish over the ball rules out every nonzero orbit;
+       c. closure witness: an exact nilpotent of type <= O found in the
+          ball by a bounded structured/randomized search decides True;
+     anything else is an explicit undecided status, never a silent
+     boolean.
 
 Residues are bare `laurent.Series` tuples, added, negated, multiplied
 and truncated by `laurent`'s `ser_*` kernels; only the ball-specific
@@ -50,11 +55,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .apartment import GroupConfig, mp_lattice
 from .errors import InfeasibleError, InternalFault, UndecidedError, ValidationError
-from .graded import coefficient_matrix, homogeneous_lift
+from .graded import homogeneous_lift
 from .laurent import Laurent, LMatrix, Series, ser_add, ser_mul, ser_neg, ser_trunc
 from .orbits import OrbitLabel, dominance_leq, jordan_type
 from .refine import DMPPair, RelationRecord
-from . import gf
 
 Q = Fraction
 
@@ -244,17 +248,6 @@ def _membership_n2(cfg: GroupConfig, y, depths) -> bool:
     return _meets_nilcone_2x2(q, qr, u, eu, v, ev, w, ew)
 
 
-def _rank_bound_excludes(cfg: GroupConfig, orbit: OrbitLabel, pair: DMPPair) -> bool:
-    a = coefficient_matrix(cfg, pair.phi)
-    field = gf.prime_field(cfg.q)
-    p = gf.identity(cfg.n)
-    for k in range(1, cfg.n + 1):
-        p = gf.mat_mul(p, a, field)
-        if orbit.rank_at(k) < gf.rank(p, field):
-            return True
-    return False
-
-
 def _ball_matrix(cfg: GroupConfig, y, depths, extra) -> LMatrix:
     rows = []
     for i in range(cfg.n):
@@ -266,46 +259,25 @@ def _ball_matrix(cfg: GroupConfig, y, depths, extra) -> LMatrix:
     return LMatrix.from_rows(cfg.q, rows)
 
 
-def _witness_search(
-    cfg: GroupConfig,
-    orbit: Optional[OrbitLabel],
-    y,
-    depths,
-    seed: int = 0,
-    random_tries: int = 120,
-) -> bool:
-    """Look for an exact element of the ball in the orbit.
+def _witness_perturbations(n: int, q: int, depths, seed: int = 0):
+    """Perturbations the witness search adds to the ball centre, in order.
 
-    orbit=None asks only for a nilpotent (the full-cone question).
-    Structured candidates cover single monomials at the ball floor and
-    pairs of them; random draws perturb a couple of layers deeper.
+    The centre itself, then single monomials at the ball floor and
+    pairs of them, then 120 random draws a couple of layers deeper.
     """
-    n, q = cfg.n, cfg.q
-
-    def hits(extra) -> bool:
-        m = _ball_matrix(cfg, y, depths, extra)
-        if orbit is None:
-            return m.is_nilpotent()
-        return m.is_nilpotent() and jordan_type(m) == orbit
-
-    if hits({}):
-        return True
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    yield {}
     singles = []
-    for (i, j) in offdiag:
+    for i, j in itertools.permutations(range(n), 2):
         for c in (1, q - 1, 2 % q):
             if c:
                 singles.append(((i, j), ((depths[i][j], c),)))
     for pos, ser in singles:
-        if hits({pos: ser}):
-            return True
+        yield {pos: ser}
     for (p1, s1), (p2, s2) in itertools.combinations(singles, 2):
-        if p1 == p2:
-            continue
-        if hits({p1: s1, p2: s2}):
-            return True
+        if p1 != p2:
+            yield {p1: s1, p2: s2}
     rng = random.Random(f"measures:{seed}")
-    for _ in range(random_tries):
+    for _ in range(120):
         extra = {}
         for (i, j) in itertools.product(range(n), range(n)):
             ser = tuple(
@@ -315,7 +287,14 @@ def _witness_search(
             )
             if ser:
                 extra[(i, j)] = ser
-        if hits(extra):
+        yield extra
+
+
+def _witness_search(cfg: GroupConfig, orbit: OrbitLabel, y, depths, seed: int = 0) -> bool:
+    """Whether the search finds an exact nilpotent of type <= orbit in the ball."""
+    for extra in _witness_perturbations(cfg.n, cfg.q, depths, seed):
+        m = _ball_matrix(cfg, y, depths, extra)
+        if m.is_nilpotent() and dominance_leq(jordan_type(m), orbit):
             return True
     return False
 
@@ -397,20 +376,10 @@ def _membership_decide(cfg, orbit, pair, y, depths, seed=0) -> bool:
         return _residue_is_zero(y, depths)
     if cfg.n <= 2:
         return _membership_n2(cfg, y, depths)
-    if _rank_bound_excludes(cfg, orbit, pair):
-        return False
-    if cfg.n == 3 and orbit == OrbitLabel.regular(3):
-        # ball meets the regular orbit iff it meets the nilpotent cone:
-        # a nilpotent witness can always be pushed to a regular one
-        # without leaving the open ball
-        if _witness_search(cfg, None, y, depths, seed=seed):
-            return True
-        if _charpoly_obstruction(cfg, y, depths):
-            return False
-        raise UndecidedError(
-            f"membership of {orbit} undecided for {pair.describe()}",
-            where="measures.residue_membership",
-        )
+    if not dominance_leq(pair.lift, orbit):
+        return False  # rank bound
+    if _charpoly_obstruction(cfg, y, depths):
+        return False  # the ball misses the nilpotent cone
     if _witness_search(cfg, orbit, y, depths, seed=seed):
         return True
     raise UndecidedError(
@@ -686,26 +655,32 @@ def build_measure_table(
     )
 
 
+def _invert_rational(rows: Sequence[Sequence[Q]]) -> List[List[Q]]:
+    """The exact inverse, or [] when the matrix is singular."""
+    k = len(rows)
+    aug = [list(rows[i]) + [Q(1) if j == i else Q(0) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
+        if piv is None:
+            return []
+        aug[col], aug[piv] = aug[piv], aug[col]
+        f = aug[col][col]
+        aug[col] = [a / f for a in aug[col]]
+        for i in range(k):
+            if i != col and aug[i][col] != 0:
+                g = aug[i][col]
+                aug[i] = [a - g * b for a, b in zip(aug[i], aug[col])]
+    return [row[k:] for row in aug]
+
+
 def independence_check(table: MeasureTable) -> bool:
-    """Rows linearly independent over Q (square tables only)."""
+    """Rows linearly independent over Q: the square table is invertible."""
     k = len(table.probes)
     if k != len(table.orbits):
         raise ValidationError(
             "independence check needs a square table", where="measures.independence_check"
         )
-    rows = [list(r) for r in table.entries]
-    rank = 0
-    for col in range(k):
-        piv = next((i for i in range(rank, k) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(k):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == k
+    return k == 0 or bool(_invert_rational(table.entries))
 
 
 def measure_vector(

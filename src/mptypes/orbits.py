@@ -2,8 +2,9 @@
 
 The closure order on nilpotent orbits is implemented as dominance on
 partitions (the standard identification for type A; no p-adic topology
-is materialized).  Jordan types over F_q(t) come from fraction-free
-rank computations, never from specializing t.
+is materialized).  Jordan types are read off ranks of powers: F_q ranks
+of the coefficient matrix for a homogeneous lift, fraction-free ranks
+over F_q(t) for any other matrix, never by specializing t.
 
 Triple convention
 -----------------
@@ -29,6 +30,7 @@ from .errors import InternalFault, ValidationError
 from .graded import (
     GradedElement,
     HomLift,
+    coefficient_matrix,
     graded_image,
     graded_jordan_chains,
     homogeneous_lift,
@@ -73,6 +75,23 @@ class OrbitLabel:
     @staticmethod
     def regular(n: int) -> "OrbitLabel":
         return OrbitLabel((n,))
+
+    @staticmethod
+    def from_ranks(n: int, ranks) -> "OrbitLabel":
+        """The type of a nilpotent n x n matrix X from rank X^k, k = 1..n.
+
+        rank X^(k-1) - rank X^k counts the Jordan blocks of size >= k.
+        """
+        r = [n, *ranks, 0]
+        if len(ranks) != n or r[n] != 0:
+            raise ValidationError(
+                f"ranks {tuple(ranks)} are not those of a nilpotent {n} x {n} matrix",
+                where="orbits.OrbitLabel",
+            )
+        parts = []
+        for size in range(n, 0, -1):
+            parts += [size] * ((r[size - 1] - r[size]) - (r[size] - r[size + 1]))
+        return OrbitLabel.of(parts)
 
     @property
     def n(self) -> int:
@@ -156,18 +175,12 @@ def jordan_type(mat: LMatrix) -> OrbitLabel:
             f"is {coeff}",
             where="orbits.jordan_type",
         )
-    n = mat.nrows
-    ranks = [n]
+    ranks = []
     p = mat
-    for _ in range(n):
+    for _ in range(mat.nrows):
         ranks.append(p.rank())
         p = p @ mat
-    # number of blocks of size >= k is ranks[k-1] - ranks[k]
-    mult = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
-    parts = []
-    for size in range(n, 0, -1):
-        parts.extend([size] * (mult[size - 1] - (mult[size] if size < n else 0)))
-    return OrbitLabel.of(tuple(parts))
+    return OrbitLabel.from_ranks(mat.nrows, ranks)
 
 
 def debacker_lift(
@@ -175,9 +188,11 @@ def debacker_lift(
 ) -> OrbitLabel:
     """The unique smallest orbit meeting the coset of a degenerate phi.
 
-    Realized as the Jordan type of the homogeneous lift; the lift both
-    lies in the coset and minimizes the type among nilpotents there
-    (probed empirically by minimality_probe, not re-proved).
+    Realized as the Jordan type of the homogeneous lift, which equals
+    that of the coefficient matrix (the lift is similar to t^(-s) times
+    it), so it is read off F_q ranks of that matrix's powers; the lift
+    both lies in the coset and minimizes the type among nilpotents
+    there (probed empirically by minimality_probe, not re-proved).
     """
     s = Q(s)
     if phi.degree != -s:
@@ -188,7 +203,8 @@ def debacker_lift(
         raise ValidationError(
             "lift is defined only for degenerate elements", where="orbits.debacker_lift"
         )
-    return jordan_type(homogeneous_lift(cfg, phi).mat)
+    ranks, _ = gf.power_ranks(coefficient_matrix(cfg, phi), gf.prime_field(cfg.q))
+    return OrbitLabel.from_ranks(cfg.n, ranks)
 
 
 def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
@@ -218,13 +234,13 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
             H=HomLift(x=lift.x, degree=Q(0), mat=zero),
             E=HomLift(x=lift.x, degree=-lift.degree, mat=zero),
         )
-    if not lift.mat.is_nilpotent():
+    field = gf.prime_field(q)
+    if not gf.is_nilpotent(coefficient_matrix(cfg, phi), field):
         raise ValidationError("lift is not nilpotent", where="orbits.sl2_complete")
 
     chains = graded_jordan_chains(cfg, phi)
     basis = [v for ch in chains for v in ch]
     p_cols = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-    field = gf.prime_field(q)
     p_inv = gf.mat_inv(p_cols, field)
     h_diag = [0] * n
     e_chain = [[0] * n for _ in range(n)]

@@ -41,7 +41,7 @@ from .graded import (
     unipotent_orbit_count,
 )
 from .laurent import LMatrix
-from .orbits import OrbitLabel, debacker_lift, dominance_leq, jordan_type
+from .orbits import OrbitLabel, debacker_lift, dominance_leq
 
 Q = Fraction
 
@@ -229,7 +229,7 @@ def enumerate_and_classify(
             where="refine.enumerate_and_classify",
         )
     ref_profile = rank_profile(cfg, phi_x)
-    ref_lift = jordan_type(homogeneous_lift(cfg, phi_x).mat)
+    ref_lift = OrbitLabel.from_ranks(cfg.n, ref_profile[0])
 
     base = phi_x.as_dict()
     positions = [p for p, _ in free]
@@ -246,10 +246,11 @@ def enumerate_and_classify(
         if not is_degenerate(cfg, chi):
             classes.append(SubcosetClass(tag="A", chi=chi, lift=None))
             continue
-        if rank_profile(cfg, chi) == ref_profile:
+        profile = rank_profile(cfg, chi)
+        if profile == ref_profile:
             classes.append(SubcosetClass(tag="B", chi=chi, lift=ref_lift))
             continue
-        chi_lift = debacker_lift(cfg, s, x, chi)
+        chi_lift = OrbitLabel.from_ranks(cfg.n, profile[0])
         if not (dominance_leq(coarse.lift, chi_lift) and chi_lift != coarse.lift):
             raise InternalFault(
                 f"member lift {chi_lift} does not strictly dominate {coarse.lift}",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .apartment import ApartmentPoint, GroupConfig, breakpoints, convexity_check
+from .apartment import ApartmentPoint, GroupConfig, breakpoints, convexity_check, graded_support
 from .errors import InfeasibleError, ToolkitError
 from .graded import (
     GradedElement,
@@ -113,8 +113,6 @@ def _random_incidence(cfg: GroupConfig, rng: random.Random):
     t_b = plan.ts[k] if rng.random() < 0.5 else plan.ts[k + 1]
     xb, sb = plan.point_at(t_b)
     # random degenerate coarse element
-    from .apartment import graded_support
-
     sup = graded_support(cfg, y, -tau, _checked=True)
     for _ in range(40):
         coeffs = {p: rng.randrange(cfg.q) for p in sup.positions}

@@ -10,6 +10,7 @@ them; no absolute normalization is claimed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -17,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .apartment import ApartmentPoint, GroupConfig
 from .errors import InternalFault, ValidationError
 from .graded import GradedElement
-from .measures import MeasureTable
+from .measures import MeasureTable, _invert_rational
 from .orbits import OrbitLabel, dominance_leq, partitions_of
 from .refine import DMPPair
 
@@ -124,8 +125,6 @@ def choose_probes(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
     r = Q(r)
     if r < 0:
         raise ValidationError("depth bound must be >= 0", where="solver.choose_probes")
-    import math
-
     s_int = Q(math.floor(r) + 1)
     if cfg.n == 2 and cfg.m % 2 == 0:
         x0 = ApartmentPoint.of([0, 0])
@@ -157,8 +156,6 @@ def alt_probes_gl2(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
     """Alternate GL_2 catalog with both probes at the hyperspecial point."""
     if cfg.n != 2:
         raise ValidationError("GL_2 catalog only", where="solver.alt_probes_gl2")
-    import math
-
     r = Q(r)
     s = Q(math.floor(r) + 1)
     x0 = ApartmentPoint.of([0, 0])
@@ -166,24 +163,6 @@ def alt_probes_gl2(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
         DMPPair.make(cfg, s, x0, GradedElement.zero(x0, -s)),
         DMPPair.make(cfg, s, x0, GradedElement.make(cfg, x0, -s, {(0, 1): 1})),
     ]
-
-
-def _invert_rational(rows: Sequence[Sequence[Q]]) -> List[List[Q]]:
-    """The exact inverse, or [] when the matrix is singular."""
-    k = len(rows)
-    aug = [list(rows[i]) + [Q(1) if j == i else Q(0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
-        if piv is None:
-            return []
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [a / f for a in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                g = aug[i][col]
-                aug[i] = [a - g * b for a, b in zip(aug[i], aug[col])]
-    return [row[k:] for row in aug]
 
 
 def assemble_and_invert(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mptypes.cli import main
 
 
@@ -118,6 +120,64 @@ def test_gl2_measure_frontier(capsys):
     assert error["message"] == (
         "5^9 off-diagonal products plus 5^5 diagonal squares exceed bound 1000000"
     )
+
+
+def test_gl4_measure_at_k1(capsys):
+    # the closure ladder decides every GL_4 residue at K = 1
+    code, out, err = run_cli(capsys, "--allow-small-p", "--n", "4", "--K", "1", "measure")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["independence"] is True
+    table = data["table"]
+    orbits = [[1, 1, 1, 1], [2, 1, 1], [2, 2], [3, 1], [4]]
+    assert table["orbits"] == orbits
+    # probe i has lift orbits[i]; dominance is total for n = 4, so an entry
+    # is nonzero exactly on and above the diagonal
+    for i, row in enumerate(table["entries"]):
+        assert [v != "0/1" for v in row] == [j >= i for j in range(5)]
+
+
+def cli_error(err):
+    return json.loads(err.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"n": "3"}, {"K": 1.5}, {"seed": True}, {"bound": None}, {"allow_small_p": 1},
+     {"input": 3}, {"output": ["x"]}, [1, 2], "n"],
+)
+def test_config_values_are_type_checked(capsys, tmp_path, config):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg_file), "lattice", "--x", "0,0", "--s", "0"
+    )
+    assert code == 2 and out == ""
+    assert cli_error(err)["where"] == "cli"
+
+
+def test_config_accepts_null_paths(capsys, tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"input": None, "output": None, "allow_small_p": True}))
+    code, _, err = run_cli(capsys, "--config", str(cfg_file), "lattice", "--x", "0,0", "--s", "0")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--x", "0,0", "--s", "1", "--phi", "1,2,1", "--samples", "-1"],
+        ["lift", "--x", "0,0", "--s", "1", "--phi", "1,2,1", "--samples", "0"],
+        ["refine", "--y", "3/8,0", "--tau", "5/8", "--phi", "1,2,1",
+         "--x", "1/2,0", "--s", "1/2", "--modules", "-3"],
+        ["refine", "--y", "3/8,0", "--tau", "5/8", "--phi", "1,2,1",
+         "--x", "1/2,0", "--s", "1/2", "--modules", "0"],
+    ],
+)
+def test_count_flags_must_be_positive(capsys, argv):
+    code, out, err = run_cli(capsys, "--allow-small-p", *argv)
+    assert code == 2 and out == ""
+    assert cli_error(err)["where"] == "cli"
 
 
 def test_solve_rejects_tampered_matrix(capsys, tmp_path):

@@ -6,14 +6,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mptypes import gf
-from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support
+from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, residue_classes
 from mptypes.errors import ValidationError
 from mptypes.graded import (
     GradedElement,
     ReductiveQuotient,
     align_conjugator,
-    coefficient_matrix,
     conjugate,
     enumerate_graded_elements,
     graded_image,
@@ -25,6 +23,7 @@ from mptypes.graded import (
     unipotent_orbit_count,
 )
 from mptypes.laurent import Laurent
+from mptypes.orbits import debacker_lift, jordan_type
 
 
 def make_cfg(n, q=5, m=8):
@@ -98,7 +97,67 @@ def test_rank_profile_worked_examples():
     assert g == (2, 1, 0)
 
 
+def lift_oracle(cfg, el):
+    """The F_q(t) path: nilpotence, Bareiss ranks of the lift's powers and
+    of their column blocks, and the Jordan type when nilpotent."""
+    lift = homogeneous_lift(cfg, el).mat
+    n = cfg.n
+    powers = [lift]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ lift)
+    ranks = tuple(p.rank() for p in powers)
+    blocks = tuple(
+        (res, tuple(p.submatrix(range(n), idx).rank() for p in powers))
+        for res, idx in residue_classes(el.x)
+    )
+    nilpotent = lift.is_nilpotent()
+    return nilpotent, (ranks, blocks), jordan_type(lift) if nilpotent else None
+
+
+def assert_matches_lift_oracle(cfg, el):
+    nilpotent, profile, jtype = lift_oracle(cfg, el)
+    assert is_degenerate(cfg, el) == nilpotent, el
+    assert rank_profile(cfg, el) == profile, el
+    if nilpotent:
+        assert debacker_lift(cfg, -el.degree, el.x, el) == jtype, el
+    return nilpotent
+
+
+def test_graded_invariants_match_lift_oracle_on_criterion_1_pieces():
+    # every element of the four n = 2 pieces criterion 1 sweeps
+    checked = degenerate = 0
+    pieces = [(pt(0, 0), 1), (pt(0, 0), Q(1, 2)), (pt(Q(1, 2), 0), Q(1, 2)), (pt(Q(1, 2), 0), 1)]
+    for x, s in pieces:
+        for el in enumerate_graded_elements(CFG2, x, -Q(s)):
+            degenerate += assert_matches_lift_oracle(CFG2, el)
+            checked += 1
+    assert (checked, degenerate) == (5**4 + 1 + 5**2 + 5**2, 36)
+
+
+@pytest.mark.parametrize(
+    "n, x, levels",
+    [
+        (3, (Q(1, 2), Q(1, 4), 0), (Q(1, 4), Q(1, 2), Q(3, 4), 1)),
+        (4, (Q(3, 4), Q(1, 2), Q(1, 4), 0), (Q(1, 4), Q(1, 2), Q(3, 4), 1)),
+        (4, (Q(1, 2), Q(1, 2), 0, 0), (Q(1, 2), 1)),
+    ],
+)
+def test_graded_invariants_match_lift_oracle_at_fractional_points(n, x, levels):
+    # seeded sparse elements, so that many of them are degenerate
+    cfg = make_cfg(n)
+    rng = random.Random(f"lift-oracle:{n}:{x}")
+    degenerate = 0
+    for _ in range(60):
+        s = rng.choice(levels)
+        sup = graded_support(cfg, pt(*x), -s)
+        coeffs = {p: rng.randrange(cfg.q) for p in sup.positions if rng.random() < 0.5}
+        degenerate += assert_matches_lift_oracle(cfg, GradedElement.make(cfg, pt(*x), -s, coeffs))
+    assert degenerate >= 10
+
+
 def test_rank_profile_matches_coefficient_matrix_ranks():
+    # rank_profile reads F_q ranks of the coefficient matrix's powers; the
+    # lift's Bareiss ranks over F_q(t) are the oracle
     rng = random.Random(11)
     for _ in range(60):
         if rng.random() < 0.5:
@@ -111,12 +170,8 @@ def test_rank_profile_matches_coefficient_matrix_ranks():
         coeffs = {p: rng.randrange(cfg.q) for p in sup.positions}
         el = GradedElement.make(cfg, x, -s, coeffs)
         g, _ = rank_profile(cfg, el)
-        a = coefficient_matrix(cfg, el)
-        field = gf.prime_field(cfg.q)
-        p = gf.identity(cfg.n)
-        for k in range(cfg.n):
-            p = gf.mat_mul(p, a, field)
-            assert g[k] == gf.rank(p, field)
+        _, (oracle, _), _ = lift_oracle(cfg, el)
+        assert g == oracle
         # the profile determines degeneracy: vanishing of the n-th power
         assert is_degenerate(cfg, el) == (g[cfg.n - 1] == 0)
 

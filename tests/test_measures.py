@@ -7,19 +7,24 @@ from fractions import Fraction as Q
 
 import pytest
 
+from mptypes import gf
 from mptypes.apartment import ApartmentPoint, GroupConfig
-from mptypes.graded import GradedElement, conjugate
+from mptypes.graded import GradedElement, coefficient_matrix, conjugate
 from mptypes.laurent import Laurent, LMatrix
-from mptypes.errors import InfeasibleError
+from mptypes.errors import InfeasibleError, UndecidedError
 from mptypes.laurent import ser_add
 from mptypes.measures import (
     MeasureTable,
     ProbeSet,
+    _ball_matrix,
+    _charpoly_obstruction,
     _count_n2,
     _entry_layout,
     _meets_nilcone_2x2,
+    _membership_decide,
     _odd_q_squares,
     _walk_n2,
+    _witness_perturbations,
     build_measure_table,
     clear_count_cache,
     count_measure,
@@ -30,7 +35,7 @@ from mptypes.measures import (
     residue_membership,
     shared_lattice,
 )
-from mptypes.orbits import OrbitLabel, dominance_leq
+from mptypes.orbits import OrbitLabel, dominance_leq, jordan_type, partitions_of
 from mptypes.refine import DMPPair, refine_relation, verify_relation
 from mptypes.selftest import _random_incidence
 from mptypes.solver import alt_probes_gl2, choose_probes
@@ -44,6 +49,7 @@ def make_cfg(n, q=5, m=16):
 
 CFG2 = make_cfg(2)
 CFG3 = make_cfg(3)
+RESIDUES_PER_PROBE = 50
 
 
 def pt(*coords):
@@ -383,3 +389,95 @@ def test_factored_count_matches_triple_walk_on_random_relations(q):
                 assert_factored_count(cfg, pair, 2, lam)
                 checked += 1
     assert checked >= 4
+
+
+# -- the closure ladder against the parent's rank bound and n = 3 ladder ---
+
+
+def rank_bound_excludes(cfg, orbit, pair):
+    """The parent's graded rank bound: rank A^k > rank_O(k) for some k."""
+    a = coefficient_matrix(cfg, pair.phi)
+    field = gf.prime_field(cfg.q)
+    p = gf.identity(cfg.n)
+    for k in range(1, cfg.n + 1):
+        p = gf.mat_mul(p, a, field)
+        if orbit.rank_at(k) < gf.rank(p, field):
+            return True
+    return False
+
+
+def test_dominance_test_matches_rank_bound_on_catalog_pairs():
+    checked = 0
+    for n in (2, 3, 4):
+        cfg = make_cfg(n)
+        catalogs = [choose_probes(cfg)] + ([alt_probes_gl2(cfg)] if n == 2 else [])
+        for pair in (p for probes in catalogs for p in probes):
+            for orbit in partitions_of(n):
+                excluded = rank_bound_excludes(cfg, orbit, pair)
+                assert excluded == (not dominance_leq(pair.lift, orbit))
+                checked += 1
+    assert checked == 2 * 2 * 2 + 3 * 3 + 5 * 5
+
+
+def parent_ladder(cfg, orbit, pair, y, depths):
+    """The parent's n = 3 ladder for a nonzero orbit; None when undecided."""
+    if rank_bound_excludes(cfg, orbit, pair):
+        return False
+
+    def found(accept):
+        for extra in _witness_perturbations(cfg.n, cfg.q, depths):
+            m = _ball_matrix(cfg, y, depths, extra)
+            if m.is_nilpotent() and accept(jordan_type(m)):
+                return True
+        return False
+
+    if orbit == OrbitLabel.regular(3):
+        if found(lambda t: True):
+            return True
+        return False if _charpoly_obstruction(cfg, y, depths) else None
+    return True if found(lambda t: t == orbit) else None
+
+
+def random_residue(rng, q, bases, floors, depths):
+    n = len(bases)
+    return [
+        [
+            ser_add(
+                bases[i][j],
+                tuple(
+                    (w, c)
+                    for w in range(floors[i][j], depths[i][j])
+                    for c in [rng.randrange(q)]
+                    if c
+                ),
+                q,
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def test_closure_ladder_agrees_with_parent_ladder_on_gl3_k2_residues():
+    # seeded residues of the default GL_3 probes at K = 2 on the shared
+    # lattice, against each nonzero orbit: every verdict the parent ladder
+    # reached stands, and the closure ladder leaves fewer undecided
+    probes = choose_probes(CFG3)
+    lam = shared_lattice(CFG3, probes)
+    rng = random.Random("closure-ladder:gl3:K2")
+    old_open = new_open = 0
+    for pair in probes:
+        bases, floors, depths = _entry_layout(CFG3, pair, 2, lam)
+        for _ in range(RESIDUES_PER_PROBE):
+            y = random_residue(rng, CFG3.q, bases, floors, depths)
+            for orbit in (OrbitLabel.of((2, 1)), OrbitLabel.of((3,))):
+                old = parent_ladder(CFG3, orbit, pair, y, depths)
+                try:
+                    new = _membership_decide(CFG3, orbit, pair, y, depths)
+                except UndecidedError:
+                    new = None
+                assert old is None or new == old, (pair.describe(), orbit, y)
+                old_open += old is None
+                new_open += new is None
+    # the parent left about a third of these open (101 of 300)
+    assert new_open * 10 < old_open

@@ -85,6 +85,74 @@ def test_dominance_is_partial_order_up_to_n6():
                         assert dominance_leq(a, c)
 
 
+def test_from_ranks_inverts_rank_at_up_to_n6():
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            ranks = [lam.rank_at(k) for k in range(1, n + 1)]
+            assert OrbitLabel.from_ranks(n, ranks) == lam
+    with pytest.raises(ValidationError):
+        OrbitLabel.from_ranks(2, [2, 2])  # not nilpotent
+    with pytest.raises(ValidationError):
+        OrbitLabel.from_ranks(3, [1, 0])  # too few powers
+
+
+def test_rank_bound_is_dominance_up_to_n6():
+    # rank_lambda(k) <= rank_mu(k) for all k exactly when lambda <= mu
+    for n in range(1, 7):
+        for a in partitions_of(n):
+            for b in partitions_of(n):
+                ranks_le = all(a.rank_at(k) <= b.rank_at(k) for k in range(1, n + 1))
+                assert ranks_le == dominance_leq(a, b)
+
+
+def jordan_matrix(q, parts, extra=None):
+    """J_parts over F_q(t), plus an optional {(i, j): exponent} of t-powers."""
+    n = sum(parts)
+    entries = [[{} for _ in range(n)] for _ in range(n)]
+    pos = 0
+    for p in parts:
+        for k in range(pos, pos + p - 1):
+            entries[k][k + 1] = {0: 1}
+        pos += p
+    for (i, j), w in (extra or {}).items():
+        entries[i][j] = {w: 1}
+    return lmat(q, entries)
+
+
+def is_type(mat, orbit):
+    return mat.is_nilpotent() and jordan_type(mat) == orbit
+
+
+def test_orbits_are_dense_in_their_closures_up_to_n4():
+    # for every cover mu < lambda some matrix unit E puts J_mu + t^N E in
+    # lambda for N = 1, 2, 3: the degeneration behind the closure ladder
+    q = 5
+    covers = 0
+    for n in range(2, 5):
+        ps = partitions_of(n)
+        for mu in ps:
+            for lam in ps:
+                if mu == lam or not dominance_leq(mu, lam):
+                    continue
+                if any(
+                    nu not in (mu, lam) and dominance_leq(mu, nu) and dominance_leq(nu, lam)
+                    for nu in ps
+                ):
+                    continue
+                covers += 1
+                assert jordan_type(jordan_matrix(q, mu.parts)) == mu
+                assert any(
+                    all(
+                        is_type(jordan_matrix(q, mu.parts, {(i, j): N}), lam)
+                        for N in (1, 2, 3)
+                    )
+                    for i in range(n)
+                    for j in range(n)
+                    if i != j
+                ), (mu, lam)
+    assert covers == 1 + 2 + 4
+
+
 def test_jordan_type_worked_examples():
     q = 5
     assert jordan_type(LMatrix.zero(q, 2)) == OrbitLabel.of((1, 1))
