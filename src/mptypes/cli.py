@@ -10,6 +10,7 @@ rejected input, 3 infeasible instance, 4 violated internal contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -59,7 +60,11 @@ def _parse_phi(cfg: GroupConfig, x: ApartmentPoint, s: Q, text: str) -> GradedEl
     return GradedElement.make(cfg, x, -s, coeffs)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # cached: built once, on the first call rather than at import;
+    # parse_args never mutates it and starts each parse from a fresh
+    # namespace, so no call leaks into the next
     # global flags live on a parent so they are accepted on either side
     # of the subcommand; SUPPRESS keeps the later parser from clobbering
     # values the earlier one already set
@@ -159,8 +164,13 @@ def _apply_defaults(args: argparse.Namespace) -> None:
     merged = dict(_GLOBAL_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(
+                f"cannot read the config file {config_path!r}: {exc}", where="cli"
+            ) from exc
         if not isinstance(data, dict):
             raise ValidationError("the config file must hold a JSON object", where="cli")
         bad = set(data) - set(_CONFIG_TYPES)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from . import gf
 from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
@@ -36,7 +36,7 @@ from .graded import (
     homogeneous_lift,
     is_degenerate,
 )
-from .laurent import Laurent, LMatrix, commutator
+from .laurent import Laurent, LMatrix, commutator, ser_add
 
 Q = Fraction
 
@@ -314,30 +314,62 @@ def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:
                     )
 
 
-def random_coset_element(
+def _trace_zero_samples(
     cfg: GroupConfig,
     s: Q,
     x: ApartmentPoint,
     phi: GradedElement,
+    samples: int,
     depth: int,
-    rng: random.Random,
-) -> LMatrix:
-    """Random element of phi + g_{x>-s} with entries truncated at t^depth."""
-    strict = mp_lattice(cfg, x, -s, strict=True, _checked=True)
+    seed: int,
+) -> Iterator[Tuple[int, LMatrix]]:
+    """(k, sample) for each trace-zero sample k of phi + g_{x>-s}.
+
+    Sample k draws rng.randrange(q) from random.Random(f"{seed}:{k}")
+    for every entry (i, j), row-major, and every exponent from the
+    strict bound at (x, -s) up to depth, ascending, and adds t^w times
+    each draw to the homogeneous lift.  The draws stay plain ints until
+    the trace vanishes; only then is the matrix built.
+    """
+    q, n = cfg.q, cfg.n
+    bounds = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
+    if depth < min(min(row) for row in bounds):
+        raise ValidationError(
+            f"depth {depth} is below every strict bound at (x, {-s}), so the "
+            "probe would draw nothing",
+            where="orbits.minimality_probe",
+        )
     lift = homogeneous_lift(cfg, phi).mat
-    rows = []
-    for i in range(cfg.n):
-        row = []
-        for j in range(cfg.n):
-            entry = lift.entry(i, j)
-            d = {}
-            for w in range(strict.bounds[i][j], depth + 1):
-                c = rng.randrange(cfg.q)
-                if c:
-                    d[w] = c
-            row.append(entry + Laurent.from_dict(cfg.q, d))
-        rows.append(row)
-    return LMatrix.from_rows(cfg.q, rows)
+    lift_trace: Dict[int, int] = {}  # exponent -> the lift's trace coefficient
+    for i in range(n):
+        for w, c in lift.entry(i, i).coeffs:
+            lift_trace[w] = lift_trace.get(w, 0) + c
+    slots = []  # (i, j, exponents, offset of the first draw)
+    diagonal: Dict[int, List[int]] = {}  # exponent -> offsets of its diagonal draws
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            span = range(bounds[i][j], depth + 1)
+            slots.append((i, j, span, total))
+            if i == j:
+                for k, w in enumerate(span):
+                    diagonal.setdefault(w, []).append(total + k)
+            total += len(span)
+    # one (lift coefficient, diagonal draw offsets) per exponent of the trace
+    terms = [
+        (lift_trace.get(w, 0), tuple(diagonal.get(w, ())))
+        for w in sorted(set(lift_trace) | set(diagonal))
+    ]
+    for k in range(samples):
+        randrange = random.Random(f"{seed}:{k}").randrange
+        draws = [randrange(q) for _ in range(total)]
+        if any((c + sum([draws[o] for o in offsets])) % q for c, offsets in terms):
+            continue  # c_1 = -trace is nonzero: the sample is not nilpotent
+        rows = [[None] * n for _ in range(n)]
+        for i, j, span, start in slots:
+            drawn = tuple((w, c) for w, c in zip(span, draws[start : start + len(span)]) if c)
+            rows[i][j] = Laurent(q, ser_add(lift.entry(i, j).coeffs, drawn, q))
+        yield k, LMatrix.from_rows(q, rows)
 
 
 def minimality_probe(
@@ -354,12 +386,17 @@ def minimality_probe(
     Draws random truncated coset elements; every nilpotent among them
     must have Jordan type dominating the lift.  This is a randomized
     falsification harness, not a proof.
+
+    The trace is read off the drawn coefficients first, and only a
+    trace-zero sample becomes a matrix.  The filter is exact: the trace
+    is minus the coefficient c_1 of the characteristic polynomial, so a
+    nonzero trace proves the sample is not nilpotent, and a skipped
+    sample is one the full check would pass over too.  A depth below
+    every strict bound is refused: every sample would be the lift itself.
     """
     s = Q(s)
     lift_orbit = debacker_lift(cfg, s, x, phi)
-    for k in range(samples):
-        rng = random.Random(f"{seed}:{k}")
-        sample = random_coset_element(cfg, s, x, phi, depth, rng)
+    for _, sample in _trace_zero_samples(cfg, s, x, phi, samples, depth, seed):
         if sample.is_nilpotent():
             if not dominance_leq(lift_orbit, jordan_type(sample)):
                 return False

@@ -1,9 +1,15 @@
 """Command surface: determinism, worked instances, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mptypes
+from mptypes import cli
 from mptypes.cli import main
 
 
@@ -245,3 +251,53 @@ def test_selftest_command(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 9
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_config_file_that_cannot_be_read_is_rejected(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"n": 2,')
+    for path in (missing, truncated):
+        code, out, err = run_cli(capsys, "--config", str(path), "lattice", "--x", "0,0", "--s", "0")
+        assert code == 2 and out == ""
+        error = cli_error(err)
+        assert error["where"] == "cli" and str(path) in error["message"]
+
+
+def test_lift_rejects_a_depth_that_draws_nothing(capsys):
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "lift", "--x", "0,0", "--s", "1",
+        "--phi", "1,2,1", "--depth", "-5",
+    )
+    assert code == 2 and out == ""
+    assert cli_error(err)["where"] == "orbits.minimality_probe"
+
+
+def fresh_run(*argv):
+    """rc, stdout and stderr of the CLI in a new interpreter."""
+    src = Path(mptypes.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mptypes", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_no_parse_leaks_into_the_next_call(capsys, tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"n": 3, "m": 8, "allow_small_p": True}))
+    lattice = ("lattice", "--x", "1/2,0", "--s", "1/2")
+    lift = ("lift", "--x", "0,0", "--s", "1", "--phi", "1,2,1", "--samples", "20")
+    cases = [
+        (("--seed", "7", *lift), lift),
+        (("--allow-small-p", *lattice), lattice),
+        (("--allow-small-p", "measure", "--alt-probes"), ("--allow-small-p", "measure")),
+        ((*lattice, "--strict"), lattice),
+        (("--config", str(cfg_file), "lattice", "--x", "0,0,0", "--s", "0"), lattice),
+    ]
+    for earlier, later in cases:
+        assert run_cli(capsys, *earlier)[0] == 0
+        assert run_cli(capsys, *later) == fresh_run(*later), (earlier, later)
+        cli._build_parser().parse_args(earlier)
+        parsed = cli._build_parser().parse_args(later)
+        assert vars(parsed) == vars(cli._build_parser.__wrapped__().parse_args(later))

@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support
+from mptypes import orbits
+from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import ValidationError
 from mptypes.graded import (
     GradedElement,
@@ -317,3 +318,96 @@ def test_minimality_probe_worked_examples():
     xi = pt(Q(1, 2), 0)
     eli = GradedElement.make(CFG2, xi, Q(-1, 2), {(0, 1): 1})
     assert minimality_probe(CFG2, Q(1, 2), xi, eli, samples=200, depth=3)
+
+
+# -- the trace-first probe against the per-sample loop it replaced ----------
+
+
+def random_coset_element(cfg, s, x, phi, depth, rng):
+    """Random element of phi + g_{x>-s} with entries truncated at t^depth."""
+    strict = mp_lattice(cfg, x, -s, strict=True, _checked=True)
+    lift = homogeneous_lift(cfg, phi).mat
+    rows = []
+    for i in range(cfg.n):
+        row = []
+        for j in range(cfg.n):
+            d = {}
+            for w in range(strict.bounds[i][j], depth + 1):
+                c = rng.randrange(cfg.q)
+                if c:
+                    d[w] = c
+            row.append(lift.entry(i, j) + Laurent.from_dict(cfg.q, d))
+        rows.append(row)
+    return LMatrix.from_rows(cfg.q, rows)
+
+
+def oracle_probe(cfg, s, x, phi, samples, depth, seed):
+    """The old loop, run to the end: (verdict, trace-zero samples, nilpotent indices)."""
+    lift_orbit = debacker_lift(cfg, s, x, phi)
+    verdict, trace_zero, nilpotent = True, {}, []
+    for k in range(samples):
+        sample = random_coset_element(cfg, s, x, phi, depth, random.Random(f"{seed}:{k}"))
+        trace = Laurent.zero(cfg.q)
+        for i in range(cfg.n):
+            trace = trace + sample.entry(i, i)
+        if trace.is_zero():
+            trace_zero[k] = sample
+        if sample.is_nilpotent():
+            nilpotent.append(k)
+            verdict = verdict and orbits.dominance_leq(lift_orbit, jordan_type(sample))
+    return verdict, trace_zero, nilpotent
+
+
+def degenerate_instances(n, q, count, rng):
+    cfg = make_cfg(n, q)
+    out = []
+    while len(out) < count:
+        d, ds = rng.choice((1, 2, 4, 8)), rng.choice((1, 2, 4))
+        x = pt(*(Q(rng.randrange(-d, d + 1), d) for _ in range(n)))
+        s = Q(rng.randrange(1, 2 * ds + 1), ds)
+        sup = graded_support(cfg, x, -s)
+        el = GradedElement.make(cfg, x, -s, {p: rng.randrange(q) for p in sup.positions})
+        if is_degenerate(cfg, el):
+            out.append((cfg, x, s, el))
+    return out
+
+
+def test_trace_first_probe_matches_the_old_loop_at_the_diagonal_bound():
+    rng = random.Random("trace-first")
+    zero_total = nil_total = 0
+    for n, q in ((2, 3), (3, 3), (3, 5), (4, 3)):
+        for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
+            depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]  # one draw per diagonal slot
+            verdict, trace_zero, nilpotent = oracle_probe(cfg, s, x, el, 100, depth, seed)
+            fast = dict(orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed))
+            assert fast == trace_zero  # same indices, same matrices
+            assert [k for k, m in fast.items() if m.is_nilpotent()] == nilpotent
+            assert minimality_probe(cfg, s, x, el, samples=100, depth=depth, seed=seed) == verdict
+            zero_total += len(trace_zero)
+            nil_total += len(nilpotent)
+    assert zero_total > 1000 and nil_total > 100  # the matrix branch really runs
+
+
+@pytest.mark.parametrize("n, q", [(3, 7), (4, 11)])
+def test_trace_first_probe_matches_the_old_loop_at_benchmark_depth(n, q):
+    rng = random.Random(f"bench-shaped:{n}")
+    for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 2, rng)):
+        verdict, _, _ = oracle_probe(cfg, s, x, el, 200, 3, seed)
+        assert minimality_probe(cfg, s, x, el, samples=200, depth=3, seed=seed) == verdict
+
+
+def test_a_failing_dominance_check_fails_both_probes(monkeypatch):
+    cfg = make_cfg(2, 3)
+    x, s, el = pt(0, 0), Q(1), GradedElement.zero(pt(0, 0), -1)
+    _, _, nilpotent = oracle_probe(cfg, s, x, el, 100, 0, 0)
+    assert nilpotent  # constant 2 x 2 samples over F_3: some are nilpotent
+    monkeypatch.setattr(orbits, "dominance_leq", lambda a, b: False)
+    assert oracle_probe(cfg, s, x, el, 100, 0, 0)[0] is False
+    assert minimality_probe(cfg, s, x, el, samples=100, depth=0) is False
+
+
+def test_minimality_probe_refuses_a_depth_that_draws_nothing():
+    el = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 1): 1})
+    assert minimality_probe(CFG2, 1, pt(0, 0), el, samples=5, depth=0)  # bounds are all 0
+    with pytest.raises(ValidationError, match="draw nothing"):
+        minimality_probe(CFG2, 1, pt(0, 0), el, samples=5, depth=-1)
