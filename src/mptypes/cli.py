@@ -261,15 +261,16 @@ def _cmd_refine(cfg, args) -> dict:
     for orbit in partitions_of(cfg.n):
         comps = measure_vector(cfg, orbit, rec.pairs(), args.K, lam, enum_bound=args.bound)
         slices[str(orbit)] = verify_relation(cfg, rec, comps)
-    fork_ok = True
-    if cfg.q != 2:
-        field = gf.ext_field(2, _order_of_two(cfg.q))
-        rng = random.Random(f"cli-refine:{args.seed}")
-        for _ in range(args.modules):
-            module = FiniteModule.random(cfg, field, x, s, rng.randrange(1, 7), rng)
-            if not verify_fork_identity(cfg, module, coarse, (x, s)):
-                fork_ok = False
-                break
+    # characters take values in the p-th roots of unity of F_{l^a}: l = 2
+    # serves every odd p, and at p = 2 the root -1 lives in F_3
+    ell = 3 if cfg.q == 2 else 2
+    field = gf.ext_field(ell, _order_mod(ell, cfg.q))
+    rng = random.Random(f"cli-refine:{args.seed}")
+    modules = (
+        FiniteModule.random(cfg, field, x, s, rng.randrange(1, 7), rng)
+        for _ in range(args.modules)
+    )
+    fork_ok = verify_fork_identity(cfg, modules, coarse, (x, s))
     return {
         "record": jsonio.record_to_json(cfg, rec),
         "verification": {
@@ -279,10 +280,11 @@ def _cmd_refine(cfg, args) -> dict:
     }
 
 
-def _order_of_two(p: int) -> int:
-    a, value = 1, 2 % p
+def _order_mod(ell: int, p: int) -> int:
+    """The multiplicative order of ell modulo p, for ell prime to p."""
+    a, value = 1, ell % p
     while value != 1:
-        value = value * 2 % p
+        value = value * ell % p
         a += 1
     return a
 

@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import gf
 from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
@@ -103,12 +103,16 @@ def build_character(
                 "zeta is not a primitive p-th root of unity",
                 where="finite_types.build_character",
             )
-    sup = graded_support(cfg, x, s, _checked=True)
-    positions = sup.positions
-    exponents = tuple(phi.coeff(j, i) for (i, j) in positions)
+    positions = graded_support(cfg, x, s, _checked=True).positions
     return AdditiveCharacter(
-        x=x, s=s, positions=positions, exponents=exponents, zeta=zeta, field=field
+        x=x, s=s, positions=positions, exponents=_exponents(phi, positions),
+        zeta=zeta, field=field,
     )
+
+
+def _exponents(phi: GradedElement, positions: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
+    """The pairing of each support monomial (i, j) with phi: its (j, i) coefficient."""
+    return tuple(phi.coeff(j, i) for (i, j) in positions)
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,13 @@ class FiniteModule:
             zeta = field.root_of_unity(cfg.q)
         sup = graded_support(cfg, x, Q(s), _checked=True)
         positions = sup.positions
+        for ct in char_tuples:
+            if len(ct) != len(positions):
+                raise ValidationError(
+                    f"character tuple {tuple(ct)} has {len(ct)} exponents, "
+                    f"the support has {len(positions)} positions",
+                    where="finite_types.FiniteModule",
+                )
         d = len(char_tuples)
         cinv = None if conjugator is None else gf.mat_inv(conjugator, field)
         gens = []
@@ -216,22 +227,30 @@ def hom_dim(M: FiniteModule, psi: AdditiveCharacter) -> int:
         M.field.ell != psi.field.ell or M.field.deg != psi.field.deg
     ):
         raise ValidationError("coefficient fields differ", where="finite_types.hom_dim")
-    return _eigenspace_dim(M, list(range(len(M.positions))), psi.exponents, psi.zeta)
-
-
-def _eigenspace_dim(
-    M: FiniteModule, gen_indices: Sequence[int], exponents: Sequence[int], zeta: int
-) -> int:
-    """Dimension of the joint eigenspace: the kernel of the stacked g_k - zeta^e_k."""
     f = M.field
-    rows = []
-    for k, e in zip(gen_indices, exponents):
-        lam = f.pow(zeta, e)
-        rows += [
-            [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
-            for r, row in enumerate(M.gens[k])
-        ]
-    return M.dim - gf.rank(rows, f)
+    basis = gf.identity(M.dim)
+    for k, e in enumerate(psi.exponents):
+        basis = _restrict(M, basis, k, f.pow(psi.zeta, e))
+    return len(basis)
+
+
+def _restrict(M: FiniteModule, basis: Sequence[gf.Vec], k: int, lam: int) -> List[gf.Vec]:
+    """A basis of {v in span(basis) : g_k v = lam v}: basis . ker((g_k - lam) . basis).
+
+    Applied one generator at a time this gives the joint eigenspace,
+    the intersection of the kernels of the g_k - lam_k, without
+    assuming that the g_k commute or act semisimply.
+    """
+    if not basis:
+        return []
+    f = M.field
+    shifted = [
+        [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
+        for r, row in enumerate(M.gens[k])
+    ]
+    cols = tuple(zip(*basis))  # the basis vectors as columns
+    kernel = gf.kernel(gf.mat_mul(shifted, cols, f), len(basis), f)
+    return [gf.mat_vec(cols, c, f) for c in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +330,77 @@ def _coarse_exponent(
     return lift.entry(j, i).coeff(-w)
 
 
+class _Incidence:
+    """What the extension-sum identity needs of one incidence, for any module.
+
+    `base` holds the exponents shared by every extension on the
+    restricted positions; `keys` holds each extension's exponents on the
+    free positions, and `degenerate` whether its class is not tag A.
+    (A plain class: a dataclass would cost every CLI start about 1.5 ms.)
+    """
+
+    def __init__(
+        self, cfg: GroupConfig, coarse: DMPPair, finer: Tuple[ApartmentPoint, Q]
+    ) -> None:
+        self.x, self.s = finer[0], Q(finer[1])
+        classes = enumerate_and_classify(cfg, coarse, finer, crosscheck=False)
+        positions = graded_support(cfg, self.x, self.s, _checked=True).positions
+        exponents = [_exponents(cls.chi, positions) for cls in classes]
+        self.restricted = tuple(_restricted_positions(cfg, coarse.x, coarse.s, self.x, self.s))
+        self.base = tuple(exponents[0][k] for k in self.restricted)
+        # all extensions agree on the restricted sub-piece
+        if any(tuple(ex[k] for k in self.restricted) != self.base for ex in exponents):
+            raise InternalFault(
+                "extensions disagree on the restricted sub-piece",
+                where="finite_types.fork_report",
+            )
+        self.free = tuple(k for k in range(len(positions)) if k not in self.restricted)
+        self.keys = [tuple(ex[k] for k in self.free) for ex in exponents]
+        self.degenerate = [cls.tag != "A" for cls in classes]
+
+    def split(self, cfg: GroupConfig, M: FiniteModule) -> Tuple[int, List[int]]:
+        """(restricted hom dim, the hom dim of each extension in class order)."""
+        if (M.x, M.s) != (self.x, self.s):
+            raise ValidationError(
+                "module does not live on the finer graded piece",
+                where="finite_types.fork_report",
+            )
+        _check_field(cfg, M.field, where="finite_types.fork_report")
+        f = M.field
+        lams = [f.pow(f.root_of_unity(cfg.q), e) for e in range(cfg.q)]
+        basis = gf.identity(M.dim)
+        for k, e in zip(self.restricted, self.base):
+            basis = _restrict(M, basis, k, lams[e])
+        # split along the free positions in order, one subspace per
+        # exponent prefix; a prefix whose subspace is 0 is not extended
+        level = {(): basis}
+        for k in self.free:
+            level = {
+                prefix + (e,): sub
+                for prefix, node in level.items()
+                for e, lam in enumerate(lams)
+                if (sub := _restrict(M, node, k, lam))
+            }
+        return len(basis), [len(level.get(key, ())) for key in self.keys]
+
+
 def verify_fork_identity(
     cfg: GroupConfig,
-    M: FiniteModule,
+    modules: Iterable[FiniteModule],
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
 ) -> bool:
-    lhs, rhs_total, _ = fork_report(cfg, M, coarse, finer)
-    return lhs == rhs_total
+    """Whether the extension sum holds for every module, in order.
+
+    The incidence is classified once; the modules are drawn from the
+    iterable one at a time, and none is drawn after the first failure.
+    """
+    inc = _Incidence(cfg, coarse, finer)
+    for M in modules:
+        lhs, dims = inc.split(cfg, M)
+        if lhs != sum(dims):
+            return False
+    return True
 
 
 def fork_report(
@@ -333,31 +415,6 @@ def fork_report(
     extensions need not vanish, so the degenerate-only sum is reported
     separately rather than asserted equal.
     """
-    x, s = finer[0], Q(finer[1])
-    if (M.x, M.s) != (x, s):
-        raise ValidationError(
-            "module does not live on the finer graded piece",
-            where="finite_types.fork_report",
-        )
-    classes = enumerate_and_classify(cfg, coarse, finer, crosscheck=False)
-    zeta = M.field.root_of_unity(cfg.q)
-    chars = [build_character(cfg, M.field, x, s, cls.chi, zeta) for cls in classes]
-    restricted = _restricted_positions(cfg, coarse.x, coarse.s, x, s)
-    base_exponents = chars[0].exponents
-    # all extensions agree on the restricted sub-piece
-    for c in chars:
-        for k in restricted:
-            if c.exponents[k] != base_exponents[k]:
-                raise InternalFault(
-                    "extensions disagree on the restricted sub-piece",
-                    where="finite_types.fork_report",
-                )
-    lhs = _eigenspace_dim(
-        M, restricted, [base_exponents[k] for k in restricted], zeta
-    )
-    dims = [hom_dim(M, c) for c in chars]
-    rhs_total = sum(dims)
-    rhs_degenerate = sum(
-        d for d, cls in zip(dims, classes) if cls.tag != "A"
-    )
-    return lhs, rhs_total, rhs_degenerate
+    inc = _Incidence(cfg, coarse, finer)
+    lhs, dims = inc.split(cfg, M)
+    return lhs, sum(dims), sum(d for d, deg in zip(dims, inc.degenerate) if deg)

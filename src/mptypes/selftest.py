@@ -208,16 +208,17 @@ def criterion_2_measure_half(
 
 def criterion_3_multiplicity_half(cfg: GroupConfig, seed: int = 0) -> Tuple[bool, str]:
     """Extension-sum identity for random modules on the worked instances."""
-    field = gf.ExtField(2, 4)
+    field = gf.ext_field(2, 4)
     rng = random.Random(f"fork:{seed}")
     total = 0
     for coarse, finer in worked_instances(cfg):
-        for _ in range(50):
-            dim = rng.randrange(1, 7)
-            module = FiniteModule.random(cfg, field, finer[0], finer[1], dim, rng)
-            if not verify_fork_identity(cfg, module, coarse, finer):
-                return False, f"identity fails at {coarse.describe()}"
-            total += 1
+        modules = (
+            FiniteModule.random(cfg, field, finer[0], finer[1], rng.randrange(1, 7), rng)
+            for _ in range(50)
+        )
+        if not verify_fork_identity(cfg, modules, coarse, finer):
+            return False, f"identity fails at {coarse.describe()}"
+        total += 50
     return True, f"{total} random modules satisfy the extension sum exactly"
 
 

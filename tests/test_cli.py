@@ -67,6 +67,31 @@ def test_refine_command_worked_instance(capsys):
     assert data["verification"]["fork_identity"]["all_pass"] is True
 
 
+def test_refine_at_q2_verifies_its_modules(capsys, monkeypatch):
+    # at p = 2 the characters take the values +-1, which live in F_3
+    verified = []
+    real = cli.verify_fork_identity
+
+    def counting(cfg, modules, coarse, finer):
+        def drawn():
+            for module in modules:
+                verified.append(module)
+                yield module
+
+        return real(cfg, drawn(), coarse, finer)
+
+    monkeypatch.setattr(cli, "verify_fork_identity", counting)
+    code, out, _ = run_cli(
+        capsys, "--allow-small-p", "--n", "3", "--q", "2", "--K", "1", "refine",
+        "--y", "0,0,0", "--tau", "1", "--phi", "0", "--x", "0,0,0", "--s", "1",
+        "--modules", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["verification"]["fork_identity"] == {"all_pass": True, "modules": 3}
+    assert len(verified) == 3
+    assert all((m.field.ell, m.field.deg) == (3, 1) for m in verified)
+
+
 def test_measure_and_solve_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--allow-small-p", "measure")
     assert code == 0

@@ -7,11 +7,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mptypes import gf
+from mptypes import finite_types, gf
 from mptypes.apartment import ApartmentPoint, GroupConfig
-from mptypes.errors import ValidationError
+from mptypes.errors import InfeasibleError, ValidationError
 from mptypes.finite_types import (
+    AdditiveCharacter,
     FiniteModule,
+    _Incidence,
+    _random_invertible,
+    _restricted_positions,
     build_character,
     extension_characters,
     fork_report,
@@ -19,7 +23,8 @@ from mptypes.finite_types import (
     verify_fork_identity,
 )
 from mptypes.graded import GradedElement
-from mptypes.refine import DMPPair
+from mptypes.refine import DMPPair, enumerate_and_classify
+from mptypes.selftest import _random_incidence, worked_instances
 
 
 def make_cfg(n, q=5, m=16):
@@ -30,6 +35,20 @@ def make_cfg(n, q=5, m=16):
 
 CFG = make_cfg(2)
 F16 = gf.ExtField(2, 4)  # 5 | 15
+F256 = gf.ext_field(2, 8)  # 5 | 255
+
+
+def _eigenspace_dim(M, gen_indices, exponents, zeta):
+    """Oracle: the kernel dimension of the stacked g_k - zeta^e_k, one rank per tuple."""
+    f = M.field
+    rows = []
+    for k, e in zip(gen_indices, exponents):
+        lam = f.pow(zeta, e)
+        rows += [
+            [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
+            for r, row in enumerate(M.gens[k])
+        ]
+    return M.dim - gf.rank(rows, f)
 
 
 def pt(*coords):
@@ -223,7 +242,123 @@ def test_fork_identity_random_modules_both_instances():
         (halfpoint_coarse(), (X_IWA, Q(1, 2))),
         (iwahori_coarse(), (X_HYP, Q(1))),
     ]:
-        for _ in range(10):
-            dim = rng.randrange(1, 7)
-            M = FiniteModule.random(CFG, F16, xs[0], xs[1], dim, rng)
-            assert verify_fork_identity(CFG, M, coarse, xs)
+        modules = (
+            FiniteModule.random(CFG, F16, xs[0], xs[1], rng.randrange(1, 7), rng)
+            for _ in range(10)
+        )
+        assert verify_fork_identity(CFG, modules, coarse, xs)
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3, 4, 0, 1)], ids=["short", "long"])
+def test_from_characters_rejects_wrong_tuple_length(bad):
+    # the piece at the hyperspecial point and level 1 has 4 positions
+    with pytest.raises(ValidationError) as err:
+        FiniteModule.from_characters(CFG, F16, X_HYP, Q(1), [(0, 0, 0, 0), bad])
+    assert err.value.where == "finite_types.FiniteModule"
+
+
+@pytest.fixture(scope="module")
+def split_incidences():
+    """The three worked GL_2 incidences and seeded valid random ones, 40 of
+    them on a nonzero graded piece."""
+    out = list(worked_instances(CFG))
+    rng = random.Random(31)
+    nonzero = 0
+    while nonzero < 40:
+        inst = _random_incidence(CFG, rng)
+        if inst is None:
+            continue
+        try:
+            inc = _Incidence(CFG, *inst)
+        except InfeasibleError:
+            continue
+        out.append(inst)
+        nonzero += bool(inc.restricted or inc.free)
+    return out
+
+
+def _oracle_modules(field, inc, chars, rng):
+    """A random module, and a conjugated module with a repeated extension
+    character and, where the piece has restricted positions, a
+    non-extending one."""
+    x, s = inc.x, inc.s
+    yield FiniteModule.random(CFG, field, x, s, rng.randrange(1, 7), rng)
+    twice = rng.choice(chars).exponents
+    tuples = [twice, rng.choice(chars).exponents, twice]
+    if inc.restricted:
+        k = rng.choice(inc.restricted)
+        bad = list(twice)
+        bad[k] = (bad[k] + rng.randrange(1, 5)) % 5
+        tuples += [tuple(bad)] * 2
+    conj = _random_invertible(field, len(tuples), rng)
+    yield FiniteModule.from_characters(CFG, field, x, s, tuples, conjugator=conj)
+
+
+@pytest.mark.parametrize("field", [F16, F256], ids=["F16", "F256"])
+def test_split_matches_stacked_oracle(split_incidences, field):
+    rng = random.Random(f"split:{field.order}")
+    zeta = field.root_of_unity(5)
+    for coarse, finer in split_incidences:
+        x, s = finer[0], Q(finer[1])
+        inc = _Incidence(CFG, coarse, finer)
+        chars = extension_characters(CFG, field, coarse, finer)
+        tags = [cls.tag for cls in enumerate_and_classify(CFG, coarse, finer)]
+        restricted = _restricted_positions(CFG, coarse.x, coarse.s, x, s)
+        everywhere = range(len(chars[0].positions))
+        for M in _oracle_modules(field, inc, chars, rng):
+            want_lhs = _eigenspace_dim(
+                M, restricted, [chars[0].exponents[k] for k in restricted], zeta
+            )
+            want = [_eigenspace_dim(M, everywhere, c.exponents, zeta) for c in chars]
+            assert inc.split(CFG, M) == (want_lhs, want)
+            assert [hom_dim(M, c) for c in chars] == want
+            want_deg = sum(d for d, t in zip(want, tags) if t != "A")
+            assert fork_report(CFG, M, coarse, finer) == (want_lhs, sum(want), want_deg)
+            for ct in {tuple(rng.randrange(5) for _ in everywhere) for _ in range(4)}:
+                psi = AdditiveCharacter(x, s, M.positions, ct, zeta, field)
+                assert hom_dim(M, psi) == _eigenspace_dim(M, everywhere, ct, zeta)
+
+
+def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
+    # at the hyperspecial worked instance every extension shares the
+    # exponents on restricted positions 0, 1, 3 and position 2 is free; a
+    # Jordan block there has a 2-dimensional restricted eigenspace but only
+    # a 1-dimensional eigenspace for each extension.  The module is built
+    # directly: `validate` would reject it, since the block has order 2.
+    coarse, finer = worked_instances(CFG)[1]
+    x, s = finer
+    inc = _Incidence(CFG, coarse, finer)
+    assert (inc.restricted, inc.free) == ((0, 1, 3), (2,))
+    chars = extension_characters(CFG, F16, coarse, finer)
+    one = gf.identity(2)
+    jordan = FiniteModule(
+        field=F16, x=x, s=s, positions=chars[0].positions, dim=2,
+        gens=(one, one, ((1, 1), (0, 1)), one),
+    )
+    assert _eigenspace_dim(jordan, (0, 1, 3), (0, 0, 0), F16.root_of_unity(5)) == 2
+    assert fork_report(CFG, jordan, coarse, finer) == (2, 1, 1)
+    assert sum(hom_dim(jordan, c) for c in chars) == 1
+
+    classified = []
+    real = finite_types.enumerate_and_classify
+
+    def counting(*args, **kwargs):
+        classified.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(finite_types, "enumerate_and_classify", counting)
+    drawn = []
+
+    def modules():
+        rng = random.Random(3)
+        for _ in range(4):
+            drawn.append("good")
+            yield FiniteModule.random(CFG, F16, x, s, rng.randrange(1, 7), rng)
+        drawn.append("jordan")
+        yield jordan
+        drawn.append("after")
+        yield FiniteModule.random(CFG, F16, x, s, 2, rng)
+
+    assert verify_fork_identity(CFG, modules(), coarse, finer) is False
+    assert drawn == ["good"] * 4 + ["jordan"]
+    assert len(classified) == 1
