@@ -24,7 +24,7 @@ from .errors import ToolkitError, ValidationError
 from .graded import GradedElement, homogeneous_lift
 from .measures import ProbeSet, build_measure_table, independence_check, measure_vector, relation_lattice
 from .orbits import minimality_probe, partitions_of, sl2_complete
-from .refine import DMPPair, refine_relation, verify_relation
+from .refine import DMPPair, enumerate_and_classify, refine_relation, verify_relation
 from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, solve_expansion
 from . import selftest as selftest_mod
 from .finite_types import FiniteModule, verify_fork_identity
@@ -164,13 +164,7 @@ def _apply_defaults(args: argparse.Namespace) -> None:
     merged = dict(_GLOBAL_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(
-                f"cannot read the config file {config_path!r}: {exc}", where="cli"
-            ) from exc
+        data = _read_json(config_path, "the config file")
         if not isinstance(data, dict):
             raise ValidationError("the config file must hold a JSON object", where="cli")
         bad = set(data) - set(_CONFIG_TYPES)
@@ -188,11 +182,30 @@ def _apply_defaults(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at `path`; a file that cannot be read or
+    parsed is rejected input, named by `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path!r}: {exc}", where="cli") from exc
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write `text` to the file at `path`; a path that cannot be written is
+    rejected input, named by `what`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} {path!r}: {exc}", where="cli") from exc
+
+
 def _emit(args, payload: dict) -> None:
     text = jsonio.dump(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text, "the --output file")
     else:
         sys.stdout.write(text)
 
@@ -255,7 +268,10 @@ def _cmd_refine(cfg, args) -> dict:
     coarse = DMPPair.make(cfg, tau, y, phi)
     x = _parse_point(cfg, args.x, flag="--x")
     s = jsonio.parse_frac(args.s)
-    rec = refine_relation(cfg, coarse, (x, s), bound=args.bound)
+    # classified once, with the cross-check; the relation and the fork
+    # identity both read this result
+    classes = enumerate_and_classify(cfg, coarse, (x, s), bound=args.bound)
+    rec = refine_relation(cfg, coarse, (x, s), classes=classes)
     lam = relation_lattice(cfg, rec)
     slices = {}
     for orbit in partitions_of(cfg.n):
@@ -270,7 +286,7 @@ def _cmd_refine(cfg, args) -> dict:
         FiniteModule.random(cfg, field, x, s, rng.randrange(1, 7), rng)
         for _ in range(args.modules)
     )
-    fork_ok = verify_fork_identity(cfg, modules, coarse, (x, s))
+    fork_ok = verify_fork_identity(cfg, modules, coarse, (x, s), classes=classes)
     return {
         "record": jsonio.record_to_json(cfg, rec),
         "verification": {
@@ -309,16 +325,14 @@ def _cmd_measure(cfg, args) -> dict:
 def _cmd_solve(cfg, args) -> dict:
     if not args.input:
         raise ValidationError("solve requires --input", where="cli.solve")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        vec = jsonio.mult_vector_from_json(cfg, json.load(fh))
+    vec = jsonio.mult_vector_from_json(cfg, _read_json(args.input, "the --input file"))
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            cm = jsonio.matrix_from_json(cfg, json.load(fh))
+        cm = jsonio.matrix_from_json(cfg, _read_json(args.matrix, "the --matrix file"))
     else:
         _, _, cm = _default_matrix(cfg, args, vec.r)
     if args.save_matrix:
-        with open(args.save_matrix, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dump(jsonio.matrix_to_json(cm)))
+        text = jsonio.dump(jsonio.matrix_to_json(cm))
+        _write_text(args.save_matrix, text, "the --save-matrix file")
     res = solve_expansion(cfg, vec, cm)
     return {"expansion": jsonio.expansion_to_json(res)}
 

@@ -25,7 +25,7 @@ from . import gf
 from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from .errors import InternalFault, ValidationError
 from .graded import GradedElement, homogeneous_lift
-from .refine import DMPPair, enumerate_and_classify
+from .refine import DMPPair, SubcosetClass, enumerate_and_classify
 
 Q = Fraction
 
@@ -340,10 +340,15 @@ class _Incidence:
     """
 
     def __init__(
-        self, cfg: GroupConfig, coarse: DMPPair, finer: Tuple[ApartmentPoint, Q]
+        self,
+        cfg: GroupConfig,
+        coarse: DMPPair,
+        finer: Tuple[ApartmentPoint, Q],
+        classes: Optional[Sequence[SubcosetClass]] = None,
     ) -> None:
         self.x, self.s = finer[0], Q(finer[1])
-        classes = enumerate_and_classify(cfg, coarse, finer, crosscheck=False)
+        if classes is None:
+            classes = enumerate_and_classify(cfg, coarse, finer, crosscheck=False)
         positions = graded_support(cfg, self.x, self.s, _checked=True).positions
         exponents = [_exponents(cls.chi, positions) for cls in classes]
         self.restricted = tuple(_restricted_positions(cfg, coarse.x, coarse.s, self.x, self.s))
@@ -389,13 +394,17 @@ def verify_fork_identity(
     modules: Iterable[FiniteModule],
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
+    *,
+    classes: Optional[Sequence[SubcosetClass]] = None,
 ) -> bool:
     """Whether the extension sum holds for every module, in order.
 
-    The incidence is classified once; the modules are drawn from the
-    iterable one at a time, and none is drawn after the first failure.
+    The incidence is classified once, or not at all when `classes`
+    gives its `enumerate_and_classify` result; the modules are drawn
+    from the iterable one at a time, and none is drawn after the first
+    failure.
     """
-    inc = _Incidence(cfg, coarse, finer)
+    inc = _Incidence(cfg, coarse, finer, classes)
     for M in modules:
         lhs, dims = inc.split(cfg, M)
         if lhs != sum(dims):

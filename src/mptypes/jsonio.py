@@ -4,12 +4,18 @@ Textual formats only: rationals are strings "a/b", apartment points are
 arrays of rationals, partitions are descending integer arrays, matrix
 positions are 1-based in external data.  Serialization is stable
 (sorted keys, fixed separators) so equal inputs give identical bytes.
+
+`dump` writes the canonical form, the bytes of
+`json.dumps(obj, sort_keys=True, indent=2)` plus a newline, for the six
+types the payloads hold: str, int, bool, None, list, and dict with str
+keys.  Any other type, a float, tuple, Fraction or int subclass among
+them, raises TypeError.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Mapping, Sequence
 
 from .apartment import ApartmentPoint, GeodesicPlan, GroupConfig, LatticeShape
@@ -45,7 +51,7 @@ __all__ = [
 
 
 def frac_str(x: Q | int) -> str:
-    f = Q(x)
+    f = x if type(x) is Q else Q(x)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -57,7 +63,52 @@ def parse_frac(s: str | int) -> Q:
 
 
 def dump(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical JSON text of `obj`, newline-terminated."""
+    out: List[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o: Any, out: List[str], nl: str) -> None:
+    """Append the text of `o` to `out`; `nl` is a newline and o's indent."""
+    t = type(o)  # exact types: bool and IntEnum are not int here
+    if t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(repr(o))
+    elif t is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"dict key {key!r} is not a str")
+            out.append(sep + _quote(key) + ": ")
+            _write(o[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif o is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot write {t.__name__} as canonical JSON")
 
 
 def point_to_json(x: ApartmentPoint) -> List[str]:

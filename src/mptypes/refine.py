@@ -300,15 +300,20 @@ def refine_relation(
     crosscheck: bool = True,
     role: str = "refine",
     interval: Optional[int] = None,
+    *,
+    classes: Optional[Sequence[SubcosetClass]] = None,
 ) -> RelationRecord:
     """Emit the exact relation attached to one (coarse, finer) incidence.
 
     The base component is the member tagged B given by the image of the
     coarse lift, or `base_hint` when supplied (it must itself be tagged
     B); C-members enter with coefficient one each, in enumeration order.
+    `classes`, when given, is the incidence's `enumerate_and_classify`
+    result and is used instead of classifying again.
     """
     x, s = finer[0], Q(finer[1])
-    classes = enumerate_and_classify(cfg, coarse, finer, bound=bound, crosscheck=crosscheck)
+    if classes is None:
+        classes = enumerate_and_classify(cfg, coarse, finer, bound=bound, crosscheck=crosscheck)
     n_b = sum(1 for c in classes if c.tag == "B")
     n_a = sum(1 for c in classes if c.tag == "A")
     c_list = [c for c in classes if c.tag == "C"]

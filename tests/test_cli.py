@@ -1,7 +1,9 @@
 """Command surface: determinism, worked instances, exit codes."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,13 +74,13 @@ def test_refine_at_q2_verifies_its_modules(capsys, monkeypatch):
     verified = []
     real = cli.verify_fork_identity
 
-    def counting(cfg, modules, coarse, finer):
+    def counting(cfg, modules, coarse, finer, **kwargs):
         def drawn():
             for module in modules:
                 verified.append(module)
                 yield module
 
-        return real(cfg, drawn(), coarse, finer)
+        return real(cfg, drawn(), coarse, finer, **kwargs)
 
     monkeypatch.setattr(cli, "verify_fork_identity", counting)
     code, out, _ = run_cli(
@@ -326,3 +328,133 @@ def test_no_parse_leaks_into_the_next_call(capsys, tmp_path):
         cli._build_parser().parse_args(earlier)
         parsed = cli._build_parser().parse_args(later)
         assert vars(parsed) == vars(cli._build_parser.__wrapped__().parse_args(later))
+
+
+def canonical(text):
+    """The canonical writer's oracle: the stdlib's sorted, indent-2 form."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+# the default GL_2 probe catalog, as `measure` writes it, with a count each
+VECTOR = {
+    "r": "0/1",
+    "source": "by-hand",
+    "entries": [
+        [{"s": "1/1", "x": ["0/1", "0/1"], "phi": [], "lift": [1, 1]}, 2],
+        [{"s": "1/2", "x": ["1/2", "0/1"], "phi": [[1, 2, 1]], "lift": [2]}, 1],
+    ],
+}
+
+REFINE = ("refine", "--y", "3/8,0", "--tau", "5/8", "--phi", "1,2,1",
+          "--x", "1/2,0", "--s", "1/2", "--modules", "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lattice", "--x", "1/2,0", "--s", "1/2", "--strict"),
+        ("lift", "--x", "0,0", "--s", "1", "--phi", "1,2,1", "--samples", "20"),
+        ("--q", "3", "lift", "--x", "0,0", "--s", "1", "--phi", "1,2,1", "--samples", "20"),
+        ("breakpoints", "--x0", "0,0", "--s0", "1", "--x1", "1/2,0", "--s1", "1/2"),
+        REFINE,
+        ("measure",),
+        ("solve", "--input", "{vector}"),
+    ],
+)
+def test_stdout_and_output_file_hold_the_canonical_bytes(capsys, tmp_path, argv):
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(VECTOR))
+    argv = [a.replace("{vector}", str(vec_file)) for a in argv]
+    code, out, err = run_cli(capsys, "--allow-small-p", *argv)
+    assert code == 0 and err == ""
+    out_file = tmp_path / "out.json"
+    code, echoed, _ = run_cli(capsys, "--allow-small-p", "--output", str(out_file), *argv)
+    assert code == 0 and echoed == ""
+    assert out_file.read_bytes() == out.encode("utf-8")
+    assert out == canonical(out)
+    if "lift" in argv:
+        assert ("skipped" in json.loads(out)["sl2"]) == ("--q" in argv)
+
+
+def test_saved_matrix_holds_the_canonical_bytes(capsys, tmp_path):
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(VECTOR))
+    cm_file = tmp_path / "cm.json"
+    code, _, _ = run_cli(
+        capsys, "--allow-small-p", "solve", "--input", str(vec_file), "--save-matrix", str(cm_file)
+    )
+    assert code == 0
+    text = cm_file.read_text(encoding="utf-8")
+    assert text == canonical(text)
+    code, out, _ = run_cli(capsys, "--allow-small-p", "measure")
+    assert json.loads(text) == json.loads(out)["matrix"]
+
+
+def file_error(capsys, path, *argv):
+    code, out, err = run_cli(capsys, "--allow-small-p", *argv)
+    assert code == 2 and out == ""
+    error = cli_error(err)
+    assert error["where"] == "cli" and str(path) in error["message"]
+
+
+def bad_input_files(tmp_path):
+    """A missing file, a directory, malformed JSON and bytes that are not UTF-8."""
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{bad")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"r": "\xe9"}')
+    return [tmp_path / "missing.json", tmp_path, malformed, latin]
+
+
+def test_unreadable_input_is_rejected(capsys, tmp_path):
+    for path in bad_input_files(tmp_path):
+        file_error(capsys, path, "solve", "--input", str(path))
+
+
+def test_unreadable_matrix_is_rejected(capsys, tmp_path):
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(VECTOR))
+    for path in bad_input_files(tmp_path):
+        file_error(capsys, path, "solve", "--input", str(vec_file), "--matrix", str(path))
+
+
+def test_unwritable_output_is_rejected(capsys, tmp_path):
+    for path in (tmp_path, tmp_path / "no-such-dir" / "out.json"):
+        file_error(capsys, path, "--output", str(path), "lattice", "--x", "0,0", "--s", "0")
+
+
+def test_unwritable_saved_matrix_is_rejected(capsys, tmp_path):
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(VECTOR))
+    for path in (tmp_path, tmp_path / "no-such-dir" / "cm.json"):
+        file_error(capsys, path, "solve", "--input", str(vec_file), "--save-matrix", str(path))
+
+
+def test_refine_classifies_its_incidence_once(capsys, monkeypatch):
+    from mptypes import refine
+
+    real = refine.enumerate_and_classify
+    real_crosscheck = refine._crosscheck_b_class
+    classified, crosschecked = [], []
+
+    def counting(*args, **kwargs):
+        classified.append(args)
+        return real(*args, **kwargs)
+
+    def counting_crosscheck(*args, **kwargs):
+        crosschecked.append(args)
+        return real_crosscheck(*args, **kwargs)
+
+    # every module binding of the classifier, so no caller escapes the count
+    for info in pkgutil.iter_modules(mptypes.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"mptypes.{info.name}")
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counting)
+    monkeypatch.setattr(refine, "_crosscheck_b_class", counting_crosscheck)
+    code, out, _ = run_cli(capsys, "--allow-small-p", *REFINE)
+    assert code == 0
+    assert json.loads(out)["verification"]["fork_identity"]["all_pass"] is True
+    assert len(classified) == 1 and len(crosschecked) == 1

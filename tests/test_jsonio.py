@@ -1,5 +1,8 @@
 """Serialization round trips and canonical forms."""
 
+import enum
+import json
+import random
 import warnings
 from fractions import Fraction as Q
 
@@ -55,3 +58,89 @@ def test_mult_vector_round_trip():
 def test_dump_is_stable():
     payload = {"b": [1, 2], "a": "x"}
     assert jsonio.dump(payload) == jsonio.dump({"a": "x", "b": [1, 2]})
+
+
+def test_frac_str_of_fractions_and_ints():
+    assert jsonio.frac_str(Q(6, 8)) == "3/4"
+    assert jsonio.frac_str(Q(-3, 4)) == "-3/4"
+    assert jsonio.frac_str(Q(-7)) == "-7/1"
+    assert jsonio.frac_str(Q(0)) == "0/1"
+    assert jsonio.frac_str(-2) == "-2/1"
+    assert jsonio.frac_str(0) == "0/1"
+    assert jsonio.frac_str(2**70) == f"{2**70}/1"
+
+
+def oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII in and beyond the
+# BMP (escaped as surrogate pairs) and the JSON-legal line separator
+CHARS = 'ab Z09"\\/\n\r\t\b\f\x00\x01\x1f\x7f\xe9\u00ff\u2028\u20ac\U0001f600'
+
+
+def random_str(rng):
+    return "".join(rng.choice(CHARS) for _ in range(rng.randrange(6)))
+
+
+def random_value(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.randrange(-1000, 1000)
+    if kind == 1:
+        return rng.choice((-1, 1)) * (2**64 + rng.getrandbits(80))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return random_str(rng)
+    if kind == 4:  # an int row with bools among the ints
+        return [rng.choice((rng.randrange(-9, 9), True, False)) for _ in range(rng.randrange(5))]
+    if kind in (5, 6):
+        return [random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 7:
+        return {random_str(rng): random_value(rng, depth + 1) for _ in range(rng.randrange(5))}
+    return rng.choice(([], {}, [[]], [{}], {"": []}, {"a": {}}, [[], [{}]]))
+
+
+def test_dump_matches_the_stdlib_on_random_payloads():
+    rng = random.Random(11)
+    for _ in range(400):
+        obj = random_value(rng)
+        assert jsonio.dump(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [], {}, [[]], {"a": {}}, [[], {}, [[{}]]], "", 0, -1, 2**64, -(2**64) - 1,
+        True, False, None, [1, True, 0, False, None],
+        'a"b\\c/d\ne\x00\x1f\x7f\xe9\u2028\U0001f600',
+        {'"': 1, "\\": 2, "\n": 3, "\xe9": 4, "\U0001f600": 5, "": 6, "B": 7, "a": 8},
+    ],
+)
+def test_dump_matches_the_stdlib_on_edge_cases(obj):
+    assert jsonio.dump(obj) == oracle(obj)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, (1, 2), Q(1, 2), Small.ONE, [1, [2, (3,)]], {"a": 0.0}, {1: "a"}, {"a": Small.ONE}],
+)
+def test_dump_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        jsonio.dump(obj)
+
+
+def test_dump_does_not_call_the_stdlib_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.encoder.JSONEncoder, "encode", refuse)
+    assert jsonio.dump({"b": [1, "x"], "a": None}) == (
+        '{\n  "a": null,\n  "b": [\n    1,\n    "x"\n  ]\n}\n'
+    )
