@@ -235,7 +235,8 @@ def _cmd_lift(cfg, args) -> dict:
         "pair": jsonio.pair_to_json(pair),
         "lift": jsonio.orbit_to_json(pair.lift),
         "minimality_probe": minimality_probe(
-            cfg, s, x, phi, samples=args.samples, depth=args.depth, seed=args.seed
+            cfg, s, x, phi, samples=args.samples, depth=args.depth, seed=args.seed,
+            bound=args.bound,
         ),
     }
     if cfg.q > 2 * cfg.n:

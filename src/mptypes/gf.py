@@ -272,6 +272,13 @@ def identity(n: int) -> Mat:
 
 def _dot(u: Sequence[int], v: Sequence[int], field: ExtField) -> int:
     acc = 0
+    if field.ell == 2 and field.deg > 1:
+        # the base-2 digits of an element are its coefficients, so a sum is XOR
+        log, exp = field._log, field._exp
+        for x, y in zip(u, v):
+            if x and y:
+                acc ^= exp[log[x] + log[y]]
+        return acc
     for x, y in zip(u, v):
         if x and y:
             acc = field.add(acc, field.mul(x, y))

@@ -58,7 +58,7 @@ def frac_str(x: Q | int) -> str:
 def parse_frac(s: str | int) -> Q:
     try:
         return Q(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {s!r}: {exc}", where="jsonio.parse_frac")
 
 
@@ -111,11 +111,30 @@ def _write(o: Any, out: List[str], nl: str) -> None:
         raise TypeError(f"cannot write {t.__name__} as canonical JSON")
 
 
+def _fields(data: Any, what: str, where: str, *keys: str) -> None:
+    """Refuse `data` unless it is a JSON object holding every key in `keys`."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} is not a JSON object", where=where)
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValidationError(f"{what} lacks the key(s) {', '.join(missing)}", where=where)
+
+
+def _items(data: Any, what: str, where: str, kind: type = object, width: int = -1) -> list:
+    """`data` if it is a JSON array of `kind` items, each of `width` items if given."""
+    if not isinstance(data, list) or not all(
+        isinstance(item, kind) and (width < 0 or len(item) == width) for item in data
+    ):
+        raise ValidationError(f"{what} is not an array of the expected items", where=where)
+    return data
+
+
 def point_to_json(x: ApartmentPoint) -> List[str]:
     return [frac_str(c) for c in x.coords]
 
 
 def point_from_json(data: Sequence[str]) -> ApartmentPoint:
+    _items(data, "a point", "jsonio.point_from_json")
     return ApartmentPoint.of([parse_frac(c) for c in data])
 
 
@@ -124,6 +143,7 @@ def orbit_to_json(o: OrbitLabel) -> List[int]:
 
 
 def orbit_from_json(data: Sequence[int]) -> OrbitLabel:
+    _items(data, "an orbit", "jsonio.orbit_from_json", int)
     return OrbitLabel.of(data)
 
 
@@ -137,9 +157,14 @@ def pair_to_json(p: DMPPair) -> Dict[str, Any]:
 
 
 def pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
+    where = "jsonio.pair_from_json"
+    _fields(data, "a pair", where, "s", "x", "phi")
     s = parse_frac(data["s"])
     x = point_from_json(data["x"])
-    coeffs = {(int(i) - 1, int(j) - 1): int(c) for i, j, c in data["phi"]}
+    phi = _items(data["phi"], "a pair's phi", where, list, 3)
+    if not all(isinstance(v, int) for term in phi for v in term):
+        raise ValidationError("a pair's phi holds a non-integer", where=where)
+    coeffs = {(int(i) - 1, int(j) - 1): int(c) for i, j, c in phi}
     phi = GradedElement.make(cfg, x, -s, coeffs)
     pair = DMPPair.make(cfg, s, x, phi)
     if "lift" in data and orbit_from_json(data["lift"]) != pair.lift:
@@ -227,16 +252,20 @@ def matrix_to_json(cm: CoefficientMatrix) -> Dict[str, Any]:
 
 def matrix_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> CoefficientMatrix:
     """A persisted coefficient matrix, re-checked as `assemble_and_invert` checks it."""
+    where = "jsonio.matrix_from_json"
+    _fields(data, "the matrix", where, "orbits", "probes", "M", "A", "normalization")
+    if not isinstance(data["normalization"], str):
+        raise ValidationError("the matrix's normalization is not a string", where=where)
     cm = CoefficientMatrix(
-        orbits=tuple(orbit_from_json(o) for o in data["orbits"]),
-        probes=tuple(pair_from_json(cfg, p) for p in data["probes"]),
-        m_rows=tuple(tuple(parse_frac(v) for v in row) for row in data["M"]),
-        a_rows=tuple(tuple(parse_frac(v) for v in row) for row in data["A"]),
+        orbits=tuple(orbit_from_json(o) for o in _items(data["orbits"], "orbits", where)),
+        probes=tuple(pair_from_json(cfg, p) for p in _items(data["probes"], "probes", where)),
+        m_rows=tuple(tuple(map(parse_frac, row)) for row in _items(data["M"], "M", where, list)),
+        a_rows=tuple(tuple(map(parse_frac, row)) for row in _items(data["A"], "A", where, list)),
         normalization=data["normalization"],
     )
     problem = matrix_problem(cfg, cm)
     if problem is not None:
-        raise ValidationError(problem, where="jsonio.matrix_from_json")
+        raise ValidationError(problem, where=where)
     return cm
 
 
@@ -249,7 +278,12 @@ def mult_vector_to_json(v: MultiplicityVector) -> Dict[str, Any]:
 
 
 def mult_vector_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> MultiplicityVector:
-    entries = {pair_from_json(cfg, p): int(n) for p, n in data["entries"]}
+    where = "jsonio.mult_vector_from_json"
+    _fields(data, "the multiplicity vector", where, "r", "entries")
+    rows = _items(data["entries"], "entries", where, list, 2)
+    if not all(isinstance(n, int) for _, n in rows):
+        raise ValidationError("a multiplicity is not an integer", where=where)
+    entries = {pair_from_json(cfg, p): int(n) for p, n in rows}
     return MultiplicityVector.make(
         parse_frac(data["r"]), entries, source=data.get("source", "")
     )

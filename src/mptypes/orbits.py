@@ -15,6 +15,16 @@ With the standard commutator [a, b] = ab - ba the identities read
 
 i.e. the filtration-raising Phi plays the role of the sl2 raising
 element and E is its lowering partner of opposite homogeneous degree.
+
+Coset samples
+-------------
+minimality_probe's sample k is the randrange(q) stream of
+random.Random(f"{seed}:{k}").  For q < 256 `_uniform_draws` takes that
+stream in blocks of Mersenne Twister words, one getrandbits call per
+block, and keeps the top byte of each word.  This is exact for
+CPython's generator, whose randrange(q) redraws getrandbits(k), the
+top k bits of one word, until it is below q; a test pins it to the
+randrange list for every q < 256.
 """
 
 from __future__ import annotations
@@ -22,11 +32,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import gf
 from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
-from .errors import InternalFault, ValidationError
+from .errors import InfeasibleError, InternalFault, ValidationError
 from .graded import (
     GradedElement,
     HomLift,
@@ -314,6 +325,40 @@ def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:
                     )
 
 
+@lru_cache(maxsize=256)
+def _byte_tables(q: int) -> Tuple[bytes, bytes]:
+    """(table, reject) for bytes.translate: a word's top byte b gives the
+    draw b >> (8 - k), k = q.bit_length(), and is deleted when that is >= q."""
+    shift = 8 - q.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    return table, bytes(b for b in range(256) if b >> shift >= q)
+
+
+def _uniform_draws(rng: random.Random, q: int, count: int) -> Sequence[int]:
+    """The first `count` values of rng.randrange(q), in order.
+
+    For q < 256 each block is getrandbits(32 W): W words, word i in
+    bytes 4i .. 4i + 3 little-endian, so buf[3::4] holds every word's
+    top byte, and one translate maps the accepted bytes to their draws
+    and deletes the rest.  A short block is followed by another from the
+    same stream.  The blocks run ahead of randrange, so rng must be
+    reseeded before its next use.  For q >= 256 this is the randrange
+    list itself.
+    """
+    if q >= 256:
+        randrange = rng.randrange
+        return [randrange(q) for _ in range(count)]
+    table, reject = _byte_tables(q)
+    getrandbits = rng.getrandbits
+    out = b""
+    while len(out) < count:
+        words = 2 * (count - len(out)) + 16  # acceptance is at least 1/2
+        out += getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(
+            table, reject
+        )
+    return out[:count]
+
+
 def _trace_zero_samples(
     cfg: GroupConfig,
     s: Q,
@@ -322,6 +367,7 @@ def _trace_zero_samples(
     samples: int,
     depth: int,
     seed: int,
+    bound: int = 10**6,
 ) -> Iterator[Tuple[int, LMatrix]]:
     """(k, sample) for each trace-zero sample k of phi + g_{x>-s}.
 
@@ -329,7 +375,8 @@ def _trace_zero_samples(
     for every entry (i, j), row-major, and every exponent from the
     strict bound at (x, -s) up to depth, ascending, and adds t^w times
     each draw to the homogeneous lift.  The draws stay plain ints until
-    the trace vanishes; only then is the matrix built.
+    the trace vanishes; only then is the matrix built.  More than
+    `bound` draws in all are refused before the first one.
     """
     q, n = cfg.q, cfg.n
     bounds = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
@@ -344,25 +391,34 @@ def _trace_zero_samples(
     for i in range(n):
         for w, c in lift.entry(i, i).coeffs:
             lift_trace[w] = lift_trace.get(w, 0) + c
+    spans = [[range(b, depth + 1) for b in row] for row in bounds]
+    total = sum(len(span) for row in spans for span in row)
+    if samples * total > bound:
+        raise InfeasibleError(
+            f"{samples} samples of {total} draws each exceed bound {bound}",
+            where="orbits.minimality_probe",
+        )
     slots = []  # (i, j, exponents, offset of the first draw)
     diagonal: Dict[int, List[int]] = {}  # exponent -> offsets of its diagonal draws
-    total = 0
+    offset = 0
     for i in range(n):
         for j in range(n):
-            span = range(bounds[i][j], depth + 1)
-            slots.append((i, j, span, total))
+            span = spans[i][j]
+            slots.append((i, j, span, offset))
             if i == j:
                 for k, w in enumerate(span):
-                    diagonal.setdefault(w, []).append(total + k)
-            total += len(span)
+                    diagonal.setdefault(w, []).append(offset + k)
+            offset += len(span)
     # one (lift coefficient, diagonal draw offsets) per exponent of the trace
     terms = [
         (lift_trace.get(w, 0), tuple(diagonal.get(w, ())))
         for w in sorted(set(lift_trace) | set(diagonal))
     ]
+    rng = random.Random()
+    reseed = rng.seed  # the same state as random.Random(f"{seed}:{k}")
     for k in range(samples):
-        randrange = random.Random(f"{seed}:{k}").randrange
-        draws = [randrange(q) for _ in range(total)]
+        reseed(f"{seed}:{k}")
+        draws = _uniform_draws(rng, q, total)
         if any((c + sum([draws[o] for o in offsets])) % q for c, offsets in terms):
             continue  # c_1 = -trace is nonzero: the sample is not nilpotent
         rows = [[None] * n for _ in range(n)]
@@ -380,6 +436,7 @@ def minimality_probe(
     samples: int = 200,
     depth: int = 3,
     seed: int = 0,
+    bound: int = 10**6,
 ) -> bool:
     """Falsification run for lift minimality; True means no counterexample.
 
@@ -393,10 +450,12 @@ def minimality_probe(
     nonzero trace proves the sample is not nilpotent, and a skipped
     sample is one the full check would pass over too.  A depth below
     every strict bound is refused: every sample would be the lift itself.
+    So is a probe of more than `bound` coefficient draws in all
+    (InfeasibleError), before the first draw.
     """
     s = Q(s)
     lift_orbit = debacker_lift(cfg, s, x, phi)
-    for _, sample in _trace_zero_samples(cfg, s, x, phi, samples, depth, seed):
+    for _, sample in _trace_zero_samples(cfg, s, x, phi, samples, depth, seed, bound):
         if sample.is_nilpotent():
             if not dominance_leq(lift_orbit, jordan_type(sample)):
                 return False

@@ -300,6 +300,20 @@ def test_lift_rejects_a_depth_that_draws_nothing(capsys):
     assert cli_error(err)["where"] == "orbits.minimality_probe"
 
 
+def test_lift_refuses_a_probe_beyond_the_bound(capsys):
+    lift = ("lift", "--x", "0,0,0", "--s", "1", "--phi", "1,2,1")
+    code, out, err = run_cli(capsys, "--n", "3", "--q", "7", *lift, "--depth", "100000")
+    assert code == 3 and out == ""
+    error = cli_error(err)
+    assert error["where"] == "orbits.minimality_probe" and "bound 1000000" in error["message"]
+    # 20 samples of 9 draws: refused under --bound 179, run under 180
+    small = ("--n", "3", "--q", "7")
+    probe = (*lift, "--depth", "0", "--samples", "20")
+    assert run_cli(capsys, *small, "--bound", "179", *probe)[0] == 3
+    code, out, _ = run_cli(capsys, *small, "--bound", "180", *probe)
+    assert code == 0 and json.loads(out)["minimality_probe"] is True
+
+
 def fresh_run(*argv):
     """rc, stdout and stderr of the CLI in a new interpreter."""
     src = Path(mptypes.__file__).resolve().parents[1]
@@ -416,6 +430,72 @@ def test_unreadable_matrix_is_rejected(capsys, tmp_path):
     vec_file.write_text(json.dumps(VECTOR))
     for path in bad_input_files(tmp_path):
         file_error(capsys, path, "solve", "--input", str(vec_file), "--matrix", str(path))
+
+
+PAIR = VECTOR["entries"][0][0]
+MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "normalization": "n"}
+
+
+@pytest.mark.parametrize(
+    "flag, content, where",
+    [
+        ("--input", [], "jsonio.mult_vector_from_json"),
+        ("--input", {}, "jsonio.mult_vector_from_json"),
+        ("--input", {"r": "0/1", "entries": {}}, "jsonio.mult_vector_from_json"),
+        ("--input", {"r": "0/1", "entries": [[PAIR]]}, "jsonio.mult_vector_from_json"),
+        ("--input", {"r": "0/1", "entries": [[PAIR, "2"]]}, "jsonio.mult_vector_from_json"),
+        ("--input", {"r": [0], "entries": []}, "jsonio.parse_frac"),
+        ("--input", {"r": "0/1", "entries": [[[], 1]]}, "jsonio.pair_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{"s": "1/1"}, 1]]}, "jsonio.pair_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[1, 2]]}, 1]]},
+         "jsonio.pair_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[1, 2, "a"]]}, 1]]},
+         "jsonio.pair_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "x": "0/1"}, 1]]},
+         "jsonio.point_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "lift": ["1"]}, 1]]},
+         "jsonio.orbit_from_json"),
+        ("--matrix", {}, "jsonio.matrix_from_json"),
+        ("--matrix", [], "jsonio.matrix_from_json"),
+        ("--matrix", {**MATRIX_KEYS, "orbits": [[1, 1], 2]}, "jsonio.orbit_from_json"),
+        ("--matrix", {**MATRIX_KEYS, "probes": ["p"]}, "jsonio.pair_from_json"),
+        ("--matrix", {**MATRIX_KEYS, "M": "1/1"}, "jsonio.matrix_from_json"),
+        ("--matrix", {**MATRIX_KEYS, "A": [["1/1", None]]}, "jsonio.parse_frac"),
+    ],
+    ids=[
+        "input-array", "input-empty", "entries-object", "entry-single", "count-str",
+        "r-array", "pair-array", "pair-keys", "phi-width", "phi-str", "x-str",
+        "lift-str", "matrix-empty", "matrix-array", "orbit-int",
+        "probe-str", "M-str", "A-null",
+    ],
+)
+def test_malformed_solve_files_are_rejected(capsys, tmp_path, flag, content, where):
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(content if flag == "--input" else VECTOR))
+    argv = ["solve", "--input", str(vec_file)]
+    if flag == "--matrix":
+        cm_file = tmp_path / "cm.json"
+        cm_file.write_text(json.dumps(content))
+        argv += ["--matrix", str(cm_file)]
+    code, out, err = run_cli(capsys, "--allow-small-p", *argv)
+    assert code == 2 and out == ""
+    assert cli_error(err)["where"] == where
+
+
+def test_solve_rejects_a_normalization_that_is_not_a_string(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "--allow-small-p", "measure")
+    matrix = json.loads(out)["matrix"]
+    matrix["normalization"] = 1  # valid otherwise; it would reach the writer
+    cm_file = tmp_path / "cm.json"
+    cm_file.write_text(json.dumps(matrix))
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps({"r": "0/1", "entries": [[p, 1] for p in matrix["probes"]]}))
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "solve", "--input", str(vec_file), "--matrix", str(cm_file),
+    )
+    assert code == 2 and out == ""
+    error = cli_error(err)
+    assert error["where"] == "jsonio.matrix_from_json" and "normalization" in error["message"]
 
 
 def test_unwritable_output_is_rejected(capsys, tmp_path):

@@ -144,3 +144,24 @@ def test_prime_field_is_plain_modular_arithmetic():
         if x:
             assert f.mul(x, f.inv(x)) == 1
             assert f.pow(x, -2) == pow(x * x, q - 2, q)
+
+
+@pytest.mark.parametrize("a", [4, 8])
+def test_xor_dot_matches_field_add_and_mul(a):
+    f = gf.ext_field(2, a)
+    rng = random.Random(f"xor-dot:{a}")
+
+    def dot(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = f.add(acc, f.mul(x, y))
+        return acc
+
+    for length in (0, 1, 2, 5, 17, 64):
+        for _ in range(30):
+            u = [rng.choice((0, rng.randrange(f.order))) for _ in range(length)]
+            v = [rng.randrange(f.order) for _ in range(length)]
+            assert gf._dot(u, v, f) == dot(u, v)
+    m = [[rng.randrange(f.order) for _ in range(4)] for _ in range(4)]
+    col = [[rng.randrange(f.order)] for _ in range(4)]
+    assert gf.mat_mul(m, col, f) == tuple((dot(row, [c[0] for c in col]),) for row in m)

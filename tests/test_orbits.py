@@ -8,7 +8,7 @@ import pytest
 
 from mptypes import orbits
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
-from mptypes.errors import ValidationError
+from mptypes.errors import InfeasibleError, ValidationError
 from mptypes.graded import (
     GradedElement,
     ReductiveQuotient,
@@ -375,7 +375,7 @@ def degenerate_instances(n, q, count, rng):
 def test_trace_first_probe_matches_the_old_loop_at_the_diagonal_bound():
     rng = random.Random("trace-first")
     zero_total = nil_total = 0
-    for n, q in ((2, 3), (3, 3), (3, 5), (4, 3)):
+    for n, q in ((2, 3), (3, 3), (3, 5), (4, 3), (2, 2), (3, 2), (3, 7), (2, 11), (3, 13)):
         for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
             depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]  # one draw per diagonal slot
             verdict, trace_zero, nilpotent = oracle_probe(cfg, s, x, el, 100, depth, seed)
@@ -411,3 +411,61 @@ def test_minimality_probe_refuses_a_depth_that_draws_nothing():
     assert minimality_probe(CFG2, 1, pt(0, 0), el, samples=5, depth=0)  # bounds are all 0
     with pytest.raises(ValidationError, match="draw nothing"):
         minimality_probe(CFG2, 1, pt(0, 0), el, samples=5, depth=-1)
+
+
+def test_minimality_probe_refuses_more_draws_than_the_bound():
+    el = GradedElement.make(CFG3, pt(0, 0, 0), -1, {(0, 1): 1})
+    # 9 entries, each drawn at exponents 0 .. depth (all strict bounds are 0 here)
+    assert minimality_probe(CFG3, 1, pt(0, 0, 0), el, samples=10, depth=1, bound=180)
+    with pytest.raises(InfeasibleError, match="exceed bound 179") as info:
+        minimality_probe(CFG3, 1, pt(0, 0, 0), el, samples=10, depth=1, bound=179)
+    assert info.value.where == "orbits.minimality_probe"
+    # refused before any draw or any layout work proportional to the depth
+    with pytest.raises(InfeasibleError):
+        minimality_probe(CFG3, 1, pt(0, 0, 0), el, samples=1, depth=10**12)
+
+
+# -- block draws against the randrange stream they reproduce ---------------
+
+
+class CountingRandom(random.Random):
+    """Counts getrandbits calls, to see which path a draw took."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def randrange_list(seed, q, count):
+    """The oracle: what the per-sample loop drew before block draws."""
+    rng = random.Random(seed)
+    return [rng.randrange(q) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", [*range(2, 256), 257])
+def test_uniform_draws_equal_the_randrange_list(q):
+    for seed in ("0:0", "7:199", "uniform", "-3:41"):
+        for count in (0, 1, 47, 500):
+            draws = orbits._uniform_draws(random.Random(seed), q, count)
+            assert list(draws) == randrange_list(seed, q, count)
+
+
+@pytest.mark.parametrize("q", [2, 17])
+def test_uniform_draws_top_up_a_short_block(q):
+    """At q = 2 and 17 about half the top bytes are rejected, so some first
+    blocks of 2 * 47 + 16 words hold fewer than 47 draws."""
+    topped_up = 0
+    for k in range(300):
+        rng = CountingRandom(f"short:{k}")
+        assert list(orbits._uniform_draws(rng, q, 47)) == randrange_list(f"short:{k}", q, 47)
+        topped_up += rng.calls > 1
+    assert topped_up >= 2
+
+
+def test_uniform_draws_take_one_block_per_sample_when_it_suffices():
+    rng = CountingRandom("one-block")
+    draws = orbits._uniform_draws(rng, 7, 82)  # as many draws as the largest lifts sample
+    # the byte path, not the randrange fallback, and no second block
+    assert rng.calls == 1 and isinstance(draws, bytes) and len(draws) == 82
