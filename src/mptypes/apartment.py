@@ -17,9 +17,11 @@ crossings and the checks of its certificate stay on integers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import ge, lt
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalFault, ValidationError
@@ -287,29 +289,28 @@ class GeodesicPlan:
 _WITNESSES = ((0, False), (0, True), (1, False), (1, True), (-1, False), (-1, True))
 
 
-def _six_bounds(X: Sequence[int], S: int, d: int) -> Tuple[Bounds, ...]:
-    """Bound matrices at x = X / d for levels 0, s and -s (s = S / d),
-    each non-strict then strict."""
-    return tuple(_bounds(X, sign * S, d, strict) for sign, strict in _WITNESSES)
-
-
-def _six_shapes(cfg: GroupConfig, x: ApartmentPoint, s: Q) -> Tuple[LatticeShape, ...]:
-    """The lattices at levels 0, s and -s, each non-strict then strict."""
-    d, X, (S,) = _scale(x.coords, s)
+def _six_flat(X: Sequence[int], S: int, d: int) -> Tuple[int, ...]:
+    """Bound matrices at x = X / d for levels 0, s and -s (s = S / d), each
+    non-strict then strict, row-major in one flat tuple of 6 n^2 ints: with
+    v = X_j - X_i, entry (i, j) at level L / d is ceil((L + v) / d), or
+    floor((L + v) / d) + 1 when strict."""
+    D = [xj - xi for xi in X for xj in X]
     return tuple(
-        LatticeShape(bounds=b, x=x, s=sign * s, strict=strict)
-        for b, (sign, strict) in zip(_six_bounds(X, S, d), _WITNESSES)
+        [-(-v // d) for v in D]
+        + [v // d + 1 for v in D]
+        + [-((-S - v) // d) for v in D]
+        + [(S + v) // d + 1 for v in D]
+        + [-((S - v) // d) for v in D]
+        + [(v - S) // d + 1 for v in D]
     )
 
 
-def _chain_ok(xn: Bounds, xs: Bounds, yn: Bounds, ys: Bounds) -> bool:
-    """L_{x>} <= L_{y>} <= L_{y>=} <= L_{x>=} for the given bound matrices
-    (n: non-strict, s: strict); a larger bound is a smaller lattice."""
-    return all(
-        a >= b >= c >= e
-        for ra, rb, rc, re in zip(xs, ys, yn, xn)
-        for a, b, c, e in zip(ra, rb, rc, re)
-    )
+def _chain_ok(x: Sequence[int], y: Sequence[int], i: int, j: int, k: int) -> bool:
+    """L_{x>} <= L_{y>} <= L_{y>=} <= L_{x>=}, where x[i:j] and y[i:j] are
+    flat non-strict bound matrices and x[j:k] and y[j:k] the strict ones;
+    a larger bound is a smaller lattice."""
+    xn, xs, yn, ys = x[i:j], x[j:k], y[i:j], y[j:k]
+    return all(map(ge, xs, ys)) and all(map(ge, ys, yn)) and all(map(ge, yn, xn))
 
 
 def inclusion_chain_ok(
@@ -322,12 +323,8 @@ def inclusion_chain_ok(
     """
     dx, X, (Lx,) = _scale(x.coords, level_x)
     dy, Y, (Ly,) = _scale(y.coords, level_y)
-    return _chain_ok(
-        _bounds(X, Lx, dx, False),
-        _bounds(X, Lx, dx, True),
-        _bounds(Y, Ly, dy, False),
-        _bounds(Y, Ly, dy, True),
-    )
+    N = len(X) * len(X)
+    return _chain_ok(_six_flat(X, Lx, dx), _six_flat(Y, Ly, dy), 2 * N, 3 * N, 4 * N)
 
 
 class _Geodesic:
@@ -349,9 +346,9 @@ class _Geodesic:
         X = [c * u + a * v for u, v in zip(self.X0, self.X1)]
         return X, c * self.S0 + a * self.S1, b * self.d
 
-    def six(self, a: int, b: int) -> Tuple[Bounds, ...]:
-        """The six witness matrices of `_six_shapes` at t = a / b."""
-        return _six_bounds(*self.at(a, b))
+    def six(self, a: int, b: int) -> Tuple[int, ...]:
+        """The six witness matrices at t = a / b, flat (`_six_flat`)."""
+        return _six_flat(*self.at(a, b))
 
 
 def breakpoints(
@@ -378,7 +375,7 @@ def breakpoints(
 
     path = _Geodesic(x0, s0, x1, s1)
     d, X0, X1 = path.d, path.X0, path.X1
-    cuts = {Q(0), Q(1)}
+    cuts = {(0, 1), (1, 1)}  # t = a / b as reduced pairs with b > 0
     for i in range(cfg.n):
         for j in range(cfg.n):
             alpha0, alpha1 = X0[i] - X0[j], X1[i] - X1[j]
@@ -390,43 +387,61 @@ def breakpoints(
                 # the root t = (w d + b0) / (b0 - b1) lies in [0, 1]
                 # exactly when w d lies between -b0 and -b1
                 lo, hi = min(-b0, -b1), max(-b0, -b1)
+                sign = 1 if b0 > b1 else -1
                 for w in range(-(-lo // d), hi // d + 1):
-                    cuts.add(Q(w * d + b0, b0 - b1))
-    ts = tuple(sorted(cuts))
-
-    bare = GeodesicPlan(x0=x0, s0=s0, x1=x1, s1=s1, ts=ts, intervals=())
-    mids = [(lo + hi) / 2 for lo, hi in zip(ts, ts[1:])]
-    plan = replace(
-        bare,
-        intervals=tuple(
-            IntervalCertificate(sample=u, shapes=_six_shapes(cfg, *bare.point_at(u)))
-            for u in mids
-        ),
+                    g = sign * gcd(w * d + b0, b0 - b1)  # has the sign of b0 - b1
+                    cuts.add(((w * d + b0) // g, (b0 - b1) // g))
+    L = lcm(*(b for _, b in cuts))
+    T = sorted(a * (L // b) for a, b in cuts)  # the cuts over L
+    n, intervals = cfg.n, []
+    for lo, hi in zip(T, T[1:]):
+        # the sample (lo + hi) / 2L: one Fraction per coordinate and level
+        X, S, D = path.at(lo + hi, 2 * L)
+        x, s = ApartmentPoint(tuple(Q(c, D) for c in X)), Q(S, D)
+        levels, six = (Q(0), s, -s), _six_flat(X, S, D)  # levels[sign] is sign * s
+        rows = [six[r:r + n] for r in range(0, len(six), n)]
+        shapes = tuple(
+            LatticeShape(bounds=tuple(rows[k * n:k * n + n]), x=x, s=levels[sign], strict=strict)
+            for k, (sign, strict) in enumerate(_WITNESSES)
+        )
+        intervals.append(IntervalCertificate(sample=Q(lo + hi, 2 * L), shapes=shapes))
+    plan = GeodesicPlan(
+        x0=x0, s0=s0, x1=x1, s1=s1, ts=tuple(Q(t, L) for t in T), intervals=tuple(intervals)
     )
     verify_plan(cfg, plan)
     return plan
 
 
 def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int = 2) -> None:
-    """Re-check interval constancy and breakpoint chains; fault on failure.
+    """Re-check coverage, interval constancy and breakpoint chains; fault on failure.
 
-    Everything is recomputed on integers from the plan's endpoints, not
-    read from the certificate: on each interval the six witnesses at the
-    sample and at `samples_per_interval` evenly spaced interior points
-    must equal the certified shapes, and at each breakpoint t the
-    inclusion chains at levels (0, 0), (s_t, tau_u) and (-s_t, -tau_u)
-    must hold against the sample u of each neighbouring interval.
+    The breakpoints must rise strictly from 0 to 1, one certificate per
+    interval with its sample strictly inside.  The rest is recomputed on
+    integers from the plan's endpoints, not read from the certificate: on
+    each interval the six witnesses at the sample and at
+    `samples_per_interval` evenly spaced interior points must equal the
+    certified shapes, and at each breakpoint t the inclusion chains at
+    levels (0, 0), (s_t, tau_u) and (-s_t, -tau_u) must hold against the
+    sample u of each neighbouring interval.
     """
+    ts, certs, where = plan.ts, plan.intervals, "apartment.verify_plan"
+    if not ts or ts[0] != 0 or ts[-1] != 1 or not all(map(lt, ts, ts[1:])):
+        raise InternalFault("breakpoints do not rise strictly from 0 to 1", where=where)
+    if len(certs) != len(ts) - 1:
+        raise InternalFault(f"{len(certs)} certificates for {len(ts) - 1} intervals", where=where)
     path = _Geodesic(plan.x0, plan.s0, plan.x1, plan.s1)
-    ts = plan.ts
-    at_sample = [path.six(c.sample.numerator, c.sample.denominator) for c in plan.intervals]
+    n, N = cfg.n, cfg.n * cfg.n
+    at_sample = [path.six(c.sample.numerator, c.sample.denominator) for c in certs]
     parts = samples_per_interval + 1
-    flags = tuple(strict for _, strict in _WITNESSES)
-    for k, cert in enumerate(plan.intervals):
+    flags, widths = [strict for _, strict in _WITNESSES], [n] * (6 * n)
+    for k, cert in enumerate(certs):
         lo, hi = ts[k], ts[k + 1]
-        if lo == hi:
-            continue
-        ref = tuple((sh.strict, sh.bounds) for sh in cert.shapes)
+        if not lo < cert.sample < hi:
+            raise InternalFault(f"sample {cert.sample} not inside ({lo}, {hi})", where=where)
+        # six n x n shapes with the witness flags, their bounds flattened once
+        rows = [row for sh in cert.shapes for row in sh.bounds]
+        ok = [sh.strict for sh in cert.shapes] == flags and list(map(len, rows)) == widths
+        ref = tuple(chain.from_iterable(rows))
         # the sample, then u_j = lo + (hi - lo) j / parts = a_j / b
         b = lo.denominator * hi.denominator * parts
         interior = (
@@ -436,10 +451,10 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int 
         sample = (cert.sample.numerator, cert.sample.denominator)
         points = [(at_sample[k], sample)] + [(path.six(a, b), (a, b)) for a in interior]
         for six, u in points:
-            if tuple(zip(flags, six)) != ref:
+            if not ok or six != ref:
                 raise InternalFault(
                     f"filtration shapes not constant on ({lo}, {hi}) at t = {Q(*u)}",
-                    where="apartment.verify_plan",
+                    where=where,
                 )
     for k, t in enumerate(ts):
         at_t = path.six(t.numerator, t.denominator)
@@ -447,14 +462,11 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int 
             if not 0 <= m < len(ts) - 1:
                 continue
             at_u = at_sample[m]
-            if not all(
-                _chain_ok(at_t[2 * v], at_t[2 * v + 1], at_u[2 * v], at_u[2 * v + 1])
-                for v in range(3)
-            ):
+            if not all(_chain_ok(at_t, at_u, v, v + N, v + 2 * N) for v in (0, 2 * N, 4 * N)):
                 raise InternalFault(
                     f"inclusion chains fail at breakpoint t = {t} "
-                    f"against t = {plan.intervals[m].sample}",
-                    where="apartment.verify_plan",
+                    f"against t = {certs[m].sample}",
+                    where=where,
                 )
 
 
@@ -472,6 +484,8 @@ def convexity_check(
         raise ValidationError("t must lie in [0, 1]", where="apartment.convexity_check")
     check_point(cfg, x0, where="apartment.convexity_check")
     check_point(cfg, x1, where="apartment.convexity_check")
+    check_level(cfg, s0, where="apartment.convexity_check")
+    check_level(cfg, s1, where="apartment.convexity_check")
     path = _Geodesic(x0, s0, x1, s1)
     v0, v1, vt = (
         _bounds(*path.at(a, b), False)

@@ -56,6 +56,11 @@ def frac_str(x: Q | int) -> str:
 
 
 def parse_frac(s: str | int) -> Q:
+    """A rational from its "a/b" string or an int; a float or bool is refused."""
+    if isinstance(s, (float, bool)):
+        raise ValidationError(
+            f"bad rational {s!r}: not an a/b string or an integer", where="jsonio.parse_frac"
+        )
     try:
         return Q(s)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -175,15 +180,26 @@ def pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
     return pair
 
 
-def shape_to_json(sh: LatticeShape) -> Dict[str, Any]:
+def shape_to_json(sh: LatticeShape, x: List[str] | None = None) -> Dict[str, Any]:
+    """The shape's JSON; `x`, when given, is `point_to_json(sh.x)` made already."""
     return {
         "bounds": [list(r) for r in sh.bounds],
         "provenance": {
-            "x": point_to_json(sh.x),
+            "x": point_to_json(sh.x) if x is None else x,
             "s": frac_str(sh.s),
             "strict": sh.strict,
         },
     }
+
+
+def _shapes_to_json(shapes: Sequence[LatticeShape]) -> List[Dict[str, Any]]:
+    """`shape_to_json` of each shape, formatting a point shared by neighbours once."""
+    out, x, x_json = [], None, None
+    for sh in shapes:
+        if sh.x is not x:
+            x, x_json = sh.x, point_to_json(sh.x)
+        out.append(shape_to_json(sh, x_json))
+    return out
 
 
 def plan_to_json(cfg: GroupConfig, plan: GeodesicPlan) -> Dict[str, Any]:
@@ -198,7 +214,7 @@ def plan_to_json(cfg: GroupConfig, plan: GeodesicPlan) -> Dict[str, Any]:
         "intervals": [
             {
                 "sample": frac_str(cert.sample),
-                "shapes": [shape_to_json(sh) for sh in cert.shapes],
+                "shapes": _shapes_to_json(cert.shapes),
             }
             for cert in plan.intervals
         ],
@@ -281,7 +297,7 @@ def mult_vector_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> Multipli
     where = "jsonio.mult_vector_from_json"
     _fields(data, "the multiplicity vector", where, "r", "entries")
     rows = _items(data["entries"], "entries", where, list, 2)
-    if not all(isinstance(n, int) for _, n in rows):
+    if not all(type(n) is int for _, n in rows):
         raise ValidationError("a multiplicity is not an integer", where=where)
     entries = {pair_from_json(cfg, p): int(n) for p, n in rows}
     return MultiplicityVector.make(

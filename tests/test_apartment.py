@@ -14,6 +14,7 @@ from mptypes.apartment import (
     ApartmentPoint,
     GeodesicPlan,
     GroupConfig,
+    LatticeShape,
     breakpoints,
     convexity_check,
     graded_support,
@@ -242,10 +243,19 @@ def test_level_zero_jump_inside_an_interval_is_caught():
     )
     with pytest.raises(InternalFault, match=r"not constant on \(0, 1\) at t = 2/3"):
         verify_plan(cfg, forged)
-    # a certificate whose sample lies past the jump is refused at the sample
+    # the right interval's certificate stretched over (0, 1) is refused at 1/3
+    forged = dataclasses.replace(forged, intervals=(plan.intervals[1],))
+    with pytest.raises(InternalFault, match=r"not constant on \(0, 1\) at t = 1/3"):
+        verify_plan(cfg, forged)
+    # a certificate whose sample lies past the jump is refused as outside its interval
     moved = dataclasses.replace(plan.intervals[0], sample=Q(3, 4))
     forged = dataclasses.replace(plan, intervals=(moved, plan.intervals[1]))
-    with pytest.raises(InternalFault, match=r"not constant on \(0, 1/2\) at t = 3/4"):
+    with pytest.raises(InternalFault, match=r"sample 3/4 not inside \(0, 1/2\)"):
+        verify_plan(cfg, forged)
+    # the shapes from past the jump are refused at the sample
+    swapped = dataclasses.replace(plan.intervals[0], shapes=plan.intervals[1].shapes)
+    forged = dataclasses.replace(plan, intervals=(swapped, plan.intervals[1]))
+    with pytest.raises(InternalFault, match=r"not constant on \(0, 1/2\) at t = 1/4"):
         verify_plan(cfg, forged)
 
 
@@ -284,6 +294,46 @@ def oracle_chain(x, level_x, y, level_y):
     return contains(ys, xs) and contains(yn, ys) and contains(xn, yn)
 
 
+def flat(matrices):
+    return tuple(v for b in matrices for row in b for v in row)
+
+
+def scaled(x, s):
+    d, X, (S,) = apartment._scale(x.coords, s)
+    return X, S, d
+
+
+# the nested six-witness kernel and the Fraction-path certificate builder
+# that the flat kernel and the scaled-path builder replaced, kept as oracles
+
+
+def oracle_six_bounds(X, S, d):
+    return tuple(
+        apartment._bounds(X, sign * S, d, strict) for sign, strict in apartment._WITNESSES
+    )
+
+
+def oracle_six_shapes(x, s):
+    return tuple(
+        LatticeShape(bounds=b, x=x, s=sign * s, strict=strict)
+        for b, (sign, strict) in zip(oracle_six_bounds(*scaled(x, s)), apartment._WITNESSES)
+    )
+
+
+def oracle_cuts(x0, s0, x1, s1):
+    """Sorted t in [0, 1] where w + x_t,i - x_t,j - level_t = 0, level_t in {s_t, -s_t, 0}."""
+    cuts = {Q(0), Q(1)}
+    pairs = [(a - b, c - e) for a, c in zip(x0.coords, x1.coords)
+             for b, e in zip(x0.coords, x1.coords)]
+    for a0, a1 in pairs:
+        for l0, l1 in ((s0, s1), (-s0, -s1), (Q(0), Q(0))):
+            b0, b1 = a0 - l0, a1 - l1
+            if b0 != b1:
+                for w in range(ceil(min(-b0, -b1)), floor(max(-b0, -b1)) + 1):
+                    cuts.add((w + b0) / (b0 - b1))
+    return tuple(sorted(cuts))
+
+
 def random_point(rng, n, denoms):
     return ApartmentPoint.of([Q(rng.randrange(-40, 41), rng.choice(denoms)) for _ in range(n)])
 
@@ -312,10 +362,11 @@ def test_integer_kernel_matches_fraction_oracle():
                 got = inclusion_chain_ok(cfg, x, level, y, level_y)
                 assert got == oracle_chain(x, level, y, level_y)
                 verdicts.add(got)
-            assert [sh.bounds for sh in apartment._six_shapes(cfg, x, s)] == [
+            assert apartment._six_flat(*scaled(x, s)) == flat(
                 oracle_bounds(x, lv, st) for lv in (0, s, -s) for st in (False, True)
-            ]
-            # convexity checks its endpoints against m; its levels are unchecked
+            )
+            # convexity checks its endpoints and levels against m, so it runs
+            # under an m that every denominator here divides
             x0, x1 = random_point(rng, n, [1, 2, 4, 8]), random_point(rng, n, [1, 2, 4, 8])
             s1, t = Q(rng.randrange(-40, 41), rng.choice(denoms)), Q(rng.randrange(0, 9), 8)
             xt = ApartmentPoint(tuple((1 - t) * a + t * b for a, b in zip(x0.coords, x1.coords)))
@@ -326,7 +377,7 @@ def test_integer_kernel_matches_fraction_oracle():
             expected = all(
                 max(a, b) >= c for r0, r1, rt in zip(v0, v1, vt) for a, b, c in zip(r0, r1, rt)
             )
-            assert convexity_check(cfg, x0, s, x1, s1, t) == expected
+            assert convexity_check(cfgn(n, m=1680), x0, s, x1, s1, t) == expected
     assert verdicts == {True, False}
 
 
@@ -347,11 +398,146 @@ def test_path_bounds_match_six_shapes_at_plan_points():
             ]
             samples = [cert.sample for cert in plan.intervals]
             for u in list(plan.ts) + samples + interior:
-                assert path.six(u.numerator, u.denominator) == tuple(
-                    sh.bounds for sh in apartment._six_shapes(cfg, *plan.point_at(u))
+                assert path.six(u.numerator, u.denominator) == flat(
+                    sh.bounds for sh in oracle_six_shapes(*plan.point_at(u))
                 )
             # an unreduced t = a / b gives the same point
             u = interior[0]
             assert path.six(3 * u.numerator, 3 * u.denominator) == path.six(
                 u.numerator, u.denominator
             )
+
+
+def test_flat_kernel_and_certificates_match_the_nested_oracles():
+    rng = random.Random(21)
+    denoms = [1, 2, 3, 4, 5, 6, 7, 8, 12, 48]
+    negative = 0
+    for n in (2, 3, 4, 5):
+        cfg = cfgn(n, m=1680)  # every denominator here divides m
+        for _ in range(12 if n < 5 else 6):
+            d0, d1 = rng.choice(denoms), rng.choice(denoms)
+            x0, x1 = (
+                ApartmentPoint.of([Q(rng.randrange(-2 * d, 2 * d + 1), d) for _ in range(n)])
+                for d in (d0, d1)
+            )
+            s0, s1 = (Q(rng.randrange(-2 * d, 2 * d + 1), d) for d in (d0, d1))
+            negative += s0 < 0 or s1 < 0
+            plan = breakpoints(cfg, x0, s0, x1, s1)
+            assert plan.ts == oracle_cuts(x0, s0, x1, s1)
+            path = apartment._Geodesic(x0, s0, x1, s1)
+            for lo, hi, cert in zip(plan.ts, plan.ts[1:], plan.intervals):
+                u = (lo + hi) / 2
+                x, s = plan.point_at(u)
+                assert cert == apartment.IntervalCertificate(
+                    sample=u, shapes=oracle_six_shapes(x, s)
+                )
+                for t in (lo, u, lo + (hi - lo) / 3):
+                    X, S, d = path.at(t.numerator, t.denominator)
+                    assert apartment._six_flat(X, S, d) == flat(oracle_six_bounds(X, S, d))
+    assert negative > 10
+
+
+FORGE = (pt(0, Q(1, 2), 0), Q(1, 2), pt(Q(3, 4), -1, 0), Q(3, 4))
+
+
+def test_verify_plan_refuses_a_plan_stopping_short_of_one():
+    cfg = cfgn(3, m=16)
+    plan = breakpoints(cfg, *FORGE)
+    assert plan.ts[:2] == (Q(0), Q(2, 9))
+    forged = dataclasses.replace(plan, ts=plan.ts[:2], intervals=plan.intervals[:1])
+    with pytest.raises(InternalFault, match="do not rise strictly from 0 to 1") as err:
+        verify_plan(cfg, forged)
+    assert err.value.where == "apartment.verify_plan"
+
+
+def test_verify_plan_refuses_reversed_breakpoints():
+    cfg = cfgn(3, m=16)
+    plan = breakpoints(cfg, *FORGE)
+    forged = dataclasses.replace(plan, ts=plan.ts[::-1], intervals=plan.intervals[::-1])
+    with pytest.raises(InternalFault, match="do not rise strictly from 0 to 1"):
+        verify_plan(cfg, forged)
+    # from 0 to 1, but not increasing in between
+    ts = (Q(0), plan.ts[2], plan.ts[1]) + plan.ts[3:]
+    forged = dataclasses.replace(plan, ts=ts)
+    with pytest.raises(InternalFault, match="do not rise strictly from 0 to 1") as err:
+        verify_plan(cfg, forged)
+    assert err.value.where == "apartment.verify_plan"
+
+
+def test_verify_plan_refuses_one_certificate_too_few():
+    cfg = cfgn(3, m=16)
+    plan = breakpoints(cfg, *FORGE)
+    forged = dataclasses.replace(plan, intervals=plan.intervals[:-1])
+    with pytest.raises(InternalFault, match="7 certificates for 8 intervals") as err:
+        verify_plan(cfg, forged)
+    assert err.value.where == "apartment.verify_plan"
+
+
+def test_convexity_check_refuses_a_level_beyond_m():
+    cfg = cfgn(3, m=16)
+    x0, x1 = pt(0, Q(1, 2), 0), pt(Q(3, 4), -1, 0)
+    with pytest.raises(ValidationError, match="level 1/7") as err:
+        convexity_check(cfg, x0, Q(1, 7), x1, Q(3, 4), Q(1, 2))
+    assert err.value.where == "apartment.convexity_check"
+    with pytest.raises(ValidationError, match="level 1/7"):
+        convexity_check(cfg, x0, Q(3, 4), x1, Q(1, 7), Q(1, 2))
+    assert convexity_check(cfg, x0, Q(1, 16), x1, Q(3, 4), Q(1, 2))
+
+
+def test_verify_plan_compares_flags_and_shapes_not_only_the_flat_bounds():
+    cfg = cfgn(3, m=16)
+    plan = breakpoints(cfg, *FORGE)
+    cert = plan.intervals[0]
+
+    def forge(shapes):
+        certs = (dataclasses.replace(cert, shapes=shapes),) + plan.intervals[1:]
+        return dataclasses.replace(plan, intervals=certs)
+
+    # the first two flags swapped: the same bounds in the same order
+    a, b = cert.shapes[:2]
+    swapped = (dataclasses.replace(a, strict=True), dataclasses.replace(b, strict=False))
+    with pytest.raises(InternalFault, match=r"not constant on \(0, 2/9\) at t = 1/9"):
+        verify_plan(cfg, forge(swapped + cert.shapes[2:]))
+    # the same flat bounds regrouped into rows of 1, 2 and 6, then 4, 4 and 1 entries
+    values = flat(sh.bounds for sh in cert.shapes[:2])
+    regrouped = (values[:1], values[1:3], values[3:9]), (values[9:13], values[13:17], values[17:])
+    shapes = tuple(dataclasses.replace(sh, bounds=bd) for sh, bd in zip(cert.shapes, regrouped))
+    assert flat(sh.bounds for sh in shapes) == values
+    with pytest.raises(InternalFault, match=r"not constant on \(0, 2/9\) at t = 1/9"):
+        verify_plan(cfg, forge(shapes + cert.shapes[2:]))
+
+
+def test_chains_refuse_a_breakpoint_dropped_near_an_interval_start():
+    # Dropping a breakpoint c of (lo, c, hi) with c - lo < (hi - lo) / 3 and
+    # keeping the certificate of (c, hi) passes every constancy point, so
+    # only the chains at lo can refuse the plan.  Levels s and -s always
+    # fail together (entry (i, j) at -s mirrors entry (j, i) at s); cover a
+    # failure at level 0 alone and one at s and -s alone.
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(40):
+        n = rng.choice((2, 3))
+        cfg = cfgn(n, m=16)
+        x0, x1 = (random_point(rng, n, [4, 8, 16]) for _ in range(2))
+        s0, s1 = (Q(rng.randrange(-40, 41), 16) for _ in range(2))
+        plan = breakpoints(cfg, x0, s0, x1, s1)
+        for k in range(1, len(plan.ts) - 1):
+            lo, c, hi = plan.ts[k - 1:k + 2]
+            if 3 * (c - lo) >= hi - lo:
+                continue
+            (x, s), (y, tau) = plan.point_at(lo), plan.point_at(plan.intervals[k].sample)
+            failing = tuple(
+                not oracle_chain(x, lv, y, lu) for lv, lu in ((0, 0), (s, tau), (-s, -tau))
+            )
+            forged = dataclasses.replace(
+                plan,
+                ts=plan.ts[:k] + plan.ts[k + 1:],
+                intervals=plan.intervals[:k - 1] + plan.intervals[k:],
+            )
+            if any(failing):
+                with pytest.raises(InternalFault, match=f"fail at breakpoint t = {lo} "):
+                    verify_plan(cfg, forged)
+            else:
+                verify_plan(cfg, forged)
+            seen.add(failing)
+    assert {(True, False, False), (False, True, True)} <= seen

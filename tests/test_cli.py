@@ -1,9 +1,11 @@
 """Command surface: determinism, worked instances, exit codes."""
 
+import hashlib
 import importlib
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +54,69 @@ def test_breakpoints_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["plan"]["breakpoints"] == ["0/1", "1/1"]
+
+def pinned_geodesics():
+    """30 seeded geodesics of GL_2, GL_3 and GL_4 at m = 16, levels of both signs."""
+    rng = random.Random("breakpoints-pin")
+    out = []
+    for n in (2, 3, 4):
+        for _ in range(10):
+            d0, d1 = rng.choice((1, 2, 4, 8, 16)), rng.choice((1, 2, 4, 8, 16))
+            x0, x1 = (
+                [f"{rng.randrange(-2 * d, 2 * d + 1)}/{d}" for _ in range(n - 1)] + ["0"]
+                for d in (d0, d1)
+            )
+            s0, s1 = (f"{rng.randrange(-2 * d, 2 * d + 1)}/{d}" for d in (d0, d1))
+            out.append((n, ",".join(x0), s0, ",".join(x1), s1))
+    return out
+
+
+# sha256 of each geodesic's `breakpoints` stdout, recorded before the flat
+# six-witness kernel replaced the nested one; any change to these bytes is
+# a format change
+BREAKPOINTS_SHA256 = (
+    "1ba90945760df378cc9feaf27b55c684b7662ab93fec9857b88e153229d7ccab",
+    "56115b5002545fb596bbfbfd8208b27ed95645d063f08667fa62e144de96f548",
+    "948db0f39c495e045d82d4ee16d1e31bb29bfffbeeaae0f53fb9992c6859a753",
+    "229e160e576816e3db232ebcfe4927d7a2b0444ef79b0d476b7d91481175852a",
+    "e6a638238ad25275422127ea272a8aee9ca548ab1e27d3c83802c298c4b7ac6b",
+    "537980f576d75edffe00e15156ea1ea7039f8b64414f16f0b74709f5ff236e2a",
+    "f98a475571960f75fa7e49eb26449211ced02da9421c97acb4753a4076c8e984",
+    "e7355b66f4712c518c287079ffbbf2fefad091a1c9e8e8ecc8f59b375eea7b2c",
+    "7c15c80cc66ecbb7af7a8a733121ce2b119ad3dff0a023858099383667515ff9",
+    "87ebf1b8b7685e166c10d2df5244691193f36c0a5e04695d2573367407aa47d8",
+    "6cb3a37e68b6da256f2d5d154ff971a9c64e9aecc3f4ad325ee224235e00c29a",
+    "959664689253134cceb2fa5345e65b49a7d30f60cbda4863544c35d20f96e83d",
+    "d14de562038458a59d769e35b7aa5812f9d00f6366a4dd5104b2f864b11b98eb",
+    "107f37a9a7046043cb89423da5c8834103d0ac4065af35e5791dae15da38c5ce",
+    "6cb8e04d0aa80ae510f08b0b9595b0845fef23daa89305d2e9e70daa21468a3a",
+    "0a5071b9db0ad99a645dc36f784c05a49424039a9a82933f07bfece207066dba",
+    "b8d1b17337b511f1c08f95a4de8e0ff1b4c3d60b2183ca35f1457ce09eb8779c",
+    "dcbe9722c5ed5e7543a1bb8e744d4b7d28753025b0cc73aa657404b7bb44544b",
+    "a0cafb60d43474ec9648ab53d80e1af398aa5ef181f3127a43a657c5c8400efd",
+    "673f30bd68c380aa0ad79c799dad01dae504d0f67d426206d11bb7355ba08ec1",
+    "bdb0aaa3c388e89e82d525757191ffc7f9a1dab3fc7925b05b45885e6521d104",
+    "a957fd17acd2bae6c3247b21ff074844113c6961cb8af78acad2ad56a5ea2968",
+    "f94b66e0fb49f8393cc495975e9ae12e3d661afeb094bc62afa61872ff302e22",
+    "413677a92dee97d84c2dc197b0518d44da266cde262f53ce0634a631a1e225b7",
+    "6f1c4306564e1d38c83c3253bd3c087f4cd00ae5d781bdbc716d193aa868b8d8",
+    "14b7cbb5e2a690597018a1a751945db259caa08044c34d443bb85f8aabb2d1b4",
+    "3e8dd092fc066ebfc39d2d8cbf9266683d0fe42d224f7b838a82c433b5e510db",
+    "f9cc057d306c5692b5f640ebf5a40f0db77e94b15a8e9b83d2065e9b114b255c",
+    "80bfd1737fd772d4282a40aac05b37f152e1ae96ec2e5fbe67d822a4e5e03bf9",
+    "a299dc9de3639dded8638aeb2c52a15141279255ec4c41f893d3ebe9e42d92c8",
+)
+
+
+@pytest.mark.parametrize("k", range(30))
+def test_breakpoints_bytes_are_pinned(capsys, k):
+    n, x0, s0, x1, s1 = pinned_geodesics()[k]
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "--n", str(n), "--m", "16", "breakpoints",
+        f"--x0={x0}", f"--s0={s0}", f"--x1={x1}", f"--s1={s1}",
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BREAKPOINTS_SHA256[k]
 
 
 def test_refine_command_worked_instance(capsys):
@@ -445,6 +510,11 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
         ("--input", {"r": "0/1", "entries": [[PAIR]]}, "jsonio.mult_vector_from_json"),
         ("--input", {"r": "0/1", "entries": [[PAIR, "2"]]}, "jsonio.mult_vector_from_json"),
         ("--input", {"r": [0], "entries": []}, "jsonio.parse_frac"),
+        ("--input", {"r": 0.1, "entries": []}, "jsonio.parse_frac"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "s": 1.0}, 1]]}, "jsonio.parse_frac"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "x": [0.5, 0]}, 1]]},
+         "jsonio.parse_frac"),
+        ("--input", {"r": "0/1", "entries": [[PAIR, True]]}, "jsonio.mult_vector_from_json"),
         ("--input", {"r": "0/1", "entries": [[[], 1]]}, "jsonio.pair_from_json"),
         ("--input", {"r": "0/1", "entries": [[{"s": "1/1"}, 1]]}, "jsonio.pair_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[1, 2]]}, 1]]},
@@ -464,7 +534,8 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
     ],
     ids=[
         "input-array", "input-empty", "entries-object", "entry-single", "count-str",
-        "r-array", "pair-array", "pair-keys", "phi-width", "phi-str", "x-str",
+        "r-array", "r-float", "s-float", "x-float", "count-bool",
+        "pair-array", "pair-keys", "phi-width", "phi-str", "x-str",
         "lift-str", "matrix-empty", "matrix-array", "orbit-int",
         "probe-str", "M-str", "A-null",
     ],

@@ -33,6 +33,14 @@ def test_frac_forms():
         jsonio.parse_frac("1/0")
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+def test_parse_frac_refuses_floats_and_bools(value):
+    with pytest.raises(ValidationError, match="not an a/b string") as err:
+        jsonio.parse_frac(value)
+    assert err.value.where == "jsonio.parse_frac"
+    assert jsonio.parse_frac(-3) == Q(-3)
+
+
 def test_pair_round_trip():
     x = ApartmentPoint.of([Q(1, 2), 0])
     phi = GradedElement.make(CFG, x, Q(-1, 2), {(0, 1): 2})
