@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from . import jsonio
 from .apartment import ApartmentPoint, GroupConfig, breakpoints, graded_support, mp_lattice
-from .errors import ToolkitError, ValidationError
+from .errors import InfeasibleError, ToolkitError, ValidationError
 from .graded import GradedElement, homogeneous_lift
 from .measures import ProbeSet, build_measure_table, independence_check, measure_vector, relation_lattice
 from .orbits import minimality_probe, partitions_of, sl2_complete
@@ -46,16 +46,22 @@ def _parse_point(cfg: GroupConfig, text: str, *, flag: str) -> ApartmentPoint:
 
 
 def _parse_phi(cfg: GroupConfig, x: ApartmentPoint, s: Q, text: str) -> GradedElement:
-    """Coefficients as 1-based triples 'i,j,c' separated by ';'; '0' is zero."""
+    """Coefficients as 1-based triples 'i,j,c' separated by ';'; '0' is zero.
+
+    A triple that is not three integers, or a position given twice, is
+    rejected input.
+    """
     text = text.strip()
     if text in ("", "0"):
         return GradedElement.zero(x, -s)
     coeffs: Dict = {}
     for item in text.split(";"):
-        parts = [p.strip() for p in item.split(",")]
-        if len(parts) != 3:
-            raise ValidationError(f"bad coefficient triple {item!r}", where="cli")
-        i, j, c = int(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            i, j, c = (int(p) for p in item.split(","))
+        except ValueError:
+            raise ValidationError(f"bad coefficient triple {item!r}", where="cli") from None
+        if (i - 1, j - 1) in coeffs:
+            raise ValidationError(f"position ({i},{j}) given twice in --phi", where="cli")
         coeffs[(i - 1, j - 1)] = c
     return GradedElement.make(cfg, x, -s, coeffs)
 
@@ -269,6 +275,10 @@ def _cmd_refine(cfg, args) -> dict:
     coarse = DMPPair.make(cfg, tau, y, phi)
     x = _parse_point(cfg, args.x, flag="--x")
     s = jsonio.parse_frac(args.s)
+    if args.modules > args.bound:
+        raise InfeasibleError(
+            f"{args.modules} modules exceed bound {args.bound}", where="cli.refine"
+        )
     # classified once, with the cross-check; the relation and the fork
     # identity both read this result
     classes = enumerate_and_classify(cfg, coarse, (x, s), bound=args.bound)

@@ -140,6 +140,10 @@ class FiniteModule:
         _check_field(cfg, field, where="finite_types.FiniteModule")
         if zeta is None:
             zeta = field.root_of_unity(cfg.q)
+        elif field.pow(zeta, cfg.q) != field.one:
+            raise ValidationError(
+                "zeta is not a p-th root of unity", where="finite_types.FiniteModule"
+            )
         sup = graded_support(cfg, x, Q(s), _checked=True)
         positions = sup.positions
         for ct in char_tuples:
@@ -160,11 +164,12 @@ class FiniteModule:
             if cinv is not None:
                 diag = gf.mat_mul(gf.mat_mul(conjugator, diag, field), cinv, field)
             gens.append(diag)
-        mod = FiniteModule(
+        # each generator is C D C^-1 with D a diagonal of p-th roots of
+        # unity, so g^p = 1 and the generators commute by construction:
+        # `validate` is for modules built directly
+        return FiniteModule(
             field=field, x=x, s=Q(s), positions=positions, dim=d, gens=tuple(gens)
         )
-        mod.validate(cfg)
-        return mod
 
     @staticmethod
     def regular(cfg: GroupConfig, field: gf.ExtField, x: ApartmentPoint, s: Q) -> "FiniteModule":

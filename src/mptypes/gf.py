@@ -11,6 +11,7 @@ of them.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InternalFault, ValidationError
@@ -271,8 +272,11 @@ def identity(n: int) -> Mat:
 
 
 def _dot(u: Sequence[int], v: Sequence[int], field: ExtField) -> int:
+    if field.deg == 1:
+        # a prime field is the integers modulo l: reduce the plain sum once
+        return sum(map(mul, u, v)) % field.ell
     acc = 0
-    if field.ell == 2 and field.deg > 1:
+    if field.ell == 2:
         # the base-2 digits of an element are its coefficients, so a sum is XOR
         log, exp = field._log, field._exp
         for x, y in zip(u, v):
@@ -287,18 +291,34 @@ def _dot(u: Sequence[int], v: Sequence[int], field: ExtField) -> int:
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: ExtField) -> Mat:
     cols = list(zip(*b))
+    if field.deg == 1:
+        p = field.ell
+        return tuple(tuple(sum(map(mul, ra, col)) % p for col in cols) for ra in a)
     return tuple(tuple(_dot(ra, col, field) for col in cols) for ra in a)
 
 
 def mat_pow(a: Sequence[Sequence[int]], e: int, field: ExtField) -> Mat:
-    """a^e for e >= 0, by square-and-multiply."""
-    result = identity(len(a))
+    """a^e for e >= 0, by square-and-multiply.
+
+    The running product starts at the lowest power of a it needs, not at
+    the identity, so a^(2^k) costs k products; a^1 is a copied to tuples
+    of reduced entries, as a product would return it.
+    """
+    if not e:
+        return identity(len(a))
+    if e == 1:
+        p = field.ell if field.deg == 1 else field.order
+        return tuple(tuple(x % p for x in row) for row in a)
+    while not e & 1:
+        a = mat_mul(a, a, field)
+        e >>= 1
+    result = a
+    e >>= 1
     while e:
+        a = mat_mul(a, a, field)
         if e & 1:
             result = mat_mul(result, a, field)
         e >>= 1
-        if e:
-            a = mat_mul(a, a, field)
     return result
 
 

@@ -392,7 +392,9 @@ def _membership_decide(cfg, orbit, pair, y, depths, seed=0) -> bool:
 # counting
 # ---------------------------------------------------------------------------
 
-_COUNT_CACHE: Dict[tuple, Q] = {}
+# count_measure's values under (n, q, orbit, pair, K, lam, bound), and beside them
+# _count_n2's passing counts under ("n2", q, walk): many pairs share a walk
+_COUNT_CACHE: Dict[tuple, Q | int] = {}
 
 
 def clear_count_cache() -> None:
@@ -416,9 +418,12 @@ def count_measure(
     if orbit.n != cfg.n:
         raise ValidationError("orbit size mismatch", where="measures.count_measure")
     lam = pair_strict_bounds(cfg, pair) if lam is None else lam
-    key = (cfg.n, cfg.q, orbit.parts, pair, K, lam)
-    if key in _COUNT_CACHE:
-        return _COUNT_CACHE[key]
+    # the bound is part of the key: a value is reused only under the bound
+    # it was counted within, so a smaller bound still refuses
+    key = (cfg.n, cfg.q, orbit.parts, pair, K, lam, enum_bound)
+    value = _COUNT_CACHE.get(key)
+    if value is not None:
+        return value
     _validate_lattice(cfg, pair, K, lam)
 
     norm = Q(1, cfg.q ** (K * orbit.dim))
@@ -489,13 +494,18 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
     (rho, z0) meets them iff z0 = u^2 below min(val u + eu, rho), and
     u = 0 meets every full ball and the z0 of even valuation >= 2 eu
     with square leading coefficient.
+
+    The count reads the pair only through q and the walk, so it is
+    cached under ("n2", q, walk) and shared by every pair with the same
+    three balls; the bound is checked before the lookup, so a smaller
+    bound refuses a walk counted earlier.
     """
     q = cfg.q
     qr = _odd_q_squares(q, "measures.count_measure")
     walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
     if walk is None:
         return 0  # the trace never vanishes on the coset
-    (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
+    (_, uf, eu), (_, vf, ev), (_, wf, ew) = walk
     du, dvw = eu - uf, (ev - vf) + (ew - wf)
     if q ** dvw + q ** du > enum_bound:
         raise InfeasibleError(
@@ -503,6 +513,16 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
             f"exceed bound {enum_bound}",
             where="measures.count_measure",
         )
+    key = ("n2", q, walk)
+    count = _COUNT_CACHE.get(key)
+    if count is None:
+        count = _COUNT_CACHE[key] = _tally_n2(q, qr, walk)
+    return count
+
+
+def _tally_n2(q: int, qr: frozenset, walk) -> int:
+    """`_count_n2`'s pairing of square and product classes over one walk."""
+    (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
 
     full: Counter = Counter()  # rho -> products filling t^rho O
     partial: Dict[int, Counter] = {}  # rho -> Counter of z0
@@ -513,7 +533,10 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
             if z0 is None:
                 full[rho] += 1
             else:
-                partial.setdefault(rho, Counter())[z0] += 1
+                zs = partial.get(rho)
+                if zs is None:
+                    zs = partial[rho] = Counter()
+                zs[z0] += 1
     squares = Counter(_square_class(q, u, eu) for u in _variants(q, uc, uf, eu))
 
     # (rho, b) -> Counter of the partial z0 at that rho, truncated below t^b

@@ -60,12 +60,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DMPPair:
-    """A degenerate pair: level s > 0, point x, degenerate phi of degree -s."""
+    """A degenerate pair: level s > 0, point x, degenerate phi of degree -s.
+
+    Pairs key the count cache and every component vector, so the hash
+    of the fields, hash((s, x, phi, lift)), is computed once, at
+    construction; equality stays field by field.
+    """
 
     s: Q
     x: ApartmentPoint
     phi: GradedElement
     lift: OrbitLabel
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.s, self.x, self.phi, self.lift)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(cfg: GroupConfig, s: Q | int | str, x: ApartmentPoint, phi: GradedElement) -> "DMPPair":
@@ -231,8 +242,12 @@ def enumerate_and_classify(
     ref_profile = rank_profile(cfg, phi_x)
     ref_lift = OrbitLabel.from_ranks(cfg.n, ref_profile[0])
 
+    # every member is base + combo on support positions of g_{x=-s}: base
+    # passed GradedElement.make and the free positions come from the
+    # support, so each member is built directly, without re-checking it
     base = phi_x.as_dict()
     positions = [p for p, _ in free]
+    degree = -s
     classes: List[SubcosetClass] = []
     for combo in itertools.product(range(cfg.q), repeat=len(positions)):
         coeffs = dict(base)
@@ -242,7 +257,7 @@ def enumerate_and_classify(
                 coeffs[pos] = v
             elif pos in coeffs:
                 del coeffs[pos]
-        chi = GradedElement.make(cfg, x, -s, coeffs)
+        chi = GradedElement(x=x, degree=degree, coeffs=tuple(sorted(coeffs.items())))
         if not is_degenerate(cfg, chi):
             classes.append(SubcosetClass(tag="A", chi=chi, lift=None))
             continue

@@ -609,3 +609,122 @@ def test_refine_classifies_its_incidence_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["verification"]["fork_identity"]["all_pass"] is True
     assert len(classified) == 1 and len(crosschecked) == 1
+
+
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ("1,2,x", "bad coefficient triple '1,2,x'"),
+        ("1,2,1;a,1,1", "bad coefficient triple 'a,1,1'"),
+        ("1,2", "bad coefficient triple '1,2'"),
+        ("1,2,1,1", "bad coefficient triple '1,2,1,1'"),
+        ("1,2,1;1,2,2", "position (1,2) given twice"),
+        ("1,2,1; 1 , 2 ,0", "position (1,2) given twice"),
+    ],
+)
+@pytest.mark.parametrize("command", ["refine", "lift"])
+def test_malformed_phi_is_rejected_input(capsys, command, phi, message):
+    if command == "refine":
+        argv = ("refine", "--y", "3/8,0", "--tau", "5/8", f"--phi={phi}",
+                "--x", "1/2,0", "--s", "1/2", "--modules", "1")
+    else:
+        argv = ("lift", "--x", "0,0", "--s", "1", f"--phi={phi}", "--samples", "5")
+    code, out, err = run_cli(capsys, "--allow-small-p", *argv)
+    assert code == 2 and out == ""
+    error = cli_error(err)
+    assert error["where"] == "cli" and message in error["message"]
+
+
+def test_refine_bounds_its_modules_before_any_is_drawn(capsys, monkeypatch):
+    drawn = []
+    real = cli.FiniteModule.random
+
+    def counting(*args, **kwargs):
+        drawn.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.FiniteModule, "random", staticmethod(counting))
+    # the worked half-point incidence at K = 1, whose subcosets and counts
+    # fit in 30 (at K = 2 its counts need more)
+    base = ("--allow-small-p", "--K", "1", "--bound", "30", *REFINE[:-1])
+    code, out, err = run_cli(capsys, *base, "31")
+    assert code == 3 and out == "" and drawn == []
+    error = cli_error(err)
+    assert error["where"] == "cli.refine" and "31 modules exceed bound 30" in error["message"]
+    code, out, _ = run_cli(capsys, *base, "30")
+    assert code == 0 and len(drawn) == 30
+    assert json.loads(out)["verification"]["fork_identity"] == {"all_pass": True, "modules": 30}
+
+
+def test_refine_still_refuses_an_enumeration_beyond_the_bound(capsys):
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "--bound", "3", "refine",
+        "--y", "1/4,0", "--tau", "1", "--phi", "0", "--x", "0,0", "--s", "1",
+        "--modules", "1",
+    )
+    assert code == 3 and out == ""
+    assert cli_error(err)["where"] == "refine.enumerate_and_classify"
+
+
+# the 3 worked families and 17 incidences of the seed-0 `relations` benchmark
+# instances: (index, m, y, tau, phi, x, s)
+PINNED_REFINES = (
+    (0, 16, "3/8,0/1", "5/8", "1,2,1", "1/2,0/1", "1/2"),
+    (1, 16, "1/4,0/1", "1/1", "0", "0/1,0/1", "1/1"),
+    (2, 16, "3/8,0/1", "11/8", "2,1,1", "0/1,0/1", "1/1"),
+    (3, 1, "0/1,0/1", "2/1", "1,2,1", "0/1,0/1", "2/1"),
+    (4, 1, "0/1,0/1", "1/1", "1,1,1;1,2,3;2,1,3;2,2,4", "0/1,0/1", "1/1"),
+    (5, 1, "-1/1,0/1", "1/1", "1,1,3;1,2,2;2,1,3;2,2,2", "-1/1,0/1", "1/1"),
+    (6, 4, "-1/1,0/1", "1/1", "2,1,2", "-1/1,0/1", "1/1"),
+    (7, 4, "-1/2,0/1", "1/2", "1,2,3", "-1/2,0/1", "1/2"),
+    (8, 4, "1/4,0/1", "7/4", "1,2,4", "0/1,0/1", "2/1"),
+    (9, 16, "13/16,0/1", "13/16", "2,1,2", "5/8,0/1", "5/8"),
+    (10, 208, "-25/16,0/1", "7/16", "2,1,2", "-13/8,0/1", "3/8"),
+    (11, 8, "5/4,0/1", "5/4", "2,1,4", "3/2,0/1", "3/2"),
+    (12, 4, "1/4,0/1", "5/4", "2,1,4", "1/2,0/1", "3/2"),
+    (13, 8, "-3/4,0/1", "5/4", "2,1,3", "-1/2,0/1", "3/2"),
+    (14, 4, "5/4,0/1", "7/4", "1,2,4", "1/1,0/1", "2/1"),
+    (15, 12, "-1/4,0/1", "3/4", "2,1,3", "0/1,0/1", "1/1"),
+    (16, 4, "-1/4,0/1", "5/4", "1,2,3", "-1/2,0/1", "3/2"),
+    (17, 12, "1/4,0/1", "3/4", "1,2,3", "0/1,0/1", "1/1"),
+    (18, 4, "-3/4,0/1", "7/4", "1,2,1", "-1/1,0/1", "2/1"),
+    (19, 4, "3/4,0/1", "5/4", "1,2,4", "1/2,0/1", "3/2"),
+)
+
+# sha256 of each instance's `refine` stdout (K = 2, two modules, seed = index),
+# recorded before GL_2 counts were shared by walk and subcosets built directly;
+# any change to these bytes is a format change
+REFINE_SHA256 = (
+    "d2c5e08f2c70f22ab9f695d875f09206294e28adbd0818bc660981f791e28530",
+    "e981d80081d9d089666b2c79b5944256a309964ed74ec20b1f97931a165c94d8",
+    "75bbe805e610719a77f969b3aff6b3233b09a02bff01486299391121710c4efd",
+    "daa4cbb2f89118e4b6225853e5e1252e969fd5ec3affda4e16dec5a4bbfff4d3",
+    "1b2274404965fbcee6e0a6f9f23476b8f5ae26d4f8eece70c85eaf0aa8dbddff",
+    "0e084fa78e5bf6c83aae659a0af6d9d9cbbdf3789bcf5892a7d5ce02c0c8da45",
+    "252fd4c609f7f6b56337cbb77d6640a64bf0a7e301abbf4d35abeb840be15f98",
+    "9f7ddf0a74ea9d2f31d1007b0872491e93db2bb506bf59100492d6d48c9ff735",
+    "8c2b992e252d9d9f7dfcc7edb952bceb249038f60d63d98e5300b1ec97d9a5a6",
+    "2436bc45e5557b2767e4269b90822b4dfcc13f63ba2b8b6ea77acc02a6be78b2",
+    "4ef2447e16c3ec808cb285157b8059ddfc02dc12579c6e25684bbbc9b5291b37",
+    "adac5879f1b7864ead782bb8dfe30d6903293f67f3580778cbf6053bb56af7c8",
+    "3805aa80668819884945f5fa29ec36c1d52d150281d3e9e90efc1cbca6f46251",
+    "38d46cdf208009f9fd7d13370dace37cfa21ae4004498f6ec01c5186f0590f83",
+    "c4854f4d881afda2078a02100949c27c17eadacb2eeb5bd62413bbdd7aad49da",
+    "2d3c4996c678dd3b285c883bcfb48df0786a26793f188effb21fed565f8e9429",
+    "7b623378b4acd2fbc1eb22c206f61439ebddd3702ab16be254bcd108a93c759b",
+    "197501d5742309c4dd6745a816cadcfb05411ad71672358194a1f8059fbd64d0",
+    "7f8e018b8b1e990fc4ad34f50c152282a0152513215995df2d0912d1d44fab7d",
+    "2e5d672b198443b16e8e7e1a587236e89973829f5916d5bb0072a171ca67c288",
+)
+
+
+@pytest.mark.parametrize("k", range(len(PINNED_REFINES)))
+def test_refine_bytes_are_pinned(capsys, k):
+    index, m, y, tau, phi, x, s = PINNED_REFINES[k]
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "--m", str(m), "--K", "2", "--seed", str(index),
+        "refine", f"--y={y}", f"--tau={tau}", f"--phi={phi}", f"--x={x}", f"--s={s}",
+        "--modules", "2",
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFINE_SHA256[k]

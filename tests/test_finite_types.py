@@ -362,3 +362,47 @@ def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
     assert verify_fork_identity(CFG, modules(), coarse, finer) is False
     assert drawn == ["good"] * 4 + ["jordan"]
     assert len(classified) == 1
+
+
+def test_validate_accepts_constructed_modules_and_rejects_built_ones():
+    # from_characters no longer validates: its generators C D C^-1 with D a
+    # diagonal of p-th roots of unity have order p and commute by
+    # construction, which `validate` confirms on 50 seeded modules
+    rng = random.Random("validate-oracle")
+    pieces = [(X_HYP, Q(1)), (X_IWA, Q(1, 2)), (X_IWA, Q(1)), (X_IWA, Q(3, 2))]
+    for k in range(50):
+        x, s = pieces[k % len(pieces)]
+        field = (F16, F256)[k % 2]
+        M = FiniteModule.random(CFG, field, x, s, rng.randrange(1, 7), rng)
+        assert M.gens
+        M.validate(CFG)
+    # the Jordan block of the fork-identity test has order 2, not dividing 5
+    one = gf.identity(2)
+    positions = FiniteModule.regular(CFG, F16, X_HYP, Q(1)).positions
+    jordan = FiniteModule(
+        field=F16, x=X_HYP, s=Q(1), positions=positions, dim=2,
+        gens=(one, one, ((1, 1), (0, 1)), one),
+    )
+    with pytest.raises(ValidationError, match="order dividing p"):
+        jordan.validate(CFG)
+    # two generators of order 5 that do not commute
+    z = F16.root_of_unity(5)
+    diag = ((z, 0), (0, 1))
+    c = ((1, 1), (0, 1))
+    twisted = gf.mat_mul(gf.mat_mul(c, diag, F16), gf.mat_inv(c, F16), F16)
+    apart = FiniteModule(
+        field=F16, x=X_HYP, s=Q(1), positions=positions, dim=2,
+        gens=(diag, twisted, one, one),
+    )
+    with pytest.raises(ValidationError, match="do not commute"):
+        apart.validate(CFG)
+
+
+def test_from_characters_refuses_a_zeta_that_is_no_pth_root():
+    z = F16.root_of_unity(5)
+    M = FiniteModule.from_characters(CFG, F16, X_IWA, Q(1, 2), [(1, 2)], zeta=z)
+    M.validate(CFG)
+    g = F16.multiplicative_generator()  # of order 15
+    with pytest.raises(ValidationError, match="p-th root") as err:
+        FiniteModule.from_characters(CFG, F16, X_IWA, Q(1, 2), [(1, 2)], zeta=g)
+    assert err.value.where == "finite_types.FiniteModule"

@@ -165,3 +165,72 @@ def test_xor_dot_matches_field_add_and_mul(a):
     m = [[rng.randrange(f.order) for _ in range(4)] for _ in range(4)]
     col = [[rng.randrange(f.order)] for _ in range(4)]
     assert gf.mat_mul(m, col, f) == tuple((dot(row, [c[0] for c in col]),) for row in m)
+
+
+def per_entry_dot(u, v, f):
+    """The per-entry loop the prime-field path replaced: one field add and
+    one field multiplication per nonzero term."""
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def identity_first_pow(a, e, f):
+    """Square-and-multiply starting from the identity, with per-entry products."""
+
+    def product(x, y):
+        cols = list(zip(*y))
+        return tuple(tuple(per_entry_dot(row, col, f) for col in cols) for row in x)
+
+    result = gf.identity(len(a))
+    while e:
+        if e & 1:
+            result = product(result, a)
+        e >>= 1
+        if e:
+            a = product(a, a)
+    return result
+
+
+def is_canonical(m, f):
+    return type(m) is tuple and all(
+        type(row) is tuple and all(type(v) is int and 0 <= v < f.order for v in row)
+        for row in m
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_prime_products_and_powers_match_the_per_entry_oracles(q):
+    f = gf.prime_field(q)
+    rng = random.Random(f"prime-path:{q}")
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            b = [[rng.randrange(-2 * q, 2 * q) for _ in range(n)] for _ in range(n)]
+            for e in range(2 * n + 1):
+                power = gf.mat_pow(a, e, f)
+                assert power == identity_first_pow(a, e, f)
+                assert is_canonical(power, f)
+            # entries outside 0..q-1 are reduced like the field arithmetic does
+            prod = gf.mat_mul(a, b, f)
+            cols = list(zip(*b))
+            assert prod == tuple(tuple(per_entry_dot(r, c, f) for c in cols) for r in a)
+            assert is_canonical(prod, f)
+            assert gf._dot(a[0], b[0], f) == per_entry_dot(a[0], b[0], f)
+            assert gf.mat_vec(a, b[0], f) == tuple(per_entry_dot(r, b[0], f) for r in a)
+            assert gf.mat_pow(b, 1, f) == tuple(tuple(v % q for v in row) for row in b)
+            assert is_canonical(gf.mat_pow(b, 1, f), f)
+            assert gf.mat_pow(b, 0, f) == gf.identity(n)
+
+
+@pytest.mark.parametrize("ell, a", [(2, 4), (3, 2), (2, 8)])
+def test_table_field_powers_match_the_identity_first_oracle(ell, a):
+    f = gf.ext_field(ell, a)
+    rng = random.Random(f"table-pow:{ell}:{a}")
+    for n in (1, 2, 3):
+        m = [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
+        for e in range(2 * n + 1):
+            power = gf.mat_pow(m, e, f)
+            assert power == identity_first_pow(m, e, f) and is_canonical(power, f)

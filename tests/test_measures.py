@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mptypes import gf
+from mptypes import gf, measures
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.graded import GradedElement, coefficient_matrix, conjugate
 from mptypes.laurent import Laurent, LMatrix
@@ -24,6 +24,7 @@ from mptypes.measures import (
     _membership_decide,
     _odd_q_squares,
     _walk_n2,
+    _tally_n2,
     _witness_perturbations,
     build_measure_table,
     clear_count_cache,
@@ -37,7 +38,7 @@ from mptypes.measures import (
 )
 from mptypes.orbits import OrbitLabel, dominance_leq, jordan_type, partitions_of
 from mptypes.refine import DMPPair, refine_relation, verify_relation
-from mptypes.selftest import _random_incidence
+from mptypes.selftest import _random_incidence, worked_instances
 from mptypes.solver import alt_probes_gl2, choose_probes
 
 
@@ -481,3 +482,88 @@ def test_closure_ladder_agrees_with_parent_ladder_on_gl3_k2_residues():
                 new_open += new is None
     # the parent left about a third of these open (101 of 300)
     assert new_open * 10 < old_open
+
+
+# -- GL_2 tallies shared by walk ---------------------------------------------
+
+
+def walk_jobs(cfg):
+    """(pair, K, lam) for the default and --alt-probes catalogs at K = 1, 2, 3 on
+    their shared lattice, then the pairs of the worked relations on the relation
+    lattice; several of these share a walk, and for each of the three balls
+    some pairs agree on the other two but differ in it and in their count."""
+    jobs = []
+    for K in (1, 2, 3):
+        for catalog in (choose_probes, alt_probes_gl2):
+            probes = catalog(cfg, 0)
+            lam = shared_lattice(cfg, probes)
+            jobs += [(pair, K, lam) for pair in probes]
+        for inst in worked_instances(cfg):
+            rec = refine_relation(cfg, *inst)
+            jobs += [(pair, K, relation_lattice(cfg, rec)) for pair in rec.pairs()]
+    return jobs
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_walk_hits_equal_fresh_counts(q):
+    cfg = make_cfg(2, q)
+    jobs = walk_jobs(cfg)
+    clear_count_cache()
+    warm = [_count_n2(cfg, pair, K, lam, 10**6) for pair, K, lam in jobs]
+    walks = {_walk_n2(q, *_entry_layout(cfg, pair, K, lam)) for pair, K, lam in jobs}
+    assert len(walks) < len(jobs)  # some of the warm counts were cache hits
+    fresh = []
+    for pair, K, lam in jobs:
+        clear_count_cache()
+        fresh.append(_count_n2(cfg, pair, K, lam, 10**6))
+    assert warm == fresh
+    qr = _odd_q_squares(q, "tests")
+    for pair, K, lam in jobs:
+        walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
+        if walk is not None:
+            assert _count_n2(cfg, pair, K, lam, 10**6) == _tally_n2(q, qr, walk)
+    clear_count_cache()
+
+
+def test_walk_hit_under_a_smaller_bound_still_raises():
+    # the worked half-point relation at K = 2: every pair's walk needs
+    # q^dvw + q^du residues, and a bound one below that refuses it even
+    # when another pair, or the same one, has already counted the walk
+    cfg = CFG2
+    rec = refine_relation(cfg, *worked_instances(cfg)[0])
+    lam = relation_lattice(cfg, rec)
+    clear_count_cache()
+    for pair in rec.pairs():
+        walk = _walk_n2(cfg.q, *_entry_layout(cfg, pair, 2, lam))
+        (_, uf, eu), (_, vf, ev), (_, wf, ew) = walk
+        need = cfg.q ** ((ev - vf) + (ew - wf)) + cfg.q ** (eu - uf)
+        value = _count_n2(cfg, pair, 2, lam, need)
+        assert ("n2", cfg.q, walk) in measures._COUNT_CACHE
+        with pytest.raises(InfeasibleError) as err:
+            _count_n2(cfg, pair, 2, lam, need - 1)
+        assert err.value.where == "measures.count_measure"
+        assert _count_n2(cfg, pair, 2, lam, need) == value
+    clear_count_cache()
+
+
+def test_clear_count_cache_empties_the_walk_tallies():
+    clear_count_cache()
+    count_measure(CFG2, O2, REG_PAIR, 2, pair_strict_bounds(CFG2, REG_PAIR))
+    assert any(key[0] == "n2" for key in measures._COUNT_CACHE)
+    clear_count_cache()
+    assert not measures._COUNT_CACHE
+
+
+def test_count_measure_hit_under_a_smaller_bound_still_raises():
+    # K = 3 on the regular half-point pair needs more than 10 residues: a
+    # value counted under the default bound is not returned under bound 10
+    lam = pair_strict_bounds(CFG2, REG_PAIR)
+    clear_count_cache()
+    with pytest.raises(InfeasibleError):
+        count_measure(CFG2, O2, REG_PAIR, 3, lam, enum_bound=10)
+    value = count_measure(CFG2, O2, REG_PAIR, 3, lam)
+    with pytest.raises(InfeasibleError) as err:
+        count_measure(CFG2, O2, REG_PAIR, 3, lam, enum_bound=10)
+    assert err.value.where == "measures.count_measure"
+    assert count_measure(CFG2, O2, REG_PAIR, 3, lam) == value
+    clear_count_cache()

@@ -1,5 +1,8 @@
 """Coset decomposition, relation records, and geodesic chains."""
 
+import dataclasses
+import itertools
+import random
 import warnings
 from fractions import Fraction as Q
 
@@ -7,10 +10,11 @@ import pytest
 
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.errors import InfeasibleError, ValidationError
-from mptypes.graded import GradedElement
+from mptypes.graded import GradedElement, graded_image, homogeneous_lift
 from mptypes.orbits import OrbitLabel
 from mptypes.refine import (
     DMPPair,
+    _surface_positions,
     check_incidence,
     compose_chain,
     connect,
@@ -18,6 +22,7 @@ from mptypes.refine import (
     refine_relation,
     verify_relation,
 )
+from mptypes.selftest import _random_incidence, worked_instances
 
 
 def make_cfg(n, q=5, m=16):
@@ -208,3 +213,55 @@ def test_connect_with_conjugation_alignment():
     assert chain[0].provenance.role == "conjugation"
     c, terms = compose_chain(CFG, chain, p0, p1)
     assert c == 1 and terms == ()
+
+
+def make_built_members(cfg, coarse, finer):
+    """The decomposition's members in enumeration order, each through
+    GradedElement.make: the image of the coarse lift plus every combination
+    of coefficients on the free support positions."""
+    x, s = finer[0], Q(finer[1])
+    free = _surface_positions(cfg, coarse.x, coarse.s, x, s)
+    base = graded_image(cfg, homogeneous_lift(cfg, coarse.phi).mat, x, -s).as_dict()
+    members = []
+    for combo in itertools.product(range(cfg.q), repeat=len(free)):
+        coeffs = dict(base)
+        for (pos, _), c in zip(free, combo):
+            coeffs[pos] = coeffs.get(pos, 0) + c
+        members.append(GradedElement.make(cfg, x, -s, coeffs))
+    return members
+
+
+def seeded_incidences(cfg, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        inst = _random_incidence(cfg, rng)
+        if inst is not None:
+            out.append(inst)
+    return out
+
+
+def test_direct_subcosets_equal_make_built_ones():
+    checked = members = 0
+    for coarse, finer in worked_instances(CFG) + seeded_incidences(CFG, 30, "subcosets"):
+        try:
+            classes = enumerate_and_classify(CFG, coarse, finer)
+        except InfeasibleError:
+            continue
+        chis = [c.chi for c in classes]
+        assert chis == make_built_members(CFG, coarse, finer)
+        assert len(set(chis)) == len(chis)
+        checked += 1
+        members += len(chis)
+    assert checked >= 30 and members > 300
+
+
+def test_pair_hash_is_the_hash_of_its_fields():
+    for coarse, (x, s) in worked_instances(CFG) + seeded_incidences(CFG, 10, "pair-hash"):
+        assert hash(coarse) == hash((coarse.s, coarse.x, coarse.phi, coarse.lift))
+        twin = DMPPair.make(CFG, coarse.s, coarse.x, coarse.phi)
+        assert twin == coarse and hash(twin) == hash(coarse)
+        # equality stays field by field: another phi gives another pair
+        other = dataclasses.replace(coarse, phi=GradedElement.zero(coarse.x, -coarse.s))
+        assert hash(other) == hash((other.s, other.x, other.phi, other.lift))
+        assert (other == coarse) == coarse.phi.is_zero()
