@@ -349,8 +349,12 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], field: ExtField) -> Ve
 def rref(
     rows: Iterable[Sequence[int]], field: ExtField
 ) -> Tuple[List[List[int]], List[int]]:
-    """Row-reduce; returns (reduced nonzero rows, pivot columns)."""
-    add, mul = field.add, field.mul
+    """Row-reduce; returns (reduced nonzero rows, pivot columns).
+
+    Over a prime field the row operations run on plain ints with one
+    reduction modulo l per entry; other fields go through the tables.
+    """
+    add, mul, p = field.add, field.mul, field.ell
     work = [list(r) for r in rows]
     pivots: List[int] = []
     r = 0
@@ -361,11 +365,18 @@ def rref(
             continue
         work[r], work[piv] = work[piv], work[r]
         inv = field.inv(work[r][c])
-        prow = work[r] = [mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = field.neg(work[i][c])
-                work[i] = [add(x, mul(f, y)) if y else x for x, y in zip(work[i], prow)]
+        if field.deg == 1:
+            prow = work[r] = [inv * x % p for x in work[r]]
+            for i, row in enumerate(work):
+                if i != r and row[c]:
+                    f = row[c]
+                    work[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        else:
+            prow = work[r] = [mul(inv, x) for x in work[r]]
+            for i, row in enumerate(work):
+                if i != r and row[c]:
+                    f = field.neg(row[c])
+                    work[i] = [add(x, mul(f, y)) if y else x for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
         if r == len(work):

@@ -635,10 +635,6 @@ class MeasureTable:
     def entry(self, orbit: OrbitLabel, probe: DMPPair) -> Q:
         return self.entries[self.probes.index(probe)][self.orbits.index(orbit)]
 
-    def slice_for(self, orbit: OrbitLabel) -> Dict[DMPPair, Q]:
-        j = self.orbits.index(orbit)
-        return {p: self.entries[i][j] for i, p in enumerate(self.probes)}
-
 
 def build_measure_table(
     cfg: GroupConfig,

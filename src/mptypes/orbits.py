@@ -15,16 +15,6 @@ With the standard commutator [a, b] = ab - ba the identities read
 
 i.e. the filtration-raising Phi plays the role of the sl2 raising
 element and E is its lowering partner of opposite homogeneous degree.
-
-Coset samples
--------------
-minimality_probe's sample k is the randrange(q) stream of
-random.Random(f"{seed}:{k}").  For q < 256 `_uniform_draws` takes that
-stream in blocks of Mersenne Twister words, one getrandbits call per
-block, and keeps the top byte of each word.  This is exact for
-CPython's generator, whose randrange(q) redraws getrandbits(k), the
-top k bits of one word, until it is below q; a test pins it to the
-randrange list for every q < 256.
 """
 
 from __future__ import annotations
@@ -33,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from . import gf
 from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
@@ -341,9 +331,9 @@ def _uniform_draws(rng: random.Random, q: int, count: int) -> Sequence[int]:
     bytes 4i .. 4i + 3 little-endian, so buf[3::4] holds every word's
     top byte, and one translate maps the accepted bytes to their draws
     and deletes the rest.  A short block is followed by another from the
-    same stream.  The blocks run ahead of randrange, so rng must be
-    reseeded before its next use.  For q >= 256 this is the randrange
-    list itself.
+    same stream.  The blocks run ahead of randrange, so a second call on
+    rng gives uniform draws again but not the continuation of its
+    randrange list.  For q >= 256 this is the randrange list itself.
     """
     if q >= 256:
         randrange = rng.randrange
@@ -359,6 +349,12 @@ def _uniform_draws(rng: random.Random, q: int, count: int) -> Sequence[int]:
     return out[:count]
 
 
+def _draw_stream(rng: random.Random, q: int, block: int = 1024) -> Iterator[int]:
+    """Uniform values in range(q) from rng, taken `block` at a time."""
+    while True:
+        yield from _uniform_draws(rng, q, block)
+
+
 def _trace_zero_samples(
     cfg: GroupConfig,
     s: Q,
@@ -368,15 +364,20 @@ def _trace_zero_samples(
     depth: int,
     seed: int,
     bound: int = 10**6,
-) -> Iterator[Tuple[int, LMatrix]]:
-    """(k, sample) for each trace-zero sample k of phi + g_{x>-s}.
+) -> Iterator[LMatrix]:
+    """The trace-zero samples among `samples` draws from phi + g_{x>-s}.
 
-    Sample k draws rng.randrange(q) from random.Random(f"{seed}:{k}")
-    for every entry (i, j), row-major, and every exponent from the
-    strict bound at (x, -s) up to depth, ascending, and adds t^w times
-    each draw to the homogeneous lift.  The draws stay plain ints until
-    the trace vanishes; only then is the matrix built.  More than
-    `bound` draws in all are refused before the first one.
+    A sample adds t^w c to the homogeneous lift for every entry (i, j)
+    and every exponent w from the strict bound at (x, -s) up to depth,
+    each c uniform in F_q, and all samples share one stream, the block
+    draws of random.Random(f"minimality:{seed}").  The lift is
+    nilpotent, so its trace is zero and the sample's trace coefficient
+    at t^w is the sum of its diagonal draws at w.  Those are drawn
+    first, exponent by exponent, and the sample stops at the first
+    nonzero one: c_1 = -trace, so it is not nilpotent.  Only a
+    trace-zero sample draws its off-diagonal coefficients and becomes a
+    matrix.  More than `bound` coefficients in all are refused before
+    the first draw.
     """
     q, n = cfg.q, cfg.n
     bounds = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
@@ -386,11 +387,6 @@ def _trace_zero_samples(
             "probe would draw nothing",
             where="orbits.minimality_probe",
         )
-    lift = homogeneous_lift(cfg, phi).mat
-    lift_trace: Dict[int, int] = {}  # exponent -> the lift's trace coefficient
-    for i in range(n):
-        for w, c in lift.entry(i, i).coeffs:
-            lift_trace[w] = lift_trace.get(w, 0) + c
     spans = [[range(b, depth + 1) for b in row] for row in bounds]
     total = sum(len(span) for row in spans for span in row)
     if samples * total > bound:
@@ -398,34 +394,23 @@ def _trace_zero_samples(
             f"{samples} samples of {total} draws each exceed bound {bound}",
             where="orbits.minimality_probe",
         )
-    slots = []  # (i, j, exponents, offset of the first draw)
-    diagonal: Dict[int, List[int]] = {}  # exponent -> offsets of its diagonal draws
-    offset = 0
-    for i in range(n):
-        for j in range(n):
-            span = spans[i][j]
-            slots.append((i, j, span, offset))
-            if i == j:
-                for k, w in enumerate(span):
-                    diagonal.setdefault(w, []).append(offset + k)
-            offset += len(span)
-    # one (lift coefficient, diagonal draw offsets) per exponent of the trace
-    terms = [
-        (lift_trace.get(w, 0), tuple(diagonal.get(w, ())))
-        for w in sorted(set(lift_trace) | set(diagonal))
-    ]
-    rng = random.Random()
-    reseed = rng.seed  # the same state as random.Random(f"{seed}:{k}")
-    for k in range(samples):
-        reseed(f"{seed}:{k}")
-        draws = _uniform_draws(rng, q, total)
-        if any((c + sum([draws[o] for o in offsets])) % q for c, offsets in terms):
-            continue  # c_1 = -trace is nonzero: the sample is not nilpotent
-        rows = [[None] * n for _ in range(n)]
-        for i, j, span, start in slots:
-            drawn = tuple((w, c) for w, c in zip(span, draws[start : start + len(span)]) if c)
-            rows[i][j] = Laurent(q, ser_add(lift.entry(i, j).coeffs, drawn, q))
-        yield k, LMatrix.from_rows(q, rows)
+    lift = homogeneous_lift(cfg, phi).mat
+    trace_exponents = spans[0][0]  # every diagonal strict bound is floor(-s) + 1
+    draw = _draw_stream(random.Random(f"minimality:{seed}"), q).__next__
+    for _ in range(samples):
+        levels = []  # the diagonal draws at each trace exponent, while the trace is 0
+        for _ in trace_exponents:
+            levels.append([draw() for _ in range(n)])
+            if sum(levels[-1]) % q:
+                break  # c_1 = -trace is nonzero: the sample is not nilpotent
+        else:
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    span = spans[i][j]
+                    drawn = [lv[i] for lv in levels] if i == j else [draw() for _ in span]
+                    rows[i][j] = Laurent(q, ser_add(lift.entry(i, j).coeffs, zip(span, drawn), q))
+            yield LMatrix.from_rows(q, rows)
 
 
 def minimality_probe(
@@ -440,22 +425,23 @@ def minimality_probe(
 ) -> bool:
     """Falsification run for lift minimality; True means no counterexample.
 
-    Draws random truncated coset elements; every nilpotent among them
-    must have Jordan type dominating the lift.  This is a randomized
-    falsification harness, not a proof.
+    Draws `samples` random coset elements truncated at t^depth, all from
+    one stream seeded by `seed`; every nilpotent among them must have
+    Jordan type dominating the lift.  This is a randomized falsification
+    harness, not a proof.
 
-    The trace is read off the drawn coefficients first, and only a
-    trace-zero sample becomes a matrix.  The filter is exact: the trace
-    is minus the coefficient c_1 of the characteristic polynomial, so a
-    nonzero trace proves the sample is not nilpotent, and a skipped
-    sample is one the full check would pass over too.  A depth below
-    every strict bound is refused: every sample would be the lift itself.
-    So is a probe of more than `bound` coefficient draws in all
-    (InfeasibleError), before the first draw.
+    Each sample draws its diagonal first and stops at the first nonzero
+    trace coefficient.  The filter is exact: the trace is minus the
+    coefficient c_1 of the characteristic polynomial, so a nonzero trace
+    proves the sample is not nilpotent, and only a trace-zero sample
+    draws the rest and becomes a matrix.  A depth below every strict
+    bound is refused: every sample would be the lift itself.  So is a
+    probe of more than `bound` coefficients in all (InfeasibleError),
+    counted as if every sample drew them all, before the first draw.
     """
     s = Q(s)
     lift_orbit = debacker_lift(cfg, s, x, phi)
-    for _, sample in _trace_zero_samples(cfg, s, x, phi, samples, depth, seed, bound):
+    for sample in _trace_zero_samples(cfg, s, x, phi, samples, depth, seed, bound):
         if sample.is_nilpotent():
             if not dominance_leq(lift_orbit, jordan_type(sample)):
                 return False

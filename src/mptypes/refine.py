@@ -167,11 +167,12 @@ class RelationRecord:
 def check_incidence(
     cfg: GroupConfig, y: ApartmentPoint, tau: Q, x: ApartmentPoint, s: Q
 ) -> bool:
-    """The inclusion chains at levels 0, s and -s tying an interval point y to a limit x."""
-    return all(
-        inclusion_chain_ok(cfg, x, lx, y, ly)
-        for lx, ly in ((Q(0), Q(0)), (s, tau), (-s, -tau))
-    )
+    """The inclusion chains at levels 0, s and -s tying an interval point y to a limit x.
+
+    The chain at (-s, -tau) holds exactly when the one at (s, tau) does
+    (`inclusion_chain_ok`), so only levels 0 and s are compared.
+    """
+    return all(inclusion_chain_ok(cfg, x, lx, y, ly) for lx, ly in ((Q(0), Q(0)), (s, tau)))
 
 
 def _surface_positions(

@@ -23,6 +23,7 @@ from mptypes.apartment import (
     verify_plan,
 )
 from mptypes.errors import InternalFault, ValidationError
+from mptypes.refine import check_incidence
 
 
 def cfg2(m=8):
@@ -294,6 +295,11 @@ def oracle_chain(x, level_x, y, level_y):
     return contains(ys, xs) and contains(yn, ys) and contains(xn, yn)
 
 
+
+def oracle_incidence(x, s, y, tau):
+    """The full chain check: levels 0, s and -s, each with all three links."""
+    return all(oracle_chain(x, lv, y, lu) for lv, lu in ((0, 0), (s, tau), (-s, -tau)))
+
 def flat(matrices):
     return tuple(v for b in matrices for row in b for v in row)
 
@@ -380,6 +386,30 @@ def test_integer_kernel_matches_fraction_oracle():
             assert convexity_check(cfgn(n, m=1680), x0, s, x1, s1, t) == expected
     assert verdicts == {True, False}
 
+
+
+def test_outer_links_at_levels_0_and_s_decide_the_full_chain():
+    """Level -s mirrors level s and the middle link always holds, so the
+    outer links at levels 0 and s, as `check_incidence` and `verify_plan`
+    compare them, agree with the full chain, true or false."""
+    rng = random.Random(37)
+    verdicts = set()
+    for n in (2, 3, 4):
+        cfg = cfgn(n)
+        N = n * n
+        for _ in range(400):
+            x = random_point(rng, n, [1, 2, 3, 4, 8, 12])
+            y = ApartmentPoint.of([c + Q(rng.randrange(-2, 3), 24) for c in x.coords])
+            s = Q(rng.randrange(-40, 41), rng.choice([1, 2, 4, 8]))
+            tau = s + Q(rng.randrange(-2, 3), 24)
+            full = oracle_incidence(x, s, y, tau)
+            assert oracle_chain(x, -s, y, -tau) == oracle_chain(x, s, y, tau)
+            assert check_incidence(cfg, y, tau, x, s) == full
+            at_x, at_y = apartment._six_flat(*scaled(x, s)), apartment._six_flat(*scaled(y, tau))
+            chains = [apartment._chain_ok(at_x, at_y, v, v + N, v + 2 * N) for v in (0, 2 * N)]
+            assert all(chains) == full
+            verdicts.add((full, oracle_chain(x, 0, y, 0)))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 def test_path_bounds_match_six_shapes_at_plan_points():
     rng = random.Random(12)

@@ -119,6 +119,71 @@ def test_breakpoints_bytes_are_pinned(capsys, k):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BREAKPOINTS_SHA256[k]
 
 
+# 20 seeded degenerate lifts at m = 16, --samples 200 --depth 3 and
+# --seed = index: GL_3 at q = 7, GL_4 at q = 11, and GL_2 at q = 3 and 2,
+# where q <= 2n takes the sl2 "skipped" branch: (index, n, q, x, s, phi)
+PINNED_LIFTS = (
+    (0, 3, 7, '1/8,7/8,0/1', '3/4', '1,2,2'),
+    (1, 3, 7, '5/4,-5/4,0/1', '5/4', '2,3,3;3,1,2'),
+    (2, 3, 7, '7/4,7/4,0/1', '1/4', '1,3,2;2,3,2'),
+    (3, 3, 7, '-2/1,7/4,0/1', '3/4', '1,2,5'),
+    (4, 3, 7, '1/2,-3/4,0/1', '1/2', '1,3,2'),
+    (5, 3, 7, '3/2,-1/2,0/1', '3/2', '1,3,2;2,3,1;3,1,6;3,2,2'),
+    (6, 3, 7, '3/2,-1/2,0/1', '3/2', '1,3,1;2,3,5;3,1,3;3,2,5'),
+    (7, 3, 7, '1/4,5/4,0/1', '7/4', '1,3,6;2,3,1'),
+    (8, 4, 11, '-15/8,-5/4,1/2,0/1', '1/4', '2,4,6;3,2,10'),
+    (9, 4, 11, '9/8,-9/8,-1/2,0/1', '7/4', '1,2,9'),
+    (10, 4, 11, '2/1,3/2,-1/1,0/1', '1/2', '1,2,2;2,1,7;2,3,7;2,4,10;3,2,5;4,2,5'),
+    (11, 4, 11, '5/8,-9/8,1/8,0/1', '7/4', '3,2,8'),
+    (12, 4, 11, '-5/4,7/4,-13/8,0/1', '3/4', '4,2,5'),
+    (13, 4, 11, '-7/4,3/2,1/1,0/1', '3/4', '1,3,4;1,4,2;2,1,4'),
+    (14, 4, 11, '-5/4,3/4,-1/4,0/1', '3/4', '4,1,5;4,3,7'),
+    (15, 4, 11, '3/2,-2/1,-7/4,0/1', '1/4', '2,3,10;3,1,10'),
+    (16, 2, 3, '3/4,0/1', '5/4', '1,2,1'),
+    (17, 2, 3, '-5/4,0/1', '3/4', '2,1,2'),
+    (18, 2, 2, '-2/1,0/1', '2/1', '2,1,1'),
+    (19, 2, 2, '1/1,0/1', '2/1', '2,1,1'),
+)
+
+# sha256 of each instance's `lift` stdout, recorded while the probe still
+# replayed one reseeded randrange stream per sample; the samples changed
+# since, the bytes did not
+LIFT_SHA256 = (
+    "3b9eaf7c3ea512f0d2165f5ffd4adcfdfaa42f8cbb0935ecabd4761799dcc330",
+    "acf6ccb93f9ba193fabde4d242db2bd531628290a829625ba92f562153b5fe07",
+    "c59e82940d0777cc90b0c24ae269ed2358a547057b64df28bd1c591ea21ccace",
+    "b46331ec1477eb865b710e7575b00eade6afdf15ab8d8f929a5596698776d224",
+    "46127af7a8a228f4c4e24ca508154c831fa3f605b0ccae73436135e5d8f3178f",
+    "83929040e7f6dab830a5c7748c4759a695616add9edcac243ea73967a4715915",
+    "93d87ab8fe8e03b81372401c1da3ad6267f0a6a9d3261e09abfb6bee14f37e2a",
+    "9c7c9fcd265f6978f8abfd1dbf3f0c1289e41f9bb8fa071e90987dd24f3c2f3b",
+    "ddf782bf856dc2c4b198a2c6a3e92689d77688f597017ac4e4cc76f82f4ecfd5",
+    "45a53f167498000af5551ae07635cc03e4ac04e6f8638dee2ea96b85e19d754f",
+    "7dc527f85090c9db3a0e7555bb3bafe6262ea41a17316fe5ea75c97d38d62cd6",
+    "dba18acbcf048ce04c78029e8cb222a248c6edbd44daa13e9fd82a0601734b9a",
+    "264d2ee40664a2b33504f736eee1c90a2783570fc34fc993fdabc0ee05e554f6",
+    "028116e59c7b0b74029bbb73423562f783a180ac408ed566e258c10a421523b4",
+    "4660f1f853cc803a4311213f89f5f06510b0717652cd4a5902197df95ee09504",
+    "ba0f7e8370d0448e7d0addc6d2c3c25e3eb8bd5c5a97ffc13b13756c3679ea75",
+    "edd325eeb21545a23207315475c9ae3f70b713039fe77d4992402590d45cfd06",
+    "389211761a69ba09da0e795b67c7e4f80d2c53b98fd9f643df5b0d74b367f1ff",
+    "1c2056c149996e1fb911975b223ca10c784d0f69aa92abff97c558bf2053fa9c",
+    "416f3b23434abfbbed451b0f5ebfbbee69acd92ba5dd0081579480686204c291",
+)
+
+
+@pytest.mark.parametrize("k", range(len(PINNED_LIFTS)))
+def test_lift_bytes_are_pinned(capsys, k):
+    index, n, q, x, s, phi = PINNED_LIFTS[k]
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "--n", str(n), "--q", str(q), "--m", "16",
+        "--seed", str(index), "lift", f"--x={x}", f"--s={s}", f"--phi={phi}",
+        "--samples", "200", "--depth", "3",
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LIFT_SHA256[k]
+
+
 def test_refine_command_worked_instance(capsys):
     code, out, _ = run_cli(
         capsys, "--allow-small-p", "refine",

@@ -234,3 +234,62 @@ def test_table_field_powers_match_the_identity_first_oracle(ell, a):
         for e in range(2 * n + 1):
             power = gf.mat_pow(m, e, f)
             assert power == identity_first_pow(m, e, f) and is_canonical(power, f)
+
+
+def per_entry_rref(rows, f):
+    """Row reduction with one field add and one field multiplication per
+    entry, on every field: the oracle for the prime-field path."""
+    work, pivots, r = [list(row) for row in rows], [], 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = f.inv(work[r][c])
+        work[r] = [f.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                g = f.neg(work[i][c])
+                work[i] = [f.add(x, f.mul(g, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+@pytest.mark.parametrize("ell, a", [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 4), (3, 2)])
+def test_rref_rank_kernel_and_inverse_match_the_per_entry_oracle(ell, a):
+    f = gf.ext_field(ell, a)
+    rng = random.Random(f"rref:{ell}:{a}")
+    singular = invertible = 0
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+        # sparse rows too, so that some matrices are rank deficient
+        m = [
+            [rng.choice((0, rng.randrange(f.order))) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        reduced, pivots = per_entry_rref(m, f)
+        assert gf.rref(m, f) == (reduced, pivots)
+        assert gf.rank(m, f) == len(pivots)
+        kernel = gf.kernel(m, ncols, f)
+        free = [c for c in range(ncols) if c not in pivots]
+        expected = [[int(c == j) for c in range(ncols)] for j in free]
+        for v, j in zip(expected, free):
+            for row, c in zip(reduced, pivots):
+                v[c] = f.neg(row[j])
+        assert kernel == [tuple(v) for v in expected]
+        assert all(gf.mat_vec(m, v, f) == (0,) * nrows for v in kernel)
+        square = [row[:nrows] for row in m] if ncols >= nrows else None
+        if square is None:
+            continue
+        if len(per_entry_rref(square, f)[1]) < nrows:
+            singular += 1
+            with pytest.raises(ValidationError, match="singular"):
+                gf.mat_inv(square, f)
+        else:
+            invertible += 1
+            inverse = gf.mat_inv(square, f)
+            assert gf.mat_mul(square, inverse, f) == gf.identity(nrows)
+            augmented = [row + list(e) for row, e in zip(square, gf.identity(nrows))]
+            assert inverse == tuple(tuple(row[nrows:]) for row in per_entry_rref(augmented, f)[0])
+    assert singular and invertible

@@ -320,7 +320,7 @@ def test_minimality_probe_worked_examples():
     assert minimality_probe(CFG2, Q(1, 2), xi, eli, samples=200, depth=3)
 
 
-# -- the trace-first probe against the per-sample loop it replaced ----------
+# -- the trace-first probe, and the plain per-sample loop as its oracle -----
 
 
 def random_coset_element(cfg, s, x, phi, depth, rng):
@@ -342,7 +342,8 @@ def random_coset_element(cfg, s, x, phi, depth, rng):
 
 
 def oracle_probe(cfg, s, x, phi, samples, depth, seed):
-    """The old loop, run to the end: (verdict, trace-zero samples, nilpotent indices)."""
+    """Every sample a full matrix from its own stream, run to the end:
+    (verdict, trace-zero samples, nilpotent indices)."""
     lift_orbit = debacker_lift(cfg, s, x, phi)
     verdict, trace_zero, nilpotent = True, {}, []
     for k in range(samples):
@@ -372,20 +373,68 @@ def degenerate_instances(n, q, count, rng):
     return out
 
 
-def test_trace_first_probe_matches_the_old_loop_at_the_diagonal_bound():
+def assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample):
+    """sample - lift lies in g_{x>-s} and stops at t^depth; the trace is 0."""
+    strict = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
+    diff = sample - homogeneous_lift(cfg, el).mat
+    trace = Laurent.zero(cfg.q)
+    for i in range(cfg.n):
+        trace = trace + sample.entry(i, i)
+        for j in range(cfg.n):
+            assert all(strict[i][j] <= w <= depth for w, _ in diff.entry(i, j).coeffs)
+    assert trace.is_zero()
+
+
+GRID = ((2, 3), (3, 3), (3, 5), (4, 3), (2, 2), (3, 2), (3, 7), (2, 11), (3, 13))
+
+
+@pytest.mark.parametrize("n, q", GRID)
+def test_trace_zero_samples_are_coset_elements_at_the_binomial_rate(n, q):
+    """100 samples per instance at one or two trace exponents L, i.e. the
+    diagonal bound as depth or one more.  The sum of n uniform diagonal
+    draws is uniform, so a sample's trace vanishes with probability
+    q^-L, and the trace-zero count must lie within six standard
+    deviations of that binomial mean."""
+    rng = random.Random(f"trace-rate:{n}:{q}")
+    zero = mean = var = 0
+    for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
+        L = 1 + seed % 2
+        depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0] + L - 1
+        lift_orbit = debacker_lift(cfg, s, x, el)
+        for sample in orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed):
+            assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample)
+            if sample.is_nilpotent():
+                assert dominance_leq(lift_orbit, jordan_type(sample))
+            zero += 1
+        p = Q(1, q**L)
+        mean += 100 * p
+        var += 100 * p * (1 - p)
+    assert (zero - mean) ** 2 <= 36 * var
+
+
+def test_more_than_100_trace_first_samples_reach_the_nilpotent_branch():
     rng = random.Random("trace-first")
-    zero_total = nil_total = 0
-    for n, q in ((2, 3), (3, 3), (3, 5), (4, 3), (2, 2), (3, 2), (3, 7), (2, 11), (3, 13)):
+    nilpotent = 0
+    for n, q in GRID:
         for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
             depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]  # one draw per diagonal slot
-            verdict, trace_zero, nilpotent = oracle_probe(cfg, s, x, el, 100, depth, seed)
-            fast = dict(orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed))
-            assert fast == trace_zero  # same indices, same matrices
-            assert [k for k, m in fast.items() if m.is_nilpotent()] == nilpotent
-            assert minimality_probe(cfg, s, x, el, samples=100, depth=depth, seed=seed) == verdict
-            zero_total += len(trace_zero)
-            nil_total += len(nilpotent)
-    assert zero_total > 1000 and nil_total > 100  # the matrix branch really runs
+            samples = orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed)
+            nilpotent += sum(1 for sample in samples if sample.is_nilpotent())
+    assert nilpotent > 100
+
+
+def test_the_seed_fixes_the_samples():
+    rng = random.Random("trace-seed")
+    for n, q in ((2, 3), (3, 2), (3, 7)):
+        for cfg, x, s, el in degenerate_instances(n, q, 3, rng):
+            depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]
+            runs = {
+                seed: list(orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed))
+                for seed in (0, 1, -1)
+            }
+            assert runs[0] and runs[1] and runs[-1]
+            assert runs[0] == list(orbits._trace_zero_samples(cfg, s, x, el, 100, depth, 0))
+            assert runs[0] != runs[1] and runs[1] != runs[-1]
 
 
 @pytest.mark.parametrize("n, q", [(3, 7), (4, 11)])
