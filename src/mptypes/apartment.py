@@ -366,7 +366,10 @@ def breakpoints(
     Candidate breakpoints are the exact rational roots in [0, 1] of the
     affine functions  w + (x_{t,i} - x_{t,j}) - level_t  for integer w
     and level_t in {s_t, -s_t, 0}; identically-zero functions witness a
-    monomial pinned to the level and produce no breakpoint.  The plan
+    monomial pinned to the level and produce no breakpoint.  Only the
+    levels s_t and 0 are scanned: the level -s_t root of (i, j, w) is
+    the level s_t root of (j, i, -w), since w + alpha_ij + s_t = 0 iff
+    -w + alpha_ji - s_t = 0, and (i, j) runs over every pair.  The plan
     certifies interval constancy and the breakpoint inclusion chains,
     raising an internal fault if either fails.
     """
@@ -382,7 +385,7 @@ def breakpoints(
     for i in range(cfg.n):
         for j in range(cfg.n):
             alpha0, alpha1 = X0[i] - X0[j], X1[i] - X1[j]
-            for lev0, lev1 in ((path.S0, path.S1), (-path.S0, -path.S1), (0, 0)):
+            for lev0, lev1 in ((path.S0, path.S1), (0, 0)):
                 # times d, w + alpha_t - lev_t is w d + b0 + t (b1 - b0)
                 b0, b1 = alpha0 - lev0, alpha1 - lev1
                 if b0 == b1:

@@ -15,6 +15,16 @@ With the standard commutator [a, b] = ab - ba the identities read
 
 i.e. the filtration-raising Phi plays the role of the sl2 raising
 element and E is its lowering partner of opposite homogeneous degree.
+
+The identities are checked on F_q coefficient matrices.  A homogeneous
+element of degree d at x has the monomial c_ij t^(d - x_i + x_j) at
+(i, j).  In a product of homogeneous elements of degrees d1 and d2 the
+(i, k) entry sums c_ij c'_jk t^((d1 - x_i + x_j) + (d2 - x_j + x_k)),
+and that exponent, d1 + d2 - x_i + x_k, does not depend on j.  So the
+product is homogeneous of degree d1 + d2 with coefficient matrix the
+F_q product of the factors', and a bracket identity among H, Phi and E
+(degrees 0, -s and s) holds in LMatrix exactly when it holds mod q for
+their coefficient matrices.
 """
 
 from __future__ import annotations
@@ -32,12 +42,11 @@ from .graded import (
     GradedElement,
     HomLift,
     coefficient_matrix,
-    graded_image,
     graded_jordan_chains,
     homogeneous_lift,
     is_degenerate,
 )
-from .laurent import Laurent, LMatrix, commutator, ser_add
+from .laurent import Laurent, LMatrix, ser_add
 
 Q = Fraction
 
@@ -215,7 +224,10 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
     chain of length L the semisimple part has eigenvalues 1-L, 3-L,
     ..., L-1 and E carries the weights (k-1)(L-k+1).  H is homogeneous
     of degree 0 and E of the opposite degree; all three brackets are
-    verified exactly and a failure is an internal fault.
+    verified exactly, on the coefficient matrices read back from the
+    returned triple (see _check_triple), and a failure is an internal
+    fault.  An input that is not a homogeneous lift (an entry other than
+    one monomial at its support exponent) is refused.
     """
     if cfg.q <= 2 * cfg.n:
         raise ValidationError(
@@ -223,12 +235,8 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
             where="orbits.sl2_complete",
         )
     q, n = cfg.q, cfg.n
-    phi = graded_image(cfg, lift.mat, lift.x, lift.degree)
-    if homogeneous_lift(cfg, phi).mat != lift.mat:
-        raise ValidationError(
-            "input is not a homogeneous lift", where="orbits.sl2_complete"
-        )
-    if lift.mat.is_zero():
+    a, phi = _coefficients(cfg, lift, ValidationError, "input")
+    if phi.is_zero():
         zero = LMatrix.zero(q, n)
         return SL2Triple(
             Phi=lift,
@@ -236,7 +244,7 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
             E=HomLift(x=lift.x, degree=-lift.degree, mat=zero),
         )
     field = gf.prime_field(q)
-    if not gf.is_nilpotent(coefficient_matrix(cfg, phi), field):
+    if not gf.is_nilpotent(a, field):
         raise ValidationError("lift is not nilpotent", where="orbits.sl2_complete")
 
     chains = graded_jordan_chains(cfg, phi)
@@ -268,51 +276,101 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
     return triple
 
 
+def _coefficients(
+    cfg: GroupConfig, part: HomLift, error: type, name: str
+) -> Tuple[gf.Mat, GradedElement]:
+    """The F_q coefficient matrix of part.mat, and the graded element it is.
+
+    Every entry at a support position (i, j) of g_{x=degree} must be zero
+    or one monomial t^w c at that position's exponent w, and every other
+    entry must be zero; anything else raises `error`, naming the entry.
+    """
+    n, rows = cfg.n, part.mat.rows
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise error(f"{name} is not {n} x {n}", where="orbits.sl2_complete")
+    a = [[0] * n for _ in range(n)]
+    coeffs, bad = [], None
+    for (i, j), w in graded_support(cfg, part.x, part.degree, _checked=True).entries:
+        terms = rows[i][j].coeffs
+        if terms:
+            if len(terms) != 1 or terms[0][0] != w:
+                bad = (i, j)
+                break
+            a[i][j] = terms[0][1]
+            coeffs.append(((i, j), terms[0][1]))
+    else:
+        nonzero = [(i, j) for i in range(n) for j in range(n) if rows[i][j].coeffs]
+        if len(nonzero) != len(coeffs):
+            bad = next((i, j) for i, j in nonzero if not a[i][j])
+    if bad is not None:
+        raise error(
+            f"{name} is not homogeneous of degree {part.degree} at ({bad[0]},{bad[1]}): "
+            f"entry {part.mat.entry(*bad)}",
+            where="orbits.sl2_complete",
+        )
+    phi = GradedElement(x=part.x, degree=part.degree, coeffs=tuple(coeffs))
+    return tuple(map(tuple, a)), phi
+
+
 def _hom_from_coefficients(cfg, x: ApartmentPoint, degree: Q, coeffs) -> HomLift:
-    sup = graded_support(cfg, x, degree, _checked=True)
-    rows = [[Laurent.zero(cfg.q) for _ in range(cfg.n)] for _ in range(cfg.n)]
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            c = coeffs[i][j] % cfg.q
-            if not c:
-                continue
-            w = sup.exponent(i, j)
-            if w is None:
+    q, n = cfg.q, cfg.n
+    zero = Laurent.zero(q)
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), w in graded_support(cfg, x, degree, _checked=True).entries:
+        rows[i][j] = Laurent.monomial(q, w, coeffs[i][j])
+    for i in range(n):
+        for j in range(n):
+            if coeffs[i][j] % q and rows[i][j].is_zero():
                 raise InternalFault(
                     f"coefficient at off-support position ({i},{j}) for degree {degree}",
                     where="orbits._hom_from_coefficients",
                 )
-            rows[i][j] = Laurent.monomial(cfg.q, w, c)
-    return HomLift(x=x, degree=degree, mat=LMatrix.from_rows(cfg.q, rows))
+    return HomLift(x=x, degree=degree, mat=LMatrix.from_rows(q, rows))
 
 
 def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:
-    h, e, f = triple.H.mat, triple.Phi.mat, triple.E.mat
-    two_e = e + e
-    two_f = f + f
-    checks = (
-        (commutator(h, e) - two_e, "[H, Phi] = 2 Phi"),
-        (commutator(h, f) + two_f, "[H, E] = -2 E"),
-        (commutator(e, f) - h, "[Phi, E] = H"),
-    )
-    for diff, label in checks:
-        if not diff.is_zero():
+    """Fault unless the triple is homogeneous at Phi's point and satisfies
+    the three bracket identities.
+
+    Each member's coefficient matrix is read back from its LMatrix, so
+    this checks what sl2_complete returns.  For members homogeneous at
+    one point the products are homogeneous and their coefficient matrices
+    are the F_q products of the factors' (module docstring), so with H at
+    degree 0 and E at minus Phi's degree each identity holds over
+    F_q((t)) exactly when it holds for the coefficient matrices mod q.
+    The point and degrees are checked first: t H has H's coefficient
+    matrix, and only its degree tells it apart.
+    """
+    q, x = cfg.q, triple.Phi.x
+    mats = []
+    for name, part, deg in (
+        ("triple member Phi", triple.Phi, triple.Phi.degree),
+        ("triple member H", triple.H, Q(0)),
+        ("triple member E", triple.E, -triple.Phi.degree),
+    ):
+        if part.x != x or part.degree != deg:
+            raise InternalFault(
+                f"{name} is not homogeneous of degree {deg} at x = {x}: it has degree "
+                f"{part.degree} at x = {part.x}",
+                where="orbits.sl2_complete",
+            )
+        mats.append(_coefficients(cfg, part, InternalFault, name)[0])
+    f, h, e = mats
+    field = gf.prime_field(q)
+    for a, b, want, c, label in (
+        (h, f, f, 2, "[H, Phi] = 2 Phi"),
+        (h, e, e, -2, "[H, E] = -2 E"),
+        (f, e, h, 1, "[Phi, E] = H"),
+    ):
+        ab, ba = gf.mat_mul(a, b, field), gf.mat_mul(b, a, field)
+        if any(
+            (u - v - c * w) % q
+            for ra, rb, rw in zip(ab, ba, want)
+            for u, v, w in zip(ra, rb, rw)
+        ):
             raise InternalFault(
                 f"triple identity {label} fails", where="orbits.sl2_complete"
             )
-    # homogeneity of H and E at the base point
-    for lift_part, deg in ((triple.H, Q(0)), (triple.E, -triple.Phi.degree)):
-        sup = graded_support(cfg, lift_part.x, deg, _checked=True)
-        for i in range(cfg.n):
-            for j in range(cfg.n):
-                entry = lift_part.mat.entry(i, j)
-                if entry.is_zero():
-                    continue
-                if not entry.is_monomial() or sup.exponent(i, j) != entry.val():
-                    raise InternalFault(
-                        f"triple member not homogeneous of degree {deg} at ({i},{j})",
-                        where="orbits.sl2_complete",
-                    )
 
 
 @lru_cache(maxsize=256)

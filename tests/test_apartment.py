@@ -467,6 +467,27 @@ def test_flat_kernel_and_certificates_match_the_nested_oracles():
     assert negative > 10
 
 
+def test_cuts_at_levels_s_and_0_equal_the_three_level_oracle():
+    # breakpoints scans the levels s_t and 0 only; the level -s_t roots
+    # are the level s_t roots of the transposed entry, so the three-level
+    # oracle must find the same cuts
+    rng = random.Random(23)
+    denoms = [1, 2, 4, 8]
+    interior = 0
+    for n in (2, 3, 4):
+        cfg = cfgn(n)
+        for _ in range(50):
+            x0, x1 = (
+                ApartmentPoint.of([Q(rng.randrange(-6, 7), rng.choice(denoms)) for _ in range(n)])
+                for _ in range(2)
+            )
+            s0, s1 = (Q(rng.randrange(-6, 7), rng.choice(denoms)) for _ in range(2))
+            ts = breakpoints(cfg, x0, s0, x1, s1).ts
+            assert ts == oracle_cuts(x0, s0, x1, s1)
+            interior += len(ts) - 2
+    assert interior > 2000
+
+
 FORGE = (pt(0, Q(1, 2), 0), Q(1, 2), pt(Q(3, 4), -1, 0), Q(3, 4))
 
 

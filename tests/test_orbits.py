@@ -8,18 +8,21 @@ import pytest
 
 from mptypes import orbits
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
-from mptypes.errors import InfeasibleError, ValidationError
+from mptypes.errors import InfeasibleError, InternalFault, ValidationError
 from mptypes.graded import (
     GradedElement,
+    HomLift,
     ReductiveQuotient,
     conjugate,
     enumerate_graded_elements,
+    graded_image,
     homogeneous_lift,
     is_degenerate,
 )
-from mptypes.laurent import Laurent, LMatrix
+from mptypes.laurent import Laurent, LMatrix, commutator
 from mptypes.orbits import (
     OrbitLabel,
+    SL2Triple,
     debacker_lift,
     dominance_leq,
     jordan_type,
@@ -299,7 +302,7 @@ def test_sl2_bracket_identities_on_random_instances():
         )
         if not is_degenerate(cfg, el):
             continue
-        sl2_complete(cfg, homogeneous_lift(cfg, el))  # bracket check is internal
+        assert oracle_triple_ok(cfg, sl2_complete(cfg, homogeneous_lift(cfg, el)))
         done += 1
 
 
@@ -307,6 +310,186 @@ def test_sl2_refuses_small_q():
     with pytest.raises(ValidationError):
         el3 = GradedElement.make(CFG3, pt(0, 0, 0), -1, {(0, 1): 1})
         sl2_complete(CFG3, homogeneous_lift(CFG3, el3))
+
+
+def oracle_triple_ok(cfg, triple):
+    """The LMatrix check sl2_complete ran before it read coefficient
+    matrices: the three brackets as commutators over F_q((t)), then H and
+    E entry by entry against their graded supports at their own points."""
+    h, e, f = triple.H.mat, triple.Phi.mat, triple.E.mat
+    for diff in (commutator(h, e) - (e + e), commutator(h, f) + (f + f), commutator(e, f) - h):
+        if not diff.is_zero():
+            return False
+    for part, deg in ((triple.H, Q(0)), (triple.E, -triple.Phi.degree)):
+        sup = graded_support(cfg, part.x, deg, _checked=True)
+        for i in range(cfg.n):
+            for j in range(cfg.n):
+                entry = part.mat.entry(i, j)
+                if not entry.is_zero() and (
+                    not entry.is_monomial() or sup.exponent(i, j) != entry.val()
+                ):
+                    return False
+    return True
+
+
+def check_triple_ok(cfg, triple):
+    try:
+        orbits._check_triple(cfg, triple)
+    except InternalFault:
+        return False
+    return True
+
+
+def with_entry(part, i, j, entry):
+    rows = [list(row) for row in part.mat.rows]
+    rows[i][j] = entry
+    return HomLift(x=part.x, degree=part.degree, mat=LMatrix.from_rows(part.mat.q, rows))
+
+
+def nilpotent_instance(cfg, x, s, rng):
+    """A nonzero nilpotent element of g_{x=-s}: random coefficients on the
+    support positions above the diagonal of a random index order, then
+    conjugated by a random element of the reductive quotient at x."""
+    order = list(range(cfg.n))
+    rng.shuffle(order)
+    rank = {i: k for k, i in enumerate(order)}
+    upper = [p for p in graded_support(cfg, x, -s).positions if rank[p[0]] < rank[p[1]]]
+    if not upper:
+        return None
+    el = GradedElement.make(cfg, x, -s, {p: rng.randrange(cfg.q) for p in upper})
+    el = conjugate(cfg, el, ReductiveQuotient.at(x).random_element(cfg, rng))
+    return None if el.is_zero() else el
+
+
+# (n, q, point denominator): GL_2 at q = 5, GL_3 at q = 7 and 11, GL_4 at q = 11
+TRIPLE_GRID = [(n, q, d) for n, q in ((2, 5), (3, 7), (3, 11), (4, 11)) for d in (1, 2)]
+
+
+def test_coefficient_check_agrees_with_the_laurent_oracle():
+    # 8 grid cells x 26 nonzero nilpotent elements: each genuine triple,
+    # the triple conjugated by the reductive quotient (genuine again), and
+    # one member perturbed homogeneously, by an off-support monomial or by
+    # a higher-order term; both checks must give the same verdict
+    rng = random.Random(41)
+    seen, elements = set(), 0
+    for n, q, d in TRIPLE_GRID:
+        cfg = make_cfg(n, q)
+        done = 0
+        while done < 26:
+            x = pt(*(Q(rng.randrange(-2 * d, 2 * d + 1), d) for _ in range(n)))
+            s = Q(rng.randrange(1, 5), 2)
+            el = nilpotent_instance(cfg, x, s, rng)
+            if el is None:
+                continue
+            triple = sl2_complete(cfg, homogeneous_lift(cfg, el))
+            c = ReductiveQuotient.at(x).random_element(cfg, rng)
+            turned = SL2Triple(*(
+                homogeneous_lift(cfg, conjugate(cfg, graded_image(cfg, m.mat, x, m.degree), c))
+                for m in (triple.Phi, triple.H, triple.E)
+            ))
+            forged = [triple, turned]
+            for name in ("Phi", "H", "E"):
+                part = getattr(triple, name)
+                i, j = rng.randrange(n), rng.randrange(n)
+                exps = dict(graded_support(cfg, x, part.degree).entries)
+                entry = part.mat.entry(i, j)
+                if (i, j) in exps:
+                    # a homogeneous change, or a term one step above the support
+                    w = exps[(i, j)] + rng.randrange(2)
+                else:
+                    w = rng.randrange(-2, 3)
+                bump = Laurent.monomial(q, w, rng.randrange(1, q))
+                bumped = with_entry(part, i, j, entry + bump)
+                forged.append(SL2Triple(**{**vars(triple), name: bumped}))
+            for t in forged:
+                verdict = oracle_triple_ok(cfg, t)
+                assert check_triple_ok(cfg, t) == verdict, (n, q, x, s, el, t)
+                seen.add(verdict)
+            assert oracle_triple_ok(cfg, triple) and oracle_triple_ok(cfg, turned)
+            done += 1
+            elements += 1
+    assert elements >= 200 and seen == {True, False}
+
+
+def worked_triple():
+    """At x = (1/2, 0, 0): Phi = t^-1 e_12 + e_31 is regular, H = diag(0, -2, 2)."""
+    cfg = make_cfg(3, 7)
+    x = pt(Q(1, 2), 0, 0)
+    el = GradedElement.make(cfg, x, Q(-1, 2), {(0, 1): 1, (2, 0): 1})
+    return cfg, sl2_complete(cfg, homogeneous_lift(cfg, el))
+
+
+def forge(name):
+    cfg, tr = worked_triple()
+    q = cfg.q
+    if name == "E doubled":
+        return cfg, SL2Triple(tr.Phi, tr.H, HomLift(tr.E.x, tr.E.degree, tr.E.mat + tr.E.mat))
+    if name == "H diagonal swapped":
+        h1, h2 = tr.H.mat.entry(1, 1), tr.H.mat.entry(2, 2)
+        assert h1 != h2
+        return cfg, SL2Triple(tr.Phi, with_entry(with_entry(tr.H, 1, 1, h2), 2, 2, h1), tr.E)
+    if name == "higher-order term":
+        h11 = tr.H.mat.entry(1, 1) + Laurent.monomial(q, 1, 1)
+        return cfg, SL2Triple(tr.Phi, with_entry(tr.H, 1, 1, h11), tr.E)
+    if name == "off-support monomial":
+        # degree - x_0 + x_1 = -1/2 is not an integer: (0, 1) is off the support of H
+        return cfg, SL2Triple(tr.Phi, with_entry(tr.H, 0, 1, Laurent.monomial(q, 0, 1)), tr.E)
+    if name == "H raised to degree 1":
+        # t H is homogeneous of degree 1 with H's coefficient matrix, so
+        # only the degree check tells it from H
+        rows = [[e.shift(1) for e in row] for row in tr.H.mat.rows]
+        return cfg, SL2Triple(tr.Phi, HomLift(tr.H.x, Q(1), LMatrix.from_rows(q, rows)), tr.E)
+    assert name == "Phi swapped"
+    other = GradedElement.make(cfg, tr.Phi.x, Q(-1, 2), {(0, 2): 1, (1, 0): 1})
+    return cfg, SL2Triple(homogeneous_lift(cfg, other), tr.H, tr.E)
+
+
+FORGERIES = (
+    "E doubled", "H diagonal swapped", "higher-order term", "off-support monomial", "Phi swapped",
+    "H raised to degree 1",
+)
+
+
+@pytest.mark.parametrize("name", FORGERIES)
+def test_check_triple_faults_on_forged_triples(name):
+    cfg, genuine = worked_triple()
+    orbits._check_triple(cfg, genuine)
+    cfg, forged = forge(name)
+    assert forged != genuine and not oracle_triple_ok(cfg, forged)
+    with pytest.raises(InternalFault, match="triple identity|not homogeneous"):
+        orbits._check_triple(cfg, forged)
+
+
+def test_sl2_complete_multiplies_no_laurent_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("LMatrix product")
+
+    monkeypatch.setattr(LMatrix, "__matmul__", refuse)  # commutator multiplies with @
+    _, tr = worked_triple()
+    assert tr.H.mat.entry(2, 2) == Laurent.const(7, 2)
+    rng = random.Random(43)
+    for cfg, x, s, el in degenerate_instances(4, 11, 10, rng):
+        sl2_complete(cfg, homogeneous_lift(cfg, el))
+
+
+@pytest.mark.parametrize("entry, pos", [
+    ({-1: 1, 0: 1}, (0, 1)),  # two terms at a support position
+    ({0: 1}, (0, 1)),  # one monomial at the wrong exponent of a support position
+    ({0: 1}, (1, 2)),  # off the support: -1/2 - x_1 + x_2 = -1/2 is not an integer
+])
+def test_sl2_complete_refuses_an_input_that_is_not_a_homogeneous_lift(entry, pos):
+    cfg, tr = worked_triple()
+    bad = with_entry(tr.Phi, *pos, Laurent.from_dict(cfg.q, entry))
+    match = rf"input is not homogeneous of degree -1/2 at \({pos[0]},{pos[1]}\)"
+    with pytest.raises(ValidationError, match=match):
+        sl2_complete(cfg, bad)
+
+
+def test_sl2_complete_refuses_a_lift_of_the_wrong_size():
+    cfg, tr = worked_triple()
+    small = LMatrix(cfg.q, tuple(row[:2] for row in tr.Phi.mat.rows[:2]))
+    with pytest.raises(ValidationError, match="input is not 3 x 3"):
+        sl2_complete(cfg, HomLift(tr.Phi.x, tr.Phi.degree, small))
 
 
 def test_minimality_probe_worked_examples():
