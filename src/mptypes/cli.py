@@ -246,10 +246,10 @@ def _cmd_lift(cfg, args) -> dict:
         ),
     }
     if cfg.q > 2 * cfg.n:
-        triple = sl2_complete(cfg, homogeneous_lift(cfg, phi))
+        triple = sl2_complete(cfg, phi)
         out["sl2"] = {
-            "H": _lmatrix_json(triple.H.mat),
-            "E": _lmatrix_json(triple.E.mat),
+            "H": _lmatrix_json(homogeneous_lift(cfg, triple.H)),
+            "E": _lmatrix_json(homogeneous_lift(cfg, triple.E)),
         }
     else:
         out["sl2"] = {"skipped": f"q = {cfg.q} <= 2n = {2 * cfg.n}"}

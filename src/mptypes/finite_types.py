@@ -331,7 +331,7 @@ def _coarse_exponent(
     """
     i, j = pos
     w = graded_support(cfg, x, s, _checked=True).exponent(i, j)
-    lift = homogeneous_lift(cfg, coarse.phi).mat
+    lift = homogeneous_lift(cfg, coarse.phi)
     return lift.entry(j, i).coeff(-w)
 
 

@@ -40,7 +40,6 @@ Q = Fraction
 
 __all__ = [
     "GradedElement",
-    "HomLift",
     "ReductiveQuotient",
     "UnipotentImage",
     "is_degenerate",
@@ -106,28 +105,22 @@ class GradedElement:
         return dict(self.coeffs)
 
 
-@dataclass(frozen=True)
-class HomLift:
-    """Homogeneous Laurent-monomial lift of a graded element."""
-
-    x: ApartmentPoint
-    degree: Q
-    mat: LMatrix
-
-
 def support_of(cfg: GroupConfig, phi: GradedElement) -> GradedSupport:
     return graded_support(cfg, phi.x, phi.degree, _checked=True)
 
 
-def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> HomLift:
-    """Laurent-monomial matrix reducing to phi modulo the strict lattice."""
-    sup = support_of(cfg, phi)
-    n = cfg.n
-    rows = [[Laurent.zero(cfg.q) for _ in range(n)] for _ in range(n)]
-    for (i, j), c in phi.coeffs:
-        w = sup.exponent(i, j)
-        rows[i][j] = Laurent.monomial(cfg.q, w, c)
-    return HomLift(x=phi.x, degree=phi.degree, mat=LMatrix.from_rows(cfg.q, rows))
+def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> LMatrix:
+    """Laurent-monomial matrix reducing to phi modulo the strict lattice.
+
+    Only the support positions of phi's piece are read, so a coefficient
+    off that support (which GradedElement.make refuses) is not lifted.
+    """
+    q, n = cfg.q, cfg.n
+    coeffs = phi.as_dict()
+    rows = [[Laurent.zero(q)] * n for _ in range(n)]
+    for (i, j), w in support_of(cfg, phi).entries:
+        rows[i][j] = Laurent.monomial(q, w, coeffs.get((i, j), 0))
+    return LMatrix.from_rows(q, rows)
 
 
 def coefficient_matrix(cfg: GroupConfig, phi: GradedElement) -> gf.Mat:
@@ -437,16 +430,15 @@ def graded_jordan_chains(
     n, q = cfg.n, cfg.q
     field = gf.prime_field(q)
     powers = [gf.identity(n)]
-    for _ in range(n + 1):
+    while any(map(any, powers[-1])):
+        # over a field, A is nilpotent exactly when A^n = 0
+        if len(powers) > n:
+            raise ValidationError(
+                "graded Jordan chains require a nilpotent coefficient matrix",
+                where="graded.graded_jordan_chains",
+            )
         powers.append(gf.mat_mul(powers[-1], a, field))
-    # over a field, A is nilpotent exactly when A^n = 0
-    depth = next((k for k in range(n + 1) if not any(map(any, powers[k]))), None)
-    if depth is None:
-        raise ValidationError(
-            "graded Jordan chains require a nilpotent coefficient matrix",
-            where="graded.graded_jordan_chains",
-        )
-    depth = max(depth, 1)
+    depth = len(powers) - 1  # the first k with A^k = 0
     classes = residue_classes(phi.x)
     class_index = {}
     for res, idx in classes:
@@ -454,11 +446,17 @@ def graded_jordan_chains(
             class_index[i] = res
     shift = phi.degree % 1
 
-    # kernel bases per power per class
+    # kernel bases per power per class; from A^depth = 0 on, the kernel is
+    # the whole class, spanned by its unit vectors in idx order (which is
+    # what gf.kernel returns for a zero matrix)
     kern: Dict[Tuple[int, Q], List[gf.Vec]] = {}
-    for k in range(depth + 2):
-        for res, idx in classes:
-            kern[(k, res)] = [] if k == 0 else _class_subspace_kernel(cfg, powers[k], idx)
+    for res, idx in classes:
+        kern[(0, res)] = []
+        for k in range(1, depth):
+            kern[(k, res)] = _class_subspace_kernel(cfg, powers[k], idx)
+        kern[(depth, res)] = kern[(depth + 1, res)] = [
+            tuple(int(p == i) for p in range(n)) for i in idx
+        ]
 
     chains: List[List[gf.Vec]] = []
     for length in range(depth, 0, -1):

@@ -191,7 +191,7 @@ def _validate_lattice(
 def _entry_layout(cfg: GroupConfig, pair: DMPPair, K: int, lam):
     """Per-entry grids: base series from the lift, strict bound (the coset
     ball's floor) and residue depth K + lam."""
-    lift = homogeneous_lift(cfg, pair.phi).mat
+    lift = homogeneous_lift(cfg, pair.phi)
     n = cfg.n
     bases = [[lift.entry(i, j).coeffs for j in range(n)] for i in range(n)]
     depths = [[K + lam[i][j] for j in range(n)] for i in range(n)]

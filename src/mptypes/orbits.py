@@ -8,8 +8,10 @@ over F_q(t) for any other matrix, never by specializing t.
 
 Triple convention
 -----------------
-sl2_complete returns (Phi, H, E) with Phi the given nilpotent lift.
-With the standard commutator [a, b] = ab - ba the identities read
+sl2_complete returns (Phi, H, E), three graded elements at Phi's point:
+Phi the given nilpotent element of degree -s, H of degree 0 and E of
+degree s.  With the standard commutator [a, b] = ab - ba their
+homogeneous lifts satisfy
 
     [H, Phi] = 2 Phi,   [H, E] = -2 E,   [Phi, E] = H,
 
@@ -22,9 +24,9 @@ element of degree d at x has the monomial c_ij t^(d - x_i + x_j) at
 (i, k) entry sums c_ij c'_jk t^((d1 - x_i + x_j) + (d2 - x_j + x_k)),
 and that exponent, d1 + d2 - x_i + x_k, does not depend on j.  So the
 product is homogeneous of degree d1 + d2 with coefficient matrix the
-F_q product of the factors', and a bracket identity among H, Phi and E
-(degrees 0, -s and s) holds in LMatrix exactly when it holds mod q for
-their coefficient matrices.
+F_q product of the factors', and a bracket identity among the lifts of
+H, Phi and E (degrees 0, -s and s) holds in LMatrix exactly when it
+holds mod q for their coefficient matrices.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from .errors import InfeasibleError, InternalFault, ValidationError
 from .graded import (
     GradedElement,
-    HomLift,
     coefficient_matrix,
     graded_jordan_chains,
     homogeneous_lift,
@@ -128,9 +129,9 @@ class OrbitLabel:
 
 @dataclass(frozen=True)
 class SL2Triple:
-    Phi: HomLift
-    H: HomLift
-    E: HomLift
+    Phi: GradedElement
+    H: GradedElement
+    E: GradedElement
 
 
 def partitions_of(n: int) -> List[OrbitLabel]:
@@ -217,36 +218,28 @@ def debacker_lift(
     return OrbitLabel.from_ranks(cfg.n, ranks)
 
 
-def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
-    """Complete a nilpotent homogeneous lift to a graded sl2 triple.
+def sl2_complete(cfg: GroupConfig, phi: GradedElement) -> SL2Triple:
+    """Complete a nilpotent graded element to a graded sl2 triple.
 
     Built from graded Jordan chains of the coefficient matrix: along a
     chain of length L the semisimple part has eigenvalues 1-L, 3-L,
-    ..., L-1 and E carries the weights (k-1)(L-k+1).  H is homogeneous
-    of degree 0 and E of the opposite degree; all three brackets are
-    verified exactly, on the coefficient matrices read back from the
-    returned triple (see _check_triple), and a failure is an internal
-    fault.  An input that is not a homogeneous lift (an entry other than
-    one monomial at its support exponent) is refused.
+    ..., L-1 and E carries the weights (k-1)(L-k+1).  H is built at
+    degree 0 and E at the opposite degree of phi, both at phi's point;
+    a non-nilpotent phi is refused by graded_jordan_chains.  The returned
+    triple is verified exactly (see _check_triple), and a failure is an
+    internal fault.
     """
     if cfg.q <= 2 * cfg.n:
         raise ValidationError(
             f"triple completion refused for q = {cfg.q} <= 2n = {2 * cfg.n}",
             where="orbits.sl2_complete",
         )
-    q, n = cfg.q, cfg.n
-    a, phi = _coefficients(cfg, lift, ValidationError, "input")
+    q, n, x = cfg.q, cfg.n, phi.x
     if phi.is_zero():
-        zero = LMatrix.zero(q, n)
         return SL2Triple(
-            Phi=lift,
-            H=HomLift(x=lift.x, degree=Q(0), mat=zero),
-            E=HomLift(x=lift.x, degree=-lift.degree, mat=zero),
+            Phi=phi, H=GradedElement.zero(x, 0), E=GradedElement.zero(x, -phi.degree)
         )
     field = gf.prime_field(q)
-    if not gf.is_nilpotent(a, field):
-        raise ValidationError("lift is not nilpotent", where="orbits.sl2_complete")
-
     chains = graded_jordan_chains(cfg, phi)
     basis = [v for ch in chains for v in ch]
     p_cols = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
@@ -268,78 +261,35 @@ def sl2_complete(cfg: GroupConfig, lift: HomLift) -> SL2Triple:
     h_mat = gf.mat_mul(gf.mat_mul(p_cols, h_j, field), p_inv, field)
     e_mat = gf.mat_mul(gf.mat_mul(p_cols, e_chain, field), p_inv, field)
 
-    s = -lift.degree
-    h_lift = _hom_from_coefficients(cfg, lift.x, Q(0), h_mat)
-    e_lift = _hom_from_coefficients(cfg, lift.x, s, e_mat)
-    triple = SL2Triple(Phi=lift, H=h_lift, E=e_lift)
+    triple = SL2Triple(
+        Phi=phi, H=_element(x, Q(0), h_mat), E=_element(x, -phi.degree, e_mat)
+    )
     _check_triple(cfg, triple)
     return triple
 
 
-def _coefficients(
-    cfg: GroupConfig, part: HomLift, error: type, name: str
-) -> Tuple[gf.Mat, GradedElement]:
-    """The F_q coefficient matrix of part.mat, and the graded element it is.
-
-    Every entry at a support position (i, j) of g_{x=degree} must be zero
-    or one monomial t^w c at that position's exponent w, and every other
-    entry must be zero; anything else raises `error`, naming the entry.
-    """
-    n, rows = cfg.n, part.mat.rows
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise error(f"{name} is not {n} x {n}", where="orbits.sl2_complete")
-    a = [[0] * n for _ in range(n)]
-    coeffs, bad = [], None
-    for (i, j), w in graded_support(cfg, part.x, part.degree, _checked=True).entries:
-        terms = rows[i][j].coeffs
-        if terms:
-            if len(terms) != 1 or terms[0][0] != w:
-                bad = (i, j)
-                break
-            a[i][j] = terms[0][1]
-            coeffs.append(((i, j), terms[0][1]))
-    else:
-        nonzero = [(i, j) for i in range(n) for j in range(n) if rows[i][j].coeffs]
-        if len(nonzero) != len(coeffs):
-            bad = next((i, j) for i, j in nonzero if not a[i][j])
-    if bad is not None:
-        raise error(
-            f"{name} is not homogeneous of degree {part.degree} at ({bad[0]},{bad[1]}): "
-            f"entry {part.mat.entry(*bad)}",
-            where="orbits.sl2_complete",
-        )
-    phi = GradedElement(x=part.x, degree=part.degree, coeffs=tuple(coeffs))
-    return tuple(map(tuple, a)), phi
-
-
-def _hom_from_coefficients(cfg, x: ApartmentPoint, degree: Q, coeffs) -> HomLift:
-    q, n = cfg.q, cfg.n
-    zero = Laurent.zero(q)
-    rows = [[zero] * n for _ in range(n)]
-    for (i, j), w in graded_support(cfg, x, degree, _checked=True).entries:
-        rows[i][j] = Laurent.monomial(q, w, coeffs[i][j])
-    for i in range(n):
-        for j in range(n):
-            if coeffs[i][j] % q and rows[i][j].is_zero():
-                raise InternalFault(
-                    f"coefficient at off-support position ({i},{j}) for degree {degree}",
-                    where="orbits._hom_from_coefficients",
-                )
-    return HomLift(x=x, degree=degree, mat=LMatrix.from_rows(q, rows))
+def _element(x: ApartmentPoint, degree: Q, mat: gf.Mat) -> GradedElement:
+    """The nonzero entries of a reduced matrix as an element of g_{x=degree},
+    unchecked: _check_triple checks the support."""
+    return GradedElement(
+        x=x,
+        degree=degree,
+        coeffs=tuple(((i, j), c) for i, row in enumerate(mat) for j, c in enumerate(row) if c),
+    )
 
 
 def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:
     """Fault unless the triple is homogeneous at Phi's point and satisfies
     the three bracket identities.
 
-    Each member's coefficient matrix is read back from its LMatrix, so
-    this checks what sl2_complete returns.  For members homogeneous at
-    one point the products are homogeneous and their coefficient matrices
-    are the F_q products of the factors' (module docstring), so with H at
-    degree 0 and E at minus Phi's degree each identity holds over
+    Each member must sit at Phi's point, Phi at its own degree, H at
+    degree 0 and E at minus Phi's degree, with every coefficient on the
+    support of its piece.  Then the members' lifts are homogeneous and
+    the coefficient matrices of their products are the F_q products of
+    the factors' (module docstring), so each identity holds over
     F_q((t)) exactly when it holds for the coefficient matrices mod q.
-    The point and degrees are checked first: t H has H's coefficient
-    matrix, and only its degree tells it apart.
+    The degrees matter: t H has H's coefficient matrix, and only its
+    degree tells it apart.
     """
     q, x = cfg.q, triple.Phi.x
     mats = []
@@ -354,7 +304,15 @@ def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:
                 f"{part.degree} at x = {part.x}",
                 where="orbits.sl2_complete",
             )
-        mats.append(_coefficients(cfg, part, InternalFault, name)[0])
+        support = set(graded_support(cfg, x, deg, _checked=True).positions)
+        off = [pos for pos, _ in part.coeffs if pos not in support]
+        if off:
+            raise InternalFault(
+                f"{name} is not homogeneous of degree {deg}: coefficient at "
+                f"({off[0][0]},{off[0][1]}) is off the support",
+                where="orbits.sl2_complete",
+            )
+        mats.append(coefficient_matrix(cfg, part))
     f, h, e = mats
     field = gf.prime_field(q)
     for a, b, want, c, label in (
@@ -452,7 +410,7 @@ def _trace_zero_samples(
             f"{samples} samples of {total} draws each exceed bound {bound}",
             where="orbits.minimality_probe",
         )
-    lift = homogeneous_lift(cfg, phi).mat
+    lift = homogeneous_lift(cfg, phi)
     trace_exponents = spans[0][0]  # every diagonal strict bound is floor(-s) + 1
     draw = _draw_stream(random.Random(f"minimality:{seed}"), q).__next__
     for _ in range(samples):

@@ -233,7 +233,7 @@ def enumerate_and_classify(
             where="refine.enumerate_and_classify",
         )
 
-    lift_mat = homogeneous_lift(cfg, coarse.phi).mat
+    lift_mat = homogeneous_lift(cfg, coarse.phi)
     phi_x = graded_image(cfg, lift_mat, x, -s)
     if not is_degenerate(cfg, phi_x):
         raise InternalFault(
@@ -343,7 +343,7 @@ def refine_relation(
             )
         base_chi = base_hint
     else:
-        lift_mat = homogeneous_lift(cfg, coarse.phi).mat
+        lift_mat = homogeneous_lift(cfg, coarse.phi)
         base_chi = graded_image(cfg, lift_mat, x, -s)
 
     base_pair = DMPPair.make(cfg, s, x, base_chi)
@@ -422,7 +422,7 @@ def connect(
     if p0 == p1:
         return []
 
-    shared = homogeneous_lift(cfg, p0.phi).mat
+    shared = homogeneous_lift(cfg, p0.phi)
     if not _lattice_holds(cfg, shared, p1.x, -p1.s):
         raise InfeasibleError(
             "no shared datum within the standard apartment: the lift of p0 "

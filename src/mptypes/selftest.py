@@ -330,7 +330,7 @@ def criterion_8_power_of_q(
     # BFS vs dimension count on the worked unipotent instances (the
     # orbit counter faults internally on any disagreement)
     for coarse, finer in worked_instances(cfg):
-        lift = homogeneous_lift(cfg, coarse.phi).mat
+        lift = homogeneous_lift(cfg, coarse.phi)
         phi_x = graded_image(cfg, lift, finer[0], -finer[1])
         n, members = unipotent_orbit_count(cfg, coarse.x, finer[0], phi_x)
         if members and len(members) != n:

@@ -33,7 +33,7 @@ def pt(*coords):
 def coset_contains_nilpotent(cfg, x, s, el) -> bool:
     """Exact solvability of tr = det = 0 over the coset entry balls."""
     strict = mp_lattice(cfg, x, -s, strict=True, _checked=True)
-    lift = homogeneous_lift(cfg, el).mat
+    lift = homogeneous_lift(cfg, el)
     ser = [[tuple(lift.entry(i, j).coeffs) for j in range(2)] for i in range(2)]
     b = strict.bounds
     merged = _ball_intersect(ser[0][0], b[0][0], ser_neg(ser[1][1], cfg.q), b[1][1], cfg.q)

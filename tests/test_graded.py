@@ -6,8 +6,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from mptypes import gf, graded
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, residue_classes
-from mptypes.errors import ValidationError
+from mptypes.errors import InternalFault, ValidationError
 from mptypes.graded import (
     GradedElement,
     ReductiveQuotient,
@@ -64,24 +65,24 @@ def test_homogeneous_lift_worked_examples():
     xi = pt(Q(1, 2), 0)
     el = phi2(xi, Q(1, 2), {(0, 1): 2, (1, 0): 3})
     lift = homogeneous_lift(CFG2, el)
-    assert lift.mat.entry(0, 1) == Laurent.monomial(5, -1, 2)
-    assert lift.mat.entry(1, 0) == Laurent.monomial(5, 0, 3)
-    assert lift.mat.entry(0, 0).is_zero()
+    assert lift.entry(0, 1) == Laurent.monomial(5, -1, 2)
+    assert lift.entry(1, 0) == Laurent.monomial(5, 0, 3)
+    assert lift.entry(0, 0).is_zero()
     # zero element lifts to the zero matrix
     z = homogeneous_lift(CFG2, GradedElement.zero(xi, Q(-1, 2)))
-    assert z.mat.is_zero()
+    assert z.is_zero()
     # n = 3 regular pattern at integral level: exponent -1 everywhere
     el3 = GradedElement.make(CFG3, pt(0, 0, 0), -1, {(0, 1): 1, (1, 2): 1})
     lift3 = homogeneous_lift(CFG3, el3)
-    assert lift3.mat.entry(0, 1) == Laurent.monomial(5, -1, 1)
-    assert lift3.mat.entry(1, 2) == Laurent.monomial(5, -1, 1)
+    assert lift3.entry(0, 1) == Laurent.monomial(5, -1, 1)
+    assert lift3.entry(1, 2) == Laurent.monomial(5, -1, 1)
 
 
 def test_graded_image_round_trip():
     xi = pt(Q(1, 2), 0)
     el = phi2(xi, Q(1, 2), {(0, 1): 2, (1, 0): 3})
     lift = homogeneous_lift(CFG2, el)
-    assert graded_image(CFG2, lift.mat, xi, Q(-1, 2)) == el
+    assert graded_image(CFG2, lift, xi, Q(-1, 2)) == el
 
 
 def test_rank_profile_worked_examples():
@@ -100,7 +101,7 @@ def test_rank_profile_worked_examples():
 def lift_oracle(cfg, el):
     """The F_q(t) path: nilpotence, Bareiss ranks of the lift's powers and
     of their column blocks, and the Jordan type when nilpotent."""
-    lift = homogeneous_lift(cfg, el).mat
+    lift = homogeneous_lift(cfg, el)
     n = cfg.n
     powers = [lift]
     for _ in range(n - 1):
@@ -299,3 +300,83 @@ def test_graded_jordan_chains_and_alignment():
     assert conjugate(CFG2, el, g) == el_b
     # and refusal between non-conjugate ones
     assert align_conjugator(CFG2, el, GradedElement.zero(xi, Q(-1, 2))) is None
+
+
+def oracle_jordan_chains(cfg, phi):
+    """graded_jordan_chains as it was before it stopped at the first zero
+    power: A^k for every k up to n + 1, and a class-restricted kernel of
+    every power up to depth + 1, zero powers included."""
+    a = graded.coefficient_matrix(cfg, phi)
+    n, q = cfg.n, cfg.q
+    field = gf.prime_field(q)
+    powers = [gf.identity(n)]
+    for _ in range(n + 1):
+        powers.append(gf.mat_mul(powers[-1], a, field))
+    depth = next((k for k in range(n + 1) if not any(map(any, powers[k]))), None)
+    if depth is None:
+        raise ValidationError("not nilpotent", where="oracle")
+    depth = max(depth, 1)
+    classes = residue_classes(phi.x)
+    class_index = {i: res for res, idx in classes for i in idx}
+    shift = phi.degree % 1
+    kern = {}
+    for k in range(depth + 2):
+        for res, idx in classes:
+            kern[(k, res)] = (
+                [] if k == 0 else graded._class_subspace_kernel(cfg, powers[k], idx)
+            )
+    chains = []
+    for length in range(depth, 0, -1):
+        for res, idx in classes:
+            t_space = kern[(length, res)]
+            if not t_space:
+                continue
+            lower = list(kern[(length - 1, res)])
+            src_res = (res - shift) % 1
+            pushed = []
+            for v in kern.get((length + 1, src_res), []):
+                img = gf.mat_vec(a, v, field)
+                if any(img):
+                    pushed.append(img)
+            for top in gf.complement_basis(lower + pushed, t_space, field):
+                chain = [top]
+                for _ in range(length - 1):
+                    chain.append(gf.mat_vec(a, chain[-1], field))
+                chains.append(chain)
+    if sum(len(c) for c in chains) != n:
+        raise InternalFault("short chain basis", where="oracle")
+    chains.sort(
+        key=lambda ch: (-len(ch), class_index[graded._support_class(ch[0])], ch[0])
+    )
+    return chains
+
+
+def test_jordan_chains_stopping_at_the_first_zero_power_equal_the_oracle():
+    # 210 seeded nilpotent elements over GL_2, GL_3 and GL_4, at integral and
+    # half-integral points: random coefficients above the diagonal of a
+    # random index order, conjugated by the reductive quotient at x
+    rng = random.Random(53)
+    depths = set()
+    done = 0
+    for n, q in ((2, 5), (3, 7), (4, 11)):
+        cfg = make_cfg(n, q)
+        for d in (1, 2):
+            cell = 0
+            while cell < 35:
+                x = pt(*(Q(rng.randrange(-2 * d, 2 * d + 1), d) for _ in range(n)))
+                s = Q(rng.randrange(1, 5), 2)
+                order = list(range(n))
+                rng.shuffle(order)
+                upper = [
+                    (i, j) for i, j in graded_support(cfg, x, -s).positions
+                    if order.index(i) < order.index(j)
+                ]
+                el = GradedElement.make(cfg, x, -s, {p: rng.randrange(q) for p in upper})
+                el = conjugate(cfg, el, ReductiveQuotient.at(x).random_element(cfg, rng))
+                chains = graded_jordan_chains(cfg, el)
+                assert chains == oracle_jordan_chains(cfg, el), (n, q, x, s, el)
+                depths.add(len(chains[0]))
+                cell += 1
+                done += 1
+    assert done >= 200 and depths == {1, 2, 3, 4}
+

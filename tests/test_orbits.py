@@ -6,16 +6,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mptypes import orbits
+from mptypes import gf, orbits
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import InfeasibleError, InternalFault, ValidationError
 from mptypes.graded import (
     GradedElement,
-    HomLift,
     ReductiveQuotient,
+    coefficient_matrix,
     conjugate,
     enumerate_graded_elements,
-    graded_image,
     homogeneous_lift,
     is_degenerate,
 )
@@ -204,7 +203,7 @@ def test_jordan_type_conjugation_invariance():
         )
         if not is_degenerate(cfg, el):
             continue
-        lift = homogeneous_lift(cfg, el).mat
+        lift = homogeneous_lift(cfg, el)
         base_type = jordan_type(lift)
         # conjugation by a random invertible monomial matrix over F_q(t)
         perm = list(range(n))
@@ -260,32 +259,30 @@ def test_lift_is_witnessed_in_coset_exhaustively():
             if not is_degenerate(CFG2, el):
                 continue
             lift = homogeneous_lift(CFG2, el)
-            assert jordan_type(lift.mat) == debacker_lift(CFG2, s, x, el)
+            assert jordan_type(lift) == debacker_lift(CFG2, s, x, el)
 
 
 def test_sl2_worked_examples():
     # Phi = t^-1 e_12: H = diag(1,-1), E = t e_21
     x = pt(0, 0)
     el = GradedElement.make(CFG2, x, -1, {(0, 1): 1})
-    tr = sl2_complete(CFG2, homogeneous_lift(CFG2, el))
-    assert tr.H.mat.entry(0, 0) == Laurent.const(5, 1)
-    assert tr.H.mat.entry(1, 1) == Laurent.const(5, -1)
-    assert tr.E.mat.entry(1, 0) == Laurent.monomial(5, 1, 1)
+    tr = sl2_complete(CFG2, el)
+    assert tr.Phi == el
+    assert tr.H == GradedElement.make(CFG2, x, 0, {(0, 0): 1, (1, 1): -1})
+    assert tr.E == GradedElement.make(CFG2, x, 1, {(1, 0): 1})
+    assert homogeneous_lift(CFG2, tr.E).entry(1, 0) == Laurent.monomial(5, 1, 1)
     # zero element: degenerate triple
-    tz = sl2_complete(CFG2, homogeneous_lift(CFG2, GradedElement.zero(x, -1)))
-    assert tz.H.mat.is_zero() and tz.E.mat.is_zero()
+    tz = sl2_complete(CFG2, GradedElement.zero(x, -1))
+    assert tz.H == GradedElement.zero(x, 0) and tz.E == GradedElement.zero(x, 1)
     # principal triple for n = 3
     x3 = pt(0, 0, 0)
     el3 = GradedElement.make(CFG3, x3, -1, {(0, 1): 1, (1, 2): 1})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg_big = GroupConfig(n=3, q=7, m=8)
-    tr3 = sl2_complete(cfg_big, homogeneous_lift(cfg_big, el3))
-    assert tr3.H.mat.entry(0, 0) == Laurent.const(7, 2)
-    assert tr3.H.mat.entry(1, 1).is_zero()
-    assert tr3.H.mat.entry(2, 2) == Laurent.const(7, -2)
-    assert tr3.E.mat.entry(1, 0) == Laurent.monomial(7, 1, 2)
-    assert tr3.E.mat.entry(2, 1) == Laurent.monomial(7, 1, 2)
+    tr3 = sl2_complete(cfg_big, el3)
+    assert tr3.H == GradedElement.make(cfg_big, x3, 0, {(0, 0): 2, (2, 2): -2})
+    assert tr3.E == GradedElement.make(cfg_big, x3, 1, {(1, 0): 2, (2, 1): 2})
 
 
 def test_sl2_bracket_identities_on_random_instances():
@@ -302,29 +299,45 @@ def test_sl2_bracket_identities_on_random_instances():
         )
         if not is_degenerate(cfg, el):
             continue
-        assert oracle_triple_ok(cfg, sl2_complete(cfg, homogeneous_lift(cfg, el)))
+        assert oracle_triple_ok(cfg, sl2_complete(cfg, el))
         done += 1
 
 
 def test_sl2_refuses_small_q():
     with pytest.raises(ValidationError):
         el3 = GradedElement.make(CFG3, pt(0, 0, 0), -1, {(0, 1): 1})
-        sl2_complete(CFG3, homogeneous_lift(CFG3, el3))
+        sl2_complete(CFG3, el3)
+
+
+def test_sl2_complete_refuses_a_non_nilpotent_element():
+    # A = e_12 + e_21 squares to diag(1, 1, 0): both entries sit on the
+    # support of g_{x=-1/2} at x = (1/2, 0, 0), but A is not nilpotent
+    cfg = make_cfg(3, 7)
+    el = GradedElement.make(cfg, pt(Q(1, 2), 0, 0), Q(-1, 2), {(0, 1): 1, (1, 0): 1})
+    with pytest.raises(ValidationError, match="nilpotent coefficient matrix"):
+        sl2_complete(cfg, el)
 
 
 def oracle_triple_ok(cfg, triple):
     """The LMatrix check sl2_complete ran before it read coefficient
-    matrices: the three brackets as commutators over F_q((t)), then H and
-    E entry by entry against their graded supports at their own points."""
-    h, e, f = triple.H.mat, triple.Phi.mat, triple.E.mat
+    matrices: a member with a coefficient off the support of its piece
+    fails before anything is lifted; then the three brackets as
+    commutators of the members' homogeneous lifts over F_q((t)), and the
+    lifts of H and E entry by entry against the graded supports of
+    degrees 0 and minus Phi's degree at their own points."""
+    for part in (triple.Phi, triple.H, triple.E):
+        support = set(graded_support(cfg, part.x, part.degree, _checked=True).positions)
+        if any(pos not in support for pos, _ in part.coeffs):
+            return False
+    e, h, f = (homogeneous_lift(cfg, part) for part in (triple.Phi, triple.H, triple.E))
     for diff in (commutator(h, e) - (e + e), commutator(h, f) + (f + f), commutator(e, f) - h):
         if not diff.is_zero():
             return False
-    for part, deg in ((triple.H, Q(0)), (triple.E, -triple.Phi.degree)):
+    for part, lift, deg in ((triple.H, h, Q(0)), (triple.E, f, -triple.Phi.degree)):
         sup = graded_support(cfg, part.x, deg, _checked=True)
         for i in range(cfg.n):
             for j in range(cfg.n):
-                entry = part.mat.entry(i, j)
+                entry = lift.entry(i, j)
                 if not entry.is_zero() and (
                     not entry.is_monomial() or sup.exponent(i, j) != entry.val()
                 ):
@@ -340,10 +353,14 @@ def check_triple_ok(cfg, triple):
     return True
 
 
-def with_entry(part, i, j, entry):
-    rows = [list(row) for row in part.mat.rows]
-    rows[i][j] = entry
-    return HomLift(x=part.x, degree=part.degree, mat=LMatrix.from_rows(part.mat.q, rows))
+def with_coeff(part, i, j, c):
+    """part with its (i, j) coefficient set to c mod q, unchecked: the
+    position may lie off the support of part's piece."""
+    coeffs = part.as_dict()
+    coeffs[(i, j)] = c
+    return GradedElement(
+        x=part.x, degree=part.degree, coeffs=tuple(sorted((p, v) for p, v in coeffs.items() if v))
+    )
 
 
 def nilpotent_instance(cfg, x, s, rng):
@@ -368,8 +385,8 @@ TRIPLE_GRID = [(n, q, d) for n, q in ((2, 5), (3, 7), (3, 11), (4, 11)) for d in
 def test_coefficient_check_agrees_with_the_laurent_oracle():
     # 8 grid cells x 26 nonzero nilpotent elements: each genuine triple,
     # the triple conjugated by the reductive quotient (genuine again), and
-    # one member perturbed homogeneously, by an off-support monomial or by
-    # a higher-order term; both checks must give the same verdict
+    # one member perturbed homogeneously or by an off-support coefficient;
+    # both checks must give the same verdict
     rng = random.Random(41)
     seen, elements = set(), 0
     for n, q, d in TRIPLE_GRID:
@@ -381,25 +398,15 @@ def test_coefficient_check_agrees_with_the_laurent_oracle():
             el = nilpotent_instance(cfg, x, s, rng)
             if el is None:
                 continue
-            triple = sl2_complete(cfg, homogeneous_lift(cfg, el))
+            triple = sl2_complete(cfg, el)
             c = ReductiveQuotient.at(x).random_element(cfg, rng)
-            turned = SL2Triple(*(
-                homogeneous_lift(cfg, conjugate(cfg, graded_image(cfg, m.mat, x, m.degree), c))
-                for m in (triple.Phi, triple.H, triple.E)
-            ))
+            turned = SL2Triple(*(conjugate(cfg, m, c) for m in (triple.Phi, triple.H, triple.E)))
             forged = [triple, turned]
             for name in ("Phi", "H", "E"):
                 part = getattr(triple, name)
                 i, j = rng.randrange(n), rng.randrange(n)
-                exps = dict(graded_support(cfg, x, part.degree).entries)
-                entry = part.mat.entry(i, j)
-                if (i, j) in exps:
-                    # a homogeneous change, or a term one step above the support
-                    w = exps[(i, j)] + rng.randrange(2)
-                else:
-                    w = rng.randrange(-2, 3)
-                bump = Laurent.monomial(q, w, rng.randrange(1, q))
-                bumped = with_entry(part, i, j, entry + bump)
+                # on the support a homogeneous change, off it an off-support coefficient
+                bumped = with_coeff(part, i, j, (part.coeff(i, j) + rng.randrange(1, q)) % q)
                 forged.append(SL2Triple(**{**vars(triple), name: bumped}))
             for t in forged:
                 verdict = oracle_triple_ok(cfg, t)
@@ -416,37 +423,52 @@ def worked_triple():
     cfg = make_cfg(3, 7)
     x = pt(Q(1, 2), 0, 0)
     el = GradedElement.make(cfg, x, Q(-1, 2), {(0, 1): 1, (2, 0): 1})
-    return cfg, sl2_complete(cfg, homogeneous_lift(cfg, el))
+    return cfg, sl2_complete(cfg, el)
 
 
 def forge(name):
     cfg, tr = worked_triple()
-    q = cfg.q
+    x = tr.Phi.x
     if name == "E doubled":
-        return cfg, SL2Triple(tr.Phi, tr.H, HomLift(tr.E.x, tr.E.degree, tr.E.mat + tr.E.mat))
+        doubled = {p: 2 * c for p, c in tr.E.coeffs}
+        return cfg, SL2Triple(tr.Phi, tr.H, GradedElement.make(cfg, x, tr.E.degree, doubled))
     if name == "H diagonal swapped":
-        h1, h2 = tr.H.mat.entry(1, 1), tr.H.mat.entry(2, 2)
+        h1, h2 = tr.H.coeff(1, 1), tr.H.coeff(2, 2)
         assert h1 != h2
-        return cfg, SL2Triple(tr.Phi, with_entry(with_entry(tr.H, 1, 1, h2), 2, 2, h1), tr.E)
-    if name == "higher-order term":
-        h11 = tr.H.mat.entry(1, 1) + Laurent.monomial(q, 1, 1)
-        return cfg, SL2Triple(tr.Phi, with_entry(tr.H, 1, 1, h11), tr.E)
+        return cfg, SL2Triple(tr.Phi, with_coeff(with_coeff(tr.H, 1, 1, h2), 2, 2, h1), tr.E)
     if name == "off-support monomial":
         # degree - x_0 + x_1 = -1/2 is not an integer: (0, 1) is off the support of H
-        return cfg, SL2Triple(tr.Phi, with_entry(tr.H, 0, 1, Laurent.monomial(q, 0, 1)), tr.E)
+        return cfg, SL2Triple(tr.Phi, with_coeff(tr.H, 0, 1, 1), tr.E)
     if name == "H raised to degree 1":
         # t H is homogeneous of degree 1 with H's coefficient matrix, so
         # only the degree check tells it from H
-        rows = [[e.shift(1) for e in row] for row in tr.H.mat.rows]
-        return cfg, SL2Triple(tr.Phi, HomLift(tr.H.x, Q(1), LMatrix.from_rows(q, rows)), tr.E)
+        return cfg, SL2Triple(tr.Phi, GradedElement.make(cfg, x, 1, tr.H.as_dict()), tr.E)
+    if name == "E at another point":
+        # x + (1, 0, 0) has x's residue classes, so E's coefficients stay on
+        # the support there, but its lift has other exponents
+        y = pt(Q(3, 2), 0, 0)
+        return cfg, SL2Triple(tr.Phi, tr.H, GradedElement.make(cfg, y, tr.E.degree, tr.E.as_dict()))
+    if name == "conjugated across residue classes":
+        # g = 1 + e_12 mixes the residue classes of x, so conjugating by it
+        # keeps the coefficient brackets but moves coefficients off the
+        # supports: only the support check refuses this triple
+        field = gf.prime_field(cfg.q)
+        g = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+        g_inv = gf.mat_inv(g, field)
+        return cfg, SL2Triple(*(
+            orbits._element(x, m.degree, gf.mat_mul(
+                gf.mat_mul(g, coefficient_matrix(cfg, m), field), g_inv, field
+            ))
+            for m in (tr.Phi, tr.H, tr.E)
+        ))
     assert name == "Phi swapped"
-    other = GradedElement.make(cfg, tr.Phi.x, Q(-1, 2), {(0, 2): 1, (1, 0): 1})
-    return cfg, SL2Triple(homogeneous_lift(cfg, other), tr.H, tr.E)
+    other = GradedElement.make(cfg, x, Q(-1, 2), {(0, 2): 1, (1, 0): 1})
+    return cfg, SL2Triple(other, tr.H, tr.E)
 
 
 FORGERIES = (
-    "E doubled", "H diagonal swapped", "higher-order term", "off-support monomial", "Phi swapped",
-    "H raised to degree 1",
+    "E doubled", "H diagonal swapped", "off-support monomial", "Phi swapped",
+    "H raised to degree 1", "E at another point", "conjugated across residue classes",
 )
 
 
@@ -462,34 +484,36 @@ def test_check_triple_faults_on_forged_triples(name):
 
 def test_sl2_complete_multiplies_no_laurent_matrices(monkeypatch):
     def refuse(*args):
-        raise AssertionError("LMatrix product")
+        raise AssertionError("LMatrix built or multiplied")
 
     monkeypatch.setattr(LMatrix, "__matmul__", refuse)  # commutator multiplies with @
+    monkeypatch.setattr(LMatrix, "from_rows", staticmethod(refuse))
     _, tr = worked_triple()
-    assert tr.H.mat.entry(2, 2) == Laurent.const(7, 2)
+    assert tr.H.coeff(2, 2) == 2
     rng = random.Random(43)
     for cfg, x, s, el in degenerate_instances(4, 11, 10, rng):
-        sl2_complete(cfg, homogeneous_lift(cfg, el))
+        sl2_complete(cfg, el)
 
 
-@pytest.mark.parametrize("entry, pos", [
-    ({-1: 1, 0: 1}, (0, 1)),  # two terms at a support position
-    ({0: 1}, (0, 1)),  # one monomial at the wrong exponent of a support position
-    ({0: 1}, (1, 2)),  # off the support: -1/2 - x_1 + x_2 = -1/2 is not an integer
-])
-def test_sl2_complete_refuses_an_input_that_is_not_a_homogeneous_lift(entry, pos):
-    cfg, tr = worked_triple()
-    bad = with_entry(tr.Phi, *pos, Laurent.from_dict(cfg.q, entry))
-    match = rf"input is not homogeneous of degree -1/2 at \({pos[0]},{pos[1]}\)"
-    with pytest.raises(ValidationError, match=match):
-        sl2_complete(cfg, bad)
+def test_sl2_complete_computes_each_support_once(monkeypatch):
+    # one graded_support per triple member: Phi, H and E
+    calls = []
+    real = orbits.graded_support
 
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
 
-def test_sl2_complete_refuses_a_lift_of_the_wrong_size():
-    cfg, tr = worked_triple()
-    small = LMatrix(cfg.q, tuple(row[:2] for row in tr.Phi.mat.rows[:2]))
-    with pytest.raises(ValidationError, match="input is not 3 x 3"):
-        sl2_complete(cfg, HomLift(tr.Phi.x, tr.Phi.degree, small))
+    monkeypatch.setattr(orbits, "graded_support", counted)
+    rng = random.Random(47)
+    instances = degenerate_instances(3, 11, 20, rng) + degenerate_instances(4, 11, 20, rng)
+    for cfg, x, s, el in instances:
+        del calls[:]
+        triple = sl2_complete(cfg, el)
+        assert len(calls) <= 3
+        if not el.is_zero():
+            assert calls == [(x, -s), (x, 0), (x, s)], calls
+            assert oracle_triple_ok(cfg, triple)
 
 
 def test_minimality_probe_worked_examples():
@@ -509,7 +533,7 @@ def test_minimality_probe_worked_examples():
 def random_coset_element(cfg, s, x, phi, depth, rng):
     """Random element of phi + g_{x>-s} with entries truncated at t^depth."""
     strict = mp_lattice(cfg, x, -s, strict=True, _checked=True)
-    lift = homogeneous_lift(cfg, phi).mat
+    lift = homogeneous_lift(cfg, phi)
     rows = []
     for i in range(cfg.n):
         row = []
@@ -559,7 +583,7 @@ def degenerate_instances(n, q, count, rng):
 def assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample):
     """sample - lift lies in g_{x>-s} and stops at t^depth; the trace is 0."""
     strict = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
-    diff = sample - homogeneous_lift(cfg, el).mat
+    diff = sample - homogeneous_lift(cfg, el)
     trace = Laurent.zero(cfg.q)
     for i in range(cfg.n):
         trace = trace + sample.entry(i, i)

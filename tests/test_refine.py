@@ -221,7 +221,7 @@ def make_built_members(cfg, coarse, finer):
     of coefficients on the free support positions."""
     x, s = finer[0], Q(finer[1])
     free = _surface_positions(cfg, coarse.x, coarse.s, x, s)
-    base = graded_image(cfg, homogeneous_lift(cfg, coarse.phi).mat, x, -s).as_dict()
+    base = graded_image(cfg, homogeneous_lift(cfg, coarse.phi), x, -s).as_dict()
     members = []
     for combo in itertools.product(range(cfg.q), repeat=len(free)):
         coeffs = dict(base)
