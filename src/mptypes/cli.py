@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from . import jsonio
 from .apartment import ApartmentPoint, GroupConfig, breakpoints, graded_support, mp_lattice
 from .errors import InfeasibleError, ToolkitError, ValidationError
-from .graded import GradedElement, homogeneous_lift
+from .graded import GradedElement, monomials
 from .measures import ProbeSet, build_measure_table, independence_check, measure_vector, relation_lattice
 from .orbits import minimality_probe, partitions_of, sl2_complete
 from .refine import DMPPair, enumerate_and_classify, refine_relation, verify_relation
@@ -248,16 +248,20 @@ def _cmd_lift(cfg, args) -> dict:
     if cfg.q > 2 * cfg.n:
         triple = sl2_complete(cfg, phi)
         out["sl2"] = {
-            "H": _lmatrix_json(homogeneous_lift(cfg, triple.H)),
-            "E": _lmatrix_json(homogeneous_lift(cfg, triple.E)),
+            "H": _lift_json(cfg, triple.H),
+            "E": _lift_json(cfg, triple.E),
         }
     else:
         out["sl2"] = {"skipped": f"q = {cfg.q} <= 2n = {2 * cfg.n}"}
     return out
 
 
-def _lmatrix_json(mat) -> List[List[List[List[int]]]]:
-    return [[[list(tc) for tc in e.coeffs] for e in row] for row in mat.rows]
+def _lift_json(cfg, phi: GradedElement) -> List[List[List[List[int]]]]:
+    """phi's homogeneous lift: [[w, c]] at each monomial c t^w, [] elsewhere."""
+    rows = [[[] for _ in range(cfg.n)] for _ in range(cfg.n)]
+    for i, j, w, c in monomials(phi):
+        rows[i][j] = [[w, c]]
+    return rows
 
 
 def _cmd_breakpoints(cfg, args) -> dict:

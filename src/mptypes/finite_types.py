@@ -24,7 +24,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from . import gf
 from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from .errors import InternalFault, ValidationError
-from .graded import GradedElement, homogeneous_lift
+from .graded import GradedElement, monomials
 from .refine import DMPPair, SubcosetClass, enumerate_and_classify
 
 Q = Fraction
@@ -331,8 +331,7 @@ def _coarse_exponent(
     """
     i, j = pos
     w = graded_support(cfg, x, s, _checked=True).exponent(i, j)
-    lift = homogeneous_lift(cfg, coarse.phi)
-    return lift.entry(j, i).coeff(-w)
+    return next((c for a, b, v, c in monomials(coarse.phi) if (a, b, v) == (j, i, -w)), 0)
 
 
 class _Incidence:

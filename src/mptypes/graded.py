@@ -1,14 +1,17 @@
-"""Elements of graded pieces g_{x=d} over F_q and their lifts.
+"""Elements of graded pieces g_{x=d} over F_q, read through their exponents.
 
 A graded element is a coefficient assignment on the monomial support of
-its piece; its homogeneous lift is the Laurent-monomial matrix with
-those coefficients, t^d D A D^{-1} for the coefficient matrix A and
-D = diag(t^(-x_i)), as the monomial at (i, j) is t^(d - x_i + x_j).
-By that similarity the lift's powers have the ranks and Jordan type of
-A over F_q, so degeneracy is DECIDED here as A^n = 0.  For type A this
-agrees with the coset containing a nilpotent element; that equivalence
-is a documented design assumption, cross-checked by an exhaustive
-small-case oracle in the test suite rather than proved in code.
+its piece: the coefficient c at (i, j) stands for the monomial
+c t^w e_ij with w = d - x_i + x_j (`monomials`).  Its homogeneous lift,
+the sum of those monomials, is t^d D A D^{-1} for the coefficient
+matrix A and D = diag(t^(-x_i)), and is never built here: reading it in
+another piece g_{x'=d'} (`regrade`) compares each exponent w with the
+lattice bound at (x', d').  By that similarity the lift's powers have
+the ranks and Jordan type of A over F_q, so degeneracy is DECIDED here
+as A^n = 0.  For type A this agrees with the coset containing a
+nilpotent element; that equivalence is a documented design assumption,
+cross-checked by an exhaustive small-case oracle in the test suite
+rather than proved in code.
 
 Conjugation bookkeeping runs on coefficient matrices: a block element C
 of the reductive quotient at x acts on a graded element with
@@ -28,13 +31,12 @@ from .apartment import (
     ApartmentPoint,
     GradedSupport,
     GroupConfig,
+    _scale,
     graded_support,
     inclusion_chain_ok,
-    mp_lattice,
     residue_classes,
 )
 from .errors import InfeasibleError, InternalFault, ValidationError
-from .laurent import Laurent, LMatrix
 
 Q = Fraction
 
@@ -43,9 +45,9 @@ __all__ = [
     "ReductiveQuotient",
     "UnipotentImage",
     "is_degenerate",
-    "homogeneous_lift",
+    "monomials",
     "coefficient_matrix",
-    "graded_image",
+    "regrade",
     "rank_profile",
     "unipotent_image",
     "unipotent_orbit_count",
@@ -109,18 +111,14 @@ def support_of(cfg: GroupConfig, phi: GradedElement) -> GradedSupport:
     return graded_support(cfg, phi.x, phi.degree, _checked=True)
 
 
-def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> LMatrix:
-    """Laurent-monomial matrix reducing to phi modulo the strict lattice.
+def monomials(phi: GradedElement) -> List[Tuple[int, int, int, int]]:
+    """(i, j, w, c) for each coefficient: phi's lift holds c t^w at (i, j).
 
-    Only the support positions of phi's piece are read, so a coefficient
-    off that support (which GradedElement.make refuses) is not lifted.
+    The exponent is w = degree - x_i + x_j, read on integers over the
+    common denominator of x and the degree.
     """
-    q, n = cfg.q, cfg.n
-    coeffs = phi.as_dict()
-    rows = [[Laurent.zero(q)] * n for _ in range(n)]
-    for (i, j), w in support_of(cfg, phi).entries:
-        rows[i][j] = Laurent.monomial(q, w, coeffs.get((i, j), 0))
-    return LMatrix.from_rows(q, rows)
+    d, X, (D,) = _scale(phi.x.coords, phi.degree)
+    return [(i, j, (D - X[i] + X[j]) // d, c) for (i, j), c in phi.coeffs]
 
 
 def coefficient_matrix(cfg: GroupConfig, phi: GradedElement) -> gf.Mat:
@@ -143,37 +141,31 @@ def element_from_matrix(
     return GradedElement.make(cfg, x, degree, coeffs)
 
 
-def graded_image(
-    cfg: GroupConfig, mat: LMatrix, x: ApartmentPoint, degree: Q | int | str
-) -> GradedElement:
-    """Image in g_{x=degree} of a matrix lying in g_{x>=degree}."""
+def regrade(
+    cfg: GroupConfig, phi: GradedElement, x: ApartmentPoint, degree: Q | int | str
+) -> GradedElement | None:
+    """Image in g_{x=degree} of phi's lift, or None if it leaves g_{x>=degree}.
+
+    The monomial c t^w e_ij has degree w + x_i - x_j at x: below `degree`
+    it lies outside g_{x>=degree}, at `degree` it keeps its coefficient,
+    and above it lies in g_{x>degree} and drops out of the image.
+    """
     degree = Q(degree)
-    shape = mp_lattice(cfg, x, degree, strict=False, _checked=True)
-    sup = graded_support(cfg, x, degree, _checked=True)
-    coeffs = {}
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            e = mat.entry(i, j)
-            if e.is_zero():
-                continue
-            if e.val() < shape.bounds[i][j]:
-                raise ValidationError(
-                    f"matrix entry ({i},{j}) has valuation {e.val()} below the "
-                    f"lattice bound {shape.bounds[i][j]}",
-                    where="graded.graded_image",
-                )
-            w = sup.exponent(i, j)
-            if w is not None:
-                c = e.coeff(w)
-                if c:
-                    coeffs[(i, j)] = c
-    return GradedElement.make(cfg, x, degree, coeffs)
+    d, X, (D,) = _scale(x.coords, degree)
+    coeffs = []
+    for i, j, w, c in monomials(phi):
+        above = w * d + X[i] - X[j] - D  # d times the monomial's degree above `degree`
+        if above < 0:
+            return None
+        if not above:
+            coeffs.append(((i, j), c))
+    return GradedElement(x=x, degree=degree, coeffs=tuple(coeffs))
 
 
 def is_degenerate(cfg: GroupConfig, phi: GradedElement) -> bool:
     """Whether the coset phi + g_{x>degree} contains a nilpotent element.
 
-    Decided by A^n = 0 for the coefficient matrix A, which the lift is
+    Decided by A^n = 0 for the coefficient matrix A, which phi's lift is
     similar to up to a t-power; only pieces of negative degree carry types.
     """
     if phi.degree >= 0:

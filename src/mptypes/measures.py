@@ -55,7 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .apartment import GroupConfig, mp_lattice
 from .errors import InfeasibleError, InternalFault, UndecidedError, ValidationError
-from .graded import homogeneous_lift
+from .graded import monomials
 from .laurent import Laurent, LMatrix, Series, ser_add, ser_mul, ser_neg, ser_trunc
 from .orbits import OrbitLabel, dominance_leq, jordan_type
 from .refine import DMPPair, RelationRecord
@@ -189,11 +189,12 @@ def _validate_lattice(
 
 
 def _entry_layout(cfg: GroupConfig, pair: DMPPair, K: int, lam):
-    """Per-entry grids: base series from the lift, strict bound (the coset
-    ball's floor) and residue depth K + lam."""
-    lift = homogeneous_lift(cfg, pair.phi)
+    """Per-entry grids: base series from the lift's monomials, strict bound
+    (the coset ball's floor) and residue depth K + lam."""
     n = cfg.n
-    bases = [[lift.entry(i, j).coeffs for j in range(n)] for i in range(n)]
+    bases = [[()] * n for _ in range(n)]
+    for i, j, w, c in monomials(pair.phi):
+        bases[i][j] = ((w, c),)
     depths = [[K + lam[i][j] for j in range(n)] for i in range(n)]
     return bases, pair_strict_bounds(cfg, pair), depths
 

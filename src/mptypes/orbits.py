@@ -44,8 +44,8 @@ from .graded import (
     GradedElement,
     coefficient_matrix,
     graded_jordan_chains,
-    homogeneous_lift,
     is_degenerate,
+    monomials,
 )
 from .laurent import Laurent, LMatrix, ser_add
 
@@ -410,7 +410,7 @@ def _trace_zero_samples(
             f"{samples} samples of {total} draws each exceed bound {bound}",
             where="orbits.minimality_probe",
         )
-    lift = homogeneous_lift(cfg, phi)
+    lift = {(i, j): ((w, c),) for i, j, w, c in monomials(phi)}
     trace_exponents = spans[0][0]  # every diagonal strict bound is floor(-s) + 1
     draw = _draw_stream(random.Random(f"minimality:{seed}"), q).__next__
     for _ in range(samples):
@@ -425,7 +425,7 @@ def _trace_zero_samples(
                 for j in range(n):
                     span = spans[i][j]
                     drawn = [lv[i] for lv in levels] if i == j else [draw() for _ in span]
-                    rows[i][j] = Laurent(q, ser_add(lift.entry(i, j).coeffs, zip(span, drawn), q))
+                    rows[i][j] = Laurent(q, ser_add(lift.get((i, j), ()), zip(span, drawn), q))
             yield LMatrix.from_rows(q, rows)
 
 

@@ -34,13 +34,11 @@ from .errors import InfeasibleError, InternalFault, ValidationError
 from .graded import (
     GradedElement,
     align_conjugator,
-    graded_image,
-    homogeneous_lift,
     is_degenerate,
     rank_profile,
+    regrade,
     unipotent_orbit_count,
 )
-from .laurent import LMatrix
 from .orbits import OrbitLabel, debacker_lift, dominance_leq
 
 Q = Fraction
@@ -233,8 +231,7 @@ def enumerate_and_classify(
             where="refine.enumerate_and_classify",
         )
 
-    lift_mat = homogeneous_lift(cfg, coarse.phi)
-    phi_x = graded_image(cfg, lift_mat, x, -s)
+    phi_x = _image(cfg, coarse.phi, x, -s)
     if not is_degenerate(cfg, phi_x):
         raise InternalFault(
             "image of the coarse homogeneous lift is non-degenerate",
@@ -343,8 +340,7 @@ def refine_relation(
             )
         base_chi = base_hint
     else:
-        lift_mat = homogeneous_lift(cfg, coarse.phi)
-        base_chi = graded_image(cfg, lift_mat, x, -s)
+        base_chi = _image(cfg, coarse.phi, x, -s)
 
     base_pair = DMPPair.make(cfg, s, x, base_chi)
     terms = tuple(
@@ -393,14 +389,16 @@ def verify_relation(
 # ---------------------------------------------------------------------------
 
 
-def _lattice_holds(cfg: GroupConfig, mat: LMatrix, x: ApartmentPoint, level: Q) -> bool:
-    shape = mp_lattice(cfg, x, level, strict=False, _checked=True)
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            e = mat.entry(i, j)
-            if not e.is_zero() and e.val() < shape.bounds[i][j]:
-                return False
-    return True
+def _image(cfg: GroupConfig, phi: GradedElement, x: ApartmentPoint, degree: Q) -> GradedElement:
+    """`regrade`, with a lift leaving g_{x>=degree} refused as rejected input."""
+    image = regrade(cfg, phi, x, degree)
+    if image is None:
+        raise ValidationError(
+            f"the lift of an element of g_{{x={phi.degree}}} has a monomial below "
+            f"the lattice bound of g_{{x>={degree}}}",
+            where="graded.graded_image",
+        )
+    return image
 
 
 def connect(
@@ -422,15 +420,14 @@ def connect(
     if p0 == p1:
         return []
 
-    shared = homogeneous_lift(cfg, p0.phi)
-    if not _lattice_holds(cfg, shared, p1.x, -p1.s):
+    phi1_image = regrade(cfg, p0.phi, p1.x, -p1.s)
+    if phi1_image is None:
         raise InfeasibleError(
             "no shared datum within the standard apartment: the lift of p0 "
             "does not lie in the filtration at the p1 end",
             where="refine.connect",
         )
     records: List[RelationRecord] = []
-    phi1_image = graded_image(cfg, shared, p1.x, -p1.s)
     if phi1_image != p1.phi:
         if rank_profile(cfg, phi1_image) != rank_profile(cfg, p1.phi):
             raise InfeasibleError(
@@ -458,12 +455,12 @@ def connect(
     plan = breakpoints(cfg, p0.x, p0.s, p1.x, p1.s)
     for k, cert in enumerate(plan.intervals):
         yu, tau_u = plan.point_at(cert.sample)
-        if not _lattice_holds(cfg, shared, yu, -tau_u):
+        phi_u = regrade(cfg, p0.phi, yu, -tau_u)
+        if phi_u is None:
             raise InternalFault(
                 "shared lift leaves the filtration along the geodesic",
                 where="refine.connect",
             )
-        phi_u = graded_image(cfg, shared, yu, -tau_u)
         pair_u = DMPPair.make(cfg, tau_u, yu, phi_u)
         if pair_u.lift != p0.lift:
             raise InternalFault(
@@ -472,7 +469,7 @@ def connect(
             )
         for role, t in (("interval-left", plan.ts[k]), ("interval-right", plan.ts[k + 1])):
             xb, sb = plan.point_at(t)
-            phi_b = graded_image(cfg, shared, xb, -sb)
+            phi_b = _image(cfg, p0.phi, xb, -sb)
             rec = refine_relation(
                 cfg,
                 pair_u,

@@ -19,9 +19,8 @@ from .errors import InfeasibleError, ToolkitError
 from .graded import (
     GradedElement,
     enumerate_graded_elements,
-    graded_image,
-    homogeneous_lift,
     is_degenerate,
+    regrade,
     unipotent_orbit_count,
 )
 from .measures import (
@@ -330,8 +329,9 @@ def criterion_8_power_of_q(
     # BFS vs dimension count on the worked unipotent instances (the
     # orbit counter faults internally on any disagreement)
     for coarse, finer in worked_instances(cfg):
-        lift = homogeneous_lift(cfg, coarse.phi)
-        phi_x = graded_image(cfg, lift, finer[0], -finer[1])
+        phi_x = regrade(cfg, coarse.phi, finer[0], -finer[1])
+        if phi_x is None:
+            return False, "a worked coarse lift leaves the finer lattice"
         n, members = unipotent_orbit_count(cfg, coarse.x, finer[0], phi_x)
         if members and len(members) != n:
             return False, "BFS member count mismatch"

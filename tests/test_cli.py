@@ -396,6 +396,16 @@ def test_infeasible_error_exit_code(capsys):
     assert error["error"]["code"] == 3
 
 
+def test_refine_refuses_a_coarse_lift_below_the_finer_lattice(capsys):
+    # the coarse lift t^-2 e_12 lies below g_{x>=-1} at x = 0
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "refine",
+        "--y", "0,0", "--tau", "2", "--phi", "1,2,1", "--x", "0,0", "--s", "1",
+    )
+    assert code == 2 and out == ""
+    assert cli_error(err)["where"] == "refine.enumerate_and_classify"
+
+
 def test_small_p_warning_printed_without_flag(capsys):
     code, _, err = run_cli(capsys, "lattice", "--x", "0,0", "--s", "0")
     assert code == 0

@@ -15,16 +15,18 @@ from mptypes.graded import (
     align_conjugator,
     conjugate,
     enumerate_graded_elements,
-    graded_image,
     graded_jordan_chains,
-    homogeneous_lift,
     is_degenerate,
+    monomials,
     rank_profile,
+    regrade,
     unipotent_image,
     unipotent_orbit_count,
 )
 from mptypes.laurent import Laurent
 from mptypes.orbits import debacker_lift, jordan_type
+
+from lift_oracle import graded_image, homogeneous_lift
 
 
 def make_cfg(n, q=5, m=8):
@@ -83,6 +85,39 @@ def test_graded_image_round_trip():
     el = phi2(xi, Q(1, 2), {(0, 1): 2, (1, 0): 3})
     lift = homogeneous_lift(CFG2, el)
     assert graded_image(CFG2, lift, xi, Q(-1, 2)) == el
+
+
+def random_point(rng, n, d):
+    return pt(*(Q(rng.randrange(-2 * d, 2 * d + 1), d) for _ in range(n)))
+
+
+def test_regrade_and_monomials_match_the_lift_oracle():
+    # elements of random GL_2 and GL_3 pieces at q = 3, each read in random
+    # targets and in targets near its own piece; the oracle builds the
+    # Laurent lift and reads it back with graded_image
+    rng = random.Random(53)
+    outcomes = set()
+    for n in (2, 3):
+        cfg = make_cfg(n, q=3, m=4)
+        for _ in range(300):
+            x, degree = random_point(rng, n, 4), Q(rng.randrange(-8, 5), 4)
+            sup = graded_support(cfg, x, degree)
+            el = GradedElement.make(cfg, x, degree, {p: rng.randrange(3) for p in sup.positions})
+            lift = homogeneous_lift(cfg, el)
+            assert monomials(el) == [
+                (i, j, w, c) for i in range(n) for j in range(n) for w, c in lift.entry(i, j).coeffs
+            ]
+            targets = [(random_point(rng, n, 4), Q(rng.randrange(-8, 5), 4)) for _ in range(4)]
+            targets += [(x, degree), (x, degree - Q(1, 4)), (x, degree + Q(1, 4))]
+            targets.append((pt(*(c + Q(rng.randrange(-1, 2), 4) for c in x.coords)), degree))
+            for y, target in targets:
+                try:
+                    expected = graded_image(cfg, lift, y, target)
+                except ValidationError:
+                    expected = None
+                assert regrade(cfg, el, y, target) == expected, (el, y, target)
+                outcomes.add("refused" if expected is None else expected.is_zero())
+    assert outcomes == {"refused", True, False}
 
 
 def test_rank_profile_worked_examples():

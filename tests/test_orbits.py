@@ -15,7 +15,6 @@ from mptypes.graded import (
     coefficient_matrix,
     conjugate,
     enumerate_graded_elements,
-    homogeneous_lift,
     is_degenerate,
 )
 from mptypes.laurent import Laurent, LMatrix, commutator
@@ -29,6 +28,8 @@ from mptypes.orbits import (
     partitions_of,
     sl2_complete,
 )
+
+from lift_oracle import homogeneous_lift
 
 
 def make_cfg(n, q=5, m=8):

@@ -10,7 +10,7 @@ import pytest
 
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.errors import InfeasibleError, ValidationError
-from mptypes.graded import GradedElement, graded_image, homogeneous_lift
+from mptypes.graded import GradedElement
 from mptypes.orbits import OrbitLabel
 from mptypes.refine import (
     DMPPair,
@@ -23,6 +23,8 @@ from mptypes.refine import (
     verify_relation,
 )
 from mptypes.selftest import _random_incidence, worked_instances
+
+from lift_oracle import graded_image, homogeneous_lift
 
 
 def make_cfg(n, q=5, m=16):
@@ -203,6 +205,25 @@ def test_connect_refuses_lift_mismatch():
     p1 = hyp_pair({})
     with pytest.raises(ValidationError):
         connect(CFG, p0, p1)
+
+
+def test_connect_refuses_a_p0_lift_below_the_p1_lattice():
+    # t^-2 e_12 has degree -2 at x = 0, below g_{x>=-1}
+    p0, p1 = hyp_pair({(0, 1): 1}, s=2), hyp_pair({(0, 1): 1})
+    assert p0.lift == p1.lift
+    with pytest.raises(InfeasibleError, match="no shared datum") as err:
+        connect(CFG, p0, p1)
+    assert err.value.where == "refine.connect"
+
+
+def test_refine_relation_refuses_a_coarse_lift_below_the_finer_lattice():
+    # the classes of another incidence skip the incidence check, so the
+    # image of t^-2 e_12 in g_{x=-1} is what refuses
+    coarse = hyp_pair({(0, 1): 1}, s=2)
+    classes = enumerate_and_classify(CFG, hyp_pair({(0, 1): 1}), (X_HYP, Q(1)))
+    with pytest.raises(ValidationError, match="below the lattice bound") as err:
+        refine_relation(CFG, coarse, (X_HYP, Q(1)), classes=classes)
+    assert err.value.where == "graded.graded_image"
 
 
 def test_connect_with_conjugation_alignment():
