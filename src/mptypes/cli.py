@@ -19,7 +19,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import jsonio
-from .apartment import ApartmentPoint, GroupConfig, breakpoints, graded_support, mp_lattice
+from .apartment import (
+    ApartmentPoint,
+    GroupConfig,
+    breakpoints,
+    check_level,
+    check_point,
+    graded_support,
+    mp_lattice,
+)
 from .errors import InfeasibleError, ToolkitError, ValidationError
 from .graded import GradedElement, monomials
 from .measures import ProbeSet, build_measure_table, independence_check, measure_vector, relation_lattice
@@ -235,6 +243,8 @@ def _cmd_lift(cfg, args) -> dict:
     _require_positive(args.samples, "--samples")
     x = _parse_point(cfg, args.x, flag="--x")
     s = jsonio.parse_frac(args.s)
+    check_point(cfg, x, where="cli.lift")
+    check_level(cfg, s, where="cli.lift")
     phi = _parse_phi(cfg, x, s, args.phi)
     pair = DMPPair.make(cfg, s, x, phi)
     out = {
@@ -275,10 +285,14 @@ def _cmd_refine(cfg, args) -> dict:
     _require_positive(args.modules, "--modules")
     y = _parse_point(cfg, args.y, flag="--y")
     tau = jsonio.parse_frac(args.tau)
+    check_point(cfg, y, where="cli.refine")
+    check_level(cfg, tau, where="cli.refine")
     phi = _parse_phi(cfg, y, tau, args.phi)
     coarse = DMPPair.make(cfg, tau, y, phi)
     x = _parse_point(cfg, args.x, flag="--x")
     s = jsonio.parse_frac(args.s)
+    check_point(cfg, x, where="cli.refine")
+    check_level(cfg, s, where="cli.refine")
     if args.modules > args.bound:
         raise InfeasibleError(
             f"{args.modules} modules exceed bound {args.bound}", where="cli.refine"

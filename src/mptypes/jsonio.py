@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Mapping, Sequence
 
-from .apartment import ApartmentPoint, GeodesicPlan, GroupConfig, LatticeShape
+from .apartment import ApartmentPoint, GeodesicPlan, GroupConfig, LatticeShape, check_level, check_point
 from .errors import ValidationError
 from .graded import GradedElement
 from .measures import MeasureTable
@@ -166,6 +166,8 @@ def pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
     _fields(data, "a pair", where, "s", "x", "phi")
     s = parse_frac(data["s"])
     x = point_from_json(data["x"])
+    check_point(cfg, x, where=where)
+    check_level(cfg, s, where=where)
     phi = _items(data["phi"], "a pair's phi", where, list, 3)
     if not all(isinstance(v, int) for term in phi for v in term):
         raise ValidationError("a pair's phi holds a non-integer", where=where)
@@ -299,7 +301,12 @@ def mult_vector_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> Multipli
     rows = _items(data["entries"], "entries", where, list, 2)
     if not all(type(n) is int for _, n in rows):
         raise ValidationError("a multiplicity is not an integer", where=where)
-    entries = {pair_from_json(cfg, p): int(n) for p, n in rows}
+    entries = {}
+    for p, n in rows:
+        pair = pair_from_json(cfg, p)
+        if pair in entries:
+            raise ValidationError(f"pair {pair.describe()} is listed twice", where=where)
+        entries[pair] = int(n)
     return MultiplicityVector.make(
         parse_frac(data["r"]), entries, source=data.get("source", "")
     )

@@ -1,15 +1,17 @@
-"""Laurent-polynomial matrices over F_q with exact, division-free kernels.
+"""Sparse Laurent series over F_q and matrices of them, with exact, division-free kernels.
 
-Everything here works over F_q[t, 1/t] for a prime q.  Ranks are taken
-over the fraction field F_q(t) by fraction-free (Bareiss) elimination,
-never by specializing t, and characteristic polynomials come from
-Berkowitz's recurrence, which uses ring operations only, so no division
-by integers ever happens (which would be unsound in small characteristic).
+Everything here works over F_q[t, 1/t] for a prime q.  A `Series` is a
+tuple of (exponent, coefficient) pairs sorted by exponent, with every
+coefficient in 1..q-1, and the `ser_*` kernels add, negate, multiply,
+truncate and exactly divide them.  They are the one sparse series layer:
+`LMatrix` entries are bare series, and the ball counting in `measures`
+uses the same kernels.
 
-This module is the one home of sparse series arithmetic: the `ser_*`
-kernels work on the bare format of `Laurent.coeffs` (a `Series`, sorted
-(exponent, coefficient) pairs with nonzero coefficients) and serve both
-`Laurent` and the ball counting in `measures`, which avoids objects.
+Ranks are taken over the fraction field F_q(t) by fraction-free
+(Bareiss) elimination, never by specializing t, and characteristic
+polynomials come from Berkowitz's recurrence, which uses ring operations
+only, so no division by integers ever happens (which would be unsound in
+small characteristic).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InternalFault, ValidationError
 
 __all__ = [
-    "Laurent", "LMatrix", "Series", "commutator", "ser_add", "ser_mul", "ser_neg", "ser_trunc",
+    "LMatrix", "Series", "ser_add", "ser_divexact", "ser_mul", "ser_neg", "ser_trunc",
 ]
 
 Series = Tuple[Tuple[int, int], ...]  # sorted (exponent, coeff != 0)
@@ -63,6 +65,39 @@ def ser_mul(a: Series, b: Series, q: int, below: Optional[int] = None) -> Series
     return tuple(sorted(d.items()))
 
 
+def ser_divexact(a: Series, b: Series, q: int) -> Series:
+    """The quotient a/b; the remainder must vanish (else a fault)."""
+    if not b:
+        raise ZeroDivisionError("division by zero Laurent polynomial")
+    if not a:
+        return a
+    # strip t-powers separately so the denominator has a unit constant
+    # term; then a Laurent-exact quotient is a polynomial quotient.
+    va, vb = a[0][0], b[0][0]
+    num = {e - va: c for e, c in a}
+    den = [(e - vb, c) for e, c in b]
+    dd, lead = den[-1]
+    lead_inv = pow(lead, q - 2, q)
+    out: Dict[int, int] = {}
+    while num:
+        nd = max(num)
+        if nd < dd:
+            raise InternalFault(
+                "inexact division in fraction-free elimination",
+                where="laurent.ser_divexact",
+            )
+        f = num[nd] * lead_inv % q
+        out[nd - dd] = f
+        for e, c in den:
+            k = e + nd - dd
+            v = (num.get(k, 0) - f * c) % q
+            if v:
+                num[k] = v
+            elif k in num:
+                del num[k]
+    return tuple(sorted((e + va - vb, c) for e, c in out.items()))
+
+
 def _ser_dot(xs: Sequence[Series], ys: Sequence[Series], q: int) -> Series:
     """sum x*y over the paired series, gathered in one pass."""
     d: Dict[int, int] = {}
@@ -73,144 +108,21 @@ def _ser_dot(xs: Sequence[Series], ys: Sequence[Series], q: int) -> Series:
     return tuple(sorted((e, r) for e, c in d.items() if (r := c % q)))
 
 
-@dataclass(frozen=True)
-class Laurent:
-    """A Laurent polynomial sum c * t^w; coeffs sorted by exponent."""
-
-    q: int
-    coeffs: Series  # (exponent, coefficient in 1..q-1)
-
-    # -- construction ------------------------------------------------
-
-    @staticmethod
-    def zero(q: int) -> "Laurent":
-        return Laurent(q, ())
-
-    @staticmethod
-    def monomial(q: int, exp: int, c: int) -> "Laurent":
-        c %= q
-        return Laurent(q, ((exp, c),) if c else ())
-
-    @staticmethod
-    def const(q: int, c: int) -> "Laurent":
-        return Laurent.monomial(q, 0, c)
-
-    @staticmethod
-    def from_dict(q: int, d: Dict[int, int]) -> "Laurent":
-        items = tuple(sorted((e, c % q) for e, c in d.items() if c % q))
-        return Laurent(q, items)
-
-    # -- queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def val(self) -> int:
-        """Valuation (lowest exponent); raises on the zero polynomial."""
-        if not self.coeffs:
-            raise ValidationError("valuation of 0", where="laurent.Laurent.val")
-        return self.coeffs[0][0]
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValidationError("degree of 0", where="laurent.Laurent.degree")
-        return self.coeffs[-1][0]
-
-    def coeff(self, exp: int) -> int:
-        for e, c in self.coeffs:
-            if e == exp:
-                return c
-        return 0
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        return Laurent(self.q, ser_add(self.coeffs, other.coeffs, self.q))
-
-    def __neg__(self) -> "Laurent":
-        return Laurent(self.q, ser_neg(self.coeffs, self.q))
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        return Laurent(self.q, ser_mul(self.coeffs, other.coeffs, self.q))
-
-    def shift(self, k: int) -> "Laurent":
-        """Multiply by t^k."""
-        return Laurent(self.q, tuple((e + k, c) for e, c in self.coeffs))
-
-    def divexact(self, other: "Laurent") -> "Laurent":
-        """Exact division; the remainder must vanish (else a fault)."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self.is_zero():
-            return self
-        # strip t-powers separately so the denominator has a unit constant
-        # term; then a Laurent-exact quotient is a polynomial quotient.
-        shift_num = self.val()
-        shift_den = other.val()
-        num = dict(self.shift(-shift_num).coeffs)
-        den = other.shift(-shift_den)
-        dd = den.degree()
-        lead_inv = pow(den.coeff(dd), self.q - 2, self.q)
-        out: Dict[int, int] = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
-                raise InternalFault(
-                    "inexact division in fraction-free elimination",
-                    where="laurent.Laurent.divexact",
-                )
-            f = num[nd] * lead_inv % self.q
-            out[nd - dd] = f
-            for e, c in den.coeffs:
-                k = e + nd - dd
-                v = (num.get(k, 0) - f * c) % self.q
-                if v:
-                    num[k] = v
-                elif k in num:
-                    del num[k]
-        return Laurent.from_dict(self.q, out).shift(shift_num - shift_den)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for e, c in self.coeffs:
-            if e == 0:
-                terms.append(f"{c}")
-            elif e == 1:
-                terms.append(f"{c}*t" if c != 1 else "t")
-            else:
-                terms.append(f"{c}*t^{e}" if c != 1 else f"t^{e}")
-        return " + ".join(terms)
+def _lowest_to_zero(row: List[Series]) -> List[Series]:
+    """The row times t^-v, v its lowest exponent (the row unchanged if zero)."""
+    v = min((s[0][0] for s in row if s), default=0)
+    return [tuple((e - v, c) for e, c in s) for s in row] if v else row
 
 
 @dataclass(frozen=True)
 class LMatrix:
-    """Square-or-rectangular matrix with Laurent entries over a fixed F_q."""
+    """Square-or-rectangular matrix of `Series` entries over a fixed F_q."""
 
     q: int
-    rows: Tuple[Tuple[Laurent, ...], ...]
+    rows: Tuple[Tuple[Series, ...], ...]
 
     @staticmethod
-    def zero(q: int, n: int, m: int | None = None) -> "LMatrix":
-        m = n if m is None else m
-        z = Laurent.zero(q)
-        return LMatrix(q, tuple(tuple(z for _ in range(m)) for _ in range(n)))
-
-    @staticmethod
-    def identity(q: int, n: int) -> "LMatrix":
-        one = Laurent.const(q, 1)
-        z = Laurent.zero(q)
-        return LMatrix(q, tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def from_rows(q: int, rows: Sequence[Sequence[Laurent]]) -> "LMatrix":
+    def from_rows(q: int, rows: Sequence[Sequence[Series]]) -> "LMatrix":
         return LMatrix(q, tuple(tuple(r) for r in rows))
 
     @property
@@ -221,46 +133,19 @@ class LMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int) -> Laurent:
+    def entry(self, i: int, j: int) -> Series:
         return self.rows[i][j]
-
-    def __add__(self, other: "LMatrix") -> "LMatrix":
-        return LMatrix(
-            self.q,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
-
-    def __sub__(self, other: "LMatrix") -> "LMatrix":
-        return LMatrix(
-            self.q,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
 
     def __matmul__(self, other: "LMatrix") -> "LMatrix":
         q = self.q
-        cols = [[r[j].coeffs for r in other.rows] for j in range(other.ncols)]
+        cols = [[r[j] for r in other.rows] for j in range(other.ncols)]
         return LMatrix(q, tuple(
-            tuple(Laurent(q, _ser_dot([e.coeffs for e in row], col, q)) for col in cols)
-            for row in self.rows
+            tuple(_ser_dot(row, col, q) for col in cols) for row in self.rows
         ))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.rows for e in r)
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "LMatrix":
-        return LMatrix(
-            self.q, tuple(tuple(self.rows[i][j] for j in cols) for i in rows)
-        )
 
     # -- characteristic polynomial -------------------------------------
 
-    def charpoly(self) -> List[Laurent]:
+    def charpoly(self) -> List[Series]:
         """Coefficients [c_0, ..., c_n] of det(X*I - M) = sum c_k X^(n-k).
 
         Berkowitz's recurrence: write the trailing block from row k on as
@@ -275,7 +160,7 @@ class LMatrix:
                 "characteristic polynomial of a non-square matrix",
                 where="laurent.LMatrix.charpoly",
             )
-        m = [[e.coeffs for e in row] for row in self.rows]
+        m = self.rows
         one: Series = ((0, 1),)
         poly: List[Series] = [one]  # of the empty trailing block
         for k in range(n - 1, -1, -1):
@@ -292,9 +177,9 @@ class LMatrix:
                 _ser_dot([col[i - j] for j in range(min(i + 1, len(poly)))], poly, q)
                 for i in range(len(col))
             ]
-        return [Laurent(q, c) for c in poly]
+        return poly
 
-    def nilpotency_witness(self) -> Tuple[int, Laurent] | None:
+    def nilpotency_witness(self) -> Tuple[int, Series] | None:
         """None when nilpotent, else (k, coeff) for the first nonzero c_k.
 
         c_1 is minus the trace, so a nonzero trace answers without the
@@ -304,12 +189,12 @@ class LMatrix:
         if self.nrows == self.ncols:
             trace: Series = ()
             for i, row in enumerate(self.rows):
-                trace = ser_add(trace, row[i].coeffs, q)
+                trace = ser_add(trace, row[i], q)
             if trace:
-                return 1, Laurent(q, ser_neg(trace, q))
+                return 1, ser_neg(trace, q)
         cp = self.charpoly()
         for k in range(1, self.nrows + 1):
-            if not cp[k].is_zero():
+            if cp[k]:
                 return k, cp[k]
         return None
 
@@ -319,49 +204,37 @@ class LMatrix:
     # -- rank over F_q(t) ----------------------------------------------
 
     def rank(self) -> int:
-        work: List[List[Laurent]] = []
-        for r in self.rows:
-            vals = [e.val() for e in r if not e.is_zero()]
-            if not vals:
-                continue
-            shift = -min(vals)
-            work.append([e.shift(shift) if not e.is_zero() else e for e in r])
+        q, ncols = self.q, self.ncols
+        work = [_lowest_to_zero(list(r)) for r in self.rows if any(r)]
         rk = 0
-        prev = Laurent.const(self.q, 1)
-        rowpos = 0
-        ncols = self.ncols
+        prev: Series = ((0, 1),)
         for col in range(ncols):
-            piv = None
-            for i in range(rowpos, len(work)):
-                if not work[i][col].is_zero():
-                    piv = i
-                    break
+            piv = next((i for i in range(rk, len(work)) if work[i][col]), None)
             if piv is None:
                 continue
-            work[rowpos], work[piv] = work[piv], work[rowpos]
-            pivot = work[rowpos][col]
-            for i in range(rowpos + 1, len(work)):
-                if all(work[i][j].is_zero() for j in range(col, ncols)):
-                    continue
+            work[rk], work[piv] = work[piv], work[rk]
+            top = work[rk]
+            pivot = top[col]
+            for i in range(rk + 1, len(work)):
                 row = work[i]
-                new_row = list(row)
-                for j in range(ncols):
-                    num = pivot * row[j] - row[col] * work[rowpos][j]
-                    new_row[j] = num.divexact(prev) if not num.is_zero() else num
-                # renormalize valuations to keep coefficients small
-                vals = [e.val() for e in new_row if not e.is_zero()]
-                if vals and min(vals) != 0:
-                    s = -min(vals)
-                    new_row = [e.shift(s) if not e.is_zero() else e for e in new_row]
-                work[i] = new_row
+                if not any(row[col:]):
+                    continue
+                # Bareiss: (pivot * row - row[col] * top) / prev is exact;
+                # moving the lowest exponent to 0 keeps coefficients small
+                work[i] = _lowest_to_zero([
+                    ser_divexact(
+                        ser_add(
+                            ser_mul(pivot, row[j], q),
+                            ser_neg(ser_mul(row[col], top[j], q), q),
+                            q,
+                        ),
+                        prev,
+                        q,
+                    )
+                    for j in range(ncols)
+                ])
             prev = pivot
             rk += 1
-            rowpos += 1
-            if rowpos == len(work):
+            if rk == len(work):
                 break
         return rk
-
-
-def commutator(a: LMatrix, b: LMatrix) -> LMatrix:
-    """Standard commutator a b - b a."""
-    return (a @ b) - (b @ a)

@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .apartment import GroupConfig, mp_lattice
 from .errors import InfeasibleError, InternalFault, UndecidedError, ValidationError
 from .graded import monomials
-from .laurent import Laurent, LMatrix, Series, ser_add, ser_mul, ser_neg, ser_trunc
+from .laurent import LMatrix, Series, ser_add, ser_mul, ser_neg, ser_trunc
 from .orbits import OrbitLabel, dominance_leq, jordan_type
 from .refine import DMPPair, RelationRecord
 
@@ -250,14 +250,10 @@ def _membership_n2(cfg: GroupConfig, y, depths) -> bool:
 
 
 def _ball_matrix(cfg: GroupConfig, y, depths, extra) -> LMatrix:
-    rows = []
-    for i in range(cfg.n):
-        row = []
-        for j in range(cfg.n):
-            ser = ser_add(y[i][j], extra.get((i, j), ()), cfg.q)
-            row.append(Laurent(cfg.q, ser))
-        rows.append(row)
-    return LMatrix.from_rows(cfg.q, rows)
+    return LMatrix.from_rows(cfg.q, [
+        [ser_add(y[i][j], extra.get((i, j), ()), cfg.q) for j in range(cfg.n)]
+        for i in range(cfg.n)
+    ])
 
 
 def _witness_perturbations(n: int, q: int, depths, seed: int = 0):
@@ -313,7 +309,7 @@ def _charpoly_obstruction(cfg: GroupConfig, y, depths) -> bool:
     cp = mat.charpoly()
     for k in range(1, n + 1):
         ck = cp[k]
-        if ck.is_zero():
+        if not ck:
             continue
         best = _INF
         for rows in itertools.combinations(range(n), k):
@@ -324,7 +320,7 @@ def _charpoly_obstruction(cfg: GroupConfig, y, depths) -> bool:
                 ok = True
                 for i, j in zip(rows, perm):
                     e = mat.entry(i, j)
-                    v = e.val() if not e.is_zero() else _INF
+                    v = e[0][0] if e else _INF
                     d = depths[i][j]
                     if v == _INF:
                         total += d  # forced into the ball lattice
@@ -336,7 +332,7 @@ def _charpoly_obstruction(cfg: GroupConfig, y, depths) -> bool:
                     # all entries took Y-values; one must move into the ball
                     total += min(gains)
                 best = min(best, total)
-        if ck.val() < best:
+        if ck[0][0] < best:
             return True
     return False
 
@@ -361,7 +357,7 @@ def residue_membership(
     for i in range(n):
         row = []
         for j in range(n):
-            ser = ser_trunc(residue.entry(i, j).coeffs, depths[i][j])
+            ser = ser_trunc(residue.entry(i, j), depths[i][j])
             if not _ser_eq_below(ser, bases[i][j], floors[i][j], cfg.q):
                 raise ValidationError(
                     f"residue entry ({i},{j}) does not lie in the coset",

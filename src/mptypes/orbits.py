@@ -47,7 +47,7 @@ from .graded import (
     is_degenerate,
     monomials,
 )
-from .laurent import Laurent, LMatrix, ser_add
+from .laurent import LMatrix, ser_add
 
 Q = Fraction
 
@@ -425,7 +425,7 @@ def _trace_zero_samples(
                 for j in range(n):
                     span = spans[i][j]
                     drawn = [lv[i] for lv in levels] if i == j else [draw() for _ in span]
-                    rows[i][j] = Laurent(q, ser_add(lift.get((i, j), ()), zip(span, drawn), q))
+                    rows[i][j] = ser_add(lift.get((i, j), ()), zip(span, drawn), q)
             yield LMatrix.from_rows(q, rows)
 
 

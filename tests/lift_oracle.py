@@ -4,6 +4,10 @@
 Laurent monomials and `graded_image` reads a matrix back into a graded
 piece.  The library reads the same exponents without building a matrix
 (`graded.monomials`, `graded.regrade`); the tests compare the two routes.
+
+The entrywise helpers below build and combine `LMatrix` objects of bare
+`Series` entries with the `laurent` kernels, for the tests that need
+sums, differences and commutators of Laurent matrices.
 """
 
 from fractions import Fraction as Q
@@ -11,7 +15,7 @@ from fractions import Fraction as Q
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import ValidationError
 from mptypes.graded import GradedElement, support_of
-from mptypes.laurent import Laurent, LMatrix
+from mptypes.laurent import LMatrix, Series, ser_add, ser_neg
 
 
 def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> LMatrix:
@@ -22,9 +26,9 @@ def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> LMatrix:
     """
     q, n = cfg.q, cfg.n
     coeffs = phi.as_dict()
-    rows = [[Laurent.zero(q)] * n for _ in range(n)]
+    rows = [[()] * n for _ in range(n)]
     for (i, j), w in support_of(cfg, phi).entries:
-        rows[i][j] = Laurent.monomial(q, w, coeffs.get((i, j), 0))
+        rows[i][j] = monomial(q, w, coeffs.get((i, j), 0))
     return LMatrix.from_rows(q, rows)
 
 
@@ -39,17 +43,58 @@ def graded_image(
     for i in range(cfg.n):
         for j in range(cfg.n):
             e = mat.entry(i, j)
-            if e.is_zero():
+            if not e:
                 continue
-            if e.val() < shape.bounds[i][j]:
+            if e[0][0] < shape.bounds[i][j]:
                 raise ValidationError(
-                    f"matrix entry ({i},{j}) has valuation {e.val()} below the "
+                    f"matrix entry ({i},{j}) has valuation {e[0][0]} below the "
                     f"lattice bound {shape.bounds[i][j]}",
                     where="graded.graded_image",
                 )
             w = sup.exponent(i, j)
             if w is not None:
-                c = e.coeff(w)
+                c = dict(e).get(w, 0)
                 if c:
                     coeffs[(i, j)] = c
     return GradedElement.make(cfg, x, degree, coeffs)
+
+
+# -- entrywise helpers on Laurent matrices ----------------------------------
+
+
+def monomial(q: int, w: int, c: int) -> Series:
+    """The series c t^w (empty when c = 0 mod q)."""
+    c %= q
+    return ((w, c),) if c else ()
+
+
+def series(q: int, d) -> Series:
+    """The series sum c t^e over an {exponent: coefficient} dict."""
+    return tuple(sorted((e, c % q) for e, c in d.items() if c % q))
+
+
+def zero_matrix(q: int, n: int, m: int | None = None) -> LMatrix:
+    return LMatrix.from_rows(q, [[()] * (n if m is None else m) for _ in range(n)])
+
+
+def identity_matrix(q: int, n: int) -> LMatrix:
+    return LMatrix.from_rows(q, [[((0, 1),) if i == j else () for j in range(n)] for i in range(n)])
+
+
+def mat_add(a: LMatrix, b: LMatrix) -> LMatrix:
+    return LMatrix.from_rows(
+        a.q, [[ser_add(x, y, a.q) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+    )
+
+
+def mat_sub(a: LMatrix, b: LMatrix) -> LMatrix:
+    return mat_add(a, LMatrix.from_rows(b.q, [[ser_neg(y, b.q) for y in r] for r in b.rows]))
+
+
+def commutator(a: LMatrix, b: LMatrix) -> LMatrix:
+    """Standard commutator a b - b a."""
+    return mat_sub(a @ b, b @ a)
+
+
+def is_zero_matrix(a: LMatrix) -> bool:
+    return not any(any(r) for r in a.rows)

@@ -600,6 +600,12 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
          "jsonio.point_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "lift": ["1"]}, 1]]},
          "jsonio.orbit_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "x": ["1/3", "1/7", "0/1"]}, 1]]},
+         "jsonio.pair_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "x": ["1/3", "0/1"]}, 1]]},
+         "jsonio.pair_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "s": "1/3"}, 1]]},
+         "jsonio.pair_from_json"),
         ("--matrix", {}, "jsonio.matrix_from_json"),
         ("--matrix", [], "jsonio.matrix_from_json"),
         ("--matrix", {**MATRIX_KEYS, "orbits": [[1, 1], 2]}, "jsonio.orbit_from_json"),
@@ -611,7 +617,7 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
         "input-array", "input-empty", "entries-object", "entry-single", "count-str",
         "r-array", "r-float", "s-float", "x-float", "count-bool",
         "pair-array", "pair-keys", "phi-width", "phi-str", "x-str",
-        "lift-str", "matrix-empty", "matrix-array", "orbit-int",
+        "lift-str", "x-length", "x-denominator", "s-denominator", "matrix-empty", "matrix-array", "orbit-int",
         "probe-str", "M-str", "A-null",
     ],
 )
@@ -626,6 +632,40 @@ def test_malformed_solve_files_are_rejected(capsys, tmp_path, flag, content, whe
     code, out, err = run_cli(capsys, "--allow-small-p", *argv)
     assert code == 2 and out == ""
     assert cli_error(err)["where"] == where
+
+
+def test_solve_names_a_pair_listed_twice(capsys, tmp_path):
+    # the zero probe with multiplicity 3 and then 4: no multiplicity wins silently
+    vec_file = tmp_path / "vector.json"
+    zero_probe = VECTOR["entries"][0][0]
+    vec_file.write_text(json.dumps({**VECTOR, "entries": [[zero_probe, 3], [zero_probe, 4], VECTOR["entries"][1]]}))
+    code, out, err = run_cli(capsys, "--allow-small-p", "solve", "--input", str(vec_file))
+    assert code == 2 and out == ""
+    error = cli_error(err)
+    assert error["where"] == "jsonio.mult_vector_from_json"
+    assert error["message"] == "pair (s=1, x=(0,0), phi=[0]) is listed twice"
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("lift", "--x", "1/3,0", "--s", "1", "--phi", "0"), "cli.lift"),
+        (("lift", "--x", "0,0", "--s", "1/3", "--phi", "0"), "cli.lift"),
+        (("refine", "--y", "1/3,0", "--tau", "1", "--phi", "0", "--x", "0,0", "--s", "1"),
+         "cli.refine"),
+        (("refine", "--y", "0,0", "--tau", "1", "--phi", "0", "--x", "0,0", "--s", "1/3"),
+         "cli.refine"),
+        (("lattice", "--x", "1/3,0", "--s", "1"), "apartment.mp_lattice"),
+        (("breakpoints", "--x0", "1/3,0", "--s0", "1", "--x1", "0,0", "--s1", "1"),
+         "apartment.breakpoints"),
+    ],
+    ids=["lift-x", "lift-s", "refine-y", "refine-s", "lattice-x", "breakpoints-x0"],
+)
+def test_every_command_checks_points_and_levels_against_m(capsys, argv, where):
+    code, out, err = run_cli(capsys, "--allow-small-p", "--m", "16", *argv)
+    assert code == 2 and out == ""
+    error = cli_error(err)
+    assert error["where"] == where and "not dividing m = 16" in error["message"]
 
 
 def test_solve_rejects_a_normalization_that_is_not_a_string(capsys, tmp_path):

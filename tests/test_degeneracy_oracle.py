@@ -36,7 +36,7 @@ def coset_contains_nilpotent(cfg, x, s, el) -> bool:
     """Exact solvability of tr = det = 0 over the coset entry balls."""
     strict = mp_lattice(cfg, x, -s, strict=True, _checked=True)
     lift = homogeneous_lift(cfg, el)
-    ser = [[tuple(lift.entry(i, j).coeffs) for j in range(2)] for i in range(2)]
+    ser = [[lift.entry(i, j) for j in range(2)] for i in range(2)]
     b = strict.bounds
     merged = _ball_intersect(ser[0][0], b[0][0], ser_neg(ser[1][1], cfg.q), b[1][1], cfg.q)
     if merged is None:
@@ -60,36 +60,38 @@ def test_cosets_of_constructed_nilpotents_are_degenerate():
     # rank-one traceless matrices c * (-v1 v2, v1^2; -v2^2, v1 v2) are
     # nilpotent for arbitrary Laurent entries; shifting one into the
     # filtration, the graded image of its coset must test degenerate
-    from lift_oracle import graded_image
-    from mptypes.laurent import Laurent, LMatrix
+    from lift_oracle import graded_image, is_zero_matrix, series
+    from mptypes.laurent import LMatrix, ser_mul
 
     rng = random.Random(37)
     x, s = pt(0, 0), Q(1)
     informative = 0
     for _ in range(200):
         def rand_poly():
-            return Laurent.from_dict(
-                5, {e: rng.randrange(5) for e in range(rng.randrange(1, 4))}
-            )
+            return series(5, {e: rng.randrange(5) for e in range(rng.randrange(1, 4))})
+
+        def mul(*factors):
+            acc = ((0, 1),)
+            for f in factors:
+                acc = ser_mul(acc, f, 5)
+            return acc
 
         v1, v2, c = rand_poly(), rand_poly(), rand_poly()
         z = LMatrix.from_rows(
             5,
             [
-                [c * v1 * v2, -(c * v1 * v1)],
-                [c * v2 * v2, -(c * v1 * v2)],
+                [mul(c, v1, v2), ser_neg(mul(c, v1, v1), 5)],
+                [mul(c, v2, v2), ser_neg(mul(c, v1, v2), 5)],
             ],
         )
-        if z.is_zero():
+        if is_zero_matrix(z):
             continue
         assert z.is_nilpotent()
         # minimal shift placing z inside g_{x >= -1}: every entry at
         # valuation >= -1, with at least one exactly there
-        shift = max(
-            -1 - e.val() for row in z.rows for e in row if not e.is_zero()
-        )
+        shift = max(-1 - e[0][0] for row in z.rows for e in row if e)
         shifted = LMatrix.from_rows(
-            5, [[e.shift(shift) if not e.is_zero() else e for e in row] for row in z.rows]
+            5, [[tuple((w + shift, k) for w, k in e) for e in row] for row in z.rows]
         )
         el = graded_image(CFG, shifted, x, Q(-1))
         if not el.is_zero():

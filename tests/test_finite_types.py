@@ -17,7 +17,6 @@ from mptypes.finite_types import (
     _random_invertible,
     _restricted_positions,
     build_character,
-    extension_characters,
     fork_report,
     hom_dim,
     verify_fork_identity,
@@ -25,6 +24,8 @@ from mptypes.finite_types import (
 from mptypes.graded import GradedElement
 from mptypes.refine import DMPPair, enumerate_and_classify
 from mptypes.selftest import _random_incidence, worked_instances
+
+from finite_types_oracle import extension_characters
 
 
 def make_cfg(n, q=5, m=16):

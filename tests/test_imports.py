@@ -8,27 +8,33 @@ import mptypes
 SRC = Path(mptypes.__file__).parent
 
 
-def imports_laurent(tree: ast.AST) -> bool:
-    """Whether the module imports `laurent`, relatively or as mptypes.laurent."""
-    for node in ast.walk(tree):
+def names_from_laurent(path: Path) -> list:
+    """The names a module imports from `laurent`, relatively or as
+    mptypes.laurent; a whole-module import counts as the name `laurent`."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            if any(a.name.split(".")[:2] == ["mptypes", "laurent"] for a in node.names):
-                return True
+            names += ["laurent" for a in node.names if a.name.split(".")[:2] == ["mptypes", "laurent"]]
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if module in ("laurent", "mptypes.laurent"):
-                return True
-            if module in ("", "mptypes") and any(a.name == "laurent" for a in node.names):
-                return True
-    return False
+                names += [a.name for a in node.names]
+            elif module in ("", "mptypes"):
+                names += ["laurent" for a in node.names if a.name == "laurent"]
+    return names
 
 
 def test_only_counting_and_sampling_import_laurent():
     # graded elements are read through their exponents; Laurent matrices
     # are built only for counting residues (measures) and probe samples (orbits)
     importers = {
-        path.stem
-        for path in SRC.glob("*.py")
-        if path.stem != "laurent" and imports_laurent(ast.parse(path.read_text(encoding="utf-8")))
+        path.stem for path in SRC.glob("*.py") if path.stem != "laurent" and names_from_laurent(path)
     }
     assert importers == {"measures", "orbits"}
+
+
+def test_importers_use_only_matrices_and_series_kernels():
+    # one Laurent representation: matrices of bare series, handled by the ser_* kernels
+    for stem in ("measures", "orbits"):
+        names = names_from_laurent(SRC / f"{stem}.py")
+        assert all(n in ("LMatrix", "Series") or n.startswith("ser_") for n in names), (stem, names)
