@@ -114,12 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", required=True, help="level, e.g. '1/2'")
     sp.add_argument("--strict", action="store_true")
 
-    sp = sub.add_parser("lift", parents=[common], help="orbit lift, triple completion and minimality probe")
+    sp = sub.add_parser(
+        "lift", parents=[common], help="orbit lift, minimality certificate and triple completion"
+    )
     sp.add_argument("--x", required=True)
     sp.add_argument("--s", required=True)
     sp.add_argument("--phi", required=True, help="triples 'i,j,c;...' (1-based), or '0'")
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument(
+        "--samples", type=int, default=200,
+        help="must be >= 1; no effect on the output (the certificate draws no samples)",
+    )
+    sp.add_argument(
+        "--depth", type=int, default=3,
+        help="no effect on the output (the certificate draws no samples)",
+    )
 
     sp = sub.add_parser("breakpoints", parents=[common], help="geodesic subdivision with certificates")
     sp.add_argument("--x0", required=True)
@@ -250,10 +258,7 @@ def _cmd_lift(cfg, args) -> dict:
     out = {
         "pair": jsonio.pair_to_json(pair),
         "lift": jsonio.orbit_to_json(pair.lift),
-        "minimality_probe": minimality_probe(
-            cfg, s, x, phi, samples=args.samples, depth=args.depth, seed=args.seed,
-            bound=args.bound,
-        ),
+        "minimality_probe": minimality_probe(cfg, s, x, phi),
     }
     if cfg.q > 2 * cfg.n:
         triple = sl2_complete(cfg, phi)

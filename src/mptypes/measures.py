@@ -27,10 +27,10 @@ Membership of a residue ball in an orbit is decided by a ladder:
      E puts J_mu + t^N E in lambda for every N >= 1, so every X of type
      mu is a limit of elements of type lambda.  The rungs:
        a. rank bound: every coset element Z has rank Z^k >= rank A^k
-          for the pair's coefficient matrix A (a minor's leading term
-          is the minor of the leading terms when that is nonzero), and
-          rank_lambda <= rank_mu pointwise iff lambda <= mu, so the ball
-          misses O unless the pair's lift is <= O;
+          for the pair's coefficient matrix A, and rank_lambda <= rank_mu
+          pointwise iff lambda <= mu, so the ball misses O unless the
+          pair's lift is <= O (orbits.minimality_probe states the proof
+          and checks its hypotheses);
        b. cone obstruction: a characteristic-polynomial coefficient that
           cannot vanish over the ball rules out every nonzero orbit;
        c. closure witness: an exact nilpotent of type <= O found in the

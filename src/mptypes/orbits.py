@@ -1,4 +1,5 @@
-"""Nilpotent orbits of gl_n as partitions, lifts and triple completion.
+"""Nilpotent orbits of gl_n as partitions, lifts, the lift-minimality
+certificate and triple completion.
 
 The closure order on nilpotent orbits is implemented as dominance on
 partitions (the standard identification for type A; no p-adic topology
@@ -31,15 +32,13 @@ holds mod q for their coefficient matrices.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 from . import gf
-from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
-from .errors import InfeasibleError, InternalFault, ValidationError
+from .apartment import ApartmentPoint, GroupConfig, _scale, graded_support, mp_lattice
+from .errors import InternalFault, ValidationError
 from .graded import (
     GradedElement,
     coefficient_matrix,
@@ -47,7 +46,7 @@ from .graded import (
     is_degenerate,
     monomials,
 )
-from .laurent import LMatrix, ser_add
+from .laurent import LMatrix
 
 Q = Fraction
 
@@ -91,17 +90,19 @@ class OrbitLabel:
     def from_ranks(n: int, ranks) -> "OrbitLabel":
         """The type of a nilpotent n x n matrix X from rank X^k, k = 1..n.
 
-        rank X^(k-1) - rank X^k counts the Jordan blocks of size >= k.
+        rank X^(k-1) - rank X^k counts the Jordan blocks of size >= k, so
+        the blocks of size k number (r[k-1] - r[k]) - (r[k] - r[k+1]); a
+        sequence giving some size a negative count, or parts that do not
+        sum to n, is refused.
         """
         r = [n, *ranks, 0]
-        if len(ranks) != n or r[n] != 0:
+        counts = [(r[k - 1] - r[k]) - (r[k] - r[k + 1]) for k in range(1, len(r) - 1)]
+        parts = [k for k in range(len(counts), 0, -1) for _ in range(counts[k - 1])]
+        if len(ranks) != n or r[n] != 0 or any(c < 0 for c in counts) or sum(parts) != n:
             raise ValidationError(
                 f"ranks {tuple(ranks)} are not those of a nilpotent {n} x {n} matrix",
                 where="orbits.OrbitLabel",
             )
-        parts = []
-        for size in range(n, 0, -1):
-            parts += [size] * ((r[size - 1] - r[size]) - (r[size] - r[size + 1]))
         return OrbitLabel.of(parts)
 
     @property
@@ -203,7 +204,7 @@ def debacker_lift(
     that of the coefficient matrix (the lift is similar to t^(-s) times
     it), so it is read off F_q ranks of that matrix's powers; the lift
     both lies in the coset and minimizes the type among nilpotents
-    there (probed empirically by minimality_probe, not re-proved).
+    there (minimality_probe states the proof and checks its hypotheses).
     """
     s = Q(s)
     if phi.degree != -s:
@@ -331,134 +332,47 @@ def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:
             )
 
 
-@lru_cache(maxsize=256)
-def _byte_tables(q: int) -> Tuple[bytes, bytes]:
-    """(table, reject) for bytes.translate: a word's top byte b gives the
-    draw b >> (8 - k), k = q.bit_length(), and is deleted when that is >= q."""
-    shift = 8 - q.bit_length()
-    table = bytes(b >> shift for b in range(256))
-    return table, bytes(b for b in range(256) if b >> shift >= q)
-
-
-def _uniform_draws(rng: random.Random, q: int, count: int) -> Sequence[int]:
-    """The first `count` values of rng.randrange(q), in order.
-
-    For q < 256 each block is getrandbits(32 W): W words, word i in
-    bytes 4i .. 4i + 3 little-endian, so buf[3::4] holds every word's
-    top byte, and one translate maps the accepted bytes to their draws
-    and deletes the rest.  A short block is followed by another from the
-    same stream.  The blocks run ahead of randrange, so a second call on
-    rng gives uniform draws again but not the continuation of its
-    randrange list.  For q >= 256 this is the randrange list itself.
-    """
-    if q >= 256:
-        randrange = rng.randrange
-        return [randrange(q) for _ in range(count)]
-    table, reject = _byte_tables(q)
-    getrandbits = rng.getrandbits
-    out = b""
-    while len(out) < count:
-        words = 2 * (count - len(out)) + 16  # acceptance is at least 1/2
-        out += getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(
-            table, reject
-        )
-    return out[:count]
-
-
-def _draw_stream(rng: random.Random, q: int, block: int = 1024) -> Iterator[int]:
-    """Uniform values in range(q) from rng, taken `block` at a time."""
-    while True:
-        yield from _uniform_draws(rng, q, block)
-
-
-def _trace_zero_samples(
-    cfg: GroupConfig,
-    s: Q,
-    x: ApartmentPoint,
-    phi: GradedElement,
-    samples: int,
-    depth: int,
-    seed: int,
-    bound: int = 10**6,
-) -> Iterator[LMatrix]:
-    """The trace-zero samples among `samples` draws from phi + g_{x>-s}.
-
-    A sample adds t^w c to the homogeneous lift for every entry (i, j)
-    and every exponent w from the strict bound at (x, -s) up to depth,
-    each c uniform in F_q, and all samples share one stream, the block
-    draws of random.Random(f"minimality:{seed}").  The lift is
-    nilpotent, so its trace is zero and the sample's trace coefficient
-    at t^w is the sum of its diagonal draws at w.  Those are drawn
-    first, exponent by exponent, and the sample stops at the first
-    nonzero one: c_1 = -trace, so it is not nilpotent.  Only a
-    trace-zero sample draws its off-diagonal coefficients and becomes a
-    matrix.  More than `bound` coefficients in all are refused before
-    the first draw.
-    """
-    q, n = cfg.q, cfg.n
-    bounds = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
-    if depth < min(min(row) for row in bounds):
-        raise ValidationError(
-            f"depth {depth} is below every strict bound at (x, {-s}), so the "
-            "probe would draw nothing",
-            where="orbits.minimality_probe",
-        )
-    spans = [[range(b, depth + 1) for b in row] for row in bounds]
-    total = sum(len(span) for row in spans for span in row)
-    if samples * total > bound:
-        raise InfeasibleError(
-            f"{samples} samples of {total} draws each exceed bound {bound}",
-            where="orbits.minimality_probe",
-        )
-    lift = {(i, j): ((w, c),) for i, j, w, c in monomials(phi)}
-    trace_exponents = spans[0][0]  # every diagonal strict bound is floor(-s) + 1
-    draw = _draw_stream(random.Random(f"minimality:{seed}"), q).__next__
-    for _ in range(samples):
-        levels = []  # the diagonal draws at each trace exponent, while the trace is 0
-        for _ in trace_exponents:
-            levels.append([draw() for _ in range(n)])
-            if sum(levels[-1]) % q:
-                break  # c_1 = -trace is nonzero: the sample is not nilpotent
-        else:
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    span = spans[i][j]
-                    drawn = [lv[i] for lv in levels] if i == j else [draw() for _ in span]
-                    rows[i][j] = ser_add(lift.get((i, j), ()), zip(span, drawn), q)
-            yield LMatrix.from_rows(q, rows)
-
-
 def minimality_probe(
-    cfg: GroupConfig,
-    s: Q | int | str,
-    x: ApartmentPoint,
-    phi: GradedElement,
-    samples: int = 200,
-    depth: int = 3,
-    seed: int = 0,
-    bound: int = 10**6,
+    cfg: GroupConfig, s: Q | int | str, x: ApartmentPoint, phi: GradedElement
 ) -> bool:
-    """Falsification run for lift minimality; True means no counterexample.
+    """Certificate that the lift is the smallest orbit meeting phi + g_{x>-s}.
 
-    Draws `samples` random coset elements truncated at t^depth, all from
-    one stream seeded by `seed`; every nilpotent among them must have
-    Jordan type dominating the lift.  This is a randomized falsification
-    harness, not a proof.
+    True exactly when the hypotheses of the following argument hold for
+    this instance, each checked on integers over the common denominator
+    d of x and s (X = d x, S = d s):
 
-    Each sample draws its diagonal first and stops at the first nonzero
-    trace coefficient.  The filter is exact: the trace is minus the
-    coefficient c_1 of the characteristic polynomial, so a nonzero trace
-    proves the sample is not nilpotent, and only a trace-zero sample
-    draws the rest and becomes a matrix.  A depth below every strict
-    bound is refused: every sample would be the lift itself.  So is a
-    probe of more than `bound` coefficients in all (InfeasibleError),
-    counted as if every sample drew them all, before the first draw.
+    (H1) every monomial c t^w of phi's lift at (i, j) has
+         d w = -S - X_i + X_j, i.e. the lift L sits exactly at degree -s;
+    (H2) every strict bound b_ij at (x, -s) has d b_ij > -S - X_i + X_j,
+         i.e. every entry of g_{x>-s} has degree above -s;
+    (H3) with lambda the lift's orbit and r_k = rank_at(k) of lambda, a
+         partition mu of n has rank_at(k) >= r_k for all k exactly when
+         dominance_leq(lambda, mu).
+
+    Proof.  Let A be phi's coefficient matrix and D = diag(t^(x_i)) over
+    F_q((t^(1/d))).  By (H1), D L D^-1 = t^(-s) A, and by (H2), for any Z
+    in the coset t^s D Z D^-1 = A + R with every entry of R of positive
+    valuation.  So (A + R)^k = A^k + (positive valuation), and a nonzero
+    minor of A^k of size rank A^k is the constant term of the same minor
+    of (A + R)^k: rank Z^k >= rank A^k for every k.  debacker_lift reads
+    lambda from these ranks, so rank A^k = r_k, and a nilpotent Z of type
+    mu has rank Z^k = mu.rank_at(k).  Rank dominance is the closure
+    order on nilpotent orbits (Gerstenhaber 1959), which (H3) checks
+    against dominance_leq, so every nilpotent in the coset has type
+    >= lambda; the lift lies in the coset and has type lambda, so lambda
+    is the smallest orbit meeting it (DeBacker 2002).
     """
     s = Q(s)
-    lift_orbit = debacker_lift(cfg, s, x, phi)
-    for sample in _trace_zero_samples(cfg, s, x, phi, samples, depth, seed, bound):
-        if sample.is_nilpotent():
-            if not dominance_leq(lift_orbit, jordan_type(sample)):
-                return False
-    return True
+    lift = debacker_lift(cfg, s, x, phi)
+    d, X, (S,) = _scale(x.coords, s)
+    level = [[-S - xi + xj for xj in X] for xi in X]  # d times the degree -s exponent
+    if any(d * w != level[i][j] for i, j, w, _ in monomials(phi)):
+        return False  # (H1)
+    strict = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
+    if any(d * b <= v for brow, vrow in zip(strict, level) for b, v in zip(brow, vrow)):
+        return False  # (H2)
+    ranks = [lift.rank_at(k) for k in range(1, cfg.n + 1)]
+    return all(
+        all(mu.rank_at(k) >= r for k, r in enumerate(ranks, 1)) == dominance_leq(lift, mu)
+        for mu in partitions_of(cfg.n)
+    )  # (H3)

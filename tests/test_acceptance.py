@@ -91,9 +91,10 @@ def test_criterion_5_round_trip(cfg2, cfg3, mats):
 
 def test_criterion_6_minimality(cfg2):
     res = _timed(
-        lambda: criterion_6_minimality(cfg2, SEED), "criterion-6 lift minimality probe"
+        lambda: criterion_6_minimality(cfg2), "criterion-6 lift minimality certificate"
     )
     _report(res, 120)
+    assert res.detail.startswith("36 degenerate elements"), res.detail
 
 
 def test_criterion_7_geodesics(cfg2, cfg3):

@@ -26,7 +26,8 @@ def names_from_laurent(path: Path) -> list:
 
 def test_only_counting_and_sampling_import_laurent():
     # graded elements are read through their exponents; Laurent matrices
-    # are built only for counting residues (measures) and probe samples (orbits)
+    # are built only for counting residues (measures), and orbits only reads
+    # them, in jordan_type
     importers = {
         path.stem for path in SRC.glob("*.py") if path.stem != "laurent" and names_from_laurent(path)
     }
@@ -38,3 +39,18 @@ def test_importers_use_only_matrices_and_series_kernels():
     for stem in ("measures", "orbits"):
         names = names_from_laurent(SRC / f"{stem}.py")
         assert all(n in ("LMatrix", "Series") or n.startswith("ser_") for n in names), (stem, names)
+
+
+def imports_random(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            return True
+    return False
+
+
+def test_the_modules_that_import_random_are_pinned():
+    # the minimality certificate draws nothing, so orbits is not among them
+    importers = {path.stem for path in SRC.glob("*.py") if imports_random(path)}
+    assert importers == {"cli", "finite_types", "graded", "measures", "selftest"}

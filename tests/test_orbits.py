@@ -1,4 +1,5 @@
-"""Dominance order, Jordan types, lifts, triple completion, minimality."""
+"""Dominance order, Jordan types, lifts, triple completion, the minimality
+certificate."""
 
 import random
 import warnings
@@ -8,7 +9,7 @@ import pytest
 
 from mptypes import gf, orbits
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
-from mptypes.errors import InfeasibleError, InternalFault, ValidationError
+from mptypes.errors import InternalFault, ValidationError
 from mptypes.graded import (
     GradedElement,
     ReductiveQuotient,
@@ -28,6 +29,7 @@ from mptypes.orbits import (
     partitions_of,
     sl2_complete,
 )
+from mptypes.selftest import criterion_6_minimality
 
 from lift_oracle import (
     commutator,
@@ -102,6 +104,10 @@ def test_from_ranks_inverts_rank_at_up_to_n6():
         OrbitLabel.from_ranks(2, [2, 2])  # not nilpotent
     with pytest.raises(ValidationError):
         OrbitLabel.from_ranks(3, [1, 0])  # too few powers
+    # a negative block count: read blindly, these gave (2,2) and a partition of 9
+    for n, ranks in ((2, (2, 0)), (3, (1, 2, 0))):
+        with pytest.raises(ValidationError, match="not those of a nilpotent"):
+            OrbitLabel.from_ranks(n, ranks)
 
 
 def test_rank_bound_is_dominance_up_to_n6():
@@ -524,17 +530,17 @@ def test_sl2_complete_computes_each_support_once(monkeypatch):
 
 
 def test_minimality_probe_worked_examples():
-    assert minimality_probe(
-        CFG2, 1, pt(0, 0), GradedElement.zero(pt(0, 0), -1), samples=50, depth=3
-    )
+    assert minimality_probe(CFG2, 1, pt(0, 0), GradedElement.zero(pt(0, 0), -1))
     el = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 1): 1})
-    assert minimality_probe(CFG2, 1, pt(0, 0), el, samples=200, depth=3)
+    assert minimality_probe(CFG2, 1, pt(0, 0), el)
     xi = pt(Q(1, 2), 0)
     eli = GradedElement.make(CFG2, xi, Q(-1, 2), {(0, 1): 1})
-    assert minimality_probe(CFG2, Q(1, 2), xi, eli, samples=200, depth=3)
+    assert minimality_probe(CFG2, Q(1, 2), xi, eli)
+    # phi's monomials sit at degree -1 at its own point (0, 0), not at (1, 0) (H1)
+    assert not minimality_probe(CFG2, 1, pt(1, 0), el)
 
 
-# -- the trace-first probe, and the plain per-sample loop as its oracle -----
+# -- the rank bound the certificate proves, checked on sampled coset elements
 
 
 def random_coset_element(cfg, s, x, phi, depth, rng):
@@ -555,24 +561,6 @@ def random_coset_element(cfg, s, x, phi, depth, rng):
     return LMatrix.from_rows(cfg.q, rows)
 
 
-def oracle_probe(cfg, s, x, phi, samples, depth, seed):
-    """Every sample a full matrix from its own stream, run to the end:
-    (verdict, trace-zero samples, nilpotent indices)."""
-    lift_orbit = debacker_lift(cfg, s, x, phi)
-    verdict, trace_zero, nilpotent = True, {}, []
-    for k in range(samples):
-        sample = random_coset_element(cfg, s, x, phi, depth, random.Random(f"{seed}:{k}"))
-        trace = ()
-        for i in range(cfg.n):
-            trace = ser_add(trace, sample.entry(i, i), cfg.q)
-        if not trace:
-            trace_zero[k] = sample
-        if sample.is_nilpotent():
-            nilpotent.append(k)
-            verdict = verdict and orbits.dominance_leq(lift_orbit, jordan_type(sample))
-    return verdict, trace_zero, nilpotent
-
-
 def degenerate_instances(n, q, count, rng):
     cfg = make_cfg(n, q)
     out = []
@@ -587,148 +575,58 @@ def degenerate_instances(n, q, count, rng):
     return out
 
 
-def assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample):
-    """sample - lift lies in g_{x>-s} and stops at t^depth; the trace is 0."""
-    strict = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
-    diff = mat_sub(sample, homogeneous_lift(cfg, el))
-    trace = ()
-    for i in range(cfg.n):
-        trace = ser_add(trace, sample.entry(i, i), cfg.q)
-        for j in range(cfg.n):
-            assert all(strict[i][j] <= w <= depth for w, _ in diff.entry(i, j))
-    assert not trace
-
-
 GRID = ((2, 3), (3, 3), (3, 5), (4, 3), (2, 2), (3, 2), (3, 7), (2, 11), (3, 13))
 
 
-@pytest.mark.parametrize("n, q", GRID)
-def test_trace_zero_samples_are_coset_elements_at_the_binomial_rate(n, q):
-    """100 samples per instance at one or two trace exponents L, i.e. the
-    diagonal bound as depth or one more.  The sum of n uniform diagonal
-    draws is uniform, so a sample's trace vanishes with probability
-    q^-L, and the trace-zero count must lie within six standard
-    deviations of that binomial mean."""
-    rng = random.Random(f"trace-rate:{n}:{q}")
-    zero = mean = var = 0
-    for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
-        L = 1 + seed % 2
-        depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0] + L - 1
-        lift_orbit = debacker_lift(cfg, s, x, el)
-        for sample in orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed):
-            assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample)
-            if sample.is_nilpotent():
-                assert dominance_leq(lift_orbit, jordan_type(sample))
-            zero += 1
-        p = Q(1, q**L)
-        mean += 100 * p
-        var += 100 * p * (1 - p)
-    assert (zero - mean) ** 2 <= 36 * var
-
-
-def test_more_than_100_trace_first_samples_reach_the_nilpotent_branch():
-    rng = random.Random("trace-first")
-    nilpotent = 0
+def test_sampled_coset_elements_obey_the_certified_rank_bound():
+    """Over F_q(t), independently of the certificate: every sampled Z in
+    phi + g_{x>-s} has rank Z^k >= rank A^k for k = 1..n, and every
+    nilpotent sample has a Jordan type dominating the lift.  At depth
+    the diagonal strict bound each diagonal entry gets one draw, so the
+    trace vanishes often enough for many samples to be nilpotent."""
+    rng = random.Random("certified-rank-bound")
+    samples = nilpotent = above = 0
     for n, q in GRID:
-        for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
-            depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]  # one draw per diagonal slot
-            samples = orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed)
-            nilpotent += sum(1 for sample in samples if sample.is_nilpotent())
-    assert nilpotent > 100
-
-
-def test_the_seed_fixes_the_samples():
-    rng = random.Random("trace-seed")
-    for n, q in ((2, 3), (3, 2), (3, 7)):
-        for cfg, x, s, el in degenerate_instances(n, q, 3, rng):
+        for cfg, x, s, el in degenerate_instances(n, q, 12, rng):
+            assert minimality_probe(cfg, s, x, el)
+            lift = debacker_lift(cfg, s, x, el)
             depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]
-            runs = {
-                seed: list(orbits._trace_zero_samples(cfg, s, x, el, 100, depth, seed))
-                for seed in (0, 1, -1)
-            }
-            assert runs[0] and runs[1] and runs[-1]
-            assert runs[0] == list(orbits._trace_zero_samples(cfg, s, x, el, 100, depth, 0))
-            assert runs[0] != runs[1] and runs[1] != runs[-1]
+            for _ in range(36):
+                z = random_coset_element(cfg, s, x, el, depth, rng)
+                power = z
+                for k in range(1, n + 1):
+                    assert power.rank() >= lift.rank_at(k)
+                    power = power @ z
+                samples += 1
+                if z.is_nilpotent():
+                    orbit = jordan_type(z)
+                    assert dominance_leq(lift, orbit)
+                    nilpotent += 1
+                    above += orbit != lift
+    assert samples == 36 * 12 * len(GRID) and nilpotent > 100 and above
 
 
-@pytest.mark.parametrize("n, q", [(3, 7), (4, 11)])
-def test_trace_first_probe_matches_the_old_loop_at_benchmark_depth(n, q):
-    rng = random.Random(f"bench-shaped:{n}")
-    for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 2, rng)):
-        verdict, _, _ = oracle_probe(cfg, s, x, el, 200, 3, seed)
-        assert minimality_probe(cfg, s, x, el, samples=200, depth=3, seed=seed) == verdict
+# -- mutations the certificate must refuse --------------------------------
 
 
-def test_a_failing_dominance_check_fails_both_probes(monkeypatch):
-    cfg = make_cfg(2, 3)
-    x, s, el = pt(0, 0), Q(1), GradedElement.zero(pt(0, 0), -1)
-    _, _, nilpotent = oracle_probe(cfg, s, x, el, 100, 0, 0)
-    assert nilpotent  # constant 2 x 2 samples over F_3: some are nilpotent
-    monkeypatch.setattr(orbits, "dominance_leq", lambda a, b: False)
-    assert oracle_probe(cfg, s, x, el, 100, 0, 0)[0] is False
-    assert minimality_probe(cfg, s, x, el, samples=100, depth=0) is False
+def swapped_dominance(monkeypatch):
+    real = orbits.dominance_leq
+    monkeypatch.setattr(orbits, "dominance_leq", lambda a, b: real(b, a))
 
 
-def test_minimality_probe_refuses_a_depth_that_draws_nothing():
+def non_strict_bound(monkeypatch):
+    real = orbits.mp_lattice
+    monkeypatch.setattr(
+        orbits, "mp_lattice", lambda cfg, x, s, strict=False, **kw: real(cfg, x, s, **kw)
+    )
+
+
+@pytest.mark.parametrize("mutate", [swapped_dominance, non_strict_bound])
+def test_a_mutated_certificate_fails_the_probe_and_criterion_6(monkeypatch, mutate):
     el = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 1): 1})
-    assert minimality_probe(CFG2, 1, pt(0, 0), el, samples=5, depth=0)  # bounds are all 0
-    with pytest.raises(ValidationError, match="draw nothing"):
-        minimality_probe(CFG2, 1, pt(0, 0), el, samples=5, depth=-1)
-
-
-def test_minimality_probe_refuses_more_draws_than_the_bound():
-    el = GradedElement.make(CFG3, pt(0, 0, 0), -1, {(0, 1): 1})
-    # 9 entries, each drawn at exponents 0 .. depth (all strict bounds are 0 here)
-    assert minimality_probe(CFG3, 1, pt(0, 0, 0), el, samples=10, depth=1, bound=180)
-    with pytest.raises(InfeasibleError, match="exceed bound 179") as info:
-        minimality_probe(CFG3, 1, pt(0, 0, 0), el, samples=10, depth=1, bound=179)
-    assert info.value.where == "orbits.minimality_probe"
-    # refused before any draw or any layout work proportional to the depth
-    with pytest.raises(InfeasibleError):
-        minimality_probe(CFG3, 1, pt(0, 0, 0), el, samples=1, depth=10**12)
-
-
-# -- block draws against the randrange stream they reproduce ---------------
-
-
-class CountingRandom(random.Random):
-    """Counts getrandbits calls, to see which path a draw took."""
-
-    calls = 0
-
-    def getrandbits(self, k):
-        self.calls += 1
-        return super().getrandbits(k)
-
-
-def randrange_list(seed, q, count):
-    """The oracle: what the per-sample loop drew before block draws."""
-    rng = random.Random(seed)
-    return [rng.randrange(q) for _ in range(count)]
-
-
-@pytest.mark.parametrize("q", [*range(2, 256), 257])
-def test_uniform_draws_equal_the_randrange_list(q):
-    for seed in ("0:0", "7:199", "uniform", "-3:41"):
-        for count in (0, 1, 47, 500):
-            draws = orbits._uniform_draws(random.Random(seed), q, count)
-            assert list(draws) == randrange_list(seed, q, count)
-
-
-@pytest.mark.parametrize("q", [2, 17])
-def test_uniform_draws_top_up_a_short_block(q):
-    """At q = 2 and 17 about half the top bytes are rejected, so some first
-    blocks of 2 * 47 + 16 words hold fewer than 47 draws."""
-    topped_up = 0
-    for k in range(300):
-        rng = CountingRandom(f"short:{k}")
-        assert list(orbits._uniform_draws(rng, q, 47)) == randrange_list(f"short:{k}", q, 47)
-        topped_up += rng.calls > 1
-    assert topped_up >= 2
-
-
-def test_uniform_draws_take_one_block_per_sample_when_it_suffices():
-    rng = CountingRandom("one-block")
-    draws = orbits._uniform_draws(rng, 7, 82)  # as many draws as the largest lifts sample
-    # the byte path, not the randrange fallback, and no second block
-    assert rng.calls == 1 and isinstance(draws, bytes) and len(draws) == 82
+    assert minimality_probe(CFG2, 1, pt(0, 0), el)
+    assert criterion_6_minimality(CFG2)[0]
+    mutate(monkeypatch)
+    assert not minimality_probe(CFG2, 1, pt(0, 0), el)
+    passed, detail = criterion_6_minimality(CFG2)
+    assert not passed and detail.startswith("certificate refused"), detail
