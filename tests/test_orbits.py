@@ -31,6 +31,7 @@ from mptypes.orbits import (
 )
 from mptypes.selftest import criterion_6_minimality
 
+import coset_sampler
 from lift_oracle import (
     commutator,
     homogeneous_lift,
@@ -561,6 +562,24 @@ def random_coset_element(cfg, s, x, phi, depth, rng):
     return LMatrix.from_rows(cfg.q, rows)
 
 
+def oracle_probe(cfg, s, x, phi, samples, depth, seed):
+    """Every sample a full matrix from its own stream, run to the end:
+    (verdict, trace-zero samples, nilpotent indices)."""
+    lift_orbit = debacker_lift(cfg, s, x, phi)
+    verdict, trace_zero, nilpotent = True, {}, []
+    for k in range(samples):
+        sample = random_coset_element(cfg, s, x, phi, depth, random.Random(f"{seed}:{k}"))
+        trace = ()
+        for i in range(cfg.n):
+            trace = ser_add(trace, sample.entry(i, i), cfg.q)
+        if not trace:
+            trace_zero[k] = sample
+        if sample.is_nilpotent():
+            nilpotent.append(k)
+            verdict = verdict and orbits.dominance_leq(lift_orbit, jordan_type(sample))
+    return verdict, trace_zero, nilpotent
+
+
 def degenerate_instances(n, q, count, rng):
     cfg = make_cfg(n, q)
     out = []
@@ -573,6 +592,18 @@ def degenerate_instances(n, q, count, rng):
         if is_degenerate(cfg, el):
             out.append((cfg, x, s, el))
     return out
+
+
+def assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample):
+    """sample - lift lies in g_{x>-s} and stops at t^depth; the trace is 0."""
+    strict = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
+    diff = mat_sub(sample, homogeneous_lift(cfg, el))
+    trace = ()
+    for i in range(cfg.n):
+        trace = ser_add(trace, sample.entry(i, i), cfg.q)
+        for j in range(cfg.n):
+            assert all(strict[i][j] <= w <= depth for w, _ in diff.entry(i, j))
+    assert not trace
 
 
 GRID = ((2, 3), (3, 3), (3, 5), (4, 3), (2, 2), (3, 2), (3, 7), (2, 11), (3, 13))
@@ -606,6 +637,85 @@ def test_sampled_coset_elements_obey_the_certified_rank_bound():
     assert samples == 36 * 12 * len(GRID) and nilpotent > 100 and above
 
 
+# -- the trace-first sampler, and the plain per-sample loop as its oracle ---
+
+
+@pytest.mark.parametrize("n, q", GRID)
+def test_trace_zero_samples_are_coset_elements_at_the_binomial_rate(n, q):
+    """100 samples per instance at one or two trace exponents L, i.e. the
+    diagonal bound as depth or one more.  The sum of n uniform diagonal
+    draws is uniform, so a sample's trace vanishes with probability
+    q^-L, and the trace-zero count must lie within six standard
+    deviations of that binomial mean."""
+    rng = random.Random(f"trace-rate:{n}:{q}")
+    zero = mean = var = 0
+    for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
+        L = 1 + seed % 2
+        depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0] + L - 1
+        lift_orbit = debacker_lift(cfg, s, x, el)
+        for sample in coset_sampler.trace_zero_samples(cfg, s, x, el, 100, depth, seed):
+            assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample)
+            if sample.is_nilpotent():
+                assert dominance_leq(lift_orbit, jordan_type(sample))
+            zero += 1
+        p = Q(1, q**L)
+        mean += 100 * p
+        var += 100 * p * (1 - p)
+    assert (zero - mean) ** 2 <= 36 * var
+
+
+def test_more_than_100_trace_first_samples_reach_the_nilpotent_branch():
+    """The certified instances, checked on the nilpotents the trace-first
+    sampler finds: each has a Jordan type dominating the lift."""
+    rng = random.Random("trace-first")
+    nilpotent = 0
+    for n, q in GRID:
+        for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
+            assert minimality_probe(cfg, s, x, el)
+            lift_orbit = debacker_lift(cfg, s, x, el)
+            depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]  # one draw per diagonal slot
+            for sample in coset_sampler.trace_zero_samples(cfg, s, x, el, 100, depth, seed):
+                if sample.is_nilpotent():
+                    assert dominance_leq(lift_orbit, jordan_type(sample))
+                    nilpotent += 1
+    assert nilpotent > 100
+
+
+def test_the_seed_fixes_the_samples():
+    rng = random.Random("trace-seed")
+    for n, q in ((2, 3), (3, 2), (3, 7)):
+        for cfg, x, s, el in degenerate_instances(n, q, 3, rng):
+            depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]
+            runs = {
+                seed: list(coset_sampler.trace_zero_samples(cfg, s, x, el, 100, depth, seed))
+                for seed in (0, 1, -1)
+            }
+            assert runs[0] and runs[1] and runs[-1]
+            assert runs[0] == list(coset_sampler.trace_zero_samples(cfg, s, x, el, 100, depth, 0))
+            assert runs[0] != runs[1] and runs[1] != runs[-1]
+
+
+@pytest.mark.parametrize("n, q", [(3, 7), (4, 11)])
+def test_trace_first_probe_matches_the_old_loop_at_benchmark_depth(n, q):
+    """The two falsification runs agree with each other and with the
+    certificate on the shape of the lifts benchmark: 200 samples at depth 3."""
+    rng = random.Random(f"bench-shaped:{n}")
+    for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 2, rng)):
+        verdict, _, _ = oracle_probe(cfg, s, x, el, 200, 3, seed)
+        assert coset_sampler.trace_first_probe(cfg, s, x, el, 200, 3, seed) == verdict
+        assert minimality_probe(cfg, s, x, el) == verdict
+
+
+def test_a_failing_dominance_check_fails_both_probes(monkeypatch):
+    cfg = make_cfg(2, 3)
+    x, s, el = pt(0, 0), Q(1), GradedElement.zero(pt(0, 0), -1)
+    _, _, nilpotent = oracle_probe(cfg, s, x, el, 100, 0, 0)
+    assert nilpotent  # constant 2 x 2 samples over F_3: some are nilpotent
+    monkeypatch.setattr(orbits, "dominance_leq", lambda a, b: False)
+    assert oracle_probe(cfg, s, x, el, 100, 0, 0)[0] is False
+    assert minimality_probe(cfg, s, x, el) is False
+
+
 # -- mutations the certificate must refuse --------------------------------
 
 
@@ -630,3 +740,49 @@ def test_a_mutated_certificate_fails_the_probe_and_criterion_6(monkeypatch, muta
     assert not minimality_probe(CFG2, 1, pt(0, 0), el)
     passed, detail = criterion_6_minimality(CFG2)
     assert not passed and detail.startswith("certificate refused"), detail
+
+
+# -- block draws against the randrange stream they reproduce ---------------
+
+
+class CountingRandom(random.Random):
+    """Counts getrandbits calls, to see which path a draw took."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def randrange_list(seed, q, count):
+    """The oracle: what the per-sample loop draws."""
+    rng = random.Random(seed)
+    return [rng.randrange(q) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", [*range(2, 256), 257])
+def test_uniform_draws_equal_the_randrange_list(q):
+    for seed in ("0:0", "7:199", "uniform", "-3:41"):
+        for count in (0, 1, 47, 500):
+            draws = coset_sampler.uniform_draws(random.Random(seed), q, count)
+            assert list(draws) == randrange_list(seed, q, count)
+
+
+@pytest.mark.parametrize("q", [2, 17])
+def test_uniform_draws_top_up_a_short_block(q):
+    """At q = 2 and 17 about half the top bytes are rejected, so some first
+    blocks of 2 * 47 + 16 words hold fewer than 47 draws."""
+    topped_up = 0
+    for k in range(300):
+        rng = CountingRandom(f"short:{k}")
+        assert list(coset_sampler.uniform_draws(rng, q, 47)) == randrange_list(f"short:{k}", q, 47)
+        topped_up += rng.calls > 1
+    assert topped_up >= 2
+
+
+def test_uniform_draws_take_one_block_per_sample_when_it_suffices():
+    rng = CountingRandom("one-block")
+    draws = coset_sampler.uniform_draws(rng, 7, 82)  # as many draws as the largest lifts sample
+    # the byte path, not the randrange fallback, and no second block
+    assert rng.calls == 1 and isinstance(draws, bytes) and len(draws) == 82
