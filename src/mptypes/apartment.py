@@ -418,19 +418,18 @@ def breakpoints(
     return plan
 
 
-def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int = 2) -> None:
+def verify_plan(cfg: GroupConfig, plan: GeodesicPlan) -> None:
     """Re-check coverage, interval constancy and breakpoint chains; fault on failure.
 
     The breakpoints must rise strictly from 0 to 1, one certificate per
     interval with its sample strictly inside.  The rest is recomputed on
     integers from the plan's endpoints, not read from the certificate: on
-    each interval the six witnesses at the sample and at
-    `samples_per_interval` evenly spaced interior points must equal the
-    certified shapes, and at each breakpoint t the inclusion chains at
-    levels (0, 0) and (s_t, tau_u) must hold against the sample u of each
-    neighbouring interval.  The chain at (-s_t, -tau_u) holds exactly
-    when the one at (s_t, tau_u) does (`inclusion_chain_ok`), so it is
-    not compared.
+    each interval the six witnesses at the sample and at two evenly
+    spaced interior points must equal the certified shapes, and at each
+    breakpoint t the inclusion chains at levels (0, 0) and (s_t, tau_u)
+    must hold against the sample u of each neighbouring interval.  The
+    chain at (-s_t, -tau_u) holds exactly when the one at (s_t, tau_u)
+    does (`inclusion_chain_ok`), so it is not compared.
     """
     ts, certs, where = plan.ts, plan.intervals, "apartment.verify_plan"
     if not ts or ts[0] != 0 or ts[-1] != 1 or not all(map(lt, ts, ts[1:])):
@@ -440,7 +439,7 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan, samples_per_interval: int 
     path = _Geodesic(plan.x0, plan.s0, plan.x1, plan.s1)
     n, N = cfg.n, cfg.n * cfg.n
     at_sample = [path.six(c.sample.numerator, c.sample.denominator) for c in certs]
-    parts = samples_per_interval + 1
+    parts = 3  # the interior points cut the interval in three
     flags, widths = [strict for _, strict in _WITNESSES], [n] * (6 * n)
     for k, cert in enumerate(certs):
         lo, hi = ts[k], ts[k + 1]

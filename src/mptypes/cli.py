@@ -258,7 +258,7 @@ def _cmd_lift(cfg, args) -> dict:
     out = {
         "pair": jsonio.pair_to_json(pair),
         "lift": jsonio.orbit_to_json(pair.lift),
-        "minimality_probe": minimality_probe(cfg, s, x, phi),
+        "minimality_probe": minimality_probe(cfg, pair),
     }
     if cfg.q > 2 * cfg.n:
         triple = sl2_complete(cfg, phi)

@@ -126,9 +126,12 @@ def _fields(data: Any, what: str, where: str, *keys: str) -> None:
 
 
 def _items(data: Any, what: str, where: str, kind: type = object, width: int = -1) -> list:
-    """`data` if it is a JSON array of `kind` items, each of `width` items if given."""
+    """`data` if it is a JSON array of `kind` items, each of `width` items if
+    given; a bool is never an item (JSON `true` is not the integer 1)."""
     if not isinstance(data, list) or not all(
-        isinstance(item, kind) and (width < 0 or len(item) == width) for item in data
+        isinstance(item, kind) and not isinstance(item, bool)
+        and (width < 0 or len(item) == width)
+        for item in data
     ):
         raise ValidationError(f"{what} is not an array of the expected items", where=where)
     return data
@@ -169,7 +172,7 @@ def pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
     check_point(cfg, x, where=where)
     check_level(cfg, s, where=where)
     phi = _items(data["phi"], "a pair's phi", where, list, 3)
-    if not all(isinstance(v, int) for term in phi for v in term):
+    if not all(type(v) is int for term in phi for v in term):
         raise ValidationError("a pair's phi holds a non-integer", where=where)
     coeffs = {(int(i) - 1, int(j) - 1): int(c) for i, j, c in phi}
     phi = GradedElement.make(cfg, x, -s, coeffs)

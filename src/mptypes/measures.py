@@ -11,16 +11,17 @@ lattice of a probe family; relation verification uses the coarse
 non-strict lattice, which every relevant unipotent conjugator
 stabilizes, so additivity and B-term symmetry hold to exact equality.
 
-Membership of a residue ball in an orbit is decided by a ladder:
+`count_measure` is the only membership path; it answers the zero orbit
+itself (the coset meets it iff phi = 0, in exactly one residue) and
+decides every nonzero orbit by one ladder:
 
-  1. zero orbit: the ball contains 0 iff the residue is 0;
-  2. n <= 2: exact solvability of trace = det = 0 over the entry balls,
+  1. n = 2: exact solvability of trace = det = 0 over the entry balls,
      reduced to ultrametric ball arithmetic (valuations, leading
-     coefficients and quadratic-residue classes); `_meets_nilcone_2x2`
-     decides one residue, while the count never tests residues one by
-     one: it tallies the square classes of the merged diagonal entry and
-     the product classes of the off-diagonal pair, and pairs them;
-  3. n >= 3: one closure ladder.  An open ball meets O exactly when it
+     coefficients and quadratic-residue classes).  The count never tests
+     residues one by one: it tallies the square classes of the merged
+     diagonal entry and the product classes of the off-diagonal pair,
+     and pairs them;
+  2. n >= 3: one closure ladder.  An open ball meets O exactly when it
      meets the closure of O (the orbits <= O in dominance order, i.e.
      the nilpotents with rank X^k <= rank_O(k) for all k), because O(F)
      is t-adically dense in it: for a cover mu < lambda some matrix unit
@@ -40,8 +41,8 @@ Membership of a residue ball in an orbit is decided by a ladder:
 
 Residues are bare `laurent.Series` tuples, added, negated, multiplied
 and truncated by `laurent`'s `ser_*` kernels; only the ball-specific
-helpers (equality below a depth, ball intersection, the 2x2 cone test
-and its square and product classes) live here.
+helpers (equality below a depth, ball intersection, and the square and
+product classes of the 2x2 cone test) live here.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ Q = Fraction
 __all__ = [
     "ProbeSet",
     "MeasureTable",
-    "residue_membership",
     "count_measure",
     "build_measure_table",
     "independence_check",
@@ -105,39 +105,6 @@ def _ball_intersect(
         return ser_trunc(a, hi), hi
     center = ser_add(ser_trunc(a, ea), tuple((e, c) for e, c in b if ea <= e < eb), q)
     return center, hi
-
-
-def _meets_nilcone_2x2(
-    q: int, qr: frozenset, u: Series, eu: int, v: Series, ev: int, w: Series, ew: int
-) -> bool:
-    """Whether u'^2 + v'w' = 0 is solvable over the three given balls.
-
-    All value sets are computed exactly: squares of a ball missing 0
-    form a ball, squares of t^e O are the elements of even valuation
-    >= 2e with square leading coefficient, and products of balls are
-    balls or full balls t^r O.
-    """
-    vu, vv, vw = (u[0][0] if u else None), (v[0][0] if v else None), (w[0][0] if w else None)
-    if vv is None and vw is None:
-        prod_full, rho = True, ev + ew
-    elif vv is None:
-        prod_full, rho = True, ev + vw
-    elif vw is None:
-        prod_full, rho = True, vv + ew
-    else:
-        prod_full = False
-        rho = min(vv + ew, vw + ev)
-        z0 = ser_neg(ser_mul(v, w, q, rho), q)
-    if vu is not None:
-        r_s = vu + eu
-        s0 = ser_mul(u, u, q, r_s)
-        if prod_full:
-            return 2 * vu >= rho
-        return _ser_eq_below(s0, z0, min(r_s, rho), q)
-    if prod_full:
-        return True
-    v0 = z0[0][0]
-    return v0 % 2 == 0 and v0 >= 2 * eu and z0[0][1] in qr
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +166,10 @@ def _entry_layout(cfg: GroupConfig, pair: DMPPair, K: int, lam):
     return bases, pair_strict_bounds(cfg, pair), depths
 
 
-def _odd_q_squares(q: int, where: str) -> frozenset:
+def _odd_q_squares(q: int) -> frozenset:
     """Nonzero squares mod q, read by the 2x2 nilpotent-cone test (odd q only)."""
     if q == 2:
-        raise InfeasibleError("the 2x2 ball analysis requires odd q", where=where)
+        raise InfeasibleError("the 2x2 ball analysis requires odd q", where="measures.count_measure")
     return frozenset((a * a) % q for a in range(1, q))
 
 
@@ -231,32 +198,14 @@ def _walk_n2(q: int, centers, floors, depths):
 # ---------------------------------------------------------------------------
 
 
-def _residue_is_zero(y: Sequence[Sequence[Series]], depths) -> bool:
-    return all(
-        ser_trunc(y[i][j], depths[i][j]) == ()
-        for i in range(len(y))
-        for j in range(len(y))
-    )
-
-
-def _membership_n2(cfg: GroupConfig, y, depths) -> bool:
-    q = cfg.q
-    qr = _odd_q_squares(q, "measures.residue_membership")
-    walk = _walk_n2(q, y, depths, depths)
-    if walk is None:
-        return False  # trace obstruction
-    (u, _, eu), (v, _, ev), (w, _, ew) = walk
-    return _meets_nilcone_2x2(q, qr, u, eu, v, ev, w, ew)
-
-
-def _ball_matrix(cfg: GroupConfig, y, depths, extra) -> LMatrix:
+def _ball_matrix(cfg: GroupConfig, y, extra) -> LMatrix:
     return LMatrix.from_rows(cfg.q, [
         [ser_add(y[i][j], extra.get((i, j), ()), cfg.q) for j in range(cfg.n)]
         for i in range(cfg.n)
     ])
 
 
-def _witness_perturbations(n: int, q: int, depths, seed: int = 0):
+def _witness_perturbations(n: int, q: int, depths):
     """Perturbations the witness search adds to the ball centre, in order.
 
     The centre itself, then single monomials at the ball floor and
@@ -273,7 +222,7 @@ def _witness_perturbations(n: int, q: int, depths, seed: int = 0):
     for (p1, s1), (p2, s2) in itertools.combinations(singles, 2):
         if p1 != p2:
             yield {p1: s1, p2: s2}
-    rng = random.Random(f"measures:{seed}")
+    rng = random.Random("measures:0")
     for _ in range(120):
         extra = {}
         for (i, j) in itertools.product(range(n), range(n)):
@@ -287,10 +236,10 @@ def _witness_perturbations(n: int, q: int, depths, seed: int = 0):
         yield extra
 
 
-def _witness_search(cfg: GroupConfig, orbit: OrbitLabel, y, depths, seed: int = 0) -> bool:
+def _witness_search(cfg: GroupConfig, orbit: OrbitLabel, y, depths) -> bool:
     """Whether the search finds an exact nilpotent of type <= orbit in the ball."""
-    for extra in _witness_perturbations(cfg.n, cfg.q, depths, seed):
-        m = _ball_matrix(cfg, y, depths, extra)
+    for extra in _witness_perturbations(cfg.n, cfg.q, depths):
+        m = _ball_matrix(cfg, y, extra)
         if m.is_nilpotent() and dominance_leq(jordan_type(m), orbit):
             return True
     return False
@@ -305,7 +254,7 @@ def _charpoly_obstruction(cfg: GroupConfig, y, depths) -> bool:
     coefficient never vanishes.
     """
     n, q = cfg.n, cfg.q
-    mat = _ball_matrix(cfg, y, depths, {})
+    mat = _ball_matrix(cfg, y, {})
     cp = mat.charpoly()
     for k in range(1, n + 1):
         ck = cp[k]
@@ -337,51 +286,17 @@ def _charpoly_obstruction(cfg: GroupConfig, y, depths) -> bool:
     return False
 
 
-def residue_membership(
-    cfg: GroupConfig,
-    orbit: OrbitLabel,
-    pair: DMPPair,
-    K: int,
-    residue: LMatrix,
-    lam: Optional[Tuple[Tuple[int, ...], ...]] = None,
-    seed: int = 0,
-) -> bool:
-    """Whether the residue ball meets the orbit inside the pair's coset."""
-    if orbit.n != cfg.n:
-        raise ValidationError("orbit size mismatch", where="measures.residue_membership")
-    lam = pair_strict_bounds(cfg, pair) if lam is None else lam
-    _validate_lattice(cfg, pair, K, lam)
-    bases, floors, depths = _entry_layout(cfg, pair, K, lam)
-    n = cfg.n
-    y: List[List[Series]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            ser = ser_trunc(residue.entry(i, j), depths[i][j])
-            if not _ser_eq_below(ser, bases[i][j], floors[i][j], cfg.q):
-                raise ValidationError(
-                    f"residue entry ({i},{j}) does not lie in the coset",
-                    where="measures.residue_membership",
-                )
-            row.append(ser)
-        y.append(row)
-    return _membership_decide(cfg, orbit, pair, y, depths, seed)
-
-
-def _membership_decide(cfg, orbit, pair, y, depths, seed=0) -> bool:
-    if all(p == 1 for p in orbit.parts):
-        return _residue_is_zero(y, depths)
-    if cfg.n <= 2:
-        return _membership_n2(cfg, y, depths)
+def _membership_decide(cfg, orbit, pair, y, depths) -> bool:
+    """The n >= 3 ladder on one residue ball, for a nonzero orbit."""
     if not dominance_leq(pair.lift, orbit):
         return False  # rank bound
     if _charpoly_obstruction(cfg, y, depths):
         return False  # the ball misses the nilpotent cone
-    if _witness_search(cfg, orbit, y, depths, seed=seed):
+    if _witness_search(cfg, orbit, y, depths):
         return True
     raise UndecidedError(
         f"membership of {orbit} undecided for {pair.describe()} within bounds",
-        where="measures.residue_membership",
+        where="measures.count_measure",
     )
 
 
@@ -457,7 +372,7 @@ def _variants(q: int, center: Series, floor: int, depth: int) -> Iterable[Series
 
 
 def _square_class(q: int, u: Series, eu: int):
-    """All `_meets_nilcone_2x2` reads of u: None for u = 0, else
+    """Everything the cone test reads of u: None for u = 0, else
     (val u, u^2 mod t^(val u + eu))."""
     if not u:
         return None
@@ -466,7 +381,7 @@ def _square_class(q: int, u: Series, eu: int):
 
 
 def _product_class(q: int, v: Series, ev: int, w: Series, ew: int):
-    """All `_meets_nilcone_2x2` reads of (v, w): (rho, None) when the
+    """Everything the cone test reads of (v, w): (rho, None) when
     products fill the ball t^rho O, else (rho, -(v w) mod t^rho)."""
     if not v:
         return ev + (w[0][0] if w else ew), None
@@ -498,7 +413,7 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
     bound refuses a walk counted earlier.
     """
     q = cfg.q
-    qr = _odd_q_squares(q, "measures.count_measure")
+    qr = _odd_q_squares(q)
     walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
     if walk is None:
         return 0  # the trace never vanishes on the coset

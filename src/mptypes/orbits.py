@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from . import gf
 from .apartment import ApartmentPoint, GroupConfig, _scale, graded_support, mp_lattice
@@ -47,6 +47,9 @@ from .graded import (
     monomials,
 )
 from .laurent import LMatrix
+
+if TYPE_CHECKING:
+    from .refine import DMPPair
 
 Q = Fraction
 
@@ -195,9 +198,7 @@ def jordan_type(mat: LMatrix) -> OrbitLabel:
     return OrbitLabel.from_ranks(mat.nrows, ranks)
 
 
-def debacker_lift(
-    cfg: GroupConfig, s: Q | int | str, x: ApartmentPoint, phi: GradedElement
-) -> OrbitLabel:
+def debacker_lift(cfg: GroupConfig, s: Q | int | str, phi: GradedElement) -> OrbitLabel:
     """The unique smallest orbit meeting the coset of a degenerate phi.
 
     Realized as the Jordan type of the homogeneous lift, which equals
@@ -332,10 +333,9 @@ def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:
             )
 
 
-def minimality_probe(
-    cfg: GroupConfig, s: Q | int | str, x: ApartmentPoint, phi: GradedElement
-) -> bool:
-    """Certificate that the lift is the smallest orbit meeting phi + g_{x>-s}.
+def minimality_probe(cfg: GroupConfig, pair: DMPPair) -> bool:
+    """Certificate that the pair's lift is the smallest orbit meeting its
+    coset phi + g_{x>-s}.
 
     True exactly when the hypotheses of the following argument hold for
     this instance, each checked on integers over the common denominator
@@ -345,7 +345,7 @@ def minimality_probe(
          d w = -S - X_i + X_j, i.e. the lift L sits exactly at degree -s;
     (H2) every strict bound b_ij at (x, -s) has d b_ij > -S - X_i + X_j,
          i.e. every entry of g_{x>-s} has degree above -s;
-    (H3) with lambda the lift's orbit and r_k = rank_at(k) of lambda, a
+    (H3) with lambda = pair.lift and r_k = rank_at(k) of lambda, a
          partition mu of n has rank_at(k) >= r_k for all k exactly when
          dominance_leq(lambda, mu).
 
@@ -354,21 +354,21 @@ def minimality_probe(
     in the coset t^s D Z D^-1 = A + R with every entry of R of positive
     valuation.  So (A + R)^k = A^k + (positive valuation), and a nonzero
     minor of A^k of size rank A^k is the constant term of the same minor
-    of (A + R)^k: rank Z^k >= rank A^k for every k.  debacker_lift reads
-    lambda from these ranks, so rank A^k = r_k, and a nilpotent Z of type
-    mu has rank Z^k = mu.rank_at(k).  Rank dominance is the closure
+    of (A + R)^k: rank Z^k >= rank A^k for every k.  DMPPair.make read
+    lambda from these ranks (debacker_lift takes gf.power_ranks of A),
+    so rank A^k = r_k, and a nilpotent Z of type mu has
+    rank Z^k = mu.rank_at(k).  Rank dominance is the closure
     order on nilpotent orbits (Gerstenhaber 1959), which (H3) checks
     against dominance_leq, so every nilpotent in the coset has type
     >= lambda; the lift lies in the coset and has type lambda, so lambda
     is the smallest orbit meeting it (DeBacker 2002).
     """
-    s = Q(s)
-    lift = debacker_lift(cfg, s, x, phi)
-    d, X, (S,) = _scale(x.coords, s)
+    x, lift = pair.x, pair.lift
+    d, X, (S,) = _scale(x.coords, pair.s)
     level = [[-S - xi + xj for xj in X] for xi in X]  # d times the degree -s exponent
-    if any(d * w != level[i][j] for i, j, w, _ in monomials(phi)):
+    if any(d * w != level[i][j] for i, j, w, _ in monomials(pair.phi)):
         return False  # (H1)
-    strict = mp_lattice(cfg, x, -s, strict=True, _checked=True).bounds
+    strict = mp_lattice(cfg, x, -pair.s, strict=True, _checked=True).bounds
     if any(d * b <= v for brow, vrow in zip(strict, level) for b, v in zip(brow, vrow)):
         return False  # (H2)
     ranks = [lift.rank_at(k) for k in range(1, cfg.n + 1)]

@@ -86,7 +86,7 @@ class DMPPair:
                 "element does not live in the graded piece at (x, -s)",
                 where="refine.DMPPair",
             )
-        lift = debacker_lift(cfg, s, x, phi)  # validates degeneracy
+        lift = debacker_lift(cfg, s, phi)  # validates degeneracy
         return DMPPair(s=s, x=x, phi=phi, lift=lift)
 
     def describe(self) -> str:

@@ -121,16 +121,18 @@ def _random_incidence(cfg: GroupConfig, rng: random.Random):
     return None
 
 
-def relation_instances(
-    cfg: GroupConfig, seed: int = 0, minimum: int = 20, qdim_cap: int = 3
-) -> List[RelationRecord]:
-    """The worked families plus randomized incidences, >= minimum records."""
+_MIN_RECORDS = 20
+
+
+def relation_instances(cfg: GroupConfig, seed: int = 0) -> List[RelationRecord]:
+    """The worked families plus randomized incidences with quotient
+    dimension at most 3, at least _MIN_RECORDS records."""
     records: List[RelationRecord] = []
     for coarse, finer in worked_instances(cfg):
         records.append(refine_relation(cfg, coarse, finer))
     rng = random.Random(f"relations:{seed}")
     attempts = 0
-    while len(records) < minimum and attempts < 4000:
+    while len(records) < _MIN_RECORDS and attempts < 4000:
         attempts += 1
         try:
             inst = _random_incidence(cfg, rng)
@@ -138,7 +140,7 @@ def relation_instances(
                 continue
             coarse, finer = inst
             rec = refine_relation(cfg, coarse, finer, crosscheck=True)
-            if rec.provenance.quotient_dim > qdim_cap:
+            if rec.provenance.quotient_dim > 3:
                 continue
             # a size cap on the K=2 residue space (at most q^7 residues); it
             # fixes which instances the suite draws, while the count itself
@@ -149,7 +151,7 @@ def relation_instances(
             records.append(rec)
         except InfeasibleError:
             continue
-    if len(records) < minimum:
+    if len(records) < _MIN_RECORDS:
         raise InfeasibleError(
             f"only {len(records)} relation instances found", where="selftest"
         )
@@ -290,7 +292,7 @@ def criterion_6_minimality(cfg: GroupConfig) -> Tuple[bool, str]:
         for el in enumerate_graded_elements(cfg, x, -s):
             if not is_degenerate(cfg, el):
                 continue
-            if not minimality_probe(cfg, s, x, el):
+            if not minimality_probe(cfg, DMPPair.make(cfg, s, x, el)):
                 return False, f"certificate refused at {x.coords}, s={s}"
             checked += 1
     return True, f"{checked} degenerate elements, lift minimality certified on each"
@@ -350,10 +352,10 @@ def criterion_9_conservation(
     return True, f"{len(records)} instances conserve the subcoset count"
 
 
-def run_all(seed: int = 0, emit: Callable[[str], None] = print) -> List[CriterionResult]:
+def run_all(seed: int = 0) -> List[CriterionResult]:
     cfg2 = default_config(2)
     cfg3 = default_config(3)
-    records = relation_instances(cfg2, seed=seed, minimum=20)
+    records = relation_instances(cfg2, seed=seed)
     mats = _matrices(cfg2, cfg3)
 
     results = [
@@ -368,5 +370,5 @@ def run_all(seed: int = 0, emit: Callable[[str], None] = print) -> List[Criterio
         _timed(lambda: criterion_9_conservation(cfg2, records), "criterion-9 subcoset conservation"),
     ]
     for r in results:
-        emit(r.line())
+        print(r.line())
     return results

@@ -118,7 +118,7 @@ def trace_first_probe(
     every nilpotent among the trace-zero samples has a Jordan type
     dominating the lift."""
     s = Q(s)
-    lift_orbit = orbits.debacker_lift(cfg, s, x, phi)
+    lift_orbit = orbits.debacker_lift(cfg, s, phi)
     return all(
         orbits.dominance_leq(lift_orbit, orbits.jordan_type(sample))
         for sample in trace_zero_samples(cfg, s, x, phi, samples, depth, seed)

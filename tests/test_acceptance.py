@@ -39,7 +39,7 @@ def cfg3():
 
 @pytest.fixture(scope="module")
 def records(cfg2):
-    return relation_instances(cfg2, seed=SEED, minimum=20)
+    return relation_instances(cfg2, seed=SEED)
 
 
 @pytest.fixture(scope="module")

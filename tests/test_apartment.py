@@ -227,7 +227,7 @@ def test_plans_verify_on_random_instances():
             s0 = Q(rng.randrange(0, 9), d)
             s1 = Q(rng.randrange(0, 9), d)
             plan = breakpoints(cfg, x0, s0, x1, s1)
-            verify_plan(cfg, plan, samples_per_interval=2)
+            verify_plan(cfg, plan)
 
 
 def test_level_zero_jump_inside_an_interval_is_caught():

@@ -582,9 +582,13 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
          "jsonio.pair_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[1, 2, "a"]]}, 1]]},
          "jsonio.pair_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[1, 2, True]], "lift": [2]}, 1]]},
+         "jsonio.pair_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "x": "0/1"}, 1]]},
          "jsonio.point_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "lift": ["1"]}, 1]]},
+         "jsonio.orbit_from_json"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "lift": [True, True]}, 1]]},
          "jsonio.orbit_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "x": ["1/3", "1/7", "0/1"]}, 1]]},
          "jsonio.pair_from_json"),
@@ -595,6 +599,7 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
         ("--matrix", {}, "jsonio.matrix_from_json"),
         ("--matrix", [], "jsonio.matrix_from_json"),
         ("--matrix", {**MATRIX_KEYS, "orbits": [[1, 1], 2]}, "jsonio.orbit_from_json"),
+        ("--matrix", {**MATRIX_KEYS, "orbits": [[True, True], [2]]}, "jsonio.orbit_from_json"),
         ("--matrix", {**MATRIX_KEYS, "probes": ["p"]}, "jsonio.pair_from_json"),
         ("--matrix", {**MATRIX_KEYS, "M": "1/1"}, "jsonio.matrix_from_json"),
         ("--matrix", {**MATRIX_KEYS, "A": [["1/1", None]]}, "jsonio.parse_frac"),
@@ -602,8 +607,9 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
     ids=[
         "input-array", "input-empty", "entries-object", "entry-single", "count-str",
         "r-array", "r-float", "s-float", "x-float", "count-bool",
-        "pair-array", "pair-keys", "phi-width", "phi-str", "x-str",
-        "lift-str", "x-length", "x-denominator", "s-denominator", "matrix-empty", "matrix-array", "orbit-int",
+        "pair-array", "pair-keys", "phi-width", "phi-str", "phi-bool", "x-str",
+        "lift-str", "lift-bool", "x-length", "x-denominator", "s-denominator", "matrix-empty",
+        "matrix-array", "orbit-int", "orbit-bool",
         "probe-str", "M-str", "A-null",
     ],
 )
@@ -829,3 +835,81 @@ def test_refine_bytes_are_pinned(capsys, k):
     )
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFINE_SHA256[k]
+
+
+# `measure` instances at q = 5: (n, K, --alt-probes); the GL_3 and GL_4 tables
+# run the closure ladder on every residue
+PINNED_MEASURES = (
+    ("2", "1", False), ("2", "2", False), ("2", "3", False),
+    ("2", "1", True), ("2", "2", True), ("2", "3", True),
+    ("3", "1", False), ("4", "1", False),
+)
+
+# sha256 of each instance's `measure` stdout, recorded before the
+# single-residue membership API left `measures`; any change to these bytes
+# is a format change
+MEASURE_SHA256 = (
+    "8362bb1dd886ed52177f6d9c91fd1bab50960c66e9fa731271a9d457c1ffb2ea",
+    "aab89bf5c2f5c77c6814cf46011e58c298bb063e4f12643ed9d91819f3dafc77",
+    "d3f31fcfbff6ad27bda4c9c7b4bd75dd9f86812f5758fa64bc24a35620a02bc7",
+    "e8d7c363559ea334292b4cc73300528b912f697f7f91a839122be1755d9627b1",
+    "6cfe2b7c338b03d42c65e40ad66762bd260c308350068a7b2782a31766b9583a",
+    "7805dafa39acd46c919e11a2d5a77d29bdf2469f9e505e28fbabbb7dcce60da6",
+    "4cf242896239a6638c113dc5bf308d7bd07ee3c5db231eae5b54887bc49bba2f",
+    "732ac1a1fe19b0ead9658461bafa64600a0dd1cb579b7157968ed04f2dad4ee4",
+)
+
+
+@pytest.mark.parametrize(
+    "k", range(len(PINNED_MEASURES)),
+    ids=[f"n{n}-K{K}" + ("-alt" if alt else "") for n, K, alt in PINNED_MEASURES],
+)
+def test_measure_bytes_are_pinned(capsys, k):
+    n, K, alt = PINNED_MEASURES[k]
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "--n", n, "--q", "5", "--K", K, "measure",
+        *(("--alt-probes",) if alt else ()),
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MEASURE_SHA256[k]
+
+
+# `solve` instances at q = 5 on the default catalog: (n, K, multiplicities in
+# probe order), among them the trivial and the induced representations
+PINNED_SOLVES = (
+    ("2", "2", (1, 0)), ("2", "2", (6, 1)), ("2", "2", (2, 7)),
+    ("3", "1", (1, 0, 0)), ("3", "1", (31, 1, 0)), ("3", "1", (186, 11, 1)),
+)
+
+# sha256 of each instance's `solve` stdout, recorded with the measures above
+SOLVE_SHA256 = (
+    "e16eea7267b6462dee7d5b5ab5ead29bd1b4ec23c19700137d575638bc4597dc",
+    "9ce314423695d79ee2317239d9f45853922e1ccfdf3ede8bdf6d90574fe6328f",
+    "ee06169f27eb32c28f5267e65aa360f6e9771b6419f46dd5372947338741face",
+    "e2fcfa5defc5aa5512d695f8ce3fb19c181bdecedcc891d58238420e84ee61a9",
+    "c323864eaf99f01e468f5276af69530dafb257778c6f9e07ee50f2ad462ace05",
+    "3c6dfeb136a69bfd2e50351f4d00ac34830294f468ba15ebd9c854924c0f0abd",
+)
+
+
+@pytest.mark.parametrize(
+    "k", range(len(PINNED_SOLVES)),
+    ids=[f"n{n}-K{K}-" + "-".join(map(str, m)) for n, K, m in PINNED_SOLVES],
+)
+def test_solve_bytes_are_pinned(capsys, tmp_path, k):
+    # the bytes are the same whether the matrix is built or reused from a file
+    n, K, mults = PINNED_SOLVES[k]
+    flags = ("--allow-small-p", "--n", n, "--q", "5", "--K", K)
+    code, out, _ = run_cli(capsys, *flags, "measure")
+    assert code == 0
+    matrix = json.loads(out)["matrix"]
+    cm_file = tmp_path / "cm.json"
+    cm_file.write_text(json.dumps(matrix))
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(
+        {"r": "0/1", "entries": [[p, c] for p, c in zip(matrix["probes"], mults)]}
+    ))
+    for reuse in ((), ("--matrix", str(cm_file))):
+        code, out, err = run_cli(capsys, *flags, "solve", "--input", str(vec_file), *reuse)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SOLVE_SHA256[k]

@@ -13,8 +13,9 @@ from fractions import Fraction as Q
 from mptypes.apartment import ApartmentPoint, GroupConfig, mp_lattice
 from mptypes.graded import enumerate_graded_elements, is_degenerate
 from mptypes.laurent import ser_neg
-from mptypes.measures import _ball_intersect, _meets_nilcone_2x2
+from mptypes.measures import _ball_intersect
 
+from cone_oracle import _meets_nilcone_2x2
 from lift_oracle import homogeneous_lift
 
 

@@ -156,7 +156,7 @@ def assert_matches_lift_oracle(cfg, el):
     assert is_degenerate(cfg, el) == nilpotent, el
     assert rank_profile(cfg, el) == profile, el
     if nilpotent:
-        assert debacker_lift(cfg, -el.degree, el.x, el) == jtype, el
+        assert debacker_lift(cfg, -el.degree, el) == jtype, el
     return nilpotent
 
 

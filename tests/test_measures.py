@@ -11,7 +11,7 @@ from mptypes import gf, measures
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.graded import GradedElement, coefficient_matrix, conjugate
 from mptypes.errors import InfeasibleError, UndecidedError
-from mptypes.laurent import LMatrix, ser_add
+from mptypes.laurent import ser_add
 from mptypes.measures import (
     MeasureTable,
     ProbeSet,
@@ -19,9 +19,9 @@ from mptypes.measures import (
     _charpoly_obstruction,
     _count_n2,
     _entry_layout,
-    _meets_nilcone_2x2,
     _membership_decide,
     _odd_q_squares,
+    _ser_eq_below,
     _walk_n2,
     _tally_n2,
     _witness_perturbations,
@@ -32,7 +32,6 @@ from mptypes.measures import (
     measure_vector,
     pair_strict_bounds,
     relation_lattice,
-    residue_membership,
     shared_lattice,
 )
 from mptypes.orbits import OrbitLabel, dominance_leq, jordan_type, partitions_of
@@ -40,6 +39,7 @@ from mptypes.refine import DMPPair, refine_relation, verify_relation
 from mptypes.selftest import _random_incidence, worked_instances
 from mptypes.solver import alt_probes_gl2, choose_probes
 
+from cone_oracle import _meets_nilcone_2x2
 from lift_oracle import series
 
 
@@ -68,21 +68,33 @@ O11 = OrbitLabel.of((1, 1))
 O2 = OrbitLabel.of((2,))
 
 
-def series_matrix(q, entries):
-    return LMatrix.from_rows(q, [[series(q, dict(e)) for e in row] for row in entries])
-
-
 def test_zero_orbit_membership():
-    # O = (1,...,1): true iff the residue is zero and 0 lies in the coset
-    y = series_matrix(5, [[{}, {}], [{}, {}]])
-    assert residue_membership(CFG2, O11, ZERO_PAIR, 1, y)
-    y2 = series_matrix(5, [[{}, {0: 1}], [{}, {}]])
-    assert not residue_membership(CFG2, O11, ZERO_PAIR, 1, y2)
+    # O = (1,...,1) meets a coset iff 0 lies in it, and then in exactly the
+    # zero residue: dim O = 0, so the count is the number of passing residues
+    nonzero = DMPPair.make(
+        CFG2, 1, X_HYP, GradedElement.make(CFG2, X_HYP, -1, {(0, 1): 1})
+    )
+    x3 = pt(0, 0, 0)
+    zero3 = DMPPair.make(CFG3, 1, x3, GradedElement.zero(x3, -1))
+    for K in (1, 2, 3):
+        assert count_measure(CFG2, O11, ZERO_PAIR, K) == 1
+        assert count_measure(CFG2, O11, nonzero, K) == 0
+        assert count_measure(CFG2, O11, REG_PAIR, K) == 0
+    assert count_measure(CFG3, OrbitLabel.of((1, 1, 1)), zero3, 1) == 1
+
+
+def residue_ball(q, entries, depth):
+    """A 2x2 residue as a ball: entry series, each ball floor at `depth`."""
+    y = [[series(q, e) for e in row] for row in entries]
+    return y, [[depth] * 2 for _ in range(2)]
 
 
 def test_trace_obstruction_membership():
-    y = series_matrix(5, [[{0: 1}, {}], [{}, {}]])
-    assert not residue_membership(CFG2, O2, ZERO_PAIR, 1, y)
+    # diag(1, 0) + t gl_2(O) never has trace 0: the merged diagonal ball is empty
+    y, depths = residue_ball(5, [[{0: 1}, {}], [{}, {}]], 1)
+    assert _walk_n2(5, y, depths, depths) is None
+    y, depths = residue_ball(5, [[{0: 1}, {}], [{}, {0: 4}]], 1)
+    assert _walk_n2(5, y, depths, depths) is not None
 
 
 def test_membership_closed_form_solution():
@@ -93,25 +105,21 @@ def test_membership_closed_form_solution():
     pair = DMPPair.make(
         CFG2, 1, X_HYP, GradedElement.make(CFG2, X_HYP, -1, {(0, 1): 1})
     )
+    bases, floors, depths = _entry_layout(CFG2, pair, K, pair_strict_bounds(CFG2, pair))
     # -a^2 t (1 - bt + b^2 t^2 - ...) truncated below K
-    w_series = {}
-    sign = 1
-    for k in range(K):
-        w_series[1 + k] = (-(a * a) * sign * pow(b, k)) % q
-        sign = sign
-    # geometric expansion: coefficients alternate via (-b)^k
     w_series = {1 + k: (-(a * a) * pow(-b, k, q)) % q for k in range(K - 1)}
-    y = series_matrix(
-        5,
-        [
-            [{0: a}, {-1: 1, 0: b}],
-            [w_series, {0: -a % q}],
-        ],
+    y, _ = residue_ball(q, [[{0: a}, {-1: 1, 0: b}], [w_series, {0: -a}]], K)
+    assert all(
+        _ser_eq_below(y[i][j], bases[i][j], floors[i][j], q)
+        for i in range(2)
+        for j in range(2)
     )
-    assert residue_membership(CFG2, O2, pair, K, y)
+    walk = _walk_n2(q, y, depths, depths)
+    (u, _, eu), (v, _, ev), (w, _, ew) = walk
+    assert _meets_nilcone_2x2(q, _odd_q_squares(q), u, eu, v, ev, w, ew)
     # breaking the trace kills it
-    y_bad = series_matrix(5, [[{0: a}, {-1: 1, 0: b}], [w_series, {0: a}]])
-    assert not residue_membership(CFG2, O2, pair, K, y_bad)
+    y_bad, _ = residue_ball(q, [[{0: a}, {-1: 1, 0: b}], [w_series, {0: a}]], K)
+    assert _walk_n2(q, y_bad, depths, depths) is None
 
 
 def test_count_measure_worked_values():
@@ -287,7 +295,7 @@ def test_single_regular_probe_row():
 def triple_walk_count(cfg, pair, K, lam):
     """The count `_count_n2` factors: one cone test per residue (u, v, w)."""
     q = cfg.q
-    qr = _odd_q_squares(q, "tests.triple_walk_count")
+    qr = _odd_q_squares(q)
     walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
     if walk is None:
         return 0
@@ -426,7 +434,7 @@ def parent_ladder(cfg, orbit, pair, y, depths):
 
     def found(accept):
         for extra in _witness_perturbations(cfg.n, cfg.q, depths):
-            m = _ball_matrix(cfg, y, depths, extra)
+            m = _ball_matrix(cfg, y, extra)
             if m.is_nilpotent() and accept(jordan_type(m)):
                 return True
         return False
@@ -516,7 +524,7 @@ def test_walk_hits_equal_fresh_counts(q):
         clear_count_cache()
         fresh.append(_count_n2(cfg, pair, K, lam, 10**6))
     assert warm == fresh
-    qr = _odd_q_squares(q, "tests")
+    qr = _odd_q_squares(q)
     for pair, K, lam in jobs:
         walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
         if walk is not None:

@@ -29,6 +29,7 @@ from mptypes.orbits import (
     partitions_of,
     sl2_complete,
 )
+from mptypes.refine import DMPPair
 from mptypes.selftest import criterion_6_minimality
 
 import coset_sampler
@@ -182,17 +183,15 @@ def test_jordan_type_worked_examples():
 
 
 def test_debacker_lift_worked_examples():
-    assert debacker_lift(
-        CFG2, 1, pt(0, 0), GradedElement.zero(pt(0, 0), -1)
-    ) == OrbitLabel.of((1, 1))
+    assert debacker_lift(CFG2, 1, GradedElement.zero(pt(0, 0), -1)) == OrbitLabel.of((1, 1))
     xi = pt(Q(1, 2), 0)
     el = GradedElement.make(CFG2, xi, Q(-1, 2), {(0, 1): 1})
-    assert debacker_lift(CFG2, Q(1, 2), xi, el) == OrbitLabel.of((2,))
+    assert debacker_lift(CFG2, Q(1, 2), el) == OrbitLabel.of((2,))
     el3 = GradedElement.make(CFG3, pt(0, 0, 0), -1, {(0, 1): 2, (1, 2): 3})
-    assert debacker_lift(CFG3, 1, pt(0, 0, 0), el3) == OrbitLabel.of((3,))
+    assert debacker_lift(CFG3, 1, el3) == OrbitLabel.of((3,))
     with pytest.raises(ValidationError):
         nondeg = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 0): 1})
-        debacker_lift(CFG2, 1, pt(0, 0), nondeg)
+        debacker_lift(CFG2, 1, nondeg)
 
 
 def test_jordan_type_conjugation_invariance():
@@ -257,9 +256,7 @@ def test_debacker_lift_quotient_invariance():
         if not is_degenerate(cfg, el):
             continue
         g = ReductiveQuotient.at(x).random_element(cfg, rng)
-        assert debacker_lift(cfg, s, x, el) == debacker_lift(
-            cfg, s, x, conjugate(cfg, el, g)
-        )
+        assert debacker_lift(cfg, s, el) == debacker_lift(cfg, s, conjugate(cfg, el, g))
         done += 1
 
 
@@ -271,7 +268,7 @@ def test_lift_is_witnessed_in_coset_exhaustively():
             if not is_degenerate(CFG2, el):
                 continue
             lift = homogeneous_lift(CFG2, el)
-            assert jordan_type(lift) == debacker_lift(CFG2, s, x, el)
+            assert jordan_type(lift) == debacker_lift(CFG2, s, el)
 
 
 def test_sl2_worked_examples():
@@ -531,14 +528,17 @@ def test_sl2_complete_computes_each_support_once(monkeypatch):
 
 
 def test_minimality_probe_worked_examples():
-    assert minimality_probe(CFG2, 1, pt(0, 0), GradedElement.zero(pt(0, 0), -1))
+    zero = GradedElement.zero(pt(0, 0), -1)
+    assert minimality_probe(CFG2, DMPPair.make(CFG2, 1, pt(0, 0), zero))
     el = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 1): 1})
-    assert minimality_probe(CFG2, 1, pt(0, 0), el)
+    assert minimality_probe(CFG2, DMPPair.make(CFG2, 1, pt(0, 0), el))
     xi = pt(Q(1, 2), 0)
     eli = GradedElement.make(CFG2, xi, Q(-1, 2), {(0, 1): 1})
-    assert minimality_probe(CFG2, Q(1, 2), xi, eli)
-    # phi's monomials sit at degree -1 at its own point (0, 0), not at (1, 0) (H1)
-    assert not minimality_probe(CFG2, 1, pt(1, 0), el)
+    assert minimality_probe(CFG2, DMPPair.make(CFG2, Q(1, 2), xi, eli))
+    # phi's monomials sit at degree -1 at its own point (0, 0), not at (1, 0)
+    # (H1); DMPPair.make refuses such a pair, so it is built field by field
+    moved = DMPPair(s=Q(1), x=pt(1, 0), phi=el, lift=debacker_lift(CFG2, 1, el))
+    assert not minimality_probe(CFG2, moved)
 
 
 # -- the rank bound the certificate proves, checked on sampled coset elements
@@ -565,7 +565,7 @@ def random_coset_element(cfg, s, x, phi, depth, rng):
 def oracle_probe(cfg, s, x, phi, samples, depth, seed):
     """Every sample a full matrix from its own stream, run to the end:
     (verdict, trace-zero samples, nilpotent indices)."""
-    lift_orbit = debacker_lift(cfg, s, x, phi)
+    lift_orbit = debacker_lift(cfg, s, phi)
     verdict, trace_zero, nilpotent = True, {}, []
     for k in range(samples):
         sample = random_coset_element(cfg, s, x, phi, depth, random.Random(f"{seed}:{k}"))
@@ -619,8 +619,9 @@ def test_sampled_coset_elements_obey_the_certified_rank_bound():
     samples = nilpotent = above = 0
     for n, q in GRID:
         for cfg, x, s, el in degenerate_instances(n, q, 12, rng):
-            assert minimality_probe(cfg, s, x, el)
-            lift = debacker_lift(cfg, s, x, el)
+            pair = DMPPair.make(cfg, s, x, el)
+            assert minimality_probe(cfg, pair)
+            lift = pair.lift
             depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]
             for _ in range(36):
                 z = random_coset_element(cfg, s, x, el, depth, rng)
@@ -652,7 +653,7 @@ def test_trace_zero_samples_are_coset_elements_at_the_binomial_rate(n, q):
     for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
         L = 1 + seed % 2
         depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0] + L - 1
-        lift_orbit = debacker_lift(cfg, s, x, el)
+        lift_orbit = debacker_lift(cfg, s, el)
         for sample in coset_sampler.trace_zero_samples(cfg, s, x, el, 100, depth, seed):
             assert_in_coset_with_zero_trace(cfg, s, x, el, depth, sample)
             if sample.is_nilpotent():
@@ -671,8 +672,9 @@ def test_more_than_100_trace_first_samples_reach_the_nilpotent_branch():
     nilpotent = 0
     for n, q in GRID:
         for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 12, rng)):
-            assert minimality_probe(cfg, s, x, el)
-            lift_orbit = debacker_lift(cfg, s, x, el)
+            pair = DMPPair.make(cfg, s, x, el)
+            assert minimality_probe(cfg, pair)
+            lift_orbit = pair.lift
             depth = mp_lattice(cfg, x, -s, strict=True).bounds[0][0]  # one draw per diagonal slot
             for sample in coset_sampler.trace_zero_samples(cfg, s, x, el, 100, depth, seed):
                 if sample.is_nilpotent():
@@ -703,7 +705,7 @@ def test_trace_first_probe_matches_the_old_loop_at_benchmark_depth(n, q):
     for seed, (cfg, x, s, el) in enumerate(degenerate_instances(n, q, 2, rng)):
         verdict, _, _ = oracle_probe(cfg, s, x, el, 200, 3, seed)
         assert coset_sampler.trace_first_probe(cfg, s, x, el, 200, 3, seed) == verdict
-        assert minimality_probe(cfg, s, x, el) == verdict
+        assert minimality_probe(cfg, DMPPair.make(cfg, s, x, el)) == verdict
 
 
 def test_a_failing_dominance_check_fails_both_probes(monkeypatch):
@@ -713,7 +715,7 @@ def test_a_failing_dominance_check_fails_both_probes(monkeypatch):
     assert nilpotent  # constant 2 x 2 samples over F_3: some are nilpotent
     monkeypatch.setattr(orbits, "dominance_leq", lambda a, b: False)
     assert oracle_probe(cfg, s, x, el, 100, 0, 0)[0] is False
-    assert minimality_probe(cfg, s, x, el) is False
+    assert minimality_probe(cfg, DMPPair.make(cfg, s, x, el)) is False
 
 
 # -- mutations the certificate must refuse --------------------------------
@@ -733,11 +735,11 @@ def non_strict_bound(monkeypatch):
 
 @pytest.mark.parametrize("mutate", [swapped_dominance, non_strict_bound])
 def test_a_mutated_certificate_fails_the_probe_and_criterion_6(monkeypatch, mutate):
-    el = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 1): 1})
-    assert minimality_probe(CFG2, 1, pt(0, 0), el)
+    pair = DMPPair.make(CFG2, 1, pt(0, 0), GradedElement.make(CFG2, pt(0, 0), -1, {(0, 1): 1}))
+    assert minimality_probe(CFG2, pair)
     assert criterion_6_minimality(CFG2)[0]
     mutate(monkeypatch)
-    assert not minimality_probe(CFG2, 1, pt(0, 0), el)
+    assert not minimality_probe(CFG2, pair)
     passed, detail = criterion_6_minimality(CFG2)
     assert not passed and detail.startswith("certificate refused"), detail
 
