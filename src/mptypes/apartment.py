@@ -53,13 +53,11 @@ class GroupConfig:
     usually stated under reads q >= max(n, 271).  Desk-scale runs sit
     far below it; they are permitted (all algorithms implemented here
     are characteristic-free type-A linear algebra) but flagged once.
-    With strict_p=True a config violating the hypothesis is rejected.
     """
 
     n: int
     q: int
     m: int = 1
-    strict_p: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -69,11 +67,6 @@ class GroupConfig:
         if self.m < 1:
             raise ValidationError("m must be >= 1", where="apartment.GroupConfig")
         if not self.hypothesis_ok:
-            if self.strict_p:
-                raise ValidationError(
-                    f"q = {self.q} below the large-p bound max(n, 271) with strict_p set",
-                    where="apartment.GroupConfig",
-                )
             warnings.warn(
                 f"q = {self.q} is below max(n, 271) = {max(self.n, 271)}; "
                 "running outside the large-p regime",

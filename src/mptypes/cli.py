@@ -35,8 +35,7 @@ from .orbits import minimality_probe, partitions_of, sl2_complete
 from .refine import DMPPair, enumerate_and_classify, refine_relation, verify_relation
 from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, solve_expansion
 from . import selftest as selftest_mod
-from .finite_types import FiniteModule, verify_fork_identity
-from . import gf
+from .finite_types import FiniteModule, fork_field, verify_fork_identity
 
 Q = Fraction
 
@@ -311,10 +310,7 @@ def _cmd_refine(cfg, args) -> dict:
     for orbit in partitions_of(cfg.n):
         comps = measure_vector(cfg, orbit, rec.pairs(), args.K, lam, enum_bound=args.bound)
         slices[str(orbit)] = verify_relation(cfg, rec, comps)
-    # characters take values in the p-th roots of unity of F_{l^a}: l = 2
-    # serves every odd p, and at p = 2 the root -1 lives in F_3
-    ell = 3 if cfg.q == 2 else 2
-    field = gf.ext_field(ell, _order_mod(ell, cfg.q))
+    field = fork_field(cfg)
     rng = random.Random(f"cli-refine:{args.seed}")
     modules = (
         FiniteModule.random(cfg, field, x, s, rng.randrange(1, 7), rng)
@@ -328,15 +324,6 @@ def _cmd_refine(cfg, args) -> dict:
             "fork_identity": {"modules": args.modules, "all_pass": fork_ok},
         },
     }
-
-
-def _order_mod(ell: int, p: int) -> int:
-    """The multiplicative order of ell modulo p, for ell prime to p."""
-    a, value = 1, ell % p
-    while value != 1:
-        value = value * ell % p
-        a += 1
-    return a
 
 
 def _default_matrix(cfg, args, r):

@@ -33,6 +33,7 @@ __all__ = [
     "AdditiveCharacter",
     "FiniteModule",
     "build_character",
+    "fork_field",
     "hom_dim",
     "verify_fork_identity",
     "fork_report",
@@ -60,6 +61,18 @@ class AdditiveCharacter:
 
     def value_at(self, k: int) -> int:
         return self.field.pow(self.zeta, self.exponents[k])
+
+
+def fork_field(cfg: GroupConfig) -> gf.ExtField:
+    """F_{l^a} with a the order of l mod p: the smallest field of
+    characteristic l holding the p-th roots of unity.  l = 2 serves every
+    odd p, and at p = 2 the root -1 lives in F_3."""
+    ell = 3 if cfg.q == 2 else 2
+    a, value = 1, ell % cfg.q
+    while value != 1:
+        value = value * ell % cfg.q
+        a += 1
+    return gf.ext_field(ell, a)
 
 
 def _check_field(cfg: GroupConfig, field: gf.ExtField, *, where: str) -> None:
@@ -291,7 +304,7 @@ class _Incidence:
     ) -> None:
         self.x, self.s = finer[0], Q(finer[1])
         if classes is None:
-            classes = enumerate_and_classify(cfg, coarse, finer, crosscheck=False)
+            classes = enumerate_and_classify(cfg, coarse, finer)
         positions = graded_support(cfg, self.x, self.s, _checked=True).positions
         exponents = [_exponents(cls.chi, positions) for cls in classes]
         self.restricted = tuple(_restricted_positions(cfg, coarse.x, coarse.s, self.x, self.s))

@@ -43,7 +43,6 @@ Q = Fraction
 __all__ = [
     "GradedElement",
     "ReductiveQuotient",
-    "UnipotentImage",
     "is_degenerate",
     "monomials",
     "coefficient_matrix",
@@ -70,11 +69,9 @@ class GradedElement:
         cfg: GroupConfig,
         x: ApartmentPoint,
         degree: Q | int | str,
-        coeffs: Dict[Tuple[int, int], int] | Sequence[Tuple[int, int, int]],
+        coeffs: Dict[Tuple[int, int], int],
     ) -> "GradedElement":
         degree = Q(degree)
-        if not isinstance(coeffs, dict):
-            coeffs = {(i, j): c for i, j, c in coeffs}
         sup = graded_support(cfg, x, degree, _checked=True)
         allowed = set(sup.positions)
         cleaned = {}
@@ -259,25 +256,15 @@ def conjugate(cfg: GroupConfig, phi: GradedElement, c: Sequence[Sequence[int]]) 
     return element_from_matrix(cfg, phi.x, phi.degree, b)
 
 
-@dataclass(frozen=True)
-class UnipotentImage:
-    """im(G_{y>0} -> G_{x=0}), a pattern q-group of elementary directions.
+def unipotent_image(
+    cfg: GroupConfig, y: ApartmentPoint, x: ApartmentPoint
+) -> Tuple[Tuple[int, int], ...]:
+    """The sorted directions of im(G_{y>0} -> G_{x=0}), a pattern q-group.
 
     A direction is a position (i, j) whose unique exponent w = x_j - x_i
     is integral (so t^w e_ij has degree 0 at x) and satisfies
     w + y_i - y_j > 0 (so the one-parameter subgroup lies in G_{y>0}).
     """
-
-    y: ApartmentPoint
-    x: ApartmentPoint
-    directions: Tuple[Tuple[int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.directions)
-
-
-def unipotent_image(cfg: GroupConfig, y: ApartmentPoint, x: ApartmentPoint) -> UnipotentImage:
     n = cfg.n
     dirs = []
     for i in range(n):
@@ -287,7 +274,7 @@ def unipotent_image(cfg: GroupConfig, y: ApartmentPoint, x: ApartmentPoint) -> U
             w = x[j] - x[i]
             if w.denominator == 1 and w + y[i] - y[j] > 0:
                 dirs.append((i, j))
-    return UnipotentImage(y=y, x=x, directions=tuple(sorted(dirs)))
+    return tuple(sorted(dirs))
 
 
 def _apply_direction(
@@ -306,16 +293,19 @@ def _apply_direction(
     return tuple(tuple(r) for r in b)
 
 
+# the largest orbit that `unipotent_orbit_count` closes breadth-first
+_ORBIT_BOUND = 10**5
+
+
 def unipotent_orbit_count(
     cfg: GroupConfig,
     y: ApartmentPoint,
     x: ApartmentPoint,
     phi: GradedElement,
-    bound: int = 10**5,
 ) -> Tuple[int, FrozenSet[GradedElement]]:
     """Orbit size of phi under im(G_{y>0} -> G_{x=0}), with its members.
 
-    Breadth-first closure whenever the orbit stays within `bound`;
+    Breadth-first closure whenever the orbit stays within `_ORBIT_BOUND`;
     otherwise (for q > n only) the size is q^(dim U - dim stabilizer)
     with the stabilizer dimension solved at the graded Lie-algebra
     level.  Whenever both run they must agree.
@@ -325,7 +315,7 @@ def unipotent_orbit_count(
             "the pair (y, x) does not satisfy the level-zero inclusion chain",
             where="graded.unipotent_orbit_count",
         )
-    u = unipotent_image(cfg, y, x)
+    directions = unipotent_image(cfg, y, x)
     q = cfg.q
     a0 = [list(r) for r in coefficient_matrix(cfg, phi)]
 
@@ -338,13 +328,13 @@ def unipotent_orbit_count(
         nxt = []
         for mat in frontier:
             m = [list(r) for r in mat]
-            for (i, j) in u.directions:
+            for (i, j) in directions:
                 for c in range(1, q):
                     img = _apply_direction(cfg, m, i, j, c)
                     if img not in members:
                         members.add(img)
                         nxt.append(img)
-        if len(members) > bound:
+        if len(members) > _ORBIT_BOUND:
             overflow = True
             break
         frontier = nxt
@@ -356,7 +346,7 @@ def unipotent_orbit_count(
         field = gf.prime_field(q)
         rows = []
         positions = support_of(cfg, phi).positions
-        for (i, j) in u.directions:
+        for (i, j) in directions:
             e = [[0] * cfg.n for _ in range(cfg.n)]
             e[i][j] = 1
             br = gf.mat_mul(e, amat, field)
@@ -369,7 +359,7 @@ def unipotent_orbit_count(
 
     if bfs_n is None and dim_n is None:
         raise InfeasibleError(
-            f"instance too large: orbit exceeds {bound} and q <= n forbids the "
+            f"instance too large: orbit exceeds {_ORBIT_BOUND} and q <= n forbids the "
             "stabilizer-dimension path",
             where="graded.unipotent_orbit_count",
         )

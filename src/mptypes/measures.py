@@ -522,13 +522,8 @@ class ProbeSet:
     lam: Tuple[Tuple[int, ...], ...]
 
     @staticmethod
-    def make(
-        cfg: GroupConfig,
-        probes: Sequence[DMPPair],
-        K: int,
-        lam: Optional[Tuple[Tuple[int, ...], ...]] = None,
-    ) -> "ProbeSet":
-        lam = shared_lattice(cfg, probes) if lam is None else lam
+    def make(cfg: GroupConfig, probes: Sequence[DMPPair], K: int) -> "ProbeSet":
+        lam = shared_lattice(cfg, probes)
         ps = ProbeSet(probes=tuple(probes), K=K, lam=lam)
         for p in ps.probes:
             _validate_lattice(cfg, p, K, lam)

@@ -192,7 +192,6 @@ def enumerate_and_classify(
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
     bound: int = 10**6,
-    crosscheck: bool = True,
 ) -> List[SubcosetClass]:
     """Decompose the coarse coset along (x, s) and tag every member.
 
@@ -277,8 +276,7 @@ def enumerate_and_classify(
             "empty B class: the coarse element's own image must be tagged B",
             where="refine.enumerate_and_classify",
         )
-    if crosscheck:
-        _crosscheck_b_class(cfg, y, x, phi_x, classes)
+    _crosscheck_b_class(cfg, y, x, phi_x, classes)
     return classes
 
 
@@ -309,8 +307,6 @@ def refine_relation(
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
     base_hint: Optional[GradedElement] = None,
-    bound: int = 10**6,
-    crosscheck: bool = True,
     role: str = "refine",
     interval: Optional[int] = None,
     *,
@@ -326,7 +322,7 @@ def refine_relation(
     """
     x, s = finer[0], Q(finer[1])
     if classes is None:
-        classes = enumerate_and_classify(cfg, coarse, finer, bound=bound, crosscheck=crosscheck)
+        classes = enumerate_and_classify(cfg, coarse, finer)
     n_b = sum(1 for c in classes if c.tag == "B")
     n_a = sum(1 for c in classes if c.tag == "A")
     c_list = [c for c in classes if c.tag == "C"]
@@ -401,9 +397,7 @@ def _image(cfg: GroupConfig, phi: GradedElement, x: ApartmentPoint, degree: Q) -
     return image
 
 
-def connect(
-    cfg: GroupConfig, p0: DMPPair, p1: DMPPair, bound: int = 10**6
-) -> List[RelationRecord]:
+def connect(cfg: GroupConfig, p0: DMPPair, p1: DMPPair) -> List[RelationRecord]:
     """Chain of relations expressing v at p1 through v at p0.
 
     Requires equal lifts.  The shared nilpotent datum is the
@@ -470,16 +464,9 @@ def connect(
         for role, t in (("interval-left", plan.ts[k]), ("interval-right", plan.ts[k + 1])):
             xb, sb = plan.point_at(t)
             phi_b = _image(cfg, p0.phi, xb, -sb)
-            rec = refine_relation(
-                cfg,
-                pair_u,
-                (xb, sb),
-                base_hint=phi_b,
-                bound=bound,
-                role=role,
-                interval=k,
+            records.append(
+                refine_relation(cfg, pair_u, (xb, sb), base_hint=phi_b, role=role, interval=k)
             )
-            records.append(rec)
     return records
 
 

@@ -34,7 +34,7 @@ def extension_characters(
     asserted.
     """
     x, s = finer[0], Q(finer[1])
-    classes = enumerate_and_classify(cfg, coarse, finer, crosscheck=False)
+    classes = enumerate_and_classify(cfg, coarse, finer)
     if zeta is None:
         zeta = field.root_of_unity(cfg.q)
     chars = [

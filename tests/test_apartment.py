@@ -44,11 +44,9 @@ def pt(*coords):
     return ApartmentPoint.of([Q(c) for c in coords])
 
 
-def test_small_q_warns_and_strict_rejects():
+def test_small_q_warns():
     with pytest.warns(UserWarning):
         GroupConfig(n=2, q=5, m=2)
-    with pytest.raises(ValidationError):
-        GroupConfig(n=2, q=5, m=2, strict_p=True)
 
 
 def test_point_normalization():

@@ -365,6 +365,26 @@ def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
     assert len(classified) == 1
 
 
+def test_fork_identity_without_classes_crosschecks_the_b_class_once(monkeypatch):
+    # classifying its incidence itself, the identity cross-checks the B
+    # class against the unipotent orbit, as every classification does
+    from mptypes import refine
+
+    real = refine._crosscheck_b_class
+    crosschecked = []
+
+    def counting(*args, **kwargs):
+        crosschecked.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "_crosscheck_b_class", counting)
+    coarse, (x, s) = worked_instances(CFG)[0]
+    rng = random.Random(5)
+    modules = [FiniteModule.random(CFG, F16, x, s, 3, rng) for _ in range(2)]
+    assert verify_fork_identity(CFG, modules, coarse, (x, s))
+    assert len(crosschecked) == 1
+
+
 def test_validate_accepts_constructed_modules_and_rejects_built_ones():
     # from_characters no longer validates: its generators C D C^-1 with D a
     # diagonal of p-th roots of unity have order p and commute by

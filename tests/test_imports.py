@@ -1,6 +1,7 @@
 """Import boundaries between the source modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mptypes
@@ -54,3 +55,17 @@ def test_the_modules_that_import_random_are_pinned():
     # the minimality certificate draws nothing, so orbits is not among them
     importers = {path.stem for path in SRC.glob("*.py") if imports_random(path)}
     assert importers == {"cli", "finite_types", "graded", "measures", "selftest"}
+
+
+def test_every_exported_name_exists():
+    # a name removed from a module must leave its `__all__` too
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        mod = importlib.import_module(f"mptypes.{path.stem}")
+        if hasattr(mod, "__all__"):
+            missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+            assert not missing, (path.stem, missing)
+            checked += 1
+    assert checked >= 10
