@@ -19,7 +19,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import ge, lt
 from typing import Dict, List, Sequence, Tuple
@@ -258,7 +257,9 @@ def residue_classes(x: ApartmentPoint) -> List[Tuple[Q, Tuple[int, ...]]]:
 @dataclass(frozen=True)
 class IntervalCertificate:
     sample: Q
-    shapes: Tuple[LatticeShape, ...]  # the six constancy witnesses
+    x: ApartmentPoint  # the path point and level at the sample
+    s: Q
+    six: Tuple[int, ...]  # `_six_flat` at (x, s): the six constancy witnesses
 
 
 @dataclass(frozen=True)
@@ -392,18 +393,12 @@ def breakpoints(
                     cuts.add(((w * d + b0) // g, (b0 - b1) // g))
     L = lcm(*(b for _, b in cuts))
     T = sorted(a * (L // b) for a, b in cuts)  # the cuts over L
-    n, intervals = cfg.n, []
+    intervals = []
     for lo, hi in zip(T, T[1:]):
         # the sample (lo + hi) / 2L: one Fraction per coordinate and level
         X, S, D = path.at(lo + hi, 2 * L)
-        x, s = ApartmentPoint(tuple(Q(c, D) for c in X)), Q(S, D)
-        levels, six = (Q(0), s, -s), _six_flat(X, S, D)  # levels[sign] is sign * s
-        rows = [six[r:r + n] for r in range(0, len(six), n)]
-        shapes = tuple(
-            LatticeShape(bounds=tuple(rows[k * n:k * n + n]), x=x, s=levels[sign], strict=strict)
-            for k, (sign, strict) in enumerate(_WITNESSES)
-        )
-        intervals.append(IntervalCertificate(sample=Q(lo + hi, 2 * L), shapes=shapes))
+        x = ApartmentPoint(tuple(Q(c, D) for c in X))
+        intervals.append(IntervalCertificate(Q(lo + hi, 2 * L), x, Q(S, D), _six_flat(X, S, D)))
     plan = GeodesicPlan(
         x0=x0, s0=s0, x1=x1, s1=s1, ts=tuple(Q(t, L) for t in T), intervals=tuple(intervals)
     )
@@ -416,13 +411,20 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan) -> None:
 
     The breakpoints must rise strictly from 0 to 1, one certificate per
     interval with its sample strictly inside.  The rest is recomputed on
-    integers from the plan's endpoints, not read from the certificate: on
-    each interval the six witnesses at the sample and at two evenly
-    spaced interior points must equal the certified shapes, and at each
-    breakpoint t the inclusion chains at levels (0, 0) and (s_t, tau_u)
-    must hold against the sample u of each neighbouring interval.  The
-    chain at (-s_t, -tau_u) holds exactly when the one at (s_t, tau_u)
-    does (`inclusion_chain_ok`), so it is not compared.
+    integers from the plan's endpoints, not read from the certificate:
+    the certificate's point and level must be the path's at its sample,
+    and its six witnesses the ones there.  Constancy on the open interval
+    (lo, hi) is proved from the witnesses at its two ends.  Each witness
+    entry is ceil g, or floor g + 1 when strict, for a g affine in t, and
+    ceil g and floor g are constant on (lo, hi) exactly when
+    floor(g(lo)) + 1 >= ceil(g(hi)) and floor(g(hi)) + 1 >= ceil(g(lo)):
+    g takes every value strictly between g(lo) and g(hi) on (lo, hi), and
+    the two inequalities say that no integer lies strictly between them.
+    At each breakpoint t the inclusion chains at levels (0, 0) and
+    (s_t, tau_u) must hold against the sample u of each neighbouring
+    interval; entry by entry, the chains at lo and hi say the same as the
+    two inequalities.  The chain at (-s_t, -tau_u) holds exactly when the
+    one at (s_t, tau_u) does (`inclusion_chain_ok`), so it is not compared.
     """
     ts, certs, where = plan.ts, plan.intervals, "apartment.verify_plan"
     if not ts or ts[0] != 0 or ts[-1] != 1 or not all(map(lt, ts, ts[1:])):
@@ -430,39 +432,38 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan) -> None:
     if len(certs) != len(ts) - 1:
         raise InternalFault(f"{len(certs)} certificates for {len(ts) - 1} intervals", where=where)
     path = _Geodesic(plan.x0, plan.s0, plan.x1, plan.s1)
-    n, N = cfg.n, cfg.n * cfg.n
-    at_sample = [path.six(c.sample.numerator, c.sample.denominator) for c in certs]
-    parts = 3  # the interior points cut the interval in three
-    flags, widths = [strict for _, strict in _WITNESSES], [n] * (6 * n)
+    N = cfg.n * cfg.n
+    at_t = [path.six(t.numerator, t.denominator) for t in ts]
+    at_sample = []
     for k, cert in enumerate(certs):
-        lo, hi = ts[k], ts[k + 1]
-        if not lo < cert.sample < hi:
-            raise InternalFault(f"sample {cert.sample} not inside ({lo}, {hi})", where=where)
-        # six n x n shapes with the witness flags, their bounds flattened once
-        rows = [row for sh in cert.shapes for row in sh.bounds]
-        ok = [sh.strict for sh in cert.shapes] == flags and list(map(len, rows)) == widths
-        ref = tuple(chain.from_iterable(rows))
-        # the sample, then u_j = lo + (hi - lo) j / parts = a_j / b
-        b = lo.denominator * hi.denominator * parts
-        interior = (
-            lo.numerator * hi.denominator * (parts - j) + hi.numerator * lo.denominator * j
-            for j in range(1, parts)
-        )
-        sample = (cert.sample.numerator, cert.sample.denominator)
-        points = [(at_sample[k], sample)] + [(path.six(a, b), (a, b)) for a in interior]
-        for six, u in points:
-            if not ok or six != ref:
-                raise InternalFault(
-                    f"filtration shapes not constant on ({lo}, {hi}) at t = {Q(*u)}",
-                    where=where,
-                )
-    for k, t in enumerate(ts):
-        at_t = path.six(t.numerator, t.denominator)
+        lo, hi, u = ts[k], ts[k + 1], cert.sample
+        if not lo < u < hi:
+            raise InternalFault(f"sample {u} not inside ({lo}, {hi})", where=where)
+        X, S, D = path.at(u.numerator, u.denominator)
+        x, s = cert.x.coords, cert.s
+        if len(x) != cfg.n or s.numerator * D != S * s.denominator or any(
+            c.numerator * D != v * c.denominator for c, v in zip(x, X)
+        ):
+            raise InternalFault(
+                f"certificate of ({lo}, {hi}) is not at the path point of t = {u}", where=where
+            )
+        at_sample.append(_six_flat(X, S, D))
+        if cert.six != at_sample[k]:
+            raise InternalFault(
+                f"certificate of ({lo}, {hi}) differs from the witnesses at t = {u}", where=where
+            )
+        a, b = at_t[k], at_t[k + 1]
+        if not all(
+            all(map(ge, p[v + N:v + 2 * N], q[v:v + N]))
+            for v in (0, 2 * N, 4 * N)
+            for p, q in ((a, b), (b, a))
+        ):
+            raise InternalFault(f"filtration shapes not constant on ({lo}, {hi})", where=where)
+    for k, (t, at) in enumerate(zip(ts, at_t)):
         for m in (k - 1, k):
-            if not 0 <= m < len(ts) - 1:
+            if not 0 <= m < len(certs):
                 continue
-            at_u = at_sample[m]
-            if not all(_chain_ok(at_t, at_u, v, v + N, v + 2 * N) for v in (0, 2 * N)):
+            if not all(_chain_ok(at, at_sample[m], v, v + N, v + 2 * N) for v in (0, 2 * N)):
                 raise InternalFault(
                     f"inclusion chains fail at breakpoint t = {t} "
                     f"against t = {certs[m].sample}",

@@ -18,7 +18,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Mapping, Sequence
 
-from .apartment import ApartmentPoint, GeodesicPlan, GroupConfig, LatticeShape, check_level, check_point
+from .apartment import _WITNESSES, ApartmentPoint, GeodesicPlan, GroupConfig, IntervalCertificate
+from .apartment import LatticeShape, check_level, check_point
 from .errors import ValidationError
 from .graded import GradedElement
 from .measures import MeasureTable
@@ -185,26 +186,23 @@ def pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
     return pair
 
 
-def shape_to_json(sh: LatticeShape, x: List[str] | None = None) -> Dict[str, Any]:
-    """The shape's JSON; `x`, when given, is `point_to_json(sh.x)` made already."""
+def shape_to_json(sh: LatticeShape) -> Dict[str, Any]:
     return {
         "bounds": [list(r) for r in sh.bounds],
-        "provenance": {
-            "x": point_to_json(sh.x) if x is None else x,
-            "s": frac_str(sh.s),
-            "strict": sh.strict,
-        },
+        "provenance": {"x": point_to_json(sh.x), "s": frac_str(sh.s), "strict": sh.strict},
     }
 
 
-def _shapes_to_json(shapes: Sequence[LatticeShape]) -> List[Dict[str, Any]]:
-    """`shape_to_json` of each shape, formatting a point shared by neighbours once."""
-    out, x, x_json = [], None, None
-    for sh in shapes:
-        if sh.x is not x:
-            x, x_json = sh.x, point_to_json(sh.x)
-        out.append(shape_to_json(sh, x_json))
-    return out
+def _certificate_shapes(cert: IntervalCertificate) -> List[Dict[str, Any]]:
+    """The six witness shapes of `cert`, in `shape_to_json`'s form, from its flat tuple."""
+    six, n, x = cert.six, cert.x.n, point_to_json(cert.x)
+    rows = [list(six[r:r + n]) for r in range(0, len(six), n)]
+    levels = (frac_str(0), frac_str(cert.s), frac_str(-cert.s))  # levels[sign] is sign * s
+    return [
+        {"bounds": rows[k * n:k * n + n],
+         "provenance": {"x": x, "s": levels[sign], "strict": strict}}
+        for k, (sign, strict) in enumerate(_WITNESSES)
+    ]
 
 
 def plan_to_json(cfg: GroupConfig, plan: GeodesicPlan) -> Dict[str, Any]:
@@ -219,7 +217,7 @@ def plan_to_json(cfg: GroupConfig, plan: GeodesicPlan) -> Dict[str, Any]:
         "intervals": [
             {
                 "sample": frac_str(cert.sample),
-                "shapes": _shapes_to_json(cert.shapes),
+                "shapes": _certificate_shapes(cert),
             }
             for cert in plan.intervals
         ],

@@ -448,7 +448,7 @@ def connect(cfg: GroupConfig, p0: DMPPair, p1: DMPPair) -> List[RelationRecord]:
 
     plan = breakpoints(cfg, p0.x, p0.s, p1.x, p1.s)
     for k, cert in enumerate(plan.intervals):
-        yu, tau_u = plan.point_at(cert.sample)
+        yu, tau_u = cert.x, cert.s
         phi_u = regrade(cfg, p0.phi, yu, -tau_u)
         if phi_u is None:
             raise InternalFault(

@@ -107,7 +107,7 @@ def _random_incidence(cfg: GroupConfig, rng: random.Random):
     plan = breakpoints(cfg, x0, s0, x1, s1)
     k = rng.randrange(len(plan.intervals))
     cert = plan.intervals[k]
-    y, tau = plan.point_at(cert.sample)
+    y, tau = cert.x, cert.s
     t_b = plan.ts[k] if rng.random() < 0.5 else plan.ts[k + 1]
     xb, sb = plan.point_at(t_b)
     # random degenerate coarse element

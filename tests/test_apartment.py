@@ -6,10 +6,12 @@ import random
 import warnings
 from fractions import Fraction as Q
 from math import ceil, floor
+from operator import ge
 
 import pytest
 
-from mptypes import apartment
+from geodesic_oracle import brute_constancy, endpoint_lemma, sampled_constancy_ok
+from mptypes import apartment, jsonio
 from mptypes.apartment import (
     ApartmentPoint,
     GeodesicPlan,
@@ -160,7 +162,7 @@ def test_breakpoints_worked_examples():
     plan = breakpoints(cfg, pt(0, 0), 1, pt(Q(1, 2), 0), 1)
     assert plan.ts == (Q(0), Q(1))
     # the interval lattice strictly contains the endpoint lattice via t^-1 e_12
-    interval_shape = plan.intervals[0].shapes[5]  # g_{y > -1}
+    interval_shape = certificate_shapes(plan.intervals[0])[5]  # g_{y > -1}
     assert interval_shape.bounds[0][1] == -1
     endpoint = mp_lattice(cfg, pt(0, 0), -1, strict=True)
     assert endpoint.bounds[0][1] == 0
@@ -171,12 +173,17 @@ def test_breakpoints_worked_examples():
 def test_interval_witnesses_cover_levels_zero_and_plus_minus_s():
     cfg = cfg3()
     plan = breakpoints(cfg, pt(Q(1, 4), Q(1, 2), 0), Q(3, 4), pt(0, Q(1, 8), 0), Q(1, 8))
-    for cert in plan.intervals:
-        _, s = plan.point_at(cert.sample)
-        assert [(sh.s, sh.strict) for sh in cert.shapes] == [
-            (lv, st) for lv in (0, s, -s) for st in (False, True)
-        ]
-        assert {sh.s for sh in cert.shapes} == {Q(0), s, -s}
+    shapes_json = [iv["shapes"] for iv in jsonio.plan_to_json(cfg, plan)["intervals"]]
+    for cert, shapes in zip(plan.intervals, shapes_json, strict=True):
+        x, s = plan.point_at(cert.sample)
+        assert (cert.x, cert.s) == (x, s)
+        witnesses = [(lv, st) for lv in (0, s, -s) for st in (False, True)]
+        provenance = [sh["provenance"] for sh in shapes]
+        assert [(Q(p["s"]), p["strict"]) for p in provenance] == witnesses
+        assert {Q(p["s"]) for p in provenance} == {Q(0), s, -s}
+        assert cert.six == flat(
+            mp_lattice(cfg, x, lv, st, _checked=True).bounds for lv, st in witnesses
+        )
 
 
 def test_breakpoints_catch_interior_crossing():
@@ -235,26 +242,24 @@ def test_level_zero_jump_inside_an_interval_is_caught():
     assert Q(1, 2) in plan.ts
     # across t = 1/2 only the level-0 witnesses change
     left, right = (plan.intervals[plan.ts.index(Q(1, 2)) + k] for k in (-1, 0))
-    changed = [a.bounds != b.bounds for a, b in zip(left.shapes, right.shapes)]
+    changed = [left.six[k * 4:k * 4 + 4] != right.six[k * 4:k * 4 + 4] for k in range(6)]
     assert changed == [True, True, False, False, False, False]
-    forged = GeodesicPlan(
-        x0=x0, s0=s, x1=x1, s1=s, ts=(Q(0), Q(1)), intervals=(plan.intervals[0],)
-    )
-    with pytest.raises(InternalFault, match=r"not constant on \(0, 1\) at t = 2/3"):
-        verify_plan(cfg, forged)
-    # the right interval's certificate stretched over (0, 1) is refused at 1/3
-    forged = dataclasses.replace(forged, intervals=(plan.intervals[1],))
-    with pytest.raises(InternalFault, match=r"not constant on \(0, 1\) at t = 1/3"):
-        verify_plan(cfg, forged)
+    # either certificate stretched over (0, 1) is refused on the interval,
+    # its sample's witnesses being genuine: the jump lies inside
+    for cert in plan.intervals:
+        forged = GeodesicPlan(x0=x0, s0=s, x1=x1, s1=s, ts=(Q(0), Q(1)), intervals=(cert,))
+        with pytest.raises(InternalFault, match=r"^filtration shapes not constant on \(0, 1\)$"):
+            verify_plan(cfg, forged)
+        assert not sampled_constancy_ok(forged)  # at t = 2/3 or 1/3
     # a certificate whose sample lies past the jump is refused as outside its interval
     moved = dataclasses.replace(plan.intervals[0], sample=Q(3, 4))
     forged = dataclasses.replace(plan, intervals=(moved, plan.intervals[1]))
     with pytest.raises(InternalFault, match=r"sample 3/4 not inside \(0, 1/2\)"):
         verify_plan(cfg, forged)
-    # the shapes from past the jump are refused at the sample
-    swapped = dataclasses.replace(plan.intervals[0], shapes=plan.intervals[1].shapes)
+    # the witnesses from past the jump are refused at the sample
+    swapped = dataclasses.replace(plan.intervals[0], six=plan.intervals[1].six)
     forged = dataclasses.replace(plan, intervals=(swapped, plan.intervals[1]))
-    with pytest.raises(InternalFault, match=r"not constant on \(0, 1/2\) at t = 1/4"):
+    with pytest.raises(InternalFault, match=r"of \(0, 1/2\) differs from the witnesses at t = 1/4"):
         verify_plan(cfg, forged)
 
 
@@ -321,6 +326,16 @@ def oracle_six_shapes(x, s):
     return tuple(
         LatticeShape(bounds=b, x=x, s=sign * s, strict=strict)
         for b, (sign, strict) in zip(oracle_six_bounds(*scaled(x, s)), apartment._WITNESSES)
+    )
+
+
+def certificate_shapes(cert):
+    """The six shapes that a certificate's flat tuple stands for."""
+    n = cert.x.n
+    rows = [cert.six[r:r + n] for r in range(0, len(cert.six), n)]
+    return tuple(
+        LatticeShape(bounds=tuple(rows[k * n:k * n + n]), x=cert.x, s=sign * cert.s, strict=strict)
+        for k, (sign, strict) in enumerate(apartment._WITNESSES)
     )
 
 
@@ -453,12 +468,16 @@ def test_flat_kernel_and_certificates_match_the_nested_oracles():
             plan = breakpoints(cfg, x0, s0, x1, s1)
             assert plan.ts == oracle_cuts(x0, s0, x1, s1)
             path = apartment._Geodesic(x0, s0, x1, s1)
-            for lo, hi, cert in zip(plan.ts, plan.ts[1:], plan.intervals):
+            shapes_json = [iv["shapes"] for iv in jsonio.plan_to_json(cfg, plan)["intervals"]]
+            for lo, hi, cert, shapes in zip(plan.ts, plan.ts[1:], plan.intervals, shapes_json):
                 u = (lo + hi) / 2
                 x, s = plan.point_at(u)
-                assert cert == apartment.IntervalCertificate(
-                    sample=u, shapes=oracle_six_shapes(x, s)
-                )
+                oracle = oracle_six_shapes(x, s)
+                assert (cert.sample, cert.x, cert.s) == (u, x, s)
+                assert cert.six == flat(sh.bounds for sh in oracle)
+                assert certificate_shapes(cert) == oracle
+                # the certificate's JSON: bounds, point, level and flag of each shape
+                assert shapes == [jsonio.shape_to_json(sh) for sh in oracle]
                 for t in (lo, u, lo + (hi - lo) / 3):
                     X, S, d = path.at(t.numerator, t.denominator)
                     assert apartment._six_flat(X, S, d) == flat(oracle_six_bounds(X, S, d))
@@ -533,60 +552,208 @@ def test_convexity_check_refuses_a_level_beyond_m():
     assert convexity_check(cfg, x0, Q(1, 16), x1, Q(3, 4), Q(1, 2))
 
 
-def test_verify_plan_compares_flags_and_shapes_not_only_the_flat_bounds():
+def test_verify_plan_refuses_swapped_truncated_or_regrouped_witness_blocks():
     cfg = cfgn(3, m=16)
     plan = breakpoints(cfg, *FORGE)
-    cert = plan.intervals[0]
+    cert, N = plan.intervals[0], 9
+    blocks = [cert.six[k * N:k * N + N] for k in range(6)]
 
-    def forge(shapes):
-        certs = (dataclasses.replace(cert, shapes=shapes),) + plan.intervals[1:]
+    def forge(six):
+        assert six != cert.six
+        certs = (dataclasses.replace(cert, six=six),) + plan.intervals[1:]
         return dataclasses.replace(plan, intervals=certs)
 
-    # the first two flags swapped: the same bounds in the same order
-    a, b = cert.shapes[:2]
-    swapped = (dataclasses.replace(a, strict=True), dataclasses.replace(b, strict=False))
-    with pytest.raises(InternalFault, match=r"not constant on \(0, 2/9\) at t = 1/9"):
-        verify_plan(cfg, forge(swapped + cert.shapes[2:]))
-    # the same flat bounds regrouped into rows of 1, 2 and 6, then 4, 4 and 1 entries
-    values = flat(sh.bounds for sh in cert.shapes[:2])
-    regrouped = (values[:1], values[1:3], values[3:9]), (values[9:13], values[13:17], values[17:])
-    shapes = tuple(dataclasses.replace(sh, bounds=bd) for sh, bd in zip(cert.shapes, regrouped))
-    assert flat(sh.bounds for sh in shapes) == values
-    with pytest.raises(InternalFault, match=r"not constant on \(0, 2/9\) at t = 1/9"):
-        verify_plan(cfg, forge(shapes + cert.shapes[2:]))
+    def transposed(block):
+        return tuple(block[j * 3 + i] for i in range(3) for j in range(3))
+
+    forgeries = [
+        # the first two blocks swapped: the same values, the flags exchanged
+        tuple(itertools.chain(blocks[1], blocks[0], *blocks[2:])),
+        # the levels reordered to 0, -s, s
+        tuple(itertools.chain(*blocks[:2], *blocks[4:], *blocks[2:4])),
+        # each block read column by column
+        tuple(itertools.chain(*map(transposed, blocks))),
+        # one entry, and one block, short; one entry too many
+        cert.six[:-1],
+        cert.six[:5 * N],
+        cert.six + (0,),
+        # the nested form the flat tuple replaced
+        tuple(tuple(cert.six[r:r + 3]) for r in range(0, 6 * N, 3)),
+    ]
+    refusal = r"of \(0, 2/9\) differs from the witnesses at t = 1/9"
+    for six in forgeries:
+        with pytest.raises(InternalFault, match=refusal):
+            verify_plan(cfg, forge(six))
 
 
-def test_chains_refuse_a_breakpoint_dropped_near_an_interval_start():
-    # Dropping a breakpoint c of (lo, c, hi) with c - lo < (hi - lo) / 3 and
-    # keeping the certificate of (c, hi) passes every constancy point, so
-    # only the chains at lo can refuse the plan.  Levels s and -s always
-    # fail together (entry (i, j) at -s mirrors entry (j, i) at s); cover a
-    # failure at level 0 alone and one at s and -s alone.
+def test_verify_plan_refuses_a_forged_point_or_level():
+    cfg = cfg2()
+    plan = breakpoints(cfg, pt(Q(-1, 2), 0), Q(1, 2), pt(Q(1, 2), 0), Q(1, 2))
+    cert = plan.intervals[0]
+    assert (cert.sample, cert.x, cert.s) == (Q(1, 4), pt(Q(-1, 4), 0), Q(1, 2))
+    forgeries = [
+        dataclasses.replace(cert, x=pt(Q(7, 3), 0)),
+        dataclasses.replace(cert, s=Q(5)),
+        dataclasses.replace(cert, x=pt(Q(7, 3), 0), s=Q(5)),
+        # the right level with the wrong sign, and the point one coordinate long
+        dataclasses.replace(cert, s=Q(-1, 2)),
+        dataclasses.replace(cert, x=pt(Q(-1, 4), 0, 0)),
+    ]
+    refusal = r"of \(0, 1/2\) is not at the path point of t = 1/4"
+    for forged in forgeries:
+        with pytest.raises(InternalFault, match=refusal):
+            verify_plan(cfg, dataclasses.replace(plan, intervals=(forged,) + plan.intervals[1:]))
+    # an int coordinate is compared by value
+    same = dataclasses.replace(cert, x=ApartmentPoint((Q(-1, 4), 0)))
+    verify_plan(cfg, dataclasses.replace(plan, intervals=(same,) + plan.intervals[1:]))
+
+
+def test_verify_plan_refuses_every_dropped_breakpoint():
+    # Every interior breakpoint c of (lo, c, hi) is a crossing of some
+    # witness entry, so dropping it, with either neighbour's certificate
+    # kept for (lo, hi), leaves a plan that the endpoint check refuses.
+    # The sampled check accepted some of these plans.  The chains against
+    # the kept sample fail too, at lo for the right certificate: cover a
+    # failure at level 0 alone and one at s and -s alone (entry (i, j) at
+    # -s mirrors entry (j, i) at s).
     rng = random.Random(31)
-    seen = set()
+    seen, sampled = set(), set()
     for _ in range(40):
         n = rng.choice((2, 3))
         cfg = cfgn(n, m=16)
+        N = n * n
         x0, x1 = (random_point(rng, n, [4, 8, 16]) for _ in range(2))
         s0, s1 = (Q(rng.randrange(-40, 41), 16) for _ in range(2))
         plan = breakpoints(cfg, x0, s0, x1, s1)
-        for k in range(1, len(plan.ts) - 1):
-            lo, c, hi = plan.ts[k - 1:k + 2]
-            if 3 * (c - lo) >= hi - lo:
-                continue
-            (x, s), (y, tau) = plan.point_at(lo), plan.point_at(plan.intervals[k].sample)
+        path = apartment._Geodesic(x0, s0, x1, s1)
+        ts, inner = plan.ts, range(1, len(plan.ts) - 1)
+        # every drop near an interval start, where the sampled check
+        # could not see the jump, and a few others
+        near = {k for k in inner if 3 * (ts[k] - ts[k - 1]) < ts[k + 1] - ts[k - 1]}
+        for k in sorted(near.union(rng.sample(inner, min(4, len(inner))))):
+            lo, c, hi = ts[k - 1:k + 2]
+            for kept in (k - 1, k):
+                forged = dataclasses.replace(
+                    plan,
+                    ts=plan.ts[:k] + plan.ts[k + 1:],
+                    intervals=plan.intervals[:k - 1] + plan.intervals[kept:kept + 1]
+                    + plan.intervals[k + 1:],
+                )
+                with pytest.raises(
+                    InternalFault, match=rf"^filtration shapes not constant on \({lo}, {hi}\)$"
+                ):
+                    verify_plan(cfg, forged)
+                merged = plan.intervals[kept:kept + 1]
+                sampled.add(sampled_constancy_ok(
+                    dataclasses.replace(plan, ts=(lo, hi), intervals=merged)
+                ))
+            u = plan.intervals[k].sample
+            (x, s), (y, tau) = plan.point_at(lo), plan.point_at(u)
             failing = tuple(
                 not oracle_chain(x, lv, y, lu) for lv, lu in ((0, 0), (s, tau), (-s, -tau))
             )
-            forged = dataclasses.replace(
-                plan,
-                ts=plan.ts[:k] + plan.ts[k + 1:],
-                intervals=plan.intervals[:k - 1] + plan.intervals[k:],
-            )
-            if any(failing):
-                with pytest.raises(InternalFault, match=f"fail at breakpoint t = {lo} "):
-                    verify_plan(cfg, forged)
-            else:
-                verify_plan(cfg, forged)
+            assert any(failing)
+            at_lo, at_u = (path.six(t.numerator, t.denominator) for t in (lo, u))
+            chains = [apartment._chain_ok(at_lo, at_u, v, v + N, v + 2 * N) for v in (0, 2 * N)]
+            assert chains == [not failing[0], not failing[1]]
             seen.add(failing)
     assert {(True, False, False), (False, True, True)} <= seen
+    assert sampled == {True, False}
+
+
+def test_chains_at_both_ends_against_a_point_inside_decide_the_endpoint_lemma():
+    # per entry, the chains at lo and at hi against any u in (lo, hi) hold
+    # exactly when no integer lies strictly between g(lo) and g(hi)
+    rng = random.Random(53)
+    verdicts = set()
+    for _ in range(600):
+        n = rng.choice((2, 3, 4))
+        N = n * n
+        x0, x1 = (random_point(rng, n, [1, 2, 3, 4, 8]) for _ in range(2))
+        s0, s1 = (Q(rng.randrange(-40, 41), rng.choice([1, 2, 3, 4, 8])) for _ in range(2))
+        path = apartment._Geodesic(x0, s0, x1, s1)
+        lo = Q(rng.randrange(0, 40), 49)
+        hi = lo + Q(rng.randrange(1, 10), 49)
+        u = lo + (hi - lo) * Q(rng.randrange(1, 20), 20)
+        a, b, w = (path.six(t.numerator, t.denominator) for t in (lo, hi, u))
+        lemma = all(
+            all(map(ge, p[v + N:v + 2 * N], q[v:v + N]))
+            for v in (0, 2 * N, 4 * N)
+            for p, q in ((a, b), (b, a))
+        )
+        chains = all(
+            apartment._chain_ok(t, w, v, v + N, v + 2 * N) for t in (a, b) for v in (0, 2 * N)
+        )
+        assert lemma == chains
+        verdicts.add(lemma)
+    assert verdicts == {True, False}
+
+
+def test_sampled_oracle_and_endpoint_check_accept_every_genuine_plan():
+    rng = random.Random(41)
+    denoms = [1, 2, 3, 4, 6, 8, 12, 16, 24, 48]
+    for n in (2, 3, 4, 5):
+        cfg = cfgn(n, m=48)
+        for _ in range(25 if n < 5 else 8):
+            d0, d1 = rng.choice(denoms), rng.choice(denoms)
+            x0, x1 = (
+                ApartmentPoint.of([Q(rng.randrange(-2 * d, 2 * d + 1), d) for _ in range(n)])
+                for d in (d0, d1)
+            )
+            s0, s1 = (Q(rng.randrange(-2 * d, 2 * d + 1), d) for d in (d0, d1))
+            plan = breakpoints(cfg, x0, s0, x1, s1)  # which runs verify_plan
+            assert sampled_constancy_ok(plan)
+
+
+def test_endpoint_lemma_matches_brute_force_on_random_affine_functions():
+    # g = (a + b t) / c on (lo, hi): ceil g and floor g are constant there
+    # exactly when floor(g(lo)) + 1 >= ceil(g(hi)) and floor(g(hi)) + 1 >= ceil(g(lo))
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(1500):
+        a, b, c = rng.randrange(-60, 61), rng.randrange(-12, 13), rng.randrange(1, 13)
+        r0, r1 = rng.randrange(1, 13), rng.randrange(1, 13)
+        p0 = rng.randrange(-2 * r0, 2 * r0 + 1)
+        p1 = p0 * r1 // r0 + rng.randrange(1, 2 * r1 + 1)  # p1 / r1 > p0 / r0
+        lo, hi = (p0, r0), (p1, r1)
+        lemma = endpoint_lemma(a, b, c, lo, hi)
+        assert lemma == brute_constancy(a, b, c, lo, hi, grid=24)
+        verdicts.add((lemma, b == 0))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_breakpoints_computes_3i_plus_1_witness_tuples_and_no_lattice_shape(monkeypatch):
+    calls, built = [], []
+    six_flat, init = apartment._six_flat, LatticeShape.__init__
+
+    def counting_six_flat(*args):
+        calls.append(1)
+        return six_flat(*args)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(apartment, "_six_flat", counting_six_flat)
+    monkeypatch.setattr(LatticeShape, "__init__", counting_init)
+    # both counters see their calls
+    assert inclusion_chain_ok(cfg2(), pt(0, 0), 0, pt(0, 0), 0) and len(calls) == 2
+    mp_lattice(cfg2(), pt(0, 0), 0)
+    assert len(built) == 1
+    calls.clear()
+    built.clear()
+    rng = random.Random(47)
+    for n in (2, 3, 4):
+        cfg = cfgn(n, m=16)
+        for _ in range(10):
+            x0, x1 = (random_point(rng, n, [2, 4, 8, 16]) for _ in range(2))
+            s0, s1 = (Q(rng.randrange(-40, 41), 16) for _ in range(2))
+            plan = breakpoints(cfg, x0, s0, x1, s1)
+            intervals = len(plan.intervals)
+            assert len(calls) == 3 * intervals + 1
+            calls.clear()
+            verify_plan(cfg, plan)
+            assert len(calls) == 2 * intervals + 1
+            calls.clear()
+            jsonio.plan_to_json(cfg, plan)
+            assert not calls and not built
