@@ -261,6 +261,12 @@ class IntervalCertificate:
     s: Q
     six: Tuple[int, ...]  # `_six_flat` at (x, s): the six constancy witnesses
 
+    def witnesses(self) -> List[Tuple[List[List[int]], int, bool]]:
+        """The six witnesses as (n bound rows, level sign, strict), in `_WITNESSES` order."""
+        n, six = self.x.n, self.six
+        rows = [list(six[r:r + n]) for r in range(0, len(six), n)]
+        return [(rows[k * n:k * n + n], sg, strict) for k, (sg, strict) in enumerate(_WITNESSES)]
+
 
 @dataclass(frozen=True)
 class GeodesicPlan:
@@ -305,6 +311,11 @@ def _chain_ok(x: Sequence[int], y: Sequence[int], i: int, j: int, k: int) -> boo
     a larger bound is a smaller lattice.  The middle link always holds,
     since floor(v) + 1 >= ceil(v), so only the outer two are compared."""
     return all(map(ge, x[j:k], y[j:k])) and all(map(ge, y[i:j], x[i:j]))
+
+
+def _chains_ok(at_t: Sequence[int], at_u: Sequence[int], N: int) -> bool:
+    """`_chain_ok` of two `_six_flat` tuples (N = n^2) at levels (0, 0) and (s_t, tau_u)."""
+    return all(_chain_ok(at_t, at_u, v, v + N, v + 2 * N) for v in (0, 2 * N))
 
 
 def inclusion_chain_ok(
@@ -410,21 +421,19 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan) -> None:
     """Re-check coverage, interval constancy and breakpoint chains; fault on failure.
 
     The breakpoints must rise strictly from 0 to 1, one certificate per
-    interval with its sample strictly inside.  The rest is recomputed on
+    interval with its sample u strictly inside.  The rest is recomputed on
     integers from the plan's endpoints, not read from the certificate:
-    the certificate's point and level must be the path's at its sample,
-    and its six witnesses the ones there.  Constancy on the open interval
-    (lo, hi) is proved from the witnesses at its two ends.  Each witness
-    entry is ceil g, or floor g + 1 when strict, for a g affine in t, and
-    ceil g and floor g are constant on (lo, hi) exactly when
-    floor(g(lo)) + 1 >= ceil(g(hi)) and floor(g(hi)) + 1 >= ceil(g(lo)):
-    g takes every value strictly between g(lo) and g(hi) on (lo, hi), and
-    the two inequalities say that no integer lies strictly between them.
-    At each breakpoint t the inclusion chains at levels (0, 0) and
-    (s_t, tau_u) must hold against the sample u of each neighbouring
-    interval; entry by entry, the chains at lo and hi say the same as the
-    two inequalities.  The chain at (-s_t, -tau_u) holds exactly when the
-    one at (s_t, tau_u) does (`inclusion_chain_ok`), so it is not compared.
+    the certificate's point and level must be the path's at u, and its six
+    witnesses the ones there.  At each end t of the interval (lo, hi) the
+    inclusion chains at levels (0, 0) and (s_t, tau_u) must hold against
+    u; the chain at (-s_t, -tau_u) holds exactly when the one at
+    (s_t, tau_u) does (`inclusion_chain_ok`), so it is not compared.
+    These chains at lo and hi also prove that the witnesses are constant
+    on (lo, hi).  Each witness entry is ceil g, or floor g + 1 when
+    strict, for a g affine in t, and the chain at t says
+    floor g(u) <= floor g(t) and ceil g(t) <= ceil g(u): g(lo) and g(hi)
+    lie in [floor g(u), ceil g(u)], so g, which on (lo, hi) lies strictly
+    between them or is constant, has the same ceil and floor there as at u.
     """
     ts, certs, where = plan.ts, plan.intervals, "apartment.verify_plan"
     if not ts or ts[0] != 0 or ts[-1] != 1 or not all(map(lt, ts, ts[1:])):
@@ -434,7 +443,6 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan) -> None:
     path = _Geodesic(plan.x0, plan.s0, plan.x1, plan.s1)
     N = cfg.n * cfg.n
     at_t = [path.six(t.numerator, t.denominator) for t in ts]
-    at_sample = []
     for k, cert in enumerate(certs):
         lo, hi, u = ts[k], ts[k + 1], cert.sample
         if not lo < u < hi:
@@ -447,26 +455,15 @@ def verify_plan(cfg: GroupConfig, plan: GeodesicPlan) -> None:
             raise InternalFault(
                 f"certificate of ({lo}, {hi}) is not at the path point of t = {u}", where=where
             )
-        at_sample.append(_six_flat(X, S, D))
-        if cert.six != at_sample[k]:
+        at_u = _six_flat(X, S, D)
+        if cert.six != at_u:
             raise InternalFault(
                 f"certificate of ({lo}, {hi}) differs from the witnesses at t = {u}", where=where
             )
-        a, b = at_t[k], at_t[k + 1]
-        if not all(
-            all(map(ge, p[v + N:v + 2 * N], q[v:v + N]))
-            for v in (0, 2 * N, 4 * N)
-            for p, q in ((a, b), (b, a))
-        ):
-            raise InternalFault(f"filtration shapes not constant on ({lo}, {hi})", where=where)
-    for k, (t, at) in enumerate(zip(ts, at_t)):
-        for m in (k - 1, k):
-            if not 0 <= m < len(certs):
-                continue
-            if not all(_chain_ok(at, at_sample[m], v, v + N, v + 2 * N) for v in (0, 2 * N)):
+        for t, at in ((lo, at_t[k]), (hi, at_t[k + 1])):
+            if not _chains_ok(at, at_u, N):
                 raise InternalFault(
-                    f"inclusion chains fail at breakpoint t = {t} "
-                    f"against t = {certs[m].sample}",
+                    f"inclusion chains fail at breakpoint t = {t} against t = {u} in ({lo}, {hi})",
                     where=where,
                 )
 

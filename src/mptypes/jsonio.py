@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Mapping, Sequence
 
-from .apartment import _WITNESSES, ApartmentPoint, GeodesicPlan, GroupConfig, IntervalCertificate
+from .apartment import ApartmentPoint, GeodesicPlan, GroupConfig, IntervalCertificate
 from .apartment import LatticeShape, check_level, check_point
 from .errors import ValidationError
 from .graded import GradedElement
@@ -194,14 +194,12 @@ def shape_to_json(sh: LatticeShape) -> Dict[str, Any]:
 
 
 def _certificate_shapes(cert: IntervalCertificate) -> List[Dict[str, Any]]:
-    """The six witness shapes of `cert`, in `shape_to_json`'s form, from its flat tuple."""
-    six, n, x = cert.six, cert.x.n, point_to_json(cert.x)
-    rows = [list(six[r:r + n]) for r in range(0, len(six), n)]
+    """The six witness shapes of `cert`, in `shape_to_json`'s form."""
+    x = point_to_json(cert.x)
     levels = (frac_str(0), frac_str(cert.s), frac_str(-cert.s))  # levels[sign] is sign * s
     return [
-        {"bounds": rows[k * n:k * n + n],
-         "provenance": {"x": x, "s": levels[sign], "strict": strict}}
-        for k, (sign, strict) in enumerate(_WITNESSES)
+        {"bounds": rows, "provenance": {"x": x, "s": levels[sign], "strict": strict}}
+        for rows, sign, strict in cert.witnesses()
     ]
 
 

@@ -1,11 +1,12 @@
 """The sampled constancy check that `verify_plan` replaced, kept as a test oracle.
 
 `verify_plan` proves that the six witnesses are constant on each open
-interval from the witnesses at its two ends (the endpoint lemma in its
-docstring).  Before that it recomputed the witnesses at the sample and at
-the two interior points lo + (hi - lo) j / 3, j = 1, 2, and compared them
-with the certificate: three points of the interval, not a proof.  The
-tests run both checks on the same plans, genuine and forged.
+interval from the inclusion chains at its two ends against the sample
+(see its docstring).  Before that it also recomputed the witnesses at the
+two interior points lo + (hi - lo) j / 3, j = 1, 2, and compared them with
+the certificate: three points of the interval, not a proof.  The tests
+run both checks on the same plans, genuine and forged, and check the
+chains against `brute_constancy`.
 """
 
 from functools import cmp_to_key
@@ -36,12 +37,6 @@ def affine_values(a: int, b: int, c: int, t):
     """g(t) = (a + b t) / c at t = (p, r), r > 0, as a fraction (num, den), den > 0."""
     p, r = t
     return a * r + b * p, c * r
-
-
-def endpoint_lemma(a: int, b: int, c: int, lo, hi) -> bool:
-    """floor(g(lo)) + 1 >= ceil(g(hi)) and floor(g(hi)) + 1 >= ceil(g(lo))."""
-    glo, ghi = affine_values(a, b, c, lo), affine_values(a, b, c, hi)
-    return _floor(*glo) + 1 >= _ceil(*ghi) and _floor(*ghi) + 1 >= _ceil(*glo)
 
 
 def _less(u, v) -> bool:

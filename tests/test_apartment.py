@@ -6,11 +6,10 @@ import random
 import warnings
 from fractions import Fraction as Q
 from math import ceil, floor
-from operator import ge
 
 import pytest
 
-from geodesic_oracle import brute_constancy, endpoint_lemma, sampled_constancy_ok
+from geodesic_oracle import brute_constancy, sampled_constancy_ok
 from mptypes import apartment, jsonio
 from mptypes.apartment import (
     ApartmentPoint,
@@ -245,10 +244,13 @@ def test_level_zero_jump_inside_an_interval_is_caught():
     changed = [left.six[k * 4:k * 4 + 4] != right.six[k * 4:k * 4 + 4] for k in range(6)]
     assert changed == [True, True, False, False, False, False]
     # either certificate stretched over (0, 1) is refused on the interval,
-    # its sample's witnesses being genuine: the jump lies inside
-    for cert in plan.intervals:
+    # its sample's witnesses being genuine: the jump lies between the
+    # sample and the far end, where the chains fail
+    for cert, end in zip(plan.intervals, (1, 0), strict=True):
         forged = GeodesicPlan(x0=x0, s0=s, x1=x1, s1=s, ts=(Q(0), Q(1)), intervals=(cert,))
-        with pytest.raises(InternalFault, match=r"^filtration shapes not constant on \(0, 1\)$"):
+        u = cert.sample
+        refusal = rf"^inclusion chains fail at breakpoint t = {end} against t = {u} in \(0, 1\)$"
+        with pytest.raises(InternalFault, match=refusal):
             verify_plan(cfg, forged)
         assert not sampled_constancy_ok(forged)  # at t = 2/3 or 1/3
     # a certificate whose sample lies past the jump is refused as outside its interval
@@ -331,11 +333,9 @@ def oracle_six_shapes(x, s):
 
 def certificate_shapes(cert):
     """The six shapes that a certificate's flat tuple stands for."""
-    n = cert.x.n
-    rows = [cert.six[r:r + n] for r in range(0, len(cert.six), n)]
     return tuple(
-        LatticeShape(bounds=tuple(rows[k * n:k * n + n]), x=cert.x, s=sign * cert.s, strict=strict)
-        for k, (sign, strict) in enumerate(apartment._WITNESSES)
+        LatticeShape(bounds=tuple(map(tuple, rows)), x=cert.x, s=sign * cert.s, strict=strict)
+        for rows, sign, strict in cert.witnesses()
     )
 
 
@@ -611,9 +611,9 @@ def test_verify_plan_refuses_a_forged_point_or_level():
 def test_verify_plan_refuses_every_dropped_breakpoint():
     # Every interior breakpoint c of (lo, c, hi) is a crossing of some
     # witness entry, so dropping it, with either neighbour's certificate
-    # kept for (lo, hi), leaves a plan that the endpoint check refuses.
-    # The sampled check accepted some of these plans.  The chains against
-    # the kept sample fail too, at lo for the right certificate: cover a
+    # kept for (lo, hi), leaves a plan whose chains fail against the kept
+    # sample: at hi for the left certificate, at lo for the right one.
+    # The sampled check accepted some of these plans.  Cover a chain
     # failure at level 0 alone and one at s and -s alone (entry (i, j) at
     # -s mirrors entry (j, i) at s).
     rng = random.Random(31)
@@ -632,16 +632,17 @@ def test_verify_plan_refuses_every_dropped_breakpoint():
         near = {k for k in inner if 3 * (ts[k] - ts[k - 1]) < ts[k + 1] - ts[k - 1]}
         for k in sorted(near.union(rng.sample(inner, min(4, len(inner))))):
             lo, c, hi = ts[k - 1:k + 2]
-            for kept in (k - 1, k):
+            for kept, end in ((k - 1, hi), (k, lo)):
                 forged = dataclasses.replace(
                     plan,
                     ts=plan.ts[:k] + plan.ts[k + 1:],
                     intervals=plan.intervals[:k - 1] + plan.intervals[kept:kept + 1]
                     + plan.intervals[k + 1:],
                 )
-                with pytest.raises(
-                    InternalFault, match=rf"^filtration shapes not constant on \({lo}, {hi}\)$"
-                ):
+                u = plan.intervals[kept].sample
+                refusal = rf"^inclusion chains fail at breakpoint t = {end} against t = {u} "
+                refusal += rf"in \({lo}, {hi}\)$"
+                with pytest.raises(InternalFault, match=refusal):
                     verify_plan(cfg, forged)
                 merged = plan.intervals[kept:kept + 1]
                 sampled.add(sampled_constancy_ok(
@@ -656,40 +657,54 @@ def test_verify_plan_refuses_every_dropped_breakpoint():
             at_lo, at_u = (path.six(t.numerator, t.denominator) for t in (lo, u))
             chains = [apartment._chain_ok(at_lo, at_u, v, v + N, v + 2 * N) for v in (0, 2 * N)]
             assert chains == [not failing[0], not failing[1]]
+            assert not apartment._chains_ok(at_lo, at_u, N)
             seen.add(failing)
     assert {(True, False, False), (False, True, True)} <= seen
     assert sampled == {True, False}
 
 
-def test_chains_at_both_ends_against_a_point_inside_decide_the_endpoint_lemma():
-    # per entry, the chains at lo and at hi against any u in (lo, hi) hold
-    # exactly when no integer lies strictly between g(lo) and g(hi)
+def test_chains_at_both_ends_decide_constancy_on_random_intervals():
+    # the chains at lo and at hi against any u in (lo, hi) hold exactly
+    # when the six witnesses are constant on (lo, hi), seen at every cut
+    # inside it, between neighbouring cuts and on a grid
     rng = random.Random(53)
     verdicts = set()
-    for _ in range(600):
+    for _ in range(150):
         n = rng.choice((2, 3, 4))
         N = n * n
         x0, x1 = (random_point(rng, n, [1, 2, 3, 4, 8]) for _ in range(2))
         s0, s1 = (Q(rng.randrange(-40, 41), rng.choice([1, 2, 3, 4, 8])) for _ in range(2))
         path = apartment._Geodesic(x0, s0, x1, s1)
-        lo = Q(rng.randrange(0, 40), 49)
-        hi = lo + Q(rng.randrange(1, 10), 49)
-        u = lo + (hi - lo) * Q(rng.randrange(1, 20), 20)
-        a, b, w = (path.six(t.numerator, t.denominator) for t in (lo, hi, u))
-        lemma = all(
-            all(map(ge, p[v + N:v + 2 * N], q[v:v + N]))
-            for v in (0, 2 * N, 4 * N)
-            for p, q in ((a, b), (b, a))
-        )
-        chains = all(
-            apartment._chain_ok(t, w, v, v + N, v + 2 * N) for t in (a, b) for v in (0, 2 * N)
-        )
-        assert lemma == chains
-        verdicts.add(lemma)
+        cuts = oracle_cuts(x0, s0, x1, s1)
+
+        def six(t):
+            return path.six(t.numerator, t.denominator)
+
+        for _ in range(4):
+            if rng.random() < 0.5:  # inside one cut interval, ends included
+                k = rng.randrange(len(cuts) - 1)
+                c0, c1 = cuts[k], cuts[k + 1]
+                lo, hi = sorted(c0 + (c1 - c0) * Q(rng.randrange(0, 11), 10) for _ in range(2))
+                if lo == hi:
+                    continue
+            else:
+                lo = Q(rng.randrange(0, 40), 49)
+                hi = lo + Q(rng.randrange(1, 10), 49)
+            u = lo + (hi - lo) * Q(rng.randrange(1, 20), 20)
+            inner = [c for c in cuts if lo < c < hi]
+            ends = [lo, *inner, hi]
+            probes = inner + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+            probes += [lo + (hi - lo) * Q(j, 12) for j in range(1, 12)]
+            constant = len({six(t) for t in probes}) == 1
+            chains = apartment._chains_ok(six(lo), six(u), N) and apartment._chains_ok(
+                six(hi), six(u), N
+            )
+            assert chains == constant
+            verdicts.add(constant)
     assert verdicts == {True, False}
 
 
-def test_sampled_oracle_and_endpoint_check_accept_every_genuine_plan():
+def test_sampled_oracle_and_verify_plan_accept_every_genuine_plan():
     rng = random.Random(41)
     denoms = [1, 2, 3, 4, 6, 8, 12, 16, 24, 48]
     for n in (2, 3, 4, 5):
@@ -705,9 +720,10 @@ def test_sampled_oracle_and_endpoint_check_accept_every_genuine_plan():
             assert sampled_constancy_ok(plan)
 
 
-def test_endpoint_lemma_matches_brute_force_on_random_affine_functions():
-    # g = (a + b t) / c on (lo, hi): ceil g and floor g are constant there
-    # exactly when floor(g(lo)) + 1 >= ceil(g(hi)) and floor(g(hi)) + 1 >= ceil(g(lo))
+def test_chains_at_both_ends_match_brute_force_on_random_affine_functions():
+    # the level s witnesses of a GL_1 point with level g = (a + b t) / c
+    # are ceil g and floor g + 1: the chains at lo and at hi against a u
+    # in (lo, hi) hold exactly when ceil g and floor g are constant there
     rng = random.Random(43)
     verdicts = set()
     for _ in range(1500):
@@ -716,9 +732,16 @@ def test_endpoint_lemma_matches_brute_force_on_random_affine_functions():
         p0 = rng.randrange(-2 * r0, 2 * r0 + 1)
         p1 = p0 * r1 // r0 + rng.randrange(1, 2 * r1 + 1)  # p1 / r1 > p0 / r0
         lo, hi = (p0, r0), (p1, r1)
-        lemma = endpoint_lemma(a, b, c, lo, hi)
-        assert lemma == brute_constancy(a, b, c, lo, hi, grid=24)
-        verdicts.add((lemma, b == 0))
+        j = rng.randrange(1, 24)
+        u = (p0 * r1 * (24 - j) + p1 * r0 * j, r0 * r1 * 24)
+
+        def six(t):
+            p, r = t
+            return apartment._six_flat([0], a * r + b * p, c * r)  # g(p / r)
+
+        chains = all(apartment._chains_ok(six(t), six(u), 1) for t in (lo, hi))
+        assert chains == brute_constancy(a, b, c, lo, hi, grid=24)
+        verdicts.add((chains, b == 0))
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
