@@ -30,10 +30,10 @@ from .apartment import (
 )
 from .errors import InfeasibleError, ToolkitError, ValidationError
 from .graded import GradedElement, monomials
-from .measures import ProbeSet, build_measure_table, independence_check, measure_vector, relation_lattice
+from .measures import build_measure_table, relation_slices
 from .orbits import minimality_probe, partitions_of, sl2_complete
-from .refine import DMPPair, enumerate_and_classify, refine_relation, verify_relation
-from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, solve_expansion
+from .refine import DMPPair, enumerate_and_classify, refine_relation
+from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, independence_check, solve_expansion
 from . import selftest as selftest_mod
 from .finite_types import FiniteModule, fork_field, verify_fork_identity
 
@@ -305,11 +305,7 @@ def _cmd_refine(cfg, args) -> dict:
     # identity both read this result
     classes = enumerate_and_classify(cfg, coarse, (x, s), bound=args.bound)
     rec = refine_relation(cfg, coarse, (x, s), classes=classes)
-    lam = relation_lattice(cfg, rec)
-    slices = {}
-    for orbit in partitions_of(cfg.n):
-        comps = measure_vector(cfg, orbit, rec.pairs(), args.K, lam, enum_bound=args.bound)
-        slices[str(orbit)] = verify_relation(cfg, rec, comps)
+    slices = relation_slices(cfg, rec, args.K, enum_bound=args.bound)
     field = fork_field(cfg)
     rng = random.Random(f"cli-refine:{args.seed}")
     modules = (
@@ -320,7 +316,7 @@ def _cmd_refine(cfg, args) -> dict:
     return {
         "record": jsonio.record_to_json(cfg, rec),
         "verification": {
-            "measure_slices": slices,
+            "measure_slices": {str(o): ok for o, ok in slices.items()},
             "fork_identity": {"modules": args.modules, "all_pass": fork_ok},
         },
     }
@@ -328,8 +324,7 @@ def _cmd_refine(cfg, args) -> dict:
 
 def _default_matrix(cfg, args, r):
     probes = alt_probes_gl2(cfg, r) if getattr(args, "alt_probes", False) else choose_probes(cfg, r)
-    ps = ProbeSet.make(cfg, probes, K=args.K)
-    table = build_measure_table(cfg, ps, list(partitions_of(cfg.n)), enum_bound=args.bound)
+    table = build_measure_table(cfg, probes, args.K, partitions_of(cfg.n), enum_bound=args.bound)
     return probes, table, assemble_and_invert(cfg, probes, table)
 
 

@@ -35,9 +35,13 @@ decides every nonzero orbit by one ladder:
        b. cone obstruction: a characteristic-polynomial coefficient that
           cannot vanish over the ball rules out every nonzero orbit;
        c. closure witness: an exact nilpotent of type <= O found in the
-          ball by a bounded structured/randomized search decides True;
+          ball by a bounded structured search (the centre, then one or two
+          monomials at the residue depth) decides True;
      anything else is an explicit undecided status, never a silent
      boolean.
+
+Callers ask for a probe family's table (`build_measure_table`) or for a
+relation's verdict on each orbit's slice of measures (`relation_slices`).
 
 Residues are bare `laurent.Series` tuples, added, negated, multiplied
 and truncated by `laurent`'s `ser_*` kernels; only the ball-specific
@@ -48,28 +52,25 @@ product classes of the 2x2 cone test) live here.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .apartment import GroupConfig, mp_lattice
 from .errors import InfeasibleError, InternalFault, UndecidedError, ValidationError
 from .graded import monomials
 from .laurent import LMatrix, Series, ser_add, ser_mul, ser_neg, ser_trunc
-from .orbits import OrbitLabel, dominance_leq, jordan_type
-from .refine import DMPPair, RelationRecord
+from .orbits import OrbitLabel, dominance_leq, jordan_type, partitions_of
+from .refine import DMPPair, RelationRecord, verify_relation
 
 Q = Fraction
 
 __all__ = [
-    "ProbeSet",
     "MeasureTable",
     "count_measure",
     "build_measure_table",
-    "independence_check",
-    "measure_vector",
+    "relation_slices",
     "relation_lattice",
     "shared_lattice",
     "merged_residue_dim",
@@ -208,13 +209,15 @@ def _ball_matrix(cfg: GroupConfig, y, extra) -> LMatrix:
 def _witness_perturbations(n: int, q: int, depths):
     """Perturbations the witness search adds to the ball centre, in order.
 
-    The centre itself, then single monomials at the ball floor and
-    pairs of them, then 120 random draws a couple of layers deeper.
+    The centre itself, then each off-diagonal monomial c t^depth with
+    c one of the distinct nonzero values of 1, -1, 2 mod q, then each
+    pair of those at distinct positions: a fixed, finite sequence that
+    draws nothing at random.
     """
     yield {}
     singles = []
     for i, j in itertools.permutations(range(n), 2):
-        for c in (1, q - 1, 2 % q):
+        for c in dict.fromkeys((1, q - 1, 2 % q)):
             if c:
                 singles.append(((i, j), ((depths[i][j], c),)))
     for pos, ser in singles:
@@ -222,18 +225,6 @@ def _witness_perturbations(n: int, q: int, depths):
     for (p1, s1), (p2, s2) in itertools.combinations(singles, 2):
         if p1 != p2:
             yield {p1: s1, p2: s2}
-    rng = random.Random("measures:0")
-    for _ in range(120):
-        extra = {}
-        for (i, j) in itertools.product(range(n), range(n)):
-            ser = tuple(
-                (depths[i][j] + d, c)
-                for d, c in enumerate([rng.randrange(q) for _ in range(2)])
-                if c
-            )
-            if ser:
-                extra[(i, j)] = ser
-        yield extra
 
 
 def _witness_search(cfg: GroupConfig, orbit: OrbitLabel, y, depths) -> bool:
@@ -516,21 +507,6 @@ def _count_generic(
 
 
 @dataclass(frozen=True)
-class ProbeSet:
-    probes: Tuple[DMPPair, ...]
-    K: int
-    lam: Tuple[Tuple[int, ...], ...]
-
-    @staticmethod
-    def make(cfg: GroupConfig, probes: Sequence[DMPPair], K: int) -> "ProbeSet":
-        lam = shared_lattice(cfg, probes)
-        ps = ProbeSet(probes=tuple(probes), K=K, lam=lam)
-        for p in ps.probes:
-            _validate_lattice(cfg, p, K, lam)
-        return ps
-
-
-@dataclass(frozen=True)
 class MeasureTable:
     orbits: Tuple[OrbitLabel, ...]
     probes: Tuple[DMPPair, ...]
@@ -545,24 +521,29 @@ class MeasureTable:
 
 def build_measure_table(
     cfg: GroupConfig,
-    probes: ProbeSet,
+    probes: Sequence[DMPPair],
+    K: int,
     orbits: Sequence[OrbitLabel],
     enum_bound: int = 10**6,
 ) -> MeasureTable:
     """Full table of counting measures with the triangularity contract.
 
-    Entry (probe, orbit) must be nonzero exactly when the orbit
-    dominates the probe's lift; a violation is an internal fault (it
-    would falsify the triangularity of the measure vectors under this
-    normalization).
+    The probes are counted at truncation K on their `shared_lattice`,
+    each checked against it before the first count.  Entry (probe, orbit)
+    must be nonzero exactly when the orbit dominates the probe's lift; a
+    violation is an internal fault (it would falsify the triangularity
+    of the measure vectors under this normalization).
     """
+    probes = tuple(probes)
+    lam = shared_lattice(cfg, probes)
+    for p in probes:
+        _validate_lattice(cfg, p, K, lam)
     rows = []
-    for p in probes.probes:
+    for p in probes:
         row = []
         for o in orbits:
-            val = count_measure(cfg, o, p, probes.K, probes.lam, enum_bound=enum_bound)
-            expected_nonzero = dominance_leq(p.lift, o)
-            if (val != 0) != expected_nonzero:
+            val = count_measure(cfg, o, p, K, lam, enum_bound=enum_bound)
+            if (val != 0) != dominance_leq(p.lift, o):
                 raise InternalFault(
                     f"triangularity violated at orbit {o}, probe {p.describe()}: "
                     f"value {val}",
@@ -570,54 +551,26 @@ def build_measure_table(
                 )
             row.append(val)
         rows.append(tuple(row))
-    norm = f"counting-density: passing/q^(K*dimO), K={probes.K}"
+    norm = f"counting-density: passing/q^(K*dimO), K={K}"
     return MeasureTable(
-        orbits=tuple(orbits),
-        probes=probes.probes,
-        K=probes.K,
-        lam=probes.lam,
-        normalization=norm,
-        entries=tuple(rows),
+        orbits=tuple(orbits), probes=probes, K=K, lam=lam, normalization=norm, entries=tuple(rows)
     )
 
 
-def _invert_rational(rows: Sequence[Sequence[Q]]) -> List[List[Q]]:
-    """The exact inverse, or [] when the matrix is singular."""
-    k = len(rows)
-    aug = [list(rows[i]) + [Q(1) if j == i else Q(0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
-        if piv is None:
-            return []
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [a / f for a in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                g = aug[i][col]
-                aug[i] = [a - g * b for a, b in zip(aug[i], aug[col])]
-    return [row[k:] for row in aug]
+def relation_slices(
+    cfg: GroupConfig, rec: RelationRecord, K: int, enum_bound: int = 10**6
+) -> Dict[OrbitLabel, bool]:
+    """Whether the relation holds on each orbit's slice of counting measures.
 
-
-def independence_check(table: MeasureTable) -> bool:
-    """Rows linearly independent over Q: the square table is invertible."""
-    k = len(table.probes)
-    if k != len(table.orbits):
-        raise ValidationError(
-            "independence check needs a square table", where="measures.independence_check"
-        )
-    return k == 0 or bool(_invert_rational(table.entries))
-
-
-def measure_vector(
-    cfg: GroupConfig,
-    orbit: OrbitLabel,
-    pairs: Iterable[DMPPair],
-    K: int,
-    lam: Tuple[Tuple[int, ...], ...],
-    enum_bound: int = 10**6,
-) -> Dict[DMPPair, Q]:
-    """Counting measures of one orbit over several pairs at shared (K, L)."""
+    Every pair of the relation is counted at truncation K on
+    `relation_lattice`, orbit by orbit in `partitions_of` order and pair
+    by pair in `rec.pairs()` order.
+    """
+    lam = relation_lattice(cfg, rec)
     return {
-        p: count_measure(cfg, orbit, p, K, lam, enum_bound=enum_bound) for p in pairs
+        orbit: verify_relation(cfg, rec, {
+            p: count_measure(cfg, orbit, p, K, lam, enum_bound=enum_bound)
+            for p in rec.pairs()
+        })
+        for orbit in partitions_of(cfg.n)
     }

@@ -341,29 +341,32 @@ def minimality_probe(cfg: GroupConfig, pair: DMPPair) -> bool:
     this instance, each checked on integers over the common denominator
     d of x and s (X = d x, S = d s):
 
+    (H0) with A phi's coefficient matrix, the F_q ranks of A, ..., A^n
+         are r_k = rank_at(k) of lambda = pair.lift, i.e. the lift is
+         the type that debacker_lift reads off A;
     (H1) every monomial c t^w of phi's lift at (i, j) has
          d w = -S - X_i + X_j, i.e. the lift L sits exactly at degree -s;
     (H2) every strict bound b_ij at (x, -s) has d b_ij > -S - X_i + X_j,
          i.e. every entry of g_{x>-s} has degree above -s;
-    (H3) with lambda = pair.lift and r_k = rank_at(k) of lambda, a
-         partition mu of n has rank_at(k) >= r_k for all k exactly when
-         dominance_leq(lambda, mu).
+    (H3) a partition mu of n has rank_at(k) >= r_k for all k exactly
+         when dominance_leq(lambda, mu).
 
-    Proof.  Let A be phi's coefficient matrix and D = diag(t^(x_i)) over
-    F_q((t^(1/d))).  By (H1), D L D^-1 = t^(-s) A, and by (H2), for any Z
-    in the coset t^s D Z D^-1 = A + R with every entry of R of positive
-    valuation.  So (A + R)^k = A^k + (positive valuation), and a nonzero
-    minor of A^k of size rank A^k is the constant term of the same minor
-    of (A + R)^k: rank Z^k >= rank A^k for every k.  DMPPair.make read
-    lambda from these ranks (debacker_lift takes gf.power_ranks of A),
-    so rank A^k = r_k, and a nilpotent Z of type mu has
-    rank Z^k = mu.rank_at(k).  Rank dominance is the closure
-    order on nilpotent orbits (Gerstenhaber 1959), which (H3) checks
+    Proof.  Let D = diag(t^(x_i)) over F_q((t^(1/d))).  By (H1),
+    D L D^-1 = t^(-s) A, and by (H2), for any Z in the coset
+    t^s D Z D^-1 = A + R with every entry of R of positive valuation.
+    So (A + R)^k = A^k + (positive valuation), and a nonzero minor of
+    A^k of size rank A^k is the constant term of the same minor of
+    (A + R)^k: rank Z^k >= rank A^k, which is r_k by (H0).  A nilpotent
+    Z of type mu has rank Z^k = mu.rank_at(k).  Rank dominance is the
+    closure order on nilpotent orbits (Gerstenhaber 1959), which (H3) checks
     against dominance_leq, so every nilpotent in the coset has type
     >= lambda; the lift lies in the coset and has type lambda, so lambda
     is the smallest orbit meeting it (DeBacker 2002).
     """
     x, lift = pair.x, pair.lift
+    ranks = tuple(lift.rank_at(k) for k in range(1, cfg.n + 1))
+    if gf.power_ranks(coefficient_matrix(cfg, pair.phi), gf.prime_field(cfg.q))[0] != ranks:
+        return False  # (H0)
     d, X, (S,) = _scale(x.coords, pair.s)
     level = [[-S - xi + xj for xj in X] for xi in X]  # d times the degree -s exponent
     if any(d * w != level[i][j] for i, j, w, _ in monomials(pair.phi)):
@@ -371,7 +374,6 @@ def minimality_probe(cfg: GroupConfig, pair: DMPPair) -> bool:
     strict = mp_lattice(cfg, x, -pair.s, strict=True, _checked=True).bounds
     if any(d * b <= v for brow, vrow in zip(strict, level) for b, v in zip(brow, vrow)):
         return False  # (H2)
-    ranks = [lift.rank_at(k) for k in range(1, cfg.n + 1)]
     return all(
         all(mu.rank_at(k) >= r for k, r in enumerate(ranks, 1)) == dominance_leq(lift, mu)
         for mu in partitions_of(cfg.n)

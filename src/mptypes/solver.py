@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .apartment import ApartmentPoint, GroupConfig
 from .errors import InternalFault, ValidationError
 from .graded import GradedElement
-from .measures import MeasureTable, _invert_rational
+from .measures import MeasureTable
 from .orbits import OrbitLabel, dominance_leq, partitions_of
 from .refine import DMPPair
 
@@ -31,6 +31,7 @@ __all__ = [
     "choose_probes",
     "alt_probes_gl2",
     "assemble_and_invert",
+    "independence_check",
     "matrix_problem",
     "solve_expansion",
     "synthesize_vector",
@@ -163,6 +164,34 @@ def alt_probes_gl2(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
         DMPPair.make(cfg, s, x0, GradedElement.zero(x0, -s)),
         DMPPair.make(cfg, s, x0, GradedElement.make(cfg, x0, -s, {(0, 1): 1})),
     ]
+
+
+def _invert_rational(rows: Sequence[Sequence[Q]]) -> List[List[Q]]:
+    """The exact inverse, or [] when the matrix is singular."""
+    k = len(rows)
+    aug = [list(rows[i]) + [Q(1) if j == i else Q(0) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
+        if piv is None:
+            return []
+        aug[col], aug[piv] = aug[piv], aug[col]
+        f = aug[col][col]
+        aug[col] = [a / f for a in aug[col]]
+        for i in range(k):
+            if i != col and aug[i][col] != 0:
+                g = aug[i][col]
+                aug[i] = [a - g * b for a, b in zip(aug[i], aug[col])]
+    return [row[k:] for row in aug]
+
+
+def independence_check(table: MeasureTable) -> bool:
+    """Rows linearly independent over Q: the square table is invertible."""
+    k = len(table.probes)
+    if k != len(table.orbits):
+        raise ValidationError(
+            "independence check needs a square table", where="solver.independence_check"
+        )
+    return k == 0 or bool(_invert_rational(table.entries))
 
 
 def assemble_and_invert(

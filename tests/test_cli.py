@@ -344,6 +344,26 @@ def test_count_flags_must_be_positive(capsys, argv):
     assert cli_error(err)["where"] == "cli"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure"],
+        ["solve", "--input", "VEC"],
+        ["refine", "--y", "3/8,0", "--tau", "5/8", "--phi", "1,2,1",
+         "--x", "1/2,0", "--s", "1/2", "--modules", "3"],
+    ],
+)
+def test_truncation_zero_is_rejected_input(capsys, tmp_path, argv):
+    vec = tmp_path / "vector.json"
+    vec.write_text(json.dumps({"r": "0/1", "source": "K=0", "entries": []}))
+    argv = [str(vec) if a == "VEC" else a for a in argv]
+    code, out, err = run_cli(capsys, "--allow-small-p", "--K", "0", *argv)
+    assert code == 2 and out == ""
+    assert cli_error(err) == {
+        "code": 2, "message": "truncation K must be >= 1", "where": "measures"
+    }
+
+
 def test_solve_rejects_tampered_matrix(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--allow-small-p", "measure")
     assert code == 0

@@ -10,11 +10,10 @@ import pytest
 from mptypes import gf, measures
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.graded import GradedElement, coefficient_matrix, conjugate
-from mptypes.errors import InfeasibleError, UndecidedError
+from mptypes.errors import InfeasibleError, UndecidedError, ValidationError
 from mptypes.laurent import ser_add
 from mptypes.measures import (
     MeasureTable,
-    ProbeSet,
     _ball_matrix,
     _charpoly_obstruction,
     _count_n2,
@@ -28,16 +27,15 @@ from mptypes.measures import (
     build_measure_table,
     clear_count_cache,
     count_measure,
-    independence_check,
-    measure_vector,
     pair_strict_bounds,
     relation_lattice,
+    relation_slices,
     shared_lattice,
 )
 from mptypes.orbits import OrbitLabel, dominance_leq, jordan_type, partitions_of
 from mptypes.refine import DMPPair, refine_relation, verify_relation
-from mptypes.selftest import _random_incidence, worked_instances
-from mptypes.solver import alt_probes_gl2, choose_probes
+from mptypes.selftest import _random_incidence, relation_instances, worked_instances
+from mptypes.solver import alt_probes_gl2, choose_probes, independence_check
 
 from cone_oracle import _meets_nilcone_2x2
 from lift_oracle import series
@@ -137,10 +135,7 @@ def test_count_additivity_over_refinement():
     y = pt(Q(1, 4), 0)
     coarse = DMPPair.make(CFG2, 1, y, GradedElement.zero(y, -1))
     rec = refine_relation(CFG2, coarse, (X_HYP, Q(1)))
-    lam = relation_lattice(CFG2, rec)
-    for orbit in (O11, O2):
-        comps = measure_vector(CFG2, orbit, rec.pairs(), 2, lam)
-        assert verify_relation(CFG2, rec, comps)
+    assert relation_slices(CFG2, rec, 2) == {O11: True, O2: True}
 
 
 def test_count_additivity_iwahori_family():
@@ -149,10 +144,45 @@ def test_count_additivity_iwahori_family():
         CFG2, Q(5, 8), yb, GradedElement.make(CFG2, yb, Q(-5, 8), {(0, 1): 1})
     )
     rec = refine_relation(CFG2, coarse, (X_IWA, Q(1, 2)))
-    lam = relation_lattice(CFG2, rec)
-    for orbit in (O11, O2):
-        comps = measure_vector(CFG2, orbit, rec.pairs(), 2, lam)
-        assert verify_relation(CFG2, rec, comps)
+    assert relation_slices(CFG2, rec, 2) == {O11: True, O2: True}
+
+
+def recipe_slices(cfg, rec, K, enum_bound):
+    """The callers' former recipe, kept as an oracle: the relation lattice,
+    then each orbit's counts over the pairs, then verify_relation."""
+    lam = relation_lattice(cfg, rec)
+    return {
+        orbit: verify_relation(cfg, rec, {
+            p: count_measure(cfg, orbit, p, K, lam, enum_bound=enum_bound) for p in rec.pairs()
+        })
+        for orbit in partitions_of(cfg.n)
+    }
+
+
+def test_relation_slices_match_the_recipe_and_count_the_same_keys():
+    # the 20 records of the acceptance suite, the worked relations first; each
+    # side counts from an empty cache and must leave the same keys in order
+    records = relation_instances(CFG2)
+    worked = [refine_relation(CFG2, *inst) for inst in worked_instances(CFG2)]
+    assert len(records) == 20 and records[: len(worked)] == worked
+    for rec in records:
+        clear_count_cache()
+        expected = recipe_slices(CFG2, rec, 2, 2 * 10**6)
+        keys = list(measures._COUNT_CACHE)
+        clear_count_cache()
+        got = relation_slices(CFG2, rec, 2, enum_bound=2 * 10**6)
+        assert list(got.items()) == list(expected.items()) == [(O11, True), (O2, True)]
+        assert list(measures._COUNT_CACHE) == keys
+    clear_count_cache()
+
+
+def test_build_measure_table_refuses_k0_before_any_count():
+    # every probe is checked up front, so an empty orbit list refuses too
+    clear_count_cache()
+    for orbits in ([O11, O2], []):
+        with pytest.raises(ValidationError, match="truncation K must be >= 1"):
+            build_measure_table(CFG2, [ZERO_PAIR, REG_PAIR], 0, orbits)
+    assert not measures._COUNT_CACHE
 
 
 def test_triangularity_exhaustive_n2():
@@ -230,14 +260,12 @@ def test_monotone_refinement_exhaustive_iwahori_piece():
 
 
 def test_empty_orbit_list_gives_empty_table():
-    probes = ProbeSet.make(CFG2, [ZERO_PAIR], K=1)
-    table = build_measure_table(CFG2, probes, [])
+    table = build_measure_table(CFG2, [ZERO_PAIR], 1, [])
     assert table.entries == ((),)
 
 
 def test_gl2_measure_table_and_independence():
-    probes = ProbeSet.make(CFG2, [ZERO_PAIR, REG_PAIR], K=2)
-    table = build_measure_table(CFG2, probes, [O11, O2])
+    table = build_measure_table(CFG2, [ZERO_PAIR, REG_PAIR], 2, [O11, O2])
     assert table.entry(O11, ZERO_PAIR) == 1
     assert table.entry(O11, REG_PAIR) == 0
     assert table.entry(O2, ZERO_PAIR) > 0
@@ -265,8 +293,7 @@ def test_gl3_measure_table():
         CFG3, 1, x3, GradedElement.make(CFG3, x3, -1, {(0, 1): 1, (1, 2): 1})
     )
     orbits = [OrbitLabel.of((1, 1, 1)), OrbitLabel.of((2, 1)), OrbitLabel.of((3,))]
-    probes = ProbeSet.make(CFG3, [zero3, sub3, reg3], K=1)
-    table = build_measure_table(CFG3, probes, orbits)
+    table = build_measure_table(CFG3, [zero3, sub3, reg3], 1, orbits)
     for i in range(3):
         for j in range(3):
             if j < i:
@@ -444,6 +471,27 @@ def parent_ladder(cfg, orbit, pair, y, depths):
             return True
         return False if _charpoly_obstruction(cfg, y, depths) else None
     return True if found(lambda t: t == orbit) else None
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3), (3, 5), (4, 7)])
+def test_witness_perturbations_are_the_centre_singles_and_pairs(n, q):
+    # 1 + S + P items: S single monomials c t^depth off the diagonal, c the
+    # distinct nonzero values of 1, -1, 2 mod q, and the P pairs of them at
+    # distinct positions; the same sequence on every call
+    depths = [[i + 2 * j for j in range(n)] for i in range(n)]
+    coeffs = {c % q for c in (1, -1, 2)} - {0}
+    positions = list(itertools.permutations(range(n), 2))
+    singles = {((i, j), ((depths[i][j], c),)) for i, j in positions for c in coeffs}
+    S = len(singles)
+    P = S * (S - 1) // 2 - len(positions) * len(coeffs) * (len(coeffs) - 1) // 2
+    seq = list(_witness_perturbations(n, q, depths))
+    assert len(seq) == 1 + S + P
+    assert seq == list(_witness_perturbations(n, q, depths))
+    assert seq[0] == {}
+    assert {next(iter(e.items())) for e in seq[1 : 1 + S]} == singles
+    pairs = [frozenset(e.items()) for e in seq[1 + S :]]
+    assert len(set(pairs)) == P
+    assert all(len({pos for pos, _ in e}) == 2 and e <= singles for e in pairs)
 
 
 def random_residue(rng, q, bases, floors, depths):

@@ -541,6 +541,33 @@ def test_minimality_probe_worked_examples():
     assert not minimality_probe(CFG2, moved)
 
 
+def test_minimality_probe_refuses_a_forged_lift():
+    # (H3) holds for every partition, so only (H0) ties the lift to phi: the
+    # true lift of t^-1 e12 at q = 5 is (2), and the pair carrying (1,1) is
+    # refused
+    el = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 1): 1})
+    forged = DMPPair(s=Q(1), x=pt(0, 0), phi=el, lift=OrbitLabel.of((1, 1)))
+    assert DMPPair.make(CFG2, 1, pt(0, 0), el).lift == OrbitLabel.of((2,))
+    assert minimality_probe(CFG2, forged) is False
+    # every wrong partition, on every phi of the GL_2 and GL_3 Jordan patterns
+    for cfg in (CFG2, CFG3):
+        x = pt(*[0] * cfg.n)
+        for lam in partitions_of(cfg.n):
+            coeffs, pos = {}, 0
+            for p in lam.parts:
+                coeffs.update({(pos + k, pos + k + 1): 1 for k in range(p - 1)})
+                pos += p
+            phi = GradedElement.make(cfg, x, -1, coeffs)
+            assert minimality_probe(cfg, DMPPair.make(cfg, 1, x, phi))
+            for mu in partitions_of(cfg.n):
+                pair = DMPPair(s=Q(1), x=x, phi=phi, lift=mu)
+                assert minimality_probe(cfg, pair) is (mu == lam)
+    # a non-nilpotent phi is refused under any lift, without raising
+    diag = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 0): 1})
+    for mu in partitions_of(2):
+        assert minimality_probe(CFG2, DMPPair(s=Q(1), x=pt(0, 0), phi=diag, lift=mu)) is False
+
+
 # -- the rank bound the certificate proves, checked on sampled coset elements
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.errors import ValidationError
-from mptypes.measures import ProbeSet, build_measure_table
+from mptypes.measures import build_measure_table
 from mptypes.orbits import OrbitLabel, dominance_leq, partitions_of
 from mptypes.refine import DMPPair
 from mptypes.solver import (
@@ -33,15 +33,13 @@ CFG3 = make_cfg(3)
 
 def gl2_matrix(K=2):
     probes = choose_probes(CFG2, 0)
-    ps = ProbeSet.make(CFG2, probes, K=K)
-    table = build_measure_table(CFG2, ps, list(partitions_of(2)))
+    table = build_measure_table(CFG2, probes, K, partitions_of(2))
     return assemble_and_invert(CFG2, probes, table), table
 
 
 def gl3_matrix():
     probes = choose_probes(CFG3, 0)
-    ps = ProbeSet.make(CFG3, probes, K=1)
-    table = build_measure_table(CFG3, ps, list(partitions_of(3)))
+    table = build_measure_table(CFG3, probes, 1, partitions_of(3))
     return assemble_and_invert(CFG3, probes, table), table
 
 
@@ -129,8 +127,7 @@ def test_round_trip_identity():
 
 def test_assemble_order_independence():
     probes = choose_probes(CFG2, 0)
-    ps = ProbeSet.make(CFG2, probes, K=2)
-    table = build_measure_table(CFG2, ps, list(partitions_of(2)))
+    table = build_measure_table(CFG2, probes, 2, partitions_of(2))
     cm_fwd = assemble_and_invert(CFG2, probes, table)
     cm_rev = assemble_and_invert(CFG2, list(reversed(probes)), table)
     assert cm_fwd == cm_rev  # canonical dominance order inside
@@ -148,8 +145,7 @@ def test_probe_independence_zero_sets():
     # two catalogs give coefficient vectors with the same zero set
     cm_a, table_a = gl2_matrix()
     probes_b = alt_probes_gl2(CFG2, 0)
-    ps_b = ProbeSet.make(CFG2, probes_b, K=2)
-    table_b = build_measure_table(CFG2, ps_b, list(partitions_of(2)))
+    table_b = build_measure_table(CFG2, probes_b, 2, partitions_of(2))
     cm_b = assemble_and_invert(CFG2, probes_b, table_b)
     rng = random.Random(71)
     for _ in range(25):
@@ -180,7 +176,7 @@ def test_synthesized_vectors_satisfy_refine_relations():
 
     from mptypes.apartment import ApartmentPoint
     from mptypes.graded import GradedElement
-    from mptypes.measures import measure_vector, relation_lattice
+    from mptypes.measures import count_measure, relation_lattice
     from mptypes.refine import refine_relation, verify_relation
 
     y = ApartmentPoint.of([Q(1, 4), 0])
@@ -189,7 +185,8 @@ def test_synthesized_vectors_satisfy_refine_relations():
     rec = refine_relation(CFG2, coarse, (x0, Q(1)))
     lam = relation_lattice(CFG2, rec)
     slices = {
-        o: measure_vector(CFG2, o, rec.pairs(), 2, lam) for o in partitions_of(2)
+        o: {p: count_measure(CFG2, o, p, 2, lam) for p in rec.pairs()}
+        for o in partitions_of(2)
     }
     rng = random.Random(77)
     for _ in range(20):
