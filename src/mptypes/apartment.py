@@ -261,12 +261,6 @@ class IntervalCertificate:
     s: Q
     six: Tuple[int, ...]  # `_six_flat` at (x, s): the six constancy witnesses
 
-    def witnesses(self) -> List[Tuple[List[List[int]], int, bool]]:
-        """The six witnesses as (n bound rows, level sign, strict), in `_WITNESSES` order."""
-        n, six = self.x.n, self.six
-        rows = [list(six[r:r + n]) for r in range(0, len(six), n)]
-        return [(rows[k * n:k * n + n], sg, strict) for k, (sg, strict) in enumerate(_WITNESSES)]
-
 
 @dataclass(frozen=True)
 class GeodesicPlan:

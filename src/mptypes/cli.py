@@ -30,7 +30,7 @@ from .apartment import (
 )
 from .errors import InfeasibleError, ToolkitError, ValidationError
 from .graded import GradedElement, monomials
-from .measures import build_measure_table, relation_slices
+from .measures import build_measure_table, check_truncation, relation_slices
 from .orbits import minimality_probe, partitions_of, sl2_complete
 from .refine import DMPPair, enumerate_and_classify, refine_relation
 from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, independence_check, solve_expansion
@@ -287,6 +287,7 @@ def _cmd_breakpoints(cfg, args) -> dict:
 
 def _cmd_refine(cfg, args) -> dict:
     _require_positive(args.modules, "--modules")
+    check_truncation(args.K)  # before the incidence is classified
     y = _parse_point(cfg, args.y, flag="--y")
     tau = jsonio.parse_frac(args.tau)
     check_point(cfg, y, where="cli.refine")

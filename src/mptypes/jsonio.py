@@ -9,16 +9,20 @@ positions are 1-based in external data.  Serialization is stable
 `json.dumps(obj, sort_keys=True, indent=2)` plus a newline, for the six
 types the payloads hold: str, int, bool, None, list, and dict with str
 keys.  Any other type, a float, tuple, Fraction or int subclass among
-them, raises TypeError.
+them, raises TypeError.  It builds each container's text once and joins
+it into its parent's, and a list object that the payload holds twice at
+the same depth is written once and its text reused; `plan_to_json`
+shares one list per distinct bound row and matrix, so a plan is written
+at the cost of its distinct rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from .apartment import ApartmentPoint, GeodesicPlan, GroupConfig, IntervalCertificate
+from .apartment import ApartmentPoint, GeodesicPlan, GroupConfig, _WITNESSES
 from .apartment import LatticeShape, check_level, check_point
 from .errors import ValidationError
 from .graded import GradedElement
@@ -69,52 +73,63 @@ def parse_frac(s: str | int) -> Q:
 
 
 def dump(obj: Any) -> str:
-    """The canonical JSON text of `obj`, newline-terminated."""
-    out: List[str] = []
-    _write(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    """The canonical JSON text of `obj`, newline-terminated.
+
+    Each container's text is built once and joined into its parent's, and
+    the int and str items of a list are written inline.  A list object
+    that the payload holds twice at the same depth is written once: its
+    text is kept under (id, indent) in a dict that lives for this call
+    only, and reused, which gives the same bytes as writing it again.  The
+    payload holds every list for the whole call, so no id is reused, and a
+    list whose items fail the type checks raises before any text of it is
+    kept.
+    """
+    return _text(obj, "\n", {}) + "\n"
 
 
-def _write(o: Any, out: List[str], nl: str) -> None:
-    """Append the text of `o` to `out`; `nl` is a newline and o's indent."""
+def _text(o: Any, nl: str, seen: Dict[Tuple[int, str], str]) -> str:
+    """The text of `o`; `nl` is a newline and o's indent, and `seen` maps
+    (id, nl) of each list written so far to its text."""
     t = type(o)  # exact types: bool and IntEnum are not int here
     if t is str:
-        out.append(_quote(o))
-    elif t is int:
-        out.append(repr(o))
-    elif t is list:
+        return _quote(o)
+    if t is int:
+        return repr(o)
+    if t is list:
         if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in o:
-            out.append(sep)
-            _write(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif t is dict:
+            return "[]"
+        key = (id(o), nl)
+        text = seen.get(key)
+        if text is None:
+            inner = nl + "  "
+            parts = []
+            for item in o:
+                ti = type(item)
+                if ti is int:
+                    parts.append(repr(item))
+                elif ti is str:
+                    parts.append(_quote(item))
+                else:
+                    parts.append(_text(item, inner, seen))
+            text = seen[key] = f"[{inner}{(',' + inner).join(parts)}{nl}]"
+        return text
+    if t is dict:
         if not o:
-            out.append("{}")
-            return
+            return "{}"
         inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(o):
-            if type(key) is not str:
-                raise TypeError(f"dict key {key!r} is not a str")
-            out.append(sep + _quote(key) + ": ")
-            _write(o[key], out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif o is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot write {t.__name__} as canonical JSON")
+        parts = []
+        for name in sorted(o):
+            if type(name) is not str:
+                raise TypeError(f"dict key {name!r} is not a str")
+            parts.append(f"{_quote(name)}: {_text(o[name], inner, seen)}")
+        return f"{{{inner}{(',' + inner).join(parts)}{nl}}}"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if o is None:
+        return "null"
+    raise TypeError(f"cannot write {t.__name__} as canonical JSON")
 
 
 def _fields(data: Any, what: str, where: str, *keys: str) -> None:
@@ -193,17 +208,35 @@ def shape_to_json(sh: LatticeShape) -> Dict[str, Any]:
     }
 
 
-def _certificate_shapes(cert: IntervalCertificate) -> List[Dict[str, Any]]:
-    """The six witness shapes of `cert`, in `shape_to_json`'s form."""
-    x = point_to_json(cert.x)
-    levels = (frac_str(0), frac_str(cert.s), frac_str(-cert.s))  # levels[sign] is sign * s
-    return [
-        {"bounds": rows, "provenance": {"x": x, "s": levels[sign], "strict": strict}}
-        for rows, sign, strict in cert.witnesses()
-    ]
-
-
 def plan_to_json(cfg: GroupConfig, plan: GeodesicPlan) -> Dict[str, Any]:
+    """The plan with each certificate's flat `six` tuple spelled out as six
+    `shape_to_json` shapes, in `_WITNESSES` order: block k of n^2 entries is
+    witness k's bound matrix, row-major.  Equal rows and equal matrices
+    within the plan are one shared list each, which `dump` writes once."""
+    n = cfg.n
+    N = n * n
+    rows: Dict[Tuple[int, ...], List[int]] = {}
+    blocks: Dict[Tuple[int, ...], List[List[int]]] = {}
+    intervals = []
+    for cert in plan.intervals:
+        x, six = point_to_json(cert.x), cert.six
+        levels = (frac_str(0), frac_str(cert.s), frac_str(-cert.s))  # levels[sign] is sign * s
+        shapes = []
+        for k, (sign, strict) in enumerate(_WITNESSES):
+            block = six[k * N:k * N + N]
+            bounds = blocks.get(block)
+            if bounds is None:
+                bounds = blocks[block] = []
+                for r in range(0, N, n):
+                    row = block[r:r + n]
+                    shared = rows.get(row)
+                    if shared is None:
+                        shared = rows[row] = list(row)
+                    bounds.append(shared)
+            shapes.append(
+                {"bounds": bounds, "provenance": {"x": x, "s": levels[sign], "strict": strict}}
+            )
+        intervals.append({"sample": frac_str(cert.sample), "shapes": shapes})
     return {
         "endpoints": {
             "x0": point_to_json(plan.x0),
@@ -212,13 +245,7 @@ def plan_to_json(cfg: GroupConfig, plan: GeodesicPlan) -> Dict[str, Any]:
             "s1": frac_str(plan.s1),
         },
         "breakpoints": [frac_str(t) for t in plan.ts],
-        "intervals": [
-            {
-                "sample": frac_str(cert.sample),
-                "shapes": _certificate_shapes(cert),
-            }
-            for cert in plan.intervals
-        ],
+        "intervals": intervals,
     }
 
 

@@ -71,6 +71,7 @@ __all__ = [
     "count_measure",
     "build_measure_table",
     "relation_slices",
+    "check_truncation",
     "relation_lattice",
     "shared_lattice",
     "merged_residue_dim",
@@ -141,11 +142,16 @@ def relation_lattice(cfg: GroupConfig, rec: RelationRecord) -> Tuple[Tuple[int, 
     return mp_lattice(cfg, rec.lhs.x, -rec.lhs.s, strict=False, _checked=True).bounds
 
 
+def check_truncation(K: int) -> None:
+    """Refuse a truncation K below 1, before any count is made."""
+    if K < 1:
+        raise ValidationError("truncation K must be >= 1", where="measures")
+
+
 def _validate_lattice(
     cfg: GroupConfig, pair: DMPPair, K: int, lam: Tuple[Tuple[int, ...], ...]
 ) -> None:
-    if K < 1:
-        raise ValidationError("truncation K must be >= 1", where="measures")
+    check_truncation(K)
     strict = pair_strict_bounds(cfg, pair)
     for i in range(cfg.n):
         for j in range(cfg.n):

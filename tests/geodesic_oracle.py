@@ -7,11 +7,17 @@ two interior points lo + (hi - lo) j / 3, j = 1, 2, and compared them with
 the certificate: three points of the interval, not a proof.  The tests
 run both checks on the same plans, genuine and forged, and check the
 chains against `brute_constancy`.
+
+It also keeps the plan JSON as `jsonio.plan_to_json` built it before that
+function sliced the flat `six` tuple itself and shared its rows: one fresh
+list per row and per matrix, through `certificate_witnesses`.  The tests
+compare both values and their `dump` bytes.
 """
 
 from functools import cmp_to_key
 
 from mptypes import apartment
+from mptypes.jsonio import frac_str, point_to_json
 
 
 def sampled_constancy_ok(plan) -> bool:
@@ -69,3 +75,41 @@ def brute_constancy(a: int, b: int, c: int, lo, hi, grid: int) -> bool:
     }
     return len(values) <= 1
 
+
+def certificate_witnesses(cert):
+    """The six witnesses of `cert` as (n bound rows, level sign, strict), in
+    `apartment._WITNESSES` order: block k of n^2 entries of `six` is witness
+    k's bound matrix, row-major."""
+    n, six = cert.x.n, cert.six
+    rows = [list(six[r:r + n]) for r in range(0, len(six), n)]
+    return [
+        (rows[k * n:k * n + n], sign, strict)
+        for k, (sign, strict) in enumerate(apartment._WITNESSES)
+    ]
+
+
+def certificate_shapes_json(cert):
+    """The six witness shapes of `cert`, in `shape_to_json`'s form."""
+    x = point_to_json(cert.x)
+    levels = (frac_str(0), frac_str(cert.s), frac_str(-cert.s))  # levels[sign] is sign * s
+    return [
+        {"bounds": rows, "provenance": {"x": x, "s": levels[sign], "strict": strict}}
+        for rows, sign, strict in certificate_witnesses(cert)
+    ]
+
+
+def plan_to_json(plan):
+    """The plan JSON, one fresh list per row and per matrix."""
+    return {
+        "endpoints": {
+            "x0": point_to_json(plan.x0),
+            "s0": frac_str(plan.s0),
+            "x1": point_to_json(plan.x1),
+            "s1": frac_str(plan.s1),
+        },
+        "breakpoints": [frac_str(t) for t in plan.ts],
+        "intervals": [
+            {"sample": frac_str(cert.sample), "shapes": certificate_shapes_json(cert)}
+            for cert in plan.intervals
+        ],
+    }

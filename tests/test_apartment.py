@@ -9,7 +9,7 @@ from math import ceil, floor
 
 import pytest
 
-from geodesic_oracle import brute_constancy, sampled_constancy_ok
+from geodesic_oracle import brute_constancy, certificate_witnesses, sampled_constancy_ok
 from mptypes import apartment, jsonio
 from mptypes.apartment import (
     ApartmentPoint,
@@ -335,7 +335,7 @@ def certificate_shapes(cert):
     """The six shapes that a certificate's flat tuple stands for."""
     return tuple(
         LatticeShape(bounds=tuple(map(tuple, rows)), x=cert.x, s=sign * cert.s, strict=strict)
-        for rows, sign, strict in cert.witnesses()
+        for rows, sign, strict in certificate_witnesses(cert)
     )
 
 

@@ -508,6 +508,10 @@ VECTOR = {
 REFINE = ("refine", "--y", "3/8,0", "--tau", "5/8", "--phi", "1,2,1",
           "--x", "1/2,0", "--s", "1/2", "--modules", "3")
 
+# a GL_4 geodesic of 30 intervals
+GL4_BREAKPOINTS = ("--n", "4", "breakpoints", "--x0", "1/2,0,-1/4,0", "--s0", "1/2",
+                   "--x1=-3/2,5/4,1/8,0", "--s1=-7/8")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -519,6 +523,7 @@ REFINE = ("refine", "--y", "3/8,0", "--tau", "5/8", "--phi", "1,2,1",
         REFINE,
         ("measure",),
         ("solve", "--input", "{vector}"),
+        GL4_BREAKPOINTS,
     ],
 )
 def test_stdout_and_output_file_hold_the_canonical_bytes(capsys, tmp_path, argv):
@@ -534,6 +539,8 @@ def test_stdout_and_output_file_hold_the_canonical_bytes(capsys, tmp_path, argv)
     assert out == canonical(out)
     if "lift" in argv:
         assert ("skipped" in json.loads(out)["sl2"]) == ("--q" in argv)
+    if argv == GL4_BREAKPOINTS:  # enough intervals for the plan to repeat rows and matrices
+        assert len(json.loads(out)["plan"]["intervals"]) >= 20
 
 
 def test_saved_matrix_holds_the_canonical_bytes(capsys, tmp_path):
@@ -708,22 +715,18 @@ def test_unwritable_saved_matrix_is_rejected(capsys, tmp_path):
         file_error(capsys, path, "solve", "--input", str(vec_file), "--save-matrix", str(path))
 
 
-def test_refine_classifies_its_incidence_once(capsys, monkeypatch):
+def count_classifications(monkeypatch) -> list:
+    """Wrap every module binding of `enumerate_and_classify`, so no caller
+    escapes the count; the returned list gets one entry per call."""
     from mptypes import refine
 
     real = refine.enumerate_and_classify
-    real_crosscheck = refine._crosscheck_b_class
-    classified, crosschecked = [], []
+    classified = []
 
     def counting(*args, **kwargs):
         classified.append(args)
         return real(*args, **kwargs)
 
-    def counting_crosscheck(*args, **kwargs):
-        crosschecked.append(args)
-        return real_crosscheck(*args, **kwargs)
-
-    # every module binding of the classifier, so no caller escapes the count
     for info in pkgutil.iter_modules(mptypes.__path__):
         if info.name == "__main__":
             continue
@@ -731,11 +734,35 @@ def test_refine_classifies_its_incidence_once(capsys, monkeypatch):
         for attr, value in list(vars(mod).items()):
             if value is real:
                 monkeypatch.setattr(mod, attr, counting)
+    return classified
+
+
+def test_refine_classifies_its_incidence_once(capsys, monkeypatch):
+    from mptypes import refine
+
+    real_crosscheck = refine._crosscheck_b_class
+    crosschecked = []
+
+    def counting_crosscheck(*args, **kwargs):
+        crosschecked.append(args)
+        return real_crosscheck(*args, **kwargs)
+
+    classified = count_classifications(monkeypatch)
     monkeypatch.setattr(refine, "_crosscheck_b_class", counting_crosscheck)
     code, out, _ = run_cli(capsys, "--allow-small-p", *REFINE)
     assert code == 0
     assert json.loads(out)["verification"]["fork_identity"]["all_pass"] is True
     assert len(classified) == 1 and len(crosschecked) == 1
+
+
+def test_refine_refuses_k0_before_classifying(capsys, monkeypatch):
+    classified = count_classifications(monkeypatch)
+    code, out, err = run_cli(capsys, "--allow-small-p", "--K", "0", *REFINE)
+    assert code == 2 and out == ""
+    assert cli_error(err) == {
+        "code": 2, "message": "truncation K must be >= 1", "where": "measures"
+    }
+    assert classified == []
 
 
 @pytest.mark.parametrize(

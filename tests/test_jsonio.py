@@ -4,12 +4,14 @@ import enum
 import json
 import random
 import warnings
+from collections import Counter, defaultdict
 from fractions import Fraction as Q
 
 import pytest
 
+import geodesic_oracle
 from mptypes import jsonio
-from mptypes.apartment import ApartmentPoint, GroupConfig
+from mptypes.apartment import ApartmentPoint, GroupConfig, breakpoints
 from mptypes.errors import ValidationError
 from mptypes.graded import GradedElement
 from mptypes.refine import DMPPair
@@ -91,7 +93,11 @@ def random_str(rng):
     return "".join(rng.choice(CHARS) for _ in range(rng.randrange(6)))
 
 
-def random_value(rng, depth=0):
+def random_value(rng, depth=0, pool=()):
+    """A random payload; with a `pool` of lists, about one value in five
+    is one of those list objects, so the payload holds it several times."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
     kind = rng.randrange(9 if depth < 4 else 5)
     if kind == 0:
         return rng.randrange(-1000, 1000)
@@ -104,9 +110,11 @@ def random_value(rng, depth=0):
     if kind == 4:  # an int row with bools among the ints
         return [rng.choice((rng.randrange(-9, 9), True, False)) for _ in range(rng.randrange(5))]
     if kind in (5, 6):
-        return [random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+        return [random_value(rng, depth + 1, pool) for _ in range(rng.randrange(5))]
     if kind == 7:
-        return {random_str(rng): random_value(rng, depth + 1) for _ in range(rng.randrange(5))}
+        return {
+            random_str(rng): random_value(rng, depth + 1, pool) for _ in range(rng.randrange(5))
+        }
     return rng.choice(([], {}, [[]], [{}], {"": []}, {"a": {}}, [[], [{}]]))
 
 
@@ -115,6 +123,71 @@ def test_dump_matches_the_stdlib_on_random_payloads():
     for _ in range(400):
         obj = random_value(rng)
         assert jsonio.dump(obj) == oracle(obj)
+
+
+def shared_pool(rng):
+    """Lists for one payload to hold several times: an empty list, a row of
+    ints with bools among them, and a list holding that row at two depths."""
+    row = [rng.choice((rng.randrange(-9, 9), True, False)) for _ in range(1 + rng.randrange(4))]
+    return [[], row, [row, random_str(rng), [row, None]]]
+
+
+def list_places(obj, depth=0, out=None):
+    """(id, depth) of every list in `obj`, once per place it is held."""
+    out = [] if out is None else out
+    if type(obj) is list:
+        out.append((id(obj), depth))
+    if type(obj) in (list, dict):
+        for item in obj.values() if type(obj) is dict else obj:
+            list_places(item, depth + 1, out)
+    return out
+
+
+def test_dump_matches_the_stdlib_on_payloads_that_share_lists():
+    rng = random.Random(13)
+    same_depth, other_depth, empty, bools = 0, 0, 0, 0
+    for _ in range(400):
+        pool = shared_pool(rng)
+        obj = [random_value(rng, 1, pool), rng.choice(pool), {"k": random_value(rng, 2, pool)}]
+        assert jsonio.dump(obj) == oracle(obj)
+        places = list_places(obj)
+        held = Counter(places)
+        depths = defaultdict(set)
+        for i, d in places:
+            depths[i].add(d)
+        same_depth += any(held[(id(p), d)] > 1 for p in pool for d in depths[id(p)])
+        other_depth += any(len(depths[id(p)]) > 1 for p in pool)
+        empty += sum(i == id(pool[0]) for i, _ in places) > 1
+        bools += sum(i == id(pool[1]) for i, _ in places) > 1 and any(
+            type(v) is bool for v in pool[1]
+        )
+    assert min(same_depth, other_depth, empty, bools) > 20, (same_depth, other_depth, empty, bools)
+
+
+def test_dump_keeps_no_text_between_calls():
+    row = [1, 2]
+    obj = {"a": row, "b": [row], "c": row}
+    assert jsonio.dump(obj) == oracle(obj)
+    row.append(True)
+    assert jsonio.dump(obj) == oracle(obj)
+    assert jsonio.dump(row) == oracle(row)
+
+
+@pytest.mark.parametrize("bad", [[1, (2,)], [0.5], [[], [1, 2.0]]])
+def test_dump_refuses_a_shared_list_holding_another_type(bad):
+    for obj in ([bad, bad], {"a": bad, "b": [bad]}, [[bad], bad]):
+        with pytest.raises(TypeError):
+            jsonio.dump(obj)
+
+
+def test_dump_of_cyclic_input_raises_recursion_error():
+    loop = [1]
+    loop.append(loop)
+    ring = {"a": []}
+    ring["a"].append(ring)
+    for obj in (loop, ring, [loop, loop]):
+        with pytest.raises(RecursionError):
+            jsonio.dump(obj)
 
 
 @pytest.mark.parametrize(
@@ -152,3 +225,35 @@ def test_dump_does_not_call_the_stdlib_encoder(monkeypatch):
     assert jsonio.dump({"b": [1, "x"], "a": None}) == (
         '{\n  "a": null,\n  "b": [\n    1,\n    "x"\n  ]\n}\n'
     )
+
+
+def test_plan_to_json_shares_rows_and_matches_the_unshared_oracle():
+    # today's plan JSON against the one-list-per-row construction, on
+    # seeded GL_2 - GL_5 geodesics: equal values and equal bytes, and one
+    # list object per distinct row and per distinct matrix of a plan
+    rng = random.Random(23)
+    denoms = [1, 2, 3, 4, 6, 8, 12, 16, 48]
+    plans, repeated_rows, repeated_matrices = 0, 0, 0
+    for n in (2, 3, 4, 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = GroupConfig(n=n, q=5, m=48)
+        for _ in range(60 if n < 5 else 30):
+            d0, d1 = rng.choice(denoms), rng.choice(denoms)
+            x0, x1 = (
+                ApartmentPoint.of([Q(rng.randrange(-2 * d, 2 * d + 1), d) for _ in range(n)])
+                for d in (d0, d1)
+            )
+            s0, s1 = (Q(rng.randrange(-2 * d, 2 * d + 1), d) for d in (d0, d1))
+            plan = breakpoints(cfg, x0, s0, x1, s1)
+            value, unshared = jsonio.plan_to_json(cfg, plan), geodesic_oracle.plan_to_json(plan)
+            assert value == unshared
+            assert jsonio.dump(value) == jsonio.dump(unshared) == oracle(unshared)
+            matrices = [sh["bounds"] for iv in value["intervals"] for sh in iv["shapes"]]
+            rows = [row for bounds in matrices for row in bounds]
+            assert len({id(b) for b in matrices}) == len({str(b) for b in matrices})
+            assert len({id(r) for r in rows}) == len({str(r) for r in rows})
+            repeated_rows += len(rows) > len({id(r) for r in rows})
+            repeated_matrices += len(matrices) > len({id(b) for b in matrices})
+            plans += 1
+    assert plans == repeated_rows == 210 and repeated_matrices > 180
