@@ -30,7 +30,7 @@ from .apartment import (
 )
 from .errors import InfeasibleError, ToolkitError, ValidationError
 from .graded import GradedElement, monomials
-from .measures import build_measure_table, check_truncation, relation_slices
+from .measures import build_measure_table, check_truncation, normalization, relation_slices
 from .orbits import minimality_probe, partitions_of, sl2_complete
 from .refine import DMPPair, enumerate_and_classify, refine_relation
 from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, independence_check, solve_expansion
@@ -323,8 +323,9 @@ def _cmd_refine(cfg, args) -> dict:
     }
 
 
-def _default_matrix(cfg, args, r):
-    probes = alt_probes_gl2(cfg, r) if getattr(args, "alt_probes", False) else choose_probes(cfg, r)
+def _default_matrix(cfg, args, r, known=()):
+    catalog = alt_probes_gl2 if getattr(args, "alt_probes", False) else choose_probes
+    probes = catalog(cfg, r, known)
     table = build_measure_table(cfg, probes, args.K, partitions_of(cfg.n), enum_bound=args.bound)
     return probes, table, assemble_and_invert(cfg, probes, table)
 
@@ -340,13 +341,23 @@ def _cmd_measure(cfg, args) -> dict:
 
 
 def _cmd_solve(cfg, args) -> dict:
+    check_truncation(args.K)
     if not args.input:
         raise ValidationError("solve requires --input", where="cli.solve")
-    vec = jsonio.mult_vector_from_json(cfg, _read_json(args.input, "the --input file"))
+    # each distinct JSON pair of this job is checked once: the matrix's
+    # probes and the rebuilt catalog reuse the vector's pairs
+    seen: Dict[str, DMPPair] = {}
+    vec = jsonio.mult_vector_from_json(cfg, _read_json(args.input, "the --input file"), seen)
     if args.matrix:
-        cm = jsonio.matrix_from_json(cfg, _read_json(args.matrix, "the --matrix file"))
+        cm = jsonio.matrix_from_json(cfg, _read_json(args.matrix, "the --matrix file"), seen)
+        if cm.normalization != normalization(args.K):
+            raise ValidationError(
+                f"the --matrix file has normalization {cm.normalization!r}; "
+                f"K = {args.K} needs {normalization(args.K)!r}",
+                where="cli.solve",
+            )
     else:
-        _, _, cm = _default_matrix(cfg, args, vec.r)
+        _, _, cm = _default_matrix(cfg, args, vec.r, [p for p, _ in vec.entries])
     if args.save_matrix:
         text = jsonio.dump(jsonio.matrix_to_json(cm))
         _write_text(args.save_matrix, text, "the --save-matrix file")

@@ -43,6 +43,7 @@ Q = Fraction
 __all__ = [
     "GradedElement",
     "ReductiveQuotient",
+    "check_negative_degree",
     "is_degenerate",
     "monomials",
     "coefficient_matrix",
@@ -163,14 +164,19 @@ def is_degenerate(cfg: GroupConfig, phi: GradedElement) -> bool:
     """Whether the coset phi + g_{x>degree} contains a nilpotent element.
 
     Decided by A^n = 0 for the coefficient matrix A, which phi's lift is
-    similar to up to a t-power; only pieces of negative degree carry types.
+    similar to up to a t-power.
     """
+    check_negative_degree(phi)
+    return gf.is_nilpotent(coefficient_matrix(cfg, phi), gf.prime_field(cfg.q))
+
+
+def check_negative_degree(phi: GradedElement) -> None:
+    """Refuse a piece of degree >= 0: only pieces of negative degree carry types."""
     if phi.degree >= 0:
         raise ValidationError(
             f"degeneracy is defined on pieces of negative degree, got {phi.degree}",
             where="graded.is_degenerate",
         )
-    return gf.is_nilpotent(coefficient_matrix(cfg, phi), gf.prime_field(cfg.q))
 
 
 def rank_profile(cfg: GroupConfig, phi: GradedElement):

@@ -18,6 +18,7 @@ at the cost of its distinct rows.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
@@ -180,7 +181,29 @@ def pair_to_json(p: DMPPair) -> Dict[str, Any]:
     }
 
 
-def pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
+def pair_from_json(
+    cfg: GroupConfig, data: Mapping[str, Any], seen: Dict[str, DMPPair] | None = None
+) -> DMPPair:
+    """The pair `data` names, with its point and level checked against
+    cfg, its element checked by DMPPair.make, and its stored lift, if
+    any, checked against the computed one.
+
+    `seen`, when given, maps the canonical text (`json.dumps` with sorted
+    keys) of each JSON pair already read to its pair: data with the same
+    text is that pair and is not checked again, and a new pair is added.
+    The text, not Python equality, keys it, so `true` is not 1, 1.0 is
+    not 1, and the stored lift counts.
+    """
+    if seen is None:
+        return _pair_from_json(cfg, data)
+    text = json.dumps(data, sort_keys=True)
+    pair = seen.get(text)
+    if pair is None:
+        pair = seen[text] = _pair_from_json(cfg, data)
+    return pair
+
+
+def _pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
     where = "jsonio.pair_from_json"
     _fields(data, "a pair", where, "s", "x", "phi")
     s = parse_frac(data["s"])
@@ -294,15 +317,20 @@ def matrix_to_json(cm: CoefficientMatrix) -> Dict[str, Any]:
     }
 
 
-def matrix_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> CoefficientMatrix:
-    """A persisted coefficient matrix, re-checked as `assemble_and_invert` checks it."""
+def matrix_from_json(
+    cfg: GroupConfig, data: Mapping[str, Any], seen: Dict[str, DMPPair] | None = None
+) -> CoefficientMatrix:
+    """A persisted coefficient matrix, re-checked as `assemble_and_invert`
+    checks it; its probes are read through `pair_from_json` with `seen`."""
     where = "jsonio.matrix_from_json"
     _fields(data, "the matrix", where, "orbits", "probes", "M", "A", "normalization")
     if not isinstance(data["normalization"], str):
         raise ValidationError("the matrix's normalization is not a string", where=where)
     cm = CoefficientMatrix(
         orbits=tuple(orbit_from_json(o) for o in _items(data["orbits"], "orbits", where)),
-        probes=tuple(pair_from_json(cfg, p) for p in _items(data["probes"], "probes", where)),
+        probes=tuple(
+            pair_from_json(cfg, p, seen) for p in _items(data["probes"], "probes", where)
+        ),
         m_rows=tuple(tuple(map(parse_frac, row)) for row in _items(data["M"], "M", where, list)),
         a_rows=tuple(tuple(map(parse_frac, row)) for row in _items(data["A"], "A", where, list)),
         normalization=data["normalization"],
@@ -321,7 +349,10 @@ def mult_vector_to_json(v: MultiplicityVector) -> Dict[str, Any]:
     }
 
 
-def mult_vector_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> MultiplicityVector:
+def mult_vector_from_json(
+    cfg: GroupConfig, data: Mapping[str, Any], seen: Dict[str, DMPPair] | None = None
+) -> MultiplicityVector:
+    """A multiplicity vector, its pairs read through `pair_from_json` with `seen`."""
     where = "jsonio.mult_vector_from_json"
     _fields(data, "the multiplicity vector", where, "r", "entries")
     rows = _items(data["entries"], "entries", where, list, 2)
@@ -329,7 +360,7 @@ def mult_vector_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> Multipli
         raise ValidationError("a multiplicity is not an integer", where=where)
     entries = {}
     for p, n in rows:
-        pair = pair_from_json(cfg, p)
+        pair = pair_from_json(cfg, p, seen)
         if pair in entries:
             raise ValidationError(f"pair {pair.describe()} is listed twice", where=where)
         entries[pair] = int(n)

@@ -72,6 +72,7 @@ __all__ = [
     "build_measure_table",
     "relation_slices",
     "check_truncation",
+    "normalization",
     "relation_lattice",
     "shared_lattice",
     "merged_residue_dim",
@@ -557,10 +558,20 @@ def build_measure_table(
                 )
             row.append(val)
         rows.append(tuple(row))
-    norm = f"counting-density: passing/q^(K*dimO), K={K}"
     return MeasureTable(
-        orbits=tuple(orbits), probes=probes, K=K, lam=lam, normalization=norm, entries=tuple(rows)
+        orbits=tuple(orbits),
+        probes=probes,
+        K=K,
+        lam=lam,
+        normalization=normalization(K),
+        entries=tuple(rows),
     )
+
+
+def normalization(K: int) -> str:
+    """The normalization a table counted at truncation K records; it names
+    K only, not q."""
+    return f"counting-density: passing/q^(K*dimO), K={K}"
 
 
 def relation_slices(

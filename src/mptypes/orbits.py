@@ -41,9 +41,9 @@ from .apartment import ApartmentPoint, GroupConfig, _scale, graded_support, mp_l
 from .errors import InternalFault, ValidationError
 from .graded import (
     GradedElement,
+    check_negative_degree,
     coefficient_matrix,
     graded_jordan_chains,
-    is_degenerate,
     monomials,
 )
 from .laurent import LMatrix
@@ -206,17 +206,20 @@ def debacker_lift(cfg: GroupConfig, s: Q | int | str, phi: GradedElement) -> Orb
     it), so it is read off F_q ranks of that matrix's powers; the lift
     both lies in the coset and minimizes the type among nilpotents
     there (minimality_probe states the proof and checks its hypotheses).
+    One pass over the powers A, ..., A^n gives their ranks, and phi is
+    degenerate exactly when the last of them, rank A^n, is 0.
     """
     s = Q(s)
     if phi.degree != -s:
         raise ValidationError(
             f"element has degree {phi.degree}, expected {-s}", where="orbits.debacker_lift"
         )
-    if not is_degenerate(cfg, phi):
+    check_negative_degree(phi)
+    ranks, _ = gf.power_ranks(coefficient_matrix(cfg, phi), gf.prime_field(cfg.q))
+    if ranks[-1]:
         raise ValidationError(
             "lift is defined only for degenerate elements", where="orbits.debacker_lift"
         )
-    ranks, _ = gf.power_ranks(coefficient_matrix(cfg, phi), gf.prime_field(cfg.q))
     return OrbitLabel.from_ranks(cfg.n, ranks)
 
 

@@ -51,6 +51,8 @@ class MultiplicityVector:
         r: Q | int | str, entries: Mapping[DMPPair, int], source: str = ""
     ) -> "MultiplicityVector":
         r = Q(r)
+        if r < 0:
+            raise ValidationError("depth bound must be >= 0", where="solver.MultiplicityVector")
         for pair, v in entries.items():
             if pair.s <= r:
                 raise ValidationError(
@@ -115,14 +117,32 @@ def _jordan_pattern(cfg: GroupConfig, x: ApartmentPoint, s: Q, parts) -> GradedE
     return GradedElement.make(cfg, x, -s, coeffs)
 
 
-def choose_probes(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
+def _probe_maker(cfg: GroupConfig, known: Iterable[DMPPair]):
+    """make(s, x, phi): the pair of `known` with those fields, else DMPPair.make's.
+
+    A known pair was built by DMPPair.make, so its lift is the one make
+    would compute again."""
+    by_fields = {(p.s, p.x, p.phi): p for p in known}
+
+    def make(s: Q, x: ApartmentPoint, phi: GradedElement) -> DMPPair:
+        pair = by_fields.get((s, x, phi))
+        return pair if pair is not None else DMPPair.make(cfg, s, x, phi)
+
+    return make
+
+
+def choose_probes(
+    cfg: GroupConfig, r: Q | int | str = 0, known: Iterable[DMPPair] = ()
+) -> List[DMPPair]:
     """One probe per partition of n with level above r, lift verified.
 
     The default catalog uses the standard homogeneous patterns: for
     n = 2 the zero element at the hyperspecial point and the regular
     pattern at the half point (levels translate by the period when r
     grows); in general the Jordan patterns at the hyperspecial point.
+    A probe equal in (s, x, phi) to a pair of `known` is that pair.
     """
+    make = _probe_maker(cfg, known)
     r = Q(r)
     if r < 0:
         raise ValidationError("depth bound must be >= 0", where="solver.choose_probes")
@@ -134,15 +154,13 @@ def choose_probes(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
         if s_half <= r:
             s_half += 1
         probes = [
-            DMPPair.make(cfg, s_int, x0, GradedElement.zero(x0, -s_int)),
-            DMPPair.make(
-                cfg, s_half, xi, GradedElement.make(cfg, xi, -s_half, {(0, 1): 1})
-            ),
+            make(s_int, x0, GradedElement.zero(x0, -s_int)),
+            make(s_half, xi, GradedElement.make(cfg, xi, -s_half, {(0, 1): 1})),
         ]
     else:
         x0 = ApartmentPoint.of([0] * cfg.n)
         probes = [
-            DMPPair.make(cfg, s_int, x0, _jordan_pattern(cfg, x0, s_int, lam.parts))
+            make(s_int, x0, _jordan_pattern(cfg, x0, s_int, lam.parts))
             for lam in partitions_of(cfg.n)
         ]
     for probe, lam in zip(probes, partitions_of(cfg.n)):
@@ -153,16 +171,20 @@ def choose_probes(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
     return probes
 
 
-def alt_probes_gl2(cfg: GroupConfig, r: Q | int | str = 0) -> List[DMPPair]:
-    """Alternate GL_2 catalog with both probes at the hyperspecial point."""
+def alt_probes_gl2(
+    cfg: GroupConfig, r: Q | int | str = 0, known: Iterable[DMPPair] = ()
+) -> List[DMPPair]:
+    """Alternate GL_2 catalog with both probes at the hyperspecial point;
+    a probe equal in (s, x, phi) to a pair of `known` is that pair."""
     if cfg.n != 2:
         raise ValidationError("GL_2 catalog only", where="solver.alt_probes_gl2")
+    make = _probe_maker(cfg, known)
     r = Q(r)
     s = Q(math.floor(r) + 1)
     x0 = ApartmentPoint.of([0, 0])
     return [
-        DMPPair.make(cfg, s, x0, GradedElement.zero(x0, -s)),
-        DMPPair.make(cfg, s, x0, GradedElement.make(cfg, x0, -s, {(0, 1): 1})),
+        make(s, x0, GradedElement.zero(x0, -s)),
+        make(s, x0, GradedElement.make(cfg, x0, -s, {(0, 1): 1})),
     ]
 
 

@@ -8,14 +8,36 @@ piece.  The library reads the same exponents without building a matrix
 The entrywise helpers below build and combine `LMatrix` objects of bare
 `Series` entries with the `laurent` kernels, for the tests that need
 sums, differences and commutators of Laurent matrices.
+
+`two_pass_lift` is `orbits.debacker_lift` as it was before the lift read
+degeneracy off the ranks of one pass of powers: A^n through
+`is_degenerate`, then the ranks of A, ..., A^n through `power_ranks`.
 """
 
 from fractions import Fraction as Q
 
+from mptypes import gf
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import ValidationError
-from mptypes.graded import GradedElement, support_of
+from mptypes.graded import GradedElement, coefficient_matrix, is_degenerate, support_of
 from mptypes.laurent import LMatrix, Series, ser_add, ser_neg
+from mptypes.orbits import OrbitLabel
+
+
+def two_pass_lift(cfg: GroupConfig, s, phi: GradedElement) -> OrbitLabel:
+    """The lift of a degenerate phi of degree -s, with degeneracy decided
+    by its own pass over the powers of the coefficient matrix."""
+    s = Q(s)
+    if phi.degree != -s:
+        raise ValidationError(
+            f"element has degree {phi.degree}, expected {-s}", where="orbits.debacker_lift"
+        )
+    if not is_degenerate(cfg, phi):
+        raise ValidationError(
+            "lift is defined only for degenerate elements", where="orbits.debacker_lift"
+        )
+    ranks, _ = gf.power_ranks(coefficient_matrix(cfg, phi), gf.prime_field(cfg.q))
+    return OrbitLabel.from_ranks(cfg.n, ranks)
 
 
 def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> LMatrix:

@@ -703,6 +703,118 @@ def test_solve_rejects_a_normalization_that_is_not_a_string(capsys, tmp_path):
     assert error["where"] == "jsonio.matrix_from_json" and "normalization" in error["message"]
 
 
+# the GL_3 default catalog at q = 5, as `measure` writes it
+GL3 = ("--allow-small-p", "--n", "3", "--q", "5", "--K", "1")
+
+
+def gl3_solve_files(capsys, tmp_path):
+    """A GL_3 vector over the default catalog and the matrix saved for it."""
+    code, out, _ = run_cli(capsys, *GL3, "measure")
+    assert code == 0
+    matrix = json.loads(out)["matrix"]
+    cm_file = tmp_path / "cm.json"
+    cm_file.write_text(json.dumps(matrix))
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(
+        {"r": "0/1", "entries": [[p, c] for p, c in zip(matrix["probes"], (31, 1, 0))]}
+    ))
+    return vec_file, cm_file
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["matrix", "rebuild"])
+def test_solve_lifts_each_distinct_pair_once(capsys, tmp_path, monkeypatch, reuse):
+    # the vector, the matrix and the rebuilt catalog name the same three
+    # pairs; each is lifted once per job, and a second job lifts them again
+    from mptypes import orbits
+
+    vec_file, cm_file = gl3_solve_files(capsys, tmp_path)
+    lifted = count_calls(monkeypatch, orbits.debacker_lift)
+    argv = (*GL3, "solve", "--input", str(vec_file), *(("--matrix", str(cm_file)) if reuse else ()))
+    counts, outs = [], []
+    for _ in range(2):
+        start = len(lifted)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        counts.append(len(lifted) - start)
+        outs.append(out)
+    assert counts == [3, 3] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        ({"lift": [2, 1]}, "jsonio.pair_from_json"),
+        ({"lift": [True, True, True]}, "jsonio.orbit_from_json"),
+        ({"s": 1.0}, "jsonio.parse_frac"),
+    ],
+    ids=["wrong-lift", "lift-bool", "s-float"],
+)
+def test_a_matrix_probe_unlike_every_vector_pair_is_checked(capsys, tmp_path, change, where):
+    # the vector's zero probe has s = 1 as a JSON integer, which parse_frac
+    # takes; the matrix probe differs from it in one field that Python
+    # equality does not see ([true, true, true] == [1, 1, 1], 1.0 == 1) or in
+    # a stored lift, and is refused as it would be on its own
+    vec_file, cm_file = gl3_solve_files(capsys, tmp_path)
+    vec = json.loads(vec_file.read_text())
+    vec["entries"][0][0]["s"] = 1
+    vec_file.write_text(json.dumps(vec))
+    matrix = json.loads(cm_file.read_text())
+    matrix["probes"][0] = {**vec["entries"][0][0], **change}
+    cm_file.write_text(json.dumps(matrix))
+    code, out, err = run_cli(
+        capsys, *GL3, "solve", "--input", str(vec_file), "--matrix", str(cm_file)
+    )
+    assert code == 2 and out == ""
+    assert cli_error(err)["where"] == where
+
+
+def gl2_solve_files(tmp_path, capsys):
+    """VECTOR's file and the matrix a K = 2 `solve` of it saves."""
+    vec_file = tmp_path / "vector.json"
+    vec_file.write_text(json.dumps(VECTOR))
+    cm_file = tmp_path / "cm.json"
+    code, _, _ = run_cli(
+        capsys, "--allow-small-p", "--K", "2", "solve",
+        "--input", str(vec_file), "--save-matrix", str(cm_file),
+    )
+    assert code == 0
+    return vec_file, cm_file
+
+
+NORM = "counting-density: passing/q^(K*dimO), K="
+
+
+@pytest.mark.parametrize(
+    "K, message, where",
+    [
+        ("3", f"the --matrix file has normalization '{NORM}2'; K = 3 needs '{NORM}3'", "cli.solve"),
+        ("1", f"the --matrix file has normalization '{NORM}2'; K = 1 needs '{NORM}1'", "cli.solve"),
+        ("0", "truncation K must be >= 1", "measures"),
+        ("-4", "truncation K must be >= 1", "measures"),
+    ],
+    ids=["K3", "K1", "K0", "K-4"],
+)
+def test_solve_refuses_a_matrix_saved_at_another_k(capsys, tmp_path, K, message, where):
+    # at q = 5 the K = 2 matrix gave c_(1,1) = -6492/125 under --K 3, where
+    # a rebuild at K = 3 gives -162492/3125; K = 0 and -4 solved too
+    vec_file, cm_file = gl2_solve_files(tmp_path, capsys)
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "--K", K, "solve", "--input", str(vec_file), "--matrix", str(cm_file)
+    )
+    assert code == 2 and out == ""
+    assert cli_error(err) == {"code": 2, "message": message, "where": where}
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["matrix", "rebuild"])
+def test_solve_refuses_a_negative_depth_bound_on_both_paths(capsys, tmp_path, reuse):
+    vec_file, cm_file = gl2_solve_files(tmp_path, capsys)
+    vec_file.write_text(json.dumps({**VECTOR, "r": "-3/1"}))
+    argv = ["solve", "--input", str(vec_file)] + (["--matrix", str(cm_file)] if reuse else [])
+    code, out, err = run_cli(capsys, "--allow-small-p", *argv)
+    assert code == 2 and out == ""
+    assert cli_error(err)["message"] == "depth bound must be >= 0"
+
+
 def test_unwritable_output_is_rejected(capsys, tmp_path):
     for path in (tmp_path, tmp_path / "no-such-dir" / "out.json"):
         file_error(capsys, path, "--output", str(path), "lattice", "--x", "0,0", "--s", "0")
@@ -715,16 +827,13 @@ def test_unwritable_saved_matrix_is_rejected(capsys, tmp_path):
         file_error(capsys, path, "solve", "--input", str(vec_file), "--save-matrix", str(path))
 
 
-def count_classifications(monkeypatch) -> list:
-    """Wrap every module binding of `enumerate_and_classify`, so no caller
+def count_calls(monkeypatch, real) -> list:
+    """Wrap every module binding of the function `real`, so no caller
     escapes the count; the returned list gets one entry per call."""
-    from mptypes import refine
-
-    real = refine.enumerate_and_classify
-    classified = []
+    calls = []
 
     def counting(*args, **kwargs):
-        classified.append(args)
+        calls.append(args)
         return real(*args, **kwargs)
 
     for info in pkgutil.iter_modules(mptypes.__path__):
@@ -734,7 +843,14 @@ def count_classifications(monkeypatch) -> list:
         for attr, value in list(vars(mod).items()):
             if value is real:
                 monkeypatch.setattr(mod, attr, counting)
-    return classified
+    return calls
+
+
+def count_classifications(monkeypatch) -> list:
+    """One entry per call of `enumerate_and_classify`, from any caller."""
+    from mptypes import refine
+
+    return count_calls(monkeypatch, refine.enumerate_and_classify)
 
 
 def test_refine_classifies_its_incidence_once(capsys, monkeypatch):

@@ -57,6 +57,31 @@ def test_pair_round_trip():
         jsonio.pair_from_json(CFG, data_bad)
 
 
+def test_pair_from_json_reuses_a_pair_with_the_same_text():
+    x = ApartmentPoint.of([Q(1, 2), 0])
+    pair = DMPPair.make(CFG, Q(1, 2), x, GradedElement.make(CFG, x, Q(-1, 2), {(0, 1): 2}))
+    data = jsonio.pair_to_json(pair)
+    seen = {}
+    first = jsonio.pair_from_json(CFG, data, seen)
+    # the same text up to key order is the same pair object
+    assert jsonio.pair_from_json(CFG, dict(reversed(list(data.items()))), seen) is first
+    # an equal pair spelled differently is read and checked on its own
+    no_lift = {k: v for k, v in data.items() if k != "lift"}
+    other = jsonio.pair_from_json(CFG, no_lift, seen)
+    assert other == first and other is not first
+    # a refused pair is not kept: it is refused again
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="stored lift"):
+            jsonio.pair_from_json(CFG, {**data, "lift": [1, 1]}, seen)
+    assert len(seen) == 2
+
+
+def test_mult_vector_refuses_a_negative_depth_bound():
+    with pytest.raises(ValidationError, match="depth bound must be >= 0") as err:
+        jsonio.mult_vector_from_json(CFG, {"r": "-3/1", "entries": []})
+    assert err.value.where == "solver.MultiplicityVector"
+
+
 def test_mult_vector_round_trip():
     x = ApartmentPoint.of([0, 0])
     pair = DMPPair.make(CFG, 1, x, GradedElement.zero(x, -1))

@@ -42,6 +42,7 @@ from lift_oracle import (
     mat_sub,
     monomial,
     series,
+    two_pass_lift,
     zero_matrix,
 )
 
@@ -192,6 +193,45 @@ def test_debacker_lift_worked_examples():
     with pytest.raises(ValidationError):
         nondeg = GradedElement.make(CFG2, pt(0, 0), -1, {(0, 0): 1})
         debacker_lift(CFG2, 1, nondeg)
+
+
+def lift_outcome(lift, cfg, s, el):
+    """The orbit `lift` returns, or the (message, where) of its refusal."""
+    try:
+        return lift(cfg, s, el)
+    except ValidationError as exc:
+        return str(exc), exc.where
+
+
+def test_debacker_lift_agrees_with_the_two_pass_oracle():
+    # seeded elements of GL_2..GL_4 at q = 5: all support positions (mostly
+    # non-degenerate) or those above the diagonal (degenerate), plus the
+    # refused degrees: s = 0, s < 0 and a degree that is not -s
+    rng = random.Random(41)
+    outcomes = {"lift": 0, "non-degenerate": 0}
+    for n in (2, 3, 4):
+        cfg = make_cfg(n)
+        for _ in range(120):
+            d = rng.choice((1, 2, 8))
+            x = pt(*(Q(rng.randrange(-d, d + 1), d) for _ in range(n)))
+            s = Q(rng.randrange(1, 2 * d + 1), d)
+            upper = rng.random() < 0.3
+            sup = [p for p in graded_support(cfg, x, -s).positions if not upper or p[0] < p[1]]
+            el = GradedElement.make(cfg, x, -s, {p: rng.randrange(cfg.q) for p in sup})
+            got = lift_outcome(debacker_lift, cfg, s, el)
+            assert got == lift_outcome(two_pass_lift, cfg, s, el), (el, got)
+            outcomes["lift" if isinstance(got, OrbitLabel) else "non-degenerate"] += 1
+            if isinstance(got, tuple):
+                assert got == ("lift is defined only for degenerate elements", "orbits.debacker_lift")
+        x0 = pt(*([0] * n))
+        for s, el in (
+            (0, GradedElement.zero(x0, 0)),
+            (-1, GradedElement.zero(x0, 1)),
+            (1, GradedElement.zero(x0, -2)),
+        ):
+            got = lift_outcome(debacker_lift, cfg, s, el)
+            assert isinstance(got, tuple) and got == lift_outcome(two_pass_lift, cfg, s, el)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_jordan_type_conjugation_invariance():

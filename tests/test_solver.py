@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mptypes.apartment import ApartmentPoint, GroupConfig
-from mptypes.errors import ValidationError
+from mptypes.errors import InternalFault, ValidationError
 from mptypes.measures import build_measure_table
 from mptypes.orbits import OrbitLabel, dominance_leq, partitions_of
 from mptypes.refine import DMPPair
@@ -56,6 +56,26 @@ def test_choose_probes_default_catalog():
     # n = 3: three probes realizing the three partitions
     probes3 = choose_probes(CFG3, 0)
     assert [p.lift for p in probes3] == list(partitions_of(3))
+
+
+@pytest.mark.parametrize(
+    "catalog, cfg",
+    [(choose_probes, CFG2), (choose_probes, CFG3), (alt_probes_gl2, CFG2)],
+    ids=["default-gl2", "default-gl3", "alt-gl2"],
+)
+def test_catalogs_reuse_a_known_pair_equal_in_its_fields(catalog, cfg):
+    base = catalog(cfg, 0)
+    again = catalog(cfg, 0, base[:1])
+    assert again == base
+    assert again[0] is base[0] and all(a is not b for a, b in zip(again[1:], base[1:]))
+
+
+def test_choose_probes_checks_the_lift_of_a_reused_pair():
+    # a known pair carrying the wrong lift is caught by the catalog's own check
+    zero = choose_probes(CFG2, 0)[0]
+    forged = DMPPair(s=zero.s, x=zero.x, phi=zero.phi, lift=OrbitLabel.of((2,)))
+    with pytest.raises(InternalFault, match=r"probe for \(1,1\) has lift \(2\)"):
+        choose_probes(CFG2, 0, [forged])
 
 
 def test_assemble_and_invert_structure():
