@@ -1,11 +1,11 @@
 """Exact arithmetic and linear algebra over small finite fields.
 
 An element of F_{l^a} is an int 0 .. l^a - 1 whose base-l digits, lowest
-first, are its coefficients as a polynomial modulo a deterministically
-chosen irreducible polynomial, so repeated runs agree bit for bit.  The
-prime field F_q is the case a = 1: plain residues modulo q.  Zero and
-one are 0 and 1 in every field, and one row-reduction stack serves all
-of them.
+first, are its coefficients as a polynomial modulo the first primitive
+polynomial of degree a (see `ExtField`), so repeated runs agree bit for
+bit.  The prime field F_q is the case a = 1: plain residues modulo q.
+Zero and one are 0 and 1 in every field, and one row-reduction stack
+serves all of them.
 """
 
 from __future__ import annotations
@@ -31,69 +31,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic: the modulus search and the antilog table
-# ---------------------------------------------------------------------------
-
-
-def _poly_mul_mod(a: Vec, b: Vec, modulus: Vec, ell: int) -> Vec:
-    deg = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % ell
-    # reduce modulo the monic modulus
-    for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(deg):
-                prod[i - deg + j] = (prod[i - deg + j] - c * modulus[j]) % ell
-    out = prod[:deg] + [0] * max(0, deg - len(prod))
-    return tuple(out[:deg])
-
-
-def _poly_is_irreducible(modulus: Vec, ell: int) -> bool:
-    # f (monic, degree a) is irreducible iff x^(ell^a) == x mod f and
-    # gcd-style check x^(ell^(a/r)) != x for every prime r | a.
-    a = len(modulus) - 1
-    x = tuple([0, 1] + [0] * (a - 2)) if a >= 2 else (0,)
-
-    def frob_pow(k: int) -> Vec:
-        y = x
-        for _ in range(k):
-            y = _poly_pow(y, ell, modulus, ell)
-        return y
-
-    if frob_pow(a) != x:
-        return False
-    r = 2
-    aa = a
-    primes = set()
-    while aa > 1:
-        while aa % r == 0:
-            primes.add(r)
-            aa //= r
-        r += 1
-    for p in primes:
-        if frob_pow(a // p) == x:
-            return False
-    return True
-
-
-def _poly_pow(base: Vec, e: int, modulus: Vec, ell: int) -> Vec:
-    deg = len(modulus) - 1
-    result = tuple([1] + [0] * (deg - 1))
-    b = base
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, b, modulus, ell)
-        b = _poly_mul_mod(b, b, modulus, ell)
-        e >>= 1
-    return result
-
-
 def _digits(code: int, ell: int, a: int) -> Vec:
     """The coefficient tuple (lowest first) of the element coded `code`."""
     coeffs = []
@@ -103,45 +40,54 @@ def _digits(code: int, ell: int, a: int) -> Vec:
     return tuple(coeffs)
 
 
-def _code(coeffs: Vec, ell: int) -> int:
-    return sum(c * ell**i for i, c in enumerate(coeffs))
+def _primitive_modulus(ell: int, a: int) -> Tuple[Vec, List[int]]:
+    """The first monic f of degree a > 1, in the order of the codes of its
+    low coefficients, modulo which x has order l^a - 1, and the codes of
+    x^0, ..., x^(l^a - 2) modulo that f.
 
+    A candidate with a root r in F_l has the factor x - r, so x cannot
+    have full order.  On the others f(0) != 0 makes x a unit, and its
+    powers are walked as digit lists, one multiplication by x (a shift,
+    then top * f subtracted once) per step, until they return to 1; only
+    the winner's powers are coded.
+    """
+    one = [1] + [0] * (a - 1)
 
-def _find_modulus(ell: int, a: int) -> Vec:
-    if a == 1:
-        return (0, 1)
-    # smallest monic irreducible in lexicographic order on low coefficients
+    def powers(f: Vec) -> Iterable[List[int]]:
+        y = one
+        while True:
+            yield y
+            top = y[-1]
+            y = [0] + y[:-1]
+            if top:
+                y = [(c - top * m) % ell for c, m in zip(y, f)]
+            if y == one:
+                return
+
+    weights = [ell**i for i in range(a)]
     for code in range(ell**a):
-        modulus = _digits(code, ell, a) + (1,)
-        if _poly_is_irreducible(modulus, ell):
-            return modulus
-    raise InternalFault(f"no irreducible polynomial of degree {a} over F_{ell}")
-
-
-def _antilog(ell: int, modulus: Vec) -> List[int]:
-    """Powers g^0 .. g^(l^a - 2) of the first element g of order l^a - 1."""
-    a = len(modulus) - 1
-    for g in range(2, ell**a):
-        gen = _digits(g, ell, a)
-        powers = [1]
-        y = gen
-        while (code := _code(y, ell)) != 1:
-            powers.append(code)
-            y = _poly_mul_mod(y, gen, modulus, ell)
-        if len(powers) == ell**a - 1:
-            return powers
-    raise InternalFault("no multiplicative generator found")
+        f = _digits(code, ell, a) + (1,)
+        if any(sum(c * r**i for i, c in enumerate(f)) % ell == 0 for r in range(ell)):
+            continue
+        if sum(1 for _ in powers(f)) == ell**a - 1:
+            return f, [sum(map(mul, y, weights)) for y in powers(f)]
+    raise InternalFault(f"no primitive polynomial of degree {a} over F_{ell}")
 
 
 class ExtField:
     """F_{l^a} with elements stored as the ints 0 .. l^a - 1.
 
     For a = 1 the arithmetic is plain arithmetic modulo l, with no
-    tables.  For a > 1 products, inverses and powers go through log and
+    tables, and `modulus` is (0, 1).  For a > 1 the modulus is the first
+    primitive polynomial f of degree a: modulo f, x has order l^a - 1.
+    Such an f is irreducible, since a factor of f would leave fewer than
+    l^a - 1 units modulo f, so x is a generator g of F_l[x]/(f).  It is
+    the first element of order l^a - 1, the one `multiplicative_generator`
+    returns: x has the code l, and the codes below it are constants,
+    whose orders divide l - 1.  Products, inverses and powers go through log and
     antilog tables and sums through a Zech table: g^zech[k] = 1 + g^k.
-    Each holds at most 2 l^a ints and is built once, from the first
-    element g of order l^a - 1, the one `multiplicative_generator`
-    returns.
+    Each holds at most 2 l^a ints and is built once, from the powers of x
+    that found f.
     """
 
     def __init__(self, ell: int, a: int):
@@ -152,11 +98,11 @@ class ExtField:
         self.ell = ell
         self.deg = a
         self.order = ell**a
-        self.modulus = _find_modulus(ell, a)
+        self.modulus: Vec = (0, 1)
         self.zero = 0
         self.one = 1
         if a > 1:
-            antilog = _antilog(ell, self.modulus)
+            self.modulus, antilog = _primitive_modulus(ell, a)
             self._log = [0] * self.order
             for k, e in enumerate(antilog):
                 self._log[e] = k
@@ -214,31 +160,18 @@ class ExtField:
             return pow(x, self.ell - 2, self.ell)
         return self._exp[self.order - 1 - self._log[x]]
 
-    def from_int(self, k: int) -> int:
-        return k % self.ell
-
     def elements(self) -> range:
         return range(self.order)
 
     def multiplicative_generator(self) -> int:
-        """The first element of order l^a - 1: for a > 1 the tables' g."""
+        """The first element of order l^a - 1: for a > 1 the tables' g,
+        which is x; for a = 1 the first g whose powers cover F_l^*."""
         if self.deg > 1:
             return self._exp[1]
-        m = self.order - 1
-        primes = []
-        mm, r = m, 2
-        while mm > 1:
-            if mm % r == 0:
-                primes.append(r)
-                while mm % r == 0:
-                    mm //= r
-            r += 1
-        for g in self.elements():
-            if g == self.zero:
-                continue
-            if all(self.pow(g, m // p) != self.one for p in primes):
-                return g
-        raise InternalFault("no multiplicative generator found")
+        ell = self.ell
+        return next(
+            g for g in range(1, ell) if len({pow(g, k, ell) for k in range(ell - 1)}) == ell - 1
+        )
 
     def root_of_unity(self, p: int) -> int:
         """A fixed primitive p-th root of unity; requires p | l^a - 1."""

@@ -213,7 +213,11 @@ def _pair_from_json(cfg: GroupConfig, data: Mapping[str, Any]) -> DMPPair:
     phi = _items(data["phi"], "a pair's phi", where, list, 3)
     if not all(type(v) is int for term in phi for v in term):
         raise ValidationError("a pair's phi holds a non-integer", where=where)
-    coeffs = {(int(i) - 1, int(j) - 1): int(c) for i, j, c in phi}
+    coeffs: Dict[Tuple[int, int], int] = {}
+    for i, j, c in phi:
+        if (i - 1, j - 1) in coeffs:
+            raise ValidationError(f"position ({i},{j}) given twice in a pair's phi", where=where)
+        coeffs[(i - 1, j - 1)] = c
     phi = GradedElement.make(cfg, x, -s, coeffs)
     pair = DMPPair.make(cfg, s, x, phi)
     if "lift" in data and orbit_from_json(data["lift"]) != pair.lift:

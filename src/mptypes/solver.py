@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+def _depth_bound(r: Q | int | str, where: str) -> Q:
+    """r as a rational; a negative depth bound is refused, on every path."""
+    r = Q(r)
+    if r < 0:
+        raise ValidationError("depth bound must be >= 0", where=where)
+    return r
+
+
 @dataclass(frozen=True)
 class MultiplicityVector:
     """dim Hom data indexed by degenerate pairs, at depth bound r."""
@@ -50,9 +58,7 @@ class MultiplicityVector:
     def make(
         r: Q | int | str, entries: Mapping[DMPPair, int], source: str = ""
     ) -> "MultiplicityVector":
-        r = Q(r)
-        if r < 0:
-            raise ValidationError("depth bound must be >= 0", where="solver.MultiplicityVector")
+        r = _depth_bound(r, where="solver.MultiplicityVector")
         for pair, v in entries.items():
             if pair.s <= r:
                 raise ValidationError(
@@ -143,9 +149,7 @@ def choose_probes(
     A probe equal in (s, x, phi) to a pair of `known` is that pair.
     """
     make = _probe_maker(cfg, known)
-    r = Q(r)
-    if r < 0:
-        raise ValidationError("depth bound must be >= 0", where="solver.choose_probes")
+    r = _depth_bound(r, where="solver.choose_probes")
     s_int = Q(math.floor(r) + 1)
     if cfg.n == 2 and cfg.m % 2 == 0:
         x0 = ApartmentPoint.of([0, 0])
@@ -179,7 +183,7 @@ def alt_probes_gl2(
     if cfg.n != 2:
         raise ValidationError("GL_2 catalog only", where="solver.alt_probes_gl2")
     make = _probe_maker(cfg, known)
-    r = Q(r)
+    r = _depth_bound(r, where="solver.alt_probes_gl2")
     s = Q(math.floor(r) + 1)
     x0 = ApartmentPoint.of([0, 0])
     return [

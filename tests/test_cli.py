@@ -586,6 +586,7 @@ def test_unreadable_matrix_is_rejected(capsys, tmp_path):
 
 
 PAIR = VECTOR["entries"][0][0]
+HALF = VECTOR["entries"][1][0]
 MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "normalization": "n"}
 
 
@@ -611,6 +612,9 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
          "jsonio.pair_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[1, 2, True]], "lift": [2]}, 1]]},
          "jsonio.pair_from_json"),
+        # the half-point probe with its one position given as 3 and then 1
+        ("--input", {"r": "0/1", "entries": [VECTOR["entries"][0], [{**HALF, "phi": [[1, 2, 3], [1, 2, 1]]}, 1]]},
+         "jsonio.pair_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "x": "0/1"}, 1]]},
          "jsonio.point_from_json"),
         ("--input", {"r": "0/1", "entries": [[{**PAIR, "lift": ["1"]}, 1]]},
@@ -634,7 +638,7 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
     ids=[
         "input-array", "input-empty", "entries-object", "entry-single", "count-str",
         "r-array", "r-float", "s-float", "x-float", "count-bool",
-        "pair-array", "pair-keys", "phi-width", "phi-str", "phi-bool", "x-str",
+        "pair-array", "pair-keys", "phi-width", "phi-str", "phi-bool", "phi-twice", "x-str",
         "lift-str", "lift-bool", "x-length", "x-denominator", "s-denominator", "matrix-empty",
         "matrix-array", "orbit-int", "orbit-bool",
         "probe-str", "M-str", "A-null",
@@ -813,6 +817,17 @@ def test_solve_refuses_a_negative_depth_bound_on_both_paths(capsys, tmp_path, re
     code, out, err = run_cli(capsys, "--allow-small-p", *argv)
     assert code == 2 and out == ""
     assert cli_error(err)["message"] == "depth bound must be >= 0"
+
+
+@pytest.mark.parametrize("r", ["-3", "-1/2"])
+@pytest.mark.parametrize("alt", [False, True], ids=["default", "alt"])
+def test_both_catalogs_refuse_a_negative_depth_bound(capsys, r, alt):
+    # the alternate catalog refused these with "level must be positive"
+    argv = ["measure", f"--r={r}"] + (["--alt-probes"] if alt else [])
+    code, out, err = run_cli(capsys, "--allow-small-p", *argv)
+    assert code == 2 and out == ""
+    where = "solver.alt_probes_gl2" if alt else "solver.choose_probes"
+    assert cli_error(err) == {"code": 2, "message": "depth bound must be >= 0", "where": where}
 
 
 def test_unwritable_output_is_rejected(capsys, tmp_path):

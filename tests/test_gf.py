@@ -1,11 +1,15 @@
 """The finite-field layer: table arithmetic and the shared linear algebra."""
 
 import random
+import warnings
 
 import pytest
 
+import gf_oracle
 from mptypes import gf
+from mptypes.apartment import GroupConfig
 from mptypes.errors import ValidationError
+from mptypes.finite_types import fork_field
 
 
 def test_rank_kernel_inverse_mod5():
@@ -64,8 +68,7 @@ def test_ext_field_arithmetic_consistency():
         if a != f.zero:
             assert f.mul(a, f.inv(a)) == f.one
     # Frobenius fixes the prime field
-    for k in range(3):
-        e = f.from_int(k)
+    for e in range(3):
         assert f.pow(e, 3) == e
 
 
@@ -81,8 +84,8 @@ def test_ext_field_matrix_kernel():
 def _oracle(f):
     """The polynomial arithmetic on coefficient tuples the tables replace."""
     digits = lambda x: gf._digits(x, f.ell, f.deg)
-    code = lambda t: gf._code(t, f.ell)
-    mul = lambda x, y: code(gf._poly_mul_mod(digits(x), digits(y), f.modulus, f.ell))
+    code = lambda t: gf_oracle.code(t, f.ell)
+    mul = lambda x, y: code(gf_oracle.poly_mul_mod(digits(x), digits(y), f.modulus, f.ell))
     add = lambda x, y: code(tuple((a + b) % f.ell for a, b in zip(digits(x), digits(y))))
     return mul, add
 
@@ -114,8 +117,8 @@ def test_table_arithmetic_matches_polynomials_on_a_sample_of_f256():
         assert f.add(x, y) == add(x, y)
         if x:
             assert mul(x, f.inv(x)) == 1
-            expected = gf._poly_pow(gf._digits(x if e >= 0 else f.inv(x), 2, 8), abs(e), f.modulus, 2)
-            assert f.pow(x, e) == gf._code(expected, 2)
+            expected = gf_oracle.poly_pow(gf._digits(x if e >= 0 else f.inv(x), 2, 8), abs(e), f.modulus, 2)
+            assert f.pow(x, e) == gf_oracle.code(expected, 2)
 
 
 def test_tables_start_from_the_first_primitive_element():
@@ -127,9 +130,58 @@ def test_tables_start_from_the_first_primitive_element():
         first = next(
             g
             for g in range(1, f.order)
-            if all(gf._poly_pow(gf._digits(g, ell, a), m // p, f.modulus, ell) != one for p in primes)
+            if all(gf_oracle.poly_pow(gf._digits(g, ell, a), m // p, f.modulus, ell) != one for p in primes)
         )
         assert f.multiplicative_generator() == first == f._exp[1]
+
+
+# every F_{l^a} with a >= 2 and l^a <= 4096
+SMALL_EXTENSIONS = [
+    (ell, a)
+    for ell in range(2, 65)
+    if gf.is_prime(ell)
+    for a in range(2, 13)
+    if ell**a <= 4096
+]
+
+
+def test_modulus_is_the_first_primitive_polynomial_and_irreducible():
+    for ell, a in SMALL_EXTENSIONS:
+        f = gf.ext_field(ell, a)
+        x = gf._digits(ell, ell, a)
+        assert f.modulus[-1] == 1 and len(f.modulus) == a + 1
+        assert gf_oracle.is_irreducible(f.modulus, ell), (ell, a)
+        assert gf_oracle.has_full_order(x, f.modulus, ell), (ell, a)
+        assert f._exp[1] == ell == f.multiplicative_generator()
+        # no candidate with a smaller code is primitive
+        for c in range(gf_oracle.code(f.modulus[:-1], ell)):
+            g = gf._digits(c, ell, a) + (1,)
+            assert not (c % ell and gf_oracle.has_full_order(x, g, ell)), (ell, a, g)
+
+
+def test_tables_equal_the_three_pass_oracle_where_the_first_irreducible_is_primitive():
+    same = []
+    for ell, a in SMALL_EXTENSIONS:
+        f, smallest = gf.ext_field(ell, a), gf_oracle.smallest_irreducible(ell, a)
+        if not gf_oracle.has_full_order(gf._digits(ell, ell, a), smallest, ell):
+            assert f.modulus != smallest
+            continue
+        assert (f.modulus, f._exp, f._log, f._zech) == gf_oracle.tables(ell, a), (ell, a)
+        same.append(ell**a)
+    # F_16 is the field the `refine` fork identity builds at q = 5
+    assert {4, 8, 16, 32, 64, 128, 1024, 2048, 27, 81, 243} <= set(same)
+
+
+def test_prime_field_generators():
+    primes = [p for p in range(2, 100) if gf.is_prime(p)]
+    assert [gf.prime_field(p).multiplicative_generator() for p in primes[:6]] == [1, 2, 2, 3, 2, 2]
+    for p in primes:
+        assert gf.prime_field(p).multiplicative_generator() == gf_oracle.factor_scan_generator(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q = 2 is below the large-p regime
+        cfg = GroupConfig(n=2, q=2)
+    f3 = fork_field(cfg)
+    assert f3 is gf.prime_field(3) and f3.root_of_unity(2) == 2
 
 
 def test_prime_field_is_plain_modular_arithmetic():

@@ -76,6 +76,17 @@ def test_pair_from_json_reuses_a_pair_with_the_same_text():
     assert len(seen) == 2
 
 
+def test_pair_from_json_refuses_a_position_given_twice():
+    # the parent kept the last coefficient: this read as the pair with phi = e12
+    data = {"s": "1/2", "x": ["1/2", "0/1"], "phi": [[1, 2, 3], [1, 2, 1]]}
+    seen = {}
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"position \(1,2\) given twice") as err:
+            jsonio.pair_from_json(CFG, data, seen)
+        assert err.value.where == "jsonio.pair_from_json"
+    assert seen == {}
+
+
 def test_mult_vector_refuses_a_negative_depth_bound():
     with pytest.raises(ValidationError, match="depth bound must be >= 0") as err:
         jsonio.mult_vector_from_json(CFG, {"r": "-3/1", "entries": []})
