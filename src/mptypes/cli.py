@@ -376,6 +376,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_defaults(args)
+        _require_positive(args.bound, "--bound")
         with warnings.catch_warnings():
             if args.allow_small_p:
                 warnings.simplefilter("ignore")

@@ -2,10 +2,11 @@
 
 The graded piece at positive level s is a finite abelian p-group (here
 q = p, which this module requires so the trace pairing lands in F_p).
-A degenerate element of the dual degree induces a character via a fixed
-primitive p-th root of unity zeta in a coefficient field F_{l^a} with
-p | l^a - 1; eigenspace arithmetic then stays exact and cheap.  A
-cyclotomic-rational backend would be an alternate, not required.
+A character is named by an element phi of the dual degree -s: it sends
+the monomial at position (i, j) to zeta^(coefficient of phi at (j, i)),
+the t^0 part of the trace pairing.  Each coefficient field F_{l^a}
+(p | l^a - 1) has one zeta, `root_of_unity(p)`, for building modules
+and reading them; eigenspace arithmetic then stays exact and cheap.
 
 FiniteModule deliberately models only a semisimple commuting action of
 one abelian graded quotient (a stand-in for the fixed vectors of a
@@ -30,37 +31,12 @@ from .refine import DMPPair, SubcosetClass, enumerate_and_classify
 Q = Fraction
 
 __all__ = [
-    "AdditiveCharacter",
     "FiniteModule",
-    "build_character",
     "fork_field",
     "hom_dim",
     "verify_fork_identity",
     "fork_report",
 ]
-
-
-@dataclass(frozen=True)
-class AdditiveCharacter:
-    """Character of the graded piece g_{x=s} attached to a dual element.
-
-    The value on the basis monomial at position (i, j) is
-    zeta^(coefficient of phi at (j, i)): the t^0 part of the trace
-    pairing of the two homogeneous lifts.
-    """
-
-    x: ApartmentPoint
-    s: Q
-    positions: Tuple[Tuple[int, int], ...]
-    exponents: Tuple[int, ...]
-    zeta: int
-    field: gf.ExtField
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def value_at(self, k: int) -> int:
-        return self.field.pow(self.zeta, self.exponents[k])
 
 
 def fork_field(cfg: GroupConfig) -> gf.ExtField:
@@ -87,41 +63,6 @@ def _check_field(cfg: GroupConfig, field: gf.ExtField, *, where: str) -> None:
         )
 
 
-def build_character(
-    cfg: GroupConfig,
-    field: gf.ExtField,
-    x: ApartmentPoint,
-    s: Q | int | str,
-    phi: GradedElement,
-    zeta: Optional[int] = None,
-) -> AdditiveCharacter:
-    """The character lambda -> zeta^(pairing(lambda, phi)) on g_{x=s}.
-
-    Trivial iff phi = 0; requires q = p prime (always true here) and a
-    coefficient field containing p-th roots of unity.
-    """
-    s = Q(s)
-    _check_field(cfg, field, where="finite_types.build_character")
-    if phi.x != x or phi.degree != -s:
-        raise ValidationError(
-            "dual element must have degree -s at the same point",
-            where="finite_types.build_character",
-        )
-    if zeta is None:
-        zeta = field.root_of_unity(cfg.q)
-    else:
-        if field.pow(zeta, cfg.q) != field.one or zeta == field.one:
-            raise ValidationError(
-                "zeta is not a primitive p-th root of unity",
-                where="finite_types.build_character",
-            )
-    positions = graded_support(cfg, x, s, _checked=True).positions
-    return AdditiveCharacter(
-        x=x, s=s, positions=positions, exponents=_exponents(phi, positions),
-        zeta=zeta, field=field,
-    )
-
-
 def _exponents(phi: GradedElement, positions: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
     """The pairing of each support monomial (i, j) with phi: its (j, i) coefficient."""
     return tuple(phi.coeff(j, i) for (i, j) in positions)
@@ -145,17 +86,11 @@ class FiniteModule:
         x: ApartmentPoint,
         s: Q,
         char_tuples: Sequence[Tuple[int, ...]],
-        zeta: Optional[int] = None,
         conjugator: Optional[Sequence[Sequence[int]]] = None,
     ) -> "FiniteModule":
         """Module with one eigenline per listed exponent tuple."""
         _check_field(cfg, field, where="finite_types.FiniteModule")
-        if zeta is None:
-            zeta = field.root_of_unity(cfg.q)
-        elif field.pow(zeta, cfg.q) != field.one:
-            raise ValidationError(
-                "zeta is not a p-th root of unity", where="finite_types.FiniteModule"
-            )
+        zeta = field.root_of_unity(cfg.q)
         sup = graded_support(cfg, x, Q(s), _checked=True)
         positions = sup.positions
         for ct in char_tuples:
@@ -233,22 +168,30 @@ def _random_invertible(field: gf.ExtField, d: int, rng: random.Random):
             return m
 
 
-def hom_dim(M: FiniteModule, psi: AdditiveCharacter) -> int:
-    """Dimension of the psi-eigenspace, by exact finite-field kernels."""
-    if (M.x, M.s, M.positions) != (psi.x, psi.s, psi.positions):
+def hom_dim(cfg: GroupConfig, M: FiniteModule, phi: GradedElement) -> int:
+    """The multiplicity of the type (M.x, M.s, phi) in M: the dimension of
+    the psi_phi-eigenspace, by exact finite-field kernels."""
+    if phi.x != M.x or phi.degree != -M.s:
         raise ValidationError(
-            "module and character live on different graded pieces",
+            "dual element must have degree -s at the module's point",
             where="finite_types.hom_dim",
         )
-    if M.field is not psi.field and (
-        M.field.ell != psi.field.ell or M.field.deg != psi.field.deg
-    ):
-        raise ValidationError("coefficient fields differ", where="finite_types.hom_dim")
+    _check_field(cfg, M.field, where="finite_types.hom_dim")
+    exponents = _exponents(phi, M.positions)
+    return len(_eigenspace(cfg, M, range(len(exponents)), exponents))
+
+
+def _eigenspace(
+    cfg: GroupConfig, M: FiniteModule, ks: Iterable[int], exponents: Iterable[int]
+) -> List[gf.Vec]:
+    """A basis of the vectors on which each g_k, k in ks, acts by zeta^e_k:
+    `_restrict` folded over the positions, starting from the whole space."""
     f = M.field
+    zeta = f.root_of_unity(cfg.q)
     basis = gf.identity(M.dim)
-    for k, e in enumerate(psi.exponents):
-        basis = _restrict(M, basis, k, f.pow(psi.zeta, e))
-    return len(basis)
+    for k, e in zip(ks, exponents):
+        basis = _restrict(M, basis, k, f.pow(zeta, e))
+    return basis
 
 
 def _restrict(M: FiniteModule, basis: Sequence[gf.Vec], k: int, lam: int) -> List[gf.Vec]:
@@ -329,9 +272,7 @@ class _Incidence:
         _check_field(cfg, M.field, where="finite_types.fork_report")
         f = M.field
         lams = [f.pow(f.root_of_unity(cfg.q), e) for e in range(cfg.q)]
-        basis = gf.identity(M.dim)
-        for k, e in zip(self.restricted, self.base):
-            basis = _restrict(M, basis, k, lams[e])
+        basis = _eigenspace(cfg, M, self.restricted, self.base)
         # split along the free positions in order, one subspace per
         # exponent prefix; a prefix whose subspace is 0 is not extended
         level = {(): basis}

@@ -135,7 +135,8 @@ class RelationRecord:
         """e with c = q^e; faults if c is not a power of q."""
         c = self.c
         e = 0
-        while c.denominator == 1 and c.numerator % q == 0:
+        # c <= 0 skips both loops (0 % q == 0 would divide 0 forever)
+        while c > 0 and c.denominator == 1 and c.numerator % q == 0:
             c /= q
             e += 1
         while c.numerator == 1 and c.denominator % q == 0:

@@ -65,7 +65,7 @@ class MultiplicityVector:
                     f"pair {pair.describe()} has level <= depth bound {r}",
                     where="solver.MultiplicityVector",
                 )
-            if int(v) < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValidationError(
                     "multiplicities must be non-negative integers",
                     where="solver.MultiplicityVector",

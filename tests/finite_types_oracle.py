@@ -1,58 +1,53 @@
 """The extension characters of an incidence, kept as a test oracle.
 
-`extension_characters` lists every character of the finer graded piece
-that extends the coarse one, built from the finer-coset decomposition
-and checked against an independent enumeration (exponents fixed on the
-restricted sub-piece by `_coarse_exponent`, free elsewhere).  The
+`extension_characters` lists the exponent tuple of every character of
+the finer graded piece that extends the coarse one, read off the
+finer-coset decomposition and checked against an independent
+enumeration (exponents fixed on the restricted sub-piece by
+`_coarse_exponent`, free elsewhere).  The
 library's fork identity reads the same exponents through
 `finite_types._Incidence`; the tests compare the two.
 """
 
 import itertools
 from fractions import Fraction as Q
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from mptypes import gf
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support
 from mptypes.errors import InternalFault
-from mptypes.finite_types import AdditiveCharacter, _restricted_positions, build_character
+from mptypes.finite_types import _exponents, _restricted_positions
 from mptypes.graded import monomials
 from mptypes.refine import DMPPair, enumerate_and_classify
 
 
 def extension_characters(
     cfg: GroupConfig,
-    field: gf.ExtField,
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
-    zeta: Optional[int] = None,
-) -> List[AdditiveCharacter]:
-    """All characters of the finer piece extending the coarse one.
+) -> List[Tuple[int, ...]]:
+    """The exponent tuples of all characters of the finer piece extending
+    the coarse one, in class order.
 
-    These are exactly the characters attached to the members of the
+    These are exactly the characters named by the members of the
     finer-coset decomposition; the agreement of the two enumerations is
     asserted.
     """
     x, s = finer[0], Q(finer[1])
     classes = enumerate_and_classify(cfg, coarse, finer)
-    if zeta is None:
-        zeta = field.root_of_unity(cfg.q)
-    chars = [
-        build_character(cfg, field, x, s, cls.chi, zeta) for cls in classes
-    ]
+    positions = graded_support(cfg, x, s, _checked=True).positions
+    chars = [_exponents(cls.chi, positions) for cls in classes]
     # independent enumeration: exponents fixed on the restricted
     # sub-piece, free elsewhere
     restricted = set(_restricted_positions(cfg, coarse.x, coarse.s, x, s))
-    base = chars[0]
     fixed = {
-        k: _coarse_exponent(cfg, coarse, x, s, base.positions[k])
+        k: _coarse_exponent(cfg, coarse, x, s, positions[k])
         for k in restricted
     }
-    seen = {c.exponents for c in chars}
+    seen = set(chars)
     expected = set()
-    free = [k for k in range(len(base.positions)) if k not in restricted]
+    free = [k for k in range(len(positions)) if k not in restricted]
     for combo in itertools.product(range(cfg.q), repeat=len(free)):
-        exps = [0] * len(base.positions)
+        exps = [0] * len(positions)
         for k, v in fixed.items():
             exps[k] = v
         for k, v in zip(free, combo):

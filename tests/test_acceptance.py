@@ -116,3 +116,18 @@ def test_criterion_9_conservation(cfg2, records):
         lambda: criterion_9_conservation(cfg2, records), "criterion-9 subcoset conservation"
     )
     _report(res, 60)
+
+
+def test_criterion_8_fails_when_bfs_and_dimension_count_disagree(cfg2, records, monkeypatch):
+    # a BFS that never leaves its start finds orbits of size 1, where the
+    # dimension count finds q on the worked lower-pattern instance
+    from mptypes import graded
+
+    monkeypatch.setattr(
+        graded, "_apply_direction", lambda cfg, a, i, j, c: tuple(map(tuple, a))
+    )
+    res = _timed(
+        lambda: criterion_8_power_of_q(cfg2, records), "criterion-8 B-counts are powers of q"
+    )
+    assert not res.passed
+    assert "BFS orbit size 1 disagrees with dimension count 5" in res.detail

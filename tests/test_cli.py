@@ -344,6 +344,23 @@ def test_count_flags_must_be_positive(capsys, argv):
     assert cli_error(err)["where"] == "cli"
 
 
+@pytest.mark.parametrize("bound", [-5, 0])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bound_below_one_is_rejected_input(capsys, tmp_path, bound, source):
+    if source == "flag":
+        argv = ["--bound", str(bound)]
+    else:
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"bound": bound}))
+        argv = ["--config", str(cfg_file)]
+    for command in (["measure"], list(REFINE)):
+        code, out, err = run_cli(capsys, "--allow-small-p", *argv, *command)
+        assert code == 2 and out == ""
+        assert cli_error(err) == {
+            "code": 2, "message": f"--bound must be >= 1, got {bound}", "where": "cli"
+        }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,15 +8,14 @@ from fractions import Fraction as Q
 import pytest
 
 from mptypes import finite_types, gf
-from mptypes.apartment import ApartmentPoint, GroupConfig
+from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support
 from mptypes.errors import InfeasibleError, ValidationError
 from mptypes.finite_types import (
-    AdditiveCharacter,
     FiniteModule,
+    _exponents,
     _Incidence,
     _random_invertible,
     _restricted_positions,
-    build_character,
     fork_report,
     hom_dim,
     verify_fork_identity,
@@ -60,31 +59,56 @@ X_HYP = pt(0, 0)
 X_IWA = pt(Q(1, 2), 0)
 
 
-def test_build_character_worked_examples():
+def test_character_worked_examples():
+    positions = graded_support(CFG, X_HYP, Q(1)).positions
     # trivial iff phi = 0
-    ch0 = build_character(CFG, F16, X_HYP, 1, GradedElement.zero(X_HYP, -1))
-    assert ch0.is_trivial()
+    zero = GradedElement.zero(X_HYP, -1)
+    assert set(_exponents(zero, positions)) == {0}
     # e_12 pattern pairs against the (2,1) coordinate of the level piece
     phi = GradedElement.make(CFG, X_HYP, -1, {(0, 1): 1})
-    ch = build_character(CFG, F16, X_HYP, 1, phi)
-    assert not ch.is_trivial()
-    k21 = ch.positions.index((1, 0))
-    assert ch.exponents[k21] == 1
-    assert all(e == 0 for i, e in enumerate(ch.exponents) if i != k21)
-    # order 5
-    v = ch.value_at(k21)
+    exponents = _exponents(phi, positions)
+    k21 = positions.index((1, 0))
+    assert exponents[k21] == 1
+    assert all(e == 0 for i, e in enumerate(exponents) if i != k21)
+    # its value there, zeta^1, has order 5
+    v = F16.pow(F16.root_of_unity(5), exponents[k21])
     acc = v
     order = 1
     while acc != F16.one:
         acc = F16.mul(acc, v)
         order += 1
     assert order == 5
+    # the module on that one character holds phi once and 0 not at all
+    M = FiniteModule.from_characters(CFG, F16, X_HYP, Q(1), [exponents])
+    assert (hom_dim(CFG, M, phi), hom_dim(CFG, M, zero)) == (1, 0)
 
 
-def test_build_character_rejects_bad_field():
+def test_from_characters_rejects_bad_field():
     f4 = gf.ExtField(2, 2)  # 5 does not divide 3
-    with pytest.raises(ValidationError):
-        build_character(CFG, f4, X_HYP, 1, GradedElement.zero(X_HYP, -1))
+    with pytest.raises(ValidationError) as err:
+        FiniteModule.from_characters(CFG, f4, X_HYP, Q(1), [(0, 0, 0, 0)])
+    assert err.value.where == "finite_types.FiniteModule"
+
+
+def test_hom_dim_refuses_another_piece_and_a_bad_field():
+    s = Q(1, 2)
+    M = FiniteModule.from_characters(CFG, F16, X_IWA, s, [(0, 0)])
+    for phi in (
+        GradedElement.zero(X_HYP, -s),  # another point
+        GradedElement.zero(X_IWA, -1),  # another degree
+        GradedElement.zero(X_IWA, s),  # the piece's own degree, not its dual
+    ):
+        with pytest.raises(ValidationError, match="degree -s") as err:
+            hom_dim(CFG, M, phi)
+        assert err.value.where == "finite_types.hom_dim"
+    # a module built directly over F_4, which holds no 5th root of unity
+    f4 = gf.ExtField(2, 2)
+    bad = FiniteModule(
+        field=f4, x=X_IWA, s=s, positions=M.positions, dim=1, gens=(((1,),),) * 2
+    )
+    with pytest.raises(ValidationError, match="does not divide") as err:
+        hom_dim(CFG, bad, GradedElement.zero(X_IWA, -s))
+    assert err.value.where == "finite_types.hom_dim"
 
 
 def test_hom_dim_regular_module_on_small_piece():
@@ -97,8 +121,7 @@ def test_hom_dim_regular_module_on_small_piece():
         phi = GradedElement.make(
             CFG, X_IWA, -s, {(1, 0): coeffs[0], (0, 1): coeffs[1]}
         )
-        ch = build_character(CFG, F16, X_IWA, s, phi)
-        assert hom_dim(reg, ch) == 1
+        assert hom_dim(CFG, reg, phi) == 1
 
 
 def test_hom_dim_eigenspaces_partition_dimension():
@@ -112,7 +135,7 @@ def test_hom_dim_eigenspaces_partition_dimension():
             phi = GradedElement.make(
                 CFG, X_IWA, -s, {(1, 0): coeffs[0], (0, 1): coeffs[1]}
             )
-            total += hom_dim(M, build_character(CFG, F16, X_IWA, s, phi))
+            total += hom_dim(CFG, M, phi)
         assert total == dim
 
 
@@ -127,28 +150,28 @@ def test_hom_dim_field_extension_invariance():
         phi = GradedElement.make(
             CFG, X_IWA, -s, {(1, 0): coeffs[0], (0, 1): coeffs[1]}
         )
-        d16 = hom_dim(m16, build_character(CFG, F16, X_IWA, s, phi))
-        d256 = hom_dim(m256, build_character(CFG, f256, X_IWA, s, phi))
-        assert d16 == d256
+        assert hom_dim(CFG, m16, phi) == hom_dim(CFG, m256, phi)
 
 
 def test_galois_twist_preserves_dimension_multiset():
+    # twisting by zeta -> zeta^2 doubles every exponent of the module
     rng = random.Random(23)
     s = Q(1, 2)
-    M = FiniteModule.random(CFG, F16, X_IWA, s, 7, rng)
-    zeta = F16.root_of_unity(5)
-    zeta2 = F16.mul(zeta, zeta)
+    tuples = [tuple(rng.randrange(5) for _ in range(2)) for _ in range(7)]
+    conj = _random_invertible(F16, 7, rng)
+    M = FiniteModule.from_characters(CFG, F16, X_IWA, s, tuples, conjugator=conj)
+    twisted = FiniteModule.from_characters(
+        CFG, F16, X_IWA, s, [tuple(2 * e % 5 for e in t) for t in tuples], conjugator=conj
+    )
 
-    def dims(z):
-        out = []
-        for coeffs in itertools.product(range(5), repeat=2):
-            phi = GradedElement.make(
-                CFG, X_IWA, -s, {(1, 0): coeffs[0], (0, 1): coeffs[1]}
-            )
-            out.append(hom_dim(M, build_character(CFG, F16, X_IWA, s, phi, zeta=z)))
-        return sorted(out)
+    def phi(c21, c12):
+        return GradedElement.make(CFG, X_IWA, -s, {(1, 0): c21, (0, 1): c12})
 
-    assert dims(zeta) == dims(zeta2)
+    pairs = list(itertools.product(range(5), repeat=2))
+    dims = [hom_dim(CFG, M, phi(*c)) for c in pairs]
+    assert sorted(dims) == sorted(hom_dim(CFG, twisted, phi(*c)) for c in pairs)
+    # the twist moves the multiplicity of phi to 2 phi
+    assert dims == [hom_dim(CFG, twisted, phi(2 * a, 2 * b)) for a, b in pairs]
 
 
 def iwahori_coarse():
@@ -164,9 +187,9 @@ def halfpoint_coarse():
 
 
 def test_extension_sets_match_decomposition():
-    chars = extension_characters(CFG, F16, iwahori_coarse(), (X_HYP, Q(1)))
+    chars = extension_characters(CFG, iwahori_coarse(), (X_HYP, Q(1)))
     assert len(chars) == 5
-    chars2 = extension_characters(CFG, F16, halfpoint_coarse(), (X_IWA, Q(1, 2)))
+    chars2 = extension_characters(CFG, halfpoint_coarse(), (X_IWA, Q(1, 2)))
     assert len(chars2) == 5
 
 
@@ -179,20 +202,15 @@ def test_fork_identity_regular_module():
 
 def test_fork_identity_delta_module():
     coarse = halfpoint_coarse()
-    chars = extension_characters(CFG, F16, coarse, (X_IWA, Q(1, 2)))
+    chars = extension_characters(CFG, coarse, (X_IWA, Q(1, 2)))
     # a module supported on a single extension character
     target = chars[2]
-    M = FiniteModule.from_characters(
-        CFG, F16, X_IWA, Q(1, 2), [target.exponents]
-    )
+    M = FiniteModule.from_characters(CFG, F16, X_IWA, Q(1, 2), [target])
     lhs, rhs, _ = fork_report(CFG, M, coarse, (X_IWA, Q(1, 2)))
     assert lhs == rhs == 1
     # and one supported on a non-extending character
-    bad = tuple((e + 1) % 5 for e in target.exponents)
-    restricted_differs = any(
-        bad[k] != target.exponents[k]
-        for k in range(len(bad))
-    )
+    bad = tuple((e + 1) % 5 for e in target)
+    restricted_differs = any(bad[k] != target[k] for k in range(len(bad)))
     assert restricted_differs
     M2 = FiniteModule.from_characters(CFG, F16, X_IWA, Q(1, 2), [bad])
     lhs2, rhs2, _ = fork_report(CFG, M2, coarse, (X_IWA, Q(1, 2)))
@@ -202,10 +220,9 @@ def test_fork_identity_delta_module():
 def test_hom_dim_trivial_module():
     s = Q(1, 2)
     trivial = FiniteModule.from_characters(CFG, F16, X_IWA, s, [(0, 0)])
-    ch0 = build_character(CFG, F16, X_IWA, s, GradedElement.zero(X_IWA, -s))
-    assert hom_dim(trivial, ch0) == 1
+    assert hom_dim(CFG, trivial, GradedElement.zero(X_IWA, -s)) == 1
     phi = GradedElement.make(CFG, X_IWA, -s, {(0, 1): 1})
-    assert hom_dim(trivial, build_character(CFG, F16, X_IWA, s, phi)) == 0
+    assert hom_dim(CFG, trivial, phi) == 0
 
 
 def test_relation_verifies_on_multiplicity_components():
@@ -220,20 +237,18 @@ def test_relation_verifies_on_multiplicity_components():
     finer = (X_HYP, Q(1))
     rec = refine_relation(CFG, coarse, finer)
     classes = enumerate_and_classify(CFG, coarse, finer)
-    chars = {
-        cls.chi: build_character(CFG, F16, X_HYP, Q(1), cls.chi) for cls in classes
-    }
+    chars = extension_characters(CFG, coarse, finer)
     # two copies of every degenerate extension character
     tuples = []
-    for cls in classes:
+    for cls, exponents in zip(classes, chars):
         if cls.tag != "A":
-            tuples.extend([chars[cls.chi].exponents] * 2)
+            tuples.extend([exponents] * 2)
     M = FiniteModule.from_characters(CFG, F16, X_HYP, Q(1), tuples)
     lhs, rhs, rhs_deg = fork_report(CFG, M, coarse, finer)
     assert lhs == rhs == rhs_deg  # no non-degenerate support
-    comps = {rec.lhs: lhs, rec.base: hom_dim(M, chars[rec.base.phi])}
+    comps = {rec.lhs: lhs, rec.base: hom_dim(CFG, M, rec.base.phi)}
     for _, p in rec.terms:
-        comps[p] = hom_dim(M, chars[p.phi])
+        comps[p] = hom_dim(CFG, M, p.phi)
     assert verify_relation(CFG, rec, comps)
 
 
@@ -284,8 +299,8 @@ def _oracle_modules(field, inc, chars, rng):
     non-extending one."""
     x, s = inc.x, inc.s
     yield FiniteModule.random(CFG, field, x, s, rng.randrange(1, 7), rng)
-    twice = rng.choice(chars).exponents
-    tuples = [twice, rng.choice(chars).exponents, twice]
+    twice = rng.choice(chars)
+    tuples = [twice, rng.choice(chars), twice]
     if inc.restricted:
         k = rng.choice(inc.restricted)
         bad = list(twice)
@@ -302,22 +317,26 @@ def test_split_matches_stacked_oracle(split_incidences, field):
     for coarse, finer in split_incidences:
         x, s = finer[0], Q(finer[1])
         inc = _Incidence(CFG, coarse, finer)
-        chars = extension_characters(CFG, field, coarse, finer)
-        tags = [cls.tag for cls in enumerate_and_classify(CFG, coarse, finer)]
+        classes = enumerate_and_classify(CFG, coarse, finer)
+        chars = extension_characters(CFG, coarse, finer)
+        tags = [cls.tag for cls in classes]
         restricted = _restricted_positions(CFG, coarse.x, coarse.s, x, s)
-        everywhere = range(len(chars[0].positions))
+        everywhere = range(len(chars[0]))
         for M in _oracle_modules(field, inc, chars, rng):
             want_lhs = _eigenspace_dim(
-                M, restricted, [chars[0].exponents[k] for k in restricted], zeta
+                M, restricted, [chars[0][k] for k in restricted], zeta
             )
-            want = [_eigenspace_dim(M, everywhere, c.exponents, zeta) for c in chars]
+            want = [_eigenspace_dim(M, everywhere, c, zeta) for c in chars]
             assert inc.split(CFG, M) == (want_lhs, want)
-            assert [hom_dim(M, c) for c in chars] == want
+            assert [hom_dim(CFG, M, cls.chi) for cls in classes] == want
             want_deg = sum(d for d, t in zip(want, tags) if t != "A")
             assert fork_report(CFG, M, coarse, finer) == (want_lhs, sum(want), want_deg)
+            # random phi of the piece: exponent e at (i, j) is phi's (j, i) coefficient
             for ct in {tuple(rng.randrange(5) for _ in everywhere) for _ in range(4)}:
-                psi = AdditiveCharacter(x, s, M.positions, ct, zeta, field)
-                assert hom_dim(M, psi) == _eigenspace_dim(M, everywhere, ct, zeta)
+                phi = GradedElement.make(
+                    CFG, x, -s, {(j, i): e for (i, j), e in zip(M.positions, ct)}
+                )
+                assert hom_dim(CFG, M, phi) == _eigenspace_dim(M, everywhere, ct, zeta)
 
 
 def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
@@ -330,15 +349,15 @@ def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
     x, s = finer
     inc = _Incidence(CFG, coarse, finer)
     assert (inc.restricted, inc.free) == ((0, 1, 3), (2,))
-    chars = extension_characters(CFG, F16, coarse, finer)
     one = gf.identity(2)
     jordan = FiniteModule(
-        field=F16, x=x, s=s, positions=chars[0].positions, dim=2,
+        field=F16, x=x, s=s, positions=graded_support(CFG, x, s).positions, dim=2,
         gens=(one, one, ((1, 1), (0, 1)), one),
     )
     assert _eigenspace_dim(jordan, (0, 1, 3), (0, 0, 0), F16.root_of_unity(5)) == 2
     assert fork_report(CFG, jordan, coarse, finer) == (2, 1, 1)
-    assert sum(hom_dim(jordan, c) for c in chars) == 1
+    classes = enumerate_and_classify(CFG, coarse, finer)
+    assert sum(hom_dim(CFG, jordan, cls.chi) for cls in classes) == 1
 
     classified = []
     real = finite_types.enumerate_and_classify
@@ -417,13 +436,3 @@ def test_validate_accepts_constructed_modules_and_rejects_built_ones():
     )
     with pytest.raises(ValidationError, match="do not commute"):
         apart.validate(CFG)
-
-
-def test_from_characters_refuses_a_zeta_that_is_no_pth_root():
-    z = F16.root_of_unity(5)
-    M = FiniteModule.from_characters(CFG, F16, X_IWA, Q(1, 2), [(1, 2)], zeta=z)
-    M.validate(CFG)
-    g = F16.multiplicative_generator()  # of order 15
-    with pytest.raises(ValidationError, match="p-th root") as err:
-        FiniteModule.from_characters(CFG, F16, X_IWA, Q(1, 2), [(1, 2)], zeta=g)
-    assert err.value.where == "finite_types.FiniteModule"

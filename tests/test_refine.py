@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mptypes.apartment import ApartmentPoint, GroupConfig
-from mptypes.errors import InfeasibleError, ValidationError
+from mptypes.errors import InfeasibleError, InternalFault, ValidationError
 from mptypes.graded import GradedElement
 from mptypes.orbits import OrbitLabel
 from mptypes.refine import (
@@ -74,6 +74,17 @@ def test_worked_instance_iwahori_side():
     assert rec.terms == ()
     assert rec.provenance.n_a == 4 and rec.provenance.n_b == 1 and rec.provenance.n_c == 0
     assert rec.base.phi == b.chi
+
+
+def test_q_exponent_refuses_a_coefficient_that_is_not_positive():
+    # c = 0 and c < 0 are no powers of q (c = 0 used to divide 0 forever)
+    y = pt(Q(3, 8), 0)
+    phi = GradedElement.make(CFG, y, Q(-5, 8), {(0, 1): 1})
+    rec = refine_relation(CFG, DMPPair.make(CFG, Q(5, 8), y, phi), (X_IWA, Q(1, 2)))
+    for c in (Q(0), Q(-5)):
+        with pytest.raises(InternalFault, match="not a power of q") as err:
+            dataclasses.replace(rec, c=c).q_exponent(5)
+        assert err.value.where == "refine.RelationRecord"
 
 
 def test_worked_instance_hyperspecial_side():

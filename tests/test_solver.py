@@ -189,6 +189,16 @@ def test_multiplicity_vector_validation():
         MultiplicityVector.make(0, {probes[0]: -1})
 
 
+@pytest.mark.parametrize("value", [Q(-1, 2), 2.5, True], ids=["fraction", "float", "bool"])
+def test_multiplicity_vector_refuses_what_is_not_an_int(value):
+    probe = choose_probes(CFG2, 0)[0]
+    with pytest.raises(ValidationError, match="non-negative integers") as err:
+        MultiplicityVector.make(0, {probe: value})
+    assert err.value.where == "solver.MultiplicityVector"
+    for ok in (0, 3):
+        assert MultiplicityVector.make(0, {probe: ok}).entries == ((probe, ok),)
+
+
 def test_synthesized_vectors_satisfy_refine_relations():
     # components built from any coefficient vector lie in the span the
     # relations cut out: every emitted record verifies on them
