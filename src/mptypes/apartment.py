@@ -105,6 +105,10 @@ class ApartmentPoint:
     def __getitem__(self, i: int) -> Q:
         return self.coords[i]
 
+    def __str__(self) -> str:
+        """The coordinates as messages print them, e.g. (1/4,0)."""
+        return "(" + ",".join(str(c) for c in self.coords) + ")"
+
 
 def check_point(cfg: GroupConfig, x: ApartmentPoint, *, where: str) -> None:
     if x.n != cfg.n:

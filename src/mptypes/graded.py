@@ -21,7 +21,6 @@ coefficient matrix A as C A C^{-1}, because the t-power twists cancel.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
@@ -29,7 +28,6 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 from . import gf
 from .apartment import (
     ApartmentPoint,
-    GradedSupport,
     GroupConfig,
     _scale,
     graded_support,
@@ -42,7 +40,6 @@ Q = Fraction
 
 __all__ = [
     "GradedElement",
-    "ReductiveQuotient",
     "check_negative_degree",
     "is_degenerate",
     "monomials",
@@ -105,10 +102,6 @@ class GradedElement:
         return dict(self.coeffs)
 
 
-def support_of(cfg: GroupConfig, phi: GradedElement) -> GradedSupport:
-    return graded_support(cfg, phi.x, phi.degree, _checked=True)
-
-
 def monomials(phi: GradedElement) -> List[Tuple[int, int, int, int]]:
     """(i, j, w, c) for each coefficient: phi's lift holds c t^w at (i, j).
 
@@ -127,16 +120,16 @@ def coefficient_matrix(cfg: GroupConfig, phi: GradedElement) -> gf.Mat:
     return tuple(tuple(r) for r in m)
 
 
-def element_from_matrix(
-    cfg: GroupConfig, x: ApartmentPoint, degree: Q, mat: Sequence[Sequence[int]]
-) -> GradedElement:
-    coeffs = {
-        (i, j): mat[i][j] % cfg.q
-        for i in range(cfg.n)
-        for j in range(cfg.n)
-        if mat[i][j] % cfg.q
-    }
-    return GradedElement.make(cfg, x, degree, coeffs)
+def element_from_matrix(x: ApartmentPoint, degree: Q, mat: gf.Mat) -> GradedElement:
+    """The nonzero entries of a reduced matrix, in row-major order, as an
+    element of g_{x=degree}, unchecked: each caller builds the matrix on
+    that piece's support (`conjugate`, `unipotent_orbit_count`), or
+    checks it afterwards (`orbits.sl2_complete`)."""
+    return GradedElement(
+        x=x,
+        degree=degree,
+        coeffs=tuple(((i, j), c) for i, row in enumerate(mat) for j, c in enumerate(row) if c),
+    )
 
 
 def regrade(
@@ -202,64 +195,33 @@ def rank_profile(cfg: GroupConfig, phi: GradedElement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductiveQuotient:
-    """Block rigidity of G_{x=0}: invertible matrices preserving classes."""
-
-    x: ApartmentPoint
-    blocks: Tuple[Tuple[int, ...], ...]
-
-    @staticmethod
-    def at(x: ApartmentPoint) -> "ReductiveQuotient":
-        return ReductiveQuotient(x=x, blocks=tuple(idx for _, idx in residue_classes(x)))
-
-    def class_of(self, i: int) -> int:
-        for k, blk in enumerate(self.blocks):
-            if i in blk:
-                return k
-        raise ValidationError(f"index {i} out of range", where="graded.ReductiveQuotient")
-
-    def is_member(self, cfg: GroupConfig, mat: Sequence[Sequence[int]]) -> bool:
-        mat = [[v % cfg.q for v in row] for row in mat]
-        n = len(mat)
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] and self.class_of(i) != self.class_of(j):
-                    return False
-        try:
-            gf.mat_inv(mat, gf.prime_field(cfg.q))
-        except ValidationError:
-            return False
-        return True
-
-    def random_element(self, cfg: GroupConfig, rng: random.Random) -> gf.Mat:
-        n = self.x.n
-        while True:
-            m = [[0] * n for _ in range(n)]
-            for blk in self.blocks:
-                for i in blk:
-                    for j in blk:
-                        m[i][j] = rng.randrange(cfg.q)
-            try:
-                gf.mat_inv(m, gf.prime_field(cfg.q))
-            except ValidationError:
-                continue
-            return tuple(tuple(r) for r in m)
-
-
 def conjugate(cfg: GroupConfig, phi: GradedElement, c: Sequence[Sequence[int]]) -> GradedElement:
-    """Adjoint action of a class-preserving coefficient matrix on phi."""
+    """C A C^{-1} for phi's coefficient matrix A and a member C of the
+    reductive quotient at phi's point: an invertible n x n matrix that
+    preserves residue classes (C_ij = 0 unless x_i and x_j share a class).
+
+    Such a C keeps A on the support of phi's piece, since x_i - x_j is
+    unchanged mod 1 within a class, so the product needs no check.
+    """
+    n, field = cfg.n, gf.prime_field(cfg.q)
     c = tuple(tuple(v % cfg.q for v in row) for row in c)
-    rq = ReductiveQuotient.at(phi.x)
-    if not rq.is_member(cfg, c):
+    cls = {i: res for res, idx in residue_classes(phi.x) for i in idx}
+    c_inv = None
+    if len(c) == n and all(
+        len(row) == n and all(cls[i] == cls[j] for j, v in enumerate(row) if v)
+        for i, row in enumerate(c)
+    ):
+        try:
+            c_inv = gf.mat_inv(c, field)
+        except ValidationError:
+            pass
+    if c_inv is None:
         raise ValidationError(
             "conjugator is not a member of the reductive quotient at x",
             where="graded.conjugate",
         )
-    a = coefficient_matrix(cfg, phi)
-    field = gf.prime_field(cfg.q)
-    b = gf.mat_mul(gf.mat_mul(c, a, field), gf.mat_inv(c, field), field)
-    return element_from_matrix(cfg, phi.x, phi.degree, b)
+    b = gf.mat_mul(gf.mat_mul(c, coefficient_matrix(cfg, phi), field), c_inv, field)
+    return element_from_matrix(phi.x, phi.degree, b)
 
 
 def unipotent_image(
@@ -323,14 +285,11 @@ def unipotent_orbit_count(
         )
     directions = unipotent_image(cfg, y, x)
     q = cfg.q
-    a0 = [list(r) for r in coefficient_matrix(cfg, phi)]
+    a = coefficient_matrix(cfg, phi)
 
-    members: Set[Tuple[Tuple[int, ...], ...]] = set()
-    start = tuple(tuple(r) for r in a0)
-    frontier = [start]
-    members.add(start)
-    overflow = False
-    while frontier:
+    members: Set[gf.Mat] = {a}
+    frontier = [a]
+    while frontier and len(members) <= _ORBIT_BOUND:
         nxt = []
         for mat in frontier:
             m = [list(r) for r in mat]
@@ -340,28 +299,22 @@ def unipotent_orbit_count(
                     if img not in members:
                         members.add(img)
                         nxt.append(img)
-        if len(members) > _ORBIT_BOUND:
-            overflow = True
-            break
         frontier = nxt
-    bfs_n = None if overflow else len(members)
+    bfs_n = len(members) if len(members) <= _ORBIT_BOUND else None
 
     dim_n = None
     if cfg.q > cfg.n:
-        amat = coefficient_matrix(cfg, phi)
-        field = gf.prime_field(q)
-        rows = []
-        positions = support_of(cfg, phi).positions
-        for (i, j) in directions:
-            e = [[0] * cfg.n for _ in range(cfg.n)]
-            e[i][j] = 1
-            br = gf.mat_mul(e, amat, field)
-            bl = gf.mat_mul(amat, e, field)
-            rows.append(
-                tuple((br[p][r] - bl[p][r]) % q for (p, r) in positions)
+        # [E_ij, A] is row j of A placed in row i, minus column i of A
+        # placed in column j, read on the support of phi's piece
+        positions = graded_support(cfg, phi.x, phi.degree, _checked=True).positions
+        rows = [
+            tuple(
+                ((a[j][r] if p == i else 0) - (a[p][i] if r == j else 0)) % q
+                for p, r in positions
             )
-        orbit_dim = gf.rank(rows, field)
-        dim_n = q**orbit_dim
+            for i, j in directions
+        ]
+        dim_n = q ** gf.rank(rows, gf.prime_field(q))
 
     if bfs_n is None and dim_n is None:
         raise InfeasibleError(
@@ -375,8 +328,9 @@ def unipotent_orbit_count(
             where="graded.unipotent_orbit_count",
         )
     n_out = bfs_n if bfs_n is not None else dim_n
+    # a direction (i, j) has x_j - x_i integral, one class: members stay on phi's support
     member_elems: FrozenSet[GradedElement] = frozenset(
-        element_from_matrix(cfg, phi.x, phi.degree, m) for m in members
+        element_from_matrix(phi.x, phi.degree, m) for m in members
     ) if bfs_n is not None else frozenset()
     return n_out, member_elems
 

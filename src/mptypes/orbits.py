@@ -37,12 +37,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Tuple
 
 from . import gf
-from .apartment import ApartmentPoint, GroupConfig, _scale, graded_support, mp_lattice
+from .apartment import GroupConfig, _scale, graded_support, mp_lattice
 from .errors import InternalFault, ValidationError
 from .graded import (
     GradedElement,
     check_negative_degree,
     coefficient_matrix,
+    element_from_matrix,
     graded_jordan_chains,
     monomials,
 )
@@ -266,21 +267,10 @@ def sl2_complete(cfg: GroupConfig, phi: GradedElement) -> SL2Triple:
     h_mat = gf.mat_mul(gf.mat_mul(p_cols, h_j, field), p_inv, field)
     e_mat = gf.mat_mul(gf.mat_mul(p_cols, e_chain, field), p_inv, field)
 
-    triple = SL2Triple(
-        Phi=phi, H=_element(x, Q(0), h_mat), E=_element(x, -phi.degree, e_mat)
-    )
+    h, e = element_from_matrix(x, Q(0), h_mat), element_from_matrix(x, -phi.degree, e_mat)
+    triple = SL2Triple(Phi=phi, H=h, E=e)
     _check_triple(cfg, triple)
     return triple
-
-
-def _element(x: ApartmentPoint, degree: Q, mat: gf.Mat) -> GradedElement:
-    """The nonzero entries of a reduced matrix as an element of g_{x=degree},
-    unchecked: _check_triple checks the support."""
-    return GradedElement(
-        x=x,
-        degree=degree,
-        coeffs=tuple(((i, j), c) for i, row in enumerate(mat) for j, c in enumerate(row) if c),
-    )
 
 
 def _check_triple(cfg: GroupConfig, triple: SL2Triple) -> None:

@@ -90,16 +90,19 @@ class DMPPair:
         return DMPPair(s=s, x=x, phi=phi, lift=lift)
 
     def describe(self) -> str:
-        coords = ",".join(str(c) for c in self.x.coords)
         entries = ";".join(f"({i+1},{j+1})={c}" for (i, j), c in self.phi.coeffs)
-        return f"(s={self.s}, x=({coords}), phi=[{entries or '0'}])"
+        return f"(s={self.s}, x={self.x}, phi=[{entries or '0'}])"
 
 
 @dataclass(frozen=True)
 class SubcosetClass:
     tag: str  # "A" | "B" | "C"
     chi: GradedElement
-    lift: Optional[OrbitLabel]  # None exactly for tag A
+    pair: Optional[DMPPair]  # chi's pair at the finer level, None exactly for tag A
+
+    @property
+    def lift(self) -> Optional[OrbitLabel]:
+        return None if self.pair is None else self.pair.lift
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,7 @@ def enumerate_and_classify(
     y, tau = coarse.x, coarse.s
     if not check_incidence(cfg, y, tau, x, s):
         raise ValidationError(
-            f"inclusion chains fail between (y={y.coords}, tau={tau}) and "
-            f"(x={x.coords}, s={s})",
+            f"inclusion chains fail between (y={y}, tau={tau}) and (x={x}, s={s})",
             where="refine.enumerate_and_classify",
         )
 
@@ -242,7 +244,9 @@ def enumerate_and_classify(
 
     # every member is base + combo on support positions of g_{x=-s}: base
     # passed GradedElement.make and the free positions come from the
-    # support, so each member is built directly, without re-checking it
+    # support, so each member is built directly, without re-checking it;
+    # s > 0, since is_degenerate refused a piece of degree >= 0, so each
+    # degenerate member's pair is built from the lift its profile gives
     base = phi_x.as_dict()
     positions = [p for p, _ in free]
     degree = -s
@@ -257,11 +261,11 @@ def enumerate_and_classify(
                 del coeffs[pos]
         chi = GradedElement(x=x, degree=degree, coeffs=tuple(sorted(coeffs.items())))
         if not is_degenerate(cfg, chi):
-            classes.append(SubcosetClass(tag="A", chi=chi, lift=None))
+            classes.append(SubcosetClass(tag="A", chi=chi, pair=None))
             continue
         profile = rank_profile(cfg, chi)
         if profile == ref_profile:
-            classes.append(SubcosetClass(tag="B", chi=chi, lift=ref_lift))
+            classes.append(SubcosetClass(tag="B", chi=chi, pair=DMPPair(s, x, chi, ref_lift)))
             continue
         chi_lift = OrbitLabel.from_ranks(cfg.n, profile[0])
         if not (dominance_leq(coarse.lift, chi_lift) and chi_lift != coarse.lift):
@@ -269,7 +273,7 @@ def enumerate_and_classify(
                 f"member lift {chi_lift} does not strictly dominate {coarse.lift}",
                 where="refine.enumerate_and_classify",
             )
-        classes.append(SubcosetClass(tag="C", chi=chi, lift=chi_lift))
+        classes.append(SubcosetClass(tag="C", chi=chi, pair=DMPPair(s, x, chi, chi_lift)))
 
     n_b = sum(1 for c in classes if c.tag == "B")
     if n_b == 0:
@@ -318,31 +322,24 @@ def refine_relation(
     The base component is the member tagged B given by the image of the
     coarse lift, or `base_hint` when supplied (it must itself be tagged
     B); C-members enter with coefficient one each, in enumeration order.
-    `classes`, when given, is the incidence's `enumerate_and_classify`
-    result and is used instead of classifying again.
+    Every pair is the one its class carries.  `classes`, when given, is
+    the incidence's `enumerate_and_classify` result and is used instead
+    of classifying again.
     """
     x, s = finer[0], Q(finer[1])
     if classes is None:
         classes = enumerate_and_classify(cfg, coarse, finer)
     n_b = sum(1 for c in classes if c.tag == "B")
     n_a = sum(1 for c in classes if c.tag == "A")
-    c_list = [c for c in classes if c.tag == "C"]
+    terms = tuple((Q(1), c.pair) for c in classes if c.tag == "C")
 
-    if base_hint is not None:
-        match = next((c for c in classes if c.chi == base_hint), None)
-        if match is None or match.tag != "B":
-            raise InternalFault(
-                "base hint is not a B-tagged member of the decomposition",
-                where="refine.refine_relation",
-            )
-        base_chi = base_hint
-    else:
-        base_chi = _image(cfg, coarse.phi, x, -s)
-
-    base_pair = DMPPair.make(cfg, s, x, base_chi)
-    terms = tuple(
-        (Q(1), DMPPair.make(cfg, s, x, c.chi)) for c in c_list
-    )
+    base_chi = _image(cfg, coarse.phi, x, -s) if base_hint is None else base_hint
+    base_pair = next((c.pair for c in classes if c.chi == base_chi and c.tag == "B"), None)
+    if base_pair is None:
+        raise InternalFault(
+            "base is not a B-tagged member of the decomposition",
+            where="refine.refine_relation",
+        )
     prov = RelationProvenance(
         role=role,
         y=coarse.x,
@@ -351,7 +348,7 @@ def refine_relation(
         s=s,
         n_a=n_a,
         n_b=n_b,
-        n_c=len(c_list),
+        n_c=len(terms),
         quotient_dim=_qdim_of(cfg, coarse, x, s),
         interval=interval,
     )

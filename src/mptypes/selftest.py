@@ -12,7 +12,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .apartment import ApartmentPoint, GroupConfig, breakpoints, convexity_check, graded_support
 from .errors import InfeasibleError, ToolkitError
@@ -162,10 +162,9 @@ def relation_instances(cfg: GroupConfig, seed: int = 0) -> List[RelationRecord]:
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_triangularity(cfg: GroupConfig) -> Tuple[bool, str]:
-    """Exhaustive zero/nonzero dichotomy of the counting measure at n=2."""
-    orbits = list(partitions_of(2))
-    checked = 0
+def _degenerate_sweep(cfg: GroupConfig) -> Iterator[DMPPair]:
+    """The pair of every degenerate element of four GL_2 pieces g_{x=-s},
+    in enumeration order: the exhaustive sweep of criteria 1 and 6."""
     for x, s in [
         (_pt(0, 0), Q(1)),
         (_pt(0, 0), Q(1, 2)),
@@ -173,16 +172,20 @@ def criterion_1_triangularity(cfg: GroupConfig) -> Tuple[bool, str]:
         (_pt(Q(1, 2), 0), Q(1)),
     ]:
         for el in enumerate_graded_elements(cfg, x, -s):
-            if not is_degenerate(cfg, el):
-                continue
-            pair = DMPPair.make(cfg, s, x, el)
-            for orbit in orbits:
-                val = count_measure(cfg, orbit, pair, 1)
-                if (val != 0) != dominance_leq(pair.lift, orbit):
-                    return False, (
-                        f"dichotomy fails at {pair.describe()} against {orbit}"
-                    )
-                checked += 1
+            if is_degenerate(cfg, el):
+                yield DMPPair.make(cfg, s, x, el)
+
+
+def criterion_1_triangularity(cfg: GroupConfig) -> Tuple[bool, str]:
+    """Exhaustive zero/nonzero dichotomy of the counting measure at n=2."""
+    orbits = list(partitions_of(2))
+    checked = 0
+    for pair in _degenerate_sweep(cfg):
+        for orbit in orbits:
+            val = count_measure(cfg, orbit, pair, 1)
+            if (val != 0) != dominance_leq(pair.lift, orbit):
+                return False, f"dichotomy fails at {pair.describe()} against {orbit}"
+            checked += 1
     return True, f"{checked} measure entries match the dominance dichotomy"
 
 
@@ -264,18 +267,10 @@ def criterion_6_minimality(cfg: GroupConfig) -> Tuple[bool, str]:
     """The lift-minimality certificate on every degenerate element of the
     exhaustive sweep."""
     checked = 0
-    for x, s in [
-        (_pt(0, 0), Q(1)),
-        (_pt(0, 0), Q(1, 2)),
-        (_pt(Q(1, 2), 0), Q(1, 2)),
-        (_pt(Q(1, 2), 0), Q(1)),
-    ]:
-        for el in enumerate_graded_elements(cfg, x, -s):
-            if not is_degenerate(cfg, el):
-                continue
-            if not minimality_probe(cfg, DMPPair.make(cfg, s, x, el)):
-                return False, f"certificate refused at {x.coords}, s={s}"
-            checked += 1
+    for pair in _degenerate_sweep(cfg):
+        if not minimality_probe(cfg, pair):
+            return False, f"certificate refused at {pair.x}, s={pair.s}"
+        checked += 1
     return True, f"{checked} degenerate elements, lift minimality certified on each"
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 from mptypes import gf
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import ValidationError
-from mptypes.graded import GradedElement, coefficient_matrix, is_degenerate, support_of
+from mptypes.graded import GradedElement, coefficient_matrix, is_degenerate
 from mptypes.laurent import LMatrix, Series, ser_add, ser_neg
 from mptypes.orbits import OrbitLabel
 
@@ -49,7 +49,7 @@ def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> LMatrix:
     q, n = cfg.q, cfg.n
     coeffs = phi.as_dict()
     rows = [[()] * n for _ in range(n)]
-    for (i, j), w in support_of(cfg, phi).entries:
+    for (i, j), w in graded_support(cfg, phi.x, phi.degree, _checked=True).entries:
         rows[i][j] = monomial(q, w, coeffs.get((i, j), 0))
     return LMatrix.from_rows(q, rows)
 

@@ -444,6 +444,35 @@ def test_refine_refuses_a_coarse_lift_below_the_finer_lattice(capsys):
     assert cli_error(err)["where"] == "refine.enumerate_and_classify"
 
 
+def test_refine_names_the_points_of_a_failed_incidence(capsys):
+    # points print as their coordinates, as DMPPair.describe prints them
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "refine", "--n", "2",
+        "--y", "1/4,0", "--tau", "1", "--phi", "0", "--x", "0,0", "--s", "2",
+    )
+    assert code == 2 and out == ""
+    assert cli_error(err) == {
+        "code": 2,
+        "message": "inclusion chains fail between (y=(1/4,0), tau=1) and (x=(0,0), s=2)",
+        "where": "refine.enumerate_and_classify",
+    }
+
+
+def test_refine_refuses_level_zero_before_building_a_member(capsys):
+    # s = 0 gives the image degree 0, which the degeneracy check refuses
+    # before any member's pair is built
+    code, out, err = run_cli(
+        capsys, "--allow-small-p", "refine",
+        "--y", "0,0", "--tau", "1/2", "--phi", "0", "--x", "0,0", "--s", "0",
+    )
+    assert code == 2 and out == ""
+    assert cli_error(err) == {
+        "code": 2,
+        "message": "degeneracy is defined on pieces of negative degree, got 0",
+        "where": "graded.is_degenerate",
+    }
+
+
 def test_small_p_warning_printed_without_flag(capsys):
     code, _, err = run_cli(capsys, "lattice", "--x", "0,0", "--s", "0")
     assert code == 0

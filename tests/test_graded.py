@@ -1,5 +1,6 @@
 """Graded elements: degeneracy, lifts, profiles, orbits under unipotents."""
 
+import itertools
 import random
 import warnings
 from fractions import Fraction as Q
@@ -7,12 +8,14 @@ from fractions import Fraction as Q
 import pytest
 
 from mptypes import gf, graded
-from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, residue_classes
+from mptypes.apartment import (
+    ApartmentPoint, GroupConfig, graded_support, inclusion_chain_ok, residue_classes
+)
 from mptypes.errors import InternalFault, ValidationError
 from mptypes.graded import (
     GradedElement,
-    ReductiveQuotient,
     align_conjugator,
+    coefficient_matrix,
     conjugate,
     enumerate_graded_elements,
     graded_jordan_chains,
@@ -24,9 +27,12 @@ from mptypes.graded import (
     unipotent_orbit_count,
 )
 from mptypes.laurent import LMatrix
-from mptypes.orbits import debacker_lift, jordan_type
+from mptypes.orbits import debacker_lift, jordan_type, sl2_complete
 
 from lift_oracle import graded_image, homogeneous_lift, is_zero_matrix, monomial
+from quotient_oracle import (
+    checked_conjugate, checked_element, checked_orbit, random_quotient_element
+)
 
 
 def make_cfg(n, q=5, m=8):
@@ -226,7 +232,7 @@ def test_degeneracy_invariant_under_quotient_conjugation():
         el = GradedElement.make(
             cfg, x, d, {p: rng.randrange(cfg.q) for p in sup.positions}
         )
-        g = ReductiveQuotient.at(x).random_element(cfg, rng)
+        g = random_quotient_element(cfg, x, rng)
         conj = conjugate(cfg, el, g)
         assert is_degenerate(cfg, el) == is_degenerate(cfg, conj)
         if is_degenerate(cfg, el):
@@ -406,7 +412,7 @@ def test_jordan_chains_stopping_at_the_first_zero_power_equal_the_oracle():
                     if order.index(i) < order.index(j)
                 ]
                 el = GradedElement.make(cfg, x, -s, {p: rng.randrange(q) for p in upper})
-                el = conjugate(cfg, el, ReductiveQuotient.at(x).random_element(cfg, rng))
+                el = conjugate(cfg, el, random_quotient_element(cfg, x, rng))
                 chains = graded_jordan_chains(cfg, el)
                 assert chains == oracle_jordan_chains(cfg, el), (n, q, x, s, el)
                 depths.add(len(chains[0]))
@@ -414,3 +420,138 @@ def test_jordan_chains_stopping_at_the_first_zero_power_equal_the_oracle():
                 done += 1
     assert done >= 200 and depths == {1, 2, 3, 4}
 
+
+
+# -- unchecked builds against the checked quotient oracle -------------------
+
+# (n, q, x, s): one, two and three residue classes; q > 2n for sl2_complete
+ORACLE_PIECES = [
+    (2, 5, (0, 0), 1),
+    (2, 5, (Q(1, 2), 0), Q(1, 2)),
+    (2, 5, (Q(1, 2), 0), 1),
+    (3, 7, (0, 0, 0), 1),
+    (3, 7, (Q(1, 2), 0, 0), Q(1, 2)),
+    (3, 7, (Q(1, 2), Q(1, 4), 0), Q(3, 4)),
+    (3, 7, (Q(1, 4), Q(1, 4), 0), Q(1, 4)),
+]
+
+
+def near_points(cfg, x):
+    """Points y = x + k/8 (k in {-1, 0, 1} per coordinate) tied to x by the
+    level-zero chain, x itself among them."""
+    shifted = (
+        pt(*(c + Q(k, 8) for c, k in zip(x.coords, ks)))
+        for ks in itertools.product((-1, 0, 1), repeat=x.n)
+    )
+    return [y for y in shifted if inclusion_chain_ok(cfg, x, Q(0), y, Q(0))]
+
+
+@pytest.mark.parametrize("n, q, coords, s", ORACLE_PIECES)
+def test_unchecked_builds_equal_the_checked_oracle(n, q, coords, s):
+    # conjugate, the BFS members of unipotent_orbit_count and the H and E
+    # of sl2_complete build their elements unchecked; each equals the
+    # element GradedElement.make builds from the same matrix
+    cfg = make_cfg(n, q)
+    x = pt(*coords)
+    rng = random.Random(f"quotient:{n}:{coords}:{s}")
+    positions = graded_support(cfg, x, -s).positions
+    near = near_points(cfg, x)
+    outcomes, orbit_sizes = set(), set()
+    for _ in range(12):
+        el = GradedElement.make(cfg, x, -s, {p: rng.randrange(q) for p in positions})
+        member = random_quotient_element(cfg, x, rng)
+        stray = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+        singular = ((0,) * n,) + member[1:]
+        for c in (member, stray, singular):
+            want = checked_conjugate(cfg, el, c)
+            if want is None:
+                with pytest.raises(ValidationError) as err:
+                    conjugate(cfg, el, c)
+                assert err.value.where == "graded.conjugate"
+            else:
+                assert conjugate(cfg, el, c) == want
+            outcomes.add(want is None)
+        y = rng.choice(near)
+        count, members = unipotent_orbit_count(cfg, y, x, el)
+        assert members == checked_orbit(cfg, y, x, el) and count == len(members)
+        orbit_sizes.add(count)
+        # a nilpotent element: strictly upper in a random index order, conjugated
+        order = rng.sample(range(n), n)
+        upper = [(i, j) for i, j in positions if order.index(i) < order.index(j)]
+        nil = GradedElement.make(cfg, x, -s, {p: rng.randrange(1, q) for p in upper})
+        triple = sl2_complete(cfg, conjugate(cfg, nil, member))
+        for part, degree in ((triple.H, 0), (triple.E, s)):
+            assert part == checked_element(cfg, x, degree, coefficient_matrix(cfg, part))
+    assert outcomes == {True, False}
+    # the BFS moves phi only where some class holds two indices
+    assert (max(orbit_sizes) > 1) == any(len(idx) > 1 for _, idx in residue_classes(x))
+
+
+@pytest.mark.parametrize("n, q, coords, s", ORACLE_PIECES)
+def test_stabilizer_dimension_count_equals_the_closed_orbit(monkeypatch, n, q, coords, s):
+    # with the BFS bound at 0 only the dimension count runs (q > n); it
+    # must give the size of the orbit the oracle closes.  The scalar
+    # element commutes with every E_ij, so its rows vanish; with the sign
+    # of one bracket term flipped they would not
+    cfg = make_cfg(n, q)
+    x = pt(*coords)
+    rng = random.Random(f"stabilizer:{n}:{coords}:{s}")
+    positions = graded_support(cfg, x, -s).positions
+    near = near_points(cfg, x)
+    scalar = GradedElement.make(cfg, x, -s, {p: 1 for p in positions if p[0] == p[1]})
+    cases = [(scalar, y) for y in near] + [
+        (GradedElement.make(cfg, x, -s, {p: rng.randrange(q) for p in positions}), rng.choice(near))
+        for _ in range(12)
+    ]
+    monkeypatch.setattr(graded, "_ORBIT_BOUND", 0)
+    sizes = set()
+    for el, y in cases:
+        count, members = unipotent_orbit_count(cfg, y, x, el)
+        assert count == len(checked_orbit(cfg, y, x, el)) and members == frozenset()
+        sizes.add(count)
+    assert (max(sizes) > 1) == any(len(idx) > 1 for _, idx in residue_classes(x))
+
+
+def test_conjugate_refuses_what_is_not_in_the_quotient():
+    # at x = (1/2, 0, 0) the classes are {1, 2} and {0}
+    cfg = make_cfg(3, 7)
+    x = pt(Q(1, 2), 0, 0)
+    el = GradedElement.make(cfg, x, Q(-1, 2), {(0, 1): 1, (2, 0): 3})
+    good = ((2, 0, 0), (0, 1, 1), (0, 0, 1))
+    assert conjugate(cfg, el, good) == checked_conjugate(cfg, el, good)
+    refused = [
+        ((1, 0), (0, 1)),
+        ((1, 0, 0), (0, 1, 0)),
+        tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
+        ((1, 0, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),  # mixes the classes
+        ((1, 0, 0), (0, 1, 1), (0, 1, 1)),  # singular
+        ((7, 0, 0), (0, 1, 0), (0, 0, 1)),  # singular mod 7
+    ]
+    for c in refused:
+        with pytest.raises(ValidationError) as err:
+            conjugate(cfg, el, c)
+        assert err.value.where == "graded.conjugate"
+        assert str(err.value).endswith("conjugator is not a member of the reductive quotient at x")
+
+
+def test_random_quotient_element_draws_class_blocks_until_invertible():
+    # x = (1/2, 0, 0): the class {1, 2} is drawn before {0}; a singular
+    # draw is dropped whole (seed 1 draws three before an invertible one)
+    cfg = make_cfg(3, 5)
+    x = pt(Q(1, 2), 0, 0)
+    rng, replay = random.Random(1), random.Random(1)
+    g = random_quotient_element(cfg, x, rng)
+    field = gf.prime_field(5)
+    attempts = 0
+    while True:
+        attempts += 1
+        m = [[0] * 3 for _ in range(3)]
+        for i in (1, 2):
+            for j in (1, 2):
+                m[i][j] = replay.randrange(5)
+        m[0][0] = replay.randrange(5)
+        if gf.rank(m, field) == 3:
+            break
+    assert attempts == 4
+    assert g == tuple(map(tuple, m)) and rng.random() == replay.random()

@@ -53,9 +53,47 @@ def imports_random(path: Path) -> bool:
 
 def test_the_modules_that_import_random_are_pinned():
     # the minimality certificate and the witness search draw nothing, so
-    # orbits and measures are not among them
+    # orbits and measures are not among them; random block elements of the
+    # reductive quotient are drawn only by the tests, so graded is not either
     importers = {path.stem for path in SRC.glob("*.py") if imports_random(path)}
-    assert importers == {"cli", "finite_types", "graded", "selftest"}
+    assert importers == {"cli", "finite_types", "selftest"}
+
+
+def unused_imports(path: Path) -> list:
+    """The names a module imports but never reads: every name bound by an
+    import (its alias, or the first component of a dotted module) must
+    occur as a name somewhere in the module; `__future__` imports bind
+    none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_imported_name_is_used():
+    # no linter runs on the sources, so an import left behind by a deletion
+    # is caught here
+    unused = {path.stem: unused_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {stem: names for stem, names in unused.items() if names} == {}
+
+
+def test_unused_imports_finds_a_leftover(tmp_path):
+    module = tmp_path / "leftover.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import random\n"
+        "from .apartment import GradedSupport, graded_support as support\n"
+        "def f(cfg, x):\n"
+        "    return support(cfg, x, 0), os.sep\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["random", "GradedSupport"]
 
 
 def test_every_exported_name_exists():

@@ -7,12 +7,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mptypes import gf, orbits
+from mptypes import gf, graded, orbits
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import InternalFault, ValidationError
 from mptypes.graded import (
     GradedElement,
-    ReductiveQuotient,
     coefficient_matrix,
     conjugate,
     enumerate_graded_elements,
@@ -45,6 +44,7 @@ from lift_oracle import (
     two_pass_lift,
     zero_matrix,
 )
+from quotient_oracle import random_quotient_element
 
 
 def make_cfg(n, q=5, m=8):
@@ -295,7 +295,7 @@ def test_debacker_lift_quotient_invariance():
         )
         if not is_degenerate(cfg, el):
             continue
-        g = ReductiveQuotient.at(x).random_element(cfg, rng)
+        g = random_quotient_element(cfg, x, rng)
         assert debacker_lift(cfg, s, el) == debacker_lift(cfg, s, conjugate(cfg, el, g))
         done += 1
 
@@ -425,7 +425,7 @@ def nilpotent_instance(cfg, x, s, rng):
     if not upper:
         return None
     el = GradedElement.make(cfg, x, -s, {p: rng.randrange(cfg.q) for p in upper})
-    el = conjugate(cfg, el, ReductiveQuotient.at(x).random_element(cfg, rng))
+    el = conjugate(cfg, el, random_quotient_element(cfg, x, rng))
     return None if el.is_zero() else el
 
 
@@ -450,7 +450,7 @@ def test_coefficient_check_agrees_with_the_laurent_oracle():
             if el is None:
                 continue
             triple = sl2_complete(cfg, el)
-            c = ReductiveQuotient.at(x).random_element(cfg, rng)
+            c = random_quotient_element(cfg, x, rng)
             turned = SL2Triple(*(conjugate(cfg, m, c) for m in (triple.Phi, triple.H, triple.E)))
             forged = [triple, turned]
             for name in ("Phi", "H", "E"):
@@ -507,7 +507,7 @@ def forge(name):
         g = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
         g_inv = gf.mat_inv(g, field)
         return cfg, SL2Triple(*(
-            orbits._element(x, m.degree, gf.mat_mul(
+            graded.element_from_matrix(x, m.degree, gf.mat_mul(
                 gf.mat_mul(g, coefficient_matrix(cfg, m), field), g_inv, field
             ))
             for m in (tr.Phi, tr.H, tr.E)
@@ -531,6 +531,16 @@ def test_check_triple_faults_on_forged_triples(name):
     assert forged != genuine and not oracle_triple_ok(cfg, forged)
     with pytest.raises(InternalFault, match="triple identity|not homogeneous"):
         orbits._check_triple(cfg, forged)
+
+
+def test_check_triple_names_the_points_it_compares():
+    cfg, forged = forge("E at another point")
+    with pytest.raises(InternalFault) as err:
+        orbits._check_triple(cfg, forged)
+    assert str(err.value) == (
+        "triple member E is not homogeneous of degree 1/2 at x = (1/2,0,0): it has "
+        "degree 1/2 at x = (3/2,0,0)"
+    )
 
 
 def test_sl2_complete_multiplies_no_laurent_matrices(monkeypatch):
@@ -807,8 +817,8 @@ def test_a_mutated_certificate_fails_the_probe_and_criterion_6(monkeypatch, muta
     assert criterion_6_minimality(CFG2)[0]
     mutate(monkeypatch)
     assert not minimality_probe(CFG2, pair)
-    passed, detail = criterion_6_minimality(CFG2)
-    assert not passed and detail.startswith("certificate refused"), detail
+    # the sweep's first pair, the zero element at (0,0), s = 1, is refused
+    assert criterion_6_minimality(CFG2) == (False, "certificate refused at (0,0), s=1")
 
 
 # -- block draws against the randrange stream they reproduce ---------------

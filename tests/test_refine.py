@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from mptypes import refine
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.errors import InfeasibleError, InternalFault, ValidationError
 from mptypes.graded import GradedElement
@@ -297,3 +298,46 @@ def test_pair_hash_is_the_hash_of_its_fields():
         other = dataclasses.replace(coarse, phi=GradedElement.zero(coarse.x, -coarse.s))
         assert hash(other) == hash((other.s, other.x, other.phi, other.lift))
         assert (other == coarse) == coarse.phi.is_zero()
+
+
+def test_class_pairs_equal_make_built_ones_and_feed_the_relation(monkeypatch):
+    # each degenerate member carries the pair DMPPair.make builds for it;
+    # the relation takes its base and C terms from the classes without
+    # reading any lift again
+    records = 0
+    for coarse, finer in worked_instances(CFG) + seeded_incidences(CFG, 30, "class-pairs"):
+        try:
+            classes = enumerate_and_classify(CFG, coarse, finer)
+        except InfeasibleError:
+            continue
+        x, s = finer
+        for c in classes:
+            assert (c.pair is None) == (c.tag == "A")
+            if c.pair is not None:
+                assert c.pair == DMPPair.make(CFG, s, x, c.chi) and c.lift == c.pair.lift
+        monkeypatch.setattr(refine, "debacker_lift", None)  # a call would fail
+        rec = refine_relation(CFG, coarse, finer, classes=classes)
+        monkeypatch.undo()
+        by_chi = {c.chi: c for c in classes}
+        assert by_chi[rec.base.phi].tag == "B" and rec.base is by_chi[rec.base.phi].pair
+        assert [p for _, p in rec.terms] == [c.pair for c in classes if c.tag == "C"]
+        assert rec == refine_relation(CFG, coarse, finer)
+        records += 1
+    assert records >= 30
+
+
+def test_refine_relation_refuses_a_base_that_is_not_tagged_b():
+    # the hyperspecial worked incidence: the zero member is B, the rest C
+    y = pt(Q(1, 4), 0)
+    coarse = DMPPair.make(CFG, Q(1), y, GradedElement.zero(y, -1))
+    classes = enumerate_and_classify(CFG, coarse, (X_HYP, Q(1)))
+    c_member = next(c.chi for c in classes if c.tag == "C")
+    outside = GradedElement.make(CFG, X_HYP, -1, {(1, 0): 1})
+    for hint in (c_member, outside):
+        with pytest.raises(InternalFault, match="base is not a B-tagged member") as err:
+            refine_relation(CFG, coarse, (X_HYP, Q(1)), base_hint=hint, classes=classes)
+        assert err.value.where == "refine.refine_relation"
+    # classes without the image's B member refuse the image as base
+    without_b = [c for c in classes if c.tag != "B"]
+    with pytest.raises(InternalFault, match="base is not a B-tagged member"):
+        refine_relation(CFG, coarse, (X_HYP, Q(1)), classes=without_b)
