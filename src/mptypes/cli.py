@@ -303,9 +303,9 @@ def _cmd_refine(cfg, args) -> dict:
             f"{args.modules} modules exceed bound {args.bound}", where="cli.refine"
         )
     # classified once, with the cross-check; the relation and the fork
-    # identity both read this result
-    classes = enumerate_and_classify(cfg, coarse, (x, s), bound=args.bound)
-    rec = refine_relation(cfg, coarse, (x, s), classes=classes)
+    # identity both read this decomposition
+    decomposition = enumerate_and_classify(cfg, coarse, (x, s), bound=args.bound)
+    rec = refine_relation(cfg, coarse, (x, s), decomposition=decomposition)
     slices = relation_slices(cfg, rec, args.K, enum_bound=args.bound)
     field = fork_field(cfg)
     rng = random.Random(f"cli-refine:{args.seed}")
@@ -313,7 +313,7 @@ def _cmd_refine(cfg, args) -> dict:
         FiniteModule.random(cfg, field, x, s, rng.randrange(1, 7), rng)
         for _ in range(args.modules)
     )
-    fork_ok = verify_fork_identity(cfg, modules, coarse, (x, s), classes=classes)
+    fork_ok = verify_fork_identity(cfg, modules, decomposition)
     return {
         "record": jsonio.record_to_json(cfg, rec),
         "verification": {

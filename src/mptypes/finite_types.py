@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import gf
-from .apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
-from .errors import InternalFault, ValidationError
+from .apartment import ApartmentPoint, GroupConfig, graded_support
+from .errors import ValidationError
 from .graded import GradedElement
-from .refine import DMPPair, SubcosetClass, enumerate_and_classify
+from .refine import Decomposition
 
 Q = Fraction
 
@@ -35,7 +35,6 @@ __all__ = [
     "fork_field",
     "hom_dim",
     "verify_fork_identity",
-    "fork_report",
 ]
 
 
@@ -218,58 +217,39 @@ def _restrict(M: FiniteModule, basis: Sequence[gf.Vec], k: int, lam: int) -> Lis
 # ---------------------------------------------------------------------------
 
 
-def _restricted_positions(
-    cfg: GroupConfig, y: ApartmentPoint, tau: Q, x: ApartmentPoint, s: Q
-) -> List[int]:
-    """Indices of the finer support monomials lying in the coarser lattice."""
-    sup = graded_support(cfg, x, s, _checked=True)
-    coarse = mp_lattice(cfg, y, tau, strict=False, _checked=True)
-    return [
-        k for k, ((i, j), w) in enumerate(sup.entries) if w >= coarse.bounds[i][j]
-    ]
-
-
 class _Incidence:
-    """What the extension-sum identity needs of one incidence, for any module.
+    """What the extension-sum identity needs of one decomposition, for any module.
 
-    `base` holds the exponents shared by every extension on the
-    restricted positions; `keys` holds each extension's exponents on the
-    free positions, and `degenerate` whether its class is not tag A.
+    A support position (i, j) of g_{x=s} pairs with the position (j, i)
+    of g_{x=-s}: it is free when (j, i) is a free position of the
+    decomposition, and restricted, lying in the coarse lattice
+    L_{y>=tau}, otherwise (by duality, w >= ceil(tau + y_j - y_i)
+    exactly when -w <= floor(-tau + y_i - y_j)).  `base` holds the
+    exponents shared by every extension on the restricted positions;
+    `keys` holds each extension's exponents on the free positions.
     (A plain class: a dataclass would cost every CLI start about 1.5 ms.)
     """
 
-    def __init__(
-        self,
-        cfg: GroupConfig,
-        coarse: DMPPair,
-        finer: Tuple[ApartmentPoint, Q],
-        classes: Optional[Sequence[SubcosetClass]] = None,
-    ) -> None:
-        self.x, self.s = finer[0], Q(finer[1])
-        if classes is None:
-            classes = enumerate_and_classify(cfg, coarse, finer)
+    def __init__(self, cfg: GroupConfig, decomposition: Decomposition) -> None:
+        self.x, self.s = decomposition.x, decomposition.s
         positions = graded_support(cfg, self.x, self.s, _checked=True).positions
-        exponents = [_exponents(cls.chi, positions) for cls in classes]
-        self.restricted = tuple(_restricted_positions(cfg, coarse.x, coarse.s, self.x, self.s))
+        free = set(decomposition.free)
+        self.restricted = tuple(k for k, (i, j) in enumerate(positions) if (j, i) not in free)
+        self.free = tuple(k for k, (i, j) in enumerate(positions) if (j, i) in free)
+        # the members differ only on the free positions, so every
+        # extension shares the first one's restricted exponents
+        exponents = [_exponents(cls.chi, positions) for cls in decomposition]
         self.base = tuple(exponents[0][k] for k in self.restricted)
-        # all extensions agree on the restricted sub-piece
-        if any(tuple(ex[k] for k in self.restricted) != self.base for ex in exponents):
-            raise InternalFault(
-                "extensions disagree on the restricted sub-piece",
-                where="finite_types.fork_report",
-            )
-        self.free = tuple(k for k in range(len(positions)) if k not in self.restricted)
         self.keys = [tuple(ex[k] for k in self.free) for ex in exponents]
-        self.degenerate = [cls.tag != "A" for cls in classes]
 
     def split(self, cfg: GroupConfig, M: FiniteModule) -> Tuple[int, List[int]]:
         """(restricted hom dim, the hom dim of each extension in class order)."""
         if (M.x, M.s) != (self.x, self.s):
             raise ValidationError(
                 "module does not live on the finer graded piece",
-                where="finite_types.fork_report",
+                where="finite_types.verify_fork_identity",
             )
-        _check_field(cfg, M.field, where="finite_types.fork_report")
+        _check_field(cfg, M.field, where="finite_types.verify_fork_identity")
         f = M.field
         lams = [f.pow(f.root_of_unity(cfg.q), e) for e in range(cfg.q)]
         basis = _eigenspace(cfg, M, self.restricted, self.base)
@@ -287,40 +267,19 @@ class _Incidence:
 
 
 def verify_fork_identity(
-    cfg: GroupConfig,
-    modules: Iterable[FiniteModule],
-    coarse: DMPPair,
-    finer: Tuple[ApartmentPoint, Q],
-    *,
-    classes: Optional[Sequence[SubcosetClass]] = None,
+    cfg: GroupConfig, modules: Iterable[FiniteModule], decomposition: Decomposition
 ) -> bool:
     """Whether the extension sum holds for every module, in order.
 
-    The incidence is classified once, or not at all when `classes`
-    gives its `enumerate_and_classify` result; the modules are drawn
-    from the iterable one at a time, and none is drawn after the first
-    failure.
+    The incidence is the decomposition's (`refine.enumerate_and_classify`),
+    read once for any number of modules; its restricted and free
+    positions come from the decomposition's free positions, so no
+    lattice is built here.  The modules are drawn from the iterable one
+    at a time, and none is drawn after the first failure.
     """
-    inc = _Incidence(cfg, coarse, finer, classes)
+    inc = _Incidence(cfg, decomposition)
     for M in modules:
         lhs, dims = inc.split(cfg, M)
         if lhs != sum(dims):
             return False
     return True
-
-
-def fork_report(
-    cfg: GroupConfig,
-    M: FiniteModule,
-    coarse: DMPPair,
-    finer: Tuple[ApartmentPoint, Q],
-) -> Tuple[int, int, int]:
-    """(restricted hom dim, extension sum, degenerate-only partial sum).
-
-    The first two must agree exactly; at finite level the non-degenerate
-    extensions need not vanish, so the degenerate-only sum is reported
-    separately rather than asserted equal.
-    """
-    inc = _Incidence(cfg, coarse, finer)
-    lhs, dims = inc.split(cfg, M)
-    return lhs, sum(dims), sum(d for d, deg in zip(dims, inc.degenerate) if deg)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .apartment import (
     ApartmentPoint,
@@ -46,6 +46,7 @@ Q = Fraction
 __all__ = [
     "DMPPair",
     "SubcosetClass",
+    "Decomposition",
     "RelationRecord",
     "check_incidence",
     "enumerate_and_classify",
@@ -177,18 +178,32 @@ def check_incidence(
     return all(inclusion_chain_ok(cfg, x, lx, y, ly) for lx, ly in ((Q(0), Q(0)), (s, tau)))
 
 
-def _surface_positions(
-    cfg: GroupConfig, y: ApartmentPoint, tau: Q, x: ApartmentPoint, s: Q
-) -> List[Tuple[Tuple[int, int], int]]:
-    """Support monomials of g_{x=-s} that remain free modulo g_{y>-tau}.
+@dataclass(frozen=True)
+class Decomposition:
+    """The finer-coset decomposition of one incidence (coarse, x, s).
 
-    These parametrize the finer-coset decomposition: the quotient
-    g_{y>-tau} / g_{x>-s} is spanned by exactly the degree -s support
-    monomials lying in g_{y>-tau}.
+    `free` lists the support positions of g_{x=-s} that stay free modulo
+    g_{y>-tau}, in support order; the members are the image of the
+    coarse lift plus every combination of coefficients on them, so the
+    quotient dimension is their number.  Iterating, and `len`, run over
+    the classes, in enumeration order.
     """
-    sup = graded_support(cfg, x, -s, _checked=True)
-    strict_y = mp_lattice(cfg, y, -tau, strict=True, _checked=True)
-    return [((i, j), w) for (i, j), w in sup.entries if w >= strict_y.bounds[i][j]]
+
+    coarse: DMPPair
+    x: ApartmentPoint
+    s: Q
+    free: Tuple[Tuple[int, int], ...]
+    classes: Tuple[SubcosetClass, ...]
+
+    @property
+    def quotient_dim(self) -> int:
+        return len(self.free)
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __iter__(self) -> Iterator[SubcosetClass]:
+        return iter(self.classes)
 
 
 def enumerate_and_classify(
@@ -196,14 +211,18 @@ def enumerate_and_classify(
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
     bound: int = 10**6,
-) -> List[SubcosetClass]:
+) -> Decomposition:
     """Decompose the coarse coset along (x, s) and tag every member.
 
-    Members are enumerated in lexicographic coefficient order over the
-    free support monomials.  Tag B is decided by rank-profile equality
-    against the image of the coarse homogeneous lift; when feasible the
-    B-set is cross-checked against the breadth-first orbit under the
-    unipotent image (a disagreement is an internal fault).
+    The strict lattices L_{y>-tau} and L_{x>-s} and the support of
+    g_{x=-s} are built once each: the free positions are the support
+    monomials lying in L_{y>-tau}, and their number must equal the
+    quotient dimension.  Members are enumerated in lexicographic
+    coefficient order over the free positions.  Tag B is decided by
+    rank-profile equality against the image of the coarse homogeneous
+    lift; when feasible the B-set is cross-checked against the
+    breadth-first orbit under the unipotent image (a disagreement is an
+    internal fault).
     """
     x, s = finer[0], Q(finer[1])
     if x.n != cfg.n:
@@ -221,7 +240,10 @@ def enumerate_and_classify(
     strict_y = mp_lattice(cfg, y, -tau, strict=True, _checked=True)
     strict_x = mp_lattice(cfg, x, -s, strict=True, _checked=True)
     qdim = strict_y.dim_quotient_by(strict_x)
-    free = _surface_positions(cfg, y, tau, x, s)
+    # the quotient g_{y>-tau} / g_{x>-s} is spanned by exactly the
+    # degree -s support monomials lying in g_{y>-tau}
+    sup = graded_support(cfg, x, -s, _checked=True)
+    free = tuple((i, j) for (i, j), w in sup.entries if w >= strict_y.bounds[i][j])
     if len(free) != qdim:
         raise InternalFault(
             f"quotient dimension {qdim} does not match {len(free)} free monomials",
@@ -248,12 +270,11 @@ def enumerate_and_classify(
     # s > 0, since is_degenerate refused a piece of degree >= 0, so each
     # degenerate member's pair is built from the lift its profile gives
     base = phi_x.as_dict()
-    positions = [p for p, _ in free]
     degree = -s
     classes: List[SubcosetClass] = []
-    for combo in itertools.product(range(cfg.q), repeat=len(positions)):
+    for combo in itertools.product(range(cfg.q), repeat=len(free)):
         coeffs = dict(base)
-        for pos, c in zip(positions, combo):
+        for pos, c in zip(free, combo):
             v = (coeffs.get(pos, 0) + c) % cfg.q
             if v:
                 coeffs[pos] = v
@@ -282,7 +303,7 @@ def enumerate_and_classify(
             where="refine.enumerate_and_classify",
         )
     _crosscheck_b_class(cfg, y, x, phi_x, classes)
-    return classes
+    return Decomposition(coarse, x, s, free, tuple(classes))
 
 
 def _crosscheck_b_class(
@@ -315,25 +336,35 @@ def refine_relation(
     role: str = "refine",
     interval: Optional[int] = None,
     *,
-    classes: Optional[Sequence[SubcosetClass]] = None,
+    decomposition: Optional[Decomposition] = None,
 ) -> RelationRecord:
     """Emit the exact relation attached to one (coarse, finer) incidence.
 
     The base component is the member tagged B given by the image of the
     coarse lift, or `base_hint` when supplied (it must itself be tagged
     B); C-members enter with coefficient one each, in enumeration order.
-    Every pair is the one its class carries.  `classes`, when given, is
-    the incidence's `enumerate_and_classify` result and is used instead
-    of classifying again.
+    Every pair is the one its class carries, and the quotient dimension
+    is the decomposition's.  `decomposition`, when given, is used
+    instead of classifying again; one of another incidence is refused.
     """
     x, s = finer[0], Q(finer[1])
-    if classes is None:
-        classes = enumerate_and_classify(cfg, coarse, finer)
+    if decomposition is None:
+        decomposition = enumerate_and_classify(cfg, coarse, finer)
+    # the image first: a coarse lift below the finer lattice is refused
+    # as input, before the decomposition is compared with the incidence
+    base_chi = _image(cfg, coarse.phi, x, -s) if base_hint is None else base_hint
+    if (decomposition.coarse, decomposition.x, decomposition.s) != (coarse, x, s):
+        raise InternalFault(
+            f"the decomposition of {decomposition.coarse.describe()} along "
+            f"(x={decomposition.x}, s={decomposition.s}) is not the one of "
+            f"{coarse.describe()} along (x={x}, s={s})",
+            where="refine.refine_relation",
+        )
+    classes = decomposition.classes
     n_b = sum(1 for c in classes if c.tag == "B")
     n_a = sum(1 for c in classes if c.tag == "A")
     terms = tuple((Q(1), c.pair) for c in classes if c.tag == "C")
 
-    base_chi = _image(cfg, coarse.phi, x, -s) if base_hint is None else base_hint
     base_pair = next((c.pair for c in classes if c.chi == base_chi and c.tag == "B"), None)
     if base_pair is None:
         raise InternalFault(
@@ -349,16 +380,10 @@ def refine_relation(
         n_a=n_a,
         n_b=n_b,
         n_c=len(terms),
-        quotient_dim=_qdim_of(cfg, coarse, x, s),
+        quotient_dim=decomposition.quotient_dim,
         interval=interval,
     )
     return RelationRecord(lhs=coarse, c=Q(n_b), base=base_pair, terms=terms, provenance=prov)
-
-
-def _qdim_of(cfg: GroupConfig, coarse: DMPPair, x: ApartmentPoint, s: Q) -> int:
-    strict_y = mp_lattice(cfg, coarse.x, -coarse.s, strict=True, _checked=True)
-    strict_x = mp_lattice(cfg, x, -s, strict=True, _checked=True)
-    return strict_y.dim_quotient_by(strict_x)
 
 
 def verify_relation(

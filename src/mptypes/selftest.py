@@ -31,7 +31,7 @@ from .measures import (
     relation_slices,
 )
 from .orbits import dominance_leq, minimality_probe, partitions_of
-from .refine import DMPPair, RelationRecord, refine_relation
+from .refine import DMPPair, RelationRecord, enumerate_and_classify, refine_relation
 from .solver import (
     assemble_and_invert, choose_probes, independence_check, matrix_problem, synthesize_vector
 )
@@ -210,7 +210,7 @@ def criterion_3_multiplicity_half(cfg: GroupConfig, seed: int = 0) -> Tuple[bool
             FiniteModule.random(cfg, field, finer[0], finer[1], rng.randrange(1, 7), rng)
             for _ in range(50)
         )
-        if not verify_fork_identity(cfg, modules, coarse, finer):
+        if not verify_fork_identity(cfg, modules, enumerate_and_classify(cfg, coarse, finer)):
             return False, f"identity fails at {coarse.describe()}"
         total += 50
     return True, f"{total} random modules satisfy the extension sum exactly"

@@ -4,20 +4,51 @@
 the finer graded piece that extends the coarse one, read off the
 finer-coset decomposition and checked against an independent
 enumeration (exponents fixed on the restricted sub-piece by
-`_coarse_exponent`, free elsewhere).  The
-library's fork identity reads the same exponents through
-`finite_types._Incidence`; the tests compare the two.
+`_coarse_exponent`, free elsewhere).  The restricted sub-piece is read
+here from the coarse lattice itself (`_restricted_positions`), while the
+library's fork identity derives it from the decomposition's free
+positions through `finite_types._Incidence`; the tests compare the two.
+`fork_report` classifies an incidence and reports one module's split.
 """
 
 import itertools
 from fractions import Fraction as Q
 from typing import List, Tuple
 
-from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support
+from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import InternalFault
-from mptypes.finite_types import _exponents, _restricted_positions
+from mptypes.finite_types import FiniteModule, _exponents, _Incidence
 from mptypes.graded import monomials
 from mptypes.refine import DMPPair, enumerate_and_classify
+
+
+def _restricted_positions(
+    cfg: GroupConfig, y: ApartmentPoint, tau: Q, x: ApartmentPoint, s: Q
+) -> List[int]:
+    """Indices of the finer support monomials lying in the coarser lattice."""
+    sup = graded_support(cfg, x, s, _checked=True)
+    coarse = mp_lattice(cfg, y, tau, strict=False, _checked=True)
+    return [
+        k for k, ((i, j), w) in enumerate(sup.entries) if w >= coarse.bounds[i][j]
+    ]
+
+
+def fork_report(
+    cfg: GroupConfig,
+    M: FiniteModule,
+    coarse: DMPPair,
+    finer: Tuple[ApartmentPoint, Q],
+) -> Tuple[int, int, int]:
+    """(restricted hom dim, extension sum, degenerate-only partial sum).
+
+    The first two must agree exactly; at finite level the non-degenerate
+    extensions need not vanish, so the degenerate-only sum is reported
+    separately rather than asserted equal.
+    """
+    decomposition = enumerate_and_classify(cfg, coarse, finer)
+    lhs, dims = _Incidence(cfg, decomposition).split(cfg, M)
+    degenerate = [cls.tag != "A" for cls in decomposition]
+    return lhs, sum(dims), sum(d for d, deg in zip(dims, degenerate) if deg)
 
 
 def extension_characters(

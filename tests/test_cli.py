@@ -205,13 +205,13 @@ def test_refine_at_q2_verifies_its_modules(capsys, monkeypatch):
     verified = []
     real = cli.verify_fork_identity
 
-    def counting(cfg, modules, coarse, finer, **kwargs):
+    def counting(cfg, modules, decomposition):
         def drawn():
             for module in modules:
                 verified.append(module)
                 yield module
 
-        return real(cfg, drawn(), coarse, finer, **kwargs)
+        return real(cfg, drawn(), decomposition)
 
     monkeypatch.setattr(cli, "verify_fork_identity", counting)
     code, out, _ = run_cli(
@@ -930,6 +930,27 @@ def test_refine_classifies_its_incidence_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["verification"]["fork_identity"]["all_pass"] is True
     assert len(classified) == 1 and len(crosschecked) == 1
+
+
+def test_refine_builds_each_strict_lattice_of_its_incidence_once(capsys, monkeypatch):
+    # the classification builds L_{y>-tau} and L_{x>-s}; the relation
+    # reads the quotient dimension from it and the fork identity its free
+    # positions, so neither builds a lattice again (the measure slices
+    # build theirs in `measures`, which this count leaves out)
+    from fractions import Fraction
+
+    from mptypes import apartment, measures
+
+    real = apartment.mp_lattice
+    built = count_calls(monkeypatch, real)
+    monkeypatch.setattr(measures, "mp_lattice", real)
+    code, out, _ = run_cli(capsys, "--allow-small-p", *REFINE)
+    assert code == 0
+    assert json.loads(out)["verification"]["fork_identity"]["all_pass"] is True
+    assert [(str(args[1]), args[2]) for args in built] == [
+        ("(3/8,0)", Fraction(-5, 8)),
+        ("(1/2,0)", Fraction(-1, 2)),
+    ]
 
 
 def test_refine_refuses_k0_before_classifying(capsys, monkeypatch):

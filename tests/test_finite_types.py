@@ -1,5 +1,6 @@
 """Characters over F_{l^a}, eigenspace dimensions, extension-sum identity."""
 
+import inspect
 import itertools
 import random
 import warnings
@@ -7,7 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mptypes import finite_types, gf
+from mptypes import gf, refine
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support
 from mptypes.errors import InfeasibleError, ValidationError
 from mptypes.finite_types import (
@@ -15,8 +16,6 @@ from mptypes.finite_types import (
     _exponents,
     _Incidence,
     _random_invertible,
-    _restricted_positions,
-    fork_report,
     hom_dim,
     verify_fork_identity,
 )
@@ -24,7 +23,7 @@ from mptypes.graded import GradedElement
 from mptypes.refine import DMPPair, enumerate_and_classify
 from mptypes.selftest import _random_incidence, worked_instances
 
-from finite_types_oracle import extension_characters
+from finite_types_oracle import _restricted_positions, extension_characters, fork_report
 
 
 def make_cfg(n, q=5, m=16):
@@ -262,7 +261,7 @@ def test_fork_identity_random_modules_both_instances():
             FiniteModule.random(CFG, F16, xs[0], xs[1], rng.randrange(1, 7), rng)
             for _ in range(10)
         )
-        assert verify_fork_identity(CFG, modules, coarse, xs)
+        assert verify_fork_identity(CFG, modules, enumerate_and_classify(CFG, coarse, xs))
 
 
 @pytest.mark.parametrize("bad", [(1,), (1, 2, 3, 4, 0, 1)], ids=["short", "long"])
@@ -285,7 +284,7 @@ def split_incidences():
         if inst is None:
             continue
         try:
-            inc = _Incidence(CFG, *inst)
+            inc = _Incidence(CFG, enumerate_and_classify(CFG, *inst))
         except InfeasibleError:
             continue
         out.append(inst)
@@ -316,8 +315,8 @@ def test_split_matches_stacked_oracle(split_incidences, field):
     zeta = field.root_of_unity(5)
     for coarse, finer in split_incidences:
         x, s = finer[0], Q(finer[1])
-        inc = _Incidence(CFG, coarse, finer)
         classes = enumerate_and_classify(CFG, coarse, finer)
+        inc = _Incidence(CFG, classes)
         chars = extension_characters(CFG, coarse, finer)
         tags = [cls.tag for cls in classes]
         restricted = _restricted_positions(CFG, coarse.x, coarse.s, x, s)
@@ -347,7 +346,7 @@ def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
     # directly: `validate` would reject it, since the block has order 2.
     coarse, finer = worked_instances(CFG)[1]
     x, s = finer
-    inc = _Incidence(CFG, coarse, finer)
+    inc = _Incidence(CFG, enumerate_and_classify(CFG, coarse, finer))
     assert (inc.restricted, inc.free) == ((0, 1, 3), (2,))
     one = gf.identity(2)
     jordan = FiniteModule(
@@ -359,14 +358,16 @@ def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
     classes = enumerate_and_classify(CFG, coarse, finer)
     assert sum(hom_dim(CFG, jordan, cls.chi) for cls in classes) == 1
 
+    # the identity reads the decomposition it is handed: the one
+    # classification is the caller's
     classified = []
-    real = finite_types.enumerate_and_classify
+    real = refine.enumerate_and_classify
 
     def counting(*args, **kwargs):
         classified.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(finite_types, "enumerate_and_classify", counting)
+    monkeypatch.setattr(refine, "enumerate_and_classify", counting)
     drawn = []
 
     def modules():
@@ -379,16 +380,16 @@ def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):
         drawn.append("after")
         yield FiniteModule.random(CFG, F16, x, s, 2, rng)
 
-    assert verify_fork_identity(CFG, modules(), coarse, finer) is False
+    decomposition = refine.enumerate_and_classify(CFG, coarse, finer)
+    assert verify_fork_identity(CFG, modules(), decomposition) is False
     assert drawn == ["good"] * 4 + ["jordan"]
     assert len(classified) == 1
 
 
 def test_fork_identity_without_classes_crosschecks_the_b_class_once(monkeypatch):
-    # classifying its incidence itself, the identity cross-checks the B
-    # class against the unipotent orbit, as every classification does
-    from mptypes import refine
-
+    # the decomposition the identity reads cross-checked its B class
+    # against the unipotent orbit, as every classification does, and the
+    # identity classifies nothing more
     real = refine._crosscheck_b_class
     crosschecked = []
 
@@ -400,8 +401,45 @@ def test_fork_identity_without_classes_crosschecks_the_b_class_once(monkeypatch)
     coarse, (x, s) = worked_instances(CFG)[0]
     rng = random.Random(5)
     modules = [FiniteModule.random(CFG, F16, x, s, 3, rng) for _ in range(2)]
-    assert verify_fork_identity(CFG, modules, coarse, (x, s))
+    decomposition = enumerate_and_classify(CFG, coarse, (x, s))
+    assert verify_fork_identity(CFG, modules, decomposition)
     assert len(crosschecked) == 1
+
+
+def test_fork_identity_reads_only_its_decomposition():
+    # a decomposition carries its incidence, so the identity takes nothing
+    # beside it: an incidence paired with another one's classes cannot be
+    # passed
+    coarse, (x, s) = worked_instances(CFG)[1]
+    foreign = enumerate_and_classify(CFG, coarse, (x, s))
+    other = DMPPair.make(CFG, Q(5, 4), x, GradedElement.zero(x, Q(-5, 4)))
+    rng = random.Random(9)
+    modules = [FiniteModule.random(CFG, F16, x, s, 2, rng)]
+    assert list(inspect.signature(verify_fork_identity).parameters) == [
+        "cfg", "modules", "decomposition"
+    ]
+    with pytest.raises(TypeError):
+        verify_fork_identity(CFG, modules, other, (x, s), classes=foreign)
+    assert verify_fork_identity(CFG, modules, enumerate_and_classify(CFG, other, (x, s)))
+
+
+def test_fork_identity_errors_name_the_public_entry():
+    # a module on another piece, and one over a field without 5th roots of
+    # unity, are refused by the CLI's entry, which the error names
+    coarse, (x, s) = worked_instances(CFG)[0]
+    decomposition = enumerate_and_classify(CFG, coarse, (x, s))
+    elsewhere = FiniteModule.from_characters(CFG, F16, X_HYP, Q(1), [(0, 0, 0, 0)])
+    with pytest.raises(ValidationError, match="finer graded piece") as err:
+        verify_fork_identity(CFG, [elsewhere], decomposition)
+    assert err.value.where == "finite_types.verify_fork_identity"
+    f4 = gf.ExtField(2, 2)
+    positions = graded_support(CFG, x, s).positions
+    bad = FiniteModule(
+        field=f4, x=x, s=s, positions=positions, dim=1, gens=(((1,),),) * len(positions)
+    )
+    with pytest.raises(ValidationError, match="does not divide") as err:
+        verify_fork_identity(CFG, [bad], decomposition)
+    assert err.value.where == "finite_types.verify_fork_identity"
 
 
 def test_validate_accepts_constructed_modules_and_rejects_built_ones():

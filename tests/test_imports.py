@@ -59,6 +59,25 @@ def test_the_modules_that_import_random_are_pinned():
     assert importers == {"cli", "finite_types", "selftest"}
 
 
+def imported_names(path: Path) -> set:
+    """Every name a module binds by an import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def test_finite_types_neither_classifies_nor_builds_a_lattice():
+    # the fork identity reads the restricted and free positions of a
+    # decomposition that `refine` built
+    names = imported_names(SRC / "finite_types.py")
+    assert "Decomposition" in names
+    assert not names & {"enumerate_and_classify", "mp_lattice", "refine", "apartment"}
+
+
 def unused_imports(path: Path) -> list:
     """The names a module imports but never reads: every name bound by an
     import (its alias, or the first component of a dotted module) must

@@ -9,13 +9,12 @@ from fractions import Fraction as Q
 import pytest
 
 from mptypes import refine
-from mptypes.apartment import ApartmentPoint, GroupConfig
+from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import InfeasibleError, InternalFault, ValidationError
 from mptypes.graded import GradedElement
 from mptypes.orbits import OrbitLabel
 from mptypes.refine import (
     DMPPair,
-    _surface_positions,
     check_incidence,
     compose_chain,
     connect,
@@ -112,7 +111,7 @@ def test_worked_instance_hyperspecial_side():
 def test_trivial_refinement():
     coarse = hyp_pair({(0, 1): 1})
     classes = enumerate_and_classify(CFG, coarse, (X_HYP, Q(1)))
-    assert len(classes) == 1 and classes[0].tag == "B"
+    assert len(classes) == 1 and classes.classes[0].tag == "B"
     rec = refine_relation(CFG, coarse, (X_HYP, Q(1)))
     assert rec.c == 1 and rec.terms == () and rec.base == coarse
 
@@ -229,12 +228,13 @@ def test_connect_refuses_a_p0_lift_below_the_p1_lattice():
 
 
 def test_refine_relation_refuses_a_coarse_lift_below_the_finer_lattice():
-    # the classes of another incidence skip the incidence check, so the
-    # image of t^-2 e_12 in g_{x=-1} is what refuses
+    # the relation reads the image before it compares the decomposition
+    # of another incidence with its own, so the image of t^-2 e_12 in
+    # g_{x=-1} is what refuses
     coarse = hyp_pair({(0, 1): 1}, s=2)
     classes = enumerate_and_classify(CFG, hyp_pair({(0, 1): 1}), (X_HYP, Q(1)))
     with pytest.raises(ValidationError, match="below the lattice bound") as err:
-        refine_relation(CFG, coarse, (X_HYP, Q(1)), classes=classes)
+        refine_relation(CFG, coarse, (X_HYP, Q(1)), decomposition=classes)
     assert err.value.where == "graded.graded_image"
 
 
@@ -246,6 +246,18 @@ def test_connect_with_conjugation_alignment():
     assert chain[0].provenance.role == "conjugation"
     c, terms = compose_chain(CFG, chain, p0, p1)
     assert c == 1 and terms == ()
+
+
+def _surface_positions(cfg, y, tau, x, s):
+    """Support monomials of g_{x=-s} that remain free modulo g_{y>-tau}.
+
+    These parametrize the finer-coset decomposition: the quotient
+    g_{y>-tau} / g_{x>-s} is spanned by exactly the degree -s support
+    monomials lying in g_{y>-tau}.
+    """
+    sup = graded_support(cfg, x, -s, _checked=True)
+    strict_y = mp_lattice(cfg, y, -tau, strict=True, _checked=True)
+    return [((i, j), w) for (i, j), w in sup.entries if w >= strict_y.bounds[i][j]]
 
 
 def make_built_members(cfg, coarse, finer):
@@ -316,7 +328,7 @@ def test_class_pairs_equal_make_built_ones_and_feed_the_relation(monkeypatch):
             if c.pair is not None:
                 assert c.pair == DMPPair.make(CFG, s, x, c.chi) and c.lift == c.pair.lift
         monkeypatch.setattr(refine, "debacker_lift", None)  # a call would fail
-        rec = refine_relation(CFG, coarse, finer, classes=classes)
+        rec = refine_relation(CFG, coarse, finer, decomposition=classes)
         monkeypatch.undo()
         by_chi = {c.chi: c for c in classes}
         assert by_chi[rec.base.phi].tag == "B" and rec.base is by_chi[rec.base.phi].pair
@@ -335,9 +347,76 @@ def test_refine_relation_refuses_a_base_that_is_not_tagged_b():
     outside = GradedElement.make(CFG, X_HYP, -1, {(1, 0): 1})
     for hint in (c_member, outside):
         with pytest.raises(InternalFault, match="base is not a B-tagged member") as err:
-            refine_relation(CFG, coarse, (X_HYP, Q(1)), base_hint=hint, classes=classes)
+            refine_relation(CFG, coarse, (X_HYP, Q(1)), base_hint=hint, decomposition=classes)
         assert err.value.where == "refine.refine_relation"
     # classes without the image's B member refuse the image as base
-    without_b = [c for c in classes if c.tag != "B"]
+    without_b = dataclasses.replace(classes, classes=tuple(c for c in classes if c.tag != "B"))
     with pytest.raises(InternalFault, match="base is not a B-tagged member"):
-        refine_relation(CFG, coarse, (X_HYP, Q(1)), classes=without_b)
+        refine_relation(CFG, coarse, (X_HYP, Q(1)), decomposition=without_b)
+
+
+def test_refine_relation_refuses_a_foreign_decomposition():
+    # the hyperspecial worked incidence, and the coarse zero element at
+    # (0,0), s = 5/4 refined at the same finer point: read through the
+    # first incidence's decomposition, the second relation would come out
+    # as A/B/C = 0/1/4 with quotient dimension 4
+    coarse, finer = worked_instances(CFG)[1]
+    assert (coarse.s, str(coarse.x), coarse.phi.is_zero()) == (Q(1), "(1/4,0)", True)
+    assert finer == (X_HYP, Q(1))
+    foreign = enumerate_and_classify(CFG, coarse, finer)
+    other = DMPPair.make(CFG, Q(5, 4), X_HYP, GradedElement.zero(X_HYP, Q(-5, 4)))
+    rec = refine_relation(CFG, other, finer)
+    prov = rec.provenance
+    assert (prov.n_a, prov.n_b, prov.n_c, prov.quotient_dim) == (600, 1, 24, 4)
+    with pytest.raises(InternalFault, match="is not the one of") as err:
+        refine_relation(CFG, other, finer, decomposition=foreign)
+    assert err.value.where == "refine.refine_relation"
+    # another finer point or level is refused too
+    for wrong in (dataclasses.replace(foreign, s=Q(1, 2)), dataclasses.replace(foreign, x=X_IWA)):
+        with pytest.raises(InternalFault, match="is not the one of"):
+            refine_relation(CFG, coarse, finer, decomposition=wrong)
+    assert refine_relation(CFG, coarse, finer, decomposition=foreign) == refine_relation(
+        CFG, coarse, finer
+    )
+
+
+def test_decomposition_fields_and_sequence_protocol():
+    coarse, finer = worked_instances(CFG)[1]
+    dec = enumerate_and_classify(CFG, coarse, finer)
+    assert (dec.coarse, dec.x, dec.s) == (coarse, X_HYP, Q(1))
+    assert dec.free == ((0, 1),) and dec.quotient_dim == 1
+    assert len(dec) == len(dec.classes) == 5 and list(dec) == list(dec.classes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.free = ()
+
+
+def test_derived_split_equals_the_lattice_built_one():
+    # the decomposition's free positions against the support read modulo
+    # L_{y>-tau}, and the fork identity's restricted positions, derived
+    # from them by transposition, against the finer support read modulo
+    # the coarse lattice L_{y>=tau}, built independently
+    from mptypes.finite_types import _Incidence
+
+    from finite_types_oracle import _restricted_positions
+
+    cfg3 = make_cfg(3)
+    seeded = [(CFG, inst) for inst in worked_instances(CFG)]
+    seeded += [(CFG, inst) for inst in seeded_incidences(CFG, 40, "derived-split")]
+    seeded += [(cfg3, inst) for inst in seeded_incidences(cfg3, 30, "derived-split-3")]
+    checked = {2: 0, 3: 0}
+    nontrivial = 0
+    for cfg, (coarse, finer) in seeded:
+        try:
+            dec = enumerate_and_classify(cfg, coarse, finer, bound=5**4)
+        except InfeasibleError:
+            continue
+        x, s = finer
+        surface = _surface_positions(cfg, coarse.x, coarse.s, x, s)
+        assert dec.free == tuple(pos for pos, _ in surface)
+        assert dec.quotient_dim == len(dec.free)
+        inc = _Incidence(cfg, dec)
+        assert list(inc.restricted) == _restricted_positions(cfg, coarse.x, coarse.s, x, s)
+        assert len(inc.free) == len(dec.free)
+        checked[cfg.n] += 1
+        nontrivial += bool(inc.restricted and inc.free)
+    assert checked[2] >= 33 and checked[3] >= 10 and nontrivial >= 10
