@@ -17,7 +17,6 @@ crossings and the checks of its certificate stay on integers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import ge, lt
@@ -25,6 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalFault, ValidationError
 from .gf import is_prime
+from .record import record
 
 Q = Fraction
 
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GroupConfig:
     """Ambient group GL_n over F_q((t)) with denominator bound m.
 
@@ -69,7 +69,7 @@ class GroupConfig:
             warnings.warn(
                 f"q = {self.q} is below max(n, 271) = {max(self.n, 271)}; "
                 "running outside the large-p regime",
-                stacklevel=2,
+                stacklevel=3,  # past `record`'s __init__, at the line that built the config
             )
 
     @property
@@ -77,7 +77,7 @@ class GroupConfig:
         return self.q >= max(self.n, 271)
 
 
-@dataclass(frozen=True)
+@record
 class ApartmentPoint:
     """Rational point of the reduced standard apartment (x_n = 0)."""
 
@@ -128,7 +128,7 @@ def check_level(cfg: GroupConfig, s: Q, *, where: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class LatticeShape:
     """Valuation-bound matrix for g_{x>=s} / g_{x>s} (or the G_ versions)."""
 
@@ -201,7 +201,7 @@ def mp_lattice(
     return LatticeShape(bounds=_bounds(X, S, d, strict), x=x, s=s, strict=strict)
 
 
-@dataclass(frozen=True)
+@record
 class GradedSupport:
     """Monomial basis of the graded piece g_{x=degree}.
 
@@ -258,7 +258,7 @@ def residue_classes(x: ApartmentPoint) -> List[Tuple[Q, Tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IntervalCertificate:
     sample: Q
     x: ApartmentPoint  # the path point and level at the sample
@@ -266,7 +266,7 @@ class IntervalCertificate:
     six: Tuple[int, ...]  # `_six_flat` at (x, s): the six constancy witnesses
 
 
-@dataclass(frozen=True)
+@record
 class GeodesicPlan:
     x0: ApartmentPoint
     s0: Q

@@ -21,7 +21,6 @@ coefficient matrix A as C A C^{-1}, because the t-power twists cancel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
@@ -35,6 +34,7 @@ from .apartment import (
     residue_classes,
 )
 from .errors import InfeasibleError, InternalFault, ValidationError
+from .record import record
 
 Q = Fraction
 
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GradedElement:
     """Element of g_{x=degree}; equality is coefficientwise."""
 

@@ -16,10 +16,10 @@ small characteristic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalFault, ValidationError
+from .record import record
 
 __all__ = [
     "LMatrix", "Series", "ser_add", "ser_divexact", "ser_mul", "ser_neg", "ser_trunc",
@@ -114,7 +114,7 @@ def _lowest_to_zero(row: List[Series]) -> List[Series]:
     return [tuple((e - v, c) for e, c in s) for s in row] if v else row
 
 
-@dataclass(frozen=True)
+@record
 class LMatrix:
     """Square-or-rectangular matrix of `Series` entries over a fixed F_q."""
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -62,6 +61,7 @@ from .errors import InfeasibleError, InternalFault, UndecidedError, ValidationEr
 from .graded import monomials
 from .laurent import LMatrix, Series, ser_add, ser_mul, ser_neg, ser_trunc
 from .orbits import OrbitLabel, dominance_leq, jordan_type, partitions_of
+from .record import record
 from .refine import DMPPair, RelationRecord, verify_relation
 
 Q = Fraction
@@ -513,7 +513,7 @@ def _count_generic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MeasureTable:
     orbits: Tuple[OrbitLabel, ...]
     probes: Tuple[DMPPair, ...]

@@ -32,7 +32,6 @@ holds mod q for their coefficient matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Tuple
 
@@ -48,6 +47,7 @@ from .graded import (
     monomials,
 )
 from .laurent import LMatrix
+from .record import record
 
 if TYPE_CHECKING:
     from .refine import DMPPair
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@record
 class OrbitLabel:
     """A nilpotent orbit of gl_n named by its partition of n."""
 
@@ -132,7 +132,7 @@ class OrbitLabel:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
+@record
 class SL2Triple:
     Phi: GradedElement
     H: GradedElement

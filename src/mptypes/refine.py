@@ -18,7 +18,6 @@ are refused rather than guessed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,6 +39,7 @@ from .graded import (
     unipotent_orbit_count,
 )
 from .orbits import OrbitLabel, debacker_lift, dominance_leq
+from .record import record
 
 Q = Fraction
 
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DMPPair:
     """A degenerate pair: level s > 0, point x, degenerate phi of degree -s.
 
@@ -95,7 +95,7 @@ class DMPPair:
         return f"(s={self.s}, x={self.x}, phi=[{entries or '0'}])"
 
 
-@dataclass(frozen=True)
+@record
 class SubcosetClass:
     tag: str  # "A" | "B" | "C"
     chi: GradedElement
@@ -106,7 +106,7 @@ class SubcosetClass:
         return None if self.pair is None else self.pair.lift
 
 
-@dataclass(frozen=True)
+@record
 class RelationProvenance:
     role: str  # "refine" | "interval-left" | "interval-right" | "conjugation"
     y: ApartmentPoint
@@ -121,7 +121,7 @@ class RelationProvenance:
     conjugator: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
-@dataclass(frozen=True)
+@record
 class RelationRecord:
     """The exact identity v_lhs = c * v_base + sum coef * v_term.
 
@@ -178,7 +178,7 @@ def check_incidence(
     return all(inclusion_chain_ok(cfg, x, lx, y, ly) for lx, ly in ((Q(0), Q(0)), (s, tau)))
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """The finer-coset decomposition of one incidence (coarse, x, s).
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import random
 import time
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, GroupConfig, breakpoints, convexity_check, graded_support
 from .errors import InfeasibleError, ToolkitError
@@ -31,7 +30,10 @@ from .measures import (
     relation_slices,
 )
 from .orbits import dominance_leq, minimality_probe, partitions_of
-from .refine import DMPPair, RelationRecord, enumerate_and_classify, refine_relation
+from .record import record
+from .refine import (
+    Decomposition, DMPPair, RelationRecord, enumerate_and_classify, refine_relation
+)
 from .solver import (
     assemble_and_invert, choose_probes, independence_check, matrix_problem, synthesize_vector
 )
@@ -40,7 +42,7 @@ from .finite_types import FiniteModule, fork_field, verify_fork_identity
 Q = Fraction
 
 
-@dataclass
+@record
 class CriterionResult:
     name: str
     passed: bool
@@ -123,12 +125,22 @@ def _random_incidence(cfg: GroupConfig, rng: random.Random):
 _MIN_RECORDS = 20
 
 
-def relation_instances(cfg: GroupConfig, seed: int = 0) -> List[RelationRecord]:
+def worked_decompositions(cfg: GroupConfig) -> List[Decomposition]:
+    """The decomposition of each worked instance, in `worked_instances` order."""
+    return [enumerate_and_classify(cfg, coarse, finer) for coarse, finer in worked_instances(cfg)]
+
+
+def relation_instances(
+    cfg: GroupConfig, seed: int = 0, worked: Optional[Sequence[Decomposition]] = None
+) -> List[RelationRecord]:
     """The worked families plus randomized incidences with quotient
-    dimension at most 3, at least _MIN_RECORDS records."""
-    records: List[RelationRecord] = []
-    for coarse, finer in worked_instances(cfg):
-        records.append(refine_relation(cfg, coarse, finer))
+    dimension at most 3, at least _MIN_RECORDS records.  `worked`, the
+    `worked_decompositions` of cfg, is classified here when not given."""
+    if worked is None:
+        worked = worked_decompositions(cfg)
+    records: List[RelationRecord] = [
+        refine_relation(cfg, d.coarse, (d.x, d.s), decomposition=d) for d in worked
+    ]
     rng = random.Random(f"relations:{seed}")
     attempts = 0
     while len(records) < _MIN_RECORDS and attempts < 4000:
@@ -200,18 +212,23 @@ def criterion_2_measure_half(
     return True, f"{len(records)} relations x {len(partitions_of(cfg.n))} slices verified exactly"
 
 
-def criterion_3_multiplicity_half(cfg: GroupConfig, seed: int = 0) -> Tuple[bool, str]:
-    """Extension-sum identity for random modules on the worked instances."""
+def criterion_3_multiplicity_half(
+    cfg: GroupConfig, seed: int = 0, worked: Optional[Sequence[Decomposition]] = None
+) -> Tuple[bool, str]:
+    """Extension-sum identity for random modules on the worked instances
+    (`worked`, their decompositions, classified here when not given)."""
+    if worked is None:
+        worked = worked_decompositions(cfg)
     field = fork_field(cfg)
     rng = random.Random(f"fork:{seed}")
     total = 0
-    for coarse, finer in worked_instances(cfg):
+    for d in worked:
         modules = (
-            FiniteModule.random(cfg, field, finer[0], finer[1], rng.randrange(1, 7), rng)
+            FiniteModule.random(cfg, field, d.x, d.s, rng.randrange(1, 7), rng)
             for _ in range(50)
         )
-        if not verify_fork_identity(cfg, modules, enumerate_and_classify(cfg, coarse, finer)):
-            return False, f"identity fails at {coarse.describe()}"
+        if not verify_fork_identity(cfg, modules, d):
+            return False, f"identity fails at {d.coarse.describe()}"
         total += 50
     return True, f"{total} random modules satisfy the extension sum exactly"
 
@@ -329,13 +346,17 @@ def criterion_9_conservation(
 def run_all(seed: int = 0) -> List[CriterionResult]:
     cfg2 = default_config(2)
     cfg3 = default_config(3)
-    records = relation_instances(cfg2, seed=seed)
+    worked = worked_decompositions(cfg2)
+    records = relation_instances(cfg2, seed=seed, worked=worked)
     mats = _matrices(cfg2, cfg3)
 
     results = [
         _timed(lambda: criterion_1_triangularity(cfg2), "criterion-1 triangularity dichotomy"),
         _timed(lambda: criterion_2_measure_half(cfg2, records), "criterion-2 relation measure half"),
-        _timed(lambda: criterion_3_multiplicity_half(cfg2, seed), "criterion-3 relation multiplicity half"),
+        _timed(
+            lambda: criterion_3_multiplicity_half(cfg2, seed, worked),
+            "criterion-3 relation multiplicity half",
+        ),
         _timed(lambda: criterion_4_formula_structure(cfg2, cfg3, mats), "criterion-4 formula structure"),
         _timed(lambda: criterion_5_round_trip(cfg2, cfg3, seed, mats), "criterion-5 uniqueness round trip"),
         _timed(lambda: criterion_6_minimality(cfg2), "criterion-6 lift minimality certificate"),

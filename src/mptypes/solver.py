@@ -11,7 +11,6 @@ them; no absolute normalization is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -20,6 +19,7 @@ from .errors import InternalFault, ValidationError
 from .graded import GradedElement
 from .measures import MeasureTable
 from .orbits import OrbitLabel, dominance_leq, partitions_of
+from .record import record
 from .refine import DMPPair
 
 Q = Fraction
@@ -46,7 +46,7 @@ def _depth_bound(r: Q | int | str, where: str) -> Q:
     return r
 
 
-@dataclass(frozen=True)
+@record
 class MultiplicityVector:
     """dim Hom data indexed by degenerate pairs, at depth bound r."""
 
@@ -77,7 +77,7 @@ class MultiplicityVector:
         return dict(self.entries)
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionResult:
     coefficients: Tuple[Tuple[OrbitLabel, Q], ...]
     normalization: str
@@ -92,7 +92,7 @@ class ExpansionResult:
         return dict(self.coefficients)
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientMatrix:
     """Measure matrix M over probes and its exact inverse.
 

@@ -1,6 +1,5 @@
 """Lattice shapes, graded supports, geodesic plans and convexity."""
 
-import dataclasses
 import itertools
 import random
 import warnings
@@ -25,6 +24,7 @@ from mptypes.apartment import (
 )
 from mptypes.errors import InternalFault, ValidationError
 from mptypes.refine import check_incidence
+from record_oracle import replace
 
 
 def cfg2(m=8):
@@ -46,8 +46,10 @@ def pt(*coords):
 
 
 def test_small_q_warns():
-    with pytest.warns(UserWarning):
+    # at the line that built the config, not inside the generated __init__
+    with pytest.warns(UserWarning, match="large-p regime") as caught:
         GroupConfig(n=2, q=5, m=2)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_point_normalization():
@@ -254,13 +256,13 @@ def test_level_zero_jump_inside_an_interval_is_caught():
             verify_plan(cfg, forged)
         assert not sampled_constancy_ok(forged)  # at t = 2/3 or 1/3
     # a certificate whose sample lies past the jump is refused as outside its interval
-    moved = dataclasses.replace(plan.intervals[0], sample=Q(3, 4))
-    forged = dataclasses.replace(plan, intervals=(moved, plan.intervals[1]))
+    moved = replace(plan.intervals[0], sample=Q(3, 4))
+    forged = replace(plan, intervals=(moved, plan.intervals[1]))
     with pytest.raises(InternalFault, match=r"sample 3/4 not inside \(0, 1/2\)"):
         verify_plan(cfg, forged)
     # the witnesses from past the jump are refused at the sample
-    swapped = dataclasses.replace(plan.intervals[0], six=plan.intervals[1].six)
-    forged = dataclasses.replace(plan, intervals=(swapped, plan.intervals[1]))
+    swapped = replace(plan.intervals[0], six=plan.intervals[1].six)
+    forged = replace(plan, intervals=(swapped, plan.intervals[1]))
     with pytest.raises(InternalFault, match=r"of \(0, 1/2\) differs from the witnesses at t = 1/4"):
         verify_plan(cfg, forged)
 
@@ -512,7 +514,7 @@ def test_verify_plan_refuses_a_plan_stopping_short_of_one():
     cfg = cfgn(3, m=16)
     plan = breakpoints(cfg, *FORGE)
     assert plan.ts[:2] == (Q(0), Q(2, 9))
-    forged = dataclasses.replace(plan, ts=plan.ts[:2], intervals=plan.intervals[:1])
+    forged = replace(plan, ts=plan.ts[:2], intervals=plan.intervals[:1])
     with pytest.raises(InternalFault, match="do not rise strictly from 0 to 1") as err:
         verify_plan(cfg, forged)
     assert err.value.where == "apartment.verify_plan"
@@ -521,12 +523,12 @@ def test_verify_plan_refuses_a_plan_stopping_short_of_one():
 def test_verify_plan_refuses_reversed_breakpoints():
     cfg = cfgn(3, m=16)
     plan = breakpoints(cfg, *FORGE)
-    forged = dataclasses.replace(plan, ts=plan.ts[::-1], intervals=plan.intervals[::-1])
+    forged = replace(plan, ts=plan.ts[::-1], intervals=plan.intervals[::-1])
     with pytest.raises(InternalFault, match="do not rise strictly from 0 to 1"):
         verify_plan(cfg, forged)
     # from 0 to 1, but not increasing in between
     ts = (Q(0), plan.ts[2], plan.ts[1]) + plan.ts[3:]
-    forged = dataclasses.replace(plan, ts=ts)
+    forged = replace(plan, ts=ts)
     with pytest.raises(InternalFault, match="do not rise strictly from 0 to 1") as err:
         verify_plan(cfg, forged)
     assert err.value.where == "apartment.verify_plan"
@@ -535,7 +537,7 @@ def test_verify_plan_refuses_reversed_breakpoints():
 def test_verify_plan_refuses_one_certificate_too_few():
     cfg = cfgn(3, m=16)
     plan = breakpoints(cfg, *FORGE)
-    forged = dataclasses.replace(plan, intervals=plan.intervals[:-1])
+    forged = replace(plan, intervals=plan.intervals[:-1])
     with pytest.raises(InternalFault, match="7 certificates for 8 intervals") as err:
         verify_plan(cfg, forged)
     assert err.value.where == "apartment.verify_plan"
@@ -560,8 +562,8 @@ def test_verify_plan_refuses_swapped_truncated_or_regrouped_witness_blocks():
 
     def forge(six):
         assert six != cert.six
-        certs = (dataclasses.replace(cert, six=six),) + plan.intervals[1:]
-        return dataclasses.replace(plan, intervals=certs)
+        certs = (replace(cert, six=six),) + plan.intervals[1:]
+        return replace(plan, intervals=certs)
 
     def transposed(block):
         return tuple(block[j * 3 + i] for i in range(3) for j in range(3))
@@ -592,20 +594,20 @@ def test_verify_plan_refuses_a_forged_point_or_level():
     cert = plan.intervals[0]
     assert (cert.sample, cert.x, cert.s) == (Q(1, 4), pt(Q(-1, 4), 0), Q(1, 2))
     forgeries = [
-        dataclasses.replace(cert, x=pt(Q(7, 3), 0)),
-        dataclasses.replace(cert, s=Q(5)),
-        dataclasses.replace(cert, x=pt(Q(7, 3), 0), s=Q(5)),
+        replace(cert, x=pt(Q(7, 3), 0)),
+        replace(cert, s=Q(5)),
+        replace(cert, x=pt(Q(7, 3), 0), s=Q(5)),
         # the right level with the wrong sign, and the point one coordinate long
-        dataclasses.replace(cert, s=Q(-1, 2)),
-        dataclasses.replace(cert, x=pt(Q(-1, 4), 0, 0)),
+        replace(cert, s=Q(-1, 2)),
+        replace(cert, x=pt(Q(-1, 4), 0, 0)),
     ]
     refusal = r"of \(0, 1/2\) is not at the path point of t = 1/4"
     for forged in forgeries:
         with pytest.raises(InternalFault, match=refusal):
-            verify_plan(cfg, dataclasses.replace(plan, intervals=(forged,) + plan.intervals[1:]))
+            verify_plan(cfg, replace(plan, intervals=(forged,) + plan.intervals[1:]))
     # an int coordinate is compared by value
-    same = dataclasses.replace(cert, x=ApartmentPoint((Q(-1, 4), 0)))
-    verify_plan(cfg, dataclasses.replace(plan, intervals=(same,) + plan.intervals[1:]))
+    same = replace(cert, x=ApartmentPoint((Q(-1, 4), 0)))
+    verify_plan(cfg, replace(plan, intervals=(same,) + plan.intervals[1:]))
 
 
 def test_verify_plan_refuses_every_dropped_breakpoint():
@@ -633,7 +635,7 @@ def test_verify_plan_refuses_every_dropped_breakpoint():
         for k in sorted(near.union(rng.sample(inner, min(4, len(inner))))):
             lo, c, hi = ts[k - 1:k + 2]
             for kept, end in ((k - 1, hi), (k, lo)):
-                forged = dataclasses.replace(
+                forged = replace(
                     plan,
                     ts=plan.ts[:k] + plan.ts[k + 1:],
                     intervals=plan.intervals[:k - 1] + plan.intervals[kept:kept + 1]
@@ -646,7 +648,7 @@ def test_verify_plan_refuses_every_dropped_breakpoint():
                     verify_plan(cfg, forged)
                 merged = plan.intervals[kept:kept + 1]
                 sampled.add(sampled_constancy_ok(
-                    dataclasses.replace(plan, ts=(lo, hi), intervals=merged)
+                    replace(plan, ts=(lo, hi), intervals=merged)
                 ))
             u = plan.intervals[k].sample
             (x, s), (y, tau) = plan.point_at(lo), plan.point_at(u)

@@ -914,6 +914,15 @@ def count_classifications(monkeypatch) -> list:
     return count_calls(monkeypatch, refine.enumerate_and_classify)
 
 
+def test_selftest_classifies_each_incidence_once(capsys, monkeypatch):
+    # the three worked GL_2 incidences serve criteria 2 and 3 from one
+    # classification each; 17 more are drawn for the relations
+    classified = count_classifications(monkeypatch)
+    code, _, _ = run_cli(capsys, "--allow-small-p", "selftest")
+    assert code == 0
+    assert len(classified) == len({(coarse, finer) for _, coarse, finer in classified}) == 20
+
+
 def test_refine_classifies_its_incidence_once(capsys, monkeypatch):
     from mptypes import refine
 

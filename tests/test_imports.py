@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mptypes
@@ -42,11 +45,11 @@ def test_importers_use_only_matrices_and_series_kernels():
         assert all(n in ("LMatrix", "Series") or n.startswith("ser_") for n in names), (stem, names)
 
 
-def imports_random(path: Path) -> bool:
+def imports_module(path: Path, module: str) -> bool:
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             return True
     return False
 
@@ -55,8 +58,24 @@ def test_the_modules_that_import_random_are_pinned():
     # the minimality certificate and the witness search draw nothing, so
     # orbits and measures are not among them; random block elements of the
     # reductive quotient are drawn only by the tests, so graded is not either
-    importers = {path.stem for path in SRC.glob("*.py") if imports_random(path)}
+    importers = {path.stem for path in SRC.glob("*.py") if imports_module(path, "random")}
     assert importers == {"cli", "finite_types", "selftest"}
+
+
+def test_no_module_imports_dataclasses():
+    # `record` builds every value class: importing `dataclasses` (and the
+    # `inspect` it pulls in) would cost each CLI start more than a job
+    assert [path.stem for path in SRC.glob("*.py") if imports_module(path, "dataclasses")] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps the site's own start-up imports out of the count
+    code = "import sys, mptypes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def imported_names(path: Path) -> set:

@@ -1,6 +1,5 @@
 """Coset decomposition, relation records, and geodesic chains."""
 
-import dataclasses
 import itertools
 import random
 import warnings
@@ -13,6 +12,7 @@ from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_la
 from mptypes.errors import InfeasibleError, InternalFault, ValidationError
 from mptypes.graded import GradedElement
 from mptypes.orbits import OrbitLabel
+from mptypes.record import FrozenInstanceError
 from mptypes.refine import (
     DMPPair,
     check_incidence,
@@ -25,6 +25,7 @@ from mptypes.refine import (
 from mptypes.selftest import _random_incidence, worked_instances
 
 from lift_oracle import graded_image, homogeneous_lift
+from record_oracle import replace
 
 
 def make_cfg(n, q=5, m=16):
@@ -83,7 +84,7 @@ def test_q_exponent_refuses_a_coefficient_that_is_not_positive():
     rec = refine_relation(CFG, DMPPair.make(CFG, Q(5, 8), y, phi), (X_IWA, Q(1, 2)))
     for c in (Q(0), Q(-5)):
         with pytest.raises(InternalFault, match="not a power of q") as err:
-            dataclasses.replace(rec, c=c).q_exponent(5)
+            replace(rec, c=c).q_exponent(5)
         assert err.value.where == "refine.RelationRecord"
 
 
@@ -307,7 +308,7 @@ def test_pair_hash_is_the_hash_of_its_fields():
         twin = DMPPair.make(CFG, coarse.s, coarse.x, coarse.phi)
         assert twin == coarse and hash(twin) == hash(coarse)
         # equality stays field by field: another phi gives another pair
-        other = dataclasses.replace(coarse, phi=GradedElement.zero(coarse.x, -coarse.s))
+        other = replace(coarse, phi=GradedElement.zero(coarse.x, -coarse.s))
         assert hash(other) == hash((other.s, other.x, other.phi, other.lift))
         assert (other == coarse) == coarse.phi.is_zero()
 
@@ -350,7 +351,7 @@ def test_refine_relation_refuses_a_base_that_is_not_tagged_b():
             refine_relation(CFG, coarse, (X_HYP, Q(1)), base_hint=hint, decomposition=classes)
         assert err.value.where == "refine.refine_relation"
     # classes without the image's B member refuse the image as base
-    without_b = dataclasses.replace(classes, classes=tuple(c for c in classes if c.tag != "B"))
+    without_b = replace(classes, classes=tuple(c for c in classes if c.tag != "B"))
     with pytest.raises(InternalFault, match="base is not a B-tagged member"):
         refine_relation(CFG, coarse, (X_HYP, Q(1)), decomposition=without_b)
 
@@ -372,7 +373,7 @@ def test_refine_relation_refuses_a_foreign_decomposition():
         refine_relation(CFG, other, finer, decomposition=foreign)
     assert err.value.where == "refine.refine_relation"
     # another finer point or level is refused too
-    for wrong in (dataclasses.replace(foreign, s=Q(1, 2)), dataclasses.replace(foreign, x=X_IWA)):
+    for wrong in (replace(foreign, s=Q(1, 2)), replace(foreign, x=X_IWA)):
         with pytest.raises(InternalFault, match="is not the one of"):
             refine_relation(CFG, coarse, finer, decomposition=wrong)
     assert refine_relation(CFG, coarse, finer, decomposition=foreign) == refine_relation(
@@ -386,7 +387,7 @@ def test_decomposition_fields_and_sequence_protocol():
     assert (dec.coarse, dec.x, dec.s) == (coarse, X_HYP, Q(1))
     assert dec.free == ((0, 1),) and dec.quotient_dim == 1
     assert len(dec) == len(dec.classes) == 5 and list(dec) == list(dec.classes)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         dec.free = ()
 
 
