@@ -282,7 +282,7 @@ def _cmd_breakpoints(cfg, args) -> dict:
     x0 = _parse_point(cfg, args.x0, flag="--x0")
     x1 = _parse_point(cfg, args.x1, flag="--x1")
     plan = breakpoints(cfg, x0, jsonio.parse_frac(args.s0), x1, jsonio.parse_frac(args.s1))
-    return {"plan": jsonio.plan_to_json(cfg, plan)}
+    return {"plan": plan}
 
 
 def _cmd_refine(cfg, args) -> dict:

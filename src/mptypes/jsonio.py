@@ -6,14 +6,15 @@ positions are 1-based in external data.  Serialization is stable
 (sorted keys, fixed separators) so equal inputs give identical bytes.
 
 `dump` writes the canonical form, the bytes of
-`json.dumps(obj, sort_keys=True, indent=2)` plus a newline, for the six
-types the payloads hold: str, int, bool, None, list, and dict with str
-keys.  Any other type, a float, tuple, Fraction or int subclass among
-them, raises TypeError.  It builds each container's text once and joins
-it into its parent's, and a list object that the payload holds twice at
-the same depth is written once and its text reused; `plan_to_json`
-shares one list per distinct bound row and matrix, so a plan is written
-at the cost of its distinct rows.
+`json.dumps(obj, sort_keys=True, indent=2)` plus a newline, for str,
+int, bool, None, list, dict with str keys and `apartment.GeodesicPlan`.
+Any other type, a float, tuple, Fraction or int subclass among them,
+raises TypeError.  It builds each container's text once and joins it
+into its parent's.  A plan is written straight from its certificates'
+flat `six` tuples, the one reader of that layout, as its value would be:
+the endpoints, the breakpoints, and per interval the sample and six
+`shape_to_json` shapes in `_WITNESSES` order, block k of n^2 entries of
+`six` being witness k's bound matrix, row-major.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "pair_to_json",
     "pair_from_json",
     "shape_to_json",
-    "plan_to_json",
     "record_to_json",
     "table_to_json",
     "matrix_to_json",
@@ -77,20 +77,15 @@ def dump(obj: Any) -> str:
     """The canonical JSON text of `obj`, newline-terminated.
 
     Each container's text is built once and joined into its parent's, and
-    the int and str items of a list are written inline.  A list object
-    that the payload holds twice at the same depth is written once: its
-    text is kept under (id, indent) in a dict that lives for this call
-    only, and reused, which gives the same bytes as writing it again.  The
-    payload holds every list for the whole call, so no id is reused, and a
-    list whose items fail the type checks raises before any text of it is
-    kept.
+    the int and str items of a list are written inline.  Nothing is kept
+    between calls, and within a call only a plan's rendered bound
+    matrices are (`_plan_text`).
     """
-    return _text(obj, "\n", {}) + "\n"
+    return _text(obj, "\n") + "\n"
 
 
-def _text(o: Any, nl: str, seen: Dict[Tuple[int, str], str]) -> str:
-    """The text of `o`; `nl` is a newline and o's indent, and `seen` maps
-    (id, nl) of each list written so far to its text."""
+def _text(o: Any, nl: str) -> str:
+    """The text of `o`; `nl` is a newline and o's indent."""
     t = type(o)  # exact types: bool and IntEnum are not int here
     if t is str:
         return _quote(o)
@@ -99,21 +94,17 @@ def _text(o: Any, nl: str, seen: Dict[Tuple[int, str], str]) -> str:
     if t is list:
         if not o:
             return "[]"
-        key = (id(o), nl)
-        text = seen.get(key)
-        if text is None:
-            inner = nl + "  "
-            parts = []
-            for item in o:
-                ti = type(item)
-                if ti is int:
-                    parts.append(repr(item))
-                elif ti is str:
-                    parts.append(_quote(item))
-                else:
-                    parts.append(_text(item, inner, seen))
-            text = seen[key] = f"[{inner}{(',' + inner).join(parts)}{nl}]"
-        return text
+        inner = nl + "  "
+        parts = []
+        for item in o:
+            ti = type(item)
+            if ti is int:
+                parts.append(repr(item))
+            elif ti is str:
+                parts.append(_quote(item))
+            else:
+                parts.append(_text(item, inner))
+        return f"[{inner}{(',' + inner).join(parts)}{nl}]"
     if t is dict:
         if not o:
             return "{}"
@@ -122,8 +113,10 @@ def _text(o: Any, nl: str, seen: Dict[Tuple[int, str], str]) -> str:
         for name in sorted(o):
             if type(name) is not str:
                 raise TypeError(f"dict key {name!r} is not a str")
-            parts.append(f"{_quote(name)}: {_text(o[name], inner, seen)}")
+            parts.append(f"{_quote(name)}: {_text(o[name], inner)}")
         return f"{{{inner}{(',' + inner).join(parts)}{nl}}}"
+    if t is GeodesicPlan:
+        return _plan_text(o, nl)
     if o is True:
         return "true"
     if o is False:
@@ -131,6 +124,56 @@ def _text(o: Any, nl: str, seen: Dict[Tuple[int, str], str]) -> str:
     if o is None:
         return "null"
     raise TypeError(f"cannot write {t.__name__} as canonical JSON")
+
+
+def _plan_text(plan: GeodesicPlan, nl: str) -> str:
+    """The text of the plan's value (module docstring) at indent `nl`.
+
+    Each certificate's point and three levels are formatted once, and a
+    `six` holding anything but exact ints raises TypeError; each distinct
+    n^2-int block is rendered once per call.  Each shape is one f-string
+    of these pieces, and the text is joined once.
+    """
+    i1, i2, i3, i4, i5, i6, i7 = (nl + "  " * k for k in range(1, 8))
+    n = len(plan.x0.coords)
+    N = n * n
+    endpoints = {"x0": point_to_json(plan.x0), "s0": frac_str(plan.s0),
+                 "x1": point_to_json(plan.x1), "s1": frac_str(plan.s1)}
+    out = [
+        f'{{{i1}"breakpoints": {_text([frac_str(t) for t in plan.ts], i1)},'
+        f'{i1}"endpoints": {_text(endpoints, i1)},{i1}"intervals": ['
+    ]
+    # (start of block k, level sign, strict flag, text before the shape)
+    witnesses = [
+        (k * N, sign, "true" if strict else "false", "," + i4 if k else i4)
+        for k, (sign, strict) in enumerate(_WITNESSES)
+    ]
+    row_sep, entry_sep = "," + i6, "," + i7
+    blocks: Dict[Tuple[int, ...], str] = {}
+    lead = i2
+    for cert in plan.intervals:
+        six = cert.six
+        # per certificate, not per rendered block: True and Fraction(1)
+        # equal 1, so a block holding one would find the int block's text
+        if {*map(type, six)} != {int}:
+            raise TypeError("a certificate's bound is not an int")
+        x = _text(point_to_json(cert.x), i6)
+        levels = ('"0/1"', f'"{frac_str(cert.s)}"', f'"{frac_str(-cert.s)}"')
+        out.append(f'{lead}{{{i3}"sample": "{frac_str(cert.sample)}",{i3}"shapes": [')
+        for start, sign, strict, before in witnesses:
+            block = six[start:start + N]
+            bounds = blocks.get(block)
+            if bounds is None:
+                rows = (entry_sep.join(map(repr, block[r:r + n])) for r in range(0, N, n))
+                bounds = blocks[block] = f"[{i6}{row_sep.join(f'[{i7}{r}{i6}]' for r in rows)}{i5}]"
+            out.append(
+                f'{before}{{{i5}"bounds": {bounds},{i5}"provenance": {{{i6}"s": {levels[sign]},'
+                f'{i6}"strict": {strict},{i6}"x": {x}{i5}}}{i4}}}'
+            )
+        out.append(f"{i3}]{i2}}}")
+        lead = "," + i2
+    out.append(f"{i1}]{nl}}}")
+    return "".join(out)
 
 
 def _fields(data: Any, what: str, where: str, *keys: str) -> None:
@@ -232,47 +275,6 @@ def shape_to_json(sh: LatticeShape) -> Dict[str, Any]:
     return {
         "bounds": [list(r) for r in sh.bounds],
         "provenance": {"x": point_to_json(sh.x), "s": frac_str(sh.s), "strict": sh.strict},
-    }
-
-
-def plan_to_json(cfg: GroupConfig, plan: GeodesicPlan) -> Dict[str, Any]:
-    """The plan with each certificate's flat `six` tuple spelled out as six
-    `shape_to_json` shapes, in `_WITNESSES` order: block k of n^2 entries is
-    witness k's bound matrix, row-major.  Equal rows and equal matrices
-    within the plan are one shared list each, which `dump` writes once."""
-    n = cfg.n
-    N = n * n
-    rows: Dict[Tuple[int, ...], List[int]] = {}
-    blocks: Dict[Tuple[int, ...], List[List[int]]] = {}
-    intervals = []
-    for cert in plan.intervals:
-        x, six = point_to_json(cert.x), cert.six
-        levels = (frac_str(0), frac_str(cert.s), frac_str(-cert.s))  # levels[sign] is sign * s
-        shapes = []
-        for k, (sign, strict) in enumerate(_WITNESSES):
-            block = six[k * N:k * N + N]
-            bounds = blocks.get(block)
-            if bounds is None:
-                bounds = blocks[block] = []
-                for r in range(0, N, n):
-                    row = block[r:r + n]
-                    shared = rows.get(row)
-                    if shared is None:
-                        shared = rows[row] = list(row)
-                    bounds.append(shared)
-            shapes.append(
-                {"bounds": bounds, "provenance": {"x": x, "s": levels[sign], "strict": strict}}
-            )
-        intervals.append({"sample": frac_str(cert.sample), "shapes": shapes})
-    return {
-        "endpoints": {
-            "x0": point_to_json(plan.x0),
-            "s0": frac_str(plan.s0),
-            "x1": point_to_json(plan.x1),
-            "s1": frac_str(plan.s1),
-        },
-        "breakpoints": [frac_str(t) for t in plan.ts],
-        "intervals": intervals,
     }
 
 

@@ -182,16 +182,17 @@ def check_incidence(
 class Decomposition:
     """The finer-coset decomposition of one incidence (coarse, x, s).
 
-    `free` lists the support positions of g_{x=-s} that stay free modulo
-    g_{y>-tau}, in support order; the members are the image of the
-    coarse lift plus every combination of coefficients on them, so the
-    quotient dimension is their number.  Iterating, and `len`, run over
-    the classes, in enumeration order.
+    `image` is the image of the coarse lift in g_{x=-s}, and `free` lists
+    the support positions of g_{x=-s} that stay free modulo g_{y>-tau},
+    in support order; the members are `image` plus every combination of
+    coefficients on them, so the quotient dimension is their number.
+    Iterating, and `len`, run over the classes, in enumeration order.
     """
 
     coarse: DMPPair
     x: ApartmentPoint
     s: Q
+    image: GradedElement
     free: Tuple[Tuple[int, int], ...]
     classes: Tuple[SubcosetClass, ...]
 
@@ -303,7 +304,7 @@ def enumerate_and_classify(
             where="refine.enumerate_and_classify",
         )
     _crosscheck_b_class(cfg, y, x, phi_x, classes)
-    return Decomposition(coarse, x, s, free, tuple(classes))
+    return Decomposition(coarse, x, s, phi_x, free, tuple(classes))
 
 
 def _crosscheck_b_class(
@@ -344,16 +345,20 @@ def refine_relation(
     coarse lift, or `base_hint` when supplied (it must itself be tagged
     B); C-members enter with coefficient one each, in enumeration order.
     Every pair is the one its class carries, and the quotient dimension
-    is the decomposition's.  `decomposition`, when given, is used
-    instead of classifying again; one of another incidence is refused.
+    and the image are the decomposition's.  `decomposition`, when given,
+    is used instead of classifying again; one of another incidence is
+    refused.
     """
     x, s = finer[0], Q(finer[1])
     if decomposition is None:
         decomposition = enumerate_and_classify(cfg, coarse, finer)
+    ours = (decomposition.coarse, decomposition.x, decomposition.s) == (coarse, x, s)
     # the image first: a coarse lift below the finer lattice is refused
     # as input, before the decomposition is compared with the incidence
-    base_chi = _image(cfg, coarse.phi, x, -s) if base_hint is None else base_hint
-    if (decomposition.coarse, decomposition.x, decomposition.s) != (coarse, x, s):
+    base_chi = base_hint
+    if base_chi is None:
+        base_chi = decomposition.image if ours else _image(cfg, coarse.phi, x, -s)
+    if not ours:
         raise InternalFault(
             f"the decomposition of {decomposition.coarse.describe()} along "
             f"(x={decomposition.x}, s={decomposition.s}) is not the one of "

@@ -8,10 +8,10 @@ the certificate: three points of the interval, not a proof.  The tests
 run both checks on the same plans, genuine and forged, and check the
 chains against `brute_constancy`.
 
-It also keeps the plan JSON as `jsonio.plan_to_json` built it before that
-function sliced the flat `six` tuple itself and shared its rows: one fresh
-list per row and per matrix, through `certificate_witnesses`.  The tests
-compare both values and their `dump` bytes.
+It also keeps a plan's JSON value, the one `jsonio.dump` writes straight
+from the flat `six` tuples: `plan_to_json` builds it with one fresh list
+per row and per matrix, through `certificate_witnesses`, and the tests
+compare `json.dumps` of it with the bytes `dump` writes for the plan.
 """
 
 from functools import cmp_to_key

@@ -1,6 +1,7 @@
 """Lattice shapes, graded supports, geodesic plans and convexity."""
 
 import itertools
+import json
 import random
 import warnings
 from fractions import Fraction as Q
@@ -174,7 +175,7 @@ def test_breakpoints_worked_examples():
 def test_interval_witnesses_cover_levels_zero_and_plus_minus_s():
     cfg = cfg3()
     plan = breakpoints(cfg, pt(Q(1, 4), Q(1, 2), 0), Q(3, 4), pt(0, Q(1, 8), 0), Q(1, 8))
-    shapes_json = [iv["shapes"] for iv in jsonio.plan_to_json(cfg, plan)["intervals"]]
+    shapes_json = [iv["shapes"] for iv in json.loads(jsonio.dump(plan))["intervals"]]
     for cert, shapes in zip(plan.intervals, shapes_json, strict=True):
         x, s = plan.point_at(cert.sample)
         assert (cert.x, cert.s) == (x, s)
@@ -470,7 +471,7 @@ def test_flat_kernel_and_certificates_match_the_nested_oracles():
             plan = breakpoints(cfg, x0, s0, x1, s1)
             assert plan.ts == oracle_cuts(x0, s0, x1, s1)
             path = apartment._Geodesic(x0, s0, x1, s1)
-            shapes_json = [iv["shapes"] for iv in jsonio.plan_to_json(cfg, plan)["intervals"]]
+            shapes_json = [iv["shapes"] for iv in json.loads(jsonio.dump(plan))["intervals"]]
             for lo, hi, cert, shapes in zip(plan.ts, plan.ts[1:], plan.intervals, shapes_json):
                 u = (lo + hi) / 2
                 x, s = plan.point_at(u)
@@ -780,5 +781,5 @@ def test_breakpoints_computes_3i_plus_1_witness_tuples_and_no_lattice_shape(monk
             verify_plan(cfg, plan)
             assert len(calls) == 2 * intervals + 1
             calls.clear()
-            jsonio.plan_to_json(cfg, plan)
+            jsonio.dump(plan)
             assert not calls and not built

@@ -962,6 +962,20 @@ def test_refine_builds_each_strict_lattice_of_its_incidence_once(capsys, monkeyp
     ]
 
 
+def test_refine_regrades_the_coarse_lift_once(capsys, monkeypatch):
+    # the classification regrades the coarse lift into g_{x=-s} for its B
+    # reference; the relation takes its base from the decomposition's image
+    from fractions import Fraction
+
+    from mptypes import graded
+
+    regraded = count_calls(monkeypatch, graded.regrade)
+    code, out, _ = run_cli(capsys, "--allow-small-p", *REFINE)
+    assert code == 0
+    assert json.loads(out)["verification"]["fork_identity"]["all_pass"] is True
+    assert [(str(args[2]), args[3]) for args in regraded] == [("(1/2,0)", Fraction(-1, 2))]
+
+
 def test_refine_refuses_k0_before_classifying(capsys, monkeypatch):
     classified = count_classifications(monkeypatch)
     code, out, err = run_cli(capsys, "--allow-small-p", "--K", "0", *REFINE)

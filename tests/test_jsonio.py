@@ -16,6 +16,7 @@ from mptypes.errors import ValidationError
 from mptypes.graded import GradedElement
 from mptypes.refine import DMPPair
 from mptypes.solver import MultiplicityVector
+from record_oracle import replace
 
 
 def make_cfg():
@@ -263,13 +264,11 @@ def test_dump_does_not_call_the_stdlib_encoder(monkeypatch):
     )
 
 
-def test_plan_to_json_shares_rows_and_matches_the_unshared_oracle():
-    # today's plan JSON against the one-list-per-row construction, on
-    # seeded GL_2 - GL_5 geodesics: equal values and equal bytes, and one
-    # list object per distinct row and per distinct matrix of a plan
+def seeded_plans():
+    """For each n = 2..5, seeded GL_n geodesic plans (210 in all), then one
+    at level 0 throughout and one from level -1/2 to 1/2."""
     rng = random.Random(23)
     denoms = [1, 2, 3, 4, 6, 8, 12, 16, 48]
-    plans, repeated_rows, repeated_matrices = 0, 0, 0
     for n in (2, 3, 4, 5):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -281,15 +280,40 @@ def test_plan_to_json_shares_rows_and_matches_the_unshared_oracle():
                 for d in (d0, d1)
             )
             s0, s1 = (Q(rng.randrange(-2 * d, 2 * d + 1), d) for d in (d0, d1))
-            plan = breakpoints(cfg, x0, s0, x1, s1)
-            value, unshared = jsonio.plan_to_json(cfg, plan), geodesic_oracle.plan_to_json(plan)
-            assert value == unshared
-            assert jsonio.dump(value) == jsonio.dump(unshared) == oracle(unshared)
-            matrices = [sh["bounds"] for iv in value["intervals"] for sh in iv["shapes"]]
-            rows = [row for bounds in matrices for row in bounds]
-            assert len({id(b) for b in matrices}) == len({str(b) for b in matrices})
-            assert len({id(r) for r in rows}) == len({str(r) for r in rows})
-            repeated_rows += len(rows) > len({id(r) for r in rows})
-            repeated_matrices += len(matrices) > len({id(b) for b in matrices})
-            plans += 1
-    assert plans == repeated_rows == 210 and repeated_matrices > 180
+            yield breakpoints(cfg, x0, s0, x1, s1)
+        x = ApartmentPoint.of([Q(k, 4) for k in range(n)])
+        yield breakpoints(cfg, x, 0, x, 0)
+        yield breakpoints(cfg, x, Q(-1, 2), ApartmentPoint.of([0] * n), Q(1, 2))
+
+
+def test_dump_writes_a_plan_as_the_stdlib_writes_its_oracle_value():
+    # the plan's text straight from its flat certificates, at three
+    # indents, against json.dumps of the one-list-per-row oracle value
+    plans = one_interval = level_zero = 0
+    for plan in seeded_plans():
+        value = geodesic_oracle.plan_to_json(plan)
+        text = jsonio.dump(plan)
+        assert text == oracle(value)
+        assert jsonio.dump({"plan": plan}) == oracle({"plan": value})
+        assert jsonio.dump([1, {"a": plan}]) == oracle([1, {"a": value}])
+        plans += 1
+        one_interval += len(plan.intervals) == 1
+        if any(cert.s == 0 for cert in plan.intervals):
+            level_zero += 1
+            assert "-0/1" not in text
+    assert plans == 218 and one_interval >= 8 and level_zero >= 4
+
+
+@pytest.mark.parametrize("bad", [True, False, Q(1), Q(1, 2)])
+@pytest.mark.parametrize("where", [0, -1])
+def test_dump_refuses_a_certificate_bound_that_is_not_an_int(bad, where):
+    # in the first and the last certificate: True, False and Fraction(1)
+    # equal an int, so a block holding one equals a block written before
+    plan = next(p for p in seeded_plans() if len(p.intervals) > 2)
+    intervals = list(plan.intervals)
+    cert = intervals[where]
+    intervals[where] = replace(cert, six=(bad,) + cert.six[1:])
+    forged = replace(plan, intervals=tuple(intervals))
+    for payload in (forged, {"plan": forged}):
+        with pytest.raises(TypeError, match="not an int"):
+            jsonio.dump(payload)

@@ -302,6 +302,21 @@ def test_direct_subcosets_equal_make_built_ones():
     assert checked >= 30 and members > 300
 
 
+def test_decomposition_image_is_the_regraded_coarse_lift():
+    checked = 0
+    for coarse, finer in worked_instances(CFG) + seeded_incidences(CFG, 30, "image"):
+        try:
+            dec = enumerate_and_classify(CFG, coarse, finer)
+        except InfeasibleError:
+            continue
+        x, s = finer
+        assert dec.image == refine.regrade(CFG, coarse.phi, x, -s)
+        assert dec.image == graded_image(CFG, homogeneous_lift(CFG, coarse.phi), x, -s)
+        assert any(c.chi == dec.image and c.tag == "B" for c in dec)
+        checked += 1
+    assert checked >= 30
+
+
 def test_pair_hash_is_the_hash_of_its_fields():
     for coarse, (x, s) in worked_instances(CFG) + seeded_incidences(CFG, 10, "pair-hash"):
         assert hash(coarse) == hash((coarse.s, coarse.x, coarse.phi, coarse.lift))
