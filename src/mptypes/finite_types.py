@@ -64,7 +64,8 @@ def _check_field(cfg: GroupConfig, field: gf.ExtField, *, where: str) -> None:
 
 def _exponents(phi: GradedElement, positions: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
     """The pairing of each support monomial (i, j) with phi: its (j, i) coefficient."""
-    return tuple(phi.coeff(j, i) for (i, j) in positions)
+    coeffs = dict(phi.coeffs)
+    return tuple(coeffs.get((j, i), 0) for (i, j) in positions)
 
 
 @record
@@ -103,13 +104,15 @@ class FiniteModule:
         cinv = None if conjugator is None else gf.mat_inv(conjugator, field)
         gens = []
         for k in range(len(positions)):
-            diag = tuple(
-                tuple(field.pow(zeta, ct[k]) if a == b else 0 for b in range(d))
-                for a, ct in enumerate(char_tuples)
-            )
-            if cinv is not None:
-                diag = gf.mat_mul(gf.mat_mul(conjugator, diag, field), cinv, field)
-            gens.append(diag)
+            roots = [field.pow(zeta, ct[k]) for ct in char_tuples]
+            if cinv is None:
+                gens.append(
+                    tuple(tuple(r if a == b else 0 for b in range(d)) for a, r in enumerate(roots))
+                )
+            else:
+                # C D scales column b of C by D's entry b: one product is left
+                cd = tuple(tuple(field.mul(c, r) for c, r in zip(row, roots)) for row in conjugator)
+                gens.append(gf.mat_mul(cd, cinv, field))
         # each generator is C D C^-1 with D a diagonal of p-th roots of
         # unity, so g^p = 1 and the generators commute by construction:
         # `validate` is for modules built directly
@@ -194,22 +197,48 @@ def _eigenspace(
 
 
 def _restrict(M: FiniteModule, basis: Sequence[gf.Vec], k: int, lam: int) -> List[gf.Vec]:
-    """A basis of {v in span(basis) : g_k v = lam v}: basis . ker((g_k - lam) . basis).
+    """A basis of {v in span(basis) : g_k v = lam v}: the one-eigenvalue
+    case of `_eigenspaces`, one product g_k . basis and one kernel.
 
     Applied one generator at a time this gives the joint eigenspace,
     the intersection of the kernels of the g_k - lam_k, without
     assuming that the g_k commute or act semisimply.
     """
+    return _eigenspaces(M, basis, k, (lam,))[0]
+
+
+def _eigenspaces(
+    M: FiniteModule, basis: Sequence[gf.Vec], k: int, lams: Sequence[int]
+) -> List[List[gf.Vec]]:
+    """For each of the distinct lams, in order, a basis of
+    {v in span(basis) : g_k v = lam v}: basis . ker(g_k . basis - lam basis).
+
+    g_k . basis is one product, formed once for every lam.  Eigenvectors
+    of distinct eigenvalues are linearly independent whether or not g_k
+    is semisimple, so the kernels' dimensions add up to at most
+    len(basis); once they reach it, every later eigenspace is 0 and no
+    kernel is computed for it.
+    """
     if not basis:
-        return []
+        return [[] for _ in lams]
     f = M.field
-    shifted = [
-        [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
-        for r, row in enumerate(M.gens[k])
-    ]
     cols = tuple(zip(*basis))  # the basis vectors as columns
-    kernel = gf.kernel(gf.mat_mul(shifted, cols, f), len(basis), f)
-    return [gf.mat_vec(cols, c, f) for c in kernel]
+    image = gf.mat_mul(M.gens[k], cols, f)
+    spaces: List[List[gf.Vec]] = []
+    left = len(basis)
+    for lam in lams:
+        if not left:
+            spaces.append([])
+            continue
+        neg = f.neg(lam)
+        shifted = [
+            [f.add(g, f.mul(neg, b)) if b else g for g, b in zip(g_row, b_row)]
+            for g_row, b_row in zip(image, cols)
+        ]
+        kernel = gf.kernel(shifted, len(basis), f)
+        spaces.append([gf.mat_vec(cols, c, f) for c in kernel])
+        left -= len(kernel)
+    return spaces
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +271,14 @@ class _Incidence:
         self.keys = [tuple(ex[k] for k in self.free) for ex in exponents]
 
     def split(self, cfg: GroupConfig, M: FiniteModule) -> Tuple[int, List[int]]:
-        """(restricted hom dim, the hom dim of each extension in class order)."""
+        """(restricted hom dim, the hom dim of each extension in class order).
+
+        Each node of the split, a subspace with basis B, costs one product
+        g_k . B for all q eigenvalues (`_eigenspaces`), and its children stop
+        once their dimensions add up to the node's: eigenvectors of distinct
+        eigenvalues are independent, so the rest are 0 even when the
+        generators neither commute nor act semisimply.
+        """
         if (M.x, M.s) != (self.x, self.s):
             raise ValidationError(
                 "module does not live on the finer graded piece",
@@ -250,7 +286,8 @@ class _Incidence:
             )
         _check_field(cfg, M.field, where="finite_types.verify_fork_identity")
         f = M.field
-        lams = [f.pow(f.root_of_unity(cfg.q), e) for e in range(cfg.q)]
+        zeta = f.root_of_unity(cfg.q)
+        lams = [f.pow(zeta, e) for e in range(cfg.q)]
         basis = _eigenspace(cfg, M, self.restricted, self.base)
         # split along the free positions in order, one subspace per
         # exponent prefix; a prefix whose subspace is 0 is not extended
@@ -259,8 +296,8 @@ class _Incidence:
             level = {
                 prefix + (e,): sub
                 for prefix, node in level.items()
-                for e, lam in enumerate(lams)
-                if (sub := _restrict(M, node, k, lam))
+                for e, sub in enumerate(_eigenspaces(M, node, k, lams))
+                if sub
             }
         return len(basis), [len(level.get(key, ())) for key in self.keys]
 

@@ -8,10 +8,12 @@ matrix A and D = diag(t^(-x_i)), and is never built here: reading it in
 another piece g_{x'=d'} (`regrade`) compares each exponent w with the
 lattice bound at (x', d').  By that similarity the lift's powers have
 the ranks and Jordan type of A over F_q, so degeneracy is DECIDED here
-as A^n = 0.  For type A this agrees with the coset containing a
-nilpotent element; that equivalence is a documented design assumption,
-cross-checked by an exhaustive small-case oracle in the test suite
-rather than proved in code.
+as A^n = 0.  The trace is only a screen before that test: a nilpotent A
+has trace 0, so `refine` tags a member with a nonzero trace
+non-degenerate at once, but trace 0 decides nothing.  For type A this
+agrees with the coset containing a nilpotent element; that equivalence
+is a documented design assumption, cross-checked by an exhaustive
+small-case oracle in the test suite rather than proved in code.
 
 Conjugation bookkeeping runs on coefficient matrices: a block element C
 of the reductive quotient at x acts on a graded element with

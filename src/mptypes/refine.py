@@ -21,6 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from . import gf
 from .apartment import (
     ApartmentPoint,
     GroupConfig,
@@ -28,11 +29,13 @@ from .apartment import (
     graded_support,
     inclusion_chain_ok,
     mp_lattice,
+    residue_classes,
 )
 from .errors import InfeasibleError, InternalFault, ValidationError
 from .graded import (
     GradedElement,
     align_conjugator,
+    coefficient_matrix,
     is_degenerate,
     rank_profile,
     regrade,
@@ -219,11 +222,17 @@ def enumerate_and_classify(
     g_{x=-s} are built once each: the free positions are the support
     monomials lying in L_{y>-tau}, and their number must equal the
     quotient dimension.  Members are enumerated in lexicographic
-    coefficient order over the free positions.  Tag B is decided by
-    rank-profile equality against the image of the coarse homogeneous
-    lift; when feasible the B-set is cross-checked against the
-    breadth-first orbit under the unipotent image (a disagreement is an
-    internal fault).
+    coefficient order over the free positions.
+
+    Each member is classified on its coefficient matrix A, as
+    `is_degenerate` and `rank_profile` would.  A nilpotent matrix has
+    trace 0, so a member whose trace is nonzero mod q is tagged A
+    without a product; the others are tagged A unless A^n = 0.  Tag B
+    is decided by rank-profile equality against the image of the
+    coarse homogeneous lift, on the residue-class blocks of x, which
+    are computed once per incidence.  When feasible the B-set is
+    cross-checked against the breadth-first orbit under the unipotent
+    image (a disagreement is an internal fault).
     """
     x, s = finer[0], Q(finer[1])
     if x.n != cfg.n:
@@ -262,34 +271,45 @@ def enumerate_and_classify(
             "image of the coarse homogeneous lift is non-degenerate",
             where="refine.enumerate_and_classify",
         )
-    ref_profile = rank_profile(cfg, phi_x)
-    ref_lift = OrbitLabel.from_ranks(cfg.n, ref_profile[0])
+    n, q, field = cfg.n, cfg.q, gf.prime_field(cfg.q)
+    blocks = [idx for _, idx in residue_classes(x)]
+    ref_profile = gf.power_ranks(coefficient_matrix(cfg, phi_x), field, blocks)
+    ref_lift = OrbitLabel.from_ranks(n, ref_profile[0])
 
-    # every member is base + combo on support positions of g_{x=-s}: base
-    # passed GradedElement.make and the free positions come from the
+    # every member is base + combo on support positions of g_{x=-s}, held
+    # as its coefficient matrix in one flat row-major list, so that the
+    # nonzero entries in list order are its coefficients in sorted order:
+    # base passed GradedElement.make and the free positions come from the
     # support, so each member is built directly, without re-checking it;
     # s > 0, since is_degenerate refused a piece of degree >= 0, so each
     # degenerate member's pair is built from the lift its profile gives
-    base = phi_x.as_dict()
+    positions = [(i, j) for i in range(n) for j in range(n)]
+    base = [0] * (n * n)
+    for (i, j), c in phi_x.coeffs:
+        base[i * n + j] = c
+    slots = [i * n + j for i, j in free]
     degree = -s
     classes: List[SubcosetClass] = []
-    for combo in itertools.product(range(cfg.q), repeat=len(free)):
-        coeffs = dict(base)
-        for pos, c in zip(free, combo):
-            v = (coeffs.get(pos, 0) + c) % cfg.q
-            if v:
-                coeffs[pos] = v
-            elif pos in coeffs:
-                del coeffs[pos]
-        chi = GradedElement(x=x, degree=degree, coeffs=tuple(sorted(coeffs.items())))
-        if not is_degenerate(cfg, chi):
+    for combo in itertools.product(range(q), repeat=len(slots)):
+        flat = base[:]
+        for k, c in zip(slots, combo):
+            flat[k] = (flat[k] + c) % q
+        chi = GradedElement(
+            x=x, degree=degree, coeffs=tuple((positions[k], c) for k, c in enumerate(flat) if c)
+        )
+        # a nilpotent matrix has trace 0, so a nonzero trace is tag A at once
+        if sum(flat[:: n + 1]) % q:
             classes.append(SubcosetClass(tag="A", chi=chi, pair=None))
             continue
-        profile = rank_profile(cfg, chi)
+        mat = tuple(tuple(flat[r : r + n]) for r in range(0, n * n, n))
+        if not gf.is_nilpotent(mat, field):
+            classes.append(SubcosetClass(tag="A", chi=chi, pair=None))
+            continue
+        profile = gf.power_ranks(mat, field, blocks)
         if profile == ref_profile:
             classes.append(SubcosetClass(tag="B", chi=chi, pair=DMPPair(s, x, chi, ref_lift)))
             continue
-        chi_lift = OrbitLabel.from_ranks(cfg.n, profile[0])
+        chi_lift = OrbitLabel.from_ranks(n, profile[0])
         if not (dominance_leq(coarse.lift, chi_lift) and chi_lift != coarse.lift):
             raise InternalFault(
                 f"member lift {chi_lift} does not strictly dominate {coarse.lift}",

@@ -9,12 +9,17 @@ here from the coarse lattice itself (`_restricted_positions`), while the
 library's fork identity derives it from the decomposition's free
 positions through `finite_types._Incidence`; the tests compare the two.
 `fork_report` classifies an incidence and reports one module's split.
+`fold_split` is the split as a fold of one eigenvalue at a time, each
+through its own product (g_k - lam) . basis (`restrict_oracle`), and
+`conjugated_generators` builds a module's generators C D C^-1 with two
+products each; the library's one-product forms are checked against them.
 """
 
 import itertools
 from fractions import Fraction as Q
 from typing import List, Tuple
 
+from mptypes import gf
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import InternalFault
 from mptypes.finite_types import FiniteModule, _exponents, _Incidence
@@ -105,3 +110,51 @@ def _coarse_exponent(
     w = graded_support(cfg, x, s, _checked=True).exponent(i, j)
     return next((c for a, b, v, c in monomials(coarse.phi) if (a, b, v) == (j, i, -w)), 0)
 
+
+def restrict_oracle(M: FiniteModule, basis, k: int, lam: int) -> List[gf.Vec]:
+    """A basis of {v in span(basis) : g_k v = lam v}: basis . ker((g_k - lam) . basis)."""
+    if not basis:
+        return []
+    f = M.field
+    shifted = [
+        [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
+        for r, row in enumerate(M.gens[k])
+    ]
+    cols = tuple(zip(*basis))
+    kernel = gf.kernel(gf.mat_mul(shifted, cols, f), len(basis), f)
+    return [gf.mat_vec(cols, c, f) for c in kernel]
+
+
+def fold_split(cfg: GroupConfig, inc: _Incidence, M: FiniteModule) -> Tuple[int, List[int]]:
+    """`_Incidence.split` folded one position and one eigenvalue at a time:
+    every eigenvalue of every node gets its own product and kernel."""
+    f = M.field
+    zeta = f.root_of_unity(cfg.q)
+    basis = gf.identity(M.dim)
+    for k, e in zip(inc.restricted, inc.base):
+        basis = restrict_oracle(M, basis, k, f.pow(zeta, e))
+    level = {(): basis}
+    for k in inc.free:
+        level = {
+            prefix + (e,): sub
+            for prefix, node in level.items()
+            for e in range(cfg.q)
+            if (sub := restrict_oracle(M, node, k, f.pow(zeta, e)))
+        }
+    return len(basis), [len(level.get(key, ())) for key in inc.keys]
+
+
+def conjugated_generators(cfg: GroupConfig, field: gf.ExtField, char_tuples, conjugator):
+    """C D_k C^-1 for each position k, D_k the diagonal of zeta^(exponent k)
+    of each character, as two products."""
+    zeta = field.root_of_unity(cfg.q)
+    d = len(char_tuples)
+    cinv = gf.mat_inv(conjugator, field)
+    gens = []
+    for k in range(len(char_tuples[0])):
+        diag = tuple(
+            tuple(field.pow(zeta, ct[k]) if a == b else 0 for b in range(d))
+            for a, ct in enumerate(char_tuples)
+        )
+        gens.append(gf.mat_mul(gf.mat_mul(conjugator, diag, field), cinv, field))
+    return tuple(gens)

@@ -13,6 +13,7 @@ from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support
 from mptypes.errors import InfeasibleError, ValidationError
 from mptypes.finite_types import (
     FiniteModule,
+    _eigenspaces,
     _exponents,
     _Incidence,
     _random_invertible,
@@ -23,7 +24,14 @@ from mptypes.graded import GradedElement
 from mptypes.refine import DMPPair, enumerate_and_classify
 from mptypes.selftest import _random_incidence, worked_instances
 
-from finite_types_oracle import _restricted_positions, extension_characters, fork_report
+from finite_types_oracle import (
+    _restricted_positions,
+    conjugated_generators,
+    extension_characters,
+    fold_split,
+    fork_report,
+    restrict_oracle,
+)
 
 
 def make_cfg(n, q=5, m=16):
@@ -33,6 +41,9 @@ def make_cfg(n, q=5, m=16):
 
 
 CFG = make_cfg(2)
+CFG7 = make_cfg(2, 7)
+F4 = gf.ext_field(2, 2)  # 3 | 3
+F8 = gf.ext_field(2, 3)  # 7 | 7
 F16 = gf.ExtField(2, 4)  # 5 | 15
 F256 = gf.ext_field(2, 8)  # 5 | 255
 
@@ -272,19 +283,17 @@ def test_from_characters_rejects_wrong_tuple_length(bad):
     assert err.value.where == "finite_types.FiniteModule"
 
 
-@pytest.fixture(scope="module")
-def split_incidences():
-    """The three worked GL_2 incidences and seeded valid random ones, 40 of
-    them on a nonzero graded piece."""
-    out = list(worked_instances(CFG))
-    rng = random.Random(31)
+def _split_draw(cfg, seed, count, bound):
+    """Seeded valid random incidences, `count` of them on a nonzero graded piece."""
+    out = []
+    rng = random.Random(seed)
     nonzero = 0
-    while nonzero < 40:
-        inst = _random_incidence(CFG, rng)
+    while nonzero < count:
+        inst = _random_incidence(cfg, rng)
         if inst is None:
             continue
         try:
-            inc = _Incidence(CFG, enumerate_and_classify(CFG, *inst))
+            inc = _Incidence(cfg, enumerate_and_classify(cfg, *inst, bound=bound))
         except InfeasibleError:
             continue
         out.append(inst)
@@ -292,50 +301,140 @@ def split_incidences():
     return out
 
 
-def _oracle_modules(field, inc, chars, rng):
+@pytest.fixture(scope="module")
+def split_incidences():
+    """By q: at q = 5 the three worked GL_2 incidences and seeded valid
+    random ones, 40 of them on a nonzero graded piece; at q = 7, 12 seeded
+    ones with at most 7^2 members."""
+    return {
+        5: list(worked_instances(CFG)) + _split_draw(CFG, 31, 40, 10**6),
+        7: _split_draw(CFG7, 37, 12, 7**2),
+    }
+
+
+def _oracle_modules(cfg, field, inc, chars, rng):
     """A random module, and a conjugated module with a repeated extension
     character and, where the piece has restricted positions, a
     non-extending one."""
-    x, s = inc.x, inc.s
-    yield FiniteModule.random(CFG, field, x, s, rng.randrange(1, 7), rng)
+    x, s, q = inc.x, inc.s, cfg.q
+    yield FiniteModule.random(cfg, field, x, s, rng.randrange(1, 7), rng)
     twice = rng.choice(chars)
     tuples = [twice, rng.choice(chars), twice]
     if inc.restricted:
         k = rng.choice(inc.restricted)
         bad = list(twice)
-        bad[k] = (bad[k] + rng.randrange(1, 5)) % 5
+        bad[k] = (bad[k] + rng.randrange(1, q)) % q
         tuples += [tuple(bad)] * 2
     conj = _random_invertible(field, len(tuples), rng)
-    yield FiniteModule.from_characters(CFG, field, x, s, tuples, conjugator=conj)
+    yield FiniteModule.from_characters(cfg, field, x, s, tuples, conjugator=conj)
 
 
-@pytest.mark.parametrize("field", [F16, F256], ids=["F16", "F256"])
-def test_split_matches_stacked_oracle(split_incidences, field):
+def _built_modules(cfg, field, inc, chars, rng):
+    """Two modules built directly on 2 to 4 dimensions, around an extension
+    character with exponent e_k at position k.  In the first, position k
+    acts by zeta^e_k times I or, at random, times a Jordan block I + N,
+    which has one eigenline: a node the block acts on is never filled by
+    its eigenspaces.  In the second, position k acts by a diagonal of
+    zeta^e_k and random roots conjugated by a random matrix of its own, so
+    that the generators do not commute."""
+    zeta = field.root_of_unity(cfg.q)
+    positions = graded_support(cfg, inc.x, inc.s, _checked=True).positions
+    ct = rng.choice(chars)
+    roots = [field.pow(zeta, e) for e in ct]
+    d = rng.randrange(2, 5)
+    jordan = []
+    for lam in roots:
+        above = rng.random() < 0.6  # the superdiagonal of I + N
+        jordan.append(tuple(
+            tuple(lam if b == a or (above and b == a + 1) else 0 for b in range(d))
+            for a in range(d)
+        ))
+    twisted = []
+    for lam in roots:
+        diag = [lam] + [field.pow(zeta, rng.randrange(cfg.q)) for _ in range(d - 1)]
+        c = _random_invertible(field, d, rng)
+        cd = tuple(tuple(field.mul(v, r) for v, r in zip(row, diag)) for row in c)
+        twisted.append(gf.mat_mul(cd, gf.mat_inv(c, field), field))
+    for gens in (jordan, twisted):
+        yield FiniteModule(
+            field=field, x=inc.x, s=inc.s, positions=positions, dim=d, gens=tuple(gens)
+        )
+
+
+@pytest.mark.parametrize(
+    "q,field", [(5, F16), (5, F256), (7, F8)], ids=["F16", "F256", "F8"]
+)
+def test_split_matches_stacked_oracle(split_incidences, q, field):
+    # modules from the library, and, over F_8 and F_16, modules built
+    # directly whose generators are neither semisimple nor commuting:
+    # `split` and the identity's verdict equal the fold of one eigenvalue
+    # at a time, and the eigenspaces of each generator on the whole space
+    # are the fold's bases
+    cfg = CFG if q == 5 else CFG7
     rng = random.Random(f"split:{field.order}")
-    zeta = field.root_of_unity(5)
-    for coarse, finer in split_incidences:
+    built_rng = random.Random(f"built:{field.order}")
+    zeta = field.root_of_unity(q)
+    lams = [field.pow(zeta, e) for e in range(q)]
+    verdicts = set()
+    for coarse, finer in split_incidences[q]:
         x, s = finer[0], Q(finer[1])
-        classes = enumerate_and_classify(CFG, coarse, finer)
-        inc = _Incidence(CFG, classes)
-        chars = extension_characters(CFG, coarse, finer)
+        classes = enumerate_and_classify(cfg, coarse, finer)
+        inc = _Incidence(cfg, classes)
+        chars = extension_characters(cfg, coarse, finer)
         tags = [cls.tag for cls in classes]
-        restricted = _restricted_positions(CFG, coarse.x, coarse.s, x, s)
+        restricted = _restricted_positions(cfg, coarse.x, coarse.s, x, s)
         everywhere = range(len(chars[0]))
-        for M in _oracle_modules(field, inc, chars, rng):
+        built = [] if field is F256 else list(_built_modules(cfg, field, inc, chars, built_rng))
+        for M in [*_oracle_modules(cfg, field, inc, chars, rng), *built]:
             want_lhs = _eigenspace_dim(
                 M, restricted, [chars[0][k] for k in restricted], zeta
             )
             want = [_eigenspace_dim(M, everywhere, c, zeta) for c in chars]
-            assert inc.split(CFG, M) == (want_lhs, want)
-            assert [hom_dim(CFG, M, cls.chi) for cls in classes] == want
+            assert inc.split(cfg, M) == fold_split(cfg, inc, M) == (want_lhs, want)
+            verdict = verify_fork_identity(cfg, [M], classes)
+            assert verdict == (want_lhs == sum(want))
+            verdicts.add(verdict)
+            if M in built:
+                whole = gf.identity(M.dim)
+                for k in everywhere:
+                    assert _eigenspaces(M, whole, k, lams) == [
+                        restrict_oracle(M, whole, k, lam) for lam in lams
+                    ]
+                continue
+            assert [hom_dim(cfg, M, cls.chi) for cls in classes] == want
             want_deg = sum(d for d, t in zip(want, tags) if t != "A")
-            assert fork_report(CFG, M, coarse, finer) == (want_lhs, sum(want), want_deg)
+            assert fork_report(cfg, M, coarse, finer) == (want_lhs, sum(want), want_deg)
             # random phi of the piece: exponent e at (i, j) is phi's (j, i) coefficient
-            for ct in {tuple(rng.randrange(5) for _ in everywhere) for _ in range(4)}:
+            for ct in {tuple(rng.randrange(q) for _ in everywhere) for _ in range(4)}:
                 phi = GradedElement.make(
-                    CFG, x, -s, {(j, i): e for (i, j), e in zip(M.positions, ct)}
+                    cfg, x, -s, {(j, i): e for (i, j), e in zip(M.positions, ct)}
                 )
-                assert hom_dim(CFG, M, phi) == _eigenspace_dim(M, everywhere, ct, zeta)
+                assert hom_dim(cfg, M, phi) == _eigenspace_dim(M, everywhere, ct, zeta)
+    # directly built modules break the identity where a Jordan block or a
+    # generator that moves the node keeps the eigenspaces from filling it
+    assert verdicts == ({True} if field is F256 else {True, False})
+
+
+@pytest.mark.parametrize("q,field", [(3, F4), (7, F8), (5, F16)], ids=["F4", "F8", "F16"])
+def test_random_module_generators_are_the_two_product_conjugates(q, field):
+    # C D C^-1 with C D formed by scaling the columns of C: the draws of
+    # `FiniteModule.random`, replayed on a twin stream, give the same
+    # generators through two products, and leave the streams level
+    cfg = make_cfg(2, q)
+    npos = len(graded_support(cfg, X_HYP, Q(1)).positions)
+    elems = list(field.elements())
+    for dim in range(1, 7):
+        for seed in range(3):
+            rng = random.Random(f"gens:{q}:{dim}:{seed}")
+            twin = random.Random(f"gens:{q}:{dim}:{seed}")
+            M = FiniteModule.random(cfg, field, X_HYP, Q(1), dim, rng)
+            tuples = [tuple(twin.randrange(q) for _ in range(npos)) for _ in range(dim)]
+            while True:
+                conj = [[twin.choice(elems) for _ in range(dim)] for _ in range(dim)]
+                if gf.rank(conj, field) == dim:
+                    break
+            assert M.gens == conjugated_generators(cfg, field, tuples, conj)
+            assert rng.getstate() == twin.getstate()
 
 
 def test_fork_identity_classifies_once_and_stops_at_first_failure(monkeypatch):

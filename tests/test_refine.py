@@ -10,11 +10,13 @@ import pytest
 from mptypes import refine
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import InfeasibleError, InternalFault, ValidationError
-from mptypes.graded import GradedElement
+from mptypes.graded import GradedElement, is_degenerate, rank_profile
 from mptypes.orbits import OrbitLabel
 from mptypes.record import FrozenInstanceError
 from mptypes.refine import (
+    Decomposition,
     DMPPair,
+    SubcosetClass,
     check_incidence,
     compose_chain,
     connect,
@@ -277,6 +279,29 @@ def make_built_members(cfg, coarse, finer):
     return members
 
 
+def classify_oracle(cfg, coarse, finer):
+    """The decomposition as a loop over members builds it: each member a
+    dict, then a `GradedElement`, tagged by `is_degenerate` and by
+    `rank_profile` against the image's; the free positions come from the
+    lattice (`_surface_positions`) and the image from the built lift."""
+    x, s = finer[0], Q(finer[1])
+    free = tuple(pos for pos, _ in _surface_positions(cfg, coarse.x, coarse.s, x, s))
+    image = graded_image(cfg, homogeneous_lift(cfg, coarse.phi), x, -s)
+    ref_profile = rank_profile(cfg, image)
+    classes = []
+    for combo in itertools.product(range(cfg.q), repeat=len(free)):
+        coeffs = image.as_dict()
+        for pos, c in zip(free, combo):
+            coeffs[pos] = coeffs.get(pos, 0) + c
+        chi = GradedElement.make(cfg, x, -s, coeffs)
+        if not is_degenerate(cfg, chi):
+            classes.append(SubcosetClass(tag="A", chi=chi, pair=None))
+            continue
+        tag = "B" if rank_profile(cfg, chi) == ref_profile else "C"
+        classes.append(SubcosetClass(tag=tag, chi=chi, pair=DMPPair.make(cfg, s, x, chi)))
+    return Decomposition(coarse, x, s, image, free, tuple(classes))
+
+
 def seeded_incidences(cfg, count, seed):
     rng = random.Random(seed)
     out = []
@@ -436,3 +461,34 @@ def test_derived_split_equals_the_lattice_built_one():
         checked[cfg.n] += 1
         nontrivial += bool(inc.restricted and inc.free)
     assert checked[2] >= 33 and checked[3] >= 10 and nontrivial >= 10
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 3)])
+def test_classification_equals_the_per_member_oracle(n, q):
+    # seeded incidences whose free set holds a diagonal position, where the
+    # trace of the members takes every value mod q, and ones whose free set
+    # holds none, where it is the image's for every member
+    cfg = make_cfg(n, q)
+    rng = random.Random(f"classify:{n}:{q}")
+    with_diagonal = without = degenerate_with_diagonal = 0
+    while with_diagonal < 3 or without < 6:
+        inst = _random_incidence(cfg, rng)
+        if inst is None:
+            continue
+        try:
+            dec = enumerate_and_classify(cfg, *inst, bound=q**4)
+        except InfeasibleError:
+            continue
+        diagonal = any(i == j for i, j in dec.free)
+        if (with_diagonal if diagonal else without) >= 6:
+            continue
+        assert dec == classify_oracle(cfg, *inst)
+        traces = {sum(c.chi.coeff(i, i) for i in range(n)) % q for c in dec}
+        if diagonal:
+            assert traces == set(range(q))
+            with_diagonal += 1
+            degenerate_with_diagonal += sum(c.tag != "A" for c in dec)
+        else:
+            assert len(traces) == 1
+            without += 1
+    assert degenerate_with_diagonal >= 3
