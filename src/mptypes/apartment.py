@@ -221,12 +221,6 @@ class GradedSupport:
     def positions(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(p for p, _ in self.entries)
 
-    def exponent(self, i: int, j: int) -> int | None:
-        for (a, b), w in self.entries:
-            if (a, b) == (i, j):
-                return w
-        return None
-
 
 def graded_support(
     cfg: GroupConfig, x: ApartmentPoint, degree: Q | int | str, *, _checked: bool = False

@@ -16,7 +16,6 @@ the extension-sum identity verified here.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -101,31 +100,16 @@ class FiniteModule:
                     where="finite_types.FiniteModule",
                 )
         d = len(char_tuples)
-        cinv = None if conjugator is None else gf.mat_inv(conjugator, field)
         gens = []
         for k in range(len(positions)):
             roots = [field.pow(zeta, ct[k]) for ct in char_tuples]
-            if cinv is None:
-                gens.append(
-                    tuple(tuple(r if a == b else 0 for b in range(d)) for a, r in enumerate(roots))
-                )
-            else:
-                # C D scales column b of C by D's entry b: one product is left
-                cd = tuple(tuple(field.mul(c, r) for c, r in zip(row, roots)) for row in conjugator)
-                gens.append(gf.mat_mul(cd, cinv, field))
-        # each generator is C D C^-1 with D a diagonal of p-th roots of
-        # unity, so g^p = 1 and the generators commute by construction:
-        # `validate` is for modules built directly
-        return FiniteModule(
-            field=field, x=x, s=Q(s), positions=positions, dim=d, gens=tuple(gens)
-        )
-
-    @staticmethod
-    def regular(cfg: GroupConfig, field: gf.ExtField, x: ApartmentPoint, s: Q) -> "FiniteModule":
-        """The regular module: every character occurs exactly once."""
-        sup = graded_support(cfg, x, Q(s), _checked=True)
-        tuples = list(itertools.product(range(cfg.q), repeat=sup.dim))
-        return FiniteModule.from_characters(cfg, field, x, Q(s), tuples)
+            gens.append(
+                tuple(tuple(r if a == b else 0 for b in range(d)) for a, r in enumerate(roots))
+            )
+        M = FiniteModule(field=field, x=x, s=Q(s), positions=positions, dim=d, gens=tuple(gens))
+        if conjugator is None:
+            return M
+        return M._conjugated(conjugator, gf.mat_inv(conjugator, field))
 
     @staticmethod
     def random(
@@ -136,40 +120,38 @@ class FiniteModule:
         dim: int,
         rng: random.Random,
     ) -> "FiniteModule":
+        """`dim` random characters conjugated by a random C: `gf.mat_inv`
+        alone row-reduces each draw of C, and a singular one is drawn again."""
         sup = graded_support(cfg, x, Q(s), _checked=True)
         tuples = [
             tuple(rng.randrange(cfg.q) for _ in range(sup.dim)) for _ in range(dim)
         ]
-        conj = _random_invertible(field, dim, rng)
-        return FiniteModule.from_characters(cfg, field, x, Q(s), tuples, conjugator=conj)
+        M = FiniteModule.from_characters(cfg, field, x, Q(s), tuples)
+        elems = list(field.elements())
+        while True:
+            conj = [[rng.choice(elems) for _ in range(dim)] for _ in range(dim)]
+            try:
+                cinv = gf.mat_inv(conj, field)
+            except ValidationError:
+                continue
+            return M._conjugated(conj, cinv)
 
-    def validate(self, cfg: GroupConfig) -> None:
+    def _conjugated(self, c: Sequence[Sequence[int]], cinv: gf.Mat) -> "FiniteModule":
+        """This module of diagonal generators D, each replaced by C D C^-1.
+
+        C D scales column b of C by D's entry b, so one product is left.
+        With D a diagonal of p-th roots of unity, g^p = 1 and the
+        generators commute by construction.
+        """
         f = self.field
-        one = gf.identity(self.dim)
+        gens = []
         for g in self.gens:
-            if gf.mat_pow(g, cfg.q, f) != one:
-                raise ValidationError(
-                    "generator action does not have order dividing p",
-                    where="finite_types.FiniteModule",
-                )
-        for a in range(len(self.gens)):
-            for b in range(a + 1, len(self.gens)):
-                ga, gb = self.gens[a], self.gens[b]
-                if gf.mat_mul(ga, gb, f) != gf.mat_mul(gb, ga, f):
-                    raise ValidationError(
-                        "generator actions do not commute",
-                        where="finite_types.FiniteModule",
-                    )
+            cd = tuple(tuple(f.mul(v, g[b][b]) for b, v in enumerate(row)) for row in c)
+            gens.append(gf.mat_mul(cd, cinv, f))
+        return FiniteModule(f, self.x, self.s, self.positions, self.dim, tuple(gens))
 
 
-def _random_invertible(field: gf.ExtField, d: int, rng: random.Random):
-    elems = list(field.elements())
-    while True:
-        m = [[rng.choice(elems) for _ in range(d)] for _ in range(d)]
-        if gf.rank(m, field) == d:
-            return m
-
-
+# the multiplicity kernel, kept for ROADMAP items 5 and 7; no command calls it yet
 def hom_dim(cfg: GroupConfig, M: FiniteModule, phi: GradedElement) -> int:
     """The multiplicity of the type (M.x, M.s, phi) in M: the dimension of
     the psi_phi-eigenspace, by exact finite-field kernels."""

@@ -15,9 +15,10 @@ agrees with the coset containing a nilpotent element; that equivalence
 is a documented design assumption, cross-checked by an exhaustive
 small-case oracle in the test suite rather than proved in code.
 
-Conjugation bookkeeping runs on coefficient matrices: a block element C
-of the reductive quotient at x acts on a graded element with
-coefficient matrix A as C A C^{-1}, because the t-power twists cancel.
+The unipotent image acts on coefficient matrices: I + c E_ij in the
+reductive quotient at x acts on a graded element with coefficient
+matrix A as (I + c E_ij) A (I - c E_ij), because the t-power twists
+cancel.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ __all__ = [
     "monomials",
     "coefficient_matrix",
     "regrade",
-    "rank_profile",
     "unipotent_image",
     "unipotent_orbit_count",
     "graded_jordan_chains",
-    "align_conjugator",
     "enumerate_graded_elements",
 ]
 
@@ -125,7 +124,7 @@ def coefficient_matrix(cfg: GroupConfig, phi: GradedElement) -> gf.Mat:
 def element_from_matrix(x: ApartmentPoint, degree: Q, mat: gf.Mat) -> GradedElement:
     """The nonzero entries of a reduced matrix, in row-major order, as an
     element of g_{x=degree}, unchecked: each caller builds the matrix on
-    that piece's support (`conjugate`, `unipotent_orbit_count`), or
+    that piece's support (`unipotent_orbit_count`), or
     checks it afterwards (`orbits.sl2_complete`)."""
     return GradedElement(
         x=x,
@@ -174,56 +173,9 @@ def check_negative_degree(phi: GradedElement) -> None:
         )
 
 
-def rank_profile(cfg: GroupConfig, phi: GradedElement):
-    """Conjugation invariant separating reductive-quotient orbits.
-
-    Returns the ranks of the lift's powers together with the graded
-    ranks of each power restricted to the homogeneous component of
-    every residue class, read as F_q ranks of the coefficient matrix's
-    powers and their column blocks.  For degenerate elements of one
-    graded piece, profile equality is equivalent to conjugacy under the
-    block reductive quotient (cyclic-quiver rank classification; design
-    assumption cross-checked by orbit search at tiny sizes).
-    """
-    classes = residue_classes(phi.x)
-    global_ranks, block_ranks = gf.power_ranks(
-        coefficient_matrix(cfg, phi), gf.prime_field(cfg.q), [idx for _, idx in classes]
-    )
-    return global_ranks, tuple(zip((res for res, _ in classes), block_ranks))
-
-
 # ---------------------------------------------------------------------------
 # reductive quotient and unipotent images
 # ---------------------------------------------------------------------------
-
-
-def conjugate(cfg: GroupConfig, phi: GradedElement, c: Sequence[Sequence[int]]) -> GradedElement:
-    """C A C^{-1} for phi's coefficient matrix A and a member C of the
-    reductive quotient at phi's point: an invertible n x n matrix that
-    preserves residue classes (C_ij = 0 unless x_i and x_j share a class).
-
-    Such a C keeps A on the support of phi's piece, since x_i - x_j is
-    unchanged mod 1 within a class, so the product needs no check.
-    """
-    n, field = cfg.n, gf.prime_field(cfg.q)
-    c = tuple(tuple(v % cfg.q for v in row) for row in c)
-    cls = {i: res for res, idx in residue_classes(phi.x) for i in idx}
-    c_inv = None
-    if len(c) == n and all(
-        len(row) == n and all(cls[i] == cls[j] for j, v in enumerate(row) if v)
-        for i, row in enumerate(c)
-    ):
-        try:
-            c_inv = gf.mat_inv(c, field)
-        except ValidationError:
-            pass
-    if c_inv is None:
-        raise ValidationError(
-            "conjugator is not a member of the reductive quotient at x",
-            where="graded.conjugate",
-        )
-    b = gf.mat_mul(gf.mat_mul(c, coefficient_matrix(cfg, phi), field), c_inv, field)
-    return element_from_matrix(phi.x, phi.degree, b)
 
 
 def unipotent_image(
@@ -439,34 +391,6 @@ def _support_class(v: gf.Vec) -> int:
         if c:
             return i
     raise InternalFault("zero vector in a Jordan chain", where="graded")
-
-
-def align_conjugator(
-    cfg: GroupConfig, phi_from: GradedElement, phi_to: GradedElement
-) -> gf.Mat | None:
-    """Reductive-quotient element g with g . phi_from = phi_to, or None.
-
-    Exists iff the rank profiles agree; built by matching canonical
-    graded Jordan chain bases, so no search is involved.
-    """
-    if (phi_from.x, phi_from.degree) != (phi_to.x, phi_to.degree):
-        raise ValidationError("elements live in different graded pieces", where="graded.align_conjugator")
-    if rank_profile(cfg, phi_from) != rank_profile(cfg, phi_to):
-        return None
-    ch_from = graded_jordan_chains(cfg, phi_from)
-    ch_to = graded_jordan_chains(cfg, phi_to)
-    cols_from = [v for ch in ch_from for v in ch]
-    cols_to = [v for ch in ch_to for v in ch]
-    n, field = cfg.n, gf.prime_field(cfg.q)
-    p_from = tuple(tuple(cols_from[j][i] for j in range(n)) for i in range(n))
-    p_to = tuple(tuple(cols_to[j][i] for j in range(n)) for i in range(n))
-    g = gf.mat_mul(p_to, gf.mat_inv(p_from, field), field)
-    if conjugate(cfg, phi_from, g) != phi_to:
-        raise InternalFault(
-            "chain-matching conjugator failed to align the elements",
-            where="graded.align_conjugator",
-        )
-    return g
 
 
 # ---------------------------------------------------------------------------

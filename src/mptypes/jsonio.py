@@ -289,9 +289,11 @@ def record_to_json(cfg: GroupConfig, rec: RelationRecord) -> Dict[str, Any]:
         "c": _q_power_str(cfg, rec),
         "base": pair_to_json(rec.base),
         "terms": [[frac_str(coef), pair_to_json(p)] for coef, p in rec.terms],
+        # every relation is one incidence's, so "role" and "interval" are
+        # constants; the output format keeps them
         "provenance": {
-            "role": prov.role,
-            "interval": prov.interval,
+            "role": "refine",
+            "interval": None,
             "y": point_to_json(prov.y),
             "tau": frac_str(prov.tau),
             "x": point_to_json(prov.x),
@@ -347,6 +349,7 @@ def matrix_from_json(
     return cm
 
 
+# kept for computed multiplicities (ROADMAP item 5); no command writes a vector yet
 def mult_vector_to_json(v: MultiplicityVector) -> Dict[str, Any]:
     return {
         "r": frac_str(v.r),

@@ -307,6 +307,7 @@ def _membership_decide(cfg, orbit, pair, y, depths) -> bool:
 _COUNT_CACHE: Dict[tuple, Q | int] = {}
 
 
+# perfbench's worker empties the cache between passes (until ROADMAP item 4)
 def clear_count_cache() -> None:
     _COUNT_CACHE.clear()
 

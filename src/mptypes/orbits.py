@@ -87,10 +87,6 @@ class OrbitLabel:
         return OrbitLabel(tuple([1] * n))
 
     @staticmethod
-    def regular(n: int) -> "OrbitLabel":
-        return OrbitLabel((n,))
-
-    @staticmethod
     def from_ranks(n: int, ranks) -> "OrbitLabel":
         """The type of a nilpotent n x n matrix X from rank X^k, k = 1..n.
 

@@ -8,24 +8,21 @@ exact linear relation
 
     v_{tau,(y,phi)} = N * v_{s,(x,base)} + sum_j v_{s,(x,chi_j)},
 
-with N the B-count (a power of q) and the chi_j the C-members.  Chains
-of such relations along geodesic breakpoints connect any two pairs
-carrying the same lift, up to a block-quotient conjugation found by
-graded Jordan alignment; conjugations outside the standard apartment
-are refused rather than guessed.
+with N the B-count (a power of q), base the image of the coarse lift
+and the chi_j the C-members.  `refine` emits one such relation per
+incidence; nothing here chains them along a geodesic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import gf
 from .apartment import (
     ApartmentPoint,
     GroupConfig,
-    breakpoints,
     graded_support,
     inclusion_chain_ok,
     mp_lattice,
@@ -34,10 +31,8 @@ from .apartment import (
 from .errors import InfeasibleError, InternalFault, ValidationError
 from .graded import (
     GradedElement,
-    align_conjugator,
     coefficient_matrix,
     is_degenerate,
-    rank_profile,
     regrade,
     unipotent_orbit_count,
 )
@@ -54,8 +49,6 @@ __all__ = [
     "check_incidence",
     "enumerate_and_classify",
     "refine_relation",
-    "connect",
-    "compose_chain",
     "verify_relation",
 ]
 
@@ -111,7 +104,6 @@ class SubcosetClass:
 
 @record
 class RelationProvenance:
-    role: str  # "refine" | "interval-left" | "interval-right" | "conjugation"
     y: ApartmentPoint
     tau: Q
     x: ApartmentPoint
@@ -120,16 +112,14 @@ class RelationProvenance:
     n_b: int
     n_c: int
     quotient_dim: int
-    interval: Optional[int] = None
-    conjugator: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
 @record
 class RelationRecord:
     """The exact identity v_lhs = c * v_base + sum coef * v_term.
 
-    Stored coarse-side-on-the-left; `solved_for_finer` re-solves for the
-    base component, which is where negative powers of q enter.
+    Stored coarse-side-on-the-left: `lhs` is the coarse pair, `c` the
+    B-count and `base` the finer pair of the coarse lift's image.
     """
 
     lhs: DMPPair
@@ -158,16 +148,6 @@ class RelationRecord:
 
     def pairs(self) -> List[DMPPair]:
         return [self.lhs, self.base] + [p for _, p in self.terms]
-
-    def solved_for_finer(self) -> "RelationRecord":
-        inv = 1 / self.c
-        return RelationRecord(
-            lhs=self.base,
-            c=inv,
-            base=self.lhs,
-            terms=tuple((-inv * coef, p) for coef, p in self.terms),
-            provenance=self.provenance,
-        )
 
 
 def check_incidence(
@@ -225,7 +205,7 @@ def enumerate_and_classify(
     coefficient order over the free positions.
 
     Each member is classified on its coefficient matrix A, as
-    `is_degenerate` and `rank_profile` would.  A nilpotent matrix has
+    `is_degenerate` and the rank profile would.  A nilpotent matrix has
     trace 0, so a member whose trace is nonzero mod q is tagged A
     without a product; the others are tagged A unless A^n = 0.  Tag B
     is decided by rank-profile equality against the image of the
@@ -353,32 +333,25 @@ def refine_relation(
     cfg: GroupConfig,
     coarse: DMPPair,
     finer: Tuple[ApartmentPoint, Q],
-    base_hint: Optional[GradedElement] = None,
-    role: str = "refine",
-    interval: Optional[int] = None,
     *,
     decomposition: Optional[Decomposition] = None,
 ) -> RelationRecord:
     """Emit the exact relation attached to one (coarse, finer) incidence.
 
     The base component is the member tagged B given by the image of the
-    coarse lift, or `base_hint` when supplied (it must itself be tagged
-    B); C-members enter with coefficient one each, in enumeration order.
-    Every pair is the one its class carries, and the quotient dimension
-    and the image are the decomposition's.  `decomposition`, when given,
-    is used instead of classifying again; one of another incidence is
-    refused.
+    coarse lift, the decomposition's `image`; C-members enter with
+    coefficient one each, in enumeration order.  Every pair is the one
+    its class carries, and the quotient dimension is the
+    decomposition's.  `decomposition`, when given, is used instead of
+    classifying again; one of another incidence is refused.
     """
     x, s = finer[0], Q(finer[1])
     if decomposition is None:
         decomposition = enumerate_and_classify(cfg, coarse, finer)
-    ours = (decomposition.coarse, decomposition.x, decomposition.s) == (coarse, x, s)
-    # the image first: a coarse lift below the finer lattice is refused
-    # as input, before the decomposition is compared with the incidence
-    base_chi = base_hint
-    if base_chi is None:
-        base_chi = decomposition.image if ours else _image(cfg, coarse.phi, x, -s)
-    if not ours:
+    if (decomposition.coarse, decomposition.x, decomposition.s) != (coarse, x, s):
+        # the image first: a coarse lift below the finer lattice is
+        # refused as input, before the decomposition is found foreign
+        _image(cfg, coarse.phi, x, -s)
         raise InternalFault(
             f"the decomposition of {decomposition.coarse.describe()} along "
             f"(x={decomposition.x}, s={decomposition.s}) is not the one of "
@@ -390,14 +363,14 @@ def refine_relation(
     n_a = sum(1 for c in classes if c.tag == "A")
     terms = tuple((Q(1), c.pair) for c in classes if c.tag == "C")
 
-    base_pair = next((c.pair for c in classes if c.chi == base_chi and c.tag == "B"), None)
+    image = decomposition.image
+    base_pair = next((c.pair for c in classes if c.chi == image and c.tag == "B"), None)
     if base_pair is None:
         raise InternalFault(
             "base is not a B-tagged member of the decomposition",
             where="refine.refine_relation",
         )
     prov = RelationProvenance(
-        role=role,
         y=coarse.x,
         tau=coarse.s,
         x=x,
@@ -406,7 +379,6 @@ def refine_relation(
         n_b=n_b,
         n_c=len(terms),
         quotient_dim=decomposition.quotient_dim,
-        interval=interval,
     )
     return RelationRecord(lhs=coarse, c=Q(n_b), base=base_pair, terms=terms, provenance=prov)
 
@@ -428,11 +400,6 @@ def verify_relation(
     return lhs == rhs
 
 
-# ---------------------------------------------------------------------------
-# chains along geodesics
-# ---------------------------------------------------------------------------
-
-
 def _image(cfg: GroupConfig, phi: GradedElement, x: ApartmentPoint, degree: Q) -> GradedElement:
     """`regrade`, with a lift leaving g_{x>=degree} refused as rejected input."""
     image = regrade(cfg, phi, x, degree)
@@ -443,118 +410,3 @@ def _image(cfg: GroupConfig, phi: GradedElement, x: ApartmentPoint, degree: Q) -
             where="graded.graded_image",
         )
     return image
-
-
-def connect(cfg: GroupConfig, p0: DMPPair, p1: DMPPair) -> List[RelationRecord]:
-    """Chain of relations expressing v at p1 through v at p0.
-
-    Requires equal lifts.  The shared nilpotent datum is the
-    homogeneous lift of p0; it must lie in the filtration at the p1 end
-    (otherwise the instance needs a conjugation outside the standard
-    apartment and is refused), and a final block-quotient conjugation
-    aligning p1 is found by graded Jordan chain matching when the rank
-    profiles agree.
-    """
-    if p0.lift != p1.lift:
-        raise ValidationError(
-            f"lift mismatch: {p0.lift} != {p1.lift}", where="refine.connect"
-        )
-    if p0 == p1:
-        return []
-
-    phi1_image = regrade(cfg, p0.phi, p1.x, -p1.s)
-    if phi1_image is None:
-        raise InfeasibleError(
-            "no shared datum within the standard apartment: the lift of p0 "
-            "does not lie in the filtration at the p1 end",
-            where="refine.connect",
-        )
-    records: List[RelationRecord] = []
-    if phi1_image != p1.phi:
-        if rank_profile(cfg, phi1_image) != rank_profile(cfg, p1.phi):
-            raise InfeasibleError(
-                "conjugation alignment failure: profiles differ at the p1 end",
-                where="refine.connect",
-            )
-        g = align_conjugator(cfg, p1.phi, phi1_image)
-        aligned = DMPPair.make(cfg, p1.s, p1.x, phi1_image)
-        prov = RelationProvenance(
-            role="conjugation",
-            y=p1.x,
-            tau=p1.s,
-            x=p1.x,
-            s=p1.s,
-            n_a=0,
-            n_b=1,
-            n_c=0,
-            quotient_dim=0,
-            conjugator=g,
-        )
-        records.append(
-            RelationRecord(lhs=p1, c=Q(1), base=aligned, terms=(), provenance=prov)
-        )
-
-    plan = breakpoints(cfg, p0.x, p0.s, p1.x, p1.s)
-    for k, cert in enumerate(plan.intervals):
-        yu, tau_u = cert.x, cert.s
-        phi_u = regrade(cfg, p0.phi, yu, -tau_u)
-        if phi_u is None:
-            raise InternalFault(
-                "shared lift leaves the filtration along the geodesic",
-                where="refine.connect",
-            )
-        pair_u = DMPPair.make(cfg, tau_u, yu, phi_u)
-        if pair_u.lift != p0.lift:
-            raise InternalFault(
-                f"interval pair lift {pair_u.lift} differs from {p0.lift}",
-                where="refine.connect",
-            )
-        for role, t in (("interval-left", plan.ts[k]), ("interval-right", plan.ts[k + 1])):
-            xb, sb = plan.point_at(t)
-            phi_b = _image(cfg, p0.phi, xb, -sb)
-            records.append(
-                refine_relation(cfg, pair_u, (xb, sb), base_hint=phi_b, role=role, interval=k)
-            )
-    return records
-
-
-def compose_chain(
-    cfg: GroupConfig, records: Sequence[RelationRecord], p0: DMPPair, p1: DMPPair
-) -> Tuple[Q, Tuple[Tuple[Q, DMPPair], ...]]:
-    """Fold a connect() chain into v_{p1} = c * v_{p0} + corrections."""
-    if not records:
-        if p0 != p1:
-            raise ValidationError("empty chain between distinct pairs", where="refine.compose_chain")
-        return Q(1), ()
-
-    link_pairs: Dict[int, Dict[str, RelationRecord]] = {}
-    for r in records:
-        if r.provenance.role == "conjugation":
-            continue
-        link_pairs.setdefault(r.provenance.interval, {})[r.provenance.role] = r
-
-    # expression v_current = c * v_{p0} + sum coef * v_j, starting at p0
-    c = Q(1)
-    terms: Dict[DMPPair, Q] = {}
-    for k in sorted(link_pairs):
-        left = link_pairs[k]["interval-left"]
-        right = link_pairs[k]["interval-right"]
-        # v_int = N_L v_left + S_L = N_R v_right + S_R
-        # => v_right = (N_L / N_R) v_left + (S_L - S_R) / N_R
-        n_l, n_r = left.c, right.c
-        factor = n_l / n_r
-        new_terms: Dict[DMPPair, Q] = {}
-        for coef, p in left.terms:
-            new_terms[p] = new_terms.get(p, Q(0)) + coef / n_r
-        for coef, p in right.terms:
-            new_terms[p] = new_terms.get(p, Q(0)) - coef / n_r
-        # substitute v_left = c * v_{p0} + terms
-        for p, coef in terms.items():
-            new_terms[p] = new_terms.get(p, Q(0)) + factor * coef
-        c = factor * c
-        terms = {p: v for p, v in new_terms.items() if v}
-    # a trailing conjugation link is an identity on components: v_{p1}
-    # equals v at the aligned pair the geodesic ends in, so the folded
-    # expression already stands for v_{p1}
-    ordered = sorted(terms.items(), key=lambda kv: kv[0].describe())
-    return c, tuple((coef, pair) for pair, coef in ordered)

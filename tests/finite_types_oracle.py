@@ -13,18 +13,26 @@ positions through `finite_types._Incidence`; the tests compare the two.
 through its own product (g_k - lam) . basis (`restrict_oracle`), and
 `conjugated_generators` builds a module's generators C D C^-1 with two
 products each; the library's one-product forms are checked against them.
+
+`regular_module` holds every character once, `random_invertible` draws a
+conjugator for the modules the tests build, testing each draw's rank, and
+`validate` checks that a module's generators have order dividing p and
+commute, which the library's modules do by construction.
 """
 
 import itertools
+import random
 from fractions import Fraction as Q
 from typing import List, Tuple
 
 from mptypes import gf
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
-from mptypes.errors import InternalFault
+from mptypes.errors import InternalFault, ValidationError
 from mptypes.finite_types import FiniteModule, _exponents, _Incidence
 from mptypes.graded import monomials
 from mptypes.refine import DMPPair, enumerate_and_classify
+
+from lift_oracle import support_exponent
 
 
 def _restricted_positions(
@@ -107,7 +115,7 @@ def _coarse_exponent(
     t^(-w) in the lift's (j, i) entry.
     """
     i, j = pos
-    w = graded_support(cfg, x, s, _checked=True).exponent(i, j)
+    w = support_exponent(graded_support(cfg, x, s, _checked=True), i, j)
     return next((c for a, b, v, c in monomials(coarse.phi) if (a, b, v) == (j, i, -w)), 0)
 
 
@@ -158,3 +166,40 @@ def conjugated_generators(cfg: GroupConfig, field: gf.ExtField, char_tuples, con
         )
         gens.append(gf.mat_mul(gf.mat_mul(conjugator, diag, field), cinv, field))
     return tuple(gens)
+
+
+def regular_module(cfg: GroupConfig, field: gf.ExtField, x: ApartmentPoint, s: Q) -> FiniteModule:
+    """The regular module: every character occurs exactly once."""
+    sup = graded_support(cfg, x, Q(s), _checked=True)
+    tuples = list(itertools.product(range(cfg.q), repeat=sup.dim))
+    return FiniteModule.from_characters(cfg, field, x, Q(s), tuples)
+
+
+def random_invertible(field: gf.ExtField, d: int, rng: random.Random):
+    """A random invertible d x d matrix: entry by entry, drawn again whole
+    until its rank is d."""
+    elems = list(field.elements())
+    while True:
+        m = [[rng.choice(elems) for _ in range(d)] for _ in range(d)]
+        if gf.rank(m, field) == d:
+            return m
+
+
+def validate(cfg: GroupConfig, M: FiniteModule) -> None:
+    """Refuse a module whose generators do not have order dividing p or do not commute."""
+    f = M.field
+    one = gf.identity(M.dim)
+    for g in M.gens:
+        if gf.mat_pow(g, cfg.q, f) != one:
+            raise ValidationError(
+                "generator action does not have order dividing p",
+                where="finite_types.FiniteModule",
+            )
+    for a in range(len(M.gens)):
+        for b in range(a + 1, len(M.gens)):
+            ga, gb = M.gens[a], M.gens[b]
+            if gf.mat_mul(ga, gb, f) != gf.mat_mul(gb, ga, f):
+                raise ValidationError(
+                    "generator actions do not commute",
+                    where="finite_types.FiniteModule",
+                )

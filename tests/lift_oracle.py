@@ -9,6 +9,9 @@ The entrywise helpers below build and combine `LMatrix` objects of bare
 `Series` entries with the `laurent` kernels, for the tests that need
 sums, differences and commutators of Laurent matrices.
 
+`support_exponent` reads the exponent w at one support position of a
+graded piece.
+
 `two_pass_lift` is `orbits.debacker_lift` as it was before the lift read
 degeneracy off the ranks of one pass of powers: A^n through
 `is_degenerate`, then the ranks of A, ..., A^n through `power_ranks`.
@@ -73,12 +76,21 @@ def graded_image(
                     f"lattice bound {shape.bounds[i][j]}",
                     where="graded.graded_image",
                 )
-            w = sup.exponent(i, j)
+            w = support_exponent(sup, i, j)
             if w is not None:
                 c = dict(e).get(w, 0)
                 if c:
                     coeffs[(i, j)] = c
     return GradedElement.make(cfg, x, degree, coeffs)
+
+
+def support_exponent(sup, i: int, j: int):
+    """The exponent w of the basis monomial t^w e_ij of a graded support,
+    or None when (i, j) is not a support position."""
+    for (a, b), w in sup.entries:
+        if (a, b) == (i, j):
+            return w
+    return None
 
 
 # -- entrywise helpers on Laurent matrices ----------------------------------

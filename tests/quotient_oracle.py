@@ -1,10 +1,10 @@
 """The reductive quotient at a point, kept as a test oracle.
 
-The library conjugates graded elements on coefficient matrices and
-builds each result unchecked (`graded.conjugate`,
-`graded.element_from_matrix`): a member of the quotient keeps a matrix
-on its piece's support.  The helpers below take the checked route, so
-the tests can compare the two:
+The library builds the members of a unipotent orbit and the H and E of
+an sl2-triple unchecked (`graded.element_from_matrix`), since their
+matrices stay on the piece's support.  The helpers below take the
+checked route, so the tests can compare the two; `checked_conjugate` is
+also the one conjugation by the quotient that the tests use:
 
 - `random_quotient_element` draws an invertible class-preserving matrix,
   entry by entry over the residue classes of x, redrawing until it is
@@ -14,13 +14,28 @@ the tests can compare the two:
 - `checked_conjugate` tests membership, then forms C A C^{-1} and builds
   it checked;
 - `checked_orbit` closes phi's orbit under the unipotent image by full
-  matrix products with I + c E_ij.
+  matrix products with I + c E_ij;
+- `rank_profile` is the invariant that separates quotient orbits of
+  degenerate elements, read as a whole and per residue class.
 """
 
 from mptypes import gf
 from mptypes.apartment import residue_classes
 from mptypes.errors import ValidationError
 from mptypes.graded import GradedElement, coefficient_matrix, unipotent_image
+
+
+def rank_profile(cfg, phi):
+    """The F_q ranks of the powers of phi's coefficient matrix, and of
+    their column blocks on each residue class of x.  For degenerate
+    elements of one piece, equal profiles mean conjugate under the block
+    reductive quotient (cyclic-quiver rank classification, checked by
+    orbit search at tiny sizes)."""
+    classes = residue_classes(phi.x)
+    global_ranks, block_ranks = gf.power_ranks(
+        coefficient_matrix(cfg, phi), gf.prime_field(cfg.q), [idx for _, idx in classes]
+    )
+    return global_ranks, tuple(zip((res for res, _ in classes), block_ranks))
 
 
 def random_quotient_element(cfg, x, rng):

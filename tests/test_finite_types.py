@@ -16,7 +16,6 @@ from mptypes.finite_types import (
     _eigenspaces,
     _exponents,
     _Incidence,
-    _random_invertible,
     hom_dim,
     verify_fork_identity,
 )
@@ -30,7 +29,10 @@ from finite_types_oracle import (
     extension_characters,
     fold_split,
     fork_report,
+    random_invertible,
+    regular_module,
     restrict_oracle,
+    validate,
 )
 
 
@@ -125,7 +127,7 @@ def test_hom_dim_regular_module_on_small_piece():
     # the 2-dimensional piece at the half point: regular module has
     # every character exactly once
     s = Q(1, 2)
-    reg = FiniteModule.regular(CFG, F16, X_IWA, s)
+    reg = regular_module(CFG, F16, X_IWA, s)
     assert reg.dim == 25
     for coeffs in itertools.product(range(5), repeat=2):
         phi = GradedElement.make(
@@ -168,7 +170,7 @@ def test_galois_twist_preserves_dimension_multiset():
     rng = random.Random(23)
     s = Q(1, 2)
     tuples = [tuple(rng.randrange(5) for _ in range(2)) for _ in range(7)]
-    conj = _random_invertible(F16, 7, rng)
+    conj = random_invertible(F16, 7, rng)
     M = FiniteModule.from_characters(CFG, F16, X_IWA, s, tuples, conjugator=conj)
     twisted = FiniteModule.from_characters(
         CFG, F16, X_IWA, s, [tuple(2 * e % 5 for e in t) for t in tuples], conjugator=conj
@@ -205,7 +207,7 @@ def test_extension_sets_match_decomposition():
 
 def test_fork_identity_regular_module():
     coarse = halfpoint_coarse()
-    reg = FiniteModule.regular(CFG, F16, X_IWA, Q(1, 2))
+    reg = regular_module(CFG, F16, X_IWA, Q(1, 2))
     lhs, rhs, _ = fork_report(CFG, reg, coarse, (X_IWA, Q(1, 2)))
     assert lhs == rhs == 5  # one per extension
 
@@ -325,7 +327,7 @@ def _oracle_modules(cfg, field, inc, chars, rng):
         bad = list(twice)
         bad[k] = (bad[k] + rng.randrange(1, q)) % q
         tuples += [tuple(bad)] * 2
-    conj = _random_invertible(field, len(tuples), rng)
+    conj = random_invertible(field, len(tuples), rng)
     yield FiniteModule.from_characters(cfg, field, x, s, tuples, conjugator=conj)
 
 
@@ -352,7 +354,7 @@ def _built_modules(cfg, field, inc, chars, rng):
     twisted = []
     for lam in roots:
         diag = [lam] + [field.pow(zeta, rng.randrange(cfg.q)) for _ in range(d - 1)]
-        c = _random_invertible(field, d, rng)
+        c = random_invertible(field, d, rng)
         cd = tuple(tuple(field.mul(v, r) for v, r in zip(row, diag)) for row in c)
         twisted.append(gf.mat_mul(cd, gf.mat_inv(c, field), field))
     for gens in (jordan, twisted):
@@ -542,8 +544,8 @@ def test_fork_identity_errors_name_the_public_entry():
 
 
 def test_validate_accepts_constructed_modules_and_rejects_built_ones():
-    # from_characters no longer validates: its generators C D C^-1 with D a
-    # diagonal of p-th roots of unity have order p and commute by
+    # the library does not validate its modules: their generators C D C^-1
+    # with D a diagonal of p-th roots of unity have order p and commute by
     # construction, which `validate` confirms on 50 seeded modules
     rng = random.Random("validate-oracle")
     pieces = [(X_HYP, Q(1)), (X_IWA, Q(1, 2)), (X_IWA, Q(1)), (X_IWA, Q(3, 2))]
@@ -552,16 +554,16 @@ def test_validate_accepts_constructed_modules_and_rejects_built_ones():
         field = (F16, F256)[k % 2]
         M = FiniteModule.random(CFG, field, x, s, rng.randrange(1, 7), rng)
         assert M.gens
-        M.validate(CFG)
+        validate(CFG, M)
     # the Jordan block of the fork-identity test has order 2, not dividing 5
     one = gf.identity(2)
-    positions = FiniteModule.regular(CFG, F16, X_HYP, Q(1)).positions
+    positions = regular_module(CFG, F16, X_HYP, Q(1)).positions
     jordan = FiniteModule(
         field=F16, x=X_HYP, s=Q(1), positions=positions, dim=2,
         gens=(one, one, ((1, 1), (0, 1)), one),
     )
     with pytest.raises(ValidationError, match="order dividing p"):
-        jordan.validate(CFG)
+        validate(CFG, jordan)
     # two generators of order 5 that do not commute
     z = F16.root_of_unity(5)
     diag = ((z, 0), (0, 1))
@@ -572,4 +574,4 @@ def test_validate_accepts_constructed_modules_and_rejects_built_ones():
         gens=(diag, twisted, one, one),
     )
     with pytest.raises(ValidationError, match="do not commute"):
-        apart.validate(CFG)
+        validate(CFG, apart)

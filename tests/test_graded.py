@@ -14,14 +14,11 @@ from mptypes.apartment import (
 from mptypes.errors import InternalFault, ValidationError
 from mptypes.graded import (
     GradedElement,
-    align_conjugator,
     coefficient_matrix,
-    conjugate,
     enumerate_graded_elements,
     graded_jordan_chains,
     is_degenerate,
     monomials,
-    rank_profile,
     regrade,
     unipotent_image,
     unipotent_orbit_count,
@@ -31,7 +28,7 @@ from mptypes.orbits import debacker_lift, jordan_type, sl2_complete
 
 from lift_oracle import graded_image, homogeneous_lift, is_zero_matrix, monomial
 from quotient_oracle import (
-    checked_conjugate, checked_element, checked_orbit, random_quotient_element
+    checked_conjugate, checked_element, checked_orbit, random_quotient_element, rank_profile
 )
 
 
@@ -233,7 +230,7 @@ def test_degeneracy_invariant_under_quotient_conjugation():
             cfg, x, d, {p: rng.randrange(cfg.q) for p in sup.positions}
         )
         g = random_quotient_element(cfg, x, rng)
-        conj = conjugate(cfg, el, g)
+        conj = checked_conjugate(cfg, el, g)
         assert is_degenerate(cfg, el) == is_degenerate(cfg, conj)
         if is_degenerate(cfg, el):
             assert rank_profile(cfg, el) == rank_profile(cfg, conj)
@@ -252,7 +249,7 @@ def test_profile_classifies_quotient_orbits_exhaustively():
     ]
     orbit_of = {}
     for e in elems:
-        orb = frozenset(conjugate(cfg, e, g) for g in group)
+        orb = frozenset(checked_conjugate(cfg, e, g) for g in group)
         orbit_of[e] = orb
     for e1 in elems:
         for e2 in elems:
@@ -272,7 +269,7 @@ def test_profile_classifies_gl2_hyperspecial_orbits():
                     if (a * d - b * c) % 3:
                         group.append(((a, b), (c, d)))
     for e1 in elems:
-        orb = frozenset(conjugate(cfg, e1, g) for g in group)
+        orb = frozenset(checked_conjugate(cfg, e1, g) for g in group)
         for e2 in elems:
             same = rank_profile(cfg, e1) == rank_profile(cfg, e2)
             assert same == (e2 in orb)
@@ -322,8 +319,7 @@ def test_unipotent_count_divides_group_order():
         assert all(m.degree == el.degree and m.x == el.x for m in members)
 
 
-def test_graded_jordan_chains_and_alignment():
-    # chains stay inside residue classes
+def test_graded_jordan_chains_stay_in_residue_classes():
     xi = pt(Q(1, 2), 0)
     el = phi2(xi, Q(1, 2), {(0, 1): 2})
     chains = graded_jordan_chains(CFG2, el)
@@ -333,13 +329,6 @@ def test_graded_jordan_chains_and_alignment():
             support = [i for i, c in enumerate(v) if c]
             classes = {xi[i] % 1 for i in support}
             assert len(classes) == 1
-    # alignment between conjugate elements
-    el_b = phi2(xi, Q(1, 2), {(0, 1): 3})
-    g = align_conjugator(CFG2, el, el_b)
-    assert g is not None
-    assert conjugate(CFG2, el, g) == el_b
-    # and refusal between non-conjugate ones
-    assert align_conjugator(CFG2, el, GradedElement.zero(xi, Q(-1, 2))) is None
 
 
 def oracle_jordan_chains(cfg, phi):
@@ -412,7 +401,7 @@ def test_jordan_chains_stopping_at_the_first_zero_power_equal_the_oracle():
                     if order.index(i) < order.index(j)
                 ]
                 el = GradedElement.make(cfg, x, -s, {p: rng.randrange(q) for p in upper})
-                el = conjugate(cfg, el, random_quotient_element(cfg, x, rng))
+                el = checked_conjugate(cfg, el, random_quotient_element(cfg, x, rng))
                 chains = graded_jordan_chains(cfg, el)
                 assert chains == oracle_jordan_chains(cfg, el), (n, q, x, s, el)
                 depths.add(len(chains[0]))
@@ -448,29 +437,18 @@ def near_points(cfg, x):
 
 @pytest.mark.parametrize("n, q, coords, s", ORACLE_PIECES)
 def test_unchecked_builds_equal_the_checked_oracle(n, q, coords, s):
-    # conjugate, the BFS members of unipotent_orbit_count and the H and E
-    # of sl2_complete build their elements unchecked; each equals the
-    # element GradedElement.make builds from the same matrix
+    # the BFS members of unipotent_orbit_count and the H and E of
+    # sl2_complete build their elements unchecked; each equals the element
+    # GradedElement.make builds from the same matrix
     cfg = make_cfg(n, q)
     x = pt(*coords)
     rng = random.Random(f"quotient:{n}:{coords}:{s}")
     positions = graded_support(cfg, x, -s).positions
     near = near_points(cfg, x)
-    outcomes, orbit_sizes = set(), set()
+    orbit_sizes = set()
     for _ in range(12):
         el = GradedElement.make(cfg, x, -s, {p: rng.randrange(q) for p in positions})
         member = random_quotient_element(cfg, x, rng)
-        stray = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
-        singular = ((0,) * n,) + member[1:]
-        for c in (member, stray, singular):
-            want = checked_conjugate(cfg, el, c)
-            if want is None:
-                with pytest.raises(ValidationError) as err:
-                    conjugate(cfg, el, c)
-                assert err.value.where == "graded.conjugate"
-            else:
-                assert conjugate(cfg, el, c) == want
-            outcomes.add(want is None)
         y = rng.choice(near)
         count, members = unipotent_orbit_count(cfg, y, x, el)
         assert members == checked_orbit(cfg, y, x, el) and count == len(members)
@@ -479,10 +457,9 @@ def test_unchecked_builds_equal_the_checked_oracle(n, q, coords, s):
         order = rng.sample(range(n), n)
         upper = [(i, j) for i, j in positions if order.index(i) < order.index(j)]
         nil = GradedElement.make(cfg, x, -s, {p: rng.randrange(1, q) for p in upper})
-        triple = sl2_complete(cfg, conjugate(cfg, nil, member))
+        triple = sl2_complete(cfg, checked_conjugate(cfg, nil, member))
         for part, degree in ((triple.H, 0), (triple.E, s)):
             assert part == checked_element(cfg, x, degree, coefficient_matrix(cfg, part))
-    assert outcomes == {True, False}
     # the BFS moves phi only where some class holds two indices
     assert (max(orbit_sizes) > 1) == any(len(idx) > 1 for _, idx in residue_classes(x))
 
@@ -510,29 +487,6 @@ def test_stabilizer_dimension_count_equals_the_closed_orbit(monkeypatch, n, q, c
         assert count == len(checked_orbit(cfg, y, x, el)) and members == frozenset()
         sizes.add(count)
     assert (max(sizes) > 1) == any(len(idx) > 1 for _, idx in residue_classes(x))
-
-
-def test_conjugate_refuses_what_is_not_in_the_quotient():
-    # at x = (1/2, 0, 0) the classes are {1, 2} and {0}
-    cfg = make_cfg(3, 7)
-    x = pt(Q(1, 2), 0, 0)
-    el = GradedElement.make(cfg, x, Q(-1, 2), {(0, 1): 1, (2, 0): 3})
-    good = ((2, 0, 0), (0, 1, 1), (0, 0, 1))
-    assert conjugate(cfg, el, good) == checked_conjugate(cfg, el, good)
-    refused = [
-        ((1, 0), (0, 1)),
-        ((1, 0, 0), (0, 1, 0)),
-        tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
-        ((1, 0, 0, 0), (0, 1, 0), (0, 0, 1)),
-        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),  # mixes the classes
-        ((1, 0, 0), (0, 1, 1), (0, 1, 1)),  # singular
-        ((7, 0, 0), (0, 1, 0), (0, 0, 1)),  # singular mod 7
-    ]
-    for c in refused:
-        with pytest.raises(ValidationError) as err:
-            conjugate(cfg, el, c)
-        assert err.value.where == "graded.conjugate"
-        assert str(err.value).endswith("conjugator is not a member of the reductive quotient at x")
 
 
 def test_random_quotient_element_draws_class_blocks_until_invertible():

@@ -146,3 +146,110 @@ def test_every_exported_name_exists():
             assert not missing, (path.stem, missing)
             checked += 1
     assert checked >= 10
+
+
+# definitions no command reaches yet, each with the item that keeps it
+UNREACHED_ALLOWED = {
+    "finite_types.hom_dim": "the multiplicity kernel, for ROADMAP items 5 and 7",
+    "jsonio.mult_vector_to_json": "computed multiplicity vectors, for ROADMAP item 5",
+    "measures.clear_count_cache": "perfbench's worker, until ROADMAP item 4",
+}
+
+
+def _names_read(nodes) -> set:
+    """Every name and attribute name the nodes read, imports aside."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def unreached_definitions(src: Path) -> dict:
+    """The top-level functions, classes and methods of the modules in src
+    that neither `cli.main` nor module-level code (every statement outside
+    a function body; an import reads no name) reaches, with their line counts.  A
+    reached body reaches each definition whose name it reads, as a name
+    or an attribute, and a dunder method is reached with its class;
+    matching by name alone can only over-count what is reached."""
+    defs = {}  # qualname -> (name, names its body reads, lines, class qualname)
+    names = set()
+    for path in sorted(src.glob("*.py")):
+        top = []
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top.append(node)
+                continue
+            qual = f"{path.stem}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                top += node.decorator_list + [node.args]
+                defs[qual] = (node.name, _names_read(node.body), node, None)
+                continue
+            top += node.decorator_list + node.bases + node.keywords
+            defs[qual] = (node.name, set(), node, None)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    top += item.decorator_list + [item.args]
+                    defs[f"{qual}.{item.name}"] = (item.name, _names_read(item.body), item, qual)
+                else:
+                    top.append(item)
+        names |= _names_read(top)
+    reached, new = set(), {"cli.main"}
+    while new:
+        reached |= new
+        for q in new:
+            names |= defs[q][1]
+        new = {
+            q for q, (name, _, _, cls) in defs.items()
+            if q not in reached
+            and (cls in reached if name.startswith("__") and name.endswith("__") else name in names)
+        }
+    return {
+        q: node.end_lineno - node.lineno + 1
+        for q, (_, _, node, _) in sorted(defs.items())
+        if q not in reached
+    }
+
+
+def test_every_definition_is_reached_from_a_command():
+    # code that no command runs leaves the program: a test-only reference
+    # moves next to its tests, and anything else is deleted
+    unreached = unreached_definitions(SRC)
+    assert set(unreached) == set(UNREACHED_ALLOWED), f"unreached (lines): {unreached}"
+
+
+def test_unreached_definitions_finds_what_no_command_reaches(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from .util import helper, unused\n"
+        "def main():\n"
+        "    return Box(1).size\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "util.py").write_text(
+        "TABLE = {'k': helper}\n"
+        "def helper(v):\n"
+        "    return v\n"
+        "def unused():\n"
+        "    return helper(0)\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "class Box:\n"
+        "    def __init__(self, size):\n"
+        "        self.size = size\n"
+        "    def grown(self):\n"
+        "        return Box(self.size + 1)\n"
+        "class Lone:\n"
+        "    def __len__(self):\n"
+        "        return 0\n",
+        encoding="utf-8",
+    )
+    assert unreached_definitions(tmp_path) == {
+        "util.Box.grown": 2,
+        "util.Lone": 3,
+        "util.Lone.__len__": 2,
+        "util.recursive": 2,
+        "util.unused": 2,
+    }

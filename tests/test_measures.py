@@ -9,7 +9,7 @@ import pytest
 
 from mptypes import gf, measures
 from mptypes.apartment import ApartmentPoint, GroupConfig
-from mptypes.graded import GradedElement, coefficient_matrix, conjugate
+from mptypes.graded import GradedElement, coefficient_matrix
 from mptypes.errors import InfeasibleError, UndecidedError, ValidationError
 from mptypes.laurent import ser_add
 from mptypes.measures import (
@@ -39,6 +39,7 @@ from mptypes.solver import alt_probes_gl2, choose_probes, independence_check
 
 from cone_oracle import _meets_nilcone_2x2
 from lift_oracle import series
+from quotient_oracle import checked_conjugate
 
 
 def make_cfg(n, q=5, m=16):
@@ -230,7 +231,7 @@ def test_conjugation_invariance_of_counts():
         # integral unipotents stabilize gl_2(O)
         g = ((1, c), (0, 1)) if rng.random() < 0.5 else ((1, 0), (c, 1))
         pair = DMPPair.make(CFG2, 1, X_HYP, el)
-        pair_c = DMPPair.make(CFG2, 1, X_HYP, conjugate(CFG2, el, g))
+        pair_c = DMPPair.make(CFG2, 1, X_HYP, checked_conjugate(CFG2, el, g))
         for orbit in (O11, O2):
             assert count_measure(CFG2, orbit, pair, 1, lam) == count_measure(
                 CFG2, orbit, pair_c, 1, lam
@@ -239,7 +240,7 @@ def test_conjugation_invariance_of_counts():
     # a couple of deeper-truncation spot checks
     el = GradedElement.make(CFG2, X_HYP, -1, {(0, 1): 2})
     pair = DMPPair.make(CFG2, 1, X_HYP, el)
-    pair_c = DMPPair.make(CFG2, 1, X_HYP, conjugate(CFG2, el, ((1, 3), (0, 1))))
+    pair_c = DMPPair.make(CFG2, 1, X_HYP, checked_conjugate(CFG2, el, ((1, 3), (0, 1))))
     for orbit in (O11, O2):
         assert count_measure(CFG2, orbit, pair, 2, lam) == count_measure(
             CFG2, orbit, pair_c, 2, lam
@@ -466,7 +467,7 @@ def parent_ladder(cfg, orbit, pair, y, depths):
                 return True
         return False
 
-    if orbit == OrbitLabel.regular(3):
+    if orbit == OrbitLabel.of((3,)):
         if found(lambda t: True):
             return True
         return False if _charpoly_obstruction(cfg, y, depths) else None

@@ -25,8 +25,8 @@ from mptypes.laurent import LMatrix
 from mptypes.measures import build_measure_table
 from mptypes.orbits import partitions_of, sl2_complete
 from mptypes.record import FrozenInstanceError
-from mptypes.refine import DMPPair, connect, refine_relation
-from mptypes.selftest import CriterionResult, worked_decompositions
+from mptypes.refine import DMPPair
+from mptypes.selftest import CriterionResult, relation_instances, worked_decompositions
 from mptypes.solver import MultiplicityVector, assemble_and_invert, choose_probes, solve_expansion
 
 from record_oracle import dataclass_twin, replace
@@ -72,10 +72,9 @@ def samples() -> dict:
         roots = [cfg, GroupConfig(n=3, q=7), CriterionResult("criterion", True, "detail", 0.5)]
     worked = worked_decompositions(cfg)
     roots += worked
-    roots += [refine_relation(cfg, d.coarse, (d.x, d.s), decomposition=d) for d in worked]
+    # the worked relations, then seeded ones from `refine_relation`
+    roots += relation_instances(cfg, worked=worked)
     phi = GradedElement.make(cfg, pt(Q(1, 2), 0), Q(-1, 2), {(0, 1): 1})
-    p0 = DMPPair.make(cfg, 1, pt(0, 0), GradedElement.make(cfg, pt(0, 0), -1, {(0, 1): 1}))
-    roots += connect(cfg, p0, DMPPair.make(cfg, Q(1, 2), pt(Q(1, 2), 0), phi))
     roots += [sl2_complete(cfg, phi), breakpoints(cfg, pt(0, 0), 1, pt(Q(1, 2), 0), Q(1, 2))]
     roots += [mp_lattice(cfg, pt(Q(1, 4), 0), Q(1, 2), strict) for strict in (False, True)]
     roots += [graded_support(cfg, pt(Q(1, 2), 0), degree) for degree in (Q(-1, 2), 0)]

@@ -1,4 +1,4 @@
-"""Coset decomposition, relation records, and geodesic chains."""
+"""Coset decomposition and relation records."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ import pytest
 from mptypes import refine
 from mptypes.apartment import ApartmentPoint, GroupConfig, graded_support, mp_lattice
 from mptypes.errors import InfeasibleError, InternalFault, ValidationError
-from mptypes.graded import GradedElement, is_degenerate, rank_profile
+from mptypes.graded import GradedElement, is_degenerate
 from mptypes.orbits import OrbitLabel
 from mptypes.record import FrozenInstanceError
 from mptypes.refine import (
@@ -18,8 +18,6 @@ from mptypes.refine import (
     DMPPair,
     SubcosetClass,
     check_incidence,
-    compose_chain,
-    connect,
     enumerate_and_classify,
     refine_relation,
     verify_relation,
@@ -27,6 +25,7 @@ from mptypes.refine import (
 from mptypes.selftest import _random_incidence, worked_instances
 
 from lift_oracle import graded_image, homogeneous_lift
+from quotient_oracle import rank_profile
 from record_oracle import replace
 
 
@@ -151,85 +150,6 @@ def test_verify_relation_on_synthetic_components():
         verify_relation(CFG, rec, {rec.lhs: Q(1)})
 
 
-def test_solved_for_finer_inverts():
-    y = pt(Q(1, 4), 0)
-    coarse = DMPPair.make(CFG, Q(1), y, GradedElement.zero(y, -1))
-    rec = refine_relation(CFG, coarse, (X_HYP, Q(1)))
-    flipped = rec.solved_for_finer()
-    assert flipped.lhs == rec.base and flipped.base == rec.lhs
-    assert flipped.c == 1 / rec.c
-    comps = {rec.lhs: Q(5), rec.base: Q(1)}
-    for _, p in rec.terms:
-        comps[p] = Q(1)
-    assert verify_relation(CFG, rec, comps) == verify_relation(CFG, flipped, comps)
-
-
-def test_connect_trivial_and_worked_chain():
-    p0 = hyp_pair({(0, 1): 1})
-    assert connect(CFG, p0, p0) == []
-
-    phi1 = GradedElement.make(CFG, X_IWA, Q(-1, 2), {(0, 1): 1})
-    p1 = DMPPair.make(CFG, Q(1, 2), X_IWA, phi1)
-    chain = connect(CFG, p0, p1)
-    assert len(chain) == 2
-    c, terms = compose_chain(CFG, chain, p0, p1)
-    assert c == 1
-    for coef, p in terms:
-        assert dominance_ok(p, OrbitLabel.of((2,)))
-
-
-def dominance_ok(pair, orbit):
-    from mptypes.orbits import dominance_leq
-
-    return dominance_leq(orbit, pair.lift)
-
-
-def test_connect_zero_pairs_with_corrections():
-    p0 = hyp_pair({}, s=1)
-    y = pt(Q(1, 4), 0)
-    p1 = DMPPair.make(CFG, Q(1), y, GradedElement.zero(y, -1))
-    chain = connect(CFG, p0, p1)
-    c, terms = compose_chain(CFG, chain, p0, p1)
-    assert c == 1
-    # q - 1 corrections, one per nonzero scalar on the t^-1 e_12 line
-    assert len(terms) == 4
-    assert sum(coef for coef, _ in terms) == 4
-    for coef, p in terms:
-        assert p.lift == OrbitLabel.of((2,))
-
-
-def test_connect_reversal_cancels():
-    p0 = hyp_pair({(0, 1): 1})
-    phi1 = GradedElement.make(CFG, X_IWA, Q(-1, 2), {(0, 1): 1})
-    p1 = DMPPair.make(CFG, Q(1, 2), X_IWA, phi1)
-    c01, t01 = compose_chain(CFG, connect(CFG, p0, p1), p0, p1)
-    c10, t10 = compose_chain(CFG, connect(CFG, p1, p0), p1, p0)
-    assert c01 * c10 == 1
-    # substitute: v1 = c01 v0 + t01, v0 = c10 v1 + t10
-    folded = {}
-    for coef, p in t10:
-        folded[p] = folded.get(p, Q(0)) + c01 * coef
-    for coef, p in t01:
-        folded[p] = folded.get(p, Q(0)) + coef
-    assert all(v == 0 for v in folded.values())
-
-
-def test_connect_refuses_lift_mismatch():
-    p0 = hyp_pair({(0, 1): 1})
-    p1 = hyp_pair({})
-    with pytest.raises(ValidationError):
-        connect(CFG, p0, p1)
-
-
-def test_connect_refuses_a_p0_lift_below_the_p1_lattice():
-    # t^-2 e_12 has degree -2 at x = 0, below g_{x>=-1}
-    p0, p1 = hyp_pair({(0, 1): 1}, s=2), hyp_pair({(0, 1): 1})
-    assert p0.lift == p1.lift
-    with pytest.raises(InfeasibleError, match="no shared datum") as err:
-        connect(CFG, p0, p1)
-    assert err.value.where == "refine.connect"
-
-
 def test_refine_relation_refuses_a_coarse_lift_below_the_finer_lattice():
     # the relation reads the image before it compares the decomposition
     # of another incidence with its own, so the image of t^-2 e_12 in
@@ -239,16 +159,6 @@ def test_refine_relation_refuses_a_coarse_lift_below_the_finer_lattice():
     with pytest.raises(ValidationError, match="below the lattice bound") as err:
         refine_relation(CFG, coarse, (X_HYP, Q(1)), decomposition=classes)
     assert err.value.where == "graded.graded_image"
-
-
-def test_connect_with_conjugation_alignment():
-    p0 = hyp_pair({(0, 1): 1})
-    phi1 = GradedElement.make(CFG, X_IWA, Q(-1, 2), {(0, 1): 3})
-    p1 = DMPPair.make(CFG, Q(1, 2), X_IWA, phi1)
-    chain = connect(CFG, p0, p1)
-    assert chain[0].provenance.role == "conjugation"
-    c, terms = compose_chain(CFG, chain, p0, p1)
-    assert c == 1 and terms == ()
 
 
 def _surface_positions(cfg, y, tau, x, s):
@@ -384,16 +294,11 @@ def test_refine_relation_refuses_a_base_that_is_not_tagged_b():
     y = pt(Q(1, 4), 0)
     coarse = DMPPair.make(CFG, Q(1), y, GradedElement.zero(y, -1))
     classes = enumerate_and_classify(CFG, coarse, (X_HYP, Q(1)))
-    c_member = next(c.chi for c in classes if c.tag == "C")
-    outside = GradedElement.make(CFG, X_HYP, -1, {(1, 0): 1})
-    for hint in (c_member, outside):
-        with pytest.raises(InternalFault, match="base is not a B-tagged member") as err:
-            refine_relation(CFG, coarse, (X_HYP, Q(1)), base_hint=hint, decomposition=classes)
-        assert err.value.where == "refine.refine_relation"
     # classes without the image's B member refuse the image as base
     without_b = replace(classes, classes=tuple(c for c in classes if c.tag != "B"))
-    with pytest.raises(InternalFault, match="base is not a B-tagged member"):
+    with pytest.raises(InternalFault, match="base is not a B-tagged member") as err:
         refine_relation(CFG, coarse, (X_HYP, Q(1)), decomposition=without_b)
+    assert err.value.where == "refine.refine_relation"
 
 
 def test_refine_relation_refuses_a_foreign_decomposition():
