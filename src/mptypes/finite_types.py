@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from . import gf
 from .apartment import ApartmentPoint, GroupConfig, graded_support
@@ -85,9 +85,8 @@ class FiniteModule:
         x: ApartmentPoint,
         s: Q,
         char_tuples: Sequence[Tuple[int, ...]],
-        conjugator: Optional[Sequence[Sequence[int]]] = None,
     ) -> "FiniteModule":
-        """Module with one eigenline per listed exponent tuple."""
+        """Module with one eigenline per listed exponent tuple, acting diagonally."""
         _check_field(cfg, field, where="finite_types.FiniteModule")
         zeta = field.root_of_unity(cfg.q)
         sup = graded_support(cfg, x, Q(s), _checked=True)
@@ -106,10 +105,7 @@ class FiniteModule:
             gens.append(
                 tuple(tuple(r if a == b else 0 for b in range(d)) for a, r in enumerate(roots))
             )
-        M = FiniteModule(field=field, x=x, s=Q(s), positions=positions, dim=d, gens=tuple(gens))
-        if conjugator is None:
-            return M
-        return M._conjugated(conjugator, gf.mat_inv(conjugator, field))
+        return FiniteModule(field=field, x=x, s=Q(s), positions=positions, dim=d, gens=tuple(gens))
 
     @staticmethod
     def random(

@@ -15,7 +15,8 @@ through its own product (g_k - lam) . basis (`restrict_oracle`), and
 products each; the library's one-product forms are checked against them.
 
 `regular_module` holds every character once, `random_invertible` draws a
-conjugator for the modules the tests build, testing each draw's rank, and
+conjugator for the modules the tests build, testing each draw's rank,
+`conjugated_module` conjugates a diagonal module by such a matrix, and
 `validate` checks that a module's generators have order dividing p and
 commute, which the library's modules do by construction.
 """
@@ -183,6 +184,13 @@ def random_invertible(field: gf.ExtField, d: int, rng: random.Random):
         m = [[rng.choice(elems) for _ in range(d)] for _ in range(d)]
         if gf.rank(m, field) == d:
             return m
+
+
+def conjugated_module(cfg, field, x, s, char_tuples, conjugator) -> FiniteModule:
+    """The module with one eigenline per exponent tuple, each generator
+    D replaced by C D C^-1 for the invertible C = `conjugator`."""
+    M = FiniteModule.from_characters(cfg, field, x, s, char_tuples)
+    return M._conjugated(conjugator, gf.mat_inv(conjugator, field))
 
 
 def validate(cfg: GroupConfig, M: FiniteModule) -> None:

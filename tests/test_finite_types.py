@@ -26,6 +26,7 @@ from mptypes.selftest import _random_incidence, worked_instances
 from finite_types_oracle import (
     _restricted_positions,
     conjugated_generators,
+    conjugated_module,
     extension_characters,
     fold_split,
     fork_report,
@@ -171,9 +172,9 @@ def test_galois_twist_preserves_dimension_multiset():
     s = Q(1, 2)
     tuples = [tuple(rng.randrange(5) for _ in range(2)) for _ in range(7)]
     conj = random_invertible(F16, 7, rng)
-    M = FiniteModule.from_characters(CFG, F16, X_IWA, s, tuples, conjugator=conj)
-    twisted = FiniteModule.from_characters(
-        CFG, F16, X_IWA, s, [tuple(2 * e % 5 for e in t) for t in tuples], conjugator=conj
+    M = conjugated_module(CFG, F16, X_IWA, s, tuples, conj)
+    twisted = conjugated_module(
+        CFG, F16, X_IWA, s, [tuple(2 * e % 5 for e in t) for t in tuples], conj
     )
 
     def phi(c21, c12):
@@ -328,7 +329,7 @@ def _oracle_modules(cfg, field, inc, chars, rng):
         bad[k] = (bad[k] + rng.randrange(1, q)) % q
         tuples += [tuple(bad)] * 2
     conj = random_invertible(field, len(tuples), rng)
-    yield FiniteModule.from_characters(cfg, field, x, s, tuples, conjugator=conj)
+    yield conjugated_module(cfg, field, x, s, tuples, conj)
 
 
 def _built_modules(cfg, field, inc, chars, rng):
