@@ -244,9 +244,18 @@ class _Incidence:
         self.free = tuple(k for k, (i, j) in enumerate(positions) if (j, i) in free)
         # the members differ only on the free positions, so every
         # extension shares the first one's restricted exponents
-        exponents = [_exponents(cls.chi, positions) for cls in decomposition]
-        self.base = tuple(exponents[0][k] for k in self.restricted)
-        self.keys = [tuple(ex[k] for k in self.free) for ex in exponents]
+        classes = decomposition.classes
+        self.base = _exponents(classes[0].chi, [positions[k] for k in self.restricted])
+        # a member's key reads its coefficients at the transposed free positions
+        slot = {(j, i): n for n, (i, j) in enumerate(positions[k] for k in self.free)}
+        self.keys = []
+        for cls in classes:
+            key = [0] * len(slot)
+            for pos, c in cls.chi.coeffs:
+                n = slot.get(pos)
+                if n is not None:
+                    key[n] = c
+            self.keys.append(tuple(key))
 
     def split(self, cfg: GroupConfig, M: FiniteModule) -> Tuple[int, List[int]]:
         """(restricted hom dim, the hom dim of each extension in class order).

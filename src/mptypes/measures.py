@@ -17,10 +17,11 @@ decides every nonzero orbit by one ladder:
 
   1. n = 2: exact solvability of trace = det = 0 over the entry balls,
      reduced to ultrametric ball arithmetic (valuations, leading
-     coefficients and quadratic-residue classes).  The count never tests
-     residues one by one: it tallies the square classes of the merged
-     diagonal entry and the product classes of the off-diagonal pair,
-     and pairs them;
+     coefficients and quadratic-residue classes).  The count enumerates
+     no residue: it splits each entry ball into valuation strata, on
+     which the squares of the merged diagonal entry and the products of
+     the off-diagonal pair run over cosets of unit subgroups, and counts
+     the matching pairs of strata in closed form;
   2. n >= 3: one closure ladder.  An open ball meets O exactly when it
      meets the closure of O (the orbits <= O in dominance order, i.e.
      the nilpotents with rank X^k <= rank_O(k) for all k), because O(F)
@@ -45,16 +46,15 @@ relation's verdict on each orbit's slice of measures (`relation_slices`).
 
 Residues are bare `laurent.Series` tuples, added, negated, multiplied
 and truncated by `laurent`'s `ser_*` kernels; only the ball-specific
-helpers (equality below a depth, ball intersection, and the square and
-product classes of the 2x2 cone test) live here.
+helpers (equality below a depth, ball intersection, and the valuation
+strata of the 2x2 cone test) live here.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .apartment import GroupConfig, mp_lattice
 from .errors import InfeasibleError, InternalFault, UndecidedError, ValidationError
@@ -355,39 +355,12 @@ def count_measure(
 
 def merged_residue_dim(cfg: GroupConfig, pair: DMPPair, K: int, lam) -> int:
     """log_q of the size of the n=2 residue space: merged diagonal data
-    times the two off-diagonal entries (a size probe; `_count_n2` visits
-    only q^(dv+dw) + q^du of these residues)."""
+    times the two off-diagonal entries (a size probe; `_count_n2` counts
+    them by valuation strata and enumerates none)."""
     if cfg.n != 2:
         raise ValidationError("n = 2 only", where="measures.merged_residue_dim")
     walk = _walk_n2(cfg.q, *_entry_layout(cfg, pair, K, lam))
     return 0 if walk is None else sum(depth - floor for _, floor, depth in walk)
-
-
-def _variants(q: int, center: Series, floor: int, depth: int) -> Iterable[Series]:
-    """Every residue of the ball center + t^floor O modulo t^depth."""
-    exps = range(floor, depth)
-    for combo in itertools.product(range(q), repeat=len(exps)):
-        yield ser_add(center, tuple((e, c) for e, c in zip(exps, combo) if c), q)
-
-
-def _square_class(q: int, u: Series, eu: int):
-    """Everything the cone test reads of u: None for u = 0, else
-    (val u, u^2 mod t^(val u + eu))."""
-    if not u:
-        return None
-    vu = u[0][0]
-    return vu, ser_mul(u, u, q, vu + eu)
-
-
-def _product_class(q: int, v: Series, ev: int, w: Series, ew: int):
-    """Everything the cone test reads of (v, w): (rho, None) when
-    products fill the ball t^rho O, else (rho, -(v w) mod t^rho)."""
-    if not v:
-        return ev + (w[0][0] if w else ew), None
-    if not w:
-        return v[0][0] + ew, None
-    rho = min(v[0][0] + ew, w[0][0] + ev)
-    return rho, ser_neg(ser_mul(v, w, q, rho), q)
 
 
 def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> int:
@@ -399,17 +372,18 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
     with v, w the off-diagonal entries, and it passes iff
     u'^2 + v'w' = 0 is solvable over its balls.  That test reads u only
     through its square class and (v, w) only through their product
-    class, so the count tallies each side once (q^du squares, q^(dv+dw)
-    products) and pairs the classes: a full ball t^rho O meets the
-    squares of a nonzero u iff 2 val u >= rho, a partial product class
-    (rho, z0) meets them iff z0 = u^2 below min(val u + eu, rho), and
-    u = 0 meets every full ball and the z0 of even valuation >= 2 eu
-    with square leading coefficient.
+    class: a full ball t^rho O meets the squares of a nonzero u iff
+    2 val u >= rho, a partial product class (rho, z0) meets them iff
+    z0 = u^2 below min(val u + eu, rho), and u = 0 meets every full ball
+    and the z0 of even valuation >= 2 eu with square leading
+    coefficient.  `_tally_n2` counts the matching pairs of classes
+    stratum by stratum, without enumerating them.
 
-    The count reads the pair only through q and the walk, so it is
-    cached under ("n2", q, walk) and shared by every pair with the same
-    three balls; the bound is checked before the lookup, so a smaller
-    bound refuses a walk counted earlier.
+    The bound is a size cap on the walk's classes, q^(dv+dw) products
+    plus q^du squares.  The count reads the pair only through q and the
+    walk, so it is cached under ("n2", q, walk) and shared by every pair
+    with the same three balls; the bound is checked before the lookup,
+    so a smaller bound refuses a walk counted earlier.
     """
     q = cfg.q
     qr = _odd_q_squares(q)
@@ -431,48 +405,84 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
     return count
 
 
+def _strata(q: int, center: Series, floor: int, depth: int):
+    """The residues of the ball center + t^floor O mod t^depth, the centre
+    having terms below the floor only: (number of zero residues, strata).
+
+    A stratum (a, g, m, N) holds N residues t^a alpha, alpha running
+    evenly over g U_m mod t^(depth - a), where U_m = 1 + t^m O and U_0 is
+    every unit.  A nonzero centre gives one stratum, a = its valuation;
+    the ball t^floor O gives 0 and one stratum of units per valuation.
+    """
+    if center:
+        a = center[0][0]
+        g = tuple((e - a, c) for e, c in center)
+        return 0, [(a, g, floor - a, q ** (depth - floor))]
+    return 1, [(a, ((0, 1),), 0, (q - 1) * q ** (depth - a - 1)) for a in range(floor, depth)]
+
+
 def _tally_n2(q: int, qr: frozenset, walk) -> int:
-    """`_count_n2`'s pairing of square and product classes over one walk."""
+    """`_count_n2`'s pairing of square and product classes over one walk,
+    counted stratum by stratum (`_strata`), with no residue enumerated.
+
+    A zero residue v or w puts the pair's products in a full ball t^rho O.
+    Strata t^a g_v U_mv and t^b g_w U_mw give -v w = t^p beta, p = a + b,
+    beta running evenly over -g_v g_w U_m mod t^(rho - p), with
+    m = min(mv, mw) and rho = min(a + ew, b + ev).  For odd q, squaring
+    maps a stratum t^a g U_m of u onto t^2a g^2 U_m one to one when
+    m >= 1, and onto t^2a times the unit squares two to one when m = 0.
+    Such squares meet t^p beta only when p = 2a, and the cone test then
+    compares the unit parts mod t^k, k = min(eu - a, rho - p).  Two
+    cosets x1 H1, x2 H2 of the unit group mod t^k, met evenly by N1 and
+    N2 residues, match in N1 N2 / |H1 H2| pairs when they meet and in
+    none otherwise; every H here is some U_m or the unit squares, which
+    lie between U_0 and U_1, so H1 H2 is the larger of the two.
+    """
     (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
+    u_zero, u_strata = _strata(q, uc, uf, eu)
+    v_zero, v_strata = _strata(q, vc, vf, ev)
+    w_zero, w_strata = _strata(q, wc, wf, ew)
+    full = []  # (rho, number of (v, w) whose products fill t^rho O)
+    if v_zero:
+        full.append((ev + ew, w_zero))
+        full += [(ev + b, nw) for b, _, _, nw in w_strata]
+    if w_zero:
+        full += [(a + ew, nv) for a, _, _, nv in v_strata]
+    # (p, rho - p, m, -g_v g_w mod t^min(m, rho - p), its leading coefficient, N)
+    partial = []
+    for a, gv, mv, nv in v_strata:
+        for b, gw, mw, nw in w_strata:
+            k, m = min(a + ew, b + ev) - a - b, min(mv, mw)
+            x = ser_neg(ser_mul(gv, gw, q, min(m, k)), q)
+            partial.append((a + b, k, m, x, -gv[0][1] * gw[0][1] % q, nv * nw))
 
-    full: Counter = Counter()  # rho -> products filling t^rho O
-    partial: Dict[int, Counter] = {}  # rho -> Counter of z0
-    w_list = list(_variants(q, wc, wf, ew))
-    for v in _variants(q, vc, vf, ev):
-        for w in w_list:
-            rho, z0 = _product_class(q, v, ev, w, ew)
-            if z0 is None:
-                full[rho] += 1
-            else:
-                zs = partial.get(rho)
-                if zs is None:
-                    zs = partial[rho] = Counter()
-                zs[z0] += 1
-    squares = Counter(_square_class(q, u, eu) for u in _variants(q, uc, uf, eu))
-
-    # (rho, b) -> Counter of the partial z0 at that rho, truncated below t^b
-    index: Dict[Tuple[int, int], Counter] = {}
     count = 0
-    for sq, mult in squares.items():
-        if sq is None:
-            hits = sum(full.values()) + sum(
-                m
-                for zs in partial.values()
-                for z0, m in zs.items()
-                if z0[0][0] % 2 == 0 and z0[0][0] >= 2 * eu and z0[0][1] in qr
-            )
-        else:
-            vu, s0 = sq
-            hits = sum(m for rho, m in full.items() if 2 * vu >= rho)
-            for rho, zs in partial.items():
-                b = min(vu + eu, rho)
-                table = index.get((rho, b))
-                if table is None:
-                    table = index[(rho, b)] = Counter()
-                    for z0, m in zs.items():
-                        table[ser_trunc(z0, b)] += m
-                hits += table[ser_trunc(s0, b)]
-        count += mult * hits
+    if u_zero:
+        # u = 0 meets every full ball, and t^p beta when p is even, p >= 2 eu
+        # and beta's leading coefficient is a square: half of them at m = 0
+        count += sum(n for _, n in full)
+        for p, _, m, _, lead, n in partial:
+            if p % 2 == 0 and p >= 2 * eu:
+                count += n // 2 if m == 0 else n if lead in qr else 0
+    for a, g, mu, nu in u_strata:
+        count += nu * sum(n for rho, n in full if 2 * a >= rho)
+        square = ser_mul(g, g, q, min(mu, eu - a))
+        for p, kp, m, x, lead, n in partial:
+            if p != 2 * a:
+                continue
+            k = min(eu - a, kp)
+            if m == 0:  # H1 H2 = U_0
+                size = (q - 1) * q ** (k - 1)
+            elif mu == 0:  # H1 H2 = the unit squares
+                if lead not in qr:
+                    continue
+                size = (q - 1) // 2 * q ** (k - 1)
+            else:  # H1 H2 = U_min(mu, m): the cosets agree mod t^j
+                j = min(mu, m, k)
+                if ser_trunc(square, j) != ser_trunc(x, j):
+                    continue
+                size = q ** (k - j)
+            count += nu * n // size
     return count
 
 

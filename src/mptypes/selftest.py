@@ -155,7 +155,7 @@ def relation_instances(
                 continue
             # a size cap on the K=2 residue space (at most q^7 residues); it
             # fixes which instances the suite draws, while the count itself
-            # visits only q^(dv+dw) + q^du of them
+            # enumerates none of them
             lam = relation_lattice(cfg, rec)
             if any(merged_residue_dim(cfg, p, 2, lam) > 7 for p in rec.pairs()):
                 continue

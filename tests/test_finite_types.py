@@ -418,6 +418,25 @@ def test_split_matches_stacked_oracle(split_incidences, q, field):
     assert verdicts == ({True} if field is F256 else {True, False})
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_incidence_base_and_keys_are_the_per_member_exponents(split_incidences, q):
+    # the per-member oracle: each member's `_exponents` at every support
+    # position, read at the restricted positions (the same for every
+    # member) and at the free ones
+    cfg = CFG if q == 5 else CFG7
+    nonzero_base = nonzero_keys = 0
+    for coarse, finer in split_incidences[q]:
+        classes = enumerate_and_classify(cfg, coarse, finer)
+        inc = _Incidence(cfg, classes)
+        positions = graded_support(cfg, inc.x, inc.s, _checked=True).positions
+        exponents = [_exponents(cls.chi, positions) for cls in classes]
+        assert {tuple(ex[k] for k in inc.restricted) for ex in exponents} == {inc.base}
+        assert inc.keys == [tuple(ex[k] for k in inc.free) for ex in exponents]
+        nonzero_base += any(inc.base)
+        nonzero_keys += len({key for key in inc.keys if any(key)}) > 1
+    assert nonzero_base >= 1 and nonzero_keys >= 5
+
+
 @pytest.mark.parametrize("q,field", [(3, F4), (7, F8), (5, F16)], ids=["F4", "F8", "F16"])
 def test_random_module_generators_are_the_two_product_conjugates(q, field):
     # C D C^-1 with C D formed by scaling the columns of C: the draws of

@@ -37,7 +37,7 @@ from mptypes.refine import DMPPair, refine_relation, verify_relation
 from mptypes.selftest import _random_incidence, relation_instances, worked_instances
 from mptypes.solver import alt_probes_gl2, choose_probes, independence_check
 
-from cone_oracle import _meets_nilcone_2x2
+from cone_oracle import _meets_nilcone_2x2, _variants, enumerated_tally
 from lift_oracle import series
 from quotient_oracle import checked_conjugate
 
@@ -328,16 +328,11 @@ def triple_walk_count(cfg, pair, K, lam):
     if walk is None:
         return 0
 
-    def variants(center, floor, depth):
-        exps = range(floor, depth)
-        for combo in itertools.product(range(q), repeat=len(exps)):
-            yield ser_add(center, tuple((e, c) for e, c in zip(exps, combo) if c), q)
-
     (uc, uf, eu), (vc, vf, ev), (wc, wf, ew) = walk
-    v_list = list(variants(vc, vf, ev))
-    w_list = list(variants(wc, wf, ew))
+    v_list = list(_variants(q, vc, vf, ev))
+    w_list = list(_variants(q, wc, wf, ew))
     count = 0
-    for u in variants(uc, uf, eu):
+    for u in _variants(q, uc, uf, eu):
         for v in v_list:
             for w in w_list:
                 if _meets_nilcone_2x2(q, qr, u, eu, v, ev, w, ew):
@@ -577,8 +572,74 @@ def test_walk_hits_equal_fresh_counts(q):
     for pair, K, lam in jobs:
         walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
         if walk is not None:
-            assert _count_n2(cfg, pair, K, lam, 10**6) == _tally_n2(q, qr, walk)
+            assert _count_n2(cfg, pair, K, lam, 10**6) == enumerated_tally(q, qr, walk)
     clear_count_cache()
+
+
+# -- the closed-form GL_2 tally against the enumerating one -----------------
+
+# the most residues a random ball holds, q^width, by q
+WIDTH = {3: 3, 5: 2, 7: 1, 11: 1}
+
+
+def random_ball(rng, q):
+    """A ball (center, floor, depth) around 0 or a centre below the floor:
+    one monomial, or a leading monomial and random terms up to the floor,
+    as a merged diagonal ball's centre may have; depth = floor at times."""
+    floor = rng.randrange(-4, 4)
+    depth = floor + rng.randrange(WIDTH[q] + 1)
+    kind = rng.choice(("zero", "monomial", "terms"))
+    if kind == "zero":
+        return (), floor, depth
+    a = floor - rng.randrange(1, 4)
+    center = [(a, rng.randrange(1, q))]
+    if kind == "terms":
+        center += [(e, c) for e in range(a + 1, floor) for c in [rng.randrange(q)] if c]
+    return tuple(center), floor, depth
+
+
+def test_closed_form_tally_equals_the_enumerating_tally_on_random_walks():
+    rng = random.Random("closed-form-tally")
+    seen = set()
+    for q in (3, 5, 7, 11):
+        qr = _odd_q_squares(q)
+        for _ in range(500):
+            walk = tuple(random_ball(rng, q) for _ in range(3))
+            count = _tally_n2(q, qr, walk)
+            assert count == enumerated_tally(q, qr, walk), (q, walk)
+            total = q ** sum(depth - floor for _, floor, depth in walk)
+            seen.add((q, "none" if count == 0 else "all" if count == total else "some"))
+            seen.update((q, "terms") for c, _, _ in walk if len(c) > 1)
+            seen.update((q, "one residue") for _, floor, depth in walk if floor == depth)
+    kinds = ("none", "some", "all", "terms", "one residue")
+    assert seen == {(q, kind) for q in (3, 5, 7, 11) for kind in kinds}
+
+
+def test_closed_form_tally_makes_a_product_per_stratum_pair_not_per_residue(monkeypatch):
+    calls = []
+    mul = measures.ser_mul
+
+    def counting_mul(*args):
+        calls.append(1)
+        return mul(*args)
+
+    monkeypatch.setattr(measures, "ser_mul", counting_mul)
+    # the counter sees the tally's products
+    _tally_n2(3, _odd_q_squares(3), ((((-1, 1),), 0, 1),) * 3)
+    assert calls
+    q, qr = 5, _odd_q_squares(5)
+    # 5^4 and 5^6 off-diagonal residue pairs, around 0 and around centres
+    for walk in [
+        (((), 0, 3), ((), 1, 3), ((), -2, 0)),
+        ((((-1, 1), (0, 3)), 1, 2), (((-1, 2),), 0, 3), ((), -1, 2)),
+    ]:
+        calls.clear()
+        strata = [1 if c else depth - floor for c, floor, depth in walk]
+        assert q ** sum(depth - floor for _, floor, depth in walk[1:]) >= 625
+        count = _tally_n2(q, qr, walk)
+        assert count == enumerated_tally(q, qr, walk) > 0
+        # one square per stratum of u, one product per stratum pair of (v, w)
+        assert len(calls) <= strata[0] + strata[1] * strata[2]
 
 
 def test_walk_hit_under_a_smaller_bound_still_raises():
