@@ -31,9 +31,9 @@ from .apartment import (
 from .errors import InfeasibleError, ToolkitError, ValidationError
 from .graded import GradedElement, monomials
 from .measures import build_measure_table, check_truncation, normalization, relation_slices
-from .orbits import minimality_probe, partitions_of, sl2_complete
+from .orbits import minimality_probe, sl2_complete
 from .refine import DMPPair, enumerate_and_classify, refine_relation
-from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, independence_check, solve_expansion
+from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, solve_expansion
 from . import selftest as selftest_mod
 from .finite_types import FiniteModule, fork_field, verify_fork_identity
 
@@ -325,17 +325,17 @@ def _cmd_refine(cfg, args) -> dict:
 
 def _default_matrix(cfg, args, r, known=()):
     catalog = alt_probes_gl2 if getattr(args, "alt_probes", False) else choose_probes
-    probes = catalog(cfg, r, known)
-    table = build_measure_table(cfg, probes, args.K, partitions_of(cfg.n), enum_bound=args.bound)
-    return probes, table, assemble_and_invert(cfg, probes, table)
+    table = build_measure_table(cfg, catalog(cfg, r, known), args.K, enum_bound=args.bound)
+    return table, assemble_and_invert(cfg, table)
 
 
 def _cmd_measure(cfg, args) -> dict:
     r = jsonio.parse_frac(args.r)
-    probes, table, cm = _default_matrix(cfg, args, r)
+    table, cm = _default_matrix(cfg, args, r)
     return {
         "table": jsonio.table_to_json(table),
-        "independence": independence_check(table),
+        # written only once assemble_and_invert has checked M A = I exactly
+        "independence": True,
         "matrix": jsonio.matrix_to_json(cm),
     }
 
@@ -357,7 +357,7 @@ def _cmd_solve(cfg, args) -> dict:
                 where="cli.solve",
             )
     else:
-        _, _, cm = _default_matrix(cfg, args, vec.r, [p for p, _ in vec.entries])
+        _, cm = _default_matrix(cfg, args, vec.r, [p for p, _ in vec.entries])
     if args.save_matrix:
         text = jsonio.dump(jsonio.matrix_to_json(cm))
         _write_text(args.save_matrix, text, "the --save-matrix file")

@@ -136,9 +136,6 @@ class ExtField:
             return -x % self.ell
         return self._exp[self._log[x] + self._log_minus_one] if x else 0
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         if self.deg == 1:
             return x * y % self.ell

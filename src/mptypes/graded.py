@@ -93,15 +93,6 @@ class GradedElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int, j: int) -> int:
-        for (a, b), c in self.coeffs:
-            if (a, b) == (i, j):
-                return c
-        return 0
-
-    def as_dict(self) -> Dict[Tuple[int, int], int]:
-        return dict(self.coeffs)
-
 
 def monomials(phi: GradedElement) -> List[Tuple[int, int, int, int]]:
     """(i, j, w, c) for each coefficient: phi's lift holds c t^w at (i, j).

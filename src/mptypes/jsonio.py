@@ -328,8 +328,10 @@ def matrix_to_json(cm: CoefficientMatrix) -> Dict[str, Any]:
 def matrix_from_json(
     cfg: GroupConfig, data: Mapping[str, Any], seen: Dict[str, DMPPair] | None = None
 ) -> CoefficientMatrix:
-    """A persisted coefficient matrix, re-checked as `assemble_and_invert`
-    checks it; its probes are read through `pair_from_json` with `seen`."""
+    """A persisted coefficient matrix, refused unless it passes
+    `matrix_problem`, the check `assemble_and_invert` asserts on the
+    matrices it builds; its probes are read through `pair_from_json`
+    with `seen`."""
     where = "jsonio.matrix_from_json"
     _fields(data, "the matrix", where, "orbits", "probes", "M", "A", "normalization")
     if not isinstance(data["normalization"], str):

@@ -149,29 +149,28 @@ def check_truncation(K: int) -> None:
         raise ValidationError("truncation K must be >= 1", where="measures")
 
 
-def _validate_lattice(
-    cfg: GroupConfig, pair: DMPPair, K: int, lam: Tuple[Tuple[int, ...], ...]
-) -> None:
+def _entry_layout(cfg: GroupConfig, pair: DMPPair, K: int, lam):
+    """Per-entry grids: base series from the lift's monomials, strict bound
+    (the coset ball's floor) and residue depth K + lam.
+
+    Refuses K < 1, and a depth below its floor: t^K L must lie inside
+    the pair's strict lattice.
+    """
     check_truncation(K)
-    strict = pair_strict_bounds(cfg, pair)
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            if K + lam[i][j] < strict[i][j]:
+    n = cfg.n
+    floors = pair_strict_bounds(cfg, pair)
+    depths = [[K + lam[i][j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if depths[i][j] < floors[i][j]:
                 raise ValidationError(
                     f"t^K L is not inside the strict lattice at entry ({i},{j})",
                     where="measures",
                 )
-
-
-def _entry_layout(cfg: GroupConfig, pair: DMPPair, K: int, lam):
-    """Per-entry grids: base series from the lift's monomials, strict bound
-    (the coset ball's floor) and residue depth K + lam."""
-    n = cfg.n
     bases = [[()] * n for _ in range(n)]
     for i, j, w, c in monomials(pair.phi):
         bases[i][j] = ((w, c),)
-    depths = [[K + lam[i][j] for j in range(n)] for i in range(n)]
-    return bases, pair_strict_bounds(cfg, pair), depths
+    return bases, floors, depths
 
 
 def _odd_q_squares(q: int) -> frozenset:
@@ -330,12 +329,13 @@ def count_measure(
         raise ValidationError("orbit size mismatch", where="measures.count_measure")
     lam = pair_strict_bounds(cfg, pair) if lam is None else lam
     # the bound is part of the key: a value is reused only under the bound
-    # it was counted within, so a smaller bound still refuses
+    # it was counted within, so a smaller bound still refuses (n >= 3; the
+    # n = 2 count enumerates nothing and takes no bound)
     key = (cfg.n, cfg.q, orbit.parts, pair, K, lam, enum_bound)
     value = _COUNT_CACHE.get(key)
     if value is not None:
         return value
-    _validate_lattice(cfg, pair, K, lam)
+    layout = _entry_layout(cfg, pair, K, lam)
 
     norm = Q(1, cfg.q ** (K * orbit.dim))
     if all(p == 1 for p in orbit.parts):
@@ -345,9 +345,9 @@ def count_measure(
         return value
 
     if cfg.n == 2:
-        passing = _count_n2(cfg, pair, K, lam, enum_bound)
+        passing = _count_n2(cfg.q, layout)
     else:
-        passing = _count_generic(cfg, orbit, pair, K, lam, enum_bound)
+        passing = _count_generic(cfg, orbit, pair, layout, enum_bound)
     value = passing * norm
     _COUNT_CACHE[key] = value
     return value
@@ -356,14 +356,15 @@ def count_measure(
 def merged_residue_dim(cfg: GroupConfig, pair: DMPPair, K: int, lam) -> int:
     """log_q of the size of the n=2 residue space: merged diagonal data
     times the two off-diagonal entries (a size probe; `_count_n2` counts
-    them by valuation strata and enumerates none)."""
+    them by valuation strata and enumerates none); the lattice is
+    refused as a count would refuse it."""
     if cfg.n != 2:
         raise ValidationError("n = 2 only", where="measures.merged_residue_dim")
     walk = _walk_n2(cfg.q, *_entry_layout(cfg, pair, K, lam))
     return 0 if walk is None else sum(depth - floor for _, floor, depth in walk)
 
 
-def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> int:
+def _count_n2(q: int, layout) -> int:
     """Passing residues for the 2x2 nonzero nilpotent orbit.
 
     The trace equation is solved symbolically: feasible diagonal pairs
@@ -377,27 +378,16 @@ def _count_n2(cfg: GroupConfig, pair: DMPPair, K: int, lam, enum_bound: int) -> 
     z0 = u^2 below min(val u + eu, rho), and u = 0 meets every full ball
     and the z0 of even valuation >= 2 eu with square leading
     coefficient.  `_tally_n2` counts the matching pairs of classes
-    stratum by stratum, without enumerating them.
+    stratum by stratum, without enumerating them, so no bound caps it.
 
-    The bound is a size cap on the walk's classes, q^(dv+dw) products
-    plus q^du squares.  The count reads the pair only through q and the
-    walk, so it is cached under ("n2", q, walk) and shared by every pair
-    with the same three balls; the bound is checked before the lookup,
-    so a smaller bound refuses a walk counted earlier.
+    The count reads the pair only through q and the walk of its
+    `_entry_layout`, so it is cached under ("n2", q, walk) and shared by
+    every pair with the same three balls.
     """
-    q = cfg.q
     qr = _odd_q_squares(q)
-    walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
+    walk = _walk_n2(q, *layout)
     if walk is None:
         return 0  # the trace never vanishes on the coset
-    (_, uf, eu), (_, vf, ev), (_, wf, ew) = walk
-    du, dvw = eu - uf, (ev - vf) + (ew - wf)
-    if q ** dvw + q ** du > enum_bound:
-        raise InfeasibleError(
-            f"{q}^{dvw} off-diagonal products plus {q}^{du} diagonal squares "
-            f"exceed bound {enum_bound}",
-            where="measures.count_measure",
-        )
     key = ("n2", q, walk)
     count = _COUNT_CACHE.get(key)
     if count is None:
@@ -487,9 +477,9 @@ def _tally_n2(q: int, qr: frozenset, walk) -> int:
 
 
 def _count_generic(
-    cfg: GroupConfig, orbit: OrbitLabel, pair: DMPPair, K: int, lam, enum_bound: int
+    cfg: GroupConfig, orbit: OrbitLabel, pair: DMPPair, layout, enum_bound: int
 ) -> int:
-    bases, floors, depths = _entry_layout(cfg, pair, K, lam)
+    bases, floors, depths = layout
     n, q = cfg.n, cfg.q
     slots = []
     for i in range(n):
@@ -533,29 +523,27 @@ class MeasureTable:
     normalization: str
     entries: Tuple[Tuple[Q, ...], ...]  # rows: probes, cols: orbits
 
-    def entry(self, orbit: OrbitLabel, probe: DMPPair) -> Q:
-        return self.entries[self.probes.index(probe)][self.orbits.index(orbit)]
-
 
 def build_measure_table(
     cfg: GroupConfig,
     probes: Sequence[DMPPair],
     K: int,
-    orbits: Sequence[OrbitLabel],
     enum_bound: int = 10**6,
 ) -> MeasureTable:
     """Full table of counting measures with the triangularity contract.
 
-    The probes are counted at truncation K on their `shared_lattice`,
-    each checked against it before the first count.  Entry (probe, orbit)
-    must be nonzero exactly when the orbit dominates the probe's lift; a
-    violation is an internal fault (it would falsify the triangularity
-    of the measure vectors under this normalization).
+    Each probe is counted against every orbit, in `partitions_of` order,
+    at truncation K on the probes' `shared_lattice`; every probe is
+    checked against that lattice before the first count.  Entry
+    (probe, orbit) must be nonzero exactly when the orbit dominates the
+    probe's lift; a violation is an internal fault (it would falsify the
+    triangularity of the measure vectors under this normalization).
     """
     probes = tuple(probes)
     lam = shared_lattice(cfg, probes)
     for p in probes:
-        _validate_lattice(cfg, p, K, lam)
+        _entry_layout(cfg, p, K, lam)
+    orbits = tuple(partitions_of(cfg.n))
     rows = []
     for p in probes:
         row = []
@@ -570,7 +558,7 @@ def build_measure_table(
             row.append(val)
         rows.append(tuple(row))
     return MeasureTable(
-        orbits=tuple(orbits),
+        orbits=orbits,
         probes=probes,
         K=K,
         lam=lam,

@@ -3,9 +3,13 @@
 One probe pair per nilpotent orbit realizes that orbit as its lift; the
 matrix of counting measures over the probe family is triangular with
 positive diagonal, so its exact inverse maps multiplicity data to the
-expansion coefficients, uniquely.  Coefficients are always reported
-together with the normalization of the measure table that produced
-them; no absolute normalization is claimed.
+expansion coefficients, uniquely.  That matrix is the measure table's
+rows as they stand: each catalog lists its probes in `partitions_of`
+order, one per orbit, and `build_measure_table` counts them against the
+orbits in the same order, so `assemble_and_invert` only inverts the
+table and checks the result (`matrix_problem`).  Coefficients are
+always reported together with the normalization of the measure table
+that produced them; no absolute normalization is claimed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "choose_probes",
     "alt_probes_gl2",
     "assemble_and_invert",
-    "independence_check",
     "matrix_problem",
     "solve_expansion",
     "synthesize_vector",
@@ -82,15 +85,6 @@ class ExpansionResult:
     coefficients: Tuple[Tuple[OrbitLabel, Q], ...]
     normalization: str
 
-    def coeff(self, orbit: OrbitLabel) -> Q:
-        for o, c in self.coefficients:
-            if o == orbit:
-                return c
-        raise ValidationError(f"no coefficient for {orbit}", where="solver.ExpansionResult")
-
-    def as_dict(self) -> Dict[OrbitLabel, Q]:
-        return dict(self.coefficients)
-
 
 @record
 class CoefficientMatrix:
@@ -100,7 +94,7 @@ class CoefficientMatrix:
     probes listed in a dominance-compatible ascending order; both M and
     its inverse vanish below the order.  The solving coefficient
     A_{O',O} weighting the probe datum at O' into the output at O is
-    the inverse entry at (row O, column O'), exposed via `coeff`.
+    the inverse entry at (row O, column O').
     """
 
     orbits: Tuple[OrbitLabel, ...]
@@ -108,9 +102,6 @@ class CoefficientMatrix:
     m_rows: Tuple[Tuple[Q, ...], ...]
     a_rows: Tuple[Tuple[Q, ...], ...]
     normalization: str
-
-    def coeff(self, o_prime: OrbitLabel, o: OrbitLabel) -> Q:
-        return self.a_rows[self.orbits.index(o)][self.orbits.index(o_prime)]
 
 
 def _jordan_pattern(cfg: GroupConfig, x: ApartmentPoint, s: Q, parts) -> GradedElement:
@@ -210,50 +201,18 @@ def _invert_rational(rows: Sequence[Sequence[Q]]) -> List[List[Q]]:
     return [row[k:] for row in aug]
 
 
-def independence_check(table: MeasureTable) -> bool:
-    """Rows linearly independent over Q: the square table is invertible."""
-    k = len(table.probes)
-    if k != len(table.orbits):
-        raise ValidationError(
-            "independence check needs a square table", where="solver.independence_check"
-        )
-    return k == 0 or bool(_invert_rational(table.entries))
+def assemble_and_invert(cfg: GroupConfig, table: MeasureTable) -> CoefficientMatrix:
+    """The table's rows as M, with A its exact inverse.
 
-
-def assemble_and_invert(
-    cfg: GroupConfig, probes: Sequence[DMPPair], table: MeasureTable
-) -> CoefficientMatrix:
-    """Square measure matrix over the probes, with its exact inverse.
-
-    Probes are sorted so their lifts match the ascending orbit order;
-    every check of `matrix_problem` is asserted on the result.
+    A table holds one probe per orbit, both in `partitions_of` order;
+    every check of `matrix_problem` is asserted on the result, so rows
+    that are not independent are an internal fault here.
     """
-    orbits = list(partitions_of(cfg.n))
-    lifts = [p.lift for p in probes]
-    if sorted(lifts, key=lambda o: o.parts) != sorted(
-        (o for o in orbits), key=lambda o: o.parts
-    ):
-        raise ValidationError(
-            "need exactly one probe per orbit with matching lift",
-            where="solver.assemble_and_invert",
-        )
-    ordered = [next(p for p in probes if p.lift == o) for o in orbits]
-    m_rows = []
-    for p in ordered:
-        row = []
-        for o in orbits:
-            if o not in table.orbits or p not in table.probes:
-                raise ValidationError(
-                    "table does not cover the probe family",
-                    where="solver.assemble_and_invert",
-                )
-            row.append(table.entry(o, p))
-        m_rows.append(row)
     cm = CoefficientMatrix(
-        orbits=tuple(orbits),
-        probes=tuple(ordered),
-        m_rows=tuple(tuple(r) for r in m_rows),
-        a_rows=tuple(tuple(r) for r in _invert_rational(m_rows)),
+        orbits=table.orbits,
+        probes=table.probes,
+        m_rows=table.entries,
+        a_rows=tuple(tuple(r) for r in _invert_rational(table.entries)),
         normalization=table.normalization,
     )
     problem = matrix_problem(cfg, cm)
@@ -326,33 +285,10 @@ def solve_expansion(
 
 
 def synthesize_vector(
-    cfg: GroupConfig,
-    coefficients: Mapping[OrbitLabel, Q] | ExpansionResult,
-    pairs: Iterable[DMPPair],
-    table: MeasureTable,
+    cm: CoefficientMatrix, coefficients: Mapping[OrbitLabel, Q]
 ) -> Dict[DMPPair, Q]:
-    """Components sum_O mu_O(pair) * c_O over the requested pairs.
-
-    Every requested pair and every orbit with a nonzero coefficient
-    must be covered by the table.
-    """
-    if isinstance(coefficients, ExpansionResult):
-        coefficients = coefficients.as_dict()
-    out: Dict[DMPPair, Q] = {}
-    for pair in pairs:
-        if pair not in table.probes:
-            raise ValidationError(
-                f"table does not cover pair {pair.describe()}",
-                where="solver.synthesize_vector",
-            )
-        acc = Q(0)
-        for o, c in coefficients.items():
-            if c == 0:
-                continue
-            if o not in table.orbits:
-                raise ValidationError(
-                    f"table does not cover orbit {o}", where="solver.synthesize_vector"
-                )
-            acc += table.entry(o, pair) * Q(c)
-        out[pair] = acc
-    return out
+    """M c: the component sum_O M[probe][O] c_O at each probe of cm."""
+    return {
+        p: sum(m * coefficients[o] for o, m in zip(cm.orbits, row))
+        for p, row in zip(cm.probes, cm.m_rows)
+    }

@@ -126,7 +126,7 @@ def restrict_oracle(M: FiniteModule, basis, k: int, lam: int) -> List[gf.Vec]:
         return []
     f = M.field
     shifted = [
-        [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
+        [f.add(v, f.neg(lam)) if r == c else v for c, v in enumerate(row)]
         for r, row in enumerate(M.gens[k])
     ]
     cols = tuple(zip(*basis))

@@ -10,7 +10,8 @@ The entrywise helpers below build and combine `LMatrix` objects of bare
 sums, differences and commutators of Laurent matrices.
 
 `support_exponent` reads the exponent w at one support position of a
-graded piece.
+graded piece, and `coeff` the coefficient of a graded element at one
+position.
 
 `two_pass_lift` is `orbits.debacker_lift` as it was before the lift read
 degeneracy off the ranks of one pass of powers: A^n through
@@ -50,7 +51,7 @@ def homogeneous_lift(cfg: GroupConfig, phi: GradedElement) -> LMatrix:
     off that support (which GradedElement.make refuses) is not lifted.
     """
     q, n = cfg.q, cfg.n
-    coeffs = phi.as_dict()
+    coeffs = dict(phi.coeffs)
     rows = [[()] * n for _ in range(n)]
     for (i, j), w in graded_support(cfg, phi.x, phi.degree, _checked=True).entries:
         rows[i][j] = monomial(q, w, coeffs.get((i, j), 0))
@@ -91,6 +92,11 @@ def support_exponent(sup, i: int, j: int):
         if (a, b) == (i, j):
             return w
     return None
+
+
+def coeff(el: GradedElement, i: int, j: int) -> int:
+    """The coefficient of el at (i, j), 0 where it has none."""
+    return dict(el.coeffs).get((i, j), 0)
 
 
 # -- entrywise helpers on Laurent matrices ----------------------------------

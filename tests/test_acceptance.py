@@ -81,9 +81,9 @@ def test_criterion_4_formula_structure(cfg2, cfg3, mats):
     _report(res, 60)
 
 
-def test_criterion_5_round_trip(cfg2, cfg3, mats):
+def test_criterion_5_round_trip(mats):
     res = _timed(
-        lambda: criterion_5_round_trip(cfg2, cfg3, SEED, mats),
+        lambda: criterion_5_round_trip(SEED, mats),
         "criterion-5 uniqueness round trip",
     )
     _report(res, 10)

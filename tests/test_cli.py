@@ -267,8 +267,7 @@ def test_measure_and_solve_round_trip(capsys, tmp_path):
 
 
 def test_gl2_measure_frontier(capsys):
-    # K = 4 counts 5^7 off-diagonal products and 5^4 diagonal squares, within
-    # the default bound; K = 5 needs 5^9 + 5^5 and is refused
+    # the GL_2 count enumerates no residue, so no bound refuses K = 4 or 5
     code, out, _ = run_cli(capsys, "--allow-small-p", "--n", "2", "--q", "5", "--K", "4", "measure")
     assert code == 0
     data = json.loads(out)
@@ -278,11 +277,29 @@ def test_gl2_measure_frontier(capsys):
     # the (2)-entry of probe 0 continues 541/625, 13541/15625 by N -> 25N + 16
     assert data["table"]["entries"] == [["1/1", "338541/390625"], ["0/1", "1/5"]]
     code, out, err = run_cli(capsys, "--allow-small-p", "--n", "2", "--q", "5", "--K", "5", "measure")
-    assert code == 3 and out == ""
+    assert code == 0
+    assert json.loads(out)["table"]["entries"] == [["1/1", "8463541/9765625"], ["0/1", "1/5"]]
+
+
+def test_a_table_with_dependent_rows_never_reaches_the_writer(capsys, monkeypatch):
+    # `measure` writes "independence": true only once M A = I has been
+    # checked: a table whose rows repeat its first exits 4 with the message
+    # of matrix_problem (test_gl2_measure_table_and_independence pins it)
+    real = cli.build_measure_table
+
+    def duplicated(*args, **kwargs):
+        table = real(*args, **kwargs)
+        return type(table)(
+            orbits=table.orbits, probes=table.probes, K=table.K, lam=table.lam,
+            normalization=table.normalization, entries=(table.entries[0],) * len(table.entries),
+        )
+
+    monkeypatch.setattr(cli, "build_measure_table", duplicated)
+    code, out, err = run_cli(capsys, "--allow-small-p", "measure")
+    assert (code, out) == (4, "")
     error = json.loads(err.strip().splitlines()[-1])["error"]
-    assert error["where"] == "measures.count_measure"
-    assert error["message"] == (
-        "5^9 off-diagonal products plus 5^5 diagonal squares exceed bound 1000000"
+    assert (error["where"], error["message"]) == (
+        "solver.assemble_and_invert", "nonzero entry below the order at ((2), (1,1))"
     )
 
 

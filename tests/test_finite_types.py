@@ -58,7 +58,7 @@ def _eigenspace_dim(M, gen_indices, exponents, zeta):
     for k, e in zip(gen_indices, exponents):
         lam = f.pow(zeta, e)
         rows += [
-            [f.sub(v, lam) if r == c else v for c, v in enumerate(row)]
+            [f.add(v, f.neg(lam)) if r == c else v for c, v in enumerate(row)]
             for r, row in enumerate(M.gens[k])
         ]
     return M.dim - gf.rank(rows, f)

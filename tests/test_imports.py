@@ -157,14 +157,15 @@ UNREACHED_ALLOWED = {
 
 
 def _names_read(nodes) -> set:
-    """Every name and attribute name the nodes read, imports aside."""
+    """Every name the nodes read, imports aside: a bare name as itself, an
+    attribute `x.name` as ".name"."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+                out.add("." + sub.attr)
     return out
 
 
@@ -172,9 +173,11 @@ def unreached_definitions(src: Path) -> dict:
     """The top-level functions, classes and methods of the modules in src
     that neither `cli.main` nor module-level code (every statement outside
     a function body; an import reads no name) reaches, with their line counts.  A
-    reached body reaches each definition whose name it reads, as a name
-    or an attribute, and a dunder method is reached with its class;
-    matching by name alone can only over-count what is reached."""
+    reached body reaches each top-level definition whose name it reads, as
+    a name or an attribute, and each method whose name it reads as an
+    attribute (`x.name`: a local variable of the same name does not count);
+    a dunder method is reached with its class.  Matching by name alone can
+    only over-count what is reached."""
     defs = {}  # qualname -> (name, names its body reads, lines, class qualname)
     names = set()
     for path in sorted(src.glob("*.py")):
@@ -205,7 +208,10 @@ def unreached_definitions(src: Path) -> dict:
         new = {
             q for q, (name, _, _, cls) in defs.items()
             if q not in reached
-            and (cls in reached if name.startswith("__") and name.endswith("__") else name in names)
+            and (
+                cls in reached if name.startswith("__") and name.endswith("__")
+                else "." + name in names or (cls is None and name in names)
+            )
         }
     return {
         q: node.end_lineno - node.lineno + 1
@@ -222,10 +228,12 @@ def test_every_definition_is_reached_from_a_command():
 
 
 def test_unreached_definitions_finds_what_no_command_reaches(tmp_path):
+    # `grown` in main is a local variable: it reaches no method Box.grown
     (tmp_path / "cli.py").write_text(
         "from .util import helper, unused\n"
         "def main():\n"
-        "    return Box(1).size\n",
+        "    grown = 1\n"
+        "    return Box(grown).size\n",
         encoding="utf-8",
     )
     (tmp_path / "util.py").write_text(

@@ -10,7 +10,7 @@ import pytest
 from mptypes import gf, measures
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.graded import GradedElement, coefficient_matrix
-from mptypes.errors import InfeasibleError, UndecidedError, ValidationError
+from mptypes.errors import InfeasibleError, InternalFault, UndecidedError, ValidationError
 from mptypes.laurent import ser_add
 from mptypes.measures import (
     MeasureTable,
@@ -27,6 +27,7 @@ from mptypes.measures import (
     build_measure_table,
     clear_count_cache,
     count_measure,
+    merged_residue_dim,
     pair_strict_bounds,
     relation_lattice,
     relation_slices,
@@ -35,7 +36,13 @@ from mptypes.measures import (
 from mptypes.orbits import OrbitLabel, dominance_leq, jordan_type, partitions_of
 from mptypes.refine import DMPPair, refine_relation, verify_relation
 from mptypes.selftest import _random_incidence, relation_instances, worked_instances
-from mptypes.solver import alt_probes_gl2, choose_probes, independence_check
+from mptypes.solver import (
+    CoefficientMatrix,
+    alt_probes_gl2,
+    assemble_and_invert,
+    choose_probes,
+    matrix_problem,
+)
 
 from cone_oracle import _meets_nilcone_2x2, _variants, enumerated_tally
 from lift_oracle import series
@@ -178,11 +185,29 @@ def test_relation_slices_match_the_recipe_and_count_the_same_keys():
 
 
 def test_build_measure_table_refuses_k0_before_any_count():
-    # every probe is checked up front, so an empty orbit list refuses too
     clear_count_cache()
-    for orbits in ([O11, O2], []):
-        with pytest.raises(ValidationError, match="truncation K must be >= 1"):
-            build_measure_table(CFG2, [ZERO_PAIR, REG_PAIR], 0, orbits)
+    with pytest.raises(ValidationError, match="truncation K must be >= 1"):
+        build_measure_table(CFG2, [ZERO_PAIR, REG_PAIR], 0)
+    assert not measures._COUNT_CACHE
+
+
+def test_every_count_refuses_a_lattice_below_the_strict_floor():
+    # one layout per count: both count routes, the zero orbit and the size
+    # probe refuse K < 1 and t^K L outside the strict lattice, counting nothing
+    below = tuple(tuple(b - 2 for b in row) for row in pair_strict_bounds(CFG2, REG_PAIR))
+    clear_count_cache()
+    for K, lam, message in (
+        (1, below, r"t\^K L is not inside the strict lattice at entry \(0,0\)"),
+        (0, pair_strict_bounds(CFG2, REG_PAIR), "truncation K must be >= 1"),
+    ):
+        for call in (
+            lambda: count_measure(CFG2, O2, REG_PAIR, K, lam),
+            lambda: count_measure(CFG2, O11, REG_PAIR, K, lam),
+            lambda: merged_residue_dim(CFG2, REG_PAIR, K, lam),
+        ):
+            with pytest.raises(ValidationError, match=message) as err:
+                call()
+            assert err.value.where == "measures"
     assert not measures._COUNT_CACHE
 
 
@@ -260,28 +285,32 @@ def test_monotone_refinement_exhaustive_iwahori_piece():
             assert (v1 == 0) == (v2 == 0)
 
 
-def test_empty_orbit_list_gives_empty_table():
-    table = build_measure_table(CFG2, [ZERO_PAIR], 1, [])
-    assert table.entries == ((),)
-
-
 def test_gl2_measure_table_and_independence():
-    table = build_measure_table(CFG2, [ZERO_PAIR, REG_PAIR], 2, [O11, O2])
-    assert table.entry(O11, ZERO_PAIR) == 1
-    assert table.entry(O11, REG_PAIR) == 0
-    assert table.entry(O2, ZERO_PAIR) > 0
-    assert table.entry(O2, REG_PAIR) > 0
-    assert independence_check(table)
-    # duplicated probe rows are dependent
+    table = build_measure_table(CFG2, [ZERO_PAIR, REG_PAIR], 2)
+    assert table.orbits == (O11, O2)
+    (zero_o11, zero_o2), (reg_o11, reg_o2) = table.entries
+    assert zero_o11 == 1 and reg_o11 == 0
+    assert zero_o2 > 0 and reg_o2 > 0
+    assert assemble_and_invert(CFG2, table).m_rows == table.entries
+    # duplicated rows are dependent: a singular M fails matrix_problem (an
+    # upper-triangular M with a nonzero diagonal would be invertible), and
+    # assemble_and_invert raises its message
+    rows = (table.entries[0], table.entries[0])
     dup = MeasureTable(
         orbits=table.orbits,
-        probes=(ZERO_PAIR, ZERO_PAIR),
+        probes=table.probes,
         K=table.K,
         lam=table.lam,
         normalization=table.normalization,
-        entries=(table.entries[0], table.entries[0]),
+        entries=rows,
     )
-    assert not independence_check(dup)
+    problem = matrix_problem(CFG2, CoefficientMatrix(
+        orbits=table.orbits, probes=table.probes, m_rows=rows, a_rows=(), normalization=""
+    ))
+    assert problem == "nonzero entry below the order at ((2), (1,1))"
+    with pytest.raises(InternalFault) as err:
+        assemble_and_invert(CFG2, dup)
+    assert (str(err.value), err.value.where) == (problem, "solver.assemble_and_invert")
 
 
 def test_gl3_measure_table():
@@ -293,15 +322,15 @@ def test_gl3_measure_table():
     reg3 = DMPPair.make(
         CFG3, 1, x3, GradedElement.make(CFG3, x3, -1, {(0, 1): 1, (1, 2): 1})
     )
-    orbits = [OrbitLabel.of((1, 1, 1)), OrbitLabel.of((2, 1)), OrbitLabel.of((3,))]
-    table = build_measure_table(CFG3, [zero3, sub3, reg3], 1, orbits)
+    table = build_measure_table(CFG3, [zero3, sub3, reg3], 1)
+    assert table.orbits == tuple(partitions_of(3))
     for i in range(3):
         for j in range(3):
             if j < i:
                 assert table.entries[i][j] == 0
             if i == j:
                 assert table.entries[i][j] > 0
-    assert independence_check(table)
+    assert assemble_and_invert(CFG3, table).m_rows == table.entries
 
 
 def test_single_regular_probe_row():
@@ -346,9 +375,8 @@ def triples(cfg, pair, K, lam):
 
 
 def assert_factored_count(cfg, pair, K, lam):
-    assert _count_n2(cfg, pair, K, lam, 10**6) == triple_walk_count(cfg, pair, K, lam), (
-        pair.describe(), K, lam
-    )
+    count = _count_n2(cfg.q, _entry_layout(cfg, pair, K, lam))
+    assert count == triple_walk_count(cfg, pair, K, lam), (pair.describe(), K, lam)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -560,19 +588,19 @@ def test_walk_hits_equal_fresh_counts(q):
     cfg = make_cfg(2, q)
     jobs = walk_jobs(cfg)
     clear_count_cache()
-    warm = [_count_n2(cfg, pair, K, lam, 10**6) for pair, K, lam in jobs]
+    warm = [_count_n2(q, _entry_layout(cfg, pair, K, lam)) for pair, K, lam in jobs]
     walks = {_walk_n2(q, *_entry_layout(cfg, pair, K, lam)) for pair, K, lam in jobs}
     assert len(walks) < len(jobs)  # some of the warm counts were cache hits
     fresh = []
     for pair, K, lam in jobs:
         clear_count_cache()
-        fresh.append(_count_n2(cfg, pair, K, lam, 10**6))
+        fresh.append(_count_n2(q, _entry_layout(cfg, pair, K, lam)))
     assert warm == fresh
     qr = _odd_q_squares(q)
     for pair, K, lam in jobs:
         walk = _walk_n2(q, *_entry_layout(cfg, pair, K, lam))
         if walk is not None:
-            assert _count_n2(cfg, pair, K, lam, 10**6) == enumerated_tally(q, qr, walk)
+            assert _count_n2(q, _entry_layout(cfg, pair, K, lam)) == enumerated_tally(q, qr, walk)
     clear_count_cache()
 
 
@@ -642,27 +670,6 @@ def test_closed_form_tally_makes_a_product_per_stratum_pair_not_per_residue(monk
         assert len(calls) <= strata[0] + strata[1] * strata[2]
 
 
-def test_walk_hit_under_a_smaller_bound_still_raises():
-    # the worked half-point relation at K = 2: every pair's walk needs
-    # q^dvw + q^du residues, and a bound one below that refuses it even
-    # when another pair, or the same one, has already counted the walk
-    cfg = CFG2
-    rec = refine_relation(cfg, *worked_instances(cfg)[0])
-    lam = relation_lattice(cfg, rec)
-    clear_count_cache()
-    for pair in rec.pairs():
-        walk = _walk_n2(cfg.q, *_entry_layout(cfg, pair, 2, lam))
-        (_, uf, eu), (_, vf, ev), (_, wf, ew) = walk
-        need = cfg.q ** ((ev - vf) + (ew - wf)) + cfg.q ** (eu - uf)
-        value = _count_n2(cfg, pair, 2, lam, need)
-        assert ("n2", cfg.q, walk) in measures._COUNT_CACHE
-        with pytest.raises(InfeasibleError) as err:
-            _count_n2(cfg, pair, 2, lam, need - 1)
-        assert err.value.where == "measures.count_measure"
-        assert _count_n2(cfg, pair, 2, lam, need) == value
-    clear_count_cache()
-
-
 def test_clear_count_cache_empties_the_walk_tallies():
     clear_count_cache()
     count_measure(CFG2, O2, REG_PAIR, 2, pair_strict_bounds(CFG2, REG_PAIR))
@@ -672,15 +679,18 @@ def test_clear_count_cache_empties_the_walk_tallies():
 
 
 def test_count_measure_hit_under_a_smaller_bound_still_raises():
-    # K = 3 on the regular half-point pair needs more than 10 residues: a
-    # value counted under the default bound is not returned under bound 10
-    lam = pair_strict_bounds(CFG2, REG_PAIR)
+    # GL_3 at q = 2, K = 2: the zero probe on the catalog lattice has 2^9
+    # residues, so a value counted under the default bound is not returned
+    # under bound 511 (the GL_2 count enumerates nothing and takes no bound)
+    cfg = make_cfg(3, q=2)
+    probes = choose_probes(cfg, 0)
+    lam, O3 = shared_lattice(cfg, probes), OrbitLabel.of((3,))
     clear_count_cache()
     with pytest.raises(InfeasibleError):
-        count_measure(CFG2, O2, REG_PAIR, 3, lam, enum_bound=10)
-    value = count_measure(CFG2, O2, REG_PAIR, 3, lam)
-    with pytest.raises(InfeasibleError) as err:
-        count_measure(CFG2, O2, REG_PAIR, 3, lam, enum_bound=10)
+        count_measure(cfg, O3, probes[0], 2, lam, enum_bound=511)
+    assert count_measure(cfg, O3, probes[0], 2, lam) == Q(1, 64)
+    with pytest.raises(InfeasibleError, match=r"2\^9 residues exceed the enumeration bound 511") as err:
+        count_measure(cfg, O3, probes[0], 2, lam, enum_bound=511)
     assert err.value.where == "measures.count_measure"
-    assert count_measure(CFG2, O2, REG_PAIR, 3, lam) == value
+    assert count_measure(cfg, O3, probes[0], 2, lam) == Q(1, 64)
     clear_count_cache()

@@ -32,6 +32,7 @@ from mptypes.selftest import criterion_6_minimality
 
 import coset_sampler
 from lift_oracle import (
+    coeff,
     commutator,
     homogeneous_lift,
     identity_matrix,
@@ -407,7 +408,7 @@ def check_triple_ok(cfg, triple):
 def with_coeff(part, i, j, c):
     """part with its (i, j) coefficient set to c mod q, unchecked: the
     position may lie off the support of part's piece."""
-    coeffs = part.as_dict()
+    coeffs = dict(part.coeffs)
     coeffs[(i, j)] = c
     return GradedElement(
         x=part.x, degree=part.degree, coeffs=tuple(sorted((p, v) for p, v in coeffs.items() if v))
@@ -458,7 +459,7 @@ def test_coefficient_check_agrees_with_the_laurent_oracle():
                 part = getattr(triple, name)
                 i, j = rng.randrange(n), rng.randrange(n)
                 # on the support a homogeneous change, off it an off-support coefficient
-                bumped = with_coeff(part, i, j, (part.coeff(i, j) + rng.randrange(1, q)) % q)
+                bumped = with_coeff(part, i, j, (coeff(part, i, j) + rng.randrange(1, q)) % q)
                 forged.append(SL2Triple(**{**vars(triple), name: bumped}))
             for t in forged:
                 verdict = oracle_triple_ok(cfg, t)
@@ -485,7 +486,7 @@ def forge(name):
         doubled = {p: 2 * c for p, c in tr.E.coeffs}
         return cfg, SL2Triple(tr.Phi, tr.H, GradedElement.make(cfg, x, tr.E.degree, doubled))
     if name == "H diagonal swapped":
-        h1, h2 = tr.H.coeff(1, 1), tr.H.coeff(2, 2)
+        h1, h2 = coeff(tr.H, 1, 1), coeff(tr.H, 2, 2)
         assert h1 != h2
         return cfg, SL2Triple(tr.Phi, with_coeff(with_coeff(tr.H, 1, 1, h2), 2, 2, h1), tr.E)
     if name == "off-support monomial":
@@ -494,12 +495,12 @@ def forge(name):
     if name == "H raised to degree 1":
         # t H is homogeneous of degree 1 with H's coefficient matrix, so
         # only the degree check tells it from H
-        return cfg, SL2Triple(tr.Phi, GradedElement.make(cfg, x, 1, tr.H.as_dict()), tr.E)
+        return cfg, SL2Triple(tr.Phi, GradedElement.make(cfg, x, 1, dict(tr.H.coeffs)), tr.E)
     if name == "E at another point":
         # x + (1, 0, 0) has x's residue classes, so E's coefficients stay on
         # the support there, but its lift has other exponents
         y = pt(Q(3, 2), 0, 0)
-        return cfg, SL2Triple(tr.Phi, tr.H, GradedElement.make(cfg, y, tr.E.degree, tr.E.as_dict()))
+        return cfg, SL2Triple(tr.Phi, tr.H, GradedElement.make(cfg, y, tr.E.degree, dict(tr.E.coeffs)))
     if name == "conjugated across residue classes":
         # g = 1 + e_12 mixes the residue classes of x, so conjugating by it
         # keeps the coefficient brackets but moves coefficients off the
@@ -551,7 +552,7 @@ def test_sl2_complete_multiplies_no_laurent_matrices(monkeypatch):
     monkeypatch.setattr(LMatrix, "__matmul__", refuse)  # commutator multiplies with @
     monkeypatch.setattr(LMatrix, "from_rows", staticmethod(refuse))
     _, tr = worked_triple()
-    assert tr.H.coeff(2, 2) == 2
+    assert coeff(tr.H, 2, 2) == 2
     rng = random.Random(43)
     for cfg, x, s, el in degenerate_instances(4, 11, 10, rng):
         sl2_complete(cfg, el)

@@ -23,7 +23,7 @@ from mptypes.finite_types import FiniteModule, fork_field
 from mptypes.graded import GradedElement
 from mptypes.laurent import LMatrix
 from mptypes.measures import build_measure_table
-from mptypes.orbits import partitions_of, sl2_complete
+from mptypes.orbits import sl2_complete
 from mptypes.record import FrozenInstanceError
 from mptypes.refine import DMPPair
 from mptypes.selftest import CriterionResult, relation_instances, worked_decompositions
@@ -81,8 +81,8 @@ def samples() -> dict:
     roots += [FiniteModule.random(cfg, fork_field(cfg), pt(0, 0), 1, 2, random.Random(0))]
     roots += [LMatrix.from_rows(5, [[((0, 1),), ()], [((-1, 2), (3, 4)), ((0, 1),)]])]
     probes = choose_probes(cfg, 0)
-    table = build_measure_table(cfg, probes, 1, partitions_of(2))
-    cm = assemble_and_invert(cfg, probes, table)
+    table = build_measure_table(cfg, probes, 1)
+    cm = assemble_and_invert(cfg, table)
     vector = MultiplicityVector.make(0, {p: k for k, p in enumerate(probes)})
     roots += [table, cm, vector, solve_expansion(cfg, vector, cm)]
     out: dict = {}

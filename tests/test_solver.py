@@ -32,15 +32,11 @@ CFG3 = make_cfg(3)
 
 
 def gl2_matrix(K=2):
-    probes = choose_probes(CFG2, 0)
-    table = build_measure_table(CFG2, probes, K, partitions_of(2))
-    return assemble_and_invert(CFG2, probes, table), table
+    return assemble_and_invert(CFG2, build_measure_table(CFG2, choose_probes(CFG2, 0), K))
 
 
 def gl3_matrix():
-    probes = choose_probes(CFG3, 0)
-    table = build_measure_table(CFG3, probes, 1, partitions_of(3))
-    return assemble_and_invert(CFG3, probes, table), table
+    return assemble_and_invert(CFG3, build_measure_table(CFG3, choose_probes(CFG3, 0), 1))
 
 
 def test_choose_probes_default_catalog():
@@ -56,6 +52,15 @@ def test_choose_probes_default_catalog():
     # n = 3: three probes realizing the three partitions
     probes3 = choose_probes(CFG3, 0)
     assert [p.lift for p in probes3] == list(partitions_of(3))
+    # a measure table's rows are M as they stand: every catalog lists one
+    # probe per orbit, in partitions_of order
+    for m in (15, 16):
+        for r in (0, Q(1, 2), 1, Q(7, 4)):
+            for n in range(2, 7):
+                lifts = [p.lift for p in choose_probes(make_cfg(n, m=m), r)]
+                assert lifts == list(partitions_of(n)), (n, m, r)
+            alt = [p.lift for p in alt_probes_gl2(make_cfg(2, m=m), r)]
+            assert alt == list(partitions_of(2)), (m, r)
 
 
 @pytest.mark.parametrize(
@@ -79,22 +84,22 @@ def test_choose_probes_checks_the_lift_of_a_reused_pair():
 
 
 def test_assemble_and_invert_structure():
-    cm, _ = gl2_matrix()
+    cm = gl2_matrix()
     assert cm.m_rows[1][0] == 0
     assert cm.m_rows[0][0] > 0 and cm.m_rows[1][1] > 0
     # A = [[1, -m1/m2], [0, 1/m2]] for M = [[1, m1], [0, m2]]
     m1, m2 = cm.m_rows[0][1], cm.m_rows[1][1]
     assert cm.a_rows[0] == (1, -m1 / m2)
     assert cm.a_rows[1] == (0, 1 / m2)
-    # paper-indexed access: A_{O',O} = 0 unless O' >= O
-    for o in cm.orbits:
-        for op in cm.orbits:
-            if cm.coeff(op, o) != 0:
+    # A_{O',O}, the entry at (row O, column O'), is 0 unless O' >= O
+    for i, o in enumerate(cm.orbits):
+        for j, op in enumerate(cm.orbits):
+            if cm.a_rows[i][j] != 0:
                 assert dominance_leq(o, op)
 
 
 def test_gl3_structure():
-    cm, _ = gl3_matrix()
+    cm = gl3_matrix()
     k = len(cm.orbits)
     for i in range(k):
         assert cm.m_rows[i][i] > 0
@@ -105,10 +110,10 @@ def test_gl3_structure():
 
 
 def test_solve_unit_vectors():
-    cm, table = gl2_matrix()
+    cm = gl2_matrix()
     # v = measure row of a single orbit: coefficients are the indicator
-    for o in cm.orbits:
-        entries = {p: table.entry(o, p) for p in cm.probes}
+    for j, o in enumerate(cm.orbits):
+        entries = {p: row[j] for p, row in zip(cm.probes, cm.m_rows)}
         # measure entries may be non-integral; synthesize via solve on a
         # scaled integral vector
         scale = 1
@@ -116,12 +121,11 @@ def test_solve_unit_vectors():
             scale = scale * val.denominator
         v = MultiplicityVector.make(0, {p: int(val * scale) for p, val in entries.items()})
         res = solve_expansion(CFG2, v, cm)
-        for o2 in cm.orbits:
-            assert res.coeff(o2) == (scale if o2 == o else 0)
+        assert res.coefficients == tuple((o2, scale if o2 == o else 0) for o2 in cm.orbits)
 
 
 def test_solve_zero_vector():
-    cm, _ = gl2_matrix()
+    cm = gl2_matrix()
     v = MultiplicityVector.make(0, {p: 0 for p in cm.probes})
     res = solve_expansion(CFG2, v, cm)
     assert all(c == 0 for _, c in res.coefficients)
@@ -129,12 +133,12 @@ def test_solve_zero_vector():
 
 def test_round_trip_identity():
     rng = random.Random(53)
-    for cfg, (cm, table) in ((CFG2, gl2_matrix()), (CFG3, gl3_matrix())):
+    for cm in (gl2_matrix(), gl3_matrix()):
         for _ in range(100):
             coeffs = {
                 o: Q(rng.randrange(-20, 21), rng.randrange(1, 9)) for o in cm.orbits
             }
-            comps = synthesize_vector(cfg, coeffs, cm.probes, table)
+            comps = synthesize_vector(cm, coeffs)
             # invert directly (synthesized components are rational, not
             # integer multiplicities, so solve by the inverse matrix)
             vec = [comps[p] for p in cm.probes]
@@ -145,16 +149,8 @@ def test_round_trip_identity():
             assert solved == [coeffs[o] for o in cm.orbits]
 
 
-def test_assemble_order_independence():
-    probes = choose_probes(CFG2, 0)
-    table = build_measure_table(CFG2, probes, 2, partitions_of(2))
-    cm_fwd = assemble_and_invert(CFG2, probes, table)
-    cm_rev = assemble_and_invert(CFG2, list(reversed(probes)), table)
-    assert cm_fwd == cm_rev  # canonical dominance order inside
-
-
 def test_solver_missing_probe_rejected():
-    cm, _ = gl2_matrix()
+    cm = gl2_matrix()
     v = MultiplicityVector.make(0, {cm.probes[0]: 1})
     with pytest.raises(ValidationError) as exc:
         solve_expansion(CFG2, v, cm)
@@ -163,15 +159,13 @@ def test_solver_missing_probe_rejected():
 
 def test_probe_independence_zero_sets():
     # two catalogs give coefficient vectors with the same zero set
-    cm_a, table_a = gl2_matrix()
-    probes_b = alt_probes_gl2(CFG2, 0)
-    table_b = build_measure_table(CFG2, probes_b, 2, partitions_of(2))
-    cm_b = assemble_and_invert(CFG2, probes_b, table_b)
+    cm_a = gl2_matrix()
+    cm_b = assemble_and_invert(CFG2, build_measure_table(CFG2, alt_probes_gl2(CFG2, 0), 2))
     rng = random.Random(71)
     for _ in range(25):
         coeffs = {o: Q(rng.randrange(0, 4)) for o in cm_a.orbits}
-        comp_a = synthesize_vector(CFG2, coeffs, cm_a.probes, table_a)
-        comp_b = synthesize_vector(CFG2, coeffs, cm_b.probes, table_b)
+        comp_a = synthesize_vector(cm_a, coeffs)
+        comp_b = synthesize_vector(cm_b, coeffs)
         vec_a = [comp_a[p] for p in cm_a.probes]
         vec_b = [comp_b[p] for p in cm_b.probes]
         k = len(cm_a.orbits)
