@@ -85,11 +85,11 @@ class ApartmentPoint:
 
     @staticmethod
     def of(coords: Sequence[Q | int | str]) -> "ApartmentPoint":
-        cs = tuple(Q(c) for c in coords)
+        cs = tuple(c if type(c) is Q else Q(c) for c in coords)
         if not cs:
             raise ValidationError("empty coordinate list", where="apartment.ApartmentPoint")
         last = cs[-1]
-        return ApartmentPoint(tuple(c - last for c in cs))
+        return ApartmentPoint(tuple(c - last for c in cs) if last else cs)
 
     def __post_init__(self):
         if self.coords and self.coords[-1] != 0:
@@ -121,7 +121,7 @@ def check_point(cfg: GroupConfig, x: ApartmentPoint, *, where: str) -> None:
 
 
 def check_level(cfg: GroupConfig, s: Q, *, where: str) -> None:
-    s = Q(s)
+    s = s if type(s) is Q else Q(s)
     if cfg.m % s.denominator:
         raise ValidationError(
             f"level {s} has denominator not dividing m = {cfg.m}", where=where
@@ -193,7 +193,7 @@ def mp_lattice(
     has the same bound matrix as the algebra filtration g_{x>=s}, so one
     shape serves both.
     """
-    s = Q(s)
+    s = s if type(s) is Q else Q(s)
     if not _checked:
         check_point(cfg, x, where="apartment.mp_lattice")
         check_level(cfg, s, where="apartment.mp_lattice")
@@ -225,7 +225,7 @@ class GradedSupport:
 def graded_support(
     cfg: GroupConfig, x: ApartmentPoint, degree: Q | int | str, *, _checked: bool = False
 ) -> GradedSupport:
-    degree = Q(degree)
+    degree = degree if type(degree) is Q else Q(degree)
     if not _checked:
         check_point(cfg, x, where="apartment.graded_support")
         check_level(cfg, degree, where="apartment.graded_support")

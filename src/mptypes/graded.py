@@ -70,7 +70,7 @@ class GradedElement:
         degree: Q | int | str,
         coeffs: Dict[Tuple[int, int], int],
     ) -> "GradedElement":
-        degree = Q(degree)
+        degree = degree if type(degree) is Q else Q(degree)
         sup = graded_support(cfg, x, degree, _checked=True)
         allowed = set(sup.positions)
         cleaned = {}

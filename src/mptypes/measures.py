@@ -328,10 +328,10 @@ def count_measure(
     if orbit.n != cfg.n:
         raise ValidationError("orbit size mismatch", where="measures.count_measure")
     lam = pair_strict_bounds(cfg, pair) if lam is None else lam
-    # the bound is part of the key: a value is reused only under the bound
-    # it was counted within, so a smaller bound still refuses (n >= 3; the
-    # n = 2 count enumerates nothing and takes no bound)
-    key = (cfg.n, cfg.q, orbit.parts, pair, K, lam, enum_bound)
+    # for n >= 3 the bound is part of the key: a value is reused only under
+    # the bound it was counted within, so a smaller bound still refuses; the
+    # n = 2 count enumerates nothing and reads no bound
+    key = (cfg.n, cfg.q, orbit.parts, pair, K, lam) + ((enum_bound,) if cfg.n > 2 else ())
     value = _COUNT_CACHE.get(key)
     if value is not None:
         return value
@@ -543,7 +543,7 @@ def build_measure_table(
     lam = shared_lattice(cfg, probes)
     for p in probes:
         _entry_layout(cfg, p, K, lam)
-    orbits = tuple(partitions_of(cfg.n))
+    orbits = partitions_of(cfg.n)
     rows = []
     for p in probes:
         row = []

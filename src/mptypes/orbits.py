@@ -33,6 +33,7 @@ holds mod q for their coefficient matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, List, Tuple
 
 from . import gf
@@ -59,6 +60,7 @@ __all__ = [
     "SL2Triple",
     "partitions_of",
     "dominance_leq",
+    "closure_order",
     "jordan_type",
     "debacker_lift",
     "sl2_complete",
@@ -135,8 +137,9 @@ class SL2Triple:
     E: GradedElement
 
 
-def partitions_of(n: int) -> List[OrbitLabel]:
-    """All partitions of n in ascending dominance-compatible order."""
+@lru_cache(maxsize=None)
+def partitions_of(n: int) -> Tuple[OrbitLabel, ...]:
+    """All partitions of n in ascending dominance-compatible order, built once per n."""
     out: List[Tuple[int, ...]] = []
 
     def rec(rest: int, maxp: int, acc: List[int]):
@@ -151,9 +154,10 @@ def partitions_of(n: int) -> List[OrbitLabel]:
     rec(n, n, [])
     labels = [OrbitLabel(p) for p in out]
     labels.sort(key=lambda o: _partial_sums(o.parts))
-    return labels
+    return tuple(labels)
 
 
+@lru_cache(maxsize=None)
 def _partial_sums(parts: Tuple[int, ...]) -> Tuple[int, ...]:
     n = sum(parts)
     acc, out = 0, []
@@ -170,6 +174,14 @@ def dominance_leq(a: OrbitLabel, b: OrbitLabel) -> bool:
             f"partitions of different sizes {a.n} != {b.n}", where="orbits.dominance_leq"
         )
     return all(x <= y for x, y in zip(_partial_sums(a.parts), _partial_sums(b.parts)))
+
+
+@lru_cache(maxsize=None)
+def closure_order(n: int) -> Tuple[Tuple[bool, ...], ...]:
+    """The closure order on `partitions_of(n)`, built once per n: entry
+    (i, j) is dominance_leq of the i-th and j-th partitions."""
+    orbits = partitions_of(n)
+    return tuple(tuple(dominance_leq(a, b) for b in orbits) for a in orbits)
 
 
 def jordan_type(mat: LMatrix) -> OrbitLabel:
@@ -206,7 +218,7 @@ def debacker_lift(cfg: GroupConfig, s: Q | int | str, phi: GradedElement) -> Orb
     One pass over the powers A, ..., A^n gives their ranks, and phi is
     degenerate exactly when the last of them, rank A^n, is 0.
     """
-    s = Q(s)
+    s = s if type(s) is Q else Q(s)
     if phi.degree != -s:
         raise ValidationError(
             f"element has degree {phi.degree}, expected {-s}", where="orbits.debacker_lift"

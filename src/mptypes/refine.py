@@ -75,7 +75,7 @@ class DMPPair:
 
     @staticmethod
     def make(cfg: GroupConfig, s: Q | int | str, x: ApartmentPoint, phi: GradedElement) -> "DMPPair":
-        s = Q(s)
+        s = s if type(s) is Q else Q(s)
         if s <= 0:
             raise ValidationError(f"level must be positive, got {s}", where="refine.DMPPair")
         if phi.x != x or phi.degree != -s:

@@ -6,10 +6,16 @@ positive diagonal, so its exact inverse maps multiplicity data to the
 expansion coefficients, uniquely.  That matrix is the measure table's
 rows as they stand: each catalog lists its probes in `partitions_of`
 order, one per orbit, and `build_measure_table` counts them against the
-orbits in the same order, so `assemble_and_invert` only inverts the
-table and checks the result (`matrix_problem`).  Coefficients are
-always reported together with the normalization of the measure table
-that produced them; no absolute normalization is claimed.
+orbits in the same order.  That order extends the closure order and an
+entry is nonzero only where its orbit dominates its probe's lift, so M
+is upper triangular: `assemble_and_invert` inverts it by back
+substitution and checks the result (`matrix_problem`, which reads the
+closure order from `closure_order` and checks M before A, so a table
+that is not triangular is refused for M's own fault).  The products
+skip zero terms; for n >= 6 the order is not total and A has zeros above
+its diagonal.  Coefficients are always reported together with the
+normalization of the measure table that produced them; no absolute
+normalization is claimed.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from .apartment import ApartmentPoint, GroupConfig
 from .errors import InternalFault, ValidationError
 from .graded import GradedElement
 from .measures import MeasureTable
-from .orbits import OrbitLabel, dominance_leq, partitions_of
+from .orbits import OrbitLabel, closure_order, partitions_of
 from .record import record
 from .refine import DMPPair
 
 Q = Fraction
+_ZERO = Q(0)
 
 __all__ = [
     "MultiplicityVector",
@@ -184,21 +191,22 @@ def alt_probes_gl2(
 
 
 def _invert_rational(rows: Sequence[Sequence[Q]]) -> List[List[Q]]:
-    """The exact inverse, or [] when the matrix is singular."""
+    """The exact inverse of a square upper triangular matrix, by back
+    substitution, or [] when it is not square or has a zero on its
+    diagonal.  Entries below the diagonal are never read: `matrix_problem`
+    refuses a matrix that has any before it reads the inverse."""
     k = len(rows)
-    aug = [list(rows[i]) + [Q(1) if j == i else Q(0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
-        if piv is None:
-            return []
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [a / f for a in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                g = aug[i][col]
-                aug[i] = [a - g * b for a, b in zip(aug[i], aug[col])]
-    return [row[k:] for row in aug]
+    if any(len(row) != k for row in rows) or not all(rows[i][i] for i in range(k)):
+        return []
+    inv = [[_ZERO] * k for _ in range(k)]
+    for j in range(k):
+        inv[j][j] = 1 / rows[j][j]
+        for i in range(j - 1, -1, -1):
+            row = rows[i]
+            t = sum(row[l] * inv[l][j] for l in range(i + 1, j + 1) if row[l] and inv[l][j])
+            if t:
+                inv[i][j] = -t / row[i]
+    return inv
 
 
 def assemble_and_invert(cfg: GroupConfig, table: MeasureTable) -> CoefficientMatrix:
@@ -229,26 +237,28 @@ def matrix_problem(cfg: GroupConfig, cm: CoefficientMatrix) -> Optional[str]:
     vanishes below the dominance order, M A = I exactly, and A vanishes
     below the order too.
     """
-    orbits = tuple(partitions_of(cfg.n))
+    orbits = partitions_of(cfg.n)
     k = len(orbits)
     if cm.orbits != orbits or tuple(p.lift for p in cm.probes) != orbits:
         return "orbits or probe lifts are not in the ascending orbit order"
     m, a = cm.m_rows, cm.a_rows
     if len(m) != k or any(len(r) != k for r in m):
         return f"M is not {k} x {k}"
+    leq = closure_order(cfg.n)
     for i in range(k):
-        if m[i][i] == 0:
+        if not m[i][i]:
             return f"zero diagonal at {orbits[i]}: contradicts triangularity"
         for j in range(k):
-            if m[i][j] != 0 and not dominance_leq(orbits[i], orbits[j]):
+            if not leq[i][j] and m[i][j]:
                 return f"nonzero entry below the order at ({orbits[i]}, {orbits[j]})"
     if len(a) != k or any(len(r) != k for r in a):
         return f"A is not {k} x {k}"
     for i in range(k):
+        nonzero = [l for l in range(k) if m[i][l]]
         for j in range(k):
-            if sum(m[i][l] * a[l][j] for l in range(k)) != (1 if i == j else 0):
+            if sum(m[i][l] * a[l][j] for l in nonzero if a[l][j]) != (1 if i == j else 0):
                 return "M A != I"
-            if a[i][j] != 0 and not dominance_leq(orbits[i], orbits[j]):
+            if not leq[i][j] and a[i][j]:
                 return f"inverse nonzero below the order at ({orbits[i]}, {orbits[j]})"
     return None
 
@@ -270,11 +280,9 @@ def solve_expansion(
             where="solver.solve_expansion",
         )
     vec = [Q(vd[p]) for p in cm.probes]
-    k = len(cm.orbits)
-    coeffs = [sum(cm.a_rows[i][j] * vec[j] for j in range(k)) for i in range(k)]
-    for i in range(k):
-        back = sum(cm.m_rows[i][j] * coeffs[j] for j in range(k))
-        if back != vec[i]:
+    coeffs = [sum((a * x for a, x in zip(row, vec) if a and x), _ZERO) for row in cm.a_rows]
+    for row, x in zip(cm.m_rows, vec):
+        if sum(m * c for m, c in zip(row, coeffs) if m and c) != x:
             raise InternalFault(
                 "solved coefficients fail to reproduce the input",
                 where="solver.solve_expansion",

@@ -73,9 +73,9 @@ def test_criterion_3_multiplicity_half(cfg2):
     _report(res, 30)
 
 
-def test_criterion_4_formula_structure(cfg2, cfg3, mats):
+def test_criterion_4_formula_structure(mats):
     res = _timed(
-        lambda: criterion_4_formula_structure(cfg2, cfg3, mats),
+        lambda: criterion_4_formula_structure(mats),
         "criterion-4 formula structure",
     )
     _report(res, 60)

@@ -1122,12 +1122,13 @@ def test_refine_bytes_are_pinned(capsys, k):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFINE_SHA256[k]
 
 
-# `measure` instances at q = 5: (n, K, --alt-probes); the GL_3 and GL_4 tables
-# run the closure ladder on every residue
+# `measure` instances at q = 5: (n, K, --alt-probes); the GL_3, GL_4 and GL_6
+# tables run the closure ladder on every residue, and GL_6 is the first n
+# whose closure order is not total (its A has 41 zeros above the diagonal)
 PINNED_MEASURES = (
     ("2", "1", False), ("2", "2", False), ("2", "3", False),
     ("2", "1", True), ("2", "2", True), ("2", "3", True),
-    ("3", "1", False), ("4", "1", False),
+    ("3", "1", False), ("4", "1", False), ("6", "1", False),
 )
 
 # sha256 of each instance's `measure` stdout, recorded before the
@@ -1142,6 +1143,8 @@ MEASURE_SHA256 = (
     "7805dafa39acd46c919e11a2d5a77d29bdf2469f9e505e28fbabbb7dcce60da6",
     "4cf242896239a6638c113dc5bf308d7bd07ee3c5db231eae5b54887bc49bba2f",
     "732ac1a1fe19b0ead9658461bafa64600a0dd1cb579b7157968ed04f2dad4ee4",
+    # GL_6, recorded before M was inverted by back substitution
+    "30f817700562a9e0a8adcde01978446c6edd99a66107d7d36c52b7d2e24826a2",
 )
 
 
@@ -1164,6 +1167,7 @@ def test_measure_bytes_are_pinned(capsys, k):
 PINNED_SOLVES = (
     ("2", "2", (1, 0)), ("2", "2", (6, 1)), ("2", "2", (2, 7)),
     ("3", "1", (1, 0, 0)), ("3", "1", (31, 1, 0)), ("3", "1", (186, 11, 1)),
+    ("6", "1", (11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)),
 )
 
 # sha256 of each instance's `solve` stdout, recorded with the measures above
@@ -1174,6 +1178,8 @@ SOLVE_SHA256 = (
     "e2fcfa5defc5aa5512d695f8ce3fb19c181bdecedcc891d58238420e84ee61a9",
     "c323864eaf99f01e468f5276af69530dafb257778c6f9e07ee50f2ad462ace05",
     "3c6dfeb136a69bfd2e50351f4d00ac34830294f468ba15ebd9c854924c0f0abd",
+    # GL_6, recorded with its measure above
+    "0db1d40ea822e0a0061a1939abf811acfc51011ba6eae88f0945da05e2d937c3",
 )
 
 

@@ -694,3 +694,20 @@ def test_count_measure_hit_under_a_smaller_bound_still_raises():
     assert err.value.where == "measures.count_measure"
     assert count_measure(cfg, O3, probes[0], 2, lam) == Q(1, 64)
     clear_count_cache()
+
+
+def test_a_gl2_value_is_cached_under_one_key_whatever_the_bound(monkeypatch):
+    # the GL_2 count reads no bound, so the bound is not part of its key:
+    # the call under another bound is a hit, which lays out no entries
+    clear_count_cache()
+    value = count_measure(CFG2, O2, REG_PAIR, 2)
+    values = [key for key in measures._COUNT_CACHE if key[0] != "n2"]
+    assert len(values) == 1
+
+    def no_layout(*args):
+        raise AssertionError("a cache hit lays out no entries")
+
+    monkeypatch.setattr(measures, "_entry_layout", no_layout)
+    assert count_measure(CFG2, O2, REG_PAIR, 2, enum_bound=2 * 10**6) == value
+    assert [key for key in measures._COUNT_CACHE if key[0] != "n2"] == values
+    clear_count_cache()

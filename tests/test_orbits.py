@@ -1,6 +1,7 @@
 """Dominance order, Jordan types, lifts, triple completion, the minimality
 certificate."""
 
+import itertools
 import random
 import warnings
 from fractions import Fraction as Q
@@ -20,6 +21,7 @@ from mptypes.laurent import LMatrix, ser_add
 from mptypes.orbits import (
     OrbitLabel,
     SL2Triple,
+    closure_order,
     debacker_lift,
     dominance_leq,
     jordan_type,
@@ -97,6 +99,52 @@ def test_dominance_is_partial_order_up_to_n6():
                 for c in ps:
                     if dominance_leq(a, b) and dominance_leq(b, c):
                         assert dominance_leq(a, c)
+
+
+# p(0), ..., p(10)
+PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+
+
+def partial_sums(parts, n):
+    return tuple(itertools.accumulate(parts + (0,) * (n - len(parts))))
+
+
+def test_partitions_of_matches_a_recomputation_up_to_n10():
+    # every composition of n, sorted into a partition, then ordered by
+    # partial sums: a linear extension of dominance
+    for n in range(1, 11):
+        found = set()
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            sizes, run = [], 1
+            for cut in cuts:
+                if cut:
+                    sizes.append(run)
+                run = 1 if cut else run + 1
+            found.add(tuple(sorted(sizes + [run], reverse=True)))
+        expected = sorted(found, key=lambda parts: partial_sums(parts, n))
+        assert len(expected) == PARTITION_COUNTS[n]
+        assert [lam.parts for lam in partitions_of(n)] == expected
+        assert type(partitions_of(n)) is tuple and partitions_of(n) is partitions_of(n)
+
+
+def test_closure_order_is_dominance_on_partitions_of_up_to_n10():
+    for n in range(1, 11):
+        ps = partitions_of(n)
+        table = closure_order(n)
+        assert table == tuple(tuple(dominance_leq(a, b) for b in ps) for a in ps)
+        assert table == tuple(
+            tuple(
+                all(x <= y for x, y in zip(partial_sums(a.parts, n), partial_sums(b.parts, n)))
+                for b in ps
+            )
+            for a in ps
+        )
+        k = len(ps)
+        # partitions_of extends the order, which is total up to n = 5 only
+        assert not any(table[i][j] for i in range(k) for j in range(i))
+        incomparable = sum(not table[i][j] for i in range(k) for j in range(i + 1, k))
+        assert (incomparable == 0) == (n <= 5)
+    assert sum(not closure_order(6)[i][j] for i in range(11) for j in range(i + 1, 11)) == 2
 
 
 def test_from_ranks_inverts_rank_at_up_to_n6():

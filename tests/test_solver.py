@@ -9,16 +9,21 @@ import pytest
 from mptypes.apartment import ApartmentPoint, GroupConfig
 from mptypes.errors import InternalFault, ValidationError
 from mptypes.measures import build_measure_table
-from mptypes.orbits import OrbitLabel, dominance_leq, partitions_of
+from mptypes.orbits import OrbitLabel, closure_order, dominance_leq, partitions_of
 from mptypes.refine import DMPPair
 from mptypes.solver import (
+    CoefficientMatrix,
     MultiplicityVector,
+    _invert_rational,
     alt_probes_gl2,
     assemble_and_invert,
     choose_probes,
+    matrix_problem,
     solve_expansion,
     synthesize_vector,
 )
+
+import solver_oracle
 
 
 def make_cfg(n, q=5, m=16):
@@ -219,3 +224,147 @@ def test_synthesized_vectors_satisfy_refine_relations():
             p: sum(slices[o][p] * c for o, c in coeffs.items()) for p in rec.pairs()
         }
         assert verify_relation(CFG2, rec, comps)
+
+
+# -- back substitution and the skipped zero terms against the full forms ----
+
+
+def random_triangular(rng, n):
+    """A random rational k x k matrix, k = p(n), zero wherever the closure
+    order on partitions_of(n) fails and, with probability 0.3, at each
+    entry above the diagonal where it holds; the diagonal is nonzero."""
+    leq = closure_order(n)
+    k = len(leq)
+    return tuple(
+        tuple(
+            Q(rng.choice((-1, 1)) * rng.randrange(1, 50), rng.randrange(1, 20)) if i == j
+            else Q(rng.randrange(-30, 31), rng.randrange(1, 20))
+            if leq[i][j] and rng.random() > 0.3 else Q(0)
+            for j in range(k)
+        )
+        for i in range(k)
+    )
+
+
+def random_matrix(rng, n):
+    """A CoefficientMatrix on GL_n's default catalog: a random triangular M
+    with its inverse by Gauss-Jordan elimination."""
+    m = random_triangular(rng, n)
+    return CoefficientMatrix(
+        orbits=partitions_of(n),
+        probes=tuple(choose_probes(make_cfg(n), 0)),
+        m_rows=m,
+        a_rows=tuple(map(tuple, solver_oracle.invert_rational(m))),
+        normalization="random",
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_back_substitution_equals_gauss_jordan(n):
+    rng = random.Random(f"invert:{n}")
+    for _ in range(40):
+        m = random_triangular(rng, n)
+        inv = _invert_rational(m)
+        assert inv == solver_oracle.invert_rational(m)
+        assert all(type(v) is Q for row in inv for v in row)
+    # a zero on the diagonal makes the matrix singular, a missing row not square
+    k = len(m)
+    rows = [list(r) for r in m]
+    rows[k // 2][k // 2] = Q(0)
+    assert _invert_rational(rows) == solver_oracle.invert_rational(rows) == []
+    assert _invert_rational([list(r) for r in m[:-1]]) == []
+
+
+MESSAGES = (
+    "orbits or probe lifts are not in the ascending orbit order",
+    "M is not",
+    "zero diagonal at",
+    "nonzero entry below the order at",
+    "A is not",
+    "M A != I",
+    "inverse nonzero below the order at",
+)
+
+
+def forge(rng, cm, fault):
+    """cm with one fault of the kind named put in at random."""
+    k = len(cm.orbits)
+    leq = closure_order(cm.orbits[0].n)
+    below = [(i, j) for i in range(k) for j in range(k) if not leq[i][j]]
+    above = [(i, j) for i in range(k) for j in range(k) if leq[i][j]]
+    m, a, probes = [list(r) for r in cm.m_rows], [list(r) for r in cm.a_rows], list(cm.probes)
+    nonzero = Q(rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 9))
+    if fault == "probe order":
+        i, j = sorted(rng.sample(range(k), 2))
+        probes[i], probes[j] = probes[j], probes[i]
+    elif fault in ("M shape", "A shape"):
+        rows = m if fault == "M shape" else a
+        rng.choice((rows.pop, rows[rng.randrange(k)].pop, lambda: rows[-1].append(Q(0))))()
+    elif fault == "zero diagonal":
+        i = rng.randrange(k)
+        m[i][i] = Q(0)
+    elif fault in ("M below", "A below"):
+        i, j = rng.choice(below)
+        (m if fault == "M below" else a)[i][j] = nonzero
+    elif fault == "A below, balanced":
+        # add a multiple of A's last column to an earlier column: M A then
+        # differs from I in its last row only, after the entries of A below
+        # the order that this puts in
+        j = rng.randrange(k - 1)
+        for i in range(k):
+            a[i][j] += nonzero * a[i][k - 1]
+    elif fault == "A above":
+        i, j = rng.choice(above)
+        a[i][j] += nonzero
+    return CoefficientMatrix(
+        orbits=cm.orbits, probes=tuple(probes), m_rows=tuple(map(tuple, m)),
+        a_rows=tuple(map(tuple, a)), normalization=cm.normalization,
+    )
+
+
+FAULTS = (
+    "probe order", "M shape", "A shape", "zero diagonal", "M below", "A below",
+    "A below, balanced", "A above",
+)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_matrix_problem_reports_what_the_full_check_reports(n):
+    rng = random.Random(f"forge:{n}")
+    cfg = make_cfg(n)
+    found = set()
+    for trial in range(120):
+        cm = random_matrix(rng, n)
+        if trial < 80:
+            faults = [FAULTS[trial % len(FAULTS)]]
+        else:  # several faults, a change of shape last: the others index the full matrix
+            faults = sorted(rng.sample(FAULTS, rng.randrange(2, 4)), key=lambda f: "shape" in f)
+        for fault in faults:
+            cm = forge(rng, cm, fault)
+        problem = matrix_problem(cfg, cm)
+        assert problem == solver_oracle.matrix_problem(cfg, cm), (faults, problem)
+        found.add(next(msg for msg in MESSAGES if problem.startswith(msg)))
+    assert matrix_problem(cfg, random_matrix(rng, n)) is None
+    # at n = 2 the one entry below the order sits in the last row, where
+    # M A = I is checked first and already fails
+    assert found == set(MESSAGES) - ({"inverse nonzero below the order at"} if n == 2 else set())
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_solve_expansion_equals_the_full_sums(n):
+    rng = random.Random(f"solve:{n}")
+    cfg = make_cfg(n)
+    for trial in range(30):
+        cm = random_matrix(rng, n)
+        if trial % 3 == 2:
+            cm = forge(rng, cm, "A above")
+        counts = [rng.choice((0, 0, rng.randrange(1, 100))) for _ in cm.probes]
+        expected = solver_oracle.solve_coefficients(cm, [Q(c) for c in counts])
+        v = MultiplicityVector.make(0, dict(zip(cm.probes, counts)))
+        if expected is None:
+            with pytest.raises(InternalFault, match="fail to reproduce the input"):
+                solve_expansion(cfg, v, cm)
+            continue
+        res = solve_expansion(cfg, v, cm)
+        assert res.coefficients == tuple(zip(cm.orbits, expected))
+        assert all(type(c) is Q for _, c in res.coefficients)
