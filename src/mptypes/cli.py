@@ -154,6 +154,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _flag_table():
+    """`_build_parser` read back, so each flag is declared once: per parser,
+    flag -> (dest, type, const; const None if it takes a value), defaults and
+    required dests; then the subcommand dest, and those tables per subcommand."""
+
+    def table(parser):
+        kinds, acts = ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0)), parser._actions
+        flags = {s: (a.dest, a.type, a.const) for a in acts
+                 if (type(a), a.nargs) in kinds and a.choices is None for s in a.option_strings}
+        defaults = {a.dest: a.default for a in acts if a.default is not argparse.SUPPRESS}
+        return flags, defaults, {a.dest for a in acts if a.required}
+
+    top = _build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return table(top), sub.dest, {name: table(p) for name, p in sub.choices.items()}
+
+
+def _scan(argv: List[str]) -> Optional[argparse.Namespace]:
+    """`parse_args`'s namespace for well-formed argv, in one pass: exact flags
+    as `--flag value` or `--flag=value` on either side of the subcommand, the
+    later value winning, as argparse's.  None on anything else: `-h`, an inexact
+    flag, a separate value empty or starting with `-`, a missing flag, a bad int."""
+    (flags, values, required), dest, commands = _flag_table()
+    values, given, it = dict(values), set(), iter(argv)
+    for arg in it:
+        if arg[:1] != "-":
+            if values.get(dest) is not None or arg not in commands:
+                return None
+            flags, defaults, required = commands[arg]
+            values, given = {**values, dest: arg, **defaults}, set()
+            continue
+        name, eq, value = arg.partition("=")
+        if arg in flags:
+            name, value = arg, None
+        elif not eq or name not in flags or value == "--" or flags[name][2] is not None:
+            return None
+        key, kind, const = flags[name]
+        if const is not None:  # a store_true flag
+            value = const
+        elif value is None and (value := next(it, ""))[:1] in ("", "-"):
+            return None
+        elif kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[key] = value
+        given.add(key)
+    return argparse.Namespace(**values) if values.get(dest) and required <= given else None
+
+
 _GLOBAL_DEFAULTS = {
     "config": None,
     "n": 2,
@@ -372,9 +424,8 @@ def _cmd_selftest(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _scan(argv) or _build_parser().parse_args(argv)
         _apply_defaults(args)
         _require_positive(args.bound, "--bound")
         with warnings.catch_warnings():

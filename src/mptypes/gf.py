@@ -261,15 +261,17 @@ def power_ranks(
     a: Sequence[Sequence[int]], field: ExtField, blocks: Sequence[Sequence[int]] = ()
 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
     """Ranks of a^1, ..., a^n, and of each column block of those powers:
-    block_ranks[b][k - 1] is the rank of the columns blocks[b] of a^k."""
+    block_ranks[b][k - 1] is the rank of the columns blocks[b] of a^k.
+    The products stop at the first zero power: every later one is zero."""
     powers = [a]
-    for _ in range(len(a) - 1):
+    while len(powers) < len(a) and any(map(any, powers[-1])):
         powers.append(mat_mul(powers[-1], a, field))
+    zeros = (0,) * (len(a) - len(powers))
     block_ranks = tuple(
-        tuple(rank([[row[c] for c in idx] for row in p], field) for p in powers)
+        tuple(rank([[row[c] for c in idx] for row in p], field) for p in powers) + zeros
         for idx in blocks
     )
-    return tuple(rank(p, field) for p in powers), block_ranks
+    return tuple(rank(p, field) for p in powers) + zeros, block_ranks
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], field: ExtField) -> Vec:

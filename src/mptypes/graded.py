@@ -71,14 +71,14 @@ class GradedElement:
         coeffs: Dict[Tuple[int, int], int],
     ) -> "GradedElement":
         degree = degree if type(degree) is Q else Q(degree)
-        sup = graded_support(cfg, x, degree, _checked=True)
-        allowed = set(sup.positions)
+        d, X, (D,) = _scale(x.coords, degree)
         cleaned = {}
         for pos, c in coeffs.items():
             c %= cfg.q
             if c == 0:
                 continue
-            if pos not in allowed:
+            i, j = pos  # `graded_support`'s rule, with no negative index to wrap
+            if not (0 <= i < x.n and 0 <= j < x.n and (D - X[i] + X[j]) % d == 0):
                 raise ValidationError(
                     f"position {pos} is not in the support of g_{{x={degree}}}",
                     where="graded.GradedElement",

@@ -62,12 +62,17 @@ def frac_str(x: Q | int) -> str:
 
 
 def parse_frac(s: str | int) -> Q:
-    """A rational from its "a/b" string or an int; a float or bool is refused."""
+    """A rational from its "a/b" string or an int; a float or bool is refused.
+    An ASCII "-?digits/digits" string is read as Fraction(int, int): the same value."""
     if isinstance(s, (float, bool)):
         raise ValidationError(
             f"bad rational {s!r}: not an a/b string or an integer", where="jsonio.parse_frac"
         )
     try:
+        if type(s) is str and s.isascii():
+            num, _, den = s.partition("/")
+            if den.isdigit() and num.removeprefix("-").isdigit():
+                return Q(int(num), int(den))
         return Q(s)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {s!r}: {exc}", where="jsonio.parse_frac")
@@ -351,7 +356,7 @@ def matrix_from_json(
     return cm
 
 
-# kept for computed multiplicities (ROADMAP item 5); no command writes a vector yet
+# kept for `expand` (ROADMAP item 1), which will write it, and item 5; no command does yet
 def mult_vector_to_json(v: MultiplicityVector) -> Dict[str, Any]:
     return {
         "r": frac_str(v.r),
@@ -366,6 +371,9 @@ def mult_vector_from_json(
     """A multiplicity vector, its pairs read through `pair_from_json` with `seen`."""
     where = "jsonio.mult_vector_from_json"
     _fields(data, "the multiplicity vector", where, "r", "entries")
+    source = data.get("source", "")
+    if not isinstance(source, str):
+        raise ValidationError("the multiplicity vector's source is not a string", where=where)
     rows = _items(data["entries"], "entries", where, list, 2)
     if not all(type(n) is int for _, n in rows):
         raise ValidationError("a multiplicity is not an integer", where=where)
@@ -375,9 +383,7 @@ def mult_vector_from_json(
         if pair in entries:
             raise ValidationError(f"pair {pair.describe()} is listed twice", where=where)
         entries[pair] = int(n)
-    return MultiplicityVector.make(
-        parse_frac(data["r"]), entries, source=data.get("source", "")
-    )
+    return MultiplicityVector.make(parse_frac(data["r"]), entries, source=source)
 
 
 def expansion_to_json(res: ExpansionResult) -> Dict[str, Any]:

@@ -4,11 +4,11 @@
 value as the field's default.  As `collections.namedtuple` does, it
 compiles one small block per class: an `__init__` (positional, keyword
 and default arguments) that sets each field with `object.__setattr__`
-and then calls `__post_init__` when the class has one, and `__eq__`
-(same class only) and `__hash__` on the tuple of fields.  One shared
-`__repr__` prints `Name(field=value!r, ...)`, and assigning or deleting
-an attribute raises `FrozenInstanceError`.  A method the class body
-defines itself is kept: `refine.DMPPair` keeps the hash it caches.
+and then calls `__post_init__` when the class has one, `__eq__` (same
+class only), and `__hash__` on the tuple of fields, cached on first use.
+One shared `__repr__` prints `Name(field=value!r, ...)`, and assigning
+or deleting an attribute raises `FrozenInstanceError`.  A method the
+class body defines itself is kept: `refine.DMPPair` hashes at construction.
 
 The fields are not written through `self.__dict__`: asking for it makes
 CPython build a dict per instance in place of the inline attribute
@@ -58,7 +58,8 @@ def record(cls):
         f"        return ({mine}) == ({theirs})",
         "    return NotImplemented",
         "def __hash__(self):",
-        f"    return hash(({mine}))",
+        f"    if self._hash is None: _set(self, '_hash', hash(({mine})))",
+        "    return self._hash",
     ]
     methods = {"_defaults": defaults, "_set": object.__setattr__}
     exec(compile("\n".join(lines), f"<record {cls.__qualname__}>", "exec"), methods)
@@ -66,5 +67,5 @@ def record(cls):
     for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         if name not in cls.__dict__:
             setattr(cls, name, methods[name])
-    cls.__match_args__ = names
+    cls.__match_args__, cls._hash = names, None
     return cls

@@ -1,7 +1,9 @@
 """Command surface: determinism, worked instances, exit codes."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -553,6 +555,118 @@ def test_no_parse_leaks_into_the_next_call(capsys, tmp_path):
         assert vars(parsed) == vars(cli._build_parser.__wrapped__().parse_args(later))
 
 
+def typed(namespace):
+    """A namespace's values with their types, so that True is not 1."""
+    return {k: (type(v), v) for k, v in vars(namespace).items()}
+
+
+def parsed_by_argparse(argv):
+    """(what parse_args gives, stdout, stderr): typed values, or its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = typed(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def perfbench_argvs():
+    """The argv of every job of seeds 0-3 of the four perfbench workloads."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.append(str(bench))
+    import workloads
+
+    argvs = []
+    for name in workloads.WORKLOADS:
+        lines = (bench / "references" / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        recorded = {e["seed"]: e for e in map(json.loads, lines)}
+        for seed in range(4):
+            spec = workloads.generate(name, seed, recorded[seed].get("instances"))
+            argvs += [job["argv"] for job in spec["jobs"]]
+    return argvs
+
+
+def test_the_scan_parses_every_perfbench_argv_as_argparse_does():
+    argvs = perfbench_argvs()
+    assert len(argvs) > 1000
+    for argv in argvs:
+        got = cli._scan(argv)
+        assert got is not None, argv
+        assert typed(got) == parsed_by_argparse(argv)[0], argv
+
+
+SCAN_GLOBAL = ["--config", "--n", "--q", "--m", "--K", "--seed", "--bound", "--input", "--output"]
+SCAN_COMMANDS = {
+    "lattice": (["--x", "--s"], ["--strict"]),
+    "lift": (["--x", "--s", "--phi"], ["--samples", "--depth"]),
+    "breakpoints": (["--x0", "--s0", "--x1", "--s1"], []),
+    "refine": (["--y", "--tau", "--phi", "--x", "--s"], ["--modules"]),
+    "measure": ([], ["--r", "--alt-probes"]),
+    "solve": ([], ["--matrix", "--save-matrix"]),
+    "selftest": ([], []),
+}
+SCAN_SWITCHES = {"--allow-small-p", "--strict", "--alt-probes"}
+# abbreviations, help, unknown flags, stray positionals and a second subcommand
+SCAN_STRAY = ["--inp", "--allow", "--mat", "--sav", "--alt", "--str", "--se", "-h", "--help",
+              "--bogus", "-n", "-", "--", "extra", "measure", "--x0", "--phi"]
+SCAN_VALUES = ["2", "3", "5", "16", "0", "-3", "+4", "٣", "1_0", " 7", "x", "1/2,0", "0,0",
+               "-1/2,0", "1,2,1", "1/2", "", "--", "-", "a b", "solve", "=1"]
+
+
+def fuzzed_argv(rng):
+    """A seeded argv, mostly well formed: flags on both sides of the
+    subcommand, repeated, in `=` form, with negative numbers, and with
+    abbreviations, help and errors mixed in."""
+
+    def flag(name):
+        if name in SCAN_SWITCHES:
+            return [name] if rng.random() < 0.9 else [name + "=" + rng.choice(SCAN_VALUES)]
+        value = rng.choice(SCAN_VALUES[:5]) if rng.random() < 0.6 else rng.choice(SCAN_VALUES)
+        return [f"{name}={value}"] if rng.random() < 0.3 else [name, value]
+
+    globals_ = SCAN_GLOBAL + ["--allow-small-p"]
+    argv = []
+    for _ in range(rng.randrange(4)):
+        argv += flag(rng.choice(globals_))
+    command = rng.choice(list(SCAN_COMMANDS))
+    required, optional = SCAN_COMMANDS[command]
+    if rng.random() < 0.95:
+        argv.append(command if rng.random() < 0.95 else rng.choice(["bogus", "", "meas"]))
+    after = [flag(name) for name in required if rng.random() < 0.95]
+    after += [flag(rng.choice(globals_ + required + optional)) for _ in range(rng.randrange(4))]
+    rng.shuffle(after)
+    argv += [token for group in after for token in group]
+    if rng.random() < 0.3:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(SCAN_STRAY))
+    return argv
+
+
+def test_the_scan_equals_argparse_on_fuzzed_argv():
+    rng = random.Random("argv-scan")
+    accepted = declined = refused = 0
+    for _ in range(4000):
+        argv = fuzzed_argv(rng)
+        want, want_out, want_err = parsed_by_argparse(argv)
+        got = cli._scan(argv)
+        if got is not None:
+            assert typed(got) == want, argv
+            accepted += 1
+            continue
+        declined += 1
+        if isinstance(want, dict):
+            continue  # argparse reads it, and main runs on what argparse read
+        # main's exit, stdout and stderr on what the scan declines are argparse's own
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+        assert (exc.value.code, out.getvalue(), err.getvalue()) == (want, want_out, want_err), argv
+        refused += 1
+    assert accepted > 1000 and refused > 500 and declined - refused > 100
+
+
 def canonical(text):
     """The canonical writer's oracle: the stdlib's sorted, indent-2 form."""
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
@@ -697,6 +811,15 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
         ("--matrix", {**MATRIX_KEYS, "probes": ["p"]}, "jsonio.pair_from_json"),
         ("--matrix", {**MATRIX_KEYS, "M": "1/1"}, "jsonio.matrix_from_json"),
         ("--matrix", {**MATRIX_KEYS, "A": [["1/1", None]]}, "jsonio.parse_frac"),
+        ("--input", {**VECTOR, "source": 5}, "jsonio.mult_vector_from_json"),
+        # positions off the support: 0-based row -1, row 3 of 2, and a
+        # diagonal entry at the half point, whose exponent is not integral
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[0, 1, 1]]}, 1]]},
+         "graded.GradedElement"),
+        ("--input", {"r": "0/1", "entries": [[{**PAIR, "phi": [[3, 1, 1]]}, 1]]},
+         "graded.GradedElement"),
+        ("--input", {"r": "0/1", "entries": [[{**HALF, "phi": [[1, 1, 1]]}, 1]]},
+         "graded.GradedElement"),
     ],
     ids=[
         "input-array", "input-empty", "entries-object", "entry-single", "count-str",
@@ -704,7 +827,8 @@ MATRIX_KEYS = {"orbits": [[1, 1], [2]], "probes": [PAIR], "M": [], "A": [], "nor
         "pair-array", "pair-keys", "phi-width", "phi-str", "phi-bool", "phi-twice", "x-str",
         "lift-str", "lift-bool", "x-length", "x-denominator", "s-denominator", "matrix-empty",
         "matrix-array", "orbit-int", "orbit-bool",
-        "probe-str", "M-str", "A-null",
+        "probe-str", "M-str", "A-null", "source-int", "phi-row-zero", "phi-row-past-n",
+        "phi-half-diagonal",
     ],
 )
 def test_malformed_solve_files_are_rejected(capsys, tmp_path, flag, content, where):
@@ -718,6 +842,17 @@ def test_malformed_solve_files_are_rejected(capsys, tmp_path, flag, content, whe
     code, out, err = run_cli(capsys, "--allow-small-p", *argv)
     assert code == 2 and out == ""
     assert cli_error(err)["where"] == where
+
+
+@pytest.mark.parametrize(
+    "x, s, phi",
+    [("0,0", "1", "0,1,1"), ("0,0", "1", "3,1,1"), ("1/2,0", "1/2", "1,1,1")],
+    ids=["row-zero", "row-past-n", "half-diagonal"],
+)
+def test_lift_refuses_a_position_off_the_support(capsys, x, s, phi):
+    code, out, err = run_cli(capsys, "--allow-small-p", "lift", "--x", x, "--s", s, "--phi", phi)
+    assert code == 2 and out == ""
+    assert cli_error(err)["where"] == "graded.GradedElement"
 
 
 def test_solve_names_a_pair_listed_twice(capsys, tmp_path):

@@ -345,3 +345,59 @@ def test_rref_rank_kernel_and_inverse_match_the_per_entry_oracle(ell, a):
             augmented = [row + list(e) for row, e in zip(square, gf.identity(nrows))]
             assert inverse == tuple(tuple(row[nrows:]) for row in per_entry_rref(augmented, f)[0])
     assert singular and invertible
+
+
+def all_powers_ranks(a, f, blocks=()):
+    """`gf.power_ranks` before it stopped at the first zero power: all of
+    a, ..., a^n multiplied out, and each one ranked."""
+    powers = [a]
+    for _ in range(len(a) - 1):
+        powers.append(gf.mat_mul(powers[-1], a, f))
+    block_ranks = tuple(
+        tuple(gf.rank([[row[c] for c in idx] for row in p], f) for p in powers) for idx in blocks
+    )
+    return tuple(gf.rank(p, f) for p in powers), block_ranks
+
+
+def conjugate(a, rng, f):
+    """p a p^-1 for a random invertible p."""
+    n = len(a)
+    while True:
+        p = [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
+        if gf.rank(p, f) == n:
+            return gf.mat_mul(gf.mat_mul(p, a, f), gf.mat_inv(p, f), f)
+
+
+def column_blocks(n, rng):
+    """The columns 0..n-1 dealt at random into groups, as `refine` groups residues."""
+    labels = [rng.randrange(3) for _ in range(n)]
+    return [[c for c in range(n) if labels[c] == b] for b in sorted(set(labels))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_power_ranks_equal_the_all_powers_oracle(q):
+    from mptypes.orbits import OrbitLabel, partitions_of
+
+    f = gf.prime_field(q)
+    rng = random.Random(f"power-ranks:{q}")
+    seen_nonnilpotent = 0
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            # the Jordan form of type lam, conjugated, with its type read back
+            jordan = [[0] * n for _ in range(n)]
+            start = 0
+            for part in lam.parts:
+                for k in range(start, start + part - 1):
+                    jordan[k][k + 1] = 1
+                start += part
+            for a in [tuple(map(tuple, jordan))] + [conjugate(jordan, rng, f) for _ in range(3)]:
+                blocks = column_blocks(n, rng)
+                got = gf.power_ranks(a, f, blocks)
+                assert got == all_powers_ranks(a, f, blocks), (q, lam.parts, a)
+                assert OrbitLabel.from_ranks(n, got[0]) == lam
+        for _ in range(8):
+            a = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+            seen_nonnilpotent += not gf.is_nilpotent(a, f)
+            blocks = column_blocks(n, rng)
+            assert gf.power_ranks(a, f, blocks) == all_powers_ranks(a, f, blocks), (q, a)
+    assert seen_nonnilpotent

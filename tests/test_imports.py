@@ -78,6 +78,20 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_importing_the_cli_builds_neither_the_parser_nor_the_flag_table():
+    # the first job builds both; an import that did would move that work
+    # into every process's set-up
+    code = (
+        "import mptypes.cli as cli; "
+        "print(cli._build_parser.cache_info().currsize, cli._flag_table.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
+
+
 def imported_names(path: Path) -> set:
     """Every name a module binds by an import."""
     names = set()
@@ -151,7 +165,7 @@ def test_every_exported_name_exists():
 # definitions no command reaches yet, each with the item that keeps it
 UNREACHED_ALLOWED = {
     "finite_types.hom_dim": "the multiplicity kernel, for ROADMAP items 5 and 7",
-    "jsonio.mult_vector_to_json": "computed multiplicity vectors, for ROADMAP item 5",
+    "jsonio.mult_vector_to_json": "computed multiplicity vectors: `expand` (ROADMAP item 1) writes them, item 5 checks them",
     "measures.clear_count_cache": "perfbench's worker, until ROADMAP item 4",
 }
 

@@ -44,6 +44,33 @@ def test_parse_frac_refuses_floats_and_bools(value):
     assert jsonio.parse_frac(-3) == Q(-3)
 
 
+def test_parse_frac_equals_the_fraction_constructor():
+    # parse_frac reads "-?digits/digits" as two ints; Fraction(str) decides
+    # every string, and its value or its error must come out either way
+    rng = random.Random("parse-frac")
+    alphabet = "0123456789" * 3 + "-+/ _.e٣²１"
+    texts = [" 1/2", "+1/2", "01/2", "1/02", "1/0", "-1/0", "1_0/3", "/2", "1/", "-/2",
+             "--1/2", "1//2", "1/2/3", "-0/5", "7", "-7", "", "/", "٣/4", "1/٣",
+             "1/²", "１/2", "1 / 2", "1/2 ", "9" * 5000 + "/1", "1/" + "9" * 5000]
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8))) for _ in range(3000)]
+    texts += [f"{rng.choice(['', '-'])}{rng.randrange(10**rng.randrange(1, 30))}/{rng.randrange(10**rng.randrange(1, 30))}"
+              for _ in range(1000)]
+    fast = 0
+    for text in texts:
+        try:
+            want = Q(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ValidationError) as err:
+                jsonio.parse_frac(text)
+            assert str(err.value) == f"bad rational {text!r}: {exc}", text
+            assert err.value.where == "jsonio.parse_frac"
+        else:
+            got = jsonio.parse_frac(text)
+            assert type(got) is Q and got == want, text
+        fast += text.isascii() and "/" in text
+    assert fast > 1000
+
+
 def test_pair_round_trip():
     x = ApartmentPoint.of([Q(1, 2), 0])
     phi = GradedElement.make(CFG, x, Q(-1, 2), {(0, 1): 2})
