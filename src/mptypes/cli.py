@@ -5,17 +5,23 @@ fields; environment variables are never consulted for them.  Outputs are
 deterministic JSON (exact rationals as "a/b") and repeated runs with the
 same seed and config agree byte for byte.  Exit codes: 0 success, 2
 rejected input, 3 infeasible instance, 4 violated internal contract.
+
+Each flag is declared once, as data (`_GLOBAL_FLAGS`, `_COMMANDS`).
+`_scan` reads well-formed argv off those tables in one pass; argparse is
+imported, and its parser built from the same tables, only for argv the
+scan declines (`-h`, an abbreviation, an error), so every help text,
+message and exit code there is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import random
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from . import jsonio
@@ -34,7 +40,6 @@ from .measures import build_measure_table, check_truncation, normalization, rela
 from .orbits import minimality_probe, sl2_complete
 from .refine import DMPPair, enumerate_and_classify, refine_relation
 from .solver import alt_probes_gl2, assemble_and_invert, choose_probes, solve_expansion
-from . import selftest as selftest_mod
 from .finite_types import FiniteModule, fork_field, verify_fork_identity
 
 Q = Fraction
@@ -73,157 +78,141 @@ def _parse_phi(cfg: GroupConfig, x: ApartmentPoint, s: Q, text: str) -> GradedEl
     return GradedElement.make(cfg, x, -s, coeffs)
 
 
+# Every flag, declared once, as flag -> (dest, type, default, help).  A type
+# of bool is a store_true switch; a default of ... marks a required flag.  A
+# global flag is accepted on either side of the subcommand and its default is
+# the built-in value, filled in by `_apply_defaults` after the config file.
+_GLOBAL_FLAGS = {
+    "--config": ("config", str, None, "JSON config file; explicit flags win"),
+    "--n": ("n", int, 2, "matrix size (GL_n)"),
+    "--q": ("q", int, 5, "residue field size (prime)"),
+    "--m": ("m", int, 16, "denominator bound"),
+    "--K": ("K", int, 2, "truncation level"),
+    "--seed": ("seed", int, 0, "seed for randomized runs"),
+    "--bound": ("bound", int, 10**6, "enumeration bound"),
+    "--input": ("input", str, None, "input JSON file"),
+    "--output": ("output", str, None, "output file (default stdout)"),
+    "--allow-small-p": (
+        "allow_small_p", bool, False, "suppress the warning for q below the large-p hypothesis"
+    ),
+}
+_NO_SAMPLES = "no effect on the output (the certificate draws no samples)"
+# subcommand -> (help, its own flags)
+_COMMANDS = {
+    "lattice": ("filtration lattice and graded support at (x, s)", {
+        "--x": ("x", str, ..., "point, e.g. '1/2,0'"),
+        "--s": ("s", str, ..., "level, e.g. '1/2'"),
+        "--strict": ("strict", bool, False, None),
+    }),
+    "lift": ("orbit lift, minimality certificate and triple completion", {
+        "--x": ("x", str, ..., None),
+        "--s": ("s", str, ..., None),
+        "--phi": ("phi", str, ..., "triples 'i,j,c;...' (1-based), or '0'"),
+        "--samples": ("samples", int, 200, "must be >= 1; " + _NO_SAMPLES),
+        "--depth": ("depth", int, 3, _NO_SAMPLES),
+    }),
+    "breakpoints": ("geodesic subdivision with certificates", {
+        f"--{d}": (d, str, ..., None) for d in ("x0", "s0", "x1", "s1")
+    }),
+    "refine": ("emit and verify one refinement relation", {
+        "--y": ("y", str, ..., "coarse point"),
+        "--tau": ("tau", str, ..., "coarse level"),
+        "--phi": ("phi", str, ..., "coarse element triples"),
+        "--x": ("x", str, ..., "finer point"),
+        "--s": ("s", str, ..., "finer level"),
+        "--modules": ("modules", int, 10, "random modules for the multiplicity check"),
+    }),
+    "measure": ("measure table, triangularity, independence", {
+        "--r": ("r", str, "0", "depth bound for the probe catalog"),
+        "--alt-probes": ("alt_probes", bool, False, "use the alternate GL_2 catalog"),
+    }),
+    "solve": ("expansion coefficients from a multiplicity vector", {
+        "--matrix": ("matrix", str, None, "reuse a persisted coefficient matrix"),
+        "--save-matrix": ("save_matrix", str, None, "persist the coefficient matrix for reuse"),
+    }),
+    "selftest": ("run the acceptance suite", {}),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # cached: built once, on the first call rather than at import;
-    # parse_args never mutates it and starts each parse from a fresh
-    # namespace, so no call leaks into the next
+def _build_parser():
+    """The argparse parser of the flag tables: only argv the scan declines
+    (`-h`, an abbreviation, an error) pays for importing and building it.
+
+    Cached: parse_args never mutates it and starts each parse from a fresh
+    namespace, so no call leaks into the next."""
+    import argparse
+
+    def add(parser, flags, suppress=False):
+        for flag, (dest, kind, default, text) in flags.items():
+            more = {"action": "store_true"} if kind is bool else {"type": kind, "required": default is ...}
+            default = argparse.SUPPRESS if suppress else None if default is ... else default
+            parser.add_argument(flag, dest=dest, default=default, help=text, **more)
+
     # global flags live on a parent so they are accepted on either side
     # of the subcommand; SUPPRESS keeps the later parser from clobbering
     # values the earlier one already set
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("global options")
-    g.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; explicit flags win")
-    g.add_argument("--n", type=int, default=argparse.SUPPRESS, help="matrix size (GL_n)")
-    g.add_argument("--q", type=int, default=argparse.SUPPRESS, help="residue field size (prime)")
-    g.add_argument("--m", type=int, default=argparse.SUPPRESS, help="denominator bound")
-    g.add_argument("--K", type=int, default=argparse.SUPPRESS, help="truncation level")
-    g.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for randomized runs")
-    g.add_argument("--bound", type=int, default=argparse.SUPPRESS, help="enumeration bound")
-    g.add_argument("--input", default=argparse.SUPPRESS, help="input JSON file")
-    g.add_argument("--output", default=argparse.SUPPRESS, help="output file (default stdout)")
-    g.add_argument(
-        "--allow-small-p",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="suppress the warning for q below the large-p hypothesis",
-    )
-
+    add(common.add_argument_group("global options"), _GLOBAL_FLAGS, suppress=True)
     p = argparse.ArgumentParser(
         prog="mptypes",
         description="Exact filtration, coset-refinement and expansion computations for GL_n over F_q((t))",
         parents=[common],
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "lattice", parents=[common], help="filtration lattice and graded support at (x, s)"
-    )
-    sp.add_argument("--x", required=True, help="point, e.g. '1/2,0'")
-    sp.add_argument("--s", required=True, help="level, e.g. '1/2'")
-    sp.add_argument("--strict", action="store_true")
-
-    sp = sub.add_parser(
-        "lift", parents=[common], help="orbit lift, minimality certificate and triple completion"
-    )
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--phi", required=True, help="triples 'i,j,c;...' (1-based), or '0'")
-    sp.add_argument(
-        "--samples", type=int, default=200,
-        help="must be >= 1; no effect on the output (the certificate draws no samples)",
-    )
-    sp.add_argument(
-        "--depth", type=int, default=3,
-        help="no effect on the output (the certificate draws no samples)",
-    )
-
-    sp = sub.add_parser("breakpoints", parents=[common], help="geodesic subdivision with certificates")
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--s0", required=True)
-    sp.add_argument("--x1", required=True)
-    sp.add_argument("--s1", required=True)
-
-    sp = sub.add_parser("refine", parents=[common], help="emit and verify one refinement relation")
-    sp.add_argument("--y", required=True, help="coarse point")
-    sp.add_argument("--tau", required=True, help="coarse level")
-    sp.add_argument("--phi", required=True, help="coarse element triples")
-    sp.add_argument("--x", required=True, help="finer point")
-    sp.add_argument("--s", required=True, help="finer level")
-    sp.add_argument("--modules", type=int, default=10, help="random modules for the multiplicity check")
-
-    sp = sub.add_parser("measure", parents=[common], help="measure table, triangularity, independence")
-    sp.add_argument("--r", default="0", help="depth bound for the probe catalog")
-    sp.add_argument("--alt-probes", action="store_true", help="use the alternate GL_2 catalog")
-
-    sp = sub.add_parser("solve", parents=[common], help="expansion coefficients from a multiplicity vector")
-    sp.add_argument("--matrix", help="reuse a persisted coefficient matrix")
-    sp.add_argument("--save-matrix", help="persist the coefficient matrix for reuse")
-
-    sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
+    for name, (text, flags) in _COMMANDS.items():
+        add(sub.add_parser(name, parents=[common], help=text), flags)
     return p
 
 
-@functools.cache
-def _flag_table():
-    """`_build_parser` read back, so each flag is declared once: per parser,
-    flag -> (dest, type, const; const None if it takes a value), defaults and
-    required dests; then the subcommand dest, and those tables per subcommand."""
-
-    def table(parser):
-        kinds, acts = ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0)), parser._actions
-        flags = {s: (a.dest, a.type, a.const) for a in acts
-                 if (type(a), a.nargs) in kinds and a.choices is None for s in a.option_strings}
-        defaults = {a.dest: a.default for a in acts if a.default is not argparse.SUPPRESS}
-        return flags, defaults, {a.dest for a in acts if a.required}
-
-    top = _build_parser()
-    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    return table(top), sub.dest, {name: table(p) for name, p in sub.choices.items()}
-
-
-def _scan(argv: List[str]) -> Optional[argparse.Namespace]:
-    """`parse_args`'s namespace for well-formed argv, in one pass: exact flags
-    as `--flag value` or `--flag=value` on either side of the subcommand, the
-    later value winning, as argparse's.  None on anything else: `-h`, an inexact
-    flag, a separate value empty or starting with `-`, a missing flag, a bad int."""
-    (flags, values, required), dest, commands = _flag_table()
-    values, given, it = dict(values), set(), iter(argv)
+def _scan(argv: List[str]) -> Optional[SimpleNamespace]:
+    """`parse_args`'s values for well-formed argv, read off the flag tables in
+    one pass: exact flags as `--flag value` or `--flag=value`, global ones on
+    either side of the subcommand, the later value winning, as argparse's.
+    None on anything else: `-h`, an inexact flag, a separate value empty or
+    starting with `-`, a missing flag, a bad int."""
+    own, values, required, it = {}, {}, set(), iter(argv)
     for arg in it:
         if arg[:1] != "-":
-            if values.get(dest) is not None or arg not in commands:
+            if "command" in values or arg not in _COMMANDS:
                 return None
-            flags, defaults, required = commands[arg]
-            values, given = {**values, dest: arg, **defaults}, set()
+            own = _COMMANDS[arg][1]
+            values["command"] = arg
+            for dest, _, default, _ in own.values():
+                if default is ...:
+                    required.add(dest)
+                else:
+                    values[dest] = default
             continue
         name, eq, value = arg.partition("=")
-        if arg in flags:
+        if arg in own or arg in _GLOBAL_FLAGS:
             name, value = arg, None
-        elif not eq or name not in flags or value == "--" or flags[name][2] is not None:
+        elif not eq or value == "--":
             return None
-        key, kind, const = flags[name]
-        if const is not None:  # a store_true flag
-            value = const
+        row = own.get(name) or _GLOBAL_FLAGS.get(name)
+        if row is None or (value is not None and row[1] is bool):
+            return None
+        dest, kind, _, _ = row
+        if kind is bool:
+            value = True
         elif value is None and (value := next(it, ""))[:1] in ("", "-"):
             return None
-        elif kind is not None:
+        else:
             try:
                 value = kind(value)
             except ValueError:
                 return None
-        values[key] = value
-        given.add(key)
-    return argparse.Namespace(**values) if values.get(dest) and required <= given else None
+        values[dest] = value
+        required.discard(dest)
+    return SimpleNamespace(**values) if "command" in values and not required else None
 
 
-_GLOBAL_DEFAULTS = {
-    "config": None,
-    "n": 2,
-    "q": 5,
-    "m": 16,
-    "K": 2,
-    "seed": 0,
-    "bound": 10**6,
-    "input": None,
-    "output": None,
-    "allow_small_p": False,
-}
+_GLOBAL_DEFAULTS = {dest: default for dest, _, default, _ in _GLOBAL_FLAGS.values()}
 
 # JSON types a config field accepts; a bool is never an int here
 _CONFIG_TYPES = {
-    **dict.fromkeys(("n", "q", "m", "K", "seed", "bound"), int),
-    "allow_small_p": bool,
-    **dict.fromkeys(("input", "output"), (str, type(None))),
+    dest: (str, type(None)) if kind is str else kind
+    for dest, kind, _, _ in _GLOBAL_FLAGS.values() if dest != "config"
 }
 
 
@@ -232,7 +221,7 @@ def _require_positive(value: int, flag: str) -> None:
         raise ValidationError(f"{flag} must be >= 1, got {value}", where="cli")
 
 
-def _apply_defaults(args: argparse.Namespace) -> None:
+def _apply_defaults(args) -> None:
     """Fill missing global options: flags > config file > built-ins."""
     merged = dict(_GLOBAL_DEFAULTS)
     config_path = getattr(args, "config", None)
@@ -418,7 +407,9 @@ def _cmd_solve(cfg, args) -> dict:
 
 
 def _cmd_selftest(args) -> int:
-    results = selftest_mod.run_all(seed=args.seed)
+    from .selftest import run_all  # only this command runs the acceptance suite
+
+    results = run_all(seed=args.seed)
     return 0 if all(r.passed for r in results) else 4
 
 

@@ -667,6 +667,67 @@ def test_the_scan_equals_argparse_on_fuzzed_argv():
     assert accepted > 1000 and refused > 500 and declined - refused > 100
 
 
+# sha256 of stdout and of stderr ('' for empty) with COLUMNS=80, recorded
+# while the parser was still written as add_argument calls: -h of the
+# program and of each subcommand, then an unknown flag, an ambiguous and an
+# accepted abbreviation, a missing required flag and a bad int
+ARGPARSE_SHA256 = [
+    (('-h',), 0,
+     '0689fbb6a89bb28db31fccdc74ddaafde00be71008febf83dbc192820b3bec4c',
+     ''),
+    (('lattice', '-h'), 0,
+     '5443314e7033ffdd190e566d8285c7502f2942ff885b7c8d9e7580cc3f5c7113',
+     ''),
+    (('lift', '-h'), 0,
+     '277d8cefda087dd2a19ac4a16742ca03e64ac447c07d01388a94e19049cbadb3',
+     ''),
+    (('breakpoints', '-h'), 0,
+     '2d41452f7e289eaec12f4127d0d4a80bc1a99a2dbaf9f60aa05eb4b12170143a',
+     ''),
+    (('refine', '-h'), 0,
+     '9ece447a1695b6b6178b26c8382a03a244950831aabac40385e7a79b3438647f',
+     ''),
+    (('measure', '-h'), 0,
+     'df10ba1cb6f577bbe37e182a14328543447570531559f72590d7176c817c7cc0',
+     ''),
+    (('solve', '-h'), 0,
+     '32c7fd376e5a53dd7b148af780dc53ca74340cc9ee64e7ca16d1688490f5228e',
+     ''),
+    (('selftest', '-h'), 0,
+     '05560b54429bb8330c1633873aeb07ee79cb3d275b3c6624772323388cd7bf92',
+     ''),
+    (('lattice', '--x', '0,0', '--s', '0', '--bogus'), 2,
+     '',
+     'eeeb566e0b3951e518da0d8e6501e8084ea27bb403a5a5bbf6fc419ddadce0cd'),
+    (('--n', '2', 'breakpoints', '--x', '0,0', '--s0', '1', '--x1', '1/2,0', '--s1', '1/2'), 2,
+     '',
+     '5c39ab5fd2555857df0e8490b544bc7d755bba66402f5eed4a8ac2e201317f3f'),
+    (('lattice', '--x', '1/2,0', '--s', '1/2', '--str'), 0,
+     '850628556dc7952abbd749bf12f041e7faff73879f8215d490bb776c711fdcd5',
+     'f30135ff040ff4e94d63a23a1d2976ed6e4cb87de7df9f0478cf4a7aa362dd3a'),
+    (('lattice', '--s', '1/2'), 2,
+     '',
+     'bcf1900c1fd0804fc09790c307463111d115950d29e4f5a93217e7bdf85041f8'),
+    (('--n', 'abc', 'lattice', '--x', '0,0', '--s', '0'), 2,
+     '',
+     '9fce2f87fa729c4c29b41c0418a60d1d80edbe27833a5ad0fdcaa06eea11b2b8'),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout differs between Pythons")
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", ARGPARSE_SHA256,
+                         ids=[" ".join(row[0]) for row in ARGPARSE_SHA256])
+def test_help_and_parse_error_bytes_are_pinned(capsys, monkeypatch, argv, code, out_sha, err_sha):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    digests = [hashlib.sha256(t.encode("utf-8")).hexdigest() if t else "" for t in captured]
+    assert [got, *digests] == [code, out_sha, err_sha]
+
+
 def canonical(text):
     """The canonical writer's oracle: the stdlib's sorted, indent-2 form."""
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"

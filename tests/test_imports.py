@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mptypes
 
 SRC = Path(mptypes.__file__).parent
@@ -68,28 +70,91 @@ def test_no_module_imports_dataclasses():
     assert [path.stem for path in SRC.glob("*.py") if imports_module(path, "dataclasses")] == []
 
 
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of `code` in a fresh `python -S` (no site start-up imports),
+    which must exit 0 and write nothing to stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps the site's own start-up imports out of the count
     code = "import sys, mptypes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert run_fresh(code) == "[]\n"
 
 
-def test_importing_the_cli_builds_neither_the_parser_nor_the_flag_table():
-    # the first job builds both; an import that did would move that work
-    # into every process's set-up
-    code = (
-        "import mptypes.cli as cli; "
-        "print(cli._build_parser.cache_info().currsize, cli._flag_table.cache_info().currsize)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
+# one well-formed job of each command, then an argv the scan declines
+ONE_JOB_EACH = """
+import contextlib, io, json, os, sys, tempfile
+import mptypes.cli as cli
+loaded = lambda: sorted({"argparse", "gettext", "mptypes.selftest"} & set(sys.modules))
+print(loaded())
+vector = {"r": "0/1", "source": "s", "entries": [
+    [{"s": "1/1", "x": ["0/1", "0/1"], "phi": [], "lift": [1, 1]}, 2],
+    [{"s": "1/2", "x": ["1/2", "0/1"], "phi": [[1, 2, 1]], "lift": [2]}, 1]]}
+path = os.path.join(tempfile.mkdtemp(), "vector.json")
+with open(path, "w") as fh:
+    json.dump(vector, fh)
+jobs = [
+    ["lattice", "--x", "1/2,0", "--s", "1/2"],
+    ["lift", "--x", "0,0", "--s", "1", "--phi", "1,2,1"],
+    ["breakpoints", "--x0", "0,0", "--s0", "1", "--x1", "1/2,0", "--s1", "1/2"],
+    ["--K", "1", "refine", "--y", "3/8,0", "--tau", "5/8", "--phi", "1,2,1",
+     "--x", "1/2,0", "--s", "1/2", "--modules", "2"],
+    ["--K", "1", "measure"],
+    ["--K", "1", "--input", path, "solve"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(["--allow-small-p", *argv]) for argv in jobs]
+print(codes, loaded())
+try:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(sys.argv[1:])
+except SystemExit as exc:
+    print(exc.code, loaded())
+"""
+
+
+@pytest.mark.parametrize("declined", [["-h"], ["--n", "abc", "lattice", "--x", "0", "--s", "0"]],
+                         ids=["help", "bad-int"])
+def test_argparse_is_loaded_only_for_argv_the_scan_declines(declined):
+    # the import loads neither argparse (nor the gettext it pulls in) nor
+    # the acceptance suite; a well-formed job of every command reads its
+    # flags without argparse, and only `-h` or an error builds the parser
+    assert run_fresh(ONE_JOB_EACH, *declined).splitlines() == [
+        "[]",
+        "[0, 0, 0, 0, 0, 0] []",
+        f"{0 if declined == ['-h'] else 2} ['argparse', 'gettext']",
+    ]
+
+
+COUNT_COMPILES = """
+import builtins, sys
+calls, compile_ = [], builtins.compile
+def counting(*args, **kwargs):
+    # the import system compiles a module whose bytecode is stale; it is not counted
+    if not sys._getframe(1).f_code.co_filename.startswith("<frozen importlib"):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("filename"))
+    return compile_(*args, **kwargs)
+builtins.compile = counting
+import mptypes.cli
+builtins.compile = compile_
+classes = {cls for name, mod in list(sys.modules.items()) if name.startswith("mptypes.")
+           for cls in vars(mod).values() if isinstance(cls, type) and "__match_args__" in vars(cls)}
+shapes = {(len(cls.__match_args__), hasattr(cls, "__post_init__")) for cls in classes}
+print(len(calls), len(shapes), len(classes))
+"""
+
+
+def test_importing_the_cli_compiles_once_per_record_shape():
+    # `record` compiles one template per (field count, has __post_init__) and
+    # gives each class a renamed copy; a compile per class would be 2x as many
+    calls, shapes, classes = map(int, run_fresh(COUNT_COMPILES).split())
+    assert calls <= shapes < classes
 
 
 def imported_names(path: Path) -> set:

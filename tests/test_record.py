@@ -11,6 +11,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import sys
 import warnings
 from fractions import Fraction as Q
 
@@ -24,12 +25,12 @@ from mptypes.graded import GradedElement
 from mptypes.laurent import LMatrix
 from mptypes.measures import build_measure_table
 from mptypes.orbits import sl2_complete
-from mptypes.record import FrozenInstanceError
+from mptypes.record import FrozenInstanceError, record
 from mptypes.refine import DMPPair
 from mptypes.selftest import CriterionResult, relation_instances, worked_decompositions
 from mptypes.solver import MultiplicityVector, assemble_and_invert, choose_probes, solve_expansion
 
-from record_oracle import dataclass_twin, replace
+from record_oracle import compiled_per_class, dataclass_twin, replace
 
 
 def record_classes() -> set:
@@ -216,3 +217,66 @@ def test_cached_hash_is_kept_and_recomputed_on_replace(samples):
     assert hash(other) == hash((other.s, other.x, other.phi, other.lift)) != hash(pair)
     with pytest.raises(TypeError):
         replace(pair, unknown=1)
+
+
+CODE_FIELDS = ("co_code", "co_varnames", "co_names", "co_consts", "co_filename", "co_name",
+               "co_argcount", "co_flags", "co_stacksize", "co_firstlineno")
+
+
+def generated(cls) -> dict:
+    """The methods `record` built for cls, not those its body defines."""
+    return {name: fn for name, fn in compiled_per_class(cls).items()
+            if vars(cls)[name].__code__.co_filename == f"<record {cls.__qualname__}>"}
+
+
+def test_methods_run_the_bytecode_of_a_per_class_compile():
+    classes = record_classes()
+    assert len(classes) == 21
+    for cls in classes:
+        want = generated(cls)
+        assert {"__init__", "__eq__"} <= set(want), cls
+        for name, oracle in want.items():
+            mine = vars(cls)[name]
+            assert (mine.__qualname__, mine.__defaults__) == (oracle.__qualname__, oracle.__defaults__)
+            for attr in CODE_FIELDS:
+                assert getattr(mine.__code__, attr) == getattr(oracle.__code__, attr), (cls, name, attr)
+            assert list(mine.__code__.co_lines()) == list(oracle.__code__.co_lines()), (cls, name)
+
+
+def type_error(init, *args, **kwargs) -> str:
+    with pytest.raises(TypeError) as exc:
+        init(*args, **kwargs)
+    return str(exc.value)
+
+
+def test_binding_errors_equal_a_per_class_compile():
+    for cls in record_classes():
+        oracle = compiled_per_class(cls)["__init__"]
+        first, count = cls.__match_args__[0], len(cls.__match_args__)
+        for args, kwargs in [((), {}), ((None,) * count, {"unknown": 1}), ((None,), {first: None}),
+                             ((None,) * (count + 1), {})]:
+            mine = type_error(cls, *args, **kwargs)
+            assert mine == type_error(oracle, object.__new__(cls), *args, **kwargs), (cls, mine)
+
+
+def test_small_q_warning_points_at_the_line_that_built_the_config():
+    # GroupConfig warns with stacklevel=3: past __post_init__ and __init__
+    oracle = compiled_per_class(GroupConfig)["__init__"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        GroupConfig(2, 3); line = sys._getframe().f_lineno  # noqa: E702 - one line
+        oracle(object.__new__(GroupConfig), 2, 3); below = sys._getframe().f_lineno  # noqa: E702
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line), (__file__, below)]
+
+
+def test_a_field_without_a_default_after_one_with_a_default_is_refused():
+    # a per-class compile refused it as a signature would; defaults given as
+    # a tuple would otherwise shift onto the last fields
+    class Bad:
+        a: int = 1
+        b: int
+
+    with pytest.raises(SyntaxError):
+        compiled_per_class(Bad)
+    with pytest.raises(TypeError, match="without a default follows"):
+        record(Bad)
