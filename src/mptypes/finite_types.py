@@ -165,24 +165,16 @@ def _eigenspace(
     cfg: GroupConfig, M: FiniteModule, ks: Iterable[int], exponents: Iterable[int]
 ) -> List[gf.Vec]:
     """A basis of the vectors on which each g_k, k in ks, acts by zeta^e_k:
-    `_restrict` folded over the positions, starting from the whole space."""
+    from the whole space, each g_k in turn keeps the part of the basis on
+    which it acts by its one eigenvalue (`_eigenspaces`).  This gives the
+    joint eigenspace, the intersection of the kernels of the g_k - lam_k,
+    without assuming that the g_k commute or act semisimply."""
     f = M.field
     zeta = f.root_of_unity(cfg.q)
     basis = gf.identity(M.dim)
     for k, e in zip(ks, exponents):
-        basis = _restrict(M, basis, k, f.pow(zeta, e))
+        basis = _eigenspaces(M, basis, k, (f.pow(zeta, e),))[0]
     return basis
-
-
-def _restrict(M: FiniteModule, basis: Sequence[gf.Vec], k: int, lam: int) -> List[gf.Vec]:
-    """A basis of {v in span(basis) : g_k v = lam v}: the one-eigenvalue
-    case of `_eigenspaces`, one product g_k . basis and one kernel.
-
-    Applied one generator at a time this gives the joint eigenspace,
-    the intersection of the kernels of the g_k - lam_k, without
-    assuming that the g_k commute or act semisimply.
-    """
-    return _eigenspaces(M, basis, k, (lam,))[0]
 
 
 def _eigenspaces(

@@ -227,34 +227,19 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: ExtFi
     return tuple(tuple(_dot(ra, col, field) for col in cols) for ra in a)
 
 
-def mat_pow(a: Sequence[Sequence[int]], e: int, field: ExtField) -> Mat:
-    """a^e for e >= 0, by square-and-multiply.
-
-    The running product starts at the lowest power of a it needs, not at
-    the identity, so a^(2^k) costs k products; a^1 is a copied to tuples
-    of reduced entries, as a product would return it.
-    """
-    if not e:
-        return identity(len(a))
-    if e == 1:
-        p = field.ell if field.deg == 1 else field.order
-        return tuple(tuple(x % p for x in row) for row in a)
-    while not e & 1:
-        a = mat_mul(a, a, field)
-        e >>= 1
-    result = a
-    e >>= 1
-    while e:
-        a = mat_mul(a, a, field)
-        if e & 1:
-            result = mat_mul(result, a, field)
-        e >>= 1
-    return result
+def powers(a: Sequence[Sequence[int]], field: ExtField) -> List[Sequence[Sequence[int]]]:
+    """a as given, then a^2, ..., each the last times a, up to the first
+    zero power or a^n for n x n a.  Over a field, a is nilpotent exactly
+    when a^n = 0, so the chain ends in zero exactly when a is nilpotent."""
+    chain = [a]
+    while len(chain) < len(a) and any(map(any, chain[-1])):
+        chain.append(mat_mul(chain[-1], a, field))
+    return chain
 
 
 def is_nilpotent(a: Sequence[Sequence[int]], field: ExtField) -> bool:
-    """Over a field, an n x n matrix is nilpotent exactly when a^n = 0."""
-    return not any(map(any, mat_pow(a, len(a), field)))
+    """Whether the power chain of a ends in a zero matrix (`powers`)."""
+    return not any(map(any, powers(a, field)[-1]))
 
 
 def power_ranks(
@@ -262,16 +247,14 @@ def power_ranks(
 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
     """Ranks of a^1, ..., a^n, and of each column block of those powers:
     block_ranks[b][k - 1] is the rank of the columns blocks[b] of a^k.
-    The products stop at the first zero power: every later one is zero."""
-    powers = [a]
-    while len(powers) < len(a) and any(map(any, powers[-1])):
-        powers.append(mat_mul(powers[-1], a, field))
-    zeros = (0,) * (len(a) - len(powers))
+    Only the powers of `powers` are ranked: every later one is zero."""
+    chain = powers(a, field)
+    zeros = (0,) * (len(a) - len(chain))
     block_ranks = tuple(
-        tuple(rank([[row[c] for c in idx] for row in p], field) for p in powers) + zeros
+        tuple(rank([[row[c] for c in idx] for row in p], field) for p in chain) + zeros
         for idx in blocks
     )
-    return tuple(rank(p, field) for p in powers) + zeros, block_ranks
+    return tuple(rank(p, field) for p in chain) + zeros, block_ranks
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], field: ExtField) -> Vec:

@@ -286,11 +286,11 @@ def unipotent_orbit_count(
 
 
 def _class_subspace_kernel(
-    cfg: GroupConfig, mat_pow: gf.Mat, idx: Sequence[int]
+    cfg: GroupConfig, power: gf.Mat, idx: Sequence[int]
 ) -> List[gf.Vec]:
-    """Kernel of mat_pow restricted to the coordinate subspace idx."""
+    """Kernel of power restricted to the coordinate subspace idx."""
     n = cfg.n
-    rows = [tuple(mat_pow[r][c] for c in idx) for r in range(n)]
+    rows = [tuple(power[r][c] for c in idx) for r in range(n)]
     ker_small = gf.kernel(rows, len(idx), gf.prime_field(cfg.q))
     out = []
     for v in ker_small:
@@ -316,16 +316,13 @@ def graded_jordan_chains(
     a = coefficient_matrix(cfg, phi)
     n, q = cfg.n, cfg.q
     field = gf.prime_field(q)
-    powers = [gf.identity(n)]
-    while any(map(any, powers[-1])):
-        # over a field, A is nilpotent exactly when A^n = 0
-        if len(powers) > n:
-            raise ValidationError(
-                "graded Jordan chains require a nilpotent coefficient matrix",
-                where="graded.graded_jordan_chains",
-            )
-        powers.append(gf.mat_mul(powers[-1], a, field))
-    depth = len(powers) - 1  # the first k with A^k = 0
+    powers = gf.powers(a, field)  # powers[k - 1] is A^k
+    if any(map(any, powers[-1])):
+        raise ValidationError(
+            "graded Jordan chains require a nilpotent coefficient matrix",
+            where="graded.graded_jordan_chains",
+        )
+    depth = len(powers)  # the first k with A^k = 0
     classes = residue_classes(phi.x)
     class_index = {}
     for res, idx in classes:
@@ -340,7 +337,7 @@ def graded_jordan_chains(
     for res, idx in classes:
         kern[(0, res)] = []
         for k in range(1, depth):
-            kern[(k, res)] = _class_subspace_kernel(cfg, powers[k], idx)
+            kern[(k, res)] = _class_subspace_kernel(cfg, powers[k - 1], idx)
         kern[(depth, res)] = kern[(depth + 1, res)] = [
             tuple(int(p == i) for p in range(n)) for i in idx
         ]

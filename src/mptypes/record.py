@@ -14,7 +14,7 @@ template's code objects with its own field names and the file name
 without paying for that compile.  One shared `__repr__` prints
 `Name(field=value!r, ...)`, and assigning or deleting an attribute
 raises `FrozenInstanceError`.  A method the class body defines itself is
-kept: `refine.DMPPair` hashes at construction.
+kept; no class in the package defines one.
 
 The fields are not written through `self.__dict__`: asking for it makes
 CPython build a dict per instance in place of the inline attribute

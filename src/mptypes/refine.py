@@ -57,21 +57,14 @@ __all__ = [
 class DMPPair:
     """A degenerate pair: level s > 0, point x, degenerate phi of degree -s.
 
-    Pairs key the count cache and every component vector, so the hash
-    of the fields, hash((s, x, phi, lift)), is computed once, at
-    construction; equality stays field by field.
+    Pairs key the count cache and every component vector; like any record,
+    a pair computes hash((s, x, phi, lift)) on first use and keeps it.
     """
 
     s: Q
     x: ApartmentPoint
     phi: GradedElement
     lift: OrbitLabel
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.s, self.x, self.phi, self.lift)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def make(cfg: GroupConfig, s: Q | int | str, x: ApartmentPoint, phi: GradedElement) -> "DMPPair":
@@ -407,6 +400,6 @@ def _image(cfg: GroupConfig, phi: GradedElement, x: ApartmentPoint, degree: Q) -
         raise ValidationError(
             f"the lift of an element of g_{{x={phi.degree}}} has a monomial below "
             f"the lattice bound of g_{{x>={degree}}}",
-            where="graded.graded_image",
+            where="graded.regrade",
         )
     return image

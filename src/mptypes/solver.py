@@ -125,11 +125,12 @@ def _probe_maker(cfg: GroupConfig, known: Iterable[DMPPair]):
     """make(s, x, phi): the pair of `known` with those fields, else DMPPair.make's.
 
     A known pair was built by DMPPair.make, so its lift is the one make
-    would compute again."""
-    by_fields = {(p.s, p.x, p.phi): p for p in known}
+    would compute again, and phi alone keys it: make refuses phi.x != x
+    and phi.degree != -s, so an element fixes its pair's point and level."""
+    by_phi = {p.phi: p for p in known}
 
     def make(s: Q, x: ApartmentPoint, phi: GradedElement) -> DMPPair:
-        pair = by_fields.get((s, x, phi))
+        pair = by_phi.get(phi)
         return pair if pair is not None else DMPPair.make(cfg, s, x, phi)
 
     return make

@@ -198,7 +198,10 @@ def validate(cfg: GroupConfig, M: FiniteModule) -> None:
     f = M.field
     one = gf.identity(M.dim)
     for g in M.gens:
-        if gf.mat_pow(g, cfg.q, f) != one:
+        power = one
+        for _ in range(cfg.q):
+            power = gf.mat_mul(power, g, f)
+        if power != one:
             raise ValidationError(
                 "generator action does not have order dividing p",
                 where="finite_types.FiniteModule",

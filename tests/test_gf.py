@@ -48,16 +48,6 @@ def test_ext_field_f16_has_fifth_roots():
     assert len(powers) == 5
 
 
-def test_mat_pow_matches_repeated_products():
-    rng = random.Random(3)
-    for f in (gf.prime_field(5), gf.ExtField(2, 4)):
-        a = tuple(tuple(rng.randrange(f.order) for _ in range(3)) for _ in range(3))
-        power = gf.identity(3)
-        for e in range(12):
-            assert gf.mat_pow(a, e, f) == power
-            power = gf.mat_mul(power, a, f)
-
-
 def test_ext_field_arithmetic_consistency():
     f = gf.ExtField(3, 2)
     rng = random.Random(7)
@@ -259,10 +249,9 @@ def test_prime_products_and_powers_match_the_per_entry_oracles(q):
     rng = random.Random(f"prime-path:{q}")
     for n in (1, 2, 3, 4):
         for _ in range(6):
-            a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            a = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
             b = [[rng.randrange(-2 * q, 2 * q) for _ in range(n)] for _ in range(n)]
-            for e in range(2 * n + 1):
-                power = gf.mat_pow(a, e, f)
+            for e, power in enumerate(gf.powers(a, f), 1):
                 assert power == identity_first_pow(a, e, f)
                 assert is_canonical(power, f)
             # entries outside 0..q-1 are reduced like the field arithmetic does
@@ -272,9 +261,6 @@ def test_prime_products_and_powers_match_the_per_entry_oracles(q):
             assert is_canonical(prod, f)
             assert gf._dot(a[0], b[0], f) == per_entry_dot(a[0], b[0], f)
             assert gf.mat_vec(a, b[0], f) == tuple(per_entry_dot(r, b[0], f) for r in a)
-            assert gf.mat_pow(b, 1, f) == tuple(tuple(v % q for v in row) for row in b)
-            assert is_canonical(gf.mat_pow(b, 1, f), f)
-            assert gf.mat_pow(b, 0, f) == gf.identity(n)
 
 
 @pytest.mark.parametrize("ell, a", [(2, 4), (3, 2), (2, 8)])
@@ -282,9 +268,8 @@ def test_table_field_powers_match_the_identity_first_oracle(ell, a):
     f = gf.ext_field(ell, a)
     rng = random.Random(f"table-pow:{ell}:{a}")
     for n in (1, 2, 3):
-        m = [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
-        for e in range(2 * n + 1):
-            power = gf.mat_pow(m, e, f)
+        m = tuple(tuple(rng.randrange(f.order) for _ in range(n)) for _ in range(n))
+        for e, power in enumerate(gf.powers(m, f), 1):
             assert power == identity_first_pow(m, e, f) and is_canonical(power, f)
 
 
@@ -401,3 +386,50 @@ def test_power_ranks_equal_the_all_powers_oracle(q):
             blocks = column_blocks(n, rng)
             assert gf.power_ranks(a, f, blocks) == all_powers_ranks(a, f, blocks), (q, a)
     assert seen_nonnilpotent
+
+
+def jordan_form(lam, eigenvalues):
+    """The Jordan matrix with one block of each size in lam, block k with
+    eigenvalue eigenvalues[k]."""
+    n = sum(lam)
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for part, ev in zip(lam, eigenvalues):
+        for k in range(start, start + part):
+            m[k][k] = ev
+            if k + 1 < start + part:
+                m[k][k + 1] = 1
+        start += part
+    return tuple(map(tuple, m))
+
+
+def is_zero(m):
+    return not any(map(any, m))
+
+
+@pytest.mark.parametrize("ell, a", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 4), (2, 8)])
+def test_power_chain_and_nilpotency_match_repeated_products(ell, a):
+    from mptypes.orbits import partitions_of
+
+    f = gf.ext_field(ell, a)
+    rng = random.Random(f"power-chain:{ell}:{a}")
+    seen = {True: 0, False: 0}
+    for n in range(6):
+        mats = []
+        for lam in partitions_of(n):
+            for evs in ([0] * len(lam.parts), [rng.randrange(f.order) for _ in lam.parts]):
+                jordan = jordan_form(lam.parts, evs)
+                mats += [jordan, conjugate(jordan, rng, f)]
+        mats += [tuple(tuple(rng.randrange(f.order) for _ in range(n)) for _ in range(n))
+                 for _ in range(8)]
+        for m in mats:
+            # a^0, ..., a^max(n, 1), each the last one times a
+            power = [gf.identity(n)]
+            for _ in range(max(n, 1)):
+                power.append(gf.mat_mul(power[-1], m, f))
+            nilpotent = is_zero(power[n])
+            first_zero = next((k for k in range(1, len(power)) if is_zero(power[k])), n)
+            assert gf.powers(m, f) == power[1 : first_zero + 1], (ell, a, m)
+            assert gf.is_nilpotent(m, f) is nilpotent, (ell, a, m)
+            seen[nilpotent] += n > 0
+    assert seen[True] and seen[False]

@@ -211,12 +211,25 @@ def test_post_init_still_refuses_bad_fields():
 
 
 def test_cached_hash_is_kept_and_recomputed_on_replace(samples):
+    @record
+    class Own:
+        a: int
+
+        def __hash__(self):
+            return -7
+
+    assert Own.__hash__.__code__.co_filename == __file__  # the class body's own
+    assert hash(Own(1)) == -7 and Own(1) == Own(1) != Own(2)
     pair = samples[DMPPair][0]
-    assert DMPPair.__hash__.__qualname__ == "DMPPair.__hash__"  # the class body's own
     other = replace(pair, s=pair.s + 1)
     assert hash(other) == hash((other.s, other.x, other.phi, other.lift)) != hash(pair)
     with pytest.raises(TypeError):
         replace(pair, unknown=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fresh = DMPPair.make(GroupConfig(n=2, q=5, m=16), pair.s, pair.x, pair.phi)
+    assert fresh._hash is None  # hashed on first use, as every record is
+    assert hash(fresh) == fresh._hash == hash((pair.s, pair.x, pair.phi, pair.lift))
 
 
 CODE_FIELDS = ("co_code", "co_varnames", "co_names", "co_consts", "co_filename", "co_name",

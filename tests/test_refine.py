@@ -158,7 +158,7 @@ def test_refine_relation_refuses_a_coarse_lift_below_the_finer_lattice():
     classes = enumerate_and_classify(CFG, hyp_pair({(0, 1): 1}), (X_HYP, Q(1)))
     with pytest.raises(ValidationError, match="below the lattice bound") as err:
         refine_relation(CFG, coarse, (X_HYP, Q(1)), decomposition=classes)
-    assert err.value.where == "graded.graded_image"
+    assert err.value.where == "graded.regrade"
 
 
 def _surface_positions(cfg, y, tau, x, s):
