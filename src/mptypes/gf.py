@@ -230,7 +230,8 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: ExtFi
 def powers(a: Sequence[Sequence[int]], field: ExtField) -> List[Sequence[Sequence[int]]]:
     """a as given, then a^2, ..., each the last times a, up to the first
     zero power or a^n for n x n a.  Over a field, a is nilpotent exactly
-    when a^n = 0, so the chain ends in zero exactly when a is nilpotent."""
+    when a^n = 0, so the chain ends in zero exactly when a is nilpotent.
+    The entries of a must be reduced field elements, 0 .. order - 1."""
     chain = [a]
     while len(chain) < len(a) and any(map(any, chain[-1])):
         chain.append(mat_mul(chain[-1], a, field))
@@ -238,7 +239,8 @@ def powers(a: Sequence[Sequence[int]], field: ExtField) -> List[Sequence[Sequenc
 
 
 def is_nilpotent(a: Sequence[Sequence[int]], field: ExtField) -> bool:
-    """Whether the power chain of a ends in a zero matrix (`powers`)."""
+    """Whether the power chain of a ends in a zero matrix (`powers`);
+    a must have reduced entries, 0 .. order - 1."""
     return not any(map(any, powers(a, field)[-1]))
 
 

@@ -1,9 +1,9 @@
 """Replay the perfbench jobs under two source trees and report every difference.
 
-    python3 tests/replay_jobs.py FIRST SECOND [--seeds 0-3]
+    python3 tests/replay_jobs.py FIRST SECOND
 
 FIRST and SECOND are repository roots, each with `src/mptypes`.  The jobs
-of the given seeds of the four perfbench workloads are generated once, by
+of seeds 0-3 of the four perfbench workloads are generated once, by
 FIRST's `perfbench/workloads.py` and from the instances recorded in FIRST's
 `perfbench/references`, so both trees run the same argv lists and input
 files.  Each tree then runs every job in one fresh process with its own
@@ -19,7 +19,6 @@ Only the standard library is used; pytest does not collect this file.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -32,19 +31,11 @@ import warnings
 from pathlib import Path
 
 WORKLOADS = ("geodesics", "relations", "tables", "lifts")
+SEEDS = range(4)
 CHILD_TIMEOUT_S = 1800
 
 
-def _seeds(text: str) -> list:
-    """'0-3' or '0,2,5' as a list of ints."""
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out += range(int(lo), int(hi or lo) + 1)
-    return out
-
-
-def generate(first: Path, seeds: list, jobs_path: Path) -> None:
+def generate(first: Path, jobs_path: Path) -> None:
     """Write the job groups of every workload and seed, as FIRST builds them."""
     sys.path[:0] = [str(first / "src"), str(first / "perfbench")]
     import workloads
@@ -54,7 +45,7 @@ def generate(first: Path, seeds: list, jobs_path: Path) -> None:
         path = first / "perfbench" / "references" / f"{name}.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines() if path.is_file() else []
         recorded = {e["seed"]: e for e in map(json.loads, filter(None, lines))}
-        for seed in seeds:
+        for seed in SEEDS:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 spec = workloads.generate(name, seed, recorded.get(seed, {}).get("instances"))
@@ -97,17 +88,12 @@ def _child(*args: str) -> None:
     subprocess.run([sys.executable, __file__, *args], check=True, timeout=CHILD_TIMEOUT_S)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("first", type=Path, help="repository root that generates the jobs")
-    parser.add_argument("second", type=Path, help="repository root to compare with it")
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("0-3"), help="e.g. 0-3 or 0,5")
-    args = parser.parse_args(argv)
-    first, second = args.first.resolve(), args.second.resolve()
+def main(first: Path, second: Path) -> int:
+    first, second = first.resolve(), second.resolve()
     with tempfile.TemporaryDirectory(prefix="replay-jobs-") as tmp:
         base = Path(tmp)
         jobs_path = base / "jobs.json"
-        _child("--generate", str(first), ",".join(map(str, args.seeds)), str(jobs_path))
+        _child("--generate", str(first), str(jobs_path))
         sides = []
         for k, tree in enumerate((first, second)):
             result_path = base / f"result{k}.json"
@@ -122,15 +108,17 @@ def main(argv=None) -> int:
         if fields:
             differences.append({"workload": workload, "seed": seed, "job": k,
                                 "argv": job_argv, "differs": fields})
-    print(json.dumps({"first": str(first), "second": str(second), "seeds": args.seeds,
+    print(json.dumps({"first": str(first), "second": str(second), "seeds": list(SEEDS),
                       "jobs": len(labels), "differences": differences}, indent=1))
     return 1 if differences else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--generate"]:
-        generate(Path(sys.argv[2]), _seeds(sys.argv[3]), Path(sys.argv[4]))
+        generate(Path(sys.argv[2]), Path(sys.argv[3]))
     elif sys.argv[1:2] == ["--replay"]:
         replay(*map(Path, sys.argv[2:6]))
+    elif len(sys.argv) == 3:
+        sys.exit(main(Path(sys.argv[1]), Path(sys.argv[2])))
     else:
-        sys.exit(main())
+        sys.exit("usage: " + __doc__.split("\n\n")[1].strip())
